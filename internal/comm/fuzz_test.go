@@ -192,3 +192,56 @@ func FuzzDecodeSequenceState(f *testing.F) {
 		DecodeSequenceState(xdr.NewDecoder(b))
 	})
 }
+
+func FuzzDecodeStreamFrames(f *testing.F) {
+	seq := func(frames ...streamFrame) []byte {
+		e := xdr.NewEncoder(64)
+		for i := range frames {
+			frames[i].encode(e)
+		}
+		return e.Bytes()
+	}
+	open := streamFrame{kind: streamOpen, id: 1, orig: true, method: "echo", delta: 1 << 20}
+	data := streamFrame{kind: streamData, id: 1, orig: true, data: []byte("request")}
+	closeF := streamFrame{kind: streamClose, id: 1, orig: true}
+	// Each kind alone, a unary call's batch, a cut tail, garbage after a
+	// valid frame, a length prefix far past the payload.
+	f.Add(seq(open))
+	f.Add(seq(data))
+	f.Add(seq(closeF))
+	f.Add(seq(streamFrame{kind: streamReset, id: 2, reason: drainReason}))
+	f.Add(seq(streamFrame{kind: streamWindow, id: 2, delta: 4096}))
+	call := seq(open, data, closeF)
+	f.Add(call)
+	f.Add(call[:len(call)-13])
+	f.Add(append(seq(closeF), 0xff, 0xff, 0xff, 0xff))
+	f.Add(append(seq(closeF), streamData, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0xff, 0xff, 0xff, 0xff))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var frames []streamFrame
+		err := forEachStreamFrame(b, func(fr streamFrame) { frames = append(frames, fr) })
+		// What was applied is exactly a frame sequence: re-encoded, it
+		// has the size wireSize promises and decodes whole to the same
+		// frames. An undamaged payload is used up by its frames.
+		e := xdr.NewEncoder(len(b))
+		for i := range frames {
+			before := e.Len()
+			frames[i].encode(e)
+			if n := e.Len() - before; n != frames[i].wireSize() {
+				t.Fatalf("frame %d: wireSize %d, encoded %d", i, frames[i].wireSize(), n)
+			}
+		}
+		if e.Len() > len(b) || (err == nil && e.Len() != len(b)) {
+			t.Fatalf("%d applied frames re-encode to %d bytes of a %d-byte payload (err %v)", len(frames), e.Len(), len(b), err)
+		}
+		i := 0
+		if err := forEachStreamFrame(e.Bytes(), func(fr streamFrame) {
+			if !sameStreamFrame(fr, frames[i]) {
+				t.Fatalf("frame %d round-trip mismatch: %+v vs %+v", i, fr, frames[i])
+			}
+			i++
+		}); err != nil || i != len(frames) {
+			t.Fatalf("re-decode applied %d of %d frames: %v", i, len(frames), err)
+		}
+	})
+}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"snipe/internal/netsim"
+	"snipe/internal/testutil"
 )
 
 // rudpPair wires two RUDP conns over a simulated packet link.
@@ -232,6 +235,37 @@ func TestRUDPOverRealUDP(t *testing.T) {
 	if err != nil || string(got) != "pong" {
 		t.Fatalf("reply: %q %v", got, err)
 	}
+}
+
+// retxLoops counts the goroutines running an RUDP retransmit loop.
+func retxLoops() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "comm.(*rudpConn).retxLoop(")
+}
+
+func TestRUDPListenerCloseClosesBacklog(t *testing.T) {
+	// A connection that reached the accept backlog and was never accepted
+	// is closed with the listener; its retransmit loop must not outlive it.
+	before := retxLoops()
+	tr := RUDPTransport{}
+	ln, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialer, err := tr.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dialer.Send([]byte("never accepted")); err != nil {
+		t.Fatal(err)
+	}
+	backlog := ln.(*rudpListener).accepts
+	testutil.WaitFor(t, 3*time.Second, func() bool { return len(backlog) == 1 }, "the connection never reached the backlog")
+	dialer.Close()
+	ln.Close()
+	testutil.WaitFor(t, 3*time.Second, func() bool { return retxLoops() <= before },
+		"a backlogged connection's retransmit loop outlived its listener")
 }
 
 func TestRUDPManyFramesOverRealUDP(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"snipe/internal/stats"
 	"snipe/internal/xdr"
 )
 
@@ -22,25 +23,54 @@ import (
 // adds is conversation state: stream identity, byte-credit flow control
 // per direction, graceful half-close, and abortive reset.
 //
-// Wire format (the payload of a StreamTag message), XDR-encoded:
+// Wire format: the payload of a StreamTag message is a sequence of one or
+// more frames, back to back, each XDR-encoded and self-delimiting:
 //
 //	kind   uint8  — streamOpen..streamWindow
 //	id     uint64 — stream id, allocated by the opener
 //	orig   uint8  — 1 when the frame's sender opened the stream
-//	... kind-specific fields (see encode/decode below)
+//	... kind-specific fields (see streamFrame.encode and decodeStreamFrame)
 //
-// The (peer, id, orig) triple names a stream uniquely: ids are scoped
-// to their opener, and the orig bit keeps two endpoints that happen to
-// pick the same id apart.
+// The receiver applies the frames in order until the payload is used up;
+// a frame that does not decode ends the message, with the frames before
+// it applied and nothing after. The (peer, id, orig) triple names a
+// stream uniquely: ids are scoped to their opener, and the orig bit keeps
+// two endpoints that happen to pick the same id apart.
+//
+// Send path: no frame is sent on its own. Every outbound frame, of any
+// kind and any stream, is appended to the batch pending for its peer, and
+// a flusher goroutine — started by the first frame queued for an idle
+// peer, gone once nothing is left — hands each batch to Endpoint.Send as
+// one message. So the frames a goroutine produces before it next blocks
+// (Open, Write and CloseWrite of a unary call; Write and CloseWrite of its
+// answer) ride one message, and a frame never waits for a later stream
+// call to get out. The flusher is the only sender, so frames to one peer
+// leave in the order they were queued. A batch is sealed, and the next
+// frame starts a new one behind it, when another frame would take it past
+// the chunk size plus streamBatchSlack: a message carries at most one
+// full DATA chunk and a few small frames, and the DATA queued for a
+// stream is bounded by the credit its peer granted. A batch the endpoint
+// refuses (ErrBufferFull, ErrPeerDead, ErrClosed) is dropped together
+// with every batch queued behind it for that peer, so that no stream
+// reaches the peer with a hole in it; every stream with a frame among
+// them fails, queues nothing more, and is RESET toward the peer. The
+// cause surfaces from those streams' next Read or Write.
 //
 // Flow control is credit-based per direction. Each side grants its
 // receive window up front (the opener's window rides in OPEN; the
-// acceptor's initial grant is assumed symmetric — both muxes of a
-// deployment run the same configuration) and replenishes credit with
-// WINDOW frames as the application consumes received chunks. A writer
-// that exhausts its credit blocks until the reader catches up, so a
-// slow consumer backpressures the producer instead of ballooning the
-// consumer's memory.
+// acceptor's initial grant is assumed symmetric) and replenishes it with
+// WINDOW frames as the application consumes received chunks: Read adds up
+// what it has handed out and grants it back in one WINDOW once that
+// reaches a quarter of the window, and not at all once the peer has
+// half-closed, so an exchange smaller than that costs no WINDOW frame.
+// The chunk size is clamped to half the window, so the credit a reader
+// withholds can never keep a writer from its next chunk. A writer that
+// exhausts its credit blocks until the reader catches up: a slow consumer
+// backpressures the producer instead of ballooning the consumer's memory.
+//
+// Both muxes of a conversation must run the same configuration (window
+// and chunk), and the same build: the frame-sequence payload replaced the
+// earlier one-frame payload outright, with no version negotiation.
 
 // StreamTag is the reserved message tag carrying stream frames.
 // Applications must not send their own messages under it, and an
@@ -75,11 +105,15 @@ const (
 	// window: how many bytes a peer may have in flight toward us before
 	// it must wait for WINDOW grants.
 	defaultStreamWindow = 1 << 20
-	// defaultStreamChunk caps one DATA message's payload. At the default
+	// defaultStreamChunk caps one DATA frame's payload. At the default
 	// it matches the endpoint's stripe threshold, so a saturated stream
 	// produces exactly stripe-eligible messages and large responses ride
 	// the multi-path substrate.
 	defaultStreamChunk = 256 << 10
+	// streamBatchSlack is how far past the chunk size a batch may run:
+	// room for the small frames (an OPEN with its method name, a WINDOW)
+	// that ride with a full DATA chunk.
+	streamBatchSlack = 1 << 10
 	// maxWireReason bounds a decoded reset reason.
 	maxWireReason = 1024
 )
@@ -96,7 +130,8 @@ func WithStreamWindow(n int) StreamMuxOption {
 	}
 }
 
-// WithStreamChunk caps the payload of one stream DATA message.
+// WithStreamChunk caps the payload of one stream DATA frame. The mux
+// clamps it to half the window.
 func WithStreamChunk(n int) StreamMuxOption {
 	return func(m *StreamMux) {
 		if n > 0 {
@@ -122,6 +157,21 @@ type streamKey struct {
 	opened bool // we opened it
 }
 
+// streamBatch is the frames of one outbound message, and the batch
+// queued behind it for the same peer.
+type streamBatch struct {
+	enc     *xdr.Encoder
+	streams []*Stream // the stream of each frame in enc (frames of no stream left out)
+	next    *streamBatch
+}
+
+// sendQueue is the batches queued for one peer, oldest first; frames are
+// appended to the last one. Both ends are nil while the peer's only batch
+// is being sent.
+type sendQueue struct {
+	head, tail *streamBatch
+}
+
 // StreamMux multiplexes streams over one Endpoint. One mux owns the
 // endpoint's StreamTag traffic; the endpoint's other tags are untouched.
 type StreamMux struct {
@@ -133,28 +183,54 @@ type StreamMux struct {
 	nextID   atomic.Uint64
 	draining atomic.Bool
 
+	// mu guards streams, out, closed and every stream's queued, retired
+	// and sendErr fields.
 	mu      sync.Mutex
 	streams map[streamKey]*Stream
-	closed  bool
+	// out holds, per peer, the batches not yet handed to the endpoint. A
+	// peer has an entry exactly as long as a flusher goroutine runs for it.
+	out    map[string]sendQueue
+	closed bool
 
-	accepts chan *Stream
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
+	mFramesOut    *stats.Counter // frames queued for sending, all kinds
+	mMsgsOut      *stats.Counter // batches the endpoint accepted
+	mWindowsOut   *stats.Counter // WINDOW frames among mFramesOut
+	mResetsOut    *stats.Counter // RESET frames among mFramesOut
+	mSendFailures *stats.Counter // batches the endpoint refused
+
+	accepts  chan *Stream
+	cancel   context.CancelFunc
+	wg       sync.WaitGroup // the receive loop
+	flushers sync.WaitGroup // flusher goroutines; Close waits for them first
 }
 
 // NewStreamMux attaches a stream multiplexer to ep and starts its
 // receive loop. Close the mux before (or instead of) closing the
 // endpoint; closing the endpoint also unblocks the mux.
 func NewStreamMux(ep *Endpoint, opts ...StreamMuxOption) *StreamMux {
+	reg := ep.Metrics()
 	m := &StreamMux{
 		ep:      ep,
 		window:  defaultStreamWindow,
 		chunk:   defaultStreamChunk,
 		backlog: 64,
 		streams: make(map[streamKey]*Stream),
+		out:     make(map[string]sendQueue),
+
+		mFramesOut:    reg.Counter("stream_frames_out"),
+		mMsgsOut:      reg.Counter("stream_msgs_out"),
+		mWindowsOut:   reg.Counter("stream_window_updates_out"),
+		mResetsOut:    reg.Counter("stream_resets_out"),
+		mSendFailures: reg.Counter("stream_send_failures"),
 	}
 	for _, o := range opts {
 		o(m)
+	}
+	// A reader withholds up to a quarter of the window before it grants
+	// credit back; with a chunk of at most half the window, a writer
+	// waiting for one chunk's credit is always satisfiable.
+	if m.chunk > m.window/2 {
+		m.chunk = max(m.window/2, 1)
 	}
 	m.accepts = make(chan *Stream, m.backlog)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -175,24 +251,34 @@ func (m *StreamMux) Drain() { m.draining.Store(true) }
 // Draining reports whether Drain has been called.
 func (m *StreamMux) Draining() bool { return m.draining.Load() }
 
-// ActiveStreams counts streams that are not yet fully closed.
+// ActiveStreams counts streams that are not yet fully closed, or whose
+// last frames have not yet been handed to the endpoint.
 func (m *StreamMux) ActiveStreams() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.streams)
 }
 
-// Close resets every open stream and stops the mux. The underlying
-// endpoint stays open.
+// Close stops the mux: it hands the frames already queued to the
+// endpoint, then fails every open stream. The underlying endpoint stays
+// open.
 func (m *StreamMux) Close() {
-	m.cancel()
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		m.wg.Wait()
+		m.flushers.Wait()
 		return
 	}
-	m.closed = true
+	m.closed = true // streams queue nothing from here on
+	m.mu.Unlock()
+	// The receive loop goes first: an OPEN it still handles is refused
+	// with a RESET, and once it is gone nothing feeds the flushers, which
+	// run dry.
+	m.cancel()
+	m.wg.Wait()
+	m.flushers.Wait()
+	m.mu.Lock()
 	streams := make([]*Stream, 0, len(m.streams))
 	for _, s := range m.streams {
 		streams = append(streams, s)
@@ -203,13 +289,12 @@ func (m *StreamMux) Close() {
 		s.abortLocal(ErrClosed)
 	}
 	close(m.accepts)
-	m.wg.Wait()
 }
 
 // Open starts a stream to dst for the named method. It returns as soon
-// as the OPEN frame is accepted into the send buffer; a peer that
-// refuses the stream (draining, overloaded, closed) surfaces as
-// ErrStreamReset from the first Read/Write.
+// as the OPEN frame is queued; a peer that cannot be reached (dead,
+// send buffer full) or that refuses the stream (draining, overloaded,
+// closed) surfaces as an error from the first Read/Write.
 func (m *StreamMux) Open(ctx context.Context, dst, method string) (*Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(ctx)
@@ -217,16 +302,12 @@ func (m *StreamMux) Open(ctx context.Context, dst, method string) (*Stream, erro
 	id := m.nextID.Add(1)
 	s := m.newStream(dst, id, true, method)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil, ErrClosed
 	}
 	m.streams[streamKey{dst, id, true}] = s
-	m.mu.Unlock()
-	if err := m.ep.Send(dst, StreamTag, encodeStreamOpen(id, true, method, uint32(m.window))); err != nil {
-		m.remove(s)
-		return nil, err
-	}
+	m.enqueueLocked(dst, s, streamFrame{kind: streamOpen, id: id, orig: true, method: method, delta: uint32(m.window)})
 	return s, nil
 }
 
@@ -257,12 +338,144 @@ func (m *StreamMux) newStream(peer string, id uint64, opened bool, method string
 	return s
 }
 
-// remove drops a stream from the routing table (frames for it are no
-// longer expected).
+// remove retires a stream: frames for it are no longer expected. It
+// leaves the routing table (and ActiveStreams) once the last frame it
+// queued has been handed to the endpoint.
 func (m *StreamMux) remove(s *Stream) {
 	m.mu.Lock()
-	delete(m.streams, streamKey{s.peer, s.id, s.opened})
+	s.retired = true
+	m.dropIfSentLocked(s)
 	m.mu.Unlock()
+}
+
+// dropIfSentLocked deletes a retired stream with nothing left queued.
+func (m *StreamMux) dropIfSentLocked(s *Stream) {
+	key := streamKey{s.peer, s.id, s.opened}
+	if s.retired && s.queued == 0 && m.streams[key] == s {
+		delete(m.streams, key)
+	}
+}
+
+// enqueue queues one frame for peer; s is the frame's stream, nil for
+// a RESET that answers a stream the mux does not hold.
+func (m *StreamMux) enqueue(peer string, s *Stream, f streamFrame) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.enqueueLocked(peer, s, f)
+}
+
+func (m *StreamMux) enqueueLocked(peer string, s *Stream, f streamFrame) error {
+	if s != nil {
+		// A RESET of no stream is still queued by a closing mux: Close
+		// stops the receive loop and the flushers, their only sources.
+		if m.closed {
+			return ErrClosed
+		}
+		if s.sendErr != nil {
+			return s.sendErr // never a frame behind a lost one
+		}
+	}
+	q, flushing := m.out[peer]
+	if q.tail == nil || q.tail.enc.Len()+f.wireSize() > m.chunk+streamBatchSlack {
+		b := &streamBatch{enc: getFrameEncoder()}
+		if q.tail == nil {
+			q.head = b
+		} else {
+			q.tail.next = b
+		}
+		q.tail = b
+		m.out[peer] = q
+	}
+	f.encode(q.tail.enc)
+	if s != nil {
+		q.tail.streams = append(q.tail.streams, s)
+		s.queued++
+	}
+	m.mFramesOut.Inc()
+	switch f.kind {
+	case streamWindow:
+		m.mWindowsOut.Inc()
+	case streamReset:
+		m.mResetsOut.Inc()
+	}
+	if !flushing {
+		m.flushers.Add(1)
+		go m.flush(peer)
+	}
+	return nil
+}
+
+// nextBatch takes the oldest batch queued for peer, or ends the peer's
+// flusher when there is none.
+func (m *StreamMux) nextBatch(peer string) *streamBatch {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.out[peer]
+	b := q.head
+	if b == nil {
+		delete(m.out, peer)
+		return nil
+	}
+	if q.head = b.next; q.head == nil {
+		q.tail = nil
+	}
+	m.out[peer] = q
+	return b
+}
+
+// flush hands peer's batches to the endpoint, one message each, until
+// none is left. It is the only sender of StreamTag messages, which is
+// what keeps the frames to one peer in the order they were queued.
+func (m *StreamMux) flush(peer string) {
+	defer m.flushers.Done()
+	for b := m.nextBatch(peer); b != nil; b = m.nextBatch(peer) {
+		err := m.ep.Send(peer, StreamTag, b.enc.Bytes())
+		if err != nil {
+			m.mSendFailures.Inc()
+			m.failQueue(peer, b, fmt.Errorf("%w: sending to %s: %w", ErrStreamReset, peer, err))
+			continue
+		}
+		putFrameEncoder(b.enc) // Send copied the payload
+		m.mMsgsOut.Inc()
+		m.mu.Lock()
+		for _, s := range b.streams {
+			s.queued--
+			m.dropIfSentLocked(s)
+		}
+		m.mu.Unlock()
+	}
+}
+
+// failQueue gives up on the batch the endpoint refused and on every batch
+// queued behind it: a later batch may carry the rest of a stream whose
+// earlier frames were in the refused one, and sending it would hand the
+// peer a stream with a hole in it. Every stream with a frame among them
+// fails with err and accepts no further frame, and a RESET for each is
+// queued so that a peer holding part of the stream aborts it too.
+func (m *StreamMux) failQueue(peer string, refused *streamBatch, err error) {
+	var failed []*Stream
+	m.mu.Lock()
+	rest := m.out[peer].head
+	m.out[peer] = sendQueue{} // the entry stays: this flusher is still running
+	refused.next = rest
+	for b := refused; b != nil; b = b.next {
+		putFrameEncoder(b.enc)
+		for _, s := range b.streams {
+			s.queued--
+			if s.sendErr == nil {
+				s.sendErr, s.retired = err, true
+				failed = append(failed, s)
+			}
+			m.dropIfSentLocked(s)
+		}
+	}
+	for _, s := range failed {
+		m.enqueueLocked(peer, nil, streamFrame{kind: streamReset, id: s.id, orig: s.opened, reason: "send failed"})
+	}
+	m.mu.Unlock()
+	for _, s := range failed {
+		s.abortLocal(err)
+	}
 }
 
 // run pulls StreamTag messages off the endpoint mailbox and dispatches
@@ -275,31 +488,30 @@ func (m *StreamMux) run(ctx context.Context) {
 		if err != nil {
 			return
 		}
-		m.handle(msg)
+		// A damaged frame ends the message; malformed payloads from
+		// foreign senders are tolerated.
+		_ = forEachStreamFrame(msg.Payload, func(f streamFrame) { m.handle(msg.Src, f) })
 	}
 }
 
 // handle dispatches one decoded stream frame.
-func (m *StreamMux) handle(msg *Message) {
-	f, err := decodeStreamFrame(msg.Payload)
-	if err != nil {
-		return // tolerate malformed frames from foreign senders
-	}
+func (m *StreamMux) handle(src string, f streamFrame) {
 	// A frame whose sender opened the stream refers, locally, to a
 	// stream we accepted; and vice versa.
-	key := streamKey{msg.Src, f.id, !f.orig}
+	key := streamKey{src, f.id, !f.orig}
 	m.mu.Lock()
 	s, known := m.streams[key]
 	m.mu.Unlock()
 
 	switch f.kind {
 	case streamOpen:
-		m.handleOpen(msg.Src, f, known)
+		m.handleOpen(src, f, known)
 	case streamData:
 		if !known {
-			// The stream died locally (reset) while this chunk was in
-			// flight; tell the peer to stop.
-			m.reset(msg.Src, f.id, !key.opened, "unknown stream")
+			// The stream died locally (reset, or this process restarted
+			// under the same URN) while the chunk was in flight; tell
+			// the peer to stop.
+			m.reset(src, f.id, key.opened, "unknown stream")
 			return
 		}
 		s.deliver(f.data)
@@ -326,7 +538,7 @@ func (m *StreamMux) handle(msg *Message) {
 }
 
 // handleOpen admits (or refuses) one incoming stream.
-func (m *StreamMux) handleOpen(src string, f *streamFrame, known bool) {
+func (m *StreamMux) handleOpen(src string, f streamFrame, known bool) {
 	if known {
 		return // duplicate OPEN cannot happen over exactly-once delivery; ignore
 	}
@@ -336,9 +548,7 @@ func (m *StreamMux) handleOpen(src string, f *streamFrame, known bool) {
 	}
 	s := m.newStream(src, f.id, false, f.method)
 	// The opener granted us its receive window explicitly.
-	s.mu.Lock()
 	s.sendCredit = int(f.delta)
-	s.mu.Unlock()
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -355,9 +565,10 @@ func (m *StreamMux) handleOpen(src string, f *streamFrame, known bool) {
 	}
 }
 
-// reset sends an abortive RESET for a stream (best-effort).
+// reset queues an abortive RESET for a stream the mux does not (or no
+// longer) hold; orig says whether this side opened it. Best-effort.
 func (m *StreamMux) reset(peer string, id uint64, orig bool, reason string) {
-	_ = m.ep.Send(peer, StreamTag, encodeStreamReset(id, orig, reason))
+	_ = m.enqueue(peer, nil, streamFrame{kind: streamReset, id: id, orig: orig, reason: reason}) // a frame of no stream is never refused
 }
 
 // reapIfDone removes a stream whose both directions have closed.
@@ -380,11 +591,19 @@ type Stream struct {
 	opened bool
 	method string
 
+	// Guarded by mux.mu: frames queued and not yet handed to the
+	// endpoint, whether the stream has been retired (see remove), and why
+	// a frame of it was lost on the way to the endpoint (see failQueue).
+	queued  int
+	retired bool
+	sendErr error
+
 	mu         sync.Mutex
 	cond       *sync.Cond
 	sendCredit int
 	sendClosed bool
 	recvQ      [][]byte
+	consumed   int // bytes Read handed out and not yet granted back
 	recvEOF    bool
 	failure    error
 }
@@ -394,6 +613,12 @@ func (s *Stream) Method() string { return s.method }
 
 // Peer returns the remote endpoint's URN.
 func (s *Stream) Peer() string { return s.peer }
+
+// send queues one frame of this stream.
+func (s *Stream) send(f streamFrame) error {
+	f.id, f.orig = s.id, s.opened
+	return s.mux.enqueue(s.peer, s, f)
+}
 
 // deliver queues one received chunk.
 func (s *Stream) deliver(data []byte) {
@@ -421,7 +646,8 @@ func (s *Stream) grant(n int) {
 	s.mu.Unlock()
 }
 
-// abortLocal fails the stream locally (peer reset, mux close).
+// abortLocal fails the stream locally (peer reset, send failure, mux
+// close).
 func (s *Stream) abortLocal(err error) {
 	s.mu.Lock()
 	if s.failure == nil {
@@ -443,7 +669,9 @@ func (s *Stream) wake(ctx context.Context) func() bool {
 
 // Read returns the next received chunk, waiting until data arrives,
 // the peer half-closes (io.EOF after the queue drains), the stream
-// fails, or ctx ends. The returned slice is owned by the caller.
+// fails, or ctx ends. The returned slice is the caller's to keep and to
+// overwrite, at its length: it is a window into the message that carried
+// it, whose other frames lie past its capacity.
 func (s *Stream) Read(ctx context.Context) ([]byte, error) {
 	stop := s.wake(ctx)
 	defer stop()
@@ -452,11 +680,16 @@ func (s *Stream) Read(ctx context.Context) ([]byte, error) {
 		if len(s.recvQ) > 0 {
 			chunk := s.recvQ[0]
 			s.recvQ = s.recvQ[1:]
+			// Replenish the peer's credit a quarter window at a time, and
+			// not at all when it has nothing more to send.
+			var grant int
+			s.consumed += len(chunk)
+			if s.consumed >= s.mux.window/4 && !s.recvEOF && s.failure == nil {
+				grant, s.consumed = s.consumed, 0
+			}
 			s.mu.Unlock()
-			// Replenish the peer's credit for what we consumed.
-			if len(chunk) > 0 {
-				_ = s.mux.ep.Send(s.peer, StreamTag,
-					encodeStreamWindow(s.id, s.opened, uint32(len(chunk))))
+			if grant > 0 {
+				_ = s.send(streamFrame{kind: streamWindow, delta: uint32(grant)}) // a closed mux has failed the stream
 			}
 			return chunk, nil
 		}
@@ -478,8 +711,10 @@ func (s *Stream) Read(ctx context.Context) ([]byte, error) {
 }
 
 // Write sends p, chunking to the mux's chunk size and blocking for
-// flow-control credit as needed. It returns once every chunk is
-// accepted into the endpoint's reliable send buffer.
+// flow-control credit as needed. It returns once every chunk is queued
+// for the peer, not once it is sent: if the endpoint then refuses the
+// message (send buffer full, peer dead, endpoint closed) the stream
+// fails, and the next Read or Write returns the cause.
 func (s *Stream) Write(ctx context.Context, p []byte) error {
 	stop := s.wake(ctx)
 	defer stop()
@@ -509,8 +744,7 @@ func (s *Stream) Write(ctx context.Context, p []byte) error {
 		if n == 0 {
 			return nil // zero-length write: just the state check above
 		}
-		if err := s.mux.ep.Send(s.peer, StreamTag, encodeStreamData(s.id, s.opened, p[:n])); err != nil {
-			s.grant(n) // credit was not used
+		if err := s.send(streamFrame{kind: streamData, data: p[:n]}); err != nil {
 			return err
 		}
 		p = p[n:]
@@ -533,114 +767,116 @@ func (s *Stream) CloseWrite() error {
 	}
 	s.sendClosed = true
 	s.mu.Unlock()
-	err := s.mux.ep.Send(s.peer, StreamTag, encodeStreamClose(s.id, s.opened))
+	err := s.send(streamFrame{kind: streamClose})
 	s.mux.reapIfDone(s)
 	return err
 }
 
 // Reset aborts the stream in both directions with the given reason.
 func (s *Stream) Reset(reason string) {
-	s.mux.remove(s)
 	s.abortLocal(fmt.Errorf("%w: %s (local)", ErrStreamReset, reason))
-	s.mux.reset(s.peer, s.id, s.opened, reason)
+	_ = s.send(streamFrame{kind: streamReset, reason: reason}) // best-effort; only a closed mux refuses
+	s.mux.remove(s)
 }
 
 // --- wire encoding -------------------------------------------------------
 
-// streamFrame is a decoded stream frame.
+// streamFrame is one stream frame, decoded or about to be encoded.
 type streamFrame struct {
 	kind   uint8
 	id     uint64
 	orig   bool
 	method string // streamOpen
 	delta  uint32 // streamOpen (initial window), streamWindow (grant)
-	data   []byte // streamData (copied out of the message payload)
+	// data is the streamData chunk. Decoded, it aliases the message
+	// payload (BytesMax does not copy): the frames of one message share
+	// that payload, and Read hands the caller its slice of it, capped at
+	// its length.
+	data   []byte
 	reason string // streamReset
 }
 
-func putStreamHeader(e *xdr.Encoder, kind uint8, id uint64, orig bool) {
-	e.PutUint8(kind)
-	e.PutUint64(id)
-	if orig {
-		e.PutUint8(1)
-	} else {
-		e.PutUint8(0)
+// streamHeaderSize is the encoded kind, id and orig of every frame.
+const streamHeaderSize = 1 + 8 + 1
+
+// wireSize is the number of bytes encode appends.
+func (f *streamFrame) wireSize() int {
+	switch f.kind {
+	case streamOpen:
+		return streamHeaderSize + 4 + len(f.method) + 4
+	case streamData:
+		return streamHeaderSize + 4 + len(f.data)
+	case streamReset:
+		return streamHeaderSize + 4 + len(f.reason)
+	case streamWindow:
+		return streamHeaderSize + 4
+	}
+	return streamHeaderSize
+}
+
+// encode appends the frame to e, behind whatever frames e already holds.
+func (f *streamFrame) encode(e *xdr.Encoder) {
+	e.PutUint8(f.kind)
+	e.PutUint64(f.id)
+	e.PutBool(f.orig)
+	switch f.kind {
+	case streamOpen:
+		e.PutString(f.method)
+		e.PutUint32(f.delta)
+	case streamData:
+		e.PutBytes(f.data)
+	case streamReset:
+		e.PutString(f.reason)
+	case streamWindow:
+		e.PutUint32(f.delta)
 	}
 }
 
-func encodeStreamOpen(id uint64, orig bool, method string, window uint32) []byte {
-	e := xdr.NewEncoder(len(method) + 20)
-	putStreamHeader(e, streamOpen, id, orig)
-	e.PutString(method)
-	e.PutUint32(window)
-	return e.Bytes()
-}
-
-func encodeStreamData(id uint64, orig bool, data []byte) []byte {
-	e := xdr.NewEncoder(len(data) + 20)
-	putStreamHeader(e, streamData, id, orig)
-	e.PutBytes(data)
-	return e.Bytes()
-}
-
-func encodeStreamClose(id uint64, orig bool) []byte {
-	e := xdr.NewEncoder(16)
-	putStreamHeader(e, streamClose, id, orig)
-	return e.Bytes()
-}
-
-func encodeStreamReset(id uint64, orig bool, reason string) []byte {
-	e := xdr.NewEncoder(len(reason) + 20)
-	putStreamHeader(e, streamReset, id, orig)
-	e.PutString(reason)
-	return e.Bytes()
-}
-
-func encodeStreamWindow(id uint64, orig bool, delta uint32) []byte {
-	e := xdr.NewEncoder(20)
-	putStreamHeader(e, streamWindow, id, orig)
-	e.PutUint32(delta)
-	return e.Bytes()
-}
-
-func decodeStreamFrame(payload []byte) (*streamFrame, error) {
+// forEachStreamFrame decodes the frame sequence of one message payload,
+// calling fn for each frame in order. It stops at the first frame that
+// does not decode and returns that error: fn has seen every frame before
+// the damage and none after it.
+func forEachStreamFrame(payload []byte, fn func(streamFrame)) error {
 	d := xdr.NewDecoder(payload)
-	f := &streamFrame{}
-	var err error
+	for d.Remaining() > 0 {
+		f, err := decodeStreamFrame(d)
+		if err != nil {
+			return err
+		}
+		fn(f)
+	}
+	return nil
+}
+
+// decodeStreamFrame reads one frame off d.
+func decodeStreamFrame(d *xdr.Decoder) (f streamFrame, err error) {
 	if f.kind, err = d.Uint8(); err != nil {
-		return nil, err
+		return f, err
 	}
 	if f.id, err = d.Uint64(); err != nil {
-		return nil, err
+		return f, err
 	}
 	origB, err := d.Uint8()
 	if err != nil {
-		return nil, err
+		return f, err
 	}
 	f.orig = origB != 0
 	switch f.kind {
 	case streamOpen:
 		if f.method, err = d.StringMax(maxWireURN); err != nil {
-			return nil, err
+			return f, err
 		}
-		if f.delta, err = d.Uint32(); err != nil {
-			return nil, err
-		}
+		f.delta, err = d.Uint32()
 	case streamData:
-		if f.data, err = d.BytesMax(MaxMessageSize); err != nil {
-			return nil, err
-		}
+		f.data, err = d.BytesMax(MaxMessageSize)
+		f.data = f.data[:len(f.data):len(f.data)] // an append must not reach the next frame
 	case streamClose:
 	case streamReset:
-		if f.reason, err = d.StringMax(maxWireReason); err != nil {
-			return nil, err
-		}
+		f.reason, err = d.StringMax(maxWireReason)
 	case streamWindow:
-		if f.delta, err = d.Uint32(); err != nil {
-			return nil, err
-		}
+		f.delta, err = d.Uint32()
 	default:
-		return nil, fmt.Errorf("%w: stream frame kind %d", ErrBadFrame, f.kind)
+		err = fmt.Errorf("%w: stream frame kind %d", ErrBadFrame, f.kind)
 	}
-	return f, nil
+	return f, err
 }

@@ -108,7 +108,17 @@ func (l *rudpListener) demuxLoop() {
 				p.enqueueClose()
 			}
 			l.mu.Unlock()
-			return
+			// Connections still in the backlog will never be accepted
+			// (Accept may have seen done first): close them, or their
+			// retransmit loops outlive the listener.
+			for {
+				select {
+				case c := <-l.accepts:
+					c.Close()
+				default:
+					return
+				}
+			}
 		}
 		key := raddr.String()
 		l.mu.Lock()

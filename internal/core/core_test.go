@@ -10,6 +10,7 @@ import (
 	"snipe/internal/playground"
 	"snipe/internal/seckey"
 	"snipe/internal/task"
+	"snipe/internal/testutil"
 )
 
 type detRand struct{ state uint64 }
@@ -139,7 +140,18 @@ func TestUniverseWithReplicatedRCServers(t *testing.T) {
 		break
 	}
 	// Kill one RC replica: the system keeps working (availability
-	// through replication, §6).
+	// through replication, §6). Replication is asynchronous, so first
+	// let the survivors catch up with what the victim has accepted; a
+	// survivor asked sooner may not hold the RM's registration yet.
+	seen := u.RCServers()[0].Store().Vector()
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		for _, s := range u.RCServers()[1:] {
+			if !s.Store().Vector().Dominates(seen) {
+				return false
+			}
+		}
+		return true
+	}, "surviving RC replicas never caught up with replica 0")
 	u.RCServers()[0].Close()
 	urn2, err := c.Spawn(task.Spec{Program: "quick"})
 	if err != nil {

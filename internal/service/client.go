@@ -248,7 +248,7 @@ func (c *Client) Open(ctx context.Context, method string) (*comm.Stream, string,
 // registered or withdrew mid-call are seen; at most cfg.Attempts
 // distinct replicas are tried.
 func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, error) {
-	tried := make(map[string]bool)
+	var tried map[string]bool // replicas that failed this call; nil until one does
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -271,13 +271,16 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 		if urn == "" {
 			break // every live replica tried
 		}
-		tried[urn] = true
 		start := time.Now()
 		resp, err := c.callOnce(ctx, urn, method, req)
 		c.observe(urn, time.Since(start), err != nil)
 		if err == nil {
 			return resp, nil
 		}
+		if tried == nil {
+			tried = make(map[string]bool)
+		}
+		tried[urn] = true
 		lastErr = err
 	}
 	if lastErr == nil {

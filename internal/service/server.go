@@ -206,8 +206,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("service: drain of %s replica %s: %w", s.cfg.Name, s.urn, ctx.Err())
 	}
-	// Handlers have returned; wait for the last buffered response
-	// chunks to be consumed (streams reap once both sides close).
+	// Handlers have returned, but their last frames may still be queued
+	// in the mux: a stream stays active until both sides have closed and
+	// everything it queued has been handed to the endpoint.
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	for s.mux.ActiveStreams() > 0 {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -422,5 +423,125 @@ func TestBalancerWeighsAdvertisedLoad(t *testing.T) {
 	}
 	if cands[0] != busy {
 		t.Fatalf("failure-penalised replica still preferred: %v", cands)
+	}
+}
+
+// TestDrainThenCloseKeepsFinishedResponse: a handler that writes its
+// response and returns while Drain is waiting has left frames queued in
+// the mux. Drain waits for them to reach the endpoint, so a Close right
+// behind it cannot cut the response short.
+func TestDrainThenCloseKeepsFinishedResponse(t *testing.T) {
+	w := newWorld(t)
+	want := make([]byte, 96<<10)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	srv, err := NewServer(ServerConfig{Name: "last", Catalog: w.cat, Endpoint: w.endpoint(naming.ProcessURN("ha", "last"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Handle("work", func(ctx context.Context, st *comm.Stream) error {
+		if _, err := readAll(ctx, st); err != nil {
+			return err
+		}
+		close(started)
+		<-release
+		return st.Write(ctx, want)
+	})
+	cli, err := NewClient(ClientConfig{
+		Service:  "last",
+		Catalog:  w.cat,
+		Endpoint: w.endpoint(naming.ProcessURN("cli", "last")),
+		Attempts: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	type result struct {
+		resp []byte
+		err  error
+	}
+	callDone := make(chan result, 1)
+	go func() {
+		resp, err := cli.Call(ctx, "work", []byte("x"))
+		callDone <- result{resp, err}
+	}()
+	<-started
+	drainDone := make(chan error, 1)
+	go func() { drainDone <- srv.Drain(ctx) }()
+	waitFor(t, 2*time.Second, srv.Draining, "mux never started draining")
+	close(release)
+	if err := <-drainDone; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	srv.Close()
+	r := <-callDone
+	if r.err != nil {
+		t.Fatalf("call finished during drain failed: %v", r.err)
+	}
+	if !bytes.Equal(r.resp, want) {
+		t.Fatalf("response: %d bytes, want %d", len(r.resp), len(want))
+	}
+}
+
+// deadPeers is a comm.PeerLiveness that holds a fixed set of peers dead.
+type deadPeers map[string]bool
+
+func (d deadPeers) PeerDead(dst string) bool { return d[dst] }
+func (deadPeers) ReportFailure(string)       {}
+func (deadPeers) ReportSuccess(string)       {}
+
+// TestCallFailsOverFromDeadPeerAtOnce: the client's endpoint refuses to
+// send to a replica whose host it holds dead. The refusal reaches the
+// stream after Open and Write have returned, and the call must still move
+// to the next replica at once, not after AttemptTimeout.
+func TestCallFailsOverFromDeadPeerAtOnce(t *testing.T) {
+	w := newWorld(t)
+	dead, _ := w.echoReplica("pair", "hdead", "dead", nil)
+	w.echoReplica("pair", "hlive", "live", nil)
+	// The live replica's host advertises load, so the balancer tries the
+	// dead one first on every call.
+	w.heartbeats("hlive", 5, time.Hour)
+
+	urn := naming.ProcessURN("cli", "pair")
+	res := naming.NewResolver(w.cat)
+	ep := comm.NewEndpoint(urn, comm.WithResolver(res),
+		comm.WithLiveness(deadPeers{dead.URN(): true}), comm.WithFailFastDead())
+	route, err := ep.Listen(comm.ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := naming.Register(w.cat, urn, []comm.Route{route}); err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	const attemptTimeout = 5 * time.Second
+	cli, err := NewClient(ClientConfig{Service: "pair", Catalog: w.cat, Endpoint: ep, AttemptTimeout: attemptTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*attemptTimeout)
+	defer cancel()
+	start := time.Now()
+	for i := 0; i < 5; i++ {
+		resp, err := cli.Call(ctx, "echo", []byte("q"))
+		if err != nil || string(resp) != "live:q" {
+			t.Fatalf("call %d: %q, %v", i, resp, err)
+		}
+	}
+	if d := time.Since(start); d >= attemptTimeout {
+		t.Fatalf("5 calls took %v: failover waited out the attempt timeout", d)
+	}
+	if n := ep.Metrics().Snapshot().Counters["stream_send_failures"]; n == 0 {
+		t.Fatal("no call tried the dead replica: the test did not exercise the failover")
 	}
 }
