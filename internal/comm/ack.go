@@ -3,6 +3,8 @@ package comm
 import (
 	"sync"
 	"time"
+
+	"snipe/internal/xdr"
 )
 
 // Acknowledgement coalescing. A striped transfer generates one
@@ -59,9 +61,9 @@ func newAckCoalescer(e *Endpoint, conn FrameConn) *ackCoalescer {
 func (a *ackCoalescer) ack(src, dst string, seq uint64) {
 	a.mu.Lock()
 	a.acks = append(a.acks, ackRef{src: src, dst: dst, seq: seq})
-	frames := a.takeLocked()
+	enc, split := a.takeLocked()
 	a.mu.Unlock()
-	a.send(frames)
+	a.send(enc, split)
 }
 
 // fragAck queues one per-fragment acknowledgement, flushing when the
@@ -71,9 +73,9 @@ func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
 	a.mu.Lock()
 	a.frags = append(a.frags, ackRef{src: src, dst: dst, seq: seq, fragIdx: fragIdx})
 	if len(a.frags) >= ackBatchMax || a.flush <= 0 || a.stopped {
-		frames := a.takeLocked()
+		enc, split := a.takeLocked()
 		a.mu.Unlock()
-		a.send(frames)
+		a.send(enc, split)
 		return
 	}
 	if !a.timerArmed {
@@ -86,9 +88,9 @@ func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
 // timerFlush is the AfterFunc body.
 func (a *ackCoalescer) timerFlush() {
 	a.mu.Lock()
-	frames := a.takeLocked()
+	enc, split := a.takeLocked()
 	a.mu.Unlock()
-	a.send(frames)
+	a.send(enc, split)
 }
 
 // stop flushes anything pending and disarms the timer; the readLoop
@@ -97,58 +99,70 @@ func (a *ackCoalescer) timerFlush() {
 func (a *ackCoalescer) stop() {
 	a.mu.Lock()
 	a.stopped = true
-	frames := a.takeLocked()
+	enc, split := a.takeLocked()
 	a.mu.Unlock()
 	a.timer.Stop()
-	a.send(frames)
+	a.send(enc, split)
 }
 
-// takeLocked drains the pending acks into encoded frames. Caller holds
-// a.mu; encoding under the lock keeps batch composition atomic, while
+// takeLocked drains the pending acks into at most two frames, encoded
+// back to back in one pooled encoder: the fragment-ack frame (if any)
+// is enc.Bytes()[:split], the end-to-end ack frame (if any) the rest.
+// It returns a nil encoder when nothing was pending. Caller holds a.mu;
+// encoding under the lock keeps batch composition atomic, while
 // conn.Send happens outside it (see send).
-func (a *ackCoalescer) takeLocked() [][]byte {
+func (a *ackCoalescer) takeLocked() (enc *xdr.Encoder, split int) {
 	if a.timerArmed {
 		a.timerArmed = false
 		a.timer.Stop()
 	}
-	var frames [][]byte
+	if len(a.frags) == 0 && len(a.acks) == 0 {
+		return nil, 0
+	}
+	enc = getFrameEncoder() // pooled encoders are empty
 	// Fragment acks go out before end-to-end acks: a message's final
 	// fragment ack precedes its completion ack, matching the
 	// pre-batching wire order.
 	if n := len(a.frags); n > 0 {
 		if n == 1 {
 			f := a.frags[0]
-			frames = append(frames, encodeFragAck(f.src, f.dst, f.seq, f.fragIdx))
+			putFragAck(enc, f.src, f.dst, f.seq, f.fragIdx)
 		} else {
-			enc := getFrameEncoder()
-			frames = append(frames, append([]byte(nil), encodeAckBatchInto(enc, frameFragAckBatch, a.frags)...))
-			putFrameEncoder(enc)
+			putAckBatch(enc, frameFragAckBatch, a.frags)
 			a.e.mAckBatches.Inc()
 			a.e.mAcksBatched.Add(uint64(n))
 		}
 		a.frags = a.frags[:0]
 	}
+	split = enc.Len()
 	if n := len(a.acks); n > 0 {
 		if n == 1 {
 			f := a.acks[0]
-			frames = append(frames, encodeAck(f.src, f.dst, f.seq))
+			putAck(enc, f.src, f.dst, f.seq)
 		} else {
-			enc := getFrameEncoder()
-			frames = append(frames, append([]byte(nil), encodeAckBatchInto(enc, frameAckBatch, a.acks)...))
-			putFrameEncoder(enc)
+			putAckBatch(enc, frameAckBatch, a.acks)
 			a.e.mAckBatches.Inc()
 			a.e.mAcksBatched.Add(uint64(n))
 		}
 		a.acks = a.acks[:0]
 	}
-	return frames
+	return enc, split
 }
 
-// send writes drained frames outside the coalescer lock. Errors are
-// ignored: a dead connection loses acks the same way a dead wire
-// would, and the sender's retransmission recovers.
-func (a *ackCoalescer) send(frames [][]byte) {
-	for _, f := range frames {
-		a.conn.Send(f)
+// send writes the frames takeLocked drained, outside the coalescer
+// lock, and recycles the encoder. Errors are ignored: a dead connection
+// loses acks the same way a dead wire would, and the sender's
+// retransmission recovers.
+func (a *ackCoalescer) send(enc *xdr.Encoder, split int) {
+	if enc == nil {
+		return
 	}
+	b := enc.Bytes()
+	if split > 0 {
+		a.conn.Send(b[:split])
+	}
+	if len(b) > split {
+		a.conn.Send(b[split:])
+	}
+	putFrameEncoder(enc)
 }

@@ -1,0 +1,122 @@
+package comm
+
+import (
+	"context"
+	"slices"
+	"testing"
+)
+
+// TestSendWaitAllocs is the tier-1 guard on the small-message fast path:
+// one warmed 64 B SendWait over TCP loopback to a sink listening on two
+// routes (the msg_small topology) — send, deliver to the handler,
+// acknowledge, retire — costs at most 20 heap allocations, both ends
+// counted. The benchmark ledger gates the same number; this fails in
+// `go test` before a run of it would.
+func TestSendWaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are counted as the program's")
+	}
+	delivered := make(chan struct{}, 1)
+	sink := NewEndpoint("urn:alloc-sink", WithHandler(func(*Message) { delivered <- struct{}{} }))
+	defer sink.Close()
+	var routes []Route
+	for i := 0; i < 2; i++ {
+		r, err := sink.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes = append(routes, r)
+	}
+	src := NewEndpoint("urn:alloc-src", WithResolver(StaticResolver{"urn:alloc-sink": routes}))
+	defer src.Close()
+	if _, err := src.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	payload := make([]byte, 64)
+	op := func() {
+		if err := src.SendWait(ctx, "urn:alloc-sink", 7, payload); err != nil {
+			t.Fatal(err)
+		}
+		<-delivered
+	}
+	for i := 0; i < 200; i++ { // dial, hello, pools, route scores past scoreMinSamples
+		op()
+	}
+	if got := testing.AllocsPerRun(2000, op); got > 20 {
+		t.Errorf("64 B SendWait costs %.1f allocations, want ≤ 20", got)
+	} else {
+		t.Logf("64 B SendWait: %.1f allocations", got)
+	}
+}
+
+// TestOrderRoutesAllocs: ranking routes allocates nothing but the slice
+// OrderRoutes returns — no map of local networks, no reflection-built
+// swapper, no scratch copies — and the send path's ranking, which sorts
+// into its caller's stack scratch, allocates nothing at all.
+func TestOrderRoutesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	local := []Route{{Transport: "tcp", Addr: "l:1", NetName: "atm"}, {Transport: "tcp", Addr: "l:2"}}
+	var remote []Route
+	for i := 0; i < maxStackRoutes; i++ {
+		r := Route{Transport: "tcp", Addr: "10.0.0.1:" + string(rune('0'+i)), RateBps: float64(i%3) * 1e7, LatencyUs: float64(i)}
+		if i%4 == 0 {
+			r.NetName = "atm"
+		}
+		remote = append(remote, r)
+	}
+	if got := testing.AllocsPerRun(100, func() { OrderRoutes(local, remote) }); got > 1 {
+		t.Errorf("OrderRoutes of %d routes: %.1f allocations, want ≤ 1 (the returned slice)", len(remote), got)
+	}
+	e := NewEndpoint("urn:rank-allocs")
+	defer e.Close()
+	rs := newRouteSet(remote)
+	for _, key := range rs.keys {
+		e.observeRouteAck(key, 1<<10, 50_000) // every route has a scorer entry, as on a warmed sender
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		var scratch [maxStackRoutes]rankedRoute
+		if ranked := e.rankRoutes(local, rs, scratch[:0]); len(ranked) != len(remote) {
+			t.Fatalf("ranked %d of %d routes", len(ranked), len(remote))
+		}
+	}); got > 0 {
+		t.Errorf("rankRoutes of %d routes: %.1f allocations, want 0", len(remote), got)
+	}
+}
+
+// TestRankRoutesMatchesStaticThenScore pins the ranking rule the
+// in-place sort must keep: shared private network first, then the
+// adaptive score, and among routes the score does not separate, the
+// static OrderRoutes order (rate, latency, then resolved order).
+func TestRankRoutesMatchesStaticThenScore(t *testing.T) {
+	e := NewEndpoint("urn:rank-rule")
+	defer e.Close()
+	local := []Route{{Transport: "tcp", Addr: "me:1", NetName: "myri"}}
+	remote := []Route{
+		{Transport: "tcp", Addr: "a:1"},                                 // unknown media: scores as 8 Mbit/s
+		{Transport: "tcp", Addr: "b:1", RateBps: 8e6},                   // the same score, better advertised rate
+		{Transport: "tcp", Addr: "c:1", RateBps: 100e6},                 // best score outside the private net
+		{Transport: "tcp", Addr: "d:1", NetName: "myri"},                // shared net beats any score
+		{Transport: "tcp", Addr: "e:1"},                                 // ties with a:1, resolved later
+		{Transport: "tcp", Addr: "f:1", NetName: "other", RateBps: 1e9}, // a net we are not on is not shared
+	}
+	var got []string
+	for _, r := range e.rankRoutes(local, newRouteSet(remote), nil) {
+		got = append(got, r.Addr)
+	}
+	want := []string{"d:1", "f:1", "c:1", "b:1", "a:1", "e:1"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ranking %v, want %v", got, want)
+	}
+	// With no observations the ranking is the static policy's.
+	var static []string
+	for _, r := range OrderRoutes(local, remote) {
+		static = append(static, r.Addr)
+	}
+	if !slices.Equal(static, want) {
+		t.Fatalf("OrderRoutes %v, want %v", static, want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,10 +198,43 @@ type listenerEntry struct {
 	route Route
 }
 
-// routeCacheEntry caches one destination's resolved routes.
+// routeCacheEntry caches one destination's resolved routes and their
+// keys.
 type routeCacheEntry struct {
-	routes  []Route
+	routeSet
 	expires time.Time
+}
+
+// msgQueue is a FIFO of delivered messages. It reuses its backing array
+// and clears every slot it vacates, so a consumed message (and its
+// payload) is collectable the moment its consumer drops it, however
+// long the queue lives.
+type msgQueue struct {
+	buf  []*Message
+	head int // buf[head:] are queued; buf[:head] are vacated and nil
+}
+
+func (q *msgQueue) len() int { return len(q.buf) - q.head }
+
+func (q *msgQueue) push(m *Message) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		// Full with a vacated prefix: slide the live entries down
+		// instead of letting append carry the prefix into a larger array.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, m)
+}
+
+func (q *msgQueue) pop() *Message {
+	m := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return m
 }
 
 // reasmKey identifies an in-progress reassembly. The destination is
@@ -282,7 +316,7 @@ type Endpoint struct {
 	// Connection and listener state.
 	connMu      sync.Mutex
 	listeners   []listenerEntry
-	localRoutes []Route
+	localRoutes []Route              // copy-on-write: sharedLocalRoutes hands it out without copying
 	conns       map[string]FrameConn // route key → conn
 
 	// Route resolution.
@@ -305,7 +339,7 @@ type Endpoint struct {
 	reorder      map[string]map[uint64]*Message // src URN → seq → message
 	reasm        map[reasmKey]*reassembly
 	mailbox      []*Message
-	handlerQueue []*Message
+	handlerQueue msgQueue
 	quiesced     bool // migration: stop accepting (and acking) new messages
 
 	// Gateway relay state (nil unless WithGatewayRelay); guarded by the
@@ -413,15 +447,14 @@ func (e *Endpoint) dispatchLoop() {
 	defer e.wg.Done()
 	for {
 		e.mu.Lock()
-		for len(e.handlerQueue) == 0 && !e.closed.Load() {
+		for e.handlerQueue.len() == 0 && !e.closed.Load() {
 			e.cond.Wait()
 		}
-		if len(e.handlerQueue) == 0 && e.closed.Load() {
+		if e.handlerQueue.len() == 0 && e.closed.Load() {
 			e.mu.Unlock()
 			return
 		}
-		m := e.handlerQueue[0]
-		e.handlerQueue = e.handlerQueue[1:]
+		m := e.handlerQueue.pop()
 		h := e.handler
 		e.mu.Unlock()
 		h(m)
@@ -462,7 +495,7 @@ func (e *Endpoint) Listen(spec ListenSpec) (Route, error) {
 	}
 	e.connMu.Lock()
 	e.listeners = append(e.listeners, listenerEntry{ln: ln, route: route})
-	e.localRoutes = append(e.localRoutes, route)
+	e.localRoutes = append(slices.Clip(e.localRoutes), route)
 	e.connMu.Unlock()
 	e.wg.Add(1)
 	go e.acceptLoop(ln)
@@ -471,9 +504,15 @@ func (e *Endpoint) Listen(spec ListenSpec) (Route, error) {
 
 // Routes returns the endpoint's advertised routes.
 func (e *Endpoint) Routes() []Route {
+	return slices.Clone(e.sharedLocalRoutes())
+}
+
+// sharedLocalRoutes returns the advertised routes without copying them;
+// the caller must not modify the slice.
+func (e *Endpoint) sharedLocalRoutes() []Route {
 	e.connMu.Lock()
 	defer e.connMu.Unlock()
-	return append([]Route(nil), e.localRoutes...)
+	return e.localRoutes
 }
 
 // CloseListener shuts the listener that advertised route (as returned
@@ -491,11 +530,8 @@ func (e *Endpoint) CloseListener(route Route) error {
 		}
 	}
 	if ln != nil {
-		for i, r := range e.localRoutes {
-			if r == route {
-				e.localRoutes = append(e.localRoutes[:i], e.localRoutes[i+1:]...)
-				break
-			}
+		if i := slices.Index(e.localRoutes, route); i >= 0 {
+			e.localRoutes = slices.Concat(e.localRoutes[:i], e.localRoutes[i+1:])
 		}
 	}
 	e.connMu.Unlock()
@@ -619,13 +655,13 @@ func (e *Endpoint) transmit(om *outMsg) error {
 	om.attempts++
 	om.backoff = e.retryBackoff(om.attempts)
 	sh.mu.Unlock()
-	local := e.Routes()
+	local := e.sharedLocalRoutes()
 
 	routes, err := e.resolveRoutes(om.msg.Dst)
 	if err != nil {
 		return fmt.Errorf("comm: resolving %s: %w", om.msg.Dst, err)
 	}
-	if len(routes) == 0 {
+	if len(routes.routes) == 0 {
 		return fmt.Errorf("%w: %s has no advertised routes", ErrNoRoute, om.msg.Dst)
 	}
 	if e.stripeThreshold > 0 && len(om.msg.Payload) >= e.stripeThreshold {
@@ -635,60 +671,8 @@ func (e *Endpoint) transmit(om *outMsg) error {
 		// Striping didn't apply (single-homed peer, or too few
 		// fragments to split): fall through to single-route failover.
 	}
-	var lastErr error
-	for _, route := range e.orderRoutesAdaptive(local, routes) {
-		// Gateway routes (§5.1) expand to the gateway's own addresses;
-		// the frames still name the final destination, and the gateway
-		// relays them.
-		if route.Transport == GatewayTransport {
-			gwRoutes, err := e.resolveRoutes(route.Addr)
-			if err != nil || len(gwRoutes) == 0 {
-				lastErr = fmt.Errorf("%w: gateway %s unresolved", ErrNoRoute, route.Addr)
-				continue
-			}
-			sent := false
-			for _, gr := range e.orderRoutesAdaptive(local, gwRoutes) {
-				if gr.Transport == GatewayTransport {
-					continue // no gateway chains: avoids relay cycles
-				}
-				conn, err := e.getConn(gr)
-				if err != nil {
-					lastErr = err
-					e.observeRouteError(gr.String())
-					continue
-				}
-				if err := e.sendOn(conn, om); err != nil {
-					lastErr = err
-					e.mSendErrors.Inc()
-					e.observeRouteError(gr.String())
-					e.dropConn(gr.String(), conn)
-					e.invalidateRoutes(route.Addr)
-					continue
-				}
-				e.noteSentRoute(om, gr.String())
-				sent = true
-				break
-			}
-			if sent {
-				return nil
-			}
-			continue
-		}
-		conn, err := e.getConn(route)
-		if err != nil {
-			lastErr = err
-			e.observeRouteError(route.String())
-			continue
-		}
-		if err := e.sendOn(conn, om); err != nil {
-			lastErr = err
-			e.mSendErrors.Inc()
-			e.observeRouteError(route.String())
-			e.dropConn(route.String(), conn)
-			e.invalidateRoutes(om.msg.Dst)
-			continue
-		}
-		e.noteSentRoute(om, route.String())
+	sent, lastErr := e.sendVia(om, local, om.msg.Dst, routes, true)
+	if sent {
 		return nil
 	}
 	if lastErr == nil {
@@ -703,6 +687,54 @@ func (e *Endpoint) transmit(om *outMsg) error {
 	return lastErr
 }
 
+// sendVia walks target's routes best-first until one carries om,
+// failing over on error. target is the URN the routes were resolved
+// for: the message's destination itself (direct), or the gateway it is
+// being relayed through. Gateway routes (§5.1) of the destination expand
+// to the gateway's own addresses — the frames still name the final
+// destination, and the gateway relays them — while a gateway's gateway
+// routes are skipped: no gateway chains, which avoids relay cycles.
+func (e *Endpoint) sendVia(om *outMsg, local []Route, target string, routes routeSet, direct bool) (sent bool, lastErr error) {
+	var scratch [maxStackRoutes]rankedRoute
+	for _, route := range e.rankRoutes(local, routes, scratch[:0]) {
+		if route.Transport == GatewayTransport {
+			if !direct {
+				continue
+			}
+			gwRoutes, err := e.resolveRoutes(route.Addr)
+			if err != nil || len(gwRoutes.routes) == 0 {
+				lastErr = fmt.Errorf("%w: gateway %s unresolved", ErrNoRoute, route.Addr)
+				continue
+			}
+			sent, err := e.sendVia(om, local, route.Addr, gwRoutes, false)
+			if sent {
+				return true, nil
+			}
+			if err != nil {
+				lastErr = err
+			}
+			continue
+		}
+		conn, err := e.getConn(route.Route, route.key)
+		if err != nil {
+			lastErr = err
+			e.observeRouteError(route.key)
+			continue
+		}
+		if err := e.sendOn(conn, om); err != nil {
+			lastErr = err
+			e.mSendErrors.Inc()
+			e.observeRouteError(route.key)
+			e.dropConn(route.key, conn)
+			e.invalidateRoutes(target)
+			continue
+		}
+		e.noteSentRoute(om, route.key)
+		return true, nil
+	}
+	return false, lastErr
+}
+
 // noteSentRoute records which route carried a single-route
 // transmission, so the end-to-end acknowledgement can credit its
 // RTT/goodput to the right scorer entry.
@@ -713,18 +745,17 @@ func (e *Endpoint) noteSentRoute(om *outMsg, routeKey string) {
 	sh.mu.Unlock()
 }
 
-// resolveRoutes returns dst's advertised routes, consulting the
-// short-TTL route cache first. Empty results are cached too: a burst
-// of retries to an unknown or mid-migration peer costs one resolver
-// call per TTL instead of one per buffered message per tick.
-func (e *Endpoint) resolveRoutes(dst string) ([]Route, error) {
+// resolveRoutes returns dst's advertised routes and their keys,
+// consulting the short-TTL route cache first. Empty results are cached
+// too: a burst of retries to an unknown or mid-migration peer costs one
+// resolver call per TTL instead of one per buffered message per tick.
+func (e *Endpoint) resolveRoutes(dst string) (routeSet, error) {
 	now := time.Now()
 	e.cacheMu.Lock()
 	if ent, ok := e.routeCache[dst]; ok && now.Before(ent.expires) {
-		routes := ent.routes
 		e.cacheMu.Unlock()
 		e.mCacheHits.Inc()
-		return routes, nil
+		return ent.routeSet, nil
 	}
 	resolver := e.resolver
 	ttl := e.routeCacheTTL
@@ -732,14 +763,15 @@ func (e *Endpoint) resolveRoutes(dst string) ([]Route, error) {
 	e.mResolves.Inc()
 	routes, err := resolver.Resolve(dst)
 	if err != nil {
-		return nil, err
+		return routeSet{}, err
 	}
+	rs := newRouteSet(routes)
 	if ttl > 0 {
 		e.cacheMu.Lock()
-		e.routeCache[dst] = routeCacheEntry{routes: routes, expires: now.Add(ttl)}
+		e.routeCache[dst] = routeCacheEntry{routeSet: rs, expires: now.Add(ttl)}
 		e.cacheMu.Unlock()
 	}
-	return routes, nil
+	return rs, nil
 }
 
 // invalidateRoutes drops dst's cached routes after a send failure so
@@ -772,19 +804,21 @@ func (e *Endpoint) retryBackoff(attempts int) time.Duration {
 	return d
 }
 
+// sendOn pushes om down one connection, a fragment at a time: each is
+// built by value over the message's own payload and encoded into one
+// pooled encoder, so a message that fits a frame costs no allocation.
 func (e *Endpoint) sendOn(conn FrameConn, om *outMsg) error {
 	m := &om.msg
-	// Per-fragment header: frame type, length-prefixed src and dst,
-	// tag, seq, fragment index/count, flags, payload length prefix.
-	hdr := 34 + len(m.Src) + len(m.Dst)
-	mtu := conn.MTU() - hdr
+	mtu := conn.MTU() - (msgFrameOverhead + len(m.Src) + len(m.Dst))
 	if mtu < 16 {
 		return fmt.Errorf("%w: URNs too long for transport MTU", ErrTooLarge)
 	}
 	enc := getFrameEncoder()
 	defer putFrameEncoder(enc)
-	for _, f := range fragment(m.Src, m.Dst, m.Tag, m.Seq, m.Payload, mtu, 0) {
-		if err := conn.Send(encodeMsgFrameInto(enc, f)); err != nil {
+	count := fragCount(len(m.Payload), mtu)
+	for i := 0; i < count; i++ {
+		f := fragAt(m, i, count, mtu, 0)
+		if err := conn.Send(encodeMsgFrameInto(enc, &f)); err != nil {
 			return err
 		}
 		e.mFragments.Inc()
@@ -793,8 +827,8 @@ func (e *Endpoint) sendOn(conn FrameConn, om *outMsg) error {
 }
 
 // getConn returns a live connection for the route, dialing if needed.
-func (e *Endpoint) getConn(route Route) (FrameConn, error) {
-	key := route.String()
+// key is the route's key.
+func (e *Endpoint) getConn(route Route, key string) (FrameConn, error) {
 	e.connMu.Lock()
 	if conn, ok := e.conns[key]; ok {
 		e.connMu.Unlock()
@@ -859,18 +893,20 @@ func (e *Endpoint) acceptLoop(ln Listener) {
 
 // readLoop drains one connection, recycling each frame buffer unless
 // handling retained it (a fragment parked in a reassembly keeps its
-// backing buffer until the message completes).
+// backing buffer until the message completes). It owns the connection's
+// ack coalescer and its URN memo.
 func (e *Endpoint) readLoop(conn FrameConn, key string) {
 	defer e.wg.Done()
 	defer e.dropConn(key, conn)
 	ac := newAckCoalescer(e, conn)
 	defer ac.stop()
+	var names peerNames
 	for {
 		frame, err := conn.Recv()
 		if err != nil {
 			return
 		}
-		if !e.handleFrame(conn, ac, frame) {
+		if !e.handleFrame(conn, ac, &names, frame) {
 			putPayloadBuf(frame)
 		}
 	}
@@ -879,7 +915,7 @@ func (e *Endpoint) readLoop(conn FrameConn, key string) {
 // handleFrame dispatches one inbound frame. It reports whether
 // ownership of the frame buffer was retained (parked in a reassembly);
 // when false the caller recycles the buffer.
-func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, frame []byte) (retained bool) {
+func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, names *peerNames, frame []byte) (retained bool) {
 	d := xdr.NewDecoder(frame)
 	ftype, err := d.Uint8()
 	if err != nil {
@@ -890,28 +926,28 @@ func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, frame []byte) (
 		decodeHello(d) // peer identity: informational
 
 	case frameMsg:
-		f, err := decodeMsgFrame(d)
+		f, err := decodeMsgFrame(d, names)
 		if err != nil {
 			return false
 		}
-		return e.handleMsgFrame(conn, ac, f, frame)
+		return e.handleMsgFrame(conn, ac, &f, frame)
 
 	case frameAck:
-		src, dst, seq, err := decodeAck(d)
+		src, dst, seq, err := decodeAck(d, names)
 		if err != nil {
 			return false
 		}
 		e.handleAck(src, dst, seq)
 
 	case frameFragAck:
-		src, dst, seq, fragIdx, err := decodeFragAck(d)
+		src, dst, seq, fragIdx, err := decodeFragAck(d, names)
 		if err != nil {
 			return false
 		}
 		e.handleFragAck(src, dst, seq, fragIdx)
 
 	case frameAckBatch:
-		refs, err := decodeAckBatch(d, false)
+		refs, err := decodeAckBatch(d, names, false)
 		if err != nil {
 			return false
 		}
@@ -920,7 +956,7 @@ func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, frame []byte) (
 		}
 
 	case frameFragAckBatch:
-		refs, err := decodeAckBatch(d, true)
+		refs, err := decodeAckBatch(d, names, true)
 		if err != nil {
 			return false
 		}
@@ -1012,26 +1048,8 @@ func (e *Endpoint) handleMsgFrame(conn FrameConn, ac *ackCoalescer, f *msgFrame,
 		ac.ack(f.Src, f.Dst, f.Seq)
 		return false
 	}
-	r, ok := e.reasm[key]
-	if ok && r.total != int(f.FragCount) {
-		// A whole-message retry may re-fragment with a different
-		// geometry: the surviving route set (and so the governing MTU)
-		// changed between attempts. Restart reassembly with the new
-		// geometry instead of poisoning it.
-		r.release()
-		delete(e.reasm, key)
-		ok = false
-	}
-	if !ok {
-		r = newReassembly(f.FragCount, f.Tag, f.Dst)
-		e.reasm[key] = r
-	}
-	payload, retained, err := r.add(f, buf)
+	payload, retained, err := collect(e.reasm, key, f, buf)
 	if err != nil {
-		// add released nothing on its own; drop the whole reassembly
-		// (including buf if it was just parked there).
-		r.release()
-		delete(e.reasm, key)
 		e.mu.Unlock()
 		return retained
 	}
@@ -1045,11 +1063,10 @@ func (e *Endpoint) handleMsgFrame(conn FrameConn, ac *ackCoalescer, f *msgFrame,
 		}
 		return retained // awaiting more fragments
 	}
-	delete(e.reasm, key)
 
-	// The assembled payload is a fresh buffer (add copies fragments out
-	// and recycles their pooled backings), so the application can hold
-	// the Message forever without pinning or racing the receive pool.
+	// The payload is a fresh buffer (collect copies it out of the pooled
+	// receive buffers), so the application can hold the Message forever
+	// without pinning or racing the receive pool.
 	msg := &Message{Src: f.Src, Dst: f.Dst, Tag: f.Tag, Seq: f.Seq, Payload: payload}
 	if e.expected[f.Src] == 0 {
 		e.expected[f.Src] = 1
@@ -1091,7 +1108,7 @@ func (e *Endpoint) handleMsgFrame(conn FrameConn, ac *ackCoalescer, f *msgFrame,
 func (e *Endpoint) deliverLocked(m *Message) {
 	e.mReceived.Inc()
 	if e.handler != nil && (e.handlerTags == nil || e.handlerTags[m.Tag]) {
-		e.handlerQueue = append(e.handlerQueue, m)
+		e.handlerQueue.push(m)
 		e.cond.Broadcast()
 		return
 	}
@@ -1120,7 +1137,7 @@ func (e *Endpoint) RecvMatch(ctx context.Context, src string, tag uint32) (*Mess
 	for {
 		for i, m := range e.mailbox {
 			if (src == "" || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-				e.mailbox = append(e.mailbox[:i], e.mailbox[i+1:]...)
+				e.mailbox = slices.Delete(e.mailbox, i, i+1) // clears the vacated slot
 				return m, nil
 			}
 		}

@@ -126,8 +126,13 @@ func decodeHello(d *xdr.Decoder) (string, error) {
 	return d.StringMax(maxWireURN)
 }
 
+// msgFrameOverhead is what a message fragment costs on the wire beyond
+// its URNs and payload: frame type, the two URN length prefixes, tag,
+// seq, fragment index and count, flags and the payload length prefix.
+const msgFrameOverhead = 34
+
 func encodeMsgFrame(f *msgFrame) []byte {
-	e := xdr.NewEncoder(len(f.Payload) + len(f.Src) + len(f.Dst) + 41)
+	e := xdr.NewEncoder(msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload))
 	return encodeMsgFrameInto(e, f)
 }
 
@@ -150,80 +155,116 @@ func encodeMsgFrameInto(e *xdr.Encoder, f *msgFrame) []byte {
 	return e.Bytes()
 }
 
-func decodeMsgFrame(d *xdr.Decoder) (*msgFrame, error) {
-	f := &msgFrame{}
-	var err error
-	if f.Src, err = d.StringMax(maxWireURN); err != nil {
-		return nil, err
+// peerNames holds the source and destination URN of the last frame
+// decoded on one connection. A connection carries traffic between the
+// same few endpoints, so the next frame nearly always names the same
+// pair and takes these strings instead of allocating its own. It is the
+// last value, not an intern table: it cannot grow.
+type peerNames struct{ src, dst string }
+
+// decode reads a frame's source and destination URNs.
+func (p *peerNames) decode(d *xdr.Decoder) (src, dst string, err error) {
+	if src, err = reuseURN(d, &p.src); err != nil {
+		return "", "", err
 	}
-	if f.Dst, err = d.StringMax(maxWireURN); err != nil {
-		return nil, err
+	dst, err = reuseURN(d, &p.dst)
+	return src, dst, err
+}
+
+func reuseURN(d *xdr.Decoder, last *string) (string, error) {
+	b, err := d.BytesMax(maxWireURN)
+	if err != nil {
+		return "", err
+	}
+	if string(b) != *last { // the comparison does not allocate
+		*last = string(b)
+	}
+	return *last, nil
+}
+
+// decodeMsgFrame decodes one message fragment by value; names is the
+// connection's URN memo.
+func decodeMsgFrame(d *xdr.Decoder, names *peerNames) (f msgFrame, err error) {
+	if f.Src, f.Dst, err = names.decode(d); err != nil {
+		return f, err
 	}
 	if f.Tag, err = d.Uint32(); err != nil {
-		return nil, err
+		return f, err
 	}
 	if f.Seq, err = d.Uint64(); err != nil {
-		return nil, err
+		return f, err
 	}
 	if f.FragIdx, err = d.Uint32(); err != nil {
-		return nil, err
+		return f, err
 	}
 	if f.FragCount, err = d.Uint32(); err != nil {
-		return nil, err
+		return f, err
 	}
 	if f.Flags, err = d.Uint8(); err != nil {
-		return nil, err
+		return f, err
 	}
 	// The payload aliases the decoder's buffer — no per-fragment copy.
-	// The receive path owns the frame buffer (see handleMsgFrame) and
-	// parks it alongside the reassembly until the message completes.
+	// The receive path owns the frame buffer (see handleMsgFrame): a
+	// whole message is copied out of it for the application, a fragment
+	// is parked with it in a reassembly until the message completes.
 	if f.Payload, err = d.BytesMax(maxWirePayload); err != nil {
-		return nil, err
+		return f, err
 	}
 	if f.FragCount == 0 || f.FragIdx >= f.FragCount {
-		return nil, fmt.Errorf("%w: fragment %d/%d", ErrBadFrame, f.FragIdx, f.FragCount)
+		return f, fmt.Errorf("%w: fragment %d/%d", ErrBadFrame, f.FragIdx, f.FragCount)
 	}
 	return f, nil
 }
 
-func encodeAck(src, dst string, seq uint64) []byte {
-	e := xdr.NewEncoder(len(src) + len(dst) + 16)
+// Acknowledgement frames. The put* forms append one frame to an
+// encoder the caller owns (the ack coalescer's pooled one); the encode*
+// forms build a right-sized frame of their own.
+
+// ackFrameOverhead is an end-to-end ack frame beyond its URNs: frame
+// type, two URN length prefixes, seq. A per-fragment ack adds the
+// fragment index.
+const ackFrameOverhead = 17
+
+func putAck(e *xdr.Encoder, src, dst string, seq uint64) {
 	e.PutUint8(frameAck)
 	e.PutString(src) // original message's sender
 	e.PutString(dst) // original message's destination (the acker)
 	e.PutUint64(seq)
+}
+
+func encodeAck(src, dst string, seq uint64) []byte {
+	e := xdr.NewEncoder(ackFrameOverhead + len(src) + len(dst))
+	putAck(e, src, dst, seq)
 	return e.Bytes()
 }
 
-func decodeAck(d *xdr.Decoder) (src, dst string, seq uint64, err error) {
-	if src, err = d.StringMax(maxWireURN); err != nil {
-		return
-	}
-	if dst, err = d.StringMax(maxWireURN); err != nil {
+func decodeAck(d *xdr.Decoder, names *peerNames) (src, dst string, seq uint64, err error) {
+	if src, dst, err = names.decode(d); err != nil {
 		return
 	}
 	seq, err = d.Uint64()
 	return
 }
 
-// encodeFragAck builds a per-fragment acknowledgement for one striped
+// putFragAck appends a per-fragment acknowledgement for one striped
 // fragment: the original message's sender, destination (the acker),
 // sequence number, and the fragment index being acknowledged.
-func encodeFragAck(src, dst string, seq uint64, fragIdx uint32) []byte {
-	e := xdr.NewEncoder(len(src) + len(dst) + 24)
+func putFragAck(e *xdr.Encoder, src, dst string, seq uint64, fragIdx uint32) {
 	e.PutUint8(frameFragAck)
-	e.PutString(src) // original message's sender
-	e.PutString(dst) // original message's destination (the acker)
+	e.PutString(src)
+	e.PutString(dst)
 	e.PutUint64(seq)
 	e.PutUint32(fragIdx)
+}
+
+func encodeFragAck(src, dst string, seq uint64, fragIdx uint32) []byte {
+	e := xdr.NewEncoder(ackFrameOverhead + 4 + len(src) + len(dst))
+	putFragAck(e, src, dst, seq, fragIdx)
 	return e.Bytes()
 }
 
-func decodeFragAck(d *xdr.Decoder) (src, dst string, seq uint64, fragIdx uint32, err error) {
-	if src, err = d.StringMax(maxWireURN); err != nil {
-		return
-	}
-	if dst, err = d.StringMax(maxWireURN); err != nil {
+func decodeFragAck(d *xdr.Decoder, names *peerNames) (src, dst string, seq uint64, fragIdx uint32, err error) {
+	if src, dst, err = names.decode(d); err != nil {
 		return
 	}
 	if seq, err = d.Uint64(); err != nil {
@@ -243,12 +284,10 @@ type ackRef struct {
 	fragIdx uint32 // meaningful only in frameFragAckBatch entries
 }
 
-// encodeAckBatchInto encodes a batched acknowledgement frame into a
-// caller-owned (typically pooled) encoder. ftype selects whole-message
-// (frameAckBatch) or per-fragment (frameFragAckBatch) entries. The
-// returned slice aliases the encoder's buffer, like encodeMsgFrameInto.
-func encodeAckBatchInto(e *xdr.Encoder, ftype uint8, refs []ackRef) []byte {
-	e.Reset()
+// putAckBatch appends a batched acknowledgement frame. ftype selects
+// whole-message (frameAckBatch) or per-fragment (frameFragAckBatch)
+// entries.
+func putAckBatch(e *xdr.Encoder, ftype uint8, refs []ackRef) {
 	e.PutUint8(ftype)
 	e.PutUint32(uint32(len(refs)))
 	for i := range refs {
@@ -260,13 +299,12 @@ func encodeAckBatchInto(e *xdr.Encoder, ftype uint8, refs []ackRef) []byte {
 			e.PutUint32(r.fragIdx)
 		}
 	}
-	return e.Bytes()
 }
 
 // decodeAckBatch reads the entries of a batched acknowledgement frame;
 // withFrag selects the frameFragAckBatch layout (an extra fragment
 // index per entry).
-func decodeAckBatch(d *xdr.Decoder, withFrag bool) ([]ackRef, error) {
+func decodeAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool) ([]ackRef, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -285,10 +323,7 @@ func decodeAckBatch(d *xdr.Decoder, withFrag bool) ([]ackRef, error) {
 	refs := make([]ackRef, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var r ackRef
-		if r.src, err = d.StringMax(maxWireURN); err != nil {
-			return nil, err
-		}
-		if r.dst, err = d.StringMax(maxWireURN); err != nil {
+		if r.src, r.dst, err = names.decode(d); err != nil {
 			return nil, err
 		}
 		if r.seq, err = d.Uint64(); err != nil {
@@ -304,37 +339,50 @@ func decodeAckBatch(d *xdr.Decoder, withFrag bool) ([]ackRef, error) {
 	return refs, nil
 }
 
-// fragment splits payload into n MTU-sized fragments sharing one
-// header. mtu is the maximum fragment payload size; flags is stamped
-// on every fragment (flagStriped for striped transmissions, 0 for the
-// single-route path).
+// fragCount is the number of fragments a payload of n bytes takes at
+// mtu payload bytes per fragment; an empty message is one empty
+// fragment.
+func fragCount(n, mtu int) int {
+	if n == 0 {
+		return 1
+	}
+	return (n + mtu - 1) / mtu
+}
+
+// fragAt is fragment i of count of m at mtu payload bytes per fragment,
+// aliasing m.Payload. flags is stamped on every fragment (flagStriped
+// for striped transmissions, 0 for the single-route path).
+func fragAt(m *Message, i, count, mtu int, flags uint8) msgFrame {
+	lo := i * mtu
+	hi := min(lo+mtu, len(m.Payload))
+	return msgFrame{
+		Src: m.Src, Dst: m.Dst, Tag: m.Tag, Seq: m.Seq,
+		FragIdx: uint32(i), FragCount: uint32(count), Flags: flags,
+		Payload: m.Payload[lo:hi],
+	}
+}
+
+// fragment splits a message into all its fragments at mtu payload bytes
+// each, for the stripe path, which tracks every fragment of a message at
+// once. The single-route path sends fragAt values one by one instead.
 func fragment(src, dst string, tag uint32, seq uint64, payload []byte, mtu int, flags uint8) []*msgFrame {
 	if mtu <= 0 {
 		mtu = 1 << 16
 	}
-	count := (len(payload) + mtu - 1) / mtu
-	if count == 0 {
-		count = 1
-	}
-	frames := make([]*msgFrame, count)
-	for i := 0; i < count; i++ {
-		lo := i * mtu
-		hi := lo + mtu
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		frames[i] = &msgFrame{
-			Src: src, Dst: dst, Tag: tag, Seq: seq,
-			FragIdx: uint32(i), FragCount: uint32(count), Flags: flags,
-			Payload: payload[lo:hi],
-		}
+	m := Message{Src: src, Dst: dst, Tag: tag, Seq: seq, Payload: payload}
+	backing := make([]msgFrame, fragCount(len(payload), mtu))
+	frames := make([]*msgFrame, len(backing))
+	for i := range backing {
+		backing[i] = fragAt(&m, i, len(backing), mtu, flags)
+		frames[i] = &backing[i]
 	}
 	return frames
 }
 
-// reassembly accumulates the fragments of one in-flight message.
-// Fragment payloads alias the pooled receive buffers they arrived in
-// (decodeMsgFrame no longer copies); the reassembly therefore owns
+// reassembly accumulates the fragments of one in-flight message of two
+// or more fragments (a message that fits one fragment never gets one,
+// see collect). Fragment payloads alias the pooled receive buffers they
+// arrived in (decodeMsgFrame does not copy); the reassembly therefore owns
 // those backing buffers, releasing them back to the pool when the
 // message completes or the reassembly is abandoned. The assembled
 // payload handed to the application is always a fresh buffer, so a
@@ -399,4 +447,45 @@ func (r *reassembly) release() {
 			putPayloadBuf(b)
 		}
 	}
+}
+
+// collect feeds fragment f of the message key into table, the caller's
+// in-progress reassemblies, whose lock the caller holds. buf is the
+// pooled receive buffer backing f.Payload. It returns the whole payload
+// (never nil, though possibly empty) when f completes its message — in a
+// fresh buffer no pool has seen, so the application can keep it for
+// ever — and nil while fragments are missing or after an error, which
+// abandons the message's reassembly. retained reports that ownership of
+// buf was consumed (parked in a reassembly, or already recycled with
+// one); when false the caller recycles it.
+//
+// A message that fits one fragment is copied straight out of the frame
+// buffer and touches table only to drop a stale entry. A retry can
+// re-fragment with a different geometry — the surviving route set, and
+// so the governing MTU, changed between attempts — which restarts the
+// reassembly instead of poisoning it.
+func collect(table map[reasmKey]*reassembly, key reasmKey, f *msgFrame, buf []byte) (payload []byte, retained bool, err error) {
+	r, ok := table[key]
+	if ok && r.total != int(f.FragCount) {
+		r.release()
+		delete(table, key)
+		ok = false
+	}
+	if f.FragCount == 1 {
+		return append(make([]byte, 0, len(f.Payload)), f.Payload...), false, nil
+	}
+	if !ok {
+		r = newReassembly(f.FragCount, f.Tag, f.Dst)
+		table[key] = r
+	}
+	payload, retained, err = r.add(f, buf)
+	if err != nil {
+		// add released nothing on its own; drop the whole reassembly
+		// (including buf if it was just parked there).
+		r.release()
+	}
+	if err != nil || payload != nil {
+		delete(table, key)
+	}
+	return payload, retained, err
 }

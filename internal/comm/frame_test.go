@@ -185,7 +185,7 @@ func TestMsgFrameEncodeDecode(t *testing.T) {
 	if ftype != frameMsg {
 		t.Fatalf("frame type %d", ftype)
 	}
-	got, err := decodeMsgFrame(d)
+	got, err := decodeMsgFrame(d, &peerNames{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestMsgFrameRejectsBadFragments(t *testing.T) {
 	buf := encodeMsgFrame(f)
 	d := xdr.NewDecoder(buf)
 	d.Uint8()
-	if _, err := decodeMsgFrame(d); err == nil {
+	if _, err := decodeMsgFrame(d, &peerNames{}); err == nil {
 		t.Fatal("FragIdx >= FragCount accepted")
 	}
 	f2 := &msgFrame{Src: "a", Dst: "b", FragIdx: 0, FragCount: 0}
 	d2 := xdr.NewDecoder(encodeMsgFrame(f2))
 	d2.Uint8()
-	if _, err := decodeMsgFrame(d2); err == nil {
+	if _, err := decodeMsgFrame(d2, &peerNames{}); err == nil {
 		t.Fatal("FragCount == 0 accepted")
 	}
 }
@@ -219,7 +219,7 @@ func TestAckEncodeDecode(t *testing.T) {
 	if ftype != frameAck {
 		t.Fatalf("frame type %d", ftype)
 	}
-	src, dst, seq, err := decodeAck(d)
+	src, dst, seq, err := decodeAck(d, &peerNames{})
 	if err != nil || src != "urn:src" || dst != "urn:dst" || seq != 77 {
 		t.Fatalf("ack round trip: %s %s %d %v", src, dst, seq, err)
 	}
@@ -276,5 +276,29 @@ func TestQuickRouteRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodeHelpersFitTheirCapacity: every encode* helper sizes its
+// buffer from the frame it is about to build, so building it must be one
+// allocation — a second means the size hint is short and the last Put
+// regrew the buffer (as encodeAck's did, by one byte, on every ack).
+func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, urn := range []string{"", "a", "urn:snipe:p1", "urn:snipe:host-17/process-with-a-long-name"} {
+		src, dst := urn, urn+"x"
+		frame := &msgFrame{Src: src, Dst: dst, Tag: 1, Seq: 2, FragCount: 1, Payload: []byte("payload")}
+		for name, encode := range map[string]func() []byte{
+			"encodeHello":    func() []byte { return encodeHello(src) },
+			"encodeMsgFrame": func() []byte { return encodeMsgFrame(frame) },
+			"encodeAck":      func() []byte { return encodeAck(src, dst, 7) },
+			"encodeFragAck":  func() []byte { return encodeFragAck(src, dst, 7, 3) },
+		} {
+			if got := testing.AllocsPerRun(20, func() { encode() }); got != 1 {
+				t.Errorf("%s with %d-byte URNs: %.0f allocations, want 1", name, len(src), got)
+			}
+		}
 	}
 }

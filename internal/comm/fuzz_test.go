@@ -24,7 +24,8 @@ func FuzzDecodeMsgFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := decodeMsgFrame(xdr.NewDecoder(b))
+		var names peerNames // shared by both decodes: the second takes the reuse path
+		fr, err := decodeMsgFrame(xdr.NewDecoder(b), &names)
 		if err != nil {
 			return
 		}
@@ -32,7 +33,7 @@ func FuzzDecodeMsgFrame(f *testing.F) {
 			t.Fatalf("decodeMsgFrame accepted inconsistent fragment %d/%d", fr.FragIdx, fr.FragCount)
 		}
 		// A successful decode must round-trip.
-		again, err := decodeMsgFrame(xdr.NewDecoder(encodeMsgFrame(fr)[1:]))
+		again, err := decodeMsgFrame(xdr.NewDecoder(encodeMsgFrame(&fr)[1:]), &names)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -48,12 +49,13 @@ func FuzzDecodeFragAck(f *testing.F) {
 	f.Add(encodeFragAck("", "", 0, 0)[1:])
 	f.Add([]byte{0, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		src, dst, seq, idx, err := decodeFragAck(xdr.NewDecoder(b))
+		var names peerNames
+		src, dst, seq, idx, err := decodeFragAck(xdr.NewDecoder(b), &names)
 		if err != nil {
 			return
 		}
 		b2 := encodeFragAck(src, dst, seq, idx)[1:]
-		s2, d2, q2, i2, err := decodeFragAck(xdr.NewDecoder(b2))
+		s2, d2, q2, i2, err := decodeFragAck(xdr.NewDecoder(b2), &names)
 		if err != nil || s2 != src || d2 != dst || q2 != seq || i2 != idx {
 			t.Fatalf("frag-ack round-trip mismatch: %q %q %d %d err=%v", s2, d2, q2, i2, err)
 		}
@@ -77,12 +79,13 @@ func FuzzDecodeAck(f *testing.F) {
 	f.Add(encodeAck("", "", 0)[1:])
 	f.Add([]byte{0, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		src, dst, seq, err := decodeAck(xdr.NewDecoder(b))
+		var names peerNames
+		src, dst, seq, err := decodeAck(xdr.NewDecoder(b), &names)
 		if err != nil {
 			return
 		}
 		b2 := encodeAck(src, dst, seq)[1:]
-		s2, d2, q2, err := decodeAck(xdr.NewDecoder(b2))
+		s2, d2, q2, err := decodeAck(xdr.NewDecoder(b2), &names)
 		if err != nil || s2 != src || d2 != dst || q2 != seq {
 			t.Fatalf("ack round-trip mismatch: %q %q %d err=%v", s2, d2, q2, err)
 		}
@@ -93,7 +96,8 @@ func FuzzDecodeAck(f *testing.F) {
 // stripped) for fuzz seeding.
 func encodeAckBatchSeed(ftype uint8, refs []ackRef) []byte {
 	e := xdr.NewEncoder(64)
-	return append([]byte(nil), encodeAckBatchInto(e, ftype, refs)[1:]...)
+	putAckBatch(e, ftype, refs)
+	return e.Bytes()[1:]
 }
 
 func FuzzDecodeAckBatch(f *testing.F) {
@@ -104,13 +108,14 @@ func FuzzDecodeAckBatch(f *testing.F) {
 	f.Add(encodeAckBatchSeed(frameAckBatch, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count, no entries
 	f.Fuzz(func(t *testing.T, b []byte) {
-		refs, err := decodeAckBatch(xdr.NewDecoder(b), false)
+		var names peerNames
+		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, false)
 		if err != nil {
 			return
 		}
 		// A successful decode must round-trip entry for entry.
 		b2 := encodeAckBatchSeed(frameAckBatch, refs)
-		again, err := decodeAckBatch(xdr.NewDecoder(b2), false)
+		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, false)
 		if err != nil || len(again) != len(refs) {
 			t.Fatalf("re-decode: %d entries, err=%v (want %d)", len(again), err, len(refs))
 		}
@@ -130,12 +135,13 @@ func FuzzDecodeFragAckBatch(f *testing.F) {
 	f.Add(encodeAckBatchSeed(frameFragAckBatch, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		refs, err := decodeAckBatch(xdr.NewDecoder(b), true)
+		var names peerNames
+		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, true)
 		if err != nil {
 			return
 		}
 		b2 := encodeAckBatchSeed(frameFragAckBatch, refs)
-		again, err := decodeAckBatch(xdr.NewDecoder(b2), true)
+		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, true)
 		if err != nil || len(again) != len(refs) {
 			t.Fatalf("re-decode: %d entries, err=%v (want %d)", len(again), err, len(refs))
 		}

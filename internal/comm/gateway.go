@@ -61,29 +61,11 @@ var relayMu sync.Mutex
 func (e *Endpoint) relayMsgFrame(conn FrameConn, f *msgFrame, buf []byte) (retained bool) {
 	key := reasmKey{f.Src, f.Dst, f.Seq}
 	relayMu.Lock()
-	r, ok := e.relayReasm[key]
-	if ok && r.total != int(f.FragCount) {
-		// Re-fragmented retry with a new geometry (see handleMsgFrame).
-		r.release()
-		delete(e.relayReasm, key)
-		ok = false
-	}
-	if !ok {
-		r = newReassembly(f.FragCount, f.Tag, f.Dst)
-		e.relayReasm[key] = r
-	}
-	payload, retained, err := r.add(f, buf)
-	if err != nil {
-		r.release()
-		delete(e.relayReasm, key)
+	payload, retained, err := collect(e.relayReasm, key, f, buf)
+	if err != nil || payload == nil {
 		relayMu.Unlock()
 		return retained
 	}
-	if payload == nil {
-		relayMu.Unlock()
-		return retained
-	}
-	delete(e.relayReasm, key)
 	if len(e.relayConns) >= relayTableMax {
 		e.relayConns = make(map[relayKey]FrameConn)
 	}

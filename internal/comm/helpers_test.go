@@ -35,3 +35,14 @@ func waitFor(t testing.TB, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
 	testutil.WaitFor(t, d, cond, msg)
 }
+
+// orderRoutesAdaptive is the ranking the send path uses, in the shape
+// the ordering tests were written against: plain routes in, plain
+// routes out.
+func (e *Endpoint) orderRoutesAdaptive(local, remote []Route) []Route {
+	var out []Route
+	for _, r := range e.rankRoutes(local, newRouteSet(remote), nil) {
+		out = append(out, r.Route)
+	}
+	return out
+}

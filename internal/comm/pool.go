@@ -6,12 +6,13 @@ import (
 	"snipe/internal/xdr"
 )
 
-// Buffer pools for the comm hot paths. Allocations that dominated a
-// send/receive before pooling: the system-buffer copy of the
-// application payload made by send(), the per-fragment wire frame
-// built by encodeMsgFrame, and (receive side) the per-frame buffer
-// filled by streamFrameConn.Recv and the RUDP data path. All are
-// recycled here:
+// Buffer pools for the comm hot paths. What a small message still
+// allocates is what outlives it: the sender's outMsg and its ack
+// channel, the receiver's Message and the fresh payload copy the
+// application owns. Everything with a shorter life is recycled here —
+// the system-buffer copy of the application payload made by send(), the
+// per-fragment wire frame, and the per-frame receive buffer that
+// streamFrameConn.Recv and the RUDP data path fill:
 //
 //   - Payload buffers are reference-counted on the outMsg (see
 //     acquirePayload/releasePayload in endpoint.go) because the ack
@@ -20,14 +21,19 @@ import (
 //     reference.
 //   - Receive-side frame buffers are owned by the FrameConn caller:
 //     every Recv hands the buffer over, and the endpoint read loop
-//     recycles it unless frame handling retained it (a message
-//     fragment parked in a reassembly).
+//     recycles it unless frame handling retained it (a fragment of a
+//     multi-fragment message parked in a reassembly).
 //   - Frame encoders are owned by exactly one sender goroutine at a
 //     time and can be reused immediately after FrameConn.Send
 //     returns: every FrameConn implementation either writes the frame
 //     synchronously (streamFrameConn), copies it into its own packet
 //     buffer (rudpConn, inprocConn), or seals it into a fresh
-//     ciphertext buffer (encryptedConn) before returning.
+//     ciphertext buffer (encryptedConn) before returning. Message
+//     frames and acknowledgement frames are both built in them.
+//
+// A sync.Pool stores interface values, and a slice header does not fit
+// in one: the pools hold *[]byte boxes, and the boxes are themselves
+// recycled (bufBoxes), so neither Get nor Put allocates once warm.
 
 // maxPooledPayload bounds payload buffers kept for reuse; anything
 // larger is handed to the GC so one huge message doesn't pin memory.
@@ -46,6 +52,10 @@ const maxPooledEncoder = 2 << 20
 var payloadClasses = [...]int{4 << 10, tcpFragmentSize + 1024, unixFragmentSize + 1024, maxWireFrame, maxPooledPayload}
 
 var payloadPools [len(payloadClasses)]sync.Pool
+
+// bufBoxes holds the empty *[]byte boxes between a getPayloadBuf, which
+// takes the slice out of one, and the putPayloadBuf that needs one again.
+var bufBoxes sync.Pool
 
 // payloadClassFor returns the index of the smallest class that fits n,
 // or -1 when n exceeds every class.
@@ -66,7 +76,10 @@ func getPayloadBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := payloadPools[ci].Get(); v != nil {
-		b := *(v.(*[]byte))
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		bufBoxes.Put(box)
 		return b[:n]
 	}
 	return make([]byte, n, payloadClasses[ci])
@@ -83,8 +96,12 @@ func putPayloadBuf(b []byte) {
 	}
 	for i := len(payloadClasses) - 1; i >= 0; i-- {
 		if c >= payloadClasses[i] {
-			b = b[:0]
-			payloadPools[i].Put(&b)
+			box, _ := bufBoxes.Get().(*[]byte)
+			if box == nil {
+				box = new([]byte)
+			}
+			*box = b[:0]
+			payloadPools[i].Put(box)
 			return
 		}
 	}

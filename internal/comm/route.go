@@ -3,7 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -110,6 +110,23 @@ func ParseRoute(s string) (Route, error) {
 	return r, nil
 }
 
+// routeSet is one destination's resolved routes, each with its key —
+// its String form, which names the route's connection and its scorer
+// entry. The keys are rendered once, when the set is resolved, and live
+// exactly as long as the set does; the send path never formats a route.
+type routeSet struct {
+	routes []Route
+	keys   []string // keys[i] == routes[i].String()
+}
+
+func newRouteSet(routes []Route) routeSet {
+	keys := make([]string, len(routes))
+	for i, r := range routes {
+		keys[i] = r.String()
+	}
+	return routeSet{routes: routes, keys: keys}
+}
+
 // Resolver maps a destination URN to its candidate routes. The full
 // system backs this with RC metadata (AttrCommAddr assertions); tests
 // and single-process universes use a static table.
@@ -139,29 +156,58 @@ func (s StaticResolver) Resolve(urn string) ([]Route, error) {
 // endpoint's own networks, implementing §5.3: "If the source and
 // destination are on a common private network or common IP subnet, the
 // message is sent using the fastest of those. Otherwise, the message is
-// sent using the host's normal IP routing."
+// sent using the host's normal IP routing." The sort is stable and the
+// input is left alone; the returned slice is the only allocation.
 func OrderRoutes(local []Route, remote []Route) []Route {
-	localNets := make(map[string]bool, len(local))
-	for _, r := range local {
-		if r.NetName != "" {
-			localNets[r.NetName] = true
-		}
-	}
 	out := append([]Route(nil), remote...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := out[i], out[j]
-		sharedI := si.NetName != "" && localNets[si.NetName]
-		sharedJ := sj.NetName != "" && localNets[sj.NetName]
-		if sharedI != sharedJ {
-			return sharedI // common private network first
+	slices.SortStableFunc(out, func(a, b Route) int {
+		if sa, sb := sharesNet(local, a), sharesNet(local, b); sa != sb {
+			return sharedFirst(sa)
 		}
-		if si.RateBps != sj.RateBps {
-			return si.RateBps > sj.RateBps // then fastest
-		}
-		if si.LatencyUs != sj.LatencyUs {
-			return si.LatencyUs < sj.LatencyUs // then lowest latency
-		}
-		return false
+		return compareAdvertised(a, b)
 	})
 	return out
+}
+
+// sharesNet reports whether r is on one of the named private networks
+// the local routes are on.
+func sharesNet(local []Route, r Route) bool {
+	if r.NetName == "" {
+		return false
+	}
+	for i := range local {
+		if local[i].NetName == r.NetName {
+			return true
+		}
+	}
+	return false
+}
+
+// sharedFirst orders two routes of which exactly one shares a private
+// network with the local endpoint: that one goes first.
+func sharedFirst(aShares bool) int {
+	if aShares {
+		return -1
+	}
+	return 1
+}
+
+// compareAdvertised orders two routes of the same class by their
+// advertised media profile: the fastest first, then the lowest latency.
+func compareAdvertised(a, b Route) int {
+	if a.RateBps != b.RateBps {
+		return descending(a.RateBps, b.RateBps)
+	}
+	return descending(b.LatencyUs, a.LatencyUs)
+}
+
+// descending compares so that the larger value sorts first.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -85,10 +86,10 @@ func (e *Endpoint) scoreFor(routeKey string) *routeEWMA {
 //
 // where capacity (bytes/sec) and latency come from the route's EWMAs
 // once scoreMinSamples observations exist, and from the advertised
-// RateBps/LatencyUs before that. Higher is better. Caller holds
-// e.scoreMu.
-func (e *Endpoint) routeScoreLocked(r Route) float64 {
-	s := e.scores[r.String()]
+// RateBps/LatencyUs before that. Higher is better. key is r's route
+// key. Caller holds e.scoreMu.
+func (e *Endpoint) routeScoreLocked(r Route, key string) float64 {
+	s := e.scores[key]
 	capacity := r.RateBps / 8 // advertised bits/sec → bytes/sec prior
 	latUs := r.LatencyUs
 	errRate := 0.0
@@ -109,44 +110,43 @@ func (e *Endpoint) routeScoreLocked(r Route) float64 {
 	return capacity * healthy * healthy / (1 + latUs/1e4)
 }
 
-// orderRoutesAdaptive ranks candidate routes best-first: the §5.3
-// shared-private-network preference partitions them exactly as the
-// static OrderRoutes does, then each partition is ordered by the
-// adaptive score. With no observed history the score reduces to the
-// advertised profile, preserving the static ordering.
-func (e *Endpoint) orderRoutesAdaptive(local, remote []Route) []Route {
-	ordered := OrderRoutes(local, remote)
-	localNets := make(map[string]bool, len(local))
-	for _, r := range local {
-		if r.NetName != "" {
-			localNets[r.NetName] = true
-		}
-	}
-	type scored struct {
-		route  Route
-		shared bool
-		score  float64
-	}
-	ranked := make([]scored, len(ordered))
+// rankedRoute is one candidate in a ranking: the route, its key, and
+// the two figures it was ranked by.
+type rankedRoute struct {
+	Route
+	key    string
+	shared bool    // on a private network the local endpoint is on too
+	score  float64 // routeScoreLocked at ranking time
+}
+
+// maxStackRoutes sizes the ranking scratch a sender keeps on its stack;
+// a destination advertising more routes than this gets a heap slice.
+const maxStackRoutes = 8
+
+// rankRoutes appends a destination's routes to out (the caller's empty
+// scratch) and ranks them best-first: the §5.3 shared-private-network
+// preference partitions them exactly as the static OrderRoutes does, then each
+// partition is ordered by the adaptive score, and routes the score does
+// not tell apart keep OrderRoutes' order (advertised rate, latency,
+// then the order they were resolved in). With no observed history the
+// score reduces to the advertised profile, preserving the static
+// ordering. Nothing is allocated while the routes fit out.
+func (e *Endpoint) rankRoutes(local []Route, rs routeSet, out []rankedRoute) []rankedRoute {
 	e.scoreMu.Lock()
-	for i, r := range ordered {
-		ranked[i] = scored{
-			route:  r,
-			shared: r.NetName != "" && localNets[r.NetName],
-			score:  e.routeScoreLocked(r),
-		}
+	for i, r := range rs.routes {
+		out = append(out, rankedRoute{Route: r, key: rs.keys[i],
+			shared: sharesNet(local, r), score: e.routeScoreLocked(r, rs.keys[i])})
 	}
 	e.scoreMu.Unlock()
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].shared != ranked[j].shared {
-			return ranked[i].shared
+	slices.SortStableFunc(out, func(a, b rankedRoute) int {
+		if a.shared != b.shared {
+			return sharedFirst(a.shared)
 		}
-		return ranked[i].score > ranked[j].score
+		if a.score != b.score {
+			return descending(a.score, b.score)
+		}
+		return compareAdvertised(a.Route, b.Route)
 	})
-	out := make([]Route, len(ranked))
-	for i, s := range ranked {
-		out[i] = s.route
-	}
 	return out
 }
 
@@ -176,7 +176,7 @@ func (e *Endpoint) RouteScores() []RouteScore {
 		}
 		out = append(out, RouteScore{
 			Route:      key,
-			Score:      e.routeScoreLocked(r),
+			Score:      e.routeScoreLocked(r, key),
 			RTTUs:      s.rttUs,
 			GoodputBps: s.goodputBps,
 			ErrRate:    s.errRate,

@@ -273,7 +273,7 @@ func (s *stripeState) remainingUnsent() int {
 // once every fragment has been accepted by a live conn; per-fragment
 // acknowledgements, requeues and the whole-message retry complete the
 // reliability story asynchronously.
-func (e *Endpoint) transmitStriped(om *outMsg, local, routes []Route) (handled bool, err error) {
+func (e *Endpoint) transmitStriped(om *outMsg, local []Route, routes routeSet) (handled bool, err error) {
 	type routeConn struct {
 		key  string
 		conn FrameConn
@@ -281,23 +281,22 @@ func (e *Endpoint) transmitStriped(om *outMsg, local, routes []Route) (handled b
 	var rcs []routeConn
 	minMTU := 0
 	m := &om.msg
-	// Per-fragment header: frame type, length-prefixed src and dst,
-	// tag, seq, fragment index/count, flags, payload length prefix.
-	hdr := 34 + len(m.Src) + len(m.Dst)
-	for _, route := range e.orderRoutesAdaptive(local, routes) {
+	hdr := msgFrameOverhead + len(m.Src) + len(m.Dst)
+	var scratch [maxStackRoutes]rankedRoute
+	for _, route := range e.rankRoutes(local, routes, scratch[:0]) {
 		if route.Transport == GatewayTransport {
 			continue // relayed paths don't participate in stripes
 		}
-		conn, err := e.getConn(route)
+		conn, err := e.getConn(route.Route, route.key)
 		if err != nil {
-			e.observeRouteError(route.String())
+			e.observeRouteError(route.key)
 			continue
 		}
 		mtu := conn.MTU() - hdr
 		if mtu < 16 {
 			continue
 		}
-		rcs = append(rcs, routeConn{route.String(), conn})
+		rcs = append(rcs, routeConn{route.key, conn})
 		if minMTU == 0 || mtu < minMTU {
 			minMTU = mtu
 		}

@@ -1,12 +1,12 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
+
+	"snipe/internal/xdr"
 )
 
 // FrameConn is a reliable, ordered, message-boundary-preserving
@@ -132,13 +132,20 @@ func (l *tcpListener) Close() error { return l.ln.Close() }
 
 // streamFrameConn adapts any net.Conn (a real TCP or Unix-socket
 // connection, or a netsim shaped pipe) into a FrameConn with 4-byte
-// length prefixes.
+// length prefixes. Framing is xdr's record reader and writer: a Recv
+// that finds nothing buffered issues one read for up to
+// xdr.FrameReadAhead bytes, which returns a small frame whole together
+// with any short frames queued behind it (a body larger than that is
+// read straight into its pooled buffer), and a Send is one vectored
+// write from scratch that lives in the connection.
 type streamFrameConn struct {
 	conn net.Conn
 	mtu  int
 
-	rmu sync.Mutex // serialises Recv
-	wmu sync.Mutex // serialises Send
+	rmu sync.Mutex // serialises Recv; guards fr
+	fr  *xdr.FrameReader
+	wmu sync.Mutex // serialises Send; guards fw
+	fw  *xdr.FrameWriter
 }
 
 // NewStreamFrameConn frames a byte-stream connection. It is exported
@@ -154,30 +161,29 @@ func newStreamFrameConnMTU(conn net.Conn, mtu int) FrameConn {
 	if mtu <= 0 || mtu > maxWireFrame {
 		mtu = tcpFragmentSize
 	}
-	return &streamFrameConn{conn: conn, mtu: mtu}
+	return &streamFrameConn{conn: conn, mtu: mtu,
+		fr: xdr.NewFrameReader(conn), fw: xdr.NewFrameWriter(conn)}
 }
 
 func (c *streamFrameConn) Send(frame []byte) error {
 	if len(frame) > maxWireFrame {
 		return ErrTooLarge
 	}
+	// wmu and rmu are this connection's own: they guard nothing but its
+	// write scratch and its read-ahead, so a stalled peer stalls only
+	// the senders and the one read loop of this connection.
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	bufs := net.Buffers{hdr[:], frame}
-	_, err := bufs.WriteTo(c.conn)
-	return err
+	return c.fw.WriteFrame(frame, nil) //lint:allow lockedio per-connection writer lock: it is what puts frames on the stream whole
 }
 
 func (c *streamFrameConn) Recv() ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
+	n, err := c.fr.Next() //lint:allow lockedio per-connection reader lock, taken by the connection's read loop alone
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxWireFrame {
 		return nil, ErrBadFrame
 	}
@@ -185,7 +191,7 @@ func (c *streamFrameConn) Recv() ([]byte, error) {
 	// and recycles it once the frame is handled. Frames are bounded by
 	// maxWireFrame, so the buffer always lands in a right-sized class.
 	buf := getPayloadBuf(int(n))
-	if _, err := io.ReadFull(c.conn, buf); err != nil {
+	if err := c.fr.ReadBody(buf); err != nil { //lint:allow lockedio the same reader lock: header and body are one frame
 		putPayloadBuf(buf)
 		return nil, err
 	}

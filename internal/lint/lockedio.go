@@ -35,8 +35,17 @@ var lockedioMethods = map[string]bool{
 	"snipe/internal/rcds.Client.Stats":      true,
 	"snipe/internal/rcds.Client.WaitFor":    true,
 	"snipe/internal/rcds.Client.roundTrip":  true,
+
+	// The one length-prefixed frame reader and writer, under every comm
+	// stream transport and every rcds connection.
+	"snipe/internal/xdr.FrameReader.Next":          true,
+	"snipe/internal/xdr.FrameReader.ReadBody":      true,
+	"snipe/internal/xdr.FrameReader.ReadBodyAlloc": true,
+	"snipe/internal/xdr.FrameWriter.WriteFrame":    true,
 }
 
+// rcds wraps the xdr frame calls above with its MAC; the analysis is
+// intra-procedural, so the wrappers are named too.
 var lockedioFuncs = map[string]bool{
 	"snipe/internal/rcds.writeFrame": true,
 	"snipe/internal/rcds.readFrame":  true,

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"snipe/internal/comm"
+	"snipe/internal/xdr"
 )
 
 type peer struct {
@@ -13,6 +14,8 @@ type peer struct {
 	rw   sync.RWMutex
 	ep   *comm.Endpoint
 	conn net.Conn
+	fr   *xdr.FrameReader
+	fw   *xdr.FrameWriter
 }
 
 func (p *peer) sendUnderLock() {
@@ -55,4 +58,31 @@ func (p *peer) goroutineIsFreshFrame() {
 	go func() {
 		_ = p.ep.Send("peer", 1, nil) // clean: separate goroutine, lock not held there
 	}()
+}
+
+func (p *peer) frameWriteUnderLock(body []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fw.WriteFrame(body, nil) // want `network I/O \(WriteFrame\) while holding p.mu`
+}
+
+func (p *peer) frameReadUnderLock() ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n, err := p.fr.Next() // want `network I/O \(Next\) while holding p.mu`
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	if err := p.fr.ReadBody(buf); err != nil { // want `network I/O \(ReadBody\) while holding p.mu`
+		return nil, err
+	}
+	return p.fr.ReadBodyAlloc(int(n)) // want `network I/O \(ReadBodyAlloc\) while holding p.mu`
+}
+
+func (p *peer) frameWriteAfterUnlock(body []byte) error {
+	p.mu.Lock()
+	n := len(body)
+	p.mu.Unlock()
+	return p.fw.WriteFrame(body[:n], nil) // clean: lock released
 }

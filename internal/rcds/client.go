@@ -73,8 +73,10 @@ type callResult struct {
 type clientConn struct {
 	c      net.Conn
 	secret []byte
+	fr     *xdr.FrameReader // used by readLoop alone
 
 	writeMu sync.Mutex
+	fw      *xdr.FrameWriter // guarded by writeMu
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -126,7 +128,7 @@ func (cc *clientConn) fail(err error) {
 // readLoop demultiplexes response frames to their pending calls.
 func (cc *clientConn) readLoop() {
 	for {
-		frame, err := readFrame(cc.c, cc.secret)
+		frame, err := readFrame(cc.fr, cc.secret)
 		if err != nil {
 			cc.fail(err)
 			return
@@ -154,7 +156,7 @@ func (cc *clientConn) writeRequest(id uint64, req []byte, deadline time.Time) er
 	// The writer lock is per-connection and guards nothing but this
 	// write; a stalled peer stalls only requests multiplexed onto this
 	// same connection, bounded by the write deadline above.
-	return writeFrame(cc.c, muxBody(id, req), cc.secret) //lint:allow lockedio intentional per-connection writer lock, bounded by the write deadline
+	return writeFrame(cc.fw, muxBody(id, req), cc.secret) //lint:allow lockedio intentional per-connection writer lock, bounded by the write deadline
 
 }
 
@@ -483,7 +485,8 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 		conn.Close()
 		return g.conn, nil
 	}
-	cc := &clientConn{c: conn, secret: c.secret, pending: make(map[uint64]*call)}
+	cc := &clientConn{c: conn, secret: c.secret, pending: make(map[uint64]*call),
+		fr: xdr.NewFrameReader(conn), fw: xdr.NewFrameWriter(conn)}
 	g.conn = cc
 	go cc.readLoop()
 	return cc, nil

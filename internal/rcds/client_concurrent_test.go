@@ -258,7 +258,8 @@ func TestReadCacheCoherence(t *testing.T) {
 // throughput comparison share transport and server costs.
 type serialClient struct {
 	mu     sync.Mutex
-	conn   net.Conn
+	fr     *xdr.FrameReader
+	fw     *xdr.FrameWriter
 	nextID uint64
 }
 
@@ -269,7 +270,7 @@ func dialSerial(t testing.TB, addr string) *serialClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &serialClient{conn: conn}
+	return &serialClient{fr: xdr.NewFrameReader(conn), fw: xdr.NewFrameWriter(conn)}
 }
 
 func (sc *serialClient) firstValue(uri, name string) (string, bool, error) {
@@ -280,10 +281,10 @@ func (sc *serialClient) firstValue(uri, name string) (string, bool, error) {
 		e.PutString(uri)
 		e.PutString(name)
 	})
-	if err := writeFrame(sc.conn, muxBody(sc.nextID, req), nil); err != nil {
+	if err := writeFrame(sc.fw, muxBody(sc.nextID, req), nil); err != nil {
 		return "", false, err
 	}
-	frame, err := readFrame(sc.conn, nil)
+	frame, err := readFrame(sc.fr, nil)
 	if err != nil {
 		return "", false, err
 	}

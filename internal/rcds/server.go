@@ -246,7 +246,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // possibly out of order, so a long-poll never blocks a lookup.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	var writeMu sync.Mutex
+	var writeMu sync.Mutex // guards fw
+	fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
 	var reqWG sync.WaitGroup
 	defer func() {
 		reqWG.Wait()
@@ -256,7 +257,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	for {
-		frame, err := readFrame(conn, s.secret)
+		frame, err := readFrame(fr, s.secret)
 		if err != nil {
 			return
 		}
@@ -276,7 +277,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// responses, nothing else.
 			writeMu.Lock()
 			defer writeMu.Unlock()
-			writeFrame(conn, muxBody(id, resp), s.secret) //lint:allow lockedio intentional per-connection response writer lock
+			writeFrame(fw, muxBody(id, resp), s.secret) //lint:allow lockedio intentional per-connection response writer lock
 		}(id, body)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 
 	"snipe/internal/seckey"
 	"snipe/internal/xdr"
@@ -85,9 +83,9 @@ var (
 
 const macSize = 32
 
-// writeFrame sends one length-prefixed frame, appending an HMAC when
-// secret is non-empty.
-func writeFrame(w io.Writer, body []byte, secret []byte) error {
+// writeFrame sends one length-prefixed frame through the connection's
+// frame writer, appending an HMAC of the body when secret is non-empty.
+func writeFrame(fw *xdr.FrameWriter, body []byte, secret []byte) error {
 	total := len(body)
 	if len(secret) > 0 {
 		total += macSize
@@ -95,29 +93,29 @@ func writeFrame(w io.Writer, body []byte, secret []byte) error {
 	if total > maxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(total))
-	bufs := net.Buffers{hdr[:], body}
+	var mac []byte
 	if len(secret) > 0 {
-		bufs = append(bufs, seckey.SumMAC(secret, body))
+		mac = seckey.SumMAC(secret, body)
 	}
-	_, err := bufs.WriteTo(w)
-	return err
+	return fw.WriteFrame(body, mac)
 }
 
-// readFrame receives one frame, verifying its HMAC when secret is
-// non-empty and returning the body.
-func readFrame(r io.Reader, secret []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame receives one frame from the connection's frame reader,
+// verifying its HMAC when secret is non-empty and returning the body.
+// A declared length beyond maxFrame is refused before any buffer is
+// sized, and the buffer then grows with the bytes that arrive, not with
+// the length an unauthenticated peer declared. The HMAC is verified
+// over the whole body before the caller parses any of it.
+func readFrame(fr *xdr.FrameReader, secret []byte) ([]byte, error) {
+	n, err := fr.Next()
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := fr.ReadBodyAlloc(int(n))
+	if err != nil {
 		return nil, err
 	}
 	if len(secret) > 0 {

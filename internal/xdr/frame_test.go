@@ -1,0 +1,245 @@
+package xdr
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
+	"testing"
+)
+
+var errFrameOverLimit = errors.New("frame over the test's limit")
+
+// refReadFrame is the implementation FrameReader replaced — a ReadFull
+// for the header and a ReadFull for the body, straight on the stream —
+// kept as the reference the new reader is compared against.
+func refReadFrame(r io.Reader, limit uint32) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > limit {
+		return nil, errFrameOverLimit
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// readFrameVia reads one frame the way comm does (a right-sized
+// destination buffer, ReadBody) or the way rcds does (ReadBodyAlloc).
+func readFrameVia(fr *FrameReader, limit uint32, alloc bool) ([]byte, error) {
+	n, err := fr.Next()
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, errFrameOverLimit
+	}
+	if alloc {
+		return fr.ReadBodyAlloc(int(n))
+	}
+	buf := make([]byte, n)
+	if err := fr.ReadBody(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// chunkReader hands out a byte stream in reads of scheduled sizes,
+// cycling through the schedule, then io.EOF. A zero in the schedule
+// means "as much as the caller asked for". With eofWithData the last
+// bytes and io.EOF come from the same Read, as io.Reader allows.
+type chunkReader struct {
+	data        []byte
+	chunks      []int
+	next        int
+	eofWithData bool
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(c.chunks) > 0 {
+		if k := c.chunks[c.next%len(c.chunks)]; k > 0 && k < n {
+			n = k
+		}
+		c.next++
+	}
+	n = copy(p[:n], c.data)
+	c.data = c.data[n:]
+	if len(c.data) == 0 && c.eofWithData {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// drain reads frames until the first error.
+func drain(read func() ([]byte, error)) (frames [][]byte, err error) {
+	for {
+		f, err := read()
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, f)
+	}
+}
+
+// checkAgainstReference delivers stream in the given chunking to the
+// reference and to both faces of FrameReader, and requires the same
+// frames and the same terminal error from all three.
+func checkAgainstReference(t *testing.T, stream []byte, chunks []int, limit uint32) {
+	t.Helper()
+	for _, eofWithData := range []bool{false, true} {
+		src := func() io.Reader {
+			return &chunkReader{data: stream, chunks: chunks, eofWithData: eofWithData}
+		}
+		ref := src()
+		want, wantErr := drain(func() ([]byte, error) { return refReadFrame(ref, limit) })
+		for _, alloc := range []bool{false, true} {
+			fr := NewFrameReader(src())
+			got, gotErr := drain(func() ([]byte, error) { return readFrameVia(fr, limit, alloc) })
+			if gotErr != wantErr {
+				t.Fatalf("alloc=%v eofWithData=%v: after %d frames error %v, reference %v after %d",
+					alloc, eofWithData, len(got), gotErr, wantErr, len(want))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("alloc=%v eofWithData=%v: %d frames, reference %d", alloc, eofWithData, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) || (got[i] == nil) != (want[i] == nil) {
+					t.Fatalf("alloc=%v eofWithData=%v: frame %d differs from the reference (%d vs %d bytes)",
+						alloc, eofWithData, i, len(got[i]), len(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// frameStream frames bodies of the given sizes, each filled with a
+// pattern that depends on its index and offset.
+func frameStream(sizes ...int) []byte {
+	var s []byte
+	for i, n := range sizes {
+		s = binary.BigEndian.AppendUint32(s, uint32(n))
+		for j := 0; j < n; j++ {
+			s = append(s, byte(i*31+j))
+		}
+	}
+	return s
+}
+
+func TestFrameReaderMatchesReference(t *testing.T) {
+	const limit = 1 << 20
+	small := frameStream(64, 17, 200, 1, 90)
+	streams := map[string][]byte{
+		"small frames":               small,
+		"zero-length frames":         frameStream(0, 5, 0, 0, 3, 0),
+		"straddling the read-ahead":  frameStream(300, 300, 300, 300),
+		"around the read-ahead size": frameStream(FrameReadAhead-5, FrameReadAhead-4, FrameReadAhead-3, FrameReadAhead, FrameReadAhead+1, 2*FrameReadAhead+3),
+		"large then small":           frameStream(70<<10, 10, 200<<10, 0, 7),
+		"oversize header":            append(frameStream(8, 8), 0xff, 0xff, 0xff, 0xff, 1, 2, 3),
+		"just over the limit":        binary.BigEndian.AppendUint32(frameStream(3), limit+1),
+		"EOF mid-header":             append(frameStream(12), 0, 0),
+		"EOF after header":           binary.BigEndian.AppendUint32(frameStream(12), 40),
+		"EOF mid-body":               small[:len(small)-10],
+		"EOF mid large body":         frameStream(100 << 10)[:80<<10],
+		"empty stream":               nil,
+	}
+	chunkings := map[string][]int{
+		"one read":           nil,
+		"a byte at a time":   {1},
+		"two bytes":          {2},
+		"header-sized":       {4},
+		"odd sizes":          {3, 1, 7, 2, 500, 5},
+		"half frames":        {34, 34, 10, 11, 102, 102},
+		"read-ahead minus 1": {FrameReadAhead - 1},
+		"read-ahead plus 1":  {FrameReadAhead + 1},
+		"big then small":     {4096, 1},
+	}
+	for sname, stream := range streams {
+		for cname, chunks := range chunkings {
+			t.Run(sname+"/"+cname, func(t *testing.T) {
+				checkAgainstReference(t, stream, chunks, limit)
+			})
+		}
+	}
+}
+
+func FuzzFrameReader(f *testing.F) {
+	f.Add(frameStream(64, 17, 0, 200), []byte{0})
+	f.Add(frameStream(300, 300, 300), []byte{1})
+	f.Add(frameStream(FrameReadAhead+9, 3), []byte{3, 200, 1})
+	f.Add(append(frameStream(5), 0xff, 0xff, 0xff, 0xff), []byte{2})
+	f.Add(frameStream(40)[:20], []byte{255, 1})
+	f.Add([]byte{0, 0}, []byte{})
+	f.Fuzz(func(t *testing.T, stream, schedule []byte) {
+		chunks := make([]int, len(schedule))
+		for i, b := range schedule {
+			chunks[i] = int(b) * 3 // 0 = whatever the reader asks for; up to 765, past the read-ahead
+		}
+		// The limit is low so that a fuzzed header cannot make the
+		// reference allocate gigabytes, and sits inside the streams the
+		// fuzzer builds so that both sides of it are reached.
+		checkAgainstReference(t, stream, chunks, 4096)
+	})
+}
+
+// TestFrameReaderStalledBody: a declared length costs nothing until the
+// bytes come. A 16 MiB header followed by a trickle must leave the
+// reader holding its first 64 KiB step, not the declared size.
+func TestFrameReaderStalledBody(t *testing.T) {
+	const declared = 16 << 20
+	stream := binary.BigEndian.AppendUint32(nil, declared)
+	stream = append(stream, make([]byte, 1000)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr := NewFrameReader(&chunkReader{data: stream})
+	n, err := fr.Next()
+	if err != nil || n != declared {
+		t.Fatalf("Next = %d, %v", n, err)
+	}
+	if _, err := fr.ReadBodyAlloc(declared); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated body: %v, want io.ErrUnexpectedEOF", err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a 16 MiB header and 1000 body bytes made the reader allocate %d bytes", got)
+	}
+}
+
+func TestFrameWriterRoundTrip(t *testing.T) {
+	var wire bytes.Buffer
+	fw := NewFrameWriter(&wire)
+	bodies := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{7}, 3000)}
+	for _, b := range bodies {
+		if err := fw.WriteFrame(b, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.WriteFrame([]byte("body"), []byte("mac!")); err != nil {
+		t.Fatal(err)
+	}
+	bodies = append(bodies, []byte("bodymac!"))
+	fr := NewFrameReader(&wire)
+	for i, want := range bodies {
+		got, err := readFrameVia(fr, 1<<20, false)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	for _, b := range fw.vec {
+		if b != nil {
+			t.Fatal("FrameWriter kept a reference to the caller's buffers after WriteFrame")
+		}
+	}
+}
