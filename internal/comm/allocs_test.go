@@ -4,6 +4,8 @@ import (
 	"context"
 	"slices"
 	"testing"
+
+	"snipe/internal/testutil"
 )
 
 // TestSendWaitAllocs is the tier-1 guard on the small-message fast path:
@@ -13,7 +15,7 @@ import (
 // counted. The benchmark ledger gates the same number; this fails in
 // `go test` before a run of it would.
 func TestSendWaitAllocs(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow allocations are counted as the program's")
 	}
 	delivered := make(chan struct{}, 1)
@@ -56,7 +58,7 @@ func TestSendWaitAllocs(t *testing.T) {
 // swapper, no scratch copies — and the send path's ranking, which sorts
 // into its caller's stack scratch, allocates nothing at all.
 func TestOrderRoutesAllocs(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	local := []Route{{Transport: "tcp", Addr: "l:1", NetName: "atm"}, {Transport: "tcp", Addr: "l:2"}}

@@ -1122,16 +1122,48 @@ func (e *Endpoint) Recv(ctx context.Context) (*Message, error) {
 	return e.RecvMatch(ctx, "", AnyTag)
 }
 
+// ctxWaiter parks a caller on a sync.Cond so that the end of its context
+// wakes it too (RecvMatch, Stream.Read, Stream.Write). The watcher that
+// does that is registered only when the caller is about to wait for the
+// first time: most calls find their message, data or credit already there
+// and never pay for one.
+type ctxWaiter struct {
+	stop func() bool
+}
+
+// wait is called with cond.L held, in a loop that re-checks what it waits
+// for and ctx.Err() after every return. The watcher's callback takes
+// cond.L, so it is registered with the lock released, and that first call
+// returns without waiting: whatever arrived, or a ctx that ended, while
+// the lock was down is seen by the caller's re-check, and a ctx that ends
+// after it finds the watcher in place.
+func (w *ctxWaiter) wait(ctx context.Context, cond *sync.Cond) {
+	if w.stop != nil {
+		cond.Wait()
+		return
+	}
+	cond.L.Unlock()
+	w.stop = context.AfterFunc(ctx, func() {
+		cond.L.Lock()
+		cond.Broadcast()
+		cond.L.Unlock()
+	})
+	cond.L.Lock()
+}
+
+// release drops the watcher, if one was registered.
+func (w *ctxWaiter) release() {
+	if w.stop != nil {
+		w.stop()
+	}
+}
+
 // RecvMatch returns the next message matching src (""=any) and
 // tag (AnyTag=any), waiting until ctx ends. Non-matching messages stay
 // queued for other receivers.
 func (e *Endpoint) RecvMatch(ctx context.Context, src string, tag uint32) (*Message, error) {
-	stop := context.AfterFunc(ctx, func() {
-		e.mu.Lock()
-		e.cond.Broadcast()
-		e.mu.Unlock()
-	})
-	defer stop()
+	var w ctxWaiter
+	defer w.release()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
@@ -1147,7 +1179,7 @@ func (e *Endpoint) RecvMatch(ctx context.Context, src string, tag uint32) (*Mess
 		if ctx.Err() != nil {
 			return nil, ctxErr(ctx)
 		}
-		e.cond.Wait()
+		w.wait(ctx, e.cond)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
 
@@ -284,7 +285,7 @@ func TestQuickRouteRoundTrip(t *testing.T) {
 // allocation — a second means the size hint is short and the last Put
 // regrew the buffer (as encodeAck's did, by one byte, on every ack).
 func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, urn := range []string{"", "a", "urn:snipe:p1", "urn:snipe:host-17/process-with-a-long-name"} {

@@ -162,6 +162,19 @@ type RouteScore struct {
 	Errors     uint64  `json:"errors"`      // cumulative send failures
 }
 
+// RouteHistory reports what the endpoint has observed on one route, by
+// route key: the RTT and error-rate EWMAs and the number of acks behind
+// them (0: never used). It is RouteScores for a caller that already
+// holds the keys it cares about, and allocates nothing.
+func (e *Endpoint) RouteHistory(routeKey string) (rttUs, errRate float64, samples uint64) {
+	e.scoreMu.Lock()
+	defer e.scoreMu.Unlock()
+	if s := e.scores[routeKey]; s != nil {
+		return s.rttUs, s.errRate, s.samples
+	}
+	return 0, 0, 0
+}
+
 // RouteScores reports the endpoint's per-route adaptive-scoring state,
 // sorted by route key. The scalar Score column is computed with no
 // advertised-profile prior (routes the endpoint has never used score

@@ -165,6 +165,27 @@ type streamBatch struct {
 	next    *streamBatch
 }
 
+// streamBatchPool recycles batches, each with the capacity of its streams
+// slice; the encoder goes through the frame-encoder pool and its size cap.
+var streamBatchPool = sync.Pool{New: func() any { return new(streamBatch) }}
+
+func getStreamBatch() *streamBatch {
+	b := streamBatchPool.Get().(*streamBatch)
+	b.enc = getFrameEncoder()
+	return b
+}
+
+// putStreamBatch recycles a batch the flusher is done with. It goes back
+// owning nothing: no encoder, no batch behind it, and no *Stream left in
+// the slots of its slice, which would keep a finished stream and the
+// chunks it still holds alive for as long as the pool keeps the batch.
+func putStreamBatch(b *streamBatch) {
+	putFrameEncoder(b.enc)
+	clear(b.streams)
+	b.enc, b.streams, b.next = nil, b.streams[:0], nil
+	streamBatchPool.Put(b)
+}
+
 // sendQueue is the batches queued for one peer, oldest first; frames are
 // appended to the last one. Both ends are nil while the peer's only batch
 // is being sent.
@@ -377,7 +398,7 @@ func (m *StreamMux) enqueueLocked(peer string, s *Stream, f streamFrame) error {
 	}
 	q, flushing := m.out[peer]
 	if q.tail == nil || q.tail.enc.Len()+f.wireSize() > m.chunk+streamBatchSlack {
-		b := &streamBatch{enc: getFrameEncoder()}
+		b := getStreamBatch()
 		if q.tail == nil {
 			q.head = b
 		} else {
@@ -435,7 +456,6 @@ func (m *StreamMux) flush(peer string) {
 			m.failQueue(peer, b, fmt.Errorf("%w: sending to %s: %w", ErrStreamReset, peer, err))
 			continue
 		}
-		putFrameEncoder(b.enc) // Send copied the payload
 		m.mMsgsOut.Inc()
 		m.mu.Lock()
 		for _, s := range b.streams {
@@ -443,6 +463,7 @@ func (m *StreamMux) flush(peer string) {
 			m.dropIfSentLocked(s)
 		}
 		m.mu.Unlock()
+		putStreamBatch(b) // Send copied the payload
 	}
 }
 
@@ -458,8 +479,7 @@ func (m *StreamMux) failQueue(peer string, refused *streamBatch, err error) {
 	rest := m.out[peer].head
 	m.out[peer] = sendQueue{} // the entry stays: this flusher is still running
 	refused.next = rest
-	for b := refused; b != nil; b = b.next {
-		putFrameEncoder(b.enc)
+	for b := refused; b != nil; {
 		for _, s := range b.streams {
 			s.queued--
 			if s.sendErr == nil {
@@ -468,6 +488,9 @@ func (m *StreamMux) failQueue(peer string, refused *streamBatch, err error) {
 			}
 			m.dropIfSentLocked(s)
 		}
+		next := b.next
+		putStreamBatch(b)
+		b = next
 	}
 	for _, s := range failed {
 		m.enqueueLocked(peer, nil, streamFrame{kind: streamReset, id: s.id, orig: s.opened, reason: "send failed"})
@@ -657,24 +680,14 @@ func (s *Stream) abortLocal(err error) {
 	s.mu.Unlock()
 }
 
-// wake arranges for the stream's cond to broadcast when ctx ends; the
-// returned stop function releases the watcher.
-func (s *Stream) wake(ctx context.Context) func() bool {
-	return context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-}
-
 // Read returns the next received chunk, waiting until data arrives,
 // the peer half-closes (io.EOF after the queue drains), the stream
 // fails, or ctx ends. The returned slice is the caller's to keep and to
 // overwrite, at its length: it is a window into the message that carried
 // it, whose other frames lie past its capacity.
 func (s *Stream) Read(ctx context.Context) ([]byte, error) {
-	stop := s.wake(ctx)
-	defer stop()
+	var w ctxWaiter
+	defer w.release()
 	s.mu.Lock()
 	for {
 		if len(s.recvQ) > 0 {
@@ -706,7 +719,7 @@ func (s *Stream) Read(ctx context.Context) ([]byte, error) {
 			s.mu.Unlock()
 			return nil, ctxErr(ctx)
 		}
-		s.cond.Wait()
+		w.wait(ctx, s.cond)
 	}
 }
 
@@ -716,8 +729,8 @@ func (s *Stream) Read(ctx context.Context) ([]byte, error) {
 // message (send buffer full, peer dead, endpoint closed) the stream
 // fails, and the next Read or Write returns the cause.
 func (s *Stream) Write(ctx context.Context, p []byte) error {
-	stop := s.wake(ctx)
-	defer stop()
+	var w ctxWaiter
+	defer w.release()
 	for first := true; first || len(p) > 0; first = false {
 		n := len(p)
 		if n > s.mux.chunk {
@@ -725,7 +738,7 @@ func (s *Stream) Write(ctx context.Context, p []byte) error {
 		}
 		s.mu.Lock()
 		for s.failure == nil && !s.sendClosed && s.sendCredit < n && ctx.Err() == nil {
-			s.cond.Wait()
+			w.wait(ctx, s.cond)
 		}
 		if err := s.failure; err != nil {
 			s.mu.Unlock()

@@ -24,7 +24,9 @@
 // a shard-routing one — behind context-less reads and writes;
 // Register/Unregister publish a process's communication addresses;
 // Resolver caches URN→address resolutions with a TTL unless the client
-// already maintains its watch-coherent read cache, which supersedes it.
+// already maintains its watch-coherent read cache, which supersedes it;
+// Watch turns whichever change-notification face a Catalog has (push
+// subscription, version long-poll, neither) into one callback.
 package naming
 
 import (
@@ -141,16 +143,17 @@ func (c storeCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
 func (c storeCatalog) Unsubscribe(id int) { c.s.Unsubscribe(id) }
 
 // clientCatalog adapts a context-first *rcds.Client to the context-less
-// Catalog interface: each call runs under a deadline derived from the
-// client's configured per-request timeout. Components that want
-// cancellation use the client directly; Catalog holders get the same
-// bounded-time behavior the old timeout-signature wrappers provided.
+// Catalog interface: each call that goes to a server runs under a
+// deadline derived from the client's configured per-request timeout.
+// Components that want cancellation use the client directly; Catalog
+// holders get the same bounded-time behavior the old timeout-signature
+// wrappers provided.
 type clientCatalog struct{ c *rcds.Client }
 
 // ClientCatalog wraps a remote RCDS client as a Catalog. The wrapper
 // also forwards the discovery faces callers probe for by interface
 // assertion: ReadCacheActive (Resolver), MetricsSnapshot (daemon
-// status), and the liveness monitor's long-poll Wait.
+// status), the liveness monitor's long-poll Wait and Watch's WaitURI.
 func ClientCatalog(c *rcds.Client) Catalog { return clientCatalog{c} }
 
 // Client returns the wrapped RCDS client, for callers that own its
@@ -161,13 +164,21 @@ func (cc clientCatalog) opCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), cc.c.Timeout())
 }
 
+// Values and FirstValue build their deadline on a cache miss only: a
+// hit never looks at it, and most reads are hits.
 func (cc clientCatalog) Values(uri, name string) ([]string, error) {
+	if vals, ok := cc.c.CachedValues(uri, name); ok {
+		return vals, nil
+	}
 	ctx, cancel := cc.opCtx()
 	defer cancel()
 	return cc.c.Values(ctx, uri, name)
 }
 
 func (cc clientCatalog) FirstValue(uri, name string) (string, bool, error) {
+	if v, present, ok := cc.c.CachedFirstValue(uri, name); ok {
+		return v, present, nil
+	}
 	ctx, cancel := cc.opCtx()
 	defer cancel()
 	return cc.c.FirstValue(ctx, uri, name)
@@ -215,6 +226,13 @@ func (cc clientCatalog) MetricsSnapshot() stats.Snapshot { return cc.c.MetricsSn
 // outlive the per-request timeout by design.
 func (cc clientCatalog) Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error) {
 	return cc.c.Wait(ctx, since, timeout)
+}
+
+// WaitURI forwards the shard-aware long-poll: the version stream of the
+// replica group that owns uri, which under shard routing need not be the
+// seed group Wait follows. It is Watch's long-poll face.
+func (cc clientCatalog) WaitURI(ctx context.Context, uri string, since uint64, timeout time.Duration) (uint64, error) {
+	return cc.c.WaitURI(ctx, uri, since, timeout)
 }
 
 // gatedCatalog wraps a Catalog behind a reachability gate: every

@@ -64,6 +64,7 @@ type readCache struct {
 	mu      sync.Mutex
 	valid   bool
 	epoch   uint64
+	version uint64 // catalog version the entries were last flushed at
 	entries map[cacheKey]cacheVal
 }
 
@@ -79,11 +80,19 @@ func (rc *readCache) epochNow() uint64 {
 	return rc.epoch
 }
 
-// flush empties the cache (version advanced) but keeps it enabled.
-func (rc *readCache) flush() {
+// advance records that the group's catalog version was seen at v, and
+// empties the cache — keeping it enabled — unless it was already flushed
+// at v. Every long-poll on the group reports here, not the watch loop
+// alone: a caller that learns of a change from its own Wait and reads
+// next must not be answered from entries older than the change, and
+// whichever poll returns first does the flush for both.
+func (rc *readCache) advance(v uint64) {
 	rc.mu.Lock()
-	rc.epoch++
-	rc.entries = make(map[cacheKey]cacheVal)
+	if v != rc.version {
+		rc.version = v
+		rc.epoch++
+		rc.entries = make(map[cacheKey]cacheVal)
+	}
 	rc.mu.Unlock()
 }
 
@@ -207,10 +216,7 @@ func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
 			}
 			continue
 		}
-		if v != since {
-			g.cache.flush()
-			since = v
-		}
+		since = v // waitOn flushed the cache if v is news
 		g.cache.setValid()
 	}
 }

@@ -609,6 +609,50 @@ func (c *Client) cacheGroup(ctx context.Context, uri string) (*replicaGroup, err
 	return c.route(uri), nil
 }
 
+// peekGroup is cacheGroup for a reader that must not do I/O: nil when
+// reads are not cached or the shard map has yet to be resolved.
+func (c *Client) peekGroup(uri string) *replicaGroup {
+	if !c.cacheOn {
+		return nil
+	}
+	if c.routing {
+		c.mu.Lock()
+		tried := c.mapTried
+		c.mu.Unlock()
+		if !tried {
+			return nil
+		}
+	}
+	return c.route(uri)
+}
+
+// CachedValues answers Values from the read cache alone. A hit counts
+// as Values counts it; a miss (ok false) counts nothing and costs no
+// I/O, so a caller that follows it with Values sees one read counted.
+// It is for callers that build a deadline only when they need one.
+func (c *Client) CachedValues(uri, name string) (vals []string, ok bool) {
+	g := c.peekGroup(uri)
+	if g == nil {
+		return nil, false
+	}
+	if vals, ok = g.cache.lookupValues(uri, name); ok {
+		c.mCacheHits.Inc()
+	}
+	return vals, ok
+}
+
+// CachedFirstValue is CachedValues for FirstValue.
+func (c *Client) CachedFirstValue(uri, name string) (v string, present, ok bool) {
+	g := c.peekGroup(uri)
+	if g == nil {
+		return "", false, false
+	}
+	if v, present, ok = g.cache.lookupFirst(uri, name); ok {
+		c.mCacheHits.Inc()
+	}
+	return v, present, ok
+}
+
 // Timeout reports the client's configured per-request timeout. Callers
 // that hold a context-less interface (naming.Catalog adapters) use it
 // to derive per-call deadlines.
@@ -908,7 +952,11 @@ func (c *Client) waitOn(ctx context.Context, g *replicaGroup, since uint64, time
 	if err != nil {
 		return 0, err
 	}
-	return d.Uint64()
+	v, err := d.Uint64()
+	if err == nil && g.cache != nil {
+		g.cache.advance(v)
+	}
+	return v, err
 }
 
 // Stats returns (uris, live elements, tombstones) — summed across all

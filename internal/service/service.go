@@ -9,8 +9,10 @@
 //
 //   - Membership is one RC assertion per replica — the replica's
 //     endpoint URN added under the service URN (rcds.AttrServiceReplica).
-//     Joining and leaving a group are ordinary catalog writes, visible
-//     through the same client read cache every other lookup uses.
+//     Joining and leaving a group are ordinary catalog writes; a
+//     Client learns of them from the catalog's change notification
+//     (naming.Watch) and re-reads its replica table, not the catalog on
+//     every call.
 //   - Load and liveness are NOT republished per service; a replica's
 //     process URN names its host, and the host's existing heartbeat
 //     (one replicated write per beat, see internal/liveness) already
@@ -23,10 +25,10 @@
 // Balancing is client-side and liveness-aware: the Client subscribes
 // to a liveness.Monitor and drops replicas on suspect/dead hosts from
 // rotation before their requests can fail, weights the rest by the
-// advertised heartbeat load and by the comm layer's per-route EWMA
-// score history, and retries a failed call on a different replica. A
-// replica leaving (drain, migration, crash) therefore costs clients a
-// retry at worst, and usually nothing.
+// host load it read with the table and by the comm layer's per-route
+// EWMA history, and retries a failed call on a different replica after
+// re-reading the table. A replica leaving (drain, migration, crash)
+// therefore costs clients a retry at worst, and usually nothing.
 //
 // Graceful drain mirrors the migration layer's philosophy: a draining
 // replica withdraws its catalog registration, refuses new streams
