@@ -69,9 +69,15 @@ const (
 	AttrGossipGroup = "gossip-group"
 )
 
-// Assertion is one replicated metadata element: for resource URI, the
-// pair Name=Value, stamped with the update's Lamport clock and origin.
-// Deleted assertions are tombstones kept for convergence. ServerTime is
+// Assertion is one replicated metadata op and the catalog entry it
+// leaves: for resource URI, the pair Name=Value, stamped with the
+// update's Lamport clock and origin. A plain assertion is an element of
+// the multi-valued attribute (Add); a Deleted one is the tombstone a
+// Remove leaves so the removal wins over an earlier Add wherever the two
+// meet. A Sole assertion is a clear-and-set (Set): it is the attribute's
+// register, and every element and tombstone of (URI, Name) stamped
+// before it is gone — deleted where it is held, dropped where it arrives
+// late. Sole and Deleted never combine. ServerTime is
 // the wall-clock time (Unix nanoseconds) at which the accepting RC
 // server stamped the update — the paper's "automatic time stamping of
 // metadata by the RC servers" that lets temporally disjoint tasks judge
@@ -84,18 +90,31 @@ type Assertion struct {
 	Clock      uint64 // Lamport clock of the update
 	Origin     string // ID of the server that accepted the update
 	Seq        uint64 // per-origin sequence number (op log position)
-	Deleted    bool
+	Deleted    bool   // tombstone of a removed element
+	Sole       bool   // clear-and-set: the (URI, Name) register
 	ServerTime int64
 	Signature  []byte // optional detached signature over (URI,Name,Value)
 	Signer     string // principal that produced Signature
 }
 
-// elemKey identifies an element within a URI's catalog. RCDS attributes
+// elemKey identifies an entry within a URI's catalog. RCDS attributes
 // are multi-valued (a file has many locations, a process many comm
-// addresses), so identity is the (name, value) pair.
+// addresses), so an element's identity is the (name, value) pair. The
+// attribute's register has a slot of its own, (name, sole) with an empty
+// value: its value lives in the assertion, so the slot — and the floor
+// its stamp puts under late elements — outlives a Remove of that value.
 type elemKey struct {
 	name  string
 	value string
+	sole  bool
+}
+
+// keyOf returns the catalog slot the assertion occupies.
+func keyOf(a *Assertion) elemKey {
+	if a.Sole {
+		return elemKey{name: a.Name, sole: true}
+	}
+	return elemKey{name: a.Name, value: a.Value}
 }
 
 // Supersedes reports whether a beats b under last-writer-wins order:
@@ -124,12 +143,22 @@ func (a *Assertion) SignedBytes() []byte {
 
 // String renders the assertion for logs.
 func (a *Assertion) String() string {
-	tomb := ""
-	if a.Deleted {
-		tomb = " (deleted)"
+	kind := ""
+	switch {
+	case a.Deleted:
+		kind = " (deleted)"
+	case a.Sole:
+		kind = " (sole)"
 	}
-	return fmt.Sprintf("%s: %s=%q @%d/%s#%d%s", a.URI, a.Name, a.Value, a.Clock, a.Origin, a.Seq, tomb)
+	return fmt.Sprintf("%s: %s=%q @%d/%s#%d%s", a.URI, a.Name, a.Value, a.Clock, a.Origin, a.Seq, kind)
 }
+
+// Wire flags of an assertion: one byte where the Deleted bool used to
+// be, so a tombstone encodes as before.
+const (
+	flagDeleted uint8 = 1 << iota
+	flagSole
+)
 
 // Encode writes the assertion to e.
 func (a *Assertion) Encode(e *xdr.Encoder) {
@@ -139,7 +168,14 @@ func (a *Assertion) Encode(e *xdr.Encoder) {
 	e.PutUint64(a.Clock)
 	e.PutString(a.Origin)
 	e.PutUint64(a.Seq)
-	e.PutBool(a.Deleted)
+	var flags uint8
+	if a.Deleted {
+		flags |= flagDeleted
+	}
+	if a.Sole {
+		flags |= flagSole
+	}
+	e.PutUint8(flags)
 	e.PutInt64(a.ServerTime)
 	e.PutBytes(a.Signature)
 	e.PutString(a.Signer)
@@ -177,9 +213,14 @@ func DecodeAssertion(d *xdr.Decoder) (Assertion, error) {
 	if a.Seq, err = d.Uint64(); err != nil {
 		return a, err
 	}
-	if a.Deleted, err = d.Bool(); err != nil {
+	flags, err := d.Uint8()
+	if err != nil {
 		return a, err
 	}
+	if flags&^(flagDeleted|flagSole) != 0 || flags == flagDeleted|flagSole {
+		return a, fmt.Errorf("%w: %#x", ErrBadFlags, flags)
+	}
+	a.Deleted, a.Sole = flags&flagDeleted != 0, flags&flagSole != 0
 	if a.ServerTime, err = d.Int64(); err != nil {
 		return a, err
 	}

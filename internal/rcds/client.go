@@ -148,16 +148,16 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// writeRequest frames and writes one request under the writer lock.
-func (cc *clientConn) writeRequest(id uint64, req []byte, deadline time.Time) error {
+// writeRequest writes one request, its ID already set, under the writer
+// lock.
+func (cc *clientConn) writeRequest(req []byte, deadline time.Time) error {
 	cc.writeMu.Lock()
 	defer cc.writeMu.Unlock()
 	cc.c.SetWriteDeadline(deadline)
 	// The writer lock is per-connection and guards nothing but this
 	// write; a stalled peer stalls only requests multiplexed onto this
 	// same connection, bounded by the write deadline above.
-	return writeFrame(cc.fw, muxBody(id, req), cc.secret) //lint:allow lockedio intentional per-connection writer lock, bounded by the write deadline
-
+	return writeFrame(cc.fw, req, cc.secret) //lint:allow lockedio intentional per-connection writer lock, bounded by the write deadline
 }
 
 // replicaGroup is the client's connection state for one replica group:
@@ -509,11 +509,12 @@ func (c *Client) connFailed(g *replicaGroup, cc *clientConn) {
 	}
 }
 
-// roundTrip sends req to group g and returns the response payload
-// decoder. The request is issued over the group's shared multiplexed
-// connection; if that connection dies before the response arrives, the
-// request is re-issued against the group's next replica (as many times
-// as there are replicas).
+// roundTrip sends req (a frame body from request) to group g and
+// returns the response payload decoder. The request is issued over the
+// group's shared multiplexed connection; if that connection dies before
+// the response arrives, the request is re-issued against the group's
+// next replica (as many times as there are replicas), each attempt under
+// its own ID written into req.
 func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, req []byte) (*xdr.Decoder, error) {
 	g.mu.Lock()
 	n := len(g.addrs)
@@ -548,7 +549,8 @@ func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, req []byte) (*x
 			c.connFailed(g, cc)
 			continue
 		}
-		if err := cc.writeRequest(id, req, time.Now().Add(timeout)); err != nil {
+		setMuxID(req, id)
+		if err := cc.writeRequest(req, time.Now().Add(timeout)); err != nil {
 			cc.unregister(id)
 			cc.fail(err)
 			lastErr = err
@@ -909,10 +911,12 @@ func (c *Client) OpsSince(ctx context.Context, theirs VersionVector, max int) ([
 	return DecodeAssertions(d)
 }
 
-// Apply pushes replication ops to the server (peer-to-peer
-// path).
-func (c *Client) Apply(ctx context.Context, ops []Assertion) (int, error) {
+// Apply pushes replication ops to the server (peer-to-peer path). from
+// is the origin of the replica pushing them, which the receiver's relay
+// leaves out when it passes the ops on.
+func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) (int, error) {
 	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdApply, func(e *xdr.Encoder) {
+		e.PutString(from)
 		EncodeAssertions(e, ops)
 	}))
 	if err != nil {

@@ -281,7 +281,8 @@ func (sc *serialClient) firstValue(uri, name string) (string, bool, error) {
 		e.PutString(uri)
 		e.PutString(name)
 	})
-	if err := writeFrame(sc.fw, muxBody(sc.nextID, req), nil); err != nil {
+	setMuxID(req, sc.nextID)
+	if err := writeFrame(sc.fw, req, nil); err != nil {
 		return "", false, err
 	}
 	frame, err := readFrame(sc.fr, nil)

@@ -9,11 +9,14 @@
 // availability, exactly the design point the paper argues for in
 // replicated registries (§2.1).
 //
-// The replication model is a last-writer-wins element set: each
-// (URI, name, value) element carries a Lamport clock and the origin
-// server's identity; concurrent updates are resolved by (clock, origin)
-// ordering, deletions are tombstones, and anti-entropy exchanges use
-// per-origin version vectors over each server's op log. This gives the
+// The replication model is a last-writer-wins element set with one
+// clear-and-set register per attribute: each (URI, name, value) element
+// carries a Lamport clock and the origin server's identity; concurrent
+// updates are resolved by (clock, origin) ordering, a Remove leaves a
+// tombstone, a Set is one op that replaces the attribute's register and
+// clears every element and tombstone stamped before it, and
+// anti-entropy exchanges use per-origin version vectors over each
+// server's op log. This gives the
 // paper's availability-over-atomicity consistency ("a consistency model
 // which sacrifices strict atomicity and serializability", §2.1) with
 // convergence guaranteed by commutative, idempotent merges.

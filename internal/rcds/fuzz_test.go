@@ -26,10 +26,17 @@ func FuzzDecodeAssertion(f *testing.F) {
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(fuzzAssertionBytes(Assertion{
+		URI: "snipe://hosts/a", Name: "heartbeat", Value: "41 1790000000 0.25",
+		Clock: 9, Origin: "srv2", Seq: 4, Sole: true, ServerTime: 1,
+	}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		a, err := DecodeAssertion(xdr.NewDecoder(b))
 		if err != nil {
 			return
+		}
+		if a.Sole && a.Deleted {
+			t.Fatalf("decoded a Sole tombstone: %+v", a)
 		}
 		again, err := DecodeAssertion(xdr.NewDecoder(fuzzAssertionBytes(a)))
 		if err != nil {
@@ -37,7 +44,7 @@ func FuzzDecodeAssertion(f *testing.F) {
 		}
 		if again.URI != a.URI || again.Name != a.Name || again.Value != a.Value ||
 			again.Clock != a.Clock || again.Origin != a.Origin || again.Seq != a.Seq ||
-			again.Deleted != a.Deleted || !bytes.Equal(again.Signature, a.Signature) {
+			again.Deleted != a.Deleted || again.Sole != a.Sole || !bytes.Equal(again.Signature, a.Signature) {
 			t.Fatalf("round-trip mismatch:\n%+v\n%+v", a, again)
 		}
 	})
@@ -51,6 +58,12 @@ func FuzzDecodeAssertions(f *testing.F) {
 	})
 	f.Add(e.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count
+	e = xdr.NewEncoder(256)
+	EncodeAssertions(e, []Assertion{
+		{URI: "urn:a", Name: "n", Value: "v", Clock: 3, Origin: "o", Seq: 3, Sole: true},
+		{URI: "urn:a", Name: "n", Value: "v", Clock: 4, Origin: "o", Seq: 4, Deleted: true},
+	})
+	f.Add(e.Bytes())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		DecodeAssertions(xdr.NewDecoder(b))
 	})
@@ -77,9 +90,9 @@ func FuzzDecodeVersionVector(f *testing.F) {
 }
 
 func FuzzParseResponse(f *testing.F) {
-	f.Add(okResponse(func(e *xdr.Encoder) { e.PutString("pong") }))
-	f.Add(errResponse(ErrServer))
-	f.Add(wrongShardResponse(2, 7))
+	f.Add(okResponse(func(e *xdr.Encoder) { e.PutString("pong") })[muxHeader:])
+	f.Add(errResponse(ErrServer)[muxHeader:])
+	f.Add(wrongShardResponse(2, 7)[muxHeader:])
 	f.Add([]byte{statusWrongShard, 0, 0, 0, 1}) // truncated redirect
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0, 0, 4, 'j', 'u', 'n', 'k'})

@@ -11,14 +11,30 @@ import (
 
 // Persistence: SNIPE targets "long-term distributed computing
 // applications and data stores", so an RC server must survive restarts
-// with its catalog intact. A snapshot serialises the replica's op logs
-// (from which the catalog, version vector and Lamport clock are all
-// reconstructed deterministically); a restarted replica then converges
-// with its peers through normal anti-entropy, catching up on whatever
-// it missed while down.
+// with its catalog intact. A snapshot file holds what the replica holds:
+// the catalog entries SnapshotPage serves (elements, tombstones,
+// registers), the version vector and compaction floors, the Lamport and
+// sequence counters, and whatever op-log tail compaction has left. The
+// catalog is saved as it stands, not replayed from the log, so a
+// compacted replica (-data with -compact-keep) restarts whole; it then
+// converges with its peers through normal anti-entropy, catching up on
+// whatever it missed while down.
+//
+// File format, every field in the xdr encoding of the wire protocol:
+//
+//	string  magic "SNIPE-RC-SNAPSHOT-2"
+//	string  origin
+//	uint64  lamport, uint64 seq
+//	vector  version vector, vector compaction floors
+//	list    catalog entries (assertions, any order)
+//	list    op-log entries (assertions, any order)
 
 // snapshotMagic guards against loading foreign files.
-const snapshotMagic = "SNIPE-RC-SNAPSHOT-1"
+const snapshotMagic = "SNIPE-RC-SNAPSHOT-2"
+
+// snapshotMagicV1 marks the format that held only the op log, from
+// which a compacted catalog could not be rebuilt.
+const snapshotMagicV1 = "SNIPE-RC-SNAPSHOT-1"
 
 // SaveTo writes a snapshot of the replica's state.
 func (s *Store) SaveTo(w io.Writer) error {
@@ -28,10 +44,23 @@ func (s *Store) SaveTo(w io.Writer) error {
 	e.PutString(s.origin)
 	e.PutUint64(s.lamport)
 	e.PutUint64(s.seq)
-	e.PutUint32(uint32(len(s.log)))
-	for origin, l := range s.log {
-		e.PutString(origin)
-		e.PutUint32(uint32(len(l)))
+	s.vv.Encode(e)
+	VersionVector(s.floor).Encode(e)
+	entries, logged := 0, 0
+	for _, cat := range s.catalogs {
+		entries += len(cat)
+	}
+	for _, l := range s.log {
+		logged += len(l)
+	}
+	e.PutUint32(uint32(entries))
+	for _, cat := range s.catalogs {
+		for _, a := range cat {
+			a.Encode(e)
+		}
+	}
+	e.PutUint32(uint32(logged))
+	for _, l := range s.log {
 		for _, op := range l {
 			op.Encode(e)
 		}
@@ -50,6 +79,10 @@ func LoadStore(r io.Reader) (*Store, error) {
 	}
 	d := xdr.NewDecoder(data)
 	magic, err := d.StringMax(64)
+	if err == nil && magic == snapshotMagicV1 {
+		return nil, fmt.Errorf("rcds: snapshot is in the retired format %q (op log only); this build reads %q: start the replica without the file and let it sync from a peer",
+			snapshotMagicV1, snapshotMagic)
+	}
 	if err != nil || magic != snapshotMagic {
 		return nil, fmt.Errorf("rcds: not an RC snapshot (magic %q, err %v)", magic, err)
 	}
@@ -58,51 +91,41 @@ func LoadStore(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 	s := NewStore(origin)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.lamport, err = d.Uint64(); err != nil {
 		return nil, err
 	}
 	if s.seq, err = d.Uint64(); err != nil {
 		return nil, err
 	}
-	nOrigins, err := d.Uint32()
+	if s.vv, err = DecodeVersionVector(d); err != nil {
+		return nil, err
+	}
+	floor, err := DecodeVersionVector(d)
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < nOrigins; i++ {
-		if _, err := d.StringMax(maxWireURI); err != nil { // origin name; ops carry it too
-			return nil, err
-		}
-		nOps, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nOps; j++ {
-			op, err := DecodeAssertion(d)
-			if err != nil {
-				return nil, err
-			}
-			s.mu.Lock()
-			s.recordLocked(op)
-			s.applyLocked(op)
-			s.mu.Unlock()
-		}
+	s.floor = floor
+	entries, err := DecodeAssertions(d)
+	if err != nil {
+		return nil, err
 	}
-	// The snapshot's lamport/seq take precedence over what replay
-	// inferred (replay can only raise lamport, never above the saved
-	// value plus op clocks; restore the exact counters).
-	d2 := xdr.NewDecoder(data)
-	d2.StringMax(64)         // magic
-	d2.StringMax(maxWireURI) // origin
-	lamport, _ := d2.Uint64()
-	seq, _ := d2.Uint64()
-	s.mu.Lock()
-	if lamport > s.lamport {
-		s.lamport = lamport
+	for _, a := range entries {
+		s.applyLocked(a)
 	}
-	if seq > s.seq {
-		s.seq = seq
+	logged, err := DecodeAssertions(d)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Unlock()
+	// The vector was saved, so the log goes back as it was, holes and
+	// all, without recordLocked's walk.
+	for _, op := range logged {
+		s.originLogLocked(op.Origin)[op.Seq] = op
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 

@@ -3,9 +3,13 @@ package rcds
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"snipe/internal/xdr"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -70,6 +74,74 @@ func TestLoadStoreRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadStore(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty accepted")
+	}
+	// A file of the op-log-only format is refused by name, not misread.
+	old := xdr.NewEncoder(64)
+	old.PutString("SNIPE-RC-SNAPSHOT-1")
+	old.PutString("rc1")
+	old.PutUint64(3)
+	old.PutUint64(3)
+	old.PutUint32(0)
+	if _, err := LoadStore(bytes.NewReader(old.Bytes())); err == nil || !strings.Contains(err.Error(), "SNIPE-RC-SNAPSHOT-1") {
+		t.Fatalf("old-format snapshot: error %v, want one naming the format", err)
+	}
+	// Trailing bytes after a well-formed snapshot are corruption.
+	var buf bytes.Buffer
+	if err := NewStore("rc1").SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(0)
+	if _, err := LoadStore(&buf); err == nil {
+		t.Fatal("snapshot with trailing bytes accepted")
+	}
+}
+
+// TestSnapshotKeepsCompactedCatalog: a replica that compacts its log
+// (snipe-rcserver -data f -compact-keep n) restarts with the catalog it
+// had, not with what the log tail can rebuild, and goes on serving its
+// new writes to peers.
+func TestSnapshotKeepsCompactedCatalog(t *testing.T) {
+	s := NewStore("rc1")
+	for i := 0; i < 10; i++ {
+		s.Set(fmt.Sprintf("urn:h%d", i), AttrArch, "go-sim")
+	}
+	s.Add("urn:f1", AttrLocation, "fs1")
+	s.Add("urn:f1", AttrLocation, "fs2")
+	s.Remove("urn:f1", AttrLocation, "fs1")
+	s.Set("urn:h0", AttrLoad, "0.5")
+	s.Remove("urn:h0", AttrLoad, "0.5") // a register under a tombstone
+	other := NewStore("rc2")
+	s.ApplyRemote(other.Set("urn:h2", AttrArch, "sparc"))
+	if s.Compact(0) == 0 || s.LogLen() != 0 {
+		t.Fatalf("Compact(0) left %d log entries", s.LogLen())
+	}
+
+	var buf bytes.Buffer
+	if err := s.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadStore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ContentHash() != s.ContentHash() {
+		t.Errorf("restored catalog differs: %d of %d URIs", len(got.URIs("")), len(s.URIs("")))
+	}
+	before := s.Vector()
+	if v := got.Vector(); !v.Dominates(before) || !before.Dominates(v) {
+		t.Errorf("restored vector %v, saved %v", v, before)
+	}
+	if got.CanServeTail(VersionVector{}) {
+		t.Error("restored replica claims to serve history it compacted away")
+	}
+	// A write after the restart takes the next sequence number, advances
+	// the vector and is served to a peer that was up to date.
+	op := got.Set("urn:h3", AttrArch, "post-restart")[0]
+	if op.Seq != before["rc1"]+1 || got.Vector()["rc1"] != op.Seq {
+		t.Errorf("post-restart op seq %d, vector %v; saved vector %v", op.Seq, got.Vector(), before)
+	}
+	if ops := got.OpsSince(before, 0); len(ops) != 1 || ops[0].Value != "post-restart" {
+		t.Errorf("OpsSince(saved vector) = %v, want the post-restart Set", ops)
 	}
 }
 

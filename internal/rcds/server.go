@@ -16,6 +16,18 @@ import (
 // a peer.
 const pushTimeout = 5 * time.Second
 
+// maxPendingPushOps bounds the ops queued for push while the push loop
+// is busy with a slow peer. Ops beyond it are not queued: they count as
+// a failed push and reach the peers by anti-entropy.
+const maxPendingPushOps = 4096
+
+// pushBatch is ops queued for push together: what one write minted here
+// or one Apply brought in.
+type pushBatch struct {
+	ops  []Assertion
+	from string // origin of the replica that pushed ops here; "" = written here
+}
+
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
@@ -82,11 +94,16 @@ type Server struct {
 	shard    *shardConfig // nil = unsharded
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
-	pushCh   chan []Assertion
 	done     chan struct{}
 	wg       sync.WaitGroup
 	stopped  bool
 	pushFail int // push attempts that failed (peer down); healed by anti-entropy
+
+	// The push queue: batches awaiting pushLoop, which takes the list
+	// whole, so an idle server holds none.
+	pending    []pushBatch
+	pendingOps int           // ops in pending, at most maxPendingPushOps
+	pushWake   chan struct{} // one token: pending is non-empty
 
 	// testDelay, when set before Start, stalls every request dispatch —
 	// the package tests' knob for proving request overlap and measuring
@@ -96,6 +113,10 @@ type Server struct {
 	mShardReject *stats.Counter // ops redirected to their owning group
 	mSnapPages   *stats.Counter // snapshot pages served to rejoiners
 	mTailPulls   *stats.Counter // catch-up tail pulls served
+	mAppliesSent *stats.Counter // Apply RPCs a peer accepted
+	mOpsSent     *stats.Counter // ops those RPCs carried
+	mAppliesRecv *stats.Counter // Apply RPCs received
+	mRelaySkip   *stats.Counter // ops not sent to the peer they came from or that minted them
 }
 
 // NewServer creates a server over store. Call Start to begin serving.
@@ -104,7 +125,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		store:      store,
 		aeInterval: 250 * time.Millisecond,
 		conns:      make(map[net.Conn]struct{}),
-		pushCh:     make(chan []Assertion, 1024),
+		pushWake:   make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -113,6 +134,10 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	s.mShardReject = store.Metrics().Counter("shard_rejects")
 	s.mSnapPages = store.Metrics().Counter("snapshot_pages_served")
 	s.mTailPulls = store.Metrics().Counter("tail_pulls_served")
+	s.mAppliesSent = store.Metrics().Counter("applies_sent")
+	s.mOpsSent = store.Metrics().Counter("apply_ops_sent")
+	s.mAppliesRecv = store.Metrics().Counter("applies_received")
+	s.mRelaySkip = store.Metrics().Counter("relay_skipped")
 	return s
 }
 
@@ -275,14 +300,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			// The writer lock only serialises responses multiplexed onto
 			// this one client connection; a stalled client stalls its own
 			// responses, nothing else.
+			setMuxID(resp, id)
 			writeMu.Lock()
 			defer writeMu.Unlock()
-			writeFrame(fw, muxBody(id, resp), s.secret) //lint:allow lockedio intentional per-connection response writer lock
+			writeFrame(fw, resp, s.secret) //lint:allow lockedio intentional per-connection response writer lock
 		}(id, body)
 	}
 }
 
-// dispatch executes one request and returns the response body.
+// dispatch executes one request and returns the response as a frame
+// body awaiting its request ID.
 func (s *Server) dispatch(body []byte) []byte {
 	d := xdr.NewDecoder(body)
 	cmd, err := d.Uint8()
@@ -310,7 +337,7 @@ func (s *Server) dispatch(body []byte) []byte {
 		case cmdRemove:
 			ops = s.store.Remove(uri, name, value)
 		}
-		s.enqueuePush(ops)
+		s.enqueuePush(ops, "")
 		return okResponse(nil)
 
 	case cmdAddSigned:
@@ -330,7 +357,7 @@ func (s *Server) dispatch(body []byte) []byte {
 			return rej
 		}
 		ops := s.store.AddSigned(uri, name, value, signer, sig)
-		s.enqueuePush(ops)
+		s.enqueuePush(ops, "")
 		return okResponse(nil)
 
 	case cmdRemoveAll:
@@ -346,7 +373,7 @@ func (s *Server) dispatch(body []byte) []byte {
 			return rej
 		}
 		ops := s.store.RemoveAll(uri, name)
-		s.enqueuePush(ops)
+		s.enqueuePush(ops, "")
 		return okResponse(nil)
 
 	case cmdGet:
@@ -413,15 +440,23 @@ func (s *Server) dispatch(body []byte) []byte {
 		return okResponse(func(e *xdr.Encoder) { EncodeAssertions(e, ops) })
 
 	case cmdApply:
+		from, err := d.StringMax(maxWireURI)
+		if err == nil && from == "" {
+			err = errors.New("apply without a sender origin")
+		}
+		if err != nil {
+			return errResponse(err)
+		}
 		ops, err := DecodeAssertions(d)
 		if err != nil {
 			return errResponse(err)
 		}
+		s.mAppliesRecv.Inc()
 		n := s.store.ApplyRemote(ops)
 		// Relay newly learned ops onward so partially connected replica
-		// groups still converge quickly.
+		// groups still converge quickly; pushLoop leaves out the sender.
 		if n > 0 {
-			s.enqueuePush(ops)
+			s.enqueuePush(ops, from)
 		}
 		return okResponse(func(e *xdr.Encoder) { e.PutUint32(uint32(n)) })
 
@@ -499,63 +534,152 @@ func decodeTriple(d *xdr.Decoder) (uri, name, value string, err error) {
 	return
 }
 
-// enqueuePush queues ops for asynchronous push replication.
-func (s *Server) enqueuePush(ops []Assertion) {
-	if len(ops) == 0 || len(s.peers) == 0 {
+// enqueuePush queues ops for asynchronous push replication; from is the
+// origin of the replica that pushed them here, "" for a write accepted
+// here. It never blocks: past maxPendingPushOps the ops are left to
+// anti-entropy.
+func (s *Server) enqueuePush(ops []Assertion, from string) {
+	if len(ops) == 0 {
 		return
 	}
-	select {
-	case s.pushCh <- ops:
-	default:
-		// Push queue full: anti-entropy will deliver these ops instead.
-		s.mu.Lock()
+	s.mu.Lock()
+	queued := false
+	switch {
+	case len(s.peers) == 0:
+	case s.pendingOps+len(ops) > maxPendingPushOps:
 		s.pushFail++
-		s.mu.Unlock()
+	default:
+		s.pending = append(s.pending, pushBatch{ops: ops, from: from})
+		s.pendingOps += len(ops)
+		queued = true
+	}
+	s.mu.Unlock()
+	if queued {
+		select {
+		case s.pushWake <- struct{}{}:
+		default: // pushLoop already has a wake-up coming
+		}
 	}
 }
 
-// pushLoop forwards queued ops to every peer.
+// countPushFail records one push left to anti-entropy.
+func (s *Server) countPushFail() {
+	s.mu.Lock()
+	s.pushFail++
+	s.mu.Unlock()
+}
+
+// peerLink is pushLoop's state for one peer address: the client it
+// pushes through and the origin of the replica answering there, "" until
+// a Ping has told and again after a push fails.
+type peerLink struct {
+	c      *Client
+	origin string
+}
+
+// pushLoop forwards queued ops to the peers: each time it wakes it takes
+// the whole pending list and sends every peer one Apply with the ops
+// that are news there. A batch is not sent back to the replica it came
+// from, nor an op to the replica that minted it — so on a two-replica
+// group a relayed write goes nowhere, and on a chain it only travels
+// away from its source. A peer whose origin is not yet known (its Ping
+// failed) is sent everything, which costs an echo and loses nothing.
 func (s *Server) pushLoop() {
 	defer s.wg.Done()
-	clients := make(map[string]*Client)
+	links := make(map[string]*peerLink)
 	defer func() {
-		for _, c := range clients {
-			c.Close()
+		for _, l := range links {
+			l.c.Close()
 		}
 	}()
+	var batches []pushBatch
 	for {
 		select {
 		case <-s.done:
 			return
-		case ops := <-s.pushCh:
-			s.mu.Lock()
-			peers := append([]string(nil), s.peers...)
-			s.mu.Unlock()
-			for _, peer := range peers {
-				if s.peerGate != nil && s.peerGate(peer) != nil {
-					// Link severed (netsim partition): count it as a lost
-					// push and leave repair to anti-entropy after healing.
-					s.mu.Lock()
-					s.pushFail++
-					s.mu.Unlock()
-					continue
-				}
-				c, ok := clients[peer]
-				if !ok {
-					c = NewClient([]string{peer}, s.secret)
-					clients[peer] = c
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
-				_, err := c.Apply(ctx, ops)
-				cancel()
-				if err != nil {
-					s.mu.Lock()
-					s.pushFail++
-					s.mu.Unlock()
+		case <-s.pushWake:
+		}
+		s.mu.Lock()
+		batches, s.pending = s.pending, batches[:0]
+		s.pendingOps = 0
+		peers := s.peers // SetPeers installs a new slice, never edits one
+		s.mu.Unlock()
+		for _, peer := range peers {
+			l, ok := links[peer]
+			if !ok {
+				l = &peerLink{c: NewClient([]string{peer}, s.secret)}
+				links[peer] = l
+			}
+			s.pushTo(l, peer, batches)
+		}
+		for i := range batches {
+			batches[i] = pushBatch{} // the list is reused; the ops are not kept
+		}
+	}
+}
+
+// pushTo sends peer its share of batches in one Apply.
+func (s *Server) pushTo(l *peerLink, peer string, batches []pushBatch) {
+	if s.peerGate != nil && s.peerGate(peer) != nil {
+		// Link severed (netsim partition): count it as a lost push and
+		// leave repair to anti-entropy after healing.
+		s.countPushFail()
+		return
+	}
+	if l.origin == "" {
+		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
+		l.origin, _ = l.c.Ping(ctx) // on error it stays unknown and nothing is filtered
+		cancel()
+	}
+	ops, skipped := opsFor(batches, l.origin)
+	s.mRelaySkip.Add(uint64(skipped))
+	if len(ops) == 0 {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
+	_, err := l.c.Apply(ctx, s.store.Origin(), ops)
+	cancel()
+	if err != nil {
+		l.origin = "" // whoever answers next is asked again
+		s.countPushFail()
+		return
+	}
+	s.mAppliesSent.Inc()
+	s.mOpsSent.Add(uint64(len(ops)))
+}
+
+// opsFor returns the ops in batches that are news to the peer with the
+// given origin, and how many it left out: those the peer itself pushed
+// here and those it minted. An unknown origin ("") leaves out none.
+func opsFor(batches []pushBatch, origin string) (ops []Assertion, skipped int) {
+	news := func(b *pushBatch, op *Assertion) bool {
+		return origin == "" || (b.from != origin && op.Origin != origin)
+	}
+	total, keep := 0, 0
+	for i := range batches {
+		b := &batches[i]
+		for j := range b.ops {
+			total++
+			if news(b, &b.ops[j]) {
+				keep++
+			}
+		}
+	}
+	if keep == total && len(batches) == 1 {
+		return batches[0].ops, 0 // the common case: one write, sent as it is
+	}
+	if keep > 0 {
+		ops = make([]Assertion, 0, keep)
+		for i := range batches {
+			b := &batches[i]
+			for j := range b.ops {
+				if news(b, &b.ops[j]) {
+					ops = append(ops, b.ops[j])
 				}
 			}
 		}
 	}
+	return ops, total - keep
 }
 
 // antiEntropyLoop periodically syncs from each peer via SyncFromPeer:

@@ -16,9 +16,12 @@ type Event struct {
 	Assertion Assertion
 }
 
-// Store is one replica's catalog state: the merged element sets per
-// URI, the per-origin op logs used for anti-entropy, and the version
-// vector summarising them. All methods are safe for concurrent use.
+// Store is one replica's catalog state: per URI the merged entries
+// (elements, Remove tombstones and one register per Set attribute), the
+// per-origin op logs used for anti-entropy, and the version vector
+// summarising them. The entries are a function of the set of ops
+// received, whatever their order or repetition. All methods are safe for
+// concurrent use.
 type Store struct {
 	mu      sync.Mutex
 	origin  string
@@ -44,8 +47,8 @@ type Store struct {
 	mRemoteOps     *stats.Counter
 	mRemoteApplied *stats.Counter
 	mLookups       *stats.Counter
-	mSnapInstall   *stats.Counter // ops installed from a peer snapshot page
-	mCompacted     *stats.Counter // log entries dropped by compaction
+	mSnapInstall   *stats.Counter   // ops installed from a peer snapshot page
+	mCompacted     *stats.Counter   // log entries dropped by compaction
 	hLookupUs      *stats.Histogram // catalog read latency
 	hReplLagUs     *stats.Histogram // origin mint → local apply, master-master lag
 }
@@ -100,22 +103,63 @@ func (s *Store) newLocalOp(uri, name, value string, deleted bool) Assertion {
 	}
 }
 
-// applyLocked merges one assertion into the catalog and, when it came
-// from this store's own mint or is a remote op, records it in the log.
-// Returns true if the catalog visibly changed. Caller holds s.mu.
+// live reports whether entry a, held at key in cat, is a live value of
+// its attribute. An element is unless it is a tombstone. The register is
+// unless an element stands at (name, its value): applyLocked keeps only
+// elements stamped after the register, so that one is a Remove that took
+// the value away or an Add that carries it (and is the one counted).
+func live(cat map[elemKey]*Assertion, key elemKey, a *Assertion) bool {
+	if !key.sole {
+		return !a.Deleted
+	}
+	_, over := cat[elemKey{name: key.name, value: a.Value}]
+	return !over
+}
+
+// liveValue reports whether value is a live value of name in cat.
+func liveValue(cat map[elemKey]*Assertion, name, value string) bool {
+	if cur, ok := cat[elemKey{name: name, value: value}]; ok {
+		return !cur.Deleted
+	}
+	reg := cat[elemKey{name: name, sole: true}]
+	return reg != nil && reg.Value == value
+}
+
+// applyLocked merges one assertion into the catalog. An attribute's
+// register is a floor under the whole attribute: an assertion not
+// stamped after it is dropped, and a Sole assertion that is deletes
+// every element and tombstone of the attribute stamped before it. Above
+// the floor each (name, value) keeps its last writer. Returns true if
+// the catalog visibly changed. Caller holds s.mu.
 func (s *Store) applyLocked(a Assertion) bool {
 	cat, ok := s.catalogs[a.URI]
 	if !ok {
 		cat = make(map[elemKey]*Assertion)
 		s.catalogs[a.URI] = cat
 	}
-	key := elemKey{a.Name, a.Value}
-	cur, exists := cat[key]
-	if exists && !a.Supersedes(cur) {
+	reg := cat[elemKey{name: a.Name, sole: true}]
+	if reg != nil && !a.Supersedes(reg) {
 		return false
 	}
-	cp := a
-	cat[key] = &cp
+	key, cur := keyOf(&a), reg
+	if !a.Sole {
+		if cur = cat[key]; cur != nil && !a.Supersedes(cur) {
+			return false
+		}
+	}
+	if cur != nil {
+		*cur = a // readers copy under s.mu; nothing holds the entry
+	} else {
+		cp := a
+		cat[key] = &cp
+	}
+	if a.Sole && len(cat) > 1 {
+		for k, old := range cat {
+			if k.name == a.Name && !k.sole && a.Supersedes(old) {
+				delete(cat, k)
+			}
+		}
+	}
 	if a.Clock > s.lamport {
 		s.lamport = a.Clock
 	}
@@ -125,15 +169,22 @@ func (s *Store) applyLocked(a Assertion) bool {
 	return true
 }
 
+// originLogLocked returns origin's op log, creating it if need be.
+// Caller holds s.mu.
+func (s *Store) originLogLocked(origin string) map[uint64]Assertion {
+	l, ok := s.log[origin]
+	if !ok {
+		l = make(map[uint64]Assertion)
+		s.log[origin] = l
+	}
+	return l
+}
+
 // recordLocked files op in the origin's log and advances the contiguous
 // version vector, draining any pending ops that become contiguous.
 // Caller holds s.mu.
 func (s *Store) recordLocked(a Assertion) {
-	l, ok := s.log[a.Origin]
-	if !ok {
-		l = make(map[uint64]Assertion)
-		s.log[a.Origin] = l
-	}
+	l := s.originLogLocked(a.Origin)
 	if _, dup := l[a.Seq]; dup {
 		return
 	}
@@ -158,24 +209,22 @@ func (s *Store) notifyLocked(a Assertion) {
 	}
 }
 
-// Set makes value the sole live value for (uri, name): existing live
-// values of the attribute are tombstoned and the new element added.
-// It returns the ops to be pushed to peers.
+// Set makes value the sole live value for (uri, name) with one
+// clear-and-set op, whatever the attribute held: the op replaces the
+// attribute's register and, on every replica it reaches, deletes each
+// element and tombstone of the attribute stamped before it — including
+// an Add another replica accepted concurrently and this one never saw —
+// while one that arrives afterwards with a lower stamp is dropped. An
+// overwrite therefore costs the same at the first and the millionth
+// value and leaves no tombstone. It returns the op to push to peers.
 func (s *Store) Set(uri, name, value string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ops []Assertion
-	for key, cur := range s.catalogs[uri] {
-		if key.name == name && !cur.Deleted && key.value != value {
-			ops = append(ops, s.newLocalOp(uri, name, key.value, true))
-		}
-	}
-	ops = append(ops, s.newLocalOp(uri, name, value, false))
-	for _, op := range ops {
-		s.recordLocked(op)
-		s.applyLocked(op)
-	}
-	return ops
+	op := s.newLocalOp(uri, name, value, false)
+	op.Sole = true
+	s.recordLocked(op)
+	s.applyLocked(op)
+	return []Assertion{op}
 }
 
 // Add inserts value as an additional live value for (uri, name) —
@@ -208,8 +257,7 @@ func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) []
 func (s *Store) Remove(uri, name, value string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.catalogs[uri][elemKey{name, value}]
-	if !ok || cur.Deleted {
+	if !liveValue(s.catalogs[uri], name, value) {
 		return nil
 	}
 	op := s.newLocalOp(uri, name, value, true)
@@ -223,9 +271,10 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ops []Assertion
-	for key, cur := range s.catalogs[uri] {
-		if key.name == name && !cur.Deleted {
-			ops = append(ops, s.newLocalOp(uri, name, key.value, true))
+	cat := s.catalogs[uri]
+	for key, cur := range cat {
+		if key.name == name && live(cat, key, cur) {
+			ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
 		}
 	}
 	for _, op := range ops {
@@ -275,8 +324,9 @@ func (s *Store) Get(uri string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Assertion
-	for _, a := range s.catalogs[uri] {
-		if !a.Deleted {
+	cat := s.catalogs[uri]
+	for key, a := range cat {
+		if live(cat, key, a) {
 			out = append(out, *a)
 		}
 	}
@@ -290,9 +340,10 @@ func (s *Store) Values(uri, name string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []string
-	for key, a := range s.catalogs[uri] {
-		if key.name == name && !a.Deleted {
-			out = append(out, key.value)
+	cat := s.catalogs[uri]
+	for key, a := range cat {
+		if key.name == name && live(cat, key, a) {
+			out = append(out, a.Value)
 		}
 	}
 	sort.Strings(out)
@@ -306,8 +357,9 @@ func (s *Store) FirstValue(uri, name string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *Assertion
-	for key, a := range s.catalogs[uri] {
-		if key.name == name && !a.Deleted {
+	cat := s.catalogs[uri]
+	for key, a := range cat {
+		if key.name == name && live(cat, key, a) {
 			if best == nil || a.Supersedes(best) {
 				best = a
 			}
@@ -328,8 +380,8 @@ func (s *Store) URIs(prefix string) []string {
 		if !strings.HasPrefix(uri, prefix) {
 			continue
 		}
-		for _, a := range cat {
-			if !a.Deleted {
+		for key, a := range cat {
+			if live(cat, key, a) {
 				out = append(out, uri)
 				break
 			}
@@ -452,16 +504,18 @@ func (s *Store) Unsubscribe(id int) {
 	delete(s.subs, id)
 }
 
-// Stats reports catalog sizes for monitoring.
+// Stats reports catalog sizes for monitoring: URIs held, live values,
+// and tombstones (which only Remove and RemoveAll leave, until the
+// attribute's next Set).
 func (s *Store) Stats() (uris, elements, tombstones int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	uris = len(s.catalogs)
 	for _, cat := range s.catalogs {
-		for _, a := range cat {
+		for key, a := range cat {
 			if a.Deleted {
 				tombstones++
-			} else {
+			} else if live(cat, key, a) {
 				elements++
 			}
 		}
@@ -492,17 +546,17 @@ func (s *Store) SetNowFunc(f func() int64) {
 
 // Snapshot + incremental catch-up (DESIGN.md "Sharded catalog"): a
 // replica rejoining its group pulls the peer's compacted catalog state
-// — one assertion per element, winners and tombstones, NOT the op
-// history — in deterministic URI-ordered pages, then the op tail since
-// the snapshot's version vector. Log compaction makes this necessary
-// (the history below the floor is gone) and worthwhile (the snapshot is
-// catalog-sized, the history is write-count-sized).
+// — one assertion per entry: elements, tombstones and registers, NOT
+// the op history — in deterministic URI-ordered pages, then the op tail
+// since the snapshot's version vector. Log compaction makes this
+// necessary (the history below the floor is gone) and worthwhile (the
+// snapshot is catalog-sized, the history is write-count-sized).
 
-// SnapshotPage returns up to maxOps catalog elements (including
-// tombstones) for URIs strictly after afterURI in lexical order, the
-// cursor for the next page ("" when the dump is complete), and the
-// store's current version vector. Pages never split a URI, so the
-// cursor is simply the last URI included.
+// SnapshotPage returns up to maxOps catalog entries (elements,
+// tombstones and registers) for URIs strictly after afterURI in lexical
+// order, the cursor for the next page ("" when the dump is complete),
+// and the store's current version vector. Pages never split a URI, so
+// the cursor is simply the last URI included.
 func (s *Store) SnapshotPage(afterURI string, maxOps int) (ops []Assertion, next string, vv VersionVector) {
 	if maxOps <= 0 {
 		maxOps = 8192
@@ -587,10 +641,10 @@ func (s *Store) CanServeTail(theirs VersionVector) bool {
 
 // Compact drops log entries more than keepTail sequence numbers below
 // each origin's contiguous mark, raising the serving floor accordingly,
-// and returns the number of entries dropped. The catalog (element sets
-// and tombstones) is untouched: compaction trades the ability to serve
-// deep history tails for bounded log memory; replicas below the floor
-// catch up by snapshot instead.
+// and returns the number of entries dropped. The catalog (elements,
+// tombstones and registers) is untouched: compaction trades the ability
+// to serve deep history tails for bounded log memory; replicas below
+// the floor catch up by snapshot instead.
 func (s *Store) Compact(keepTail int) int {
 	if keepTail < 0 {
 		keepTail = 0
@@ -632,9 +686,9 @@ func (s *Store) LogLen() int {
 }
 
 // ContentHash returns a digest over the full catalog content — every
-// element and tombstone with all its fields, in deterministic order.
-// Two replicas whose hashes match hold byte-identical catalogs; the
-// convergence proof the catch-up tests and bench assert.
+// element, tombstone and register with all its fields, in deterministic
+// order. Two replicas whose hashes match hold byte-identical catalogs;
+// the convergence proof the catch-up tests and bench assert.
 func (s *Store) ContentHash() [32]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -655,7 +709,11 @@ func (s *Store) ContentHash() [32]byte {
 			if elems[i].Name != elems[j].Name {
 				return elems[i].Name < elems[j].Name
 			}
-			return elems[i].Value < elems[j].Value
+			if elems[i].Value != elems[j].Value {
+				return elems[i].Value < elems[j].Value
+			}
+			// A register and an element over its value share both.
+			return !elems[i].Sole && elems[j].Sole
 		})
 		for i := range elems {
 			e.Reset()

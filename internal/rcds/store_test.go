@@ -2,10 +2,13 @@ package rcds
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
 
@@ -333,87 +336,250 @@ func TestSupersedesOrdering(t *testing.T) {
 	}
 }
 
-// Property: N replicas applying a random interleaving of each other's
-// ops all converge to the same catalog (strong eventual consistency).
+// Property: the catalog is a function of the set of ops received. Per
+// seed, three replicas take a random history of Set, Add, Remove and
+// RemoveAll with partial gossip in between (so clocks interleave and
+// removals find values to remove); then every replica and a fresh one
+// receive all ops shuffled and partly duplicated, and a fifth installs
+// replica 0's snapshot in shuffled order. All five must hold the same
+// entries — equal ContentHash, not just equal live sets, so a leftover
+// tombstone or a register that forgot its floor shows.
 func TestQuickConvergence(t *testing.T) {
-	type opSpec struct {
-		Replica uint8
-		URI     uint8
-		Name    uint8
-		Value   uint8
-		Kind    uint8 // 0 set, 1 add, 2 remove
+	const seeds = 2500
+	for seed := int64(0); seed < seeds; seed++ {
+		if msg := convergeOnce(rand.New(rand.NewSource(seed))); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
 	}
-	f := func(specs []opSpec, order []uint16) bool {
-		const nReplicas = 3
-		stores := make([]*Store, nReplicas)
-		for i := range stores {
-			stores[i] = NewStore(fmt.Sprintf("r%d", i))
-		}
-		var allOps []Assertion
-		for _, sp := range specs {
-			st := stores[int(sp.Replica)%nReplicas]
-			uri := fmt.Sprintf("u%d", sp.URI%3)
-			name := fmt.Sprintf("n%d", sp.Name%2)
-			value := fmt.Sprintf("v%d", sp.Value%4)
-			var ops []Assertion
-			switch sp.Kind % 3 {
-			case 0:
-				ops = st.Set(uri, name, value)
-			case 1:
-				ops = st.Add(uri, name, value)
-			case 2:
-				ops = st.Remove(uri, name, value)
-			}
-			allOps = append(allOps, ops...)
-		}
-		// Deliver every op to every replica in a permuted order (ops a
-		// replica already has are ignored by ApplyRemote's dedup).
-		perm := make([]Assertion, len(allOps))
-		copy(perm, allOps)
-		for i := range perm {
-			if len(order) == 0 {
-				break
-			}
-			j := int(order[i%len(order)]) % (i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		for _, st := range stores {
-			st.ApplyRemote(perm)
-		}
-		// All replicas must agree on every URI's live set.
-		for uri := 0; uri < 3; uri++ {
-			u := fmt.Sprintf("u%d", uri)
-			ref := stores[0].Get(u)
-			for _, st := range stores[1:] {
-				got := st.Get(u)
-				if len(got) != len(ref) {
-					return false
-				}
-				for i := range ref {
-					if got[i].Name != ref[i].Name || got[i].Value != ref[i].Value {
-						return false
-					}
-				}
-			}
-		}
-		return true
+}
+
+func convergeOnce(rng *rand.Rand) string {
+	const writers = 3
+	stores := make([]*Store, writers)
+	for i := range stores {
+		stores[i] = NewStore(fmt.Sprintf("r%d", i))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	var all []Assertion
+	for n := 4 + rng.Intn(20); n > 0; n-- {
+		st := stores[rng.Intn(writers)]
+		uri := fmt.Sprintf("u%d", rng.Intn(2))
+		name := fmt.Sprintf("n%d", rng.Intn(2))
+		value := fmt.Sprintf("v%d", rng.Intn(3))
+		switch rng.Intn(4) {
+		case 0:
+			all = append(all, st.Set(uri, name, value)...)
+		case 1:
+			all = append(all, st.Add(uri, name, value)...)
+		case 2:
+			all = append(all, st.Remove(uri, name, value)...)
+		case 3:
+			all = append(all, st.RemoveAll(uri, name)...)
+		}
+		if rng.Intn(4) == 0 {
+			src, dst := stores[rng.Intn(writers)], stores[rng.Intn(writers)]
+			dst.ApplyRemote(src.OpsSince(dst.Vector(), 0))
+		}
+	}
+	// deliver hands st every op in its own order, a third of them twice,
+	// in batches of random size.
+	deliver := func(st *Store) {
+		ops := append([]Assertion(nil), all...)
+		for i := len(all) / 3; i > 0; i-- {
+			ops = append(ops, all[rng.Intn(len(all))])
+		}
+		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+		for len(ops) > 0 {
+			n := 1 + rng.Intn(len(ops))
+			st.ApplyRemote(ops[:n])
+			ops = ops[n:]
+		}
+	}
+	if len(all) == 0 {
+		return "" // a history of removals that found nothing
+	}
+	stores = append(stores, NewStore("fresh"))
+	for _, st := range stores {
+		deliver(st)
+	}
+	snap := NewStore("snap")
+	entries, next, vv := stores[0].SnapshotPage("", 0)
+	if next != "" {
+		return "snapshot did not fit one page"
+	}
+	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	snap.InstallSnapshotOps(entries)
+	snap.MergeVector(vv)
+	stores = append(stores, snap)
+
+	ref := stores[0]
+	for _, st := range stores[1:] {
+		for _, uri := range []string{"u0", "u1"} {
+			if got, want := fmt.Sprint(st.Get(uri)), fmt.Sprint(ref.Get(uri)); got != want {
+				return fmt.Sprintf("%s holds %s = %s, %s holds %s", st.Origin(), uri, got, ref.Origin(), want)
+			}
+		}
+		if st.ContentHash() != ref.ContentHash() {
+			return fmt.Sprintf("%s and %s agree on the live values but not on the entries behind them", st.Origin(), ref.Origin())
+		}
+		if v := st.Vector(); !v.Dominates(ref.Vector()) || !ref.Vector().Dominates(v) {
+			return fmt.Sprintf("%s vector %v, %s vector %v", st.Origin(), v, ref.Origin(), ref.Vector())
+		}
+	}
+	return ""
+}
+
+// TestSetSemantics pins what a clear-and-set means against the ops
+// around it. Each case is a set of hand-stamped ops; every order of
+// delivery must leave the same entries and the live values listed.
+func TestSetSemantics(t *testing.T) {
+	set := func(v string, clock uint64, origin string) Assertion {
+		return Assertion{URI: "u", Name: "n", Value: v, Clock: clock, Origin: origin, Seq: clock, Sole: true}
+	}
+	add := func(v string, clock uint64, origin string) Assertion {
+		return Assertion{URI: "u", Name: "n", Value: v, Clock: clock, Origin: origin, Seq: clock}
+	}
+	remove := func(v string, clock uint64, origin string) Assertion {
+		return Assertion{URI: "u", Name: "n", Value: v, Clock: clock, Origin: origin, Seq: clock, Deleted: true}
+	}
+	cases := []struct {
+		name  string
+		ops   []Assertion
+		live  []string
+		tombs int
+	}{
+		{"Set after Adds leaves one value",
+			[]Assertion{add("a", 1, "p"), add("b", 2, "p"), set("c", 3, "p")}, []string{"c"}, 0},
+		{"a late lower-stamped Add is dropped",
+			[]Assertion{set("v", 5, "p"), add("w", 3, "q")}, []string{"v"}, 0},
+		{"a late lower-stamped Remove is dropped",
+			[]Assertion{set("v", 5, "p"), remove("v", 3, "q")}, []string{"v"}, 0},
+		{"the floor outlives the register's removed value",
+			[]Assertion{set("v", 5, "p"), remove("v", 7, "p"), add("w", 3, "q")}, nil, 1},
+		{"a higher-stamped Add coexists",
+			[]Assertion{set("v", 5, "p"), add("w", 6, "q")}, []string{"v", "w"}, 0},
+		{"an Add over the register's own value counts once",
+			[]Assertion{set("v", 5, "p"), add("v", 6, "q")}, []string{"v"}, 0},
+		{"Set(v) after Remove(v) is live and clears the tombstone",
+			[]Assertion{add("v", 1, "p"), remove("v", 2, "p"), set("v", 3, "p")}, []string{"v"}, 0},
+		{"the later of two Sets wins",
+			[]Assertion{set("x", 4, "q"), set("y", 5, "p")}, []string{"y"}, 0},
+		{"equal clocks: the higher origin's Set wins",
+			[]Assertion{set("x", 5, "p"), set("y", 5, "q")}, []string{"y"}, 0},
+		{"equal clocks: an Add from the higher origin survives the Set",
+			[]Assertion{set("v", 5, "p"), add("w", 5, "q")}, []string{"v", "w"}, 0},
+		{"equal clocks: an Add from the lower origin does not",
+			[]Assertion{set("v", 5, "q"), add("w", 5, "p")}, []string{"v"}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref [32]byte
+			permute(tc.ops, func(order []Assertion) {
+				st := NewStore("local")
+				for _, op := range order {
+					st.ApplyRemote([]Assertion{op})
+				}
+				if got := st.Values("u", "n"); fmt.Sprint(got) != fmt.Sprint(tc.live) {
+					t.Fatalf("order %v: live values %v, want %v", order, got, tc.live)
+				}
+				if v, ok := st.FirstValue("u", "n"); ok != (len(tc.live) > 0) {
+					t.Fatalf("order %v: FirstValue = %q, %v", order, v, ok)
+				}
+				if _, elems, tombs := st.Stats(); elems != len(tc.live) || tombs != tc.tombs {
+					t.Fatalf("order %v: %d elements and %d tombstones, want %d and %d", order, elems, tombs, len(tc.live), tc.tombs)
+				}
+				if h := st.ContentHash(); ref == [32]byte{} {
+					ref = h
+				} else if h != ref {
+					t.Fatalf("order %v left other entries than the first order", order)
+				}
+			})
+		})
+	}
+
+	// The same through the store's own API, where Remove and RemoveAll
+	// must find the register's value to remove it.
+	st := NewStore("local")
+	st.Add("u", "n", "old")
+	if ops := st.Set("u", "n", "v"); len(ops) != 1 || !ops[0].Sole {
+		t.Fatalf("Set minted %v, want one Sole op", ops)
+	}
+	if ops := st.Remove("u", "n", "old"); ops != nil {
+		t.Fatalf("Remove of a value the Set cleared minted %v", ops)
+	}
+	if ops := st.Remove("u", "n", "v"); len(ops) != 1 || !ops[0].Deleted {
+		t.Fatalf("Remove of the register's value minted %v", ops)
+	}
+	if got := st.URIs(""); len(got) != 0 {
+		t.Fatalf("URIs lists %v after its only value was removed", got)
+	}
+	st.Set("u", "n", "v")
+	st.Add("u", "n", "w")
+	if ops := st.RemoveAll("u", "n"); len(ops) != 2 {
+		t.Fatalf("RemoveAll over a register and an element minted %v", ops)
+	}
+	if got := st.Get("u"); len(got) != 0 {
+		t.Fatalf("Get after RemoveAll = %v", got)
+	}
+}
+
+// permute calls f with every ordering of ops.
+func permute(ops []Assertion, f func([]Assertion)) {
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(ops) {
+			f(ops)
+			return
+		}
+		for i := k; i < len(ops); i++ {
+			ops[k], ops[i] = ops[i], ops[k]
+			rec(k + 1)
+			ops[k], ops[i] = ops[i], ops[k]
+		}
+	}
+	rec(0)
+}
+
+// TestSetChurnIsFlat: a daemon's heartbeat writes a fresh value every
+// tick. Twenty thousand of them through one host URI leave one element
+// and no tombstone, and the last Set costs what the hundredth did.
+func TestSetChurnIsFlat(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's shadow allocations are counted as the program's")
+	}
+	const uri, beats = "snipe://hosts/churn", 20000
+	st := NewStore("rc0")
+	next := 0
+	beat := func() {
+		st.Set(uri, AttrHeartbeat, strconv.Itoa(1e6+next)) // the same length every time
+		next++
+	}
+	allocsAt := func(n int) float64 {
+		for next < n {
+			beat()
+		}
+		st.Compact(0) // a compacting replica: the log is not what is measured
+		return testing.AllocsPerRun(50, beat)
+	}
+	early, late := allocsAt(100), allocsAt(beats)
+	if early != late {
+		t.Errorf("Set costs %.0f allocations at value 100 and %.0f at value %d", early, late, beats)
+	}
+	if uris, elems, tombs := st.Stats(); uris != 1 || elems != 1 || tombs != 0 {
+		t.Errorf("after %d distinct values: %d URIs, %d elements, %d tombstones; want 1, 1, 0", next, uris, elems, tombs)
 	}
 }
 
 // Property: assertions round-trip through the wire encoding.
 func TestQuickAssertionRoundTrip(t *testing.T) {
-	f := func(uri, name, value, origin string, clock, seq uint64, deleted bool, st int64) bool {
+	f := func(uri, name, value, origin string, clock, seq uint64, kind uint8, st int64) bool {
 		a := Assertion{URI: uri, Name: name, Value: value, Origin: origin,
-			Clock: clock, Seq: seq, Deleted: deleted, ServerTime: st}
+			Clock: clock, Seq: seq, Deleted: kind%3 == 1, Sole: kind%3 == 2, ServerTime: st}
 		e := xdr.NewEncoder(0)
 		a.Encode(e)
 		got, err := DecodeAssertion(xdr.NewDecoder(e.Bytes()))
 		return err == nil && got.URI == uri && got.Name == name &&
 			got.Value == value && got.Origin == origin && got.Clock == clock &&
-			got.Seq == seq && got.Deleted == deleted && got.ServerTime == st
+			got.Seq == seq && got.Deleted == a.Deleted && got.Sole == a.Sole && got.ServerTime == st
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -16,10 +16,11 @@ import (
 // (see DESIGN.md substitutions).
 //
 // Framing is multiplexed: every request and response body begins with a
-// uint64 request ID chosen by the client. One connection carries many
-// in-flight requests; the server answers each in its own goroutine and
-// may write responses out of order, so a long-poll Wait never blocks a
-// concurrent Get on the same connection.
+// uint64 request ID chosen by the client (muxHeader bytes, reserved by
+// the body's builder and filled in by whoever sends it). One connection
+// carries many in-flight requests; the server answers each in its own
+// goroutine and may write responses out of order, so a long-poll Wait
+// never blocks a concurrent Get on the same connection.
 const (
 	cmdPing uint8 = iota + 1
 	cmdSet
@@ -79,6 +80,9 @@ var (
 	// not define — a version skew or corruption signal, distinct from a
 	// server-reported error.
 	ErrUnknownStatus = errors.New("rcds: unknown response status")
+	// ErrBadFlags indicates an assertion whose flags byte carries a bit
+	// this build does not define, or Sole and Deleted together.
+	ErrBadFlags = errors.New("rcds: bad assertion flags")
 )
 
 const macSize = 32
@@ -131,26 +135,35 @@ func readFrame(fr *xdr.FrameReader, secret []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// muxBody prepends the request ID to a request or response body,
-// forming the frame body that goes on the wire (and under the MAC).
-func muxBody(id uint64, body []byte) []byte {
-	out := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint64(out, id)
-	copy(out[8:], body)
-	return out
+// muxHeader is the request ID at the head of every frame body (and
+// under the MAC).
+const muxHeader = 8
+
+// noMuxID is what request and the response builders put where the
+// request ID goes; setMuxID writes the ID over it. (PutRaw of an array,
+// not PutUint64(0): request and okResponse must stay cheap enough to
+// inline, which keeps their encoder on the caller's stack.)
+var noMuxID [muxHeader]byte
+
+// setMuxID writes the request ID into a frame body built by request or
+// one of the response builders. A request re-sent on another connection
+// is patched again with that attempt's ID.
+func setMuxID(frame []byte, id uint64) {
+	binary.BigEndian.PutUint64(frame[:muxHeader], id)
 }
 
 // splitMux separates a frame body into its request ID and payload.
 func splitMux(frame []byte) (uint64, []byte, error) {
-	if len(frame) < 8 {
+	if len(frame) < muxHeader {
 		return 0, nil, errors.New("rcds: short mux frame")
 	}
-	return binary.BigEndian.Uint64(frame), frame[8:], nil
+	return binary.BigEndian.Uint64(frame), frame[muxHeader:], nil
 }
 
 // request assembles cmd+payload into a frame body.
 func request(cmd uint8, payload func(*xdr.Encoder)) []byte {
 	e := xdr.NewEncoder(64)
+	e.PutRaw(noMuxID[:])
 	e.PutUint8(cmd)
 	if payload != nil {
 		payload(e)
@@ -161,6 +174,7 @@ func request(cmd uint8, payload func(*xdr.Encoder)) []byte {
 // okResponse assembles a success response.
 func okResponse(payload func(*xdr.Encoder)) []byte {
 	e := xdr.NewEncoder(64)
+	e.PutRaw(noMuxID[:])
 	e.PutUint8(statusOK)
 	if payload != nil {
 		payload(e)
@@ -171,6 +185,7 @@ func okResponse(payload func(*xdr.Encoder)) []byte {
 // errResponse assembles an error response.
 func errResponse(err error) []byte {
 	e := xdr.NewEncoder(64)
+	e.PutRaw(noMuxID[:])
 	e.PutUint8(statusErr)
 	e.PutString(err.Error())
 	return e.Bytes()
@@ -179,15 +194,16 @@ func errResponse(err error) []byte {
 // wrongShardResponse assembles a wrong-shard redirect naming the owning
 // group under the server's shard map of the given epoch.
 func wrongShardResponse(group int, epoch uint64) []byte {
-	e := xdr.NewEncoder(16)
+	e := xdr.NewEncoder(32)
+	e.PutRaw(noMuxID[:])
 	e.PutUint8(statusWrongShard)
 	e.PutUint32(uint32(group))
 	e.PutUint64(epoch)
 	return e.Bytes()
 }
 
-// parseResponse splits a response into a decoder positioned at the
-// payload, or the server-side error.
+// parseResponse splits a response (the frame body after its request ID)
+// into a decoder positioned at the payload, or the server-side error.
 func parseResponse(body []byte) (*xdr.Decoder, error) {
 	d := xdr.NewDecoder(body)
 	status, err := d.Uint8()

@@ -37,7 +37,7 @@ func TestParseResponseNegative(t *testing.T) {
 		{name: "error length over value cap", body: overCap, wantErr: xdr.ErrStringTooLong},
 		{name: "unknown status tag", body: []byte{0x7f, 0, 0, 0, 0}, wantErr: ErrUnknownStatus, wantSub: "unknown response status"},
 		{name: "high status tag", body: []byte{0xff}, wantErr: ErrUnknownStatus, wantSub: "unknown response status"},
-		{name: "server error passes through", body: errResponse(errors.New("boom")), wantErr: ErrServer, wantSub: "boom"},
+		{name: "server error passes through", body: errResponse(errors.New("boom"))[muxHeader:], wantErr: ErrServer, wantSub: "boom"},
 		{name: "wrong shard truncated after group", body: []byte{statusWrongShard, 0, 0, 0, 2}},
 		{name: "wrong shard empty payload", body: []byte{statusWrongShard}},
 	}
@@ -57,22 +57,86 @@ func TestParseResponseNegative(t *testing.T) {
 	}
 
 	// The well-formed shapes still parse.
-	if _, err := parseResponse(okResponse(nil)); err != nil {
+	if _, err := parseResponse(okResponse(nil)[muxHeader:]); err != nil {
 		t.Fatalf("empty OK response rejected: %v", err)
 	}
-	if _, err := parseResponse(okResponse(func(e *xdr.Encoder) { e.PutString("x") })); err != nil {
+	if _, err := parseResponse(okResponse(func(e *xdr.Encoder) { e.PutString("x") })[muxHeader:]); err != nil {
 		t.Fatalf("OK response rejected: %v", err)
 	}
 
 	// A well-formed wrong-shard redirect surfaces as the typed error,
 	// not an opaque server error: the router matches on it to re-resolve
 	// the shard map.
-	_, err := parseResponse(wrongShardResponse(3, 9))
+	_, err := parseResponse(wrongShardResponse(3, 9)[muxHeader:])
 	if !errors.Is(err, ErrWrongShard) {
 		t.Fatalf("wrong-shard response: error %v, want errors.Is(ErrWrongShard)", err)
 	}
 	var ws *WrongShardError
 	if !errors.As(err, &ws) || ws.Group != 3 || ws.Epoch != 9 {
 		t.Fatalf("wrong-shard response decoded %+v, want group 3 epoch 9", ws)
+	}
+}
+
+// TestDecodeAssertionFlagsNegative: the flags byte admits Deleted or
+// Sole, never both and no bit beyond them.
+func TestDecodeAssertionFlagsNegative(t *testing.T) {
+	encode := func(flags uint8) []byte {
+		e := xdr.NewEncoder(64)
+		(&Assertion{URI: "u", Name: "n", Value: "v", Clock: 1, Origin: "o", Seq: 1}).Encode(e)
+		b := e.Bytes()
+		// URI, name, value (4+1 each), clock (8), origin (4+1), seq (8).
+		const flagsAt = 5 + 5 + 5 + 8 + 5 + 8
+		b[flagsAt] = flags
+		return b
+	}
+	for flags := 0; flags < 256; flags++ {
+		a, err := DecodeAssertion(xdr.NewDecoder(encode(uint8(flags))))
+		if flags <= int(flagSole) {
+			if err != nil || a.Deleted != (flags == int(flagDeleted)) || a.Sole != (flags == int(flagSole)) {
+				t.Errorf("flags %#x: decoded %+v, %v", flags, a, err)
+			}
+		} else if !errors.Is(err, ErrBadFlags) {
+			t.Errorf("flags %#x: error %v, want ErrBadFlags", flags, err)
+		}
+	}
+}
+
+// TestApplyOriginNegative: an Apply names the replica it comes from, or
+// is refused before any op in it is looked at.
+func TestApplyOriginNegative(t *testing.T) {
+	srv := NewServer(NewStore("rc0"))
+	op := NewStore("rc1").Set("u", "n", "v")
+	apply := func(origin func(*xdr.Encoder)) error {
+		e := xdr.NewEncoder(64)
+		e.PutUint8(cmdApply)
+		origin(e)
+		EncodeAssertions(e, op)
+		_, err := parseResponse(srv.dispatch(e.Bytes())[muxHeader:])
+		return err
+	}
+	cases := []struct {
+		name   string
+		origin func(*xdr.Encoder)
+	}{
+		{"empty origin", func(e *xdr.Encoder) { e.PutString("") }},
+		{"over-long origin", func(e *xdr.Encoder) { e.PutString(strings.Repeat("x", maxWireURI+1)) }},
+		{"no origin field", func(*xdr.Encoder) {}}, // the op count is read as its length
+	}
+	for _, tc := range cases {
+		if err := apply(tc.origin); !errors.Is(err, ErrServer) {
+			t.Errorf("%s: error %v, want a server error", tc.name, err)
+		}
+	}
+	if err := srv.dispatch([]byte{cmdApply}); len(err) <= muxHeader || err[muxHeader] != statusErr {
+		t.Errorf("bare Apply command answered %x", err)
+	}
+	if _, elems, _ := srv.Store().Stats(); elems != 0 {
+		t.Fatalf("a refused Apply left %d elements", elems)
+	}
+	if err := apply(func(e *xdr.Encoder) { e.PutString("rc1") }); err != nil {
+		t.Fatalf("well-formed Apply refused: %v", err)
+	}
+	if v, ok := srv.Store().FirstValue("u", "n"); !ok || v != "v" {
+		t.Fatalf("well-formed Apply not applied: %q, %v", v, ok)
 	}
 }
