@@ -14,6 +14,9 @@
 //	snipe-rcserver -addr h1:7001 -origin rc0-0 -peers h2:7001 \
 //	    -shard-map "v1 epoch=1 groups=h1:7001,h2:7001|h3:7001,h4:7001" \
 //	    -shard-self 0 -compact-keep 65536
+//
+// Clients need no matching switch: given any one group's addresses
+// (-rc h1:7001,h2:7001) they read the map from it and route by it.
 package main
 
 import (
@@ -80,9 +83,9 @@ func main() {
 		log.Printf("catalog restored from %s", *dataFile)
 	}
 	if shard != nil {
-		// Seed the map into this replica's config namespace so routing
-		// clients can bootstrap from it; group peers converge on the
-		// same value via replication.
+		// Seed the map into this replica's config namespace so clients
+		// can bootstrap from it; group peers converge on the same value
+		// via replication.
 		store.Set(rcds.ShardMapURI, rcds.AttrShardMap, shard.Format())
 	}
 	server := rcds.NewServer(store, opts...)

@@ -14,7 +14,7 @@ import (
 )
 
 // Catalog-at-scale experiment (DESIGN.md "Sharded catalog"): a
-// million-URI population loaded through a shard-routing client into a
+// million-URI population loaded through one client into a
 // catalog partitioned across replica groups, then read back, watched by
 // thousands of long-poll watchers, and finally healed through the
 // snapshot rejoin path. The run verifies the sharding claims with the
@@ -156,8 +156,7 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 			s.Store().Set(rcds.ShardMapURI, rcds.AttrShardMap, m.Format())
 		}
 	}
-	client := rcds.NewClient(m.Groups[0], nil,
-		rcds.WithShardRouting(), rcds.WithTimeout(15*time.Second))
+	client := rcds.NewClient(m.Groups[0], nil, rcds.WithTimeout(15*time.Second))
 	defer client.Close()
 
 	var errMu sync.Mutex
@@ -175,7 +174,7 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 		return runErr
 	}
 
-	// Phase 1: bulk load through the routing client, each writer taking
+	// Phase 1: bulk load through the client, each writer taking
 	// a stride of the population.
 	var wg sync.WaitGroup
 	start := time.Now()

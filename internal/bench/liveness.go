@@ -122,7 +122,8 @@ func MeasureDetection(mode string, hbInterval time.Duration) (FailoverPoint, sta
 		return pt, stats.Snapshot{}, fmt.Errorf("bench: expected victim preferred, placement went to %s", host)
 	}
 
-	events := mon.Events()
+	events, cancelEvents := mon.Subscribe(0)
+	defer cancelEvents()
 	inject := time.Now()
 	switch mode {
 	case "crash":

@@ -25,20 +25,13 @@ import (
 // Each readLoop owns one coalescer for its connection; stop() flushes
 // any stragglers when the connection dies.
 
-// defaultAckFlush is the default coalescing window for per-fragment
-// acks: long enough to batch a burst of fragments from one window,
-// short enough to never stall the sender's in-flight window (fragment
-// RTTs are hundreds of microseconds on local media at minimum).
-const defaultAckFlush = 200 * time.Microsecond
-
 // ackBatchMax caps the entries in one batched ack frame; a full batch
 // flushes immediately rather than waiting out the timer.
 const ackBatchMax = 64
 
 type ackCoalescer struct {
-	e     *Endpoint
-	conn  FrameConn
-	flush time.Duration
+	e    *Endpoint
+	conn FrameConn
 
 	mu         sync.Mutex
 	acks       []ackRef // pending end-to-end acks (normally flushed same-call)
@@ -49,7 +42,7 @@ type ackCoalescer struct {
 }
 
 func newAckCoalescer(e *Endpoint, conn FrameConn) *ackCoalescer {
-	a := &ackCoalescer{e: e, conn: conn, flush: e.ackFlush}
+	a := &ackCoalescer{e: e, conn: conn}
 	a.timer = time.AfterFunc(time.Hour, a.timerFlush)
 	a.timer.Stop()
 	return a
@@ -72,7 +65,7 @@ func (a *ackCoalescer) ack(src, dst string, seq uint64) {
 func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
 	a.mu.Lock()
 	a.frags = append(a.frags, ackRef{src: src, dst: dst, seq: seq, fragIdx: fragIdx})
-	if len(a.frags) >= ackBatchMax || a.flush <= 0 || a.stopped {
+	if len(a.frags) >= ackBatchMax || a.stopped {
 		enc, split := a.takeLocked()
 		a.mu.Unlock()
 		a.send(enc, split)
@@ -80,7 +73,7 @@ func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
 	}
 	if !a.timerArmed {
 		a.timerArmed = true
-		a.timer.Reset(a.flush)
+		a.timer.Reset(a.e.ackFlush)
 	}
 	a.mu.Unlock()
 }

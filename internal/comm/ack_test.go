@@ -12,7 +12,7 @@ import (
 // sender still saw every per-fragment acknowledgement despite the
 // batching.
 func TestAckCoalescingBatchesFragAcks(t *testing.T) {
-	a, b, _, _ := stripePair(t, WithAckFlush(25*time.Millisecond))
+	a, b, _, _ := stripePair(t, func(e *Endpoint) { e.ackFlush = 25 * time.Millisecond })
 	payload := patternPayload(7, 2<<20)
 	if err := sendWaitT(a, "urn:stripe:b", 1, payload, 30*time.Second); err != nil {
 		t.Fatalf("striped send: %v", err)
@@ -32,28 +32,6 @@ func TestAckCoalescingBatchesFragAcks(t *testing.T) {
 	// Wait for the drain: the sender must account every fragment the
 	// receiver acknowledged, whether it arrived batched or alone.
 	waitFor(t, 5*time.Second, func() bool { return a.Pending() == 0 }, "sender not drained")
-	if got := a.MetricsSnapshot().Counters["frag_acks"]; got == 0 {
-		t.Fatal("sender processed no per-fragment acks")
-	}
-}
-
-// TestAckFlushZeroDisablesBatching: WithAckFlush(0) sends every
-// fragment ack immediately as a legacy single-ack frame, and the
-// transfer still completes — the compatibility posture for peers that
-// predate the batch frames.
-func TestAckFlushZeroDisablesBatching(t *testing.T) {
-	a, b, _, _ := stripePair(t, WithAckFlush(0))
-	payload := patternPayload(9, 2<<20)
-	if err := sendWaitT(a, "urn:stripe:b", 1, payload, 30*time.Second); err != nil {
-		t.Fatalf("striped send: %v", err)
-	}
-	m, err := recvT(b, 10*time.Second)
-	if err != nil || !bytes.Equal(m.Payload, payload) {
-		t.Fatalf("recv: err=%v len=%d", err, len(m.Payload))
-	}
-	if got := b.MetricsSnapshot().Counters["ack_batches"]; got != 0 {
-		t.Fatalf("flush disabled but %d batch frames emitted", got)
-	}
 	if got := a.MetricsSnapshot().Counters["frag_acks"]; got == 0 {
 		t.Fatal("sender processed no per-fragment acks")
 	}

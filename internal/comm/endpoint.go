@@ -42,22 +42,6 @@ func WithRetryInterval(d time.Duration) EndpointOption {
 	return func(e *Endpoint) { e.retryInterval = d }
 }
 
-// WithMaxRetryBackoff caps the per-message retry backoff: however many
-// attempts a message has accumulated, it is retried at least this
-// often. The cap bounds how long a peer returning from migration or a
-// link failure waits for buffered traffic to find it again.
-func WithMaxRetryBackoff(d time.Duration) EndpointOption {
-	return func(e *Endpoint) { e.maxRetryBackoff = d }
-}
-
-// WithRouteCacheTTL sets how long resolved routes are reused before the
-// resolver is asked again. A send failure over cached routes
-// invalidates the entry immediately, so the TTL only bounds staleness
-// on paths that appear healthy.
-func WithRouteCacheTTL(d time.Duration) EndpointOption {
-	return func(e *Endpoint) { e.routeCacheTTL = d }
-}
-
 // WithoutBuffering disables the system buffer: sends to unreachable
 // peers fail immediately and unacknowledged messages are not retried.
 // This is the ablation knob for experiment E5/E7 — with buffering off,
@@ -65,58 +49,6 @@ func WithRouteCacheTTL(d time.Duration) EndpointOption {
 // argument predicts.
 func WithoutBuffering() EndpointOption {
 	return func(e *Endpoint) { e.buffering = false }
-}
-
-// WithStripeThreshold sets the payload size at or above which messages
-// to multi-homed peers are striped across all healthy routes in
-// parallel. Zero or negative disables striping (the ablation knob for
-// the multipath experiment); smaller messages always use the
-// single-route failover path.
-func WithStripeThreshold(n int) EndpointOption {
-	return func(e *Endpoint) { e.stripeThreshold = n }
-}
-
-// WithStripeWindow bounds how many fragments each route keeps in
-// flight (sent but not yet fragment-acknowledged) during a striped
-// transmission.
-func WithStripeWindow(n int) EndpointOption {
-	return func(e *Endpoint) {
-		if n > 0 {
-			e.stripeWindow = n
-		}
-	}
-}
-
-// WithStripeStall caps how long a striped transmission tolerates zero
-// acknowledgement progress before declaring the routes holding
-// in-flight fragments dead and requeueing their fragments. Defaults to
-// 4× the retry interval, floored at one second. Once a stripe's routes
-// have observed RTT history, the effective stall window adapts to the
-// slowest route's EWMA latency (see stripeStallFor) and this value
-// only bounds it from above.
-func WithStripeStall(d time.Duration) EndpointOption {
-	return func(e *Endpoint) { e.stripeStall = d }
-}
-
-// WithScoreAlpha sets the EWMA smoothing factor (0 < α ≤ 1) of the
-// adaptive route scorer; larger values weight recent observations more
-// heavily.
-func WithScoreAlpha(a float64) EndpointOption {
-	return func(e *Endpoint) {
-		if a > 0 && a <= 1 {
-			e.scoreAlpha = a
-		}
-	}
-}
-
-// WithAckFlush sets the flush interval of the per-connection
-// acknowledgement coalescer: per-fragment acks accumulate for up to
-// this long (or until a batch fills, or an end-to-end ack flushes the
-// connection's pending acks) before going out as one batched ack
-// frame. Zero disables coalescing — every ack is its own frame, the
-// pre-batching wire behaviour.
-func WithAckFlush(d time.Duration) EndpointOption {
-	return func(e *Endpoint) { e.ackFlush = d }
 }
 
 // WithHandler delivers incoming messages to fn instead of the mailbox.
@@ -294,20 +226,35 @@ type Endpoint struct {
 	urn        string
 	transports *Transports
 
-	bufferLimit     int
-	retryInterval   time.Duration
-	maxRetryBackoff time.Duration
-	routeCacheTTL   time.Duration
-	buffering       bool
-	stripeThreshold int           // stripe payloads at or above this size (≤0 disables)
-	stripeWindow    int           // per-route in-flight fragment window
-	stripeStall     time.Duration // max zero-progress window before a stripe fails stuck routes
-	scoreAlpha      float64       // EWMA smoothing factor of the route scorer
-	ackFlush        time.Duration // ack coalescing flush interval (0 = one frame per ack)
-	liveness        PeerLiveness  // optional failure detector fed by send/ack evidence
-	failFastDead    bool          // refuse + stop retrying sends to dead peers
-	handler         func(*Message)
-	handlerTags     map[uint32]bool // nil = handler takes all tags
+	bufferLimit   int
+	retryInterval time.Duration
+	buffering     bool
+	liveness      PeerLiveness // optional failure detector fed by send/ack evidence
+	failFastDead  bool         // refuse + stop retrying sends to dead peers
+	handler       func(*Message)
+	handlerTags   map[uint32]bool // nil = handler takes all tags
+
+	// Fixed after construction; the package's tests shorten or widen
+	// them with an option of their own.
+	//
+	// routeCacheTTL is how long resolved routes are reused before the
+	// resolver is asked again. A send failure over cached routes
+	// invalidates the entry at once, so it only bounds staleness on
+	// paths that appear healthy.
+	routeCacheTTL time.Duration
+	// stripeStall caps how long a striped transmission tolerates zero
+	// acknowledgement progress before it declares the routes holding
+	// in-flight fragments dead and requeues their fragments: 4× the
+	// retry interval, floored at one second. Once a stripe's routes have
+	// RTT history the effective window adapts to the slowest route (see
+	// stripeStallFor) and this only bounds it from above.
+	stripeStall time.Duration
+	// ackFlush is how long the per-connection coalescer holds
+	// per-fragment acks for a batch (see ack.go): long enough to batch a
+	// burst of fragments from one window, short enough never to stall
+	// the sender's in-flight window (fragment RTTs are hundreds of
+	// microseconds on local media at minimum).
+	ackFlush time.Duration
 
 	// Outbound state, sharded by destination URN.
 	shards   [sendShardCount]sendShard
@@ -378,27 +325,23 @@ type Endpoint struct {
 // traffic; Send works immediately if a resolver is configured.
 func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 	e := &Endpoint{
-		urn:             urn,
-		transports:      NewTransports(),
-		resolver:        StaticResolver{},
-		bufferLimit:     4096,
-		retryInterval:   200 * time.Millisecond,
-		maxRetryBackoff: 5 * time.Second,
-		routeCacheTTL:   250 * time.Millisecond,
-		buffering:       true,
-		stripeThreshold: 256 << 10,
-		stripeWindow:    32,
-		scoreAlpha:      0.2,
-		ackFlush:        defaultAckFlush,
-		conns:           make(map[string]FrameConn),
-		routeCache:      make(map[string]routeCacheEntry),
-		expected:        make(map[string]uint64),
-		reorder:         make(map[string]map[uint64]*Message),
-		reasm:           make(map[reasmKey]*reassembly),
-		stripes:         make(map[reasmKey]*stripeState),
-		scores:          make(map[string]*routeEWMA),
-		done:            make(chan struct{}),
-		metrics:         stats.NewRegistry(),
+		urn:           urn,
+		transports:    NewTransports(),
+		resolver:      StaticResolver{},
+		bufferLimit:   4096,
+		retryInterval: 200 * time.Millisecond,
+		routeCacheTTL: 250 * time.Millisecond,
+		buffering:     true,
+		ackFlush:      200 * time.Microsecond,
+		conns:         make(map[string]FrameConn),
+		routeCache:    make(map[string]routeCacheEntry),
+		expected:      make(map[string]uint64),
+		reorder:       make(map[string]map[uint64]*Message),
+		reasm:         make(map[reasmKey]*reassembly),
+		stripes:       make(map[reasmKey]*stripeState),
+		scores:        make(map[string]*routeEWMA),
+		done:          make(chan struct{}),
+		metrics:       stats.NewRegistry(),
 	}
 	for i := range e.shards {
 		e.shards[i].nextSeq = make(map[string]uint64)
@@ -425,11 +368,8 @@ func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.stripeStall <= 0 {
-		e.stripeStall = 4 * e.retryInterval
-		if e.stripeStall < time.Second {
-			e.stripeStall = time.Second
-		}
+	if e.stripeStall == 0 {
+		e.stripeStall = max(4*e.retryInterval, time.Second)
 	}
 	e.wg.Add(1)
 	go e.retryLoop()
@@ -664,7 +604,7 @@ func (e *Endpoint) transmit(om *outMsg) error {
 	if len(routes.routes) == 0 {
 		return fmt.Errorf("%w: %s has no advertised routes", ErrNoRoute, om.msg.Dst)
 	}
-	if e.stripeThreshold > 0 && len(om.msg.Payload) >= e.stripeThreshold {
+	if len(om.msg.Payload) >= stripeThreshold {
 		if handled, err := e.transmitStriped(om, local, routes); handled {
 			return err
 		}
@@ -758,7 +698,6 @@ func (e *Endpoint) resolveRoutes(dst string) (routeSet, error) {
 		return ent.routeSet, nil
 	}
 	resolver := e.resolver
-	ttl := e.routeCacheTTL
 	e.cacheMu.Unlock()
 	e.mResolves.Inc()
 	routes, err := resolver.Resolve(dst)
@@ -766,11 +705,9 @@ func (e *Endpoint) resolveRoutes(dst string) (routeSet, error) {
 		return routeSet{}, err
 	}
 	rs := newRouteSet(routes)
-	if ttl > 0 {
-		e.cacheMu.Lock()
-		e.routeCache[dst] = routeCacheEntry{routeSet: rs, expires: now.Add(ttl)}
-		e.cacheMu.Unlock()
-	}
+	e.cacheMu.Lock()
+	e.routeCache[dst] = routeCacheEntry{routeSet: rs, expires: now.Add(e.routeCacheTTL)}
+	e.cacheMu.Unlock()
 	return rs, nil
 }
 
@@ -783,6 +720,12 @@ func (e *Endpoint) invalidateRoutes(dst string) {
 	e.cacheMu.Unlock()
 }
 
+// maxRetryBackoff caps the per-message retry backoff: however many
+// attempts a message has accumulated, it is retried at least this
+// often. The cap bounds how long a peer returning from migration or a
+// link failure waits for buffered traffic to find it again.
+const maxRetryBackoff = 5 * time.Second
+
 // retryBackoff computes how long a message that has been attempted n
 // times waits before its next retry: the base interval doubled per
 // attempt, capped at maxRetryBackoff, plus positive-only jitter (up to
@@ -792,11 +735,11 @@ func (e *Endpoint) invalidateRoutes(dst string) {
 // configuration, so it needs no lock.
 func (e *Endpoint) retryBackoff(attempts int) time.Duration {
 	d := e.retryInterval
-	for i := 1; i < attempts && d < e.maxRetryBackoff; i++ {
+	for i := 1; i < attempts && d < maxRetryBackoff; i++ {
 		d *= 2
 	}
-	if d > e.maxRetryBackoff {
-		d = e.maxRetryBackoff
+	if d > maxRetryBackoff {
+		d = maxRetryBackoff
 	}
 	if d > 0 {
 		d += time.Duration(rand.Int63n(int64(d)/4 + 1))

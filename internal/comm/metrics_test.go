@@ -70,19 +70,24 @@ func (c *failingConn) MTU() int { return 1400 }
 
 func (c *failingConn) RemoteAddr() string { return "failingConn" }
 
+// withRouteCacheTTL replaces the endpoint's route-cache lifetime; zero
+// makes every transmission ask the resolver.
+func withRouteCacheTTL(d time.Duration) EndpointOption {
+	return func(e *Endpoint) { e.routeCacheTTL = d }
+}
+
 // TestRetryBackoffGrowth checks the schedule itself: doubling per
-// attempt from the base interval, positive-only jitter, capped at the
-// configured maximum.
+// attempt from the base interval, positive-only jitter, capped at
+// maxRetryBackoff.
 func TestRetryBackoffGrowth(t *testing.T) {
-	e := NewEndpoint("urn:bo", WithRetryInterval(40*time.Millisecond),
-		WithMaxRetryBackoff(300*time.Millisecond))
+	e := NewEndpoint("urn:bo", WithRetryInterval(40*time.Millisecond))
 	defer e.Close()
 	for attempts, want := range map[int]time.Duration{
-		1: 40 * time.Millisecond,
-		2: 80 * time.Millisecond,
-		3: 160 * time.Millisecond,
-		4: 300 * time.Millisecond, // capped (would be 320)
-		9: 300 * time.Millisecond,
+		1:  40 * time.Millisecond,
+		2:  80 * time.Millisecond,
+		3:  160 * time.Millisecond,
+		8:  maxRetryBackoff, // capped (would be 5.12s)
+		13: maxRetryBackoff,
 	} {
 		for i := 0; i < 20; i++ {
 			got := e.retryBackoff(attempts)
@@ -105,7 +110,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	const interval = 40 * time.Millisecond
 	res := newCountingResolver() // no routes for the peer: every attempt fails
 	e := NewEndpoint("urn:bo-sched", WithResolver(res),
-		WithRetryInterval(interval), WithRouteCacheTTL(0))
+		WithRetryInterval(interval), withRouteCacheTTL(0))
 	defer e.Close()
 
 	if err := e.Send("urn:unreachable", 1, []byte("x")); err != nil {
@@ -172,7 +177,7 @@ func TestRetryBackoffReducesRetries(t *testing.T) {
 func TestRouteCacheSingleResolve(t *testing.T) {
 	res := newCountingResolver() // resolves to no routes
 	e := NewEndpoint("urn:rc", WithResolver(res),
-		WithRetryInterval(30*time.Millisecond), WithRouteCacheTTL(10*time.Second))
+		WithRetryInterval(30*time.Millisecond), withRouteCacheTTL(10*time.Second))
 	defer e.Close()
 
 	for i := 0; i < 6; i++ {
@@ -198,7 +203,7 @@ func TestRouteCacheInvalidatedOnSendFailure(t *testing.T) {
 	route := Route{Transport: "brokenwire", Addr: "peer"}
 	res.set("urn:flaky", route)
 	e := NewEndpoint("urn:rc-inv", WithResolver(res),
-		WithRetryInterval(30*time.Millisecond), WithRouteCacheTTL(10*time.Second))
+		WithRetryInterval(30*time.Millisecond), withRouteCacheTTL(10*time.Second))
 	defer e.Close()
 	// Pre-seed the connection for the advertised route with one whose
 	// sends fail, so the first transmit fails at the conn level.

@@ -20,6 +20,10 @@ import (
 // measured RTT/goodput displace the advertised media profile.
 const scoreMinSamples = 3
 
+// scoreAlpha is the EWMA smoothing factor of the scorer; larger values
+// weight recent observations more heavily.
+const scoreAlpha = 0.2
+
 // routeEWMA is the per-route moving state behind RouteScores. All
 // fields are guarded by Endpoint.scoreMu.
 type routeEWMA struct {
@@ -43,14 +47,13 @@ func (e *Endpoint) observeRouteAck(routeKey string, bytes int, elapsed time.Dura
 	bps := float64(bytes) / elapsed.Seconds()
 	e.scoreMu.Lock()
 	s := e.scoreFor(routeKey)
-	a := e.scoreAlpha
 	if s.samples == 0 {
 		s.rttUs, s.goodputBps = rttUs, bps
 	} else {
-		s.rttUs += a * (rttUs - s.rttUs)
-		s.goodputBps += a * (bps - s.goodputBps)
+		s.rttUs += scoreAlpha * (rttUs - s.rttUs)
+		s.goodputBps += scoreAlpha * (bps - s.goodputBps)
 	}
-	s.errRate *= 1 - a // success decays the failure estimate
+	s.errRate *= 1 - scoreAlpha // success decays the failure estimate
 	s.samples++
 	e.scoreMu.Unlock()
 }
@@ -64,7 +67,7 @@ func (e *Endpoint) observeRouteError(routeKey string) {
 	}
 	e.scoreMu.Lock()
 	s := e.scoreFor(routeKey)
-	s.errRate += e.scoreAlpha * (1 - s.errRate)
+	s.errRate += scoreAlpha * (1 - s.errRate)
 	s.errors++
 	e.scoreMu.Unlock()
 }

@@ -105,11 +105,14 @@ const (
 	// window: how many bytes a peer may have in flight toward us before
 	// it must wait for WINDOW grants.
 	defaultStreamWindow = 1 << 20
-	// defaultStreamChunk caps one DATA frame's payload. At the default
-	// it matches the endpoint's stripe threshold, so a saturated stream
-	// produces exactly stripe-eligible messages and large responses ride
-	// the multi-path substrate.
-	defaultStreamChunk = 256 << 10
+	// defaultStreamChunk caps one DATA frame's payload. It matches the
+	// endpoint's stripe threshold, so a saturated stream produces exactly
+	// stripe-eligible messages and large responses ride the multi-path
+	// substrate.
+	defaultStreamChunk = stripeThreshold
+	// streamAcceptBacklog bounds how many fully-arrived but not yet
+	// accepted streams queue before further opens are reset.
+	streamAcceptBacklog = 64
 	// streamBatchSlack is how far past the chunk size a batch may run:
 	// room for the small frames (an OPEN with its method name, a WINDOW)
 	// that ride with a full DATA chunk.
@@ -117,38 +120,6 @@ const (
 	// maxWireReason bounds a decoded reset reason.
 	maxWireReason = 1024
 )
-
-// StreamMuxOption configures a StreamMux.
-type StreamMuxOption func(*StreamMux)
-
-// WithStreamWindow sets the per-stream receive window in bytes.
-func WithStreamWindow(n int) StreamMuxOption {
-	return func(m *StreamMux) {
-		if n > 0 {
-			m.window = n
-		}
-	}
-}
-
-// WithStreamChunk caps the payload of one stream DATA frame. The mux
-// clamps it to half the window.
-func WithStreamChunk(n int) StreamMuxOption {
-	return func(m *StreamMux) {
-		if n > 0 {
-			m.chunk = n
-		}
-	}
-}
-
-// WithAcceptBacklog bounds how many fully-arrived but not yet accepted
-// streams queue before further opens are reset.
-func WithAcceptBacklog(n int) StreamMuxOption {
-	return func(m *StreamMux) {
-		if n > 0 {
-			m.backlog = n
-		}
-	}
-}
 
 // streamKey names a stream from the local endpoint's perspective.
 type streamKey struct {
@@ -196,10 +167,9 @@ type sendQueue struct {
 // StreamMux multiplexes streams over one Endpoint. One mux owns the
 // endpoint's StreamTag traffic; the endpoint's other tags are untouched.
 type StreamMux struct {
-	ep      *Endpoint
-	window  int
-	chunk   int
-	backlog int
+	ep     *Endpoint
+	window int // per-stream receive window, bytes
+	chunk  int // cap on one DATA frame's payload
 
 	nextID   atomic.Uint64
 	draining atomic.Bool
@@ -228,13 +198,21 @@ type StreamMux struct {
 // NewStreamMux attaches a stream multiplexer to ep and starts its
 // receive loop. Close the mux before (or instead of) closing the
 // endpoint; closing the endpoint also unblocks the mux.
-func NewStreamMux(ep *Endpoint, opts ...StreamMuxOption) *StreamMux {
+func NewStreamMux(ep *Endpoint) *StreamMux {
+	return newStreamMux(ep, defaultStreamWindow, defaultStreamChunk)
+}
+
+// newStreamMux is NewStreamMux with the window and chunk the package's
+// flow-control tests shrink. chunk must be at most half of window: a
+// reader withholds up to a quarter of the window before it grants credit
+// back, and a writer waiting for one chunk's credit must always be
+// satisfiable.
+func newStreamMux(ep *Endpoint, window, chunk int) *StreamMux {
 	reg := ep.Metrics()
 	m := &StreamMux{
 		ep:      ep,
-		window:  defaultStreamWindow,
-		chunk:   defaultStreamChunk,
-		backlog: 64,
+		window:  window,
+		chunk:   chunk,
 		streams: make(map[streamKey]*Stream),
 		out:     make(map[string]sendQueue),
 
@@ -244,16 +222,7 @@ func NewStreamMux(ep *Endpoint, opts ...StreamMuxOption) *StreamMux {
 		mResetsOut:    reg.Counter("stream_resets_out"),
 		mSendFailures: reg.Counter("stream_send_failures"),
 	}
-	for _, o := range opts {
-		o(m)
-	}
-	// A reader withholds up to a quarter of the window before it grants
-	// credit back; with a chunk of at most half the window, a writer
-	// waiting for one chunk's credit is always satisfiable.
-	if m.chunk > m.window/2 {
-		m.chunk = max(m.window/2, 1)
-	}
-	m.accepts = make(chan *Stream, m.backlog)
+	m.accepts = make(chan *Stream, streamAcceptBacklog)
 	ctx, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
 	m.wg.Add(1)

@@ -12,14 +12,20 @@ import (
 	"snipe/internal/xdr"
 )
 
-// streamPair wires two endpoints with muxes over loopback TCP.
-func streamPair(t *testing.T, opts ...StreamMuxOption) (*StreamMux, *StreamMux) {
+// streamPair wires two endpoints with default muxes over loopback TCP.
+func streamPair(t *testing.T) (*StreamMux, *StreamMux) {
+	return streamPairSized(t, defaultStreamWindow, defaultStreamChunk)
+}
+
+// streamPairSized is streamPair with the flow-control window and chunk
+// (at most half the window) set.
+func streamPairSized(t *testing.T, window, chunk int) (*StreamMux, *StreamMux) {
 	t.Helper()
 	res := newTestResolver()
 	a := newTestEndpoint(t, "urn:stream:a", res)
 	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := NewStreamMux(a, opts...)
-	mb := NewStreamMux(b, opts...)
+	ma := newStreamMux(a, window, chunk)
+	mb := newStreamMux(b, window, chunk)
 	t.Cleanup(ma.Close)
 	t.Cleanup(mb.Close)
 	return ma, mb
@@ -90,7 +96,7 @@ func TestStreamRoundTrip(t *testing.T) {
 func TestStreamLargePayloadChunks(t *testing.T) {
 	// A payload much larger than the chunk size arrives intact and in
 	// order, as multiple DATA messages.
-	ma, mb := streamPair(t, WithStreamChunk(8<<10), WithStreamWindow(64<<10))
+	ma, mb := streamPairSized(t, 64<<10, 8<<10)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -138,7 +144,7 @@ func TestStreamWindowExhaustion(t *testing.T) {
 	// With a window of two chunks (the mux allows no fewer), the writer
 	// cannot run ahead of the reader: the third chunk blocks until the
 	// first is consumed.
-	ma, mb := streamPair(t, WithStreamChunk(1<<10), WithStreamWindow(2<<10))
+	ma, mb := streamPairSized(t, 2<<10, 1<<10)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -540,15 +546,12 @@ func TestStreamWriteIsSentWithoutAnotherCall(t *testing.T) {
 }
 
 func TestStreamSmallWindowTransfer(t *testing.T) {
-	// Eight windows of data through a 64 KiB window. The default chunk is
-	// larger than the window and is clamped to half of it, so the quarter
-	// window of credit a reader may withhold never starves the writer;
-	// and credit comes back in quarter windows, not chunk by chunk.
+	// Eight windows of data through a 64 KiB window, in chunks of half
+	// of it — the largest the mux admits, so the quarter window of credit
+	// a reader may withhold never starves the writer; and credit comes
+	// back in quarter windows, not chunk by chunk.
 	const window = 64 << 10
-	ma, mb := streamPair(t, WithStreamWindow(window))
-	if ma.chunk != window/2 {
-		t.Fatalf("chunk = %d, want it clamped to %d", ma.chunk, window/2)
-	}
+	ma, mb := streamPairSized(t, window, window/2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -673,7 +676,7 @@ func TestStreamBatchesKeepOrderAndSize(t *testing.T) {
 	res := newTestResolver()
 	a := newTestEndpoint(t, "urn:stream:a", res)
 	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := NewStreamMux(a, WithStreamChunk(chunk), WithStreamWindow(window))
+	ma := newStreamMux(a, window, chunk)
 	t.Cleanup(ma.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -816,8 +819,8 @@ func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
 	res := newTestResolver()
 	a := newTestEndpoint(t, "urn:stream:a", res, WithLiveness(&refuseNth{n: 2}), WithFailFastDead())
 	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := NewStreamMux(a, WithStreamChunk(chunk))
-	mb := NewStreamMux(b, WithStreamChunk(chunk))
+	ma := newStreamMux(a, defaultStreamWindow, chunk)
+	mb := newStreamMux(b, defaultStreamWindow, chunk)
 	t.Cleanup(ma.Close)
 	t.Cleanup(mb.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -21,6 +21,16 @@ import (
 // path remains the loss backstop, so striping can only add bandwidth,
 // not failure modes.
 
+const (
+	// stripeThreshold is the payload size at or above which a message to
+	// a multi-homed peer is striped; smaller messages always use the
+	// single-route failover path.
+	stripeThreshold = 256 << 10
+	// stripeWindow bounds how many fragments each route keeps in flight
+	// (sent but not yet fragment-acknowledged) during a stripe.
+	stripeWindow = 32
+)
+
 // Fragment lifecycle inside one stripe.
 const (
 	fragQueued   uint8 = iota // awaiting a route
@@ -409,7 +419,7 @@ func (e *Endpoint) stripeWorker(s *stripeState, routeKey string, conn FrameConn,
 	enc := getFrameEncoder()
 	defer putFrameEncoder(enc)
 	for {
-		idx, ok := s.next(routeKey, e.stripeWindow, stall)
+		idx, ok := s.next(routeKey, stripeWindow, stall)
 		if !ok {
 			return
 		}

@@ -10,6 +10,12 @@ import (
 	"snipe/internal/netsim"
 )
 
+// withStripeStall replaces the stall ceiling an endpoint derives from
+// its retry interval.
+func withStripeStall(d time.Duration) EndpointOption {
+	return func(e *Endpoint) { e.stripeStall = d }
+}
+
 // stripePair joins two endpoints over two independent netsim links
 // (Ethernet100 stream + ATM155 stream by default) so that urnB is
 // dual-homed from urnA's point of view, and vice versa. It returns the
@@ -28,7 +34,7 @@ func stripePair(t *testing.T, opts ...EndpointOption) (a, b *Endpoint, links [2]
 	res.set(urnA, routes[0][0], routes[1][0])
 	res.set(urnB, routes[0][1], routes[1][1])
 	base := []EndpointOption{WithResolver(res), WithBufferLimit(1 << 14),
-		WithRetryInterval(150 * time.Millisecond), WithStripeStall(700 * time.Millisecond)}
+		WithRetryInterval(150 * time.Millisecond), withStripeStall(700 * time.Millisecond)}
 	a = NewEndpoint(urnA, append(base, opts...)...)
 	b = NewEndpoint(urnB, append(base, opts...)...)
 	t.Cleanup(a.Close)
@@ -92,8 +98,12 @@ func TestStripeAcrossTwoRoutes(t *testing.T) {
 	}
 }
 
-func TestStripeDisabledFallsBackToSingleRoute(t *testing.T) {
-	a, b, _, _ := stripePair(t, WithStripeThreshold(0))
+// TestStripeOneLiveRouteFallsBackToSingleRoute: a payload over the
+// stripe threshold to a peer with fewer than two usable routes takes the
+// single-route failover path.
+func TestStripeOneLiveRouteFallsBackToSingleRoute(t *testing.T) {
+	a, b, _, res := stripePair(t)
+	res.set("urn:stripe:b", Route{Transport: "attached", Addr: "b-atm", NetName: "atm", RateBps: 140e6, LatencyUs: 90})
 	payload := patternPayload(5, 1<<20)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -105,7 +115,7 @@ func TestStripeDisabledFallsBackToSingleRoute(t *testing.T) {
 		t.Fatalf("recv: %v", err)
 	}
 	if got := a.MetricsSnapshot().Counters["striped"]; got != 0 {
-		t.Fatalf("striping disabled but %d messages striped", got)
+		t.Fatalf("one advertised route but %d messages striped", got)
 	}
 }
 
@@ -208,7 +218,7 @@ func TestStripeRouteChurnUnderLoss(t *testing.T) {
 	res.set(urnA, routeAEth, routeAAtm)
 	res.set(urnB, routeBEth, routeBAtm)
 	opts := []EndpointOption{WithResolver(res), WithBufferLimit(1 << 14),
-		WithRetryInterval(150 * time.Millisecond), WithStripeStall(700 * time.Millisecond)}
+		WithRetryInterval(150 * time.Millisecond), withStripeStall(700 * time.Millisecond)}
 	a := NewEndpoint(urnA, opts...)
 	b := NewEndpoint(urnB, opts...)
 	defer a.Close()
@@ -386,7 +396,7 @@ func TestStripeStallFailsSilentRoute(t *testing.T) {
 // the configured ceiling; measured RTTs scale it to 8× the slowest
 // route, clamped to [stripeStallMin, ceiling].
 func TestStripeStallAdaptive(t *testing.T) {
-	e := NewEndpoint("urn:stall", WithStripeStall(5*time.Second))
+	e := NewEndpoint("urn:stall", withStripeStall(5*time.Second))
 	defer e.Close()
 	keys := []string{"k-eth", "k-atm"}
 	if got := e.stripeStallFor(keys); got != 5*time.Second {
@@ -416,7 +426,7 @@ func TestStripeStallAdaptive(t *testing.T) {
 		t.Fatalf("floor clamp: stall = %v, want %v", got, stripeStallMin)
 	}
 	// Very slow media clamp to the configured ceiling.
-	e2 := NewEndpoint("urn:stall-slow", WithStripeStall(200*time.Millisecond))
+	e2 := NewEndpoint("urn:stall-slow", withStripeStall(200*time.Millisecond))
 	defer e2.Close()
 	for i := 0; i < scoreMinSamples; i++ {
 		e2.observeRouteAck("k-slow", 1<<10, time.Second)

@@ -83,7 +83,7 @@ func TestStreamReadWakeUps(t *testing.T) {
 }
 
 func TestStreamWriteBlockedOnCreditWakeUps(t *testing.T) {
-	ma, _ := streamPair(t, WithStreamChunk(1<<10), WithStreamWindow(2<<10))
+	ma, _ := streamPairSized(t, 2<<10, 1<<10)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	s, err := ma.Open(ctx, "urn:stream:b", "full")

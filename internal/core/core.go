@@ -174,15 +174,11 @@ func New(cfg Config) (*Universe, error) {
 		// the universe rides one coherent cache instead of polling. Under
 		// sharding it routes each URI to its owning group, with a cache
 		// and watch per group.
-		opts := []rcds.ClientOption{rcds.WithReadCache()}
-		if u.shardMap != nil {
-			opts = append(opts, rcds.WithShardRouting())
-		}
 		seed := make([]string, len(u.groups[0]))
 		for i, s := range u.groups[0] {
 			seed[i] = s.Addr()
 		}
-		client := rcds.NewClient(seed, cfg.Secret, opts...)
+		client := rcds.NewClient(seed, cfg.Secret, rcds.WithReadCache())
 		u.catalog = naming.ClientCatalog(client)
 	}
 

@@ -151,7 +151,7 @@ func TestCleanShutdownIsNotAFailure(t *testing.T) {
 	startDaemon(t, "c2", cat, reg)
 
 	mon := quickMonitor(t, cat)
-	events := mon.Events()
+	events, _ := mon.Subscribe(0)
 	mgr, err := rm.NewManager("clean-rm", cat, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -380,8 +380,10 @@ func TestReplayedAliveBetweenVerdictAndCreditedSeq(t *testing.T) {
 func TestDeadRecordExpiresAfterRetention(t *testing.T) {
 	opts := slowOptions()
 	opts.CheckInterval = 2 * time.Millisecond
-	opts.Retention = 40 * time.Millisecond
 	w := newBeatWorld(t, opts)
+	w.mon.mu.Lock()
+	w.mon.retention = 40 * time.Millisecond
+	w.mon.mu.Unlock()
 	host := naming.HostURL("g10")
 	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 1, State: gossip.StateAlive})
 	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateDead})

@@ -80,30 +80,20 @@ type Options struct {
 	// MaxSuspect caps the bound and is also the bound used before any
 	// inter-arrival history exists (default 10s).
 	MaxSuspect time.Duration
-	// DeadFactor scales the suspicion bound into the death bound
-	// (default 2): a host is dead after DeadFactor × suspect-bound of
-	// silence.
-	DeadFactor float64
-	// FixedSuspect, when positive, replaces the adaptive bound with a
-	// fixed deadline — the ablation knob for the detection-latency
-	// experiment (DESIGN.md key decision #10).
-	FixedSuspect time.Duration
-	// FailureThreshold is how many consecutive comm send failures force
-	// suspicion ahead of the heartbeat timeout (default 3, SWIM-style
-	// piggybacked evidence). Zero keeps the default; negative disables
-	// the evidence path.
-	FailureThreshold int
-	// ScanInterval is the catalog poll period when the catalog offers
-	// neither push subscriptions nor version long-poll (default 100ms).
-	ScanInterval time.Duration
-	// Retention is how long a Dead or Left record is kept once both its
-	// last transition and the last evidence mentioning it are in the
-	// past (default 10 × MaxSuspect, floored at one minute). Expiring
-	// settled records bounds monitor memory under host churn and lets a
-	// host reborn after a long outage meet a clean slate instead of its
-	// old verdict.
-	Retention time.Duration
 }
+
+const (
+	// deadFactor scales the suspicion bound into the death bound: a
+	// host is dead after deadFactor × suspect-bound of silence.
+	deadFactor = 2
+	// failureThreshold is how many consecutive comm send failures force
+	// suspicion ahead of the heartbeat timeout (SWIM-style piggybacked
+	// evidence).
+	failureThreshold = 3
+	// scanInterval is the catalog poll period when the catalog offers
+	// neither push subscriptions nor version long-poll.
+	scanInterval = 100 * time.Millisecond
+)
 
 func (o *Options) fill() {
 	if o.CheckInterval <= 0 {
@@ -114,21 +104,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxSuspect <= 0 {
 		o.MaxSuspect = 10 * time.Second
-	}
-	if o.DeadFactor <= 1 {
-		o.DeadFactor = 2
-	}
-	if o.FailureThreshold == 0 {
-		o.FailureThreshold = 3
-	}
-	if o.ScanInterval <= 0 {
-		o.ScanInterval = 100 * time.Millisecond
-	}
-	if o.Retention <= 0 {
-		o.Retention = 10 * o.MaxSuspect
-		if o.Retention < time.Minute {
-			o.Retention = time.Minute
-		}
 	}
 }
 
@@ -185,6 +160,13 @@ type Monitor struct {
 	mu    sync.Mutex
 	hosts map[string]*hostRecord
 	marks map[int]digestMark // newest ingested digest per gossip group
+	// retention is how long a Dead or Left record is kept once both its
+	// last transition and the last evidence mentioning it are in the
+	// past: 10 × MaxSuspect, floored at one minute (the package's tests
+	// shorten it). Expiring settled records bounds monitor memory under
+	// host churn and lets a host reborn after a long outage meet a clean
+	// slate instead of its old verdict.
+	retention time.Duration
 
 	subMu   sync.Mutex
 	subs    map[int]chan Event
@@ -213,14 +195,15 @@ func NewMonitor(cat naming.Catalog, opts Options) *Monitor {
 	opts.fill()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
-		cat:     cat,
-		opts:    opts,
-		hosts:   make(map[string]*hostRecord),
-		marks:   make(map[int]digestMark),
-		subs:    make(map[int]chan Event),
-		ctx:     ctx,
-		cancel:  cancel,
-		metrics: stats.NewRegistry(),
+		cat:       cat,
+		opts:      opts,
+		hosts:     make(map[string]*hostRecord),
+		marks:     make(map[int]digestMark),
+		retention: max(10*opts.MaxSuspect, time.Minute),
+		subs:      make(map[int]chan Event),
+		ctx:       ctx,
+		cancel:    cancel,
+		metrics:   stats.NewRegistry(),
 	}
 	m.mHeartbeats = m.metrics.Counter("heartbeats_observed")
 	m.mDigests = m.metrics.Counter("digests_observed")
@@ -299,14 +282,6 @@ func (m *Monitor) Subscribe(buf int) (<-chan Event, func()) {
 	return ch, cancel
 }
 
-// Events returns a new subscription to state-transition events that
-// lives until Close — Subscribe with no way to cancel early, kept for
-// consumers whose lifetime matches the monitor's.
-func (m *Monitor) Events() <-chan Event {
-	ch, _ := m.Subscribe(0)
-	return ch
-}
-
 // Snapshot reports every tracked host.
 func (m *Monitor) Snapshot() []Info {
 	now := time.Now()
@@ -365,9 +340,6 @@ func (m *Monitor) MarkSuspect(hostURL, reason string) {
 // evidence. Enough consecutive failures against a host we have not
 // heard from recently force Suspect ahead of the heartbeat timeout.
 func (m *Monitor) ReportFailure(hostURL string) {
-	if m.opts.FailureThreshold < 0 {
-		return
-	}
 	m.mEvidence.Inc()
 	now := time.Now()
 	m.mu.Lock()
@@ -379,7 +351,7 @@ func (m *Monitor) ReportFailure(hostURL string) {
 	}
 	rec.failures++
 	var ev *Event
-	if rec.failures >= m.opts.FailureThreshold && rec.state == Alive {
+	if rec.failures >= failureThreshold && rec.state == Alive {
 		// Corroborate: only indict when the heartbeat is also late by at
 		// least one expected interval, so a dead task endpoint on a
 		// healthy host cannot condemn the host.
@@ -727,12 +699,9 @@ func (r *hostRecord) intervalStats() (mean, std time.Duration, n int) {
 
 // suspectBoundLocked computes the current suspicion bound for a host:
 // adaptive (mean + 4σ, floored at 2.5× the mean so steady cadences get
-// slack for scheduling noise) unless the fixed-deadline ablation is
-// active. With no history yet, the cap applies. Caller holds m.mu.
+// slack for scheduling noise). With no history yet, the cap applies.
+// Caller holds m.mu.
 func (m *Monitor) suspectBoundLocked(rec *hostRecord) time.Duration {
-	if m.opts.FixedSuspect > 0 {
-		return m.opts.FixedSuspect
-	}
 	mean, std, n := rec.intervalStats()
 	if n == 0 {
 		return m.opts.MaxSuspect
@@ -887,7 +856,7 @@ func (m *Monitor) watchWait(w waiter) {
 			select {
 			case <-m.ctx.Done():
 				return
-			case <-time.After(m.opts.ScanInterval):
+			case <-time.After(scanInterval):
 			}
 			continue
 		}
@@ -901,7 +870,7 @@ func (m *Monitor) watchWait(w waiter) {
 // watchScan is the fallback: poll the catalog on a fixed cadence.
 func (m *Monitor) watchScan() {
 	defer m.wg.Done()
-	ticker := time.NewTicker(m.opts.ScanInterval)
+	ticker := time.NewTicker(scanInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -969,7 +938,7 @@ func (m *Monitor) evaluate(now time.Time) {
 			// agents' own member retention: bounded memory under churn,
 			// and a host reborn after a long outage meets a clean slate
 			// instead of a verdict it can no longer out-sequence.
-			if now.Sub(rec.changedAt) > m.opts.Retention && now.Sub(rec.lastSeen) > m.opts.Retention {
+			if now.Sub(rec.changedAt) > m.retention && now.Sub(rec.lastSeen) > m.retention {
 				delete(m.hosts, url)
 			}
 			continue
@@ -979,7 +948,7 @@ func (m *Monitor) evaluate(now time.Time) {
 		}
 		age := now.Sub(rec.lastBeat)
 		bound := m.suspectBoundLocked(rec)
-		deadBound := time.Duration(float64(bound) * m.opts.DeadFactor)
+		deadBound := deadFactor * bound
 		switch rec.state {
 		case Unknown, Alive:
 			if age > deadBound {

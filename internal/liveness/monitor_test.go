@@ -115,12 +115,6 @@ func TestAdaptiveSuspectBound(t *testing.T) {
 	if got := m.suspectBoundLocked(digestFed); got != 50*time.Millisecond {
 		t.Fatalf("digest-fed bound = %v, want 50ms", got)
 	}
-
-	// The fixed-deadline ablation overrides everything.
-	m.opts.FixedSuspect = 123 * time.Millisecond
-	if got := m.suspectBoundLocked(jittery); got != 123*time.Millisecond {
-		t.Fatalf("fixed bound = %v", got)
-	}
 }
 
 func TestIntervalRingWraps(t *testing.T) {
@@ -187,13 +181,12 @@ func quickOptions() Options {
 		CheckInterval: 2 * time.Millisecond,
 		MinSuspect:    30 * time.Millisecond,
 		MaxSuspect:    60 * time.Millisecond,
-		DeadFactor:    2,
 	}
 }
 
 func TestMonitorStateMachine(t *testing.T) {
 	w := newBeatWorld(t, quickOptions())
-	events := w.mon.Events()
+	events, _ := w.mon.Subscribe(0)
 
 	// Heartbeats at a steady cadence: alive.
 	for i := 0; i < 8; i++ {
@@ -256,7 +249,7 @@ func TestLegacyRebirthAtLowerSeq(t *testing.T) {
 
 func TestTombstoneGoesToLeftNeverSuspect(t *testing.T) {
 	w := newBeatWorld(t, quickOptions())
-	events := w.mon.Events()
+	events, _ := w.mon.Subscribe(0)
 	for i := 0; i < 5; i++ {
 		w.beat(0)
 		time.Sleep(5 * time.Millisecond)
@@ -308,7 +301,7 @@ func TestEvidencePath(t *testing.T) {
 		t.Fatalf("stranger state = %v", got)
 	}
 
-	for i := 0; i < 3; i++ { // default FailureThreshold
+	for i := 0; i < failureThreshold; i++ {
 		w.mon.ReportFailure(w.host)
 	}
 	if got := w.mon.State(w.host); got != Suspect {

@@ -20,8 +20,8 @@
 // # Layers
 //
 // The package is a thin adapter: Catalog abstracts "some RCDS" —
-// either an in-process *rcds.Store or a remote *rcds.Client, including
-// a shard-routing one — behind context-less reads and writes;
+// either an in-process *rcds.Store or a remote *rcds.Client, which
+// routes by the catalog's shard map — behind context-less reads and writes;
 // Register/Unregister publish a process's communication addresses;
 // Resolver caches URN→address resolutions with a TTL unless the client
 // already maintains its watch-coherent read cache, which supersedes it;
@@ -229,7 +229,7 @@ func (cc clientCatalog) Wait(ctx context.Context, since uint64, timeout time.Dur
 }
 
 // WaitURI forwards the shard-aware long-poll: the version stream of the
-// replica group that owns uri, which under shard routing need not be the
+// replica group that owns uri, which in a sharded catalog need not be the
 // seed group Wait follows. It is Watch's long-poll face.
 func (cc clientCatalog) WaitURI(ctx context.Context, uri string, since uint64, timeout time.Duration) (uint64, error) {
 	return cc.c.WaitURI(ctx, uri, since, timeout)

@@ -187,7 +187,7 @@ func (rc *readCache) storeFirst(uri, name, value string, present bool, epoch uin
 // long-polls that group's catalog version and flushes the group's
 // cached reads whenever the version advances. The poll itself
 // multiplexes over the group's shared connection, so watching costs no
-// dedicated connection and never blocks lookups. Under shard routing
+// dedicated connection and never blocks lookups. In a sharded catalog
 // every group runs its own watchLoop — the coherence rule is per
 // group, matching the per-group version streams.
 func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
@@ -197,7 +197,7 @@ func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
 		if ctx.Err() != nil {
 			return
 		}
-		pollCtx, cancel := context.WithTimeout(ctx, watchPoll+c.pollTimeout())
+		pollCtx, cancel := context.WithTimeout(ctx, watchPoll+c.Timeout())
 		v, err := c.waitOn(pollCtx, g, since, watchPoll)
 		cancel()
 		if err != nil {
@@ -219,10 +219,4 @@ func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
 		since = v // waitOn flushed the cache if v is news
 		g.cache.setValid()
 	}
-}
-
-func (c *Client) pollTimeout() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.timeout
 }

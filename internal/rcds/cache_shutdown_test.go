@@ -14,7 +14,7 @@ import (
 // goleak is not vendored, so this bounds runtime.NumGoroutine manually
 // with a settle loop to absorb scheduler noise.
 func TestWatchGoroutineShutdown(t *testing.T) {
-	s := startTestServer(t, "leak", 0)
+	s := startTestServer(t, "leak")
 
 	baseline := runtime.NumGoroutine()
 
@@ -73,7 +73,7 @@ func TestWatchGoroutineShutdown(t *testing.T) {
 // (the connection torn down by Close racing the cancel): Close's
 // wg.Wait must not dangle on a watch goroutine backing off to redial.
 func TestWatchLoopExitsOnClientClosed(t *testing.T) {
-	s := startTestServer(t, "leak2", 0)
+	s := startTestServer(t, "leak2")
 	for i := 0; i < 20; i++ {
 		c := NewClient([]string{s.Addr()}, nil, WithReadCache())
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -233,9 +233,8 @@ func TestPartitionRejoinViaSnapshot(t *testing.T) {
 		}
 	}
 	for i := range servers {
-		servers[i] = NewServer(stores[i],
-			WithAntiEntropyInterval(20*time.Millisecond),
-			WithPeerGate(mkGate(fmt.Sprintf("n%d", i))))
+		servers[i] = NewServer(stores[i], WithAntiEntropyInterval(20*time.Millisecond))
+		servers[i].peerGate = mkGate(fmt.Sprintf("n%d", i))
 		if err := servers[i].Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}

@@ -34,8 +34,8 @@ type ClientOption func(*Client)
 // WithReadCache enables the client-side read cache: Get, Values and
 // FirstValue results are served locally and invalidated by a watch
 // goroutine riding the server's Wait long-poll sequence numbers, so
-// repeated resolves of stable URNs cost zero round trips. Under shard
-// routing every replica group gets its own cache and watch, so the
+// repeated resolves of stable URNs cost zero round trips. Every replica
+// group of a sharded catalog gets its own cache and watch, so the
 // coherence rule holds per group. See DESIGN.md for the coherence rule.
 func WithReadCache() ClientOption {
 	return func(c *Client) { c.cacheOn = true }
@@ -44,17 +44,6 @@ func WithReadCache() ClientOption {
 // WithTimeout sets the initial per-request dial/IO timeout.
 func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.timeout = d }
-}
-
-// WithShardRouting makes the client route URI-keyed operations to the
-// owning replica group under the catalog's shard map (DESIGN.md
-// "Sharded catalog"). The map is resolved once from the seed replicas
-// (the addresses NewClient was given), cached, and re-resolved whenever
-// a server answers with a wrong-shard redirect. Without this option —
-// and with it, when no map is published — every operation goes to the
-// seed replicas, exactly as before sharding existed.
-func WithShardRouting() ClientOption {
-	return func(c *Client) { c.routing = true }
 }
 
 // call is one in-flight request awaiting its response frame.
@@ -163,8 +152,8 @@ func (cc *clientConn) writeRequest(req []byte, deadline time.Time) error {
 // replicaGroup is the client's connection state for one replica group:
 // the addresses, the live multiplexed connection with its failover
 // cursor, and (when caching is on) the group's own watch-coherent read
-// cache. The unsharded client has exactly one of these — the seed
-// group; shard routing adds one per group in the shard map.
+// cache. Against an unsharded catalog the client has exactly one of
+// these — the seed group; a published shard map adds one per group.
 type replicaGroup struct {
 	addrs []string
 
@@ -189,21 +178,23 @@ type replicaGroup struct {
 // never blocks concurrent lookups. When a connection dies, unanswered
 // requests are re-issued against the next replica.
 //
-// With WithShardRouting, URI-keyed operations are routed to the replica
-// group owning the URI under the catalog's shard map; the caller-facing
-// semantics of Get/Set/Wait and the read cache are unchanged.
+// URI-keyed operations are routed to the replica group owning the URI
+// under the catalog's shard map (DESIGN.md "Sharded catalog"). The map
+// is resolved from the seed replicas (the addresses NewClient was given)
+// by the first such operation, cached, and re-resolved whenever a server
+// answers with a wrong-shard redirect. An unsharded catalog is the case
+// where no map is published: every operation goes to the seed replicas.
 type Client struct {
 	secret []byte
+	seed   *replicaGroup // the NewClient addresses; set once, before first use
 
 	mu       sync.Mutex
-	seed     *replicaGroup
 	groups   []*replicaGroup // index = shard group id; nil until a map installs
 	shard    *ShardMap       // installed shard map; nil = route everything to seed
-	mapTried bool            // first resolution attempted (routing only)
+	mapTried bool            // first resolution attempted
 	timeout  time.Duration
 	closed   bool
 
-	routing bool // WithShardRouting
 	cacheOn bool // WithReadCache
 
 	nextID   atomic.Uint64
@@ -222,9 +213,9 @@ type Client struct {
 }
 
 // NewClient returns a client over the given replica addresses. secret
-// enables HMAC authentication and must match the servers'. Under shard
-// routing, addrs are the seed replicas: any group whose config
-// namespace carries the shard map.
+// enables HMAC authentication and must match the servers'. Against a
+// sharded catalog addrs are the seed replicas: any group, since each
+// carries the shard map in its config namespace.
 func NewClient(addrs []string, secret []byte, opts ...ClientOption) *Client {
 	c := &Client{
 		secret:  secret,
@@ -284,8 +275,6 @@ func (c *Client) SetTimeout(d time.Duration) {
 
 // Servers returns the configured seed replica addresses.
 func (c *Client) Servers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]string(nil), c.seed.addrs...)
 }
 
@@ -330,21 +319,11 @@ func (c *Client) Close() {
 	c.wg.Wait()
 }
 
-// seedGroup returns the seed replica group (the NewClient addresses).
-func (c *Client) seedGroup() *replicaGroup {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seed
-}
-
-// route returns the replica group that should serve an operation on
-// uri: the owning group under the installed shard map, or the seed
-// group when routing is off, no map is installed, or the URI is in the
-// globally served config namespace.
-func (c *Client) route(uri string) *replicaGroup {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.routing || c.shard == nil || IsConfigURI(uri) {
+// owner returns the replica group that serves uri under the installed
+// shard map: the seed group when no map is installed or the URI is in
+// the globally served config namespace. Caller holds c.mu.
+func (c *Client) owner(uri string) *replicaGroup {
+	if c.shard == nil || IsConfigURI(uri) {
 		return c.seed
 	}
 	gid := c.shard.Owner(uri)
@@ -354,29 +333,45 @@ func (c *Client) route(uri string) *replicaGroup {
 	return c.groups[gid]
 }
 
-// ensureShardMap performs the one-time shard-map bootstrap: the first
-// routed operation resolves the map from the seed replicas. Absence of
-// a published map is not an error — the client stays seed-routed, and a
-// later wrong-shard redirect forces a re-resolve.
-func (c *Client) ensureShardMap(ctx context.Context) error {
+// route returns the replica group that should serve an operation on
+// uri. The first call resolves the shard map from the seed replicas;
+// absence of a published map is not an error — the client stays
+// seed-routed, and a later wrong-shard redirect forces a re-resolve.
+func (c *Client) route(ctx context.Context, uri string) (*replicaGroup, error) {
 	c.mu.Lock()
-	tried := c.mapTried
+	g, tried := c.owner(uri), c.mapTried
 	c.mu.Unlock()
 	if tried {
-		return nil
+		return g, nil
 	}
 	err := c.resolveShardMap(ctx)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.mapTried = true
-	c.mu.Unlock()
-	return err
+	return c.owner(uri), err
+}
+
+// allGroups returns the groups of the installed shard map, resolving it
+// first if no operation has yet — or the seed group alone when no map
+// is published.
+func (c *Client) allGroups(ctx context.Context) ([]*replicaGroup, error) {
+	// Only for route's bootstrap; the URI it routes is immaterial.
+	if _, err := c.route(ctx, ShardMapURI); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.groups) == 0 {
+		return []*replicaGroup{c.seed}, nil
+	}
+	return append([]*replicaGroup(nil), c.groups...), nil
 }
 
 // resolveShardMap reads the shard map from the seed group's config
 // namespace and installs it if its epoch is newer than the current one.
 func (c *Client) resolveShardMap(ctx context.Context) error {
 	c.mMapResolve.Inc()
-	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdFirst, func(e *xdr.Encoder) {
+	d, err := c.roundTrip(ctx, c.seed, request(cmdFirst, func(e *xdr.Encoder) {
 		e.PutString(ShardMapURI)
 		e.PutString(AttrShardMap)
 	}))
@@ -423,7 +418,7 @@ func (c *Client) installShardMap(m *ShardMap) {
 }
 
 // PublishShardMap writes m to the config namespace of every group it
-// names, so that any group's replicas can bootstrap a routing client.
+// names, so that any group's replicas can bootstrap a client.
 // Config entries replicate within a group but not across groups, hence
 // the fan-out here; resharding publishes a higher epoch the same way.
 func PublishShardMap(ctx context.Context, m *ShardMap, secret []byte) error {
@@ -577,18 +572,21 @@ func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, req []byte) (*x
 // wrong-shard redirect (stale map) re-resolves the map and retries
 // against the new owner, a bounded number of times.
 func (c *Client) routedTrip(ctx context.Context, uri string, req []byte) (*xdr.Decoder, error) {
-	if !c.routing {
-		return c.roundTrip(ctx, c.seedGroup(), req)
-	}
-	if err := c.ensureShardMap(ctx); err != nil {
-		return nil, err
-	}
 	var lastErr error
 	for attempt := 0; attempt < wrongShardRetries; attempt++ {
-		d, err := c.roundTrip(ctx, c.route(uri), req)
+		g, err := c.route(ctx, uri)
+		if err != nil {
+			return nil, err
+		}
+		d, err := c.roundTrip(ctx, g, req)
+		if err == nil {
+			return d, nil
+		}
+		// Declared past the return above: its address escapes into
+		// errors.As, and the steady path must not pay for that.
 		var ws *WrongShardError
 		if !errors.As(err, &ws) {
-			return d, err
+			return nil, err
 		}
 		c.mWrongShard.Inc()
 		lastErr = err
@@ -599,33 +597,18 @@ func (c *Client) routedTrip(ctx context.Context, uri string, req []byte) (*xdr.D
 	return nil, lastErr
 }
 
-// cacheGroup resolves the group whose cache serves reads of uri,
-// bootstrapping the shard map first so the very first cached read does
-// not fill the wrong group's cache.
-func (c *Client) cacheGroup(ctx context.Context, uri string) (*replicaGroup, error) {
-	if c.routing {
-		if err := c.ensureShardMap(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return c.route(uri), nil
-}
-
-// peekGroup is cacheGroup for a reader that must not do I/O: nil when
-// reads are not cached or the shard map has yet to be resolved.
+// peekGroup is route for a reader that must not do I/O: nil when reads
+// are not cached or the shard map has yet to be resolved.
 func (c *Client) peekGroup(uri string) *replicaGroup {
 	if !c.cacheOn {
 		return nil
 	}
-	if c.routing {
-		c.mu.Lock()
-		tried := c.mapTried
-		c.mu.Unlock()
-		if !tried {
-			return nil
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.mapTried {
+		return nil
 	}
-	return c.route(uri)
+	return c.owner(uri)
 }
 
 // CachedValues answers Values from the read cache alone. A hit counts
@@ -667,7 +650,7 @@ func (c *Client) Timeout() time.Duration {
 // Ping checks connectivity, returning the responding server's
 // origin ID.
 func (c *Client) Ping(ctx context.Context) (string, error) {
-	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdPing, nil))
+	d, err := c.roundTrip(ctx, c.seed, request(cmdPing, nil))
 	if err != nil {
 		return "", err
 	}
@@ -751,7 +734,7 @@ func (c *Client) Get(ctx context.Context, uri string) ([]Assertion, error) {
 	if !c.cacheOn {
 		return c.getRemote(ctx, uri)
 	}
-	g, err := c.cacheGroup(ctx, uri)
+	g, err := c.route(ctx, uri)
 	if err != nil {
 		return nil, err
 	}
@@ -781,7 +764,7 @@ func (c *Client) Values(ctx context.Context, uri, name string) ([]string, error)
 	if !c.cacheOn {
 		return c.valuesRemote(ctx, uri, name)
 	}
-	g, err := c.cacheGroup(ctx, uri)
+	g, err := c.route(ctx, uri)
 	if err != nil {
 		return nil, err
 	}
@@ -815,7 +798,7 @@ func (c *Client) FirstValue(ctx context.Context, uri, name string) (string, bool
 	if !c.cacheOn {
 		return c.firstRemote(ctx, uri, name)
 	}
-	g, err := c.cacheGroup(ctx, uri)
+	g, err := c.route(ctx, uri)
 	if err != nil {
 		return "", false, err
 	}
@@ -848,20 +831,16 @@ func (c *Client) firstRemote(ctx context.Context, uri, name string) (string, boo
 	return v, ok, err
 }
 
-// URIs returns all catalogued URIs under prefix. Under shard routing
-// the listing fans out to every group and merges: the one read that is
-// inherently cross-shard.
+// URIs returns all catalogued URIs under prefix. Against a sharded
+// catalog the listing fans out to every group and merges: the one read
+// that is inherently cross-shard.
 func (c *Client) URIs(ctx context.Context, prefix string) ([]string, error) {
-	if c.routing {
-		if err := c.ensureShardMap(ctx); err != nil {
-			return nil, err
-		}
+	groups, err := c.allGroups(ctx)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Lock()
-	groups := append([]*replicaGroup(nil), c.groups...)
-	c.mu.Unlock()
-	if !c.routing || len(groups) == 0 {
-		return c.urisFrom(ctx, c.seedGroup(), prefix)
+	if len(groups) == 1 {
+		return c.urisFrom(ctx, groups[0], prefix)
 	}
 	seen := make(map[string]struct{})
 	var out []string
@@ -892,7 +871,7 @@ func (c *Client) urisFrom(ctx context.Context, g *replicaGroup, prefix string) (
 // Vector returns the seed server's version vector
 // (replication-internal; peer clients are single-group).
 func (c *Client) Vector(ctx context.Context) (VersionVector, error) {
-	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdVector, nil))
+	d, err := c.roundTrip(ctx, c.seed, request(cmdVector, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -901,7 +880,7 @@ func (c *Client) Vector(ctx context.Context) (VersionVector, error) {
 
 // OpsSince returns ops the holder of vector theirs has not seen.
 func (c *Client) OpsSince(ctx context.Context, theirs VersionVector, max int) ([]Assertion, error) {
-	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdOpsSince, func(e *xdr.Encoder) {
+	d, err := c.roundTrip(ctx, c.seed, request(cmdOpsSince, func(e *xdr.Encoder) {
 		theirs.Encode(e)
 		e.PutUint32(uint32(max))
 	}))
@@ -915,7 +894,7 @@ func (c *Client) OpsSince(ctx context.Context, theirs VersionVector, max int) ([
 // is the origin of the replica pushing them, which the receiver's relay
 // leaves out when it passes the ops on.
 func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) (int, error) {
-	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdApply, func(e *xdr.Encoder) {
+	d, err := c.roundTrip(ctx, c.seed, request(cmdApply, func(e *xdr.Encoder) {
 		e.PutString(from)
 		EncodeAssertions(e, ops)
 	}))
@@ -929,23 +908,21 @@ func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) (int, 
 // Wait long-polls until the seed group's catalog version exceeds
 // since or the server-side timeout elapses, returning the current
 // version. ctx must outlive the server-side timeout for the poll to
-// complete normally. Under shard routing a version stream covers one
-// group only — use WaitURI to watch the group owning a specific URI.
+// complete normally. A version stream covers one group only — use
+// WaitURI to watch the group owning a specific URI.
 func (c *Client) Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error) {
-	return c.waitOn(ctx, c.seedGroup(), since, timeout)
+	return c.waitOn(ctx, c.seed, since, timeout)
 }
 
 // WaitURI long-polls the catalog version of the replica group owning
 // uri — the shard-aware watch primitive: a write to uri lands in that
 // group, so its version stream is the one that advances.
 func (c *Client) WaitURI(ctx context.Context, uri string, since uint64, timeout time.Duration) (uint64, error) {
-	if !c.routing {
-		return c.Wait(ctx, since, timeout)
-	}
-	if err := c.ensureShardMap(ctx); err != nil {
+	g, err := c.route(ctx, uri)
+	if err != nil {
 		return 0, err
 	}
-	return c.waitOn(ctx, c.route(uri), since, timeout)
+	return c.waitOn(ctx, g, since, timeout)
 }
 
 func (c *Client) waitOn(ctx context.Context, g *replicaGroup, since uint64, timeout time.Duration) (uint64, error) {
@@ -964,20 +941,13 @@ func (c *Client) waitOn(ctx context.Context, g *replicaGroup, since uint64, time
 }
 
 // Stats returns (uris, live elements, tombstones) — summed across all
-// groups under shard routing, so the total reflects the whole sharded
-// catalog. Config-namespace entries replicate per group and are counted
-// once per group holding them.
+// groups, so the total reflects the whole sharded catalog.
+// Config-namespace entries replicate per group and are counted once per
+// group holding them.
 func (c *Client) Stats(ctx context.Context) (uris, elems, tombs int, err error) {
-	if c.routing {
-		if err := c.ensureShardMap(ctx); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	c.mu.Lock()
-	groups := append([]*replicaGroup(nil), c.groups...)
-	c.mu.Unlock()
-	if !c.routing || len(groups) == 0 {
-		return c.statsFrom(ctx, c.seedGroup())
+	groups, err := c.allGroups(ctx)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	for _, g := range groups {
 		u, el, tb, err := c.statsFrom(ctx, g)

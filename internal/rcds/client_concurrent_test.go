@@ -8,15 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
 
-// startTestServer starts a server over a fresh store with the given
-// per-dispatch delay (0 = none) and registers cleanup.
-func startTestServer(t testing.TB, origin string, delay time.Duration) *Server {
+// startTestServer starts a server over a fresh store and registers
+// cleanup.
+func startTestServer(t testing.TB, origin string) *Server {
 	t.Helper()
 	s := NewServer(NewStore(origin))
-	s.testDelay = delay
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func ctxTimeout(t testing.TB, d string) context.Context {
 // a Wait long-poll (the delayed response) is outstanding while a Get
 // issued after it on the same connection completes first.
 func TestRequestOverlap(t *testing.T) {
-	s := startTestServer(t, "overlap", 0)
+	s := startTestServer(t, "overlap")
 	c := NewClient([]string{s.Addr()}, nil)
 	defer c.Close()
 
@@ -90,7 +90,7 @@ func TestRequestOverlap(t *testing.T) {
 // TestConcurrentLookupsOneConnection overlaps Get and Values from many
 // goroutines over the single shared connection.
 func TestConcurrentLookupsOneConnection(t *testing.T) {
-	s := startTestServer(t, "mux", 2*time.Millisecond)
+	s := startTestServer(t, "mux")
 	c := NewClient([]string{s.Addr()}, nil)
 	defer c.Close()
 
@@ -139,18 +139,20 @@ func TestConcurrentLookupsOneConnection(t *testing.T) {
 
 // TestFailoverMidStream kills the replica serving a batch of in-flight
 // requests; the unanswered requests are re-issued against the next
-// replica and every caller still gets its answer.
+// replica and every caller still gets its answer. The requests are
+// long-polls on a version the first replica has not reached, so they
+// stay in flight until it dies — as a crash: its sockets close with the
+// polls unanswered, where Close would answer them first.
 func TestFailoverMidStream(t *testing.T) {
-	s0 := NewServer(NewStore("f0"))
-	s0.testDelay = 150 * time.Millisecond // holds requests in flight
-	if err := s0.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	s1 := startTestServer(t, "f1", 0)
+	s0 := startTestServer(t, "f0")
+	s1 := startTestServer(t, "f1")
 
-	// Both replicas hold the value (as after anti-entropy).
+	// The second replica is one write ahead: a poll the first parks is
+	// answered at once when re-issued there.
 	s0.Store().Set("urn:f", "k", "v")
 	s1.Store().Set("urn:f", "k", "v")
+	s1.Store().Set("urn:f", "k", "w")
+	since, want := s0.Store().Version(), s1.Store().Version()
 
 	c := NewClient([]string{s0.Addr(), s1.Addr()}, nil)
 	defer c.Close()
@@ -164,14 +166,19 @@ func TestFailoverMidStream(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			v, ok, err := c.FirstValue(ctx, "urn:f", "k")
-			if err != nil || !ok || v != "v" {
-				errs <- fmt.Errorf("first value: %q %v %v", v, ok, err)
+			if v, err := c.Wait(ctx, since, 10*time.Second); err != nil || v != want {
+				errs <- fmt.Errorf("wait = %d %v, want version %d", v, err, want)
 			}
 		}()
 	}
-	time.Sleep(50 * time.Millisecond) // requests are now parked in s0's delay
-	s0.Close()                        // kill the replica mid-stream
+	testutil.WaitFor(t, 5*time.Second, func() bool { return c.inflight.Load() == callers },
+		"the polls never got in flight")
+	s0.mu.Lock() // kill the replica mid-stream
+	s0.ln.Close()
+	for conn := range s0.conns {
+		conn.Close()
+	}
+	s0.mu.Unlock()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -186,7 +193,7 @@ func TestFailoverMidStream(t *testing.T) {
 // write is observed via the Wait sequence, the next FirstValue returns
 // the new value; between writes, reads are served from cache.
 func TestReadCacheCoherence(t *testing.T) {
-	s := startTestServer(t, "coh", 0)
+	s := startTestServer(t, "coh")
 	writer := NewClient([]string{s.Addr()}, nil)
 	defer writer.Close()
 	reader := NewClient([]string{s.Addr()}, nil, WithReadCache())
@@ -273,27 +280,31 @@ func dialSerial(t testing.TB, addr string) *serialClient {
 	return &serialClient{fr: xdr.NewFrameReader(conn), fw: xdr.NewFrameWriter(conn)}
 }
 
-func (sc *serialClient) firstValue(uri, name string) (string, bool, error) {
+// roundTrip sends one request and reads its response.
+func (sc *serialClient) roundTrip(req []byte) (*xdr.Decoder, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.nextID++
-	req := request(cmdFirst, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-	})
 	setMuxID(req, sc.nextID)
 	if err := writeFrame(sc.fw, req, nil); err != nil {
-		return "", false, err
+		return nil, err
 	}
 	frame, err := readFrame(sc.fr, nil)
 	if err != nil {
-		return "", false, err
+		return nil, err
 	}
 	_, body, err := splitMux(frame)
 	if err != nil {
-		return "", false, err
+		return nil, err
 	}
-	d, err := parseResponse(body)
+	return parseResponse(body)
+}
+
+func (sc *serialClient) firstValue(uri, name string) (string, bool, error) {
+	d, err := sc.roundTrip(request(cmdFirst, func(e *xdr.Encoder) {
+		e.PutString(uri)
+		e.PutString(name)
+	}))
 	if err != nil {
 		return "", false, err
 	}
@@ -303,6 +314,14 @@ func (sc *serialClient) firstValue(uri, name string) (string, bool, error) {
 	}
 	v, err := d.String()
 	return v, ok, err
+}
+
+func (sc *serialClient) wait(since uint64, timeout time.Duration) error {
+	_, err := sc.roundTrip(request(cmdWait, func(e *xdr.Encoder) {
+		e.PutUint64(since)
+		e.PutUint32(uint32(timeout / time.Millisecond))
+	}))
+	return err
 }
 
 // runLookups fans out callers goroutines, each performing iters lookups
@@ -334,30 +353,32 @@ func runLookups(t testing.TB, callers, iters int, fn func() error) time.Duration
 }
 
 // TestMuxThroughputSpeedup is the acceptance benchmark in test form:
-// with 8 concurrent callers against a server with a fixed per-request
-// service time, the multiplexed client must deliver at least 4x the
-// lookup throughput of the seed-style serial client.
+// with 8 concurrent callers issuing requests of a fixed service time,
+// the multiplexed client must deliver at least 4x the throughput of the
+// seed-style serial client. The request is a long-poll on a version
+// that does not advance, which the server holds for exactly its
+// timeout.
 func TestMuxThroughputSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based comparison")
 	}
-	const delay = 5 * time.Millisecond
+	const hold = 5 * time.Millisecond
 	const callers = 8
 	const iters = 20
 
-	s := startTestServer(t, "thr", delay)
+	s := startTestServer(t, "thr")
 	s.Store().Set("urn:t", "k", "v")
+	since := s.Store().Version()
 
 	serial := dialSerial(t, s.Addr())
 	serialTime := runLookups(t, callers, iters, func() error {
-		_, _, err := serial.firstValue("urn:t", "k")
-		return err
+		return serial.wait(since, hold)
 	})
 
 	mux := NewClient([]string{s.Addr()}, nil)
 	defer mux.Close()
 	muxTime := runLookups(t, callers, iters, func() error {
-		_, _, err := mux.FirstValue(context.Background(), "urn:t", "k")
+		_, err := mux.Wait(context.Background(), since, hold)
 		return err
 	})
 
@@ -371,7 +392,7 @@ func TestMuxThroughputSpeedup(t *testing.T) {
 // BenchmarkCatalogLookup8 measures 8-way concurrent FirstValue
 // throughput through the multiplexed client.
 func BenchmarkCatalogLookup8(b *testing.B) {
-	s := startTestServer(b, "bench-mux", 0)
+	s := startTestServer(b, "bench-mux")
 	s.Store().Set("urn:b", "k", "v")
 	c := NewClient([]string{s.Addr()}, nil)
 	defer c.Close()
@@ -389,7 +410,7 @@ func BenchmarkCatalogLookup8(b *testing.B) {
 // BenchmarkCatalogLookupSerial8 is the seed-style baseline: 8 callers
 // serialised over one connection.
 func BenchmarkCatalogLookupSerial8(b *testing.B) {
-	s := startTestServer(b, "bench-serial", 0)
+	s := startTestServer(b, "bench-serial")
 	s.Store().Set("urn:b", "k", "v")
 	sc := dialSerial(b, s.Addr())
 	b.SetParallelism(8)

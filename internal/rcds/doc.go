@@ -37,9 +37,10 @@
 //     compaction.
 //   - Client (client.go, cache.go, shard.go, sync.go) is what the rest
 //     of SNIPE holds: failover across a replica group, request
-//     multiplexing, the watch-coherent read cache, and — under
-//     WithShardRouting — routing of URI-keyed operations to the replica
-//     group that owns the URI under the catalog's shard map.
+//     multiplexing, the watch-coherent read cache, and routing of
+//     URI-keyed operations to the replica group that owns the URI under
+//     the catalog's shard map (every operation goes to the group the
+//     client was given when the catalog publishes no map).
 //
 // # Sharding
 //

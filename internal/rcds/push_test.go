@@ -136,7 +136,8 @@ func TestPushQueueOverflowCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc1.Close()
-	rc0 := NewServer(NewStore("rc0"), WithPeers(rc1.Addr()), WithPeerGate(gate), WithAntiEntropyInterval(0))
+	rc0 := NewServer(NewStore("rc0"), WithPeers(rc1.Addr()), WithAntiEntropyInterval(0))
+	rc0.peerGate = gate
 	if err := rc0.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -64,14 +64,6 @@ func WithLogCompaction(keepTail int) ServerOption {
 	return func(s *Server) { s.compactKeep = keepTail }
 }
 
-// WithPeerGate installs a reachability gate consulted before every
-// push or anti-entropy exchange with a peer: while gate(peer) returns
-// an error the exchange is skipped, modelling a severed replication
-// link. netsim's Fabric.Gate plugs in here for partition experiments.
-func WithPeerGate(gate func(peer string) error) ServerOption {
-	return func(s *Server) { s.peerGate = gate }
-}
-
 // shardConfig is a server's sharding stance: its own group and the map.
 type shardConfig struct {
 	self int
@@ -88,7 +80,11 @@ type Server struct {
 	peers       []string
 	aeInterval  time.Duration
 	compactKeep int // >0: background log compaction keeps this much tail
-	peerGate    func(peer string) error
+	// peerGate, when the package's partition tests set it before Start,
+	// is consulted before every push or anti-entropy exchange with a
+	// peer: while it returns an error the exchange is skipped, modelling
+	// a severed replication link.
+	peerGate func(peer string) error
 
 	mu       sync.Mutex
 	shard    *shardConfig // nil = unsharded
@@ -104,11 +100,6 @@ type Server struct {
 	pending    []pushBatch
 	pendingOps int           // ops in pending, at most maxPendingPushOps
 	pushWake   chan struct{} // one token: pending is non-empty
-
-	// testDelay, when set before Start, stalls every request dispatch —
-	// the package tests' knob for proving request overlap and measuring
-	// serialized vs. multiplexed throughput under a fixed service time.
-	testDelay time.Duration
 
 	mShardReject *stats.Counter // ops redirected to their owning group
 	mSnapPages   *stats.Counter // snapshot pages served to rejoiners
@@ -293,9 +284,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		reqWG.Add(1)
 		go func(id uint64, body []byte) {
 			defer reqWG.Done()
-			if s.testDelay > 0 {
-				time.Sleep(s.testDelay)
-			}
 			resp := s.dispatch(body)
 			// The writer lock only serialises responses multiplexed onto
 			// this one client connection; a stalled client stalls its own

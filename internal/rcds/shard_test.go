@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"snipe/internal/testutil"
+	"snipe/internal/xdr"
 )
 
 func TestShardKeyNormalizesSpellings(t *testing.T) {
@@ -148,10 +151,19 @@ func startShardedCatalog(t *testing.T, groups, nReplicas int) (*ShardMap, [][]*S
 
 func TestServerEnforcesShardOwnership(t *testing.T) {
 	m, all := startShardedCatalog(t, 3, 1)
-	// A raw single-group client pointed at group 0 must be redirected
-	// for URIs the map assigns elsewhere.
+	// Requests sent to group 0 whatever the map says (roundTrip on the
+	// seed group, under the client's routing) must be redirected for URIs
+	// the map assigns elsewhere.
 	c := NewClient(m.Groups[0], nil)
 	defer c.Close()
+	raw := func(cmd uint8, fields ...string) error {
+		_, err := c.roundTrip(context.Background(), c.seed, request(cmd, func(e *xdr.Encoder) {
+			for _, f := range fields {
+				e.PutString(f)
+			}
+		}))
+		return err
+	}
 	var foreign string
 	for i := 0; ; i++ {
 		u := fmt.Sprintf("snipe://hosts/h%d", i)
@@ -160,7 +172,7 @@ func TestServerEnforcesShardOwnership(t *testing.T) {
 			break
 		}
 	}
-	err := c.Set(context.Background(), foreign, AttrArch, "linux")
+	err := raw(cmdSet, foreign, AttrArch, "linux")
 	var ws *WrongShardError
 	if !errors.As(err, &ws) {
 		t.Fatalf("foreign write err = %v, want WrongShardError", err)
@@ -172,11 +184,11 @@ func TestServerEnforcesShardOwnership(t *testing.T) {
 		t.Fatal("WrongShardError must unwrap to ErrWrongShard")
 	}
 	// Reads are redirected too.
-	if _, err := c.Get(context.Background(), foreign); !errors.As(err, &ws) {
+	if err := raw(cmdGet, foreign); !errors.As(err, &ws) {
 		t.Fatalf("foreign read err = %v, want WrongShardError", err)
 	}
 	// Config URIs are served anywhere.
-	if err := c.Set(context.Background(), ConfigPrefix+"x", "k", "v"); err != nil {
+	if err := raw(cmdSet, ConfigPrefix+"x", "k", "v"); err != nil {
 		t.Fatalf("config write rejected: %v", err)
 	}
 	if all[0][0].Store().Metrics().Snapshot().Counters["shard_rejects"] == 0 {
@@ -186,7 +198,7 @@ func TestServerEnforcesShardOwnership(t *testing.T) {
 
 func TestRoutingClientSpansShards(t *testing.T) {
 	m, all := startShardedCatalog(t, 4, 1)
-	c := NewClient(m.Groups[0], nil, WithShardRouting())
+	c := NewClient(m.Groups[0], nil)
 	defer c.Close()
 
 	const n = 64
@@ -243,7 +255,7 @@ func TestRoutingClientSpansShards(t *testing.T) {
 
 func TestRoutingClientRecoversFromStaleMap(t *testing.T) {
 	m, all := startShardedCatalog(t, 2, 1)
-	c := NewClient(m.Groups[0], nil, WithShardRouting())
+	c := NewClient(m.Groups[0], nil)
 	defer c.Close()
 	// Resolve the epoch-1 map.
 	if err := c.Set(context.Background(), "snipe://hosts/seed", AttrArch, "x"); err != nil {
@@ -292,21 +304,14 @@ func TestRoutingClientRecoversFromStaleMap(t *testing.T) {
 
 func TestWaitURIWatchesOwningGroup(t *testing.T) {
 	m, _ := startShardedCatalog(t, 2, 1)
-	c := NewClient(m.Groups[0], nil, WithShardRouting())
+	c := NewClient(m.Groups[0], nil)
 	defer c.Close()
-	w := NewClient(m.Groups[0], nil, WithShardRouting())
+	w := NewClient(m.Groups[0], nil)
 	defer w.Close()
 
 	// Pick a URI owned by group 1: the seed group's version stream
 	// never advances for it, so only a routed wait can see the write.
-	var uri string
-	for i := 0; ; i++ {
-		u := fmt.Sprintf("snipe://hosts/w%d", i)
-		if m.Owner(u) == 1 {
-			uri = u
-			break
-		}
-	}
+	uri := uriOwnedBy(m, 1, "w")
 	done := make(chan error, 1)
 	go func() {
 		_, err := w.WaitFor(context.Background(), uri, AttrArch)
@@ -331,19 +336,12 @@ func TestWaitURIWatchesOwningGroup(t *testing.T) {
 
 func TestShardedReadCacheCoherence(t *testing.T) {
 	m, _ := startShardedCatalog(t, 2, 1)
-	c := NewClient(m.Groups[0], nil, WithShardRouting(), WithReadCache())
+	c := NewClient(m.Groups[0], nil, WithReadCache())
 	defer c.Close()
-	writer := NewClient(m.Groups[0], nil, WithShardRouting())
+	writer := NewClient(m.Groups[0], nil)
 	defer writer.Close()
 
-	var uri string
-	for i := 0; ; i++ {
-		u := fmt.Sprintf("snipe://hosts/c%d", i)
-		if m.Owner(u) == 1 {
-			uri = u
-			break
-		}
-	}
+	uri := uriOwnedBy(m, 1, "c")
 	if err := writer.Set(context.Background(), uri, AttrArch, "v1"); err != nil {
 		t.Fatal(err)
 	}
@@ -368,4 +366,153 @@ func TestShardedReadCacheCoherence(t *testing.T) {
 		}
 		return v == "v2"
 	}, "cached read never converged to the foreign write")
+}
+
+// uriOwnedBy returns a host URI the map assigns to group g.
+func uriOwnedBy(m *ShardMap, g int, tag string) string {
+	for i := 0; ; i++ {
+		u := fmt.Sprintf("snipe://hosts/%s%d", tag, i)
+		if m.Owner(u) == g {
+			return u
+		}
+	}
+}
+
+// TestDefaultClientReachesShardedCatalog deploys two one-replica groups
+// the way `snipe-rcserver -shard-map … -shard-self N` does — WithShard
+// on the server, the map seeded into each store's config namespace —
+// and drives them with the client every shipped binary builds:
+// NewClient on group 0's addresses, with and without the read cache.
+// Every operation must reach URIs of both groups.
+func TestDefaultClientReachesShardedCatalog(t *testing.T) {
+	// The binary is told its group's addresses before it listens, so
+	// the map names ports picked here and released for the servers.
+	m := &ShardMap{Epoch: 1}
+	var picked []net.Listener
+	for g := 0; g < 2; g++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		picked = append(picked, ln) // held so the two ports differ
+		m.Groups = append(m.Groups, []string{ln.Addr().String()})
+	}
+	for _, ln := range picked {
+		ln.Close()
+	}
+	var stores []*Store
+	for g := 0; g < 2; g++ {
+		store := NewStore(fmt.Sprintf("dflt-g%d", g))
+		store.Set(ShardMapURI, AttrShardMap, m.Format())
+		s := NewServer(store, WithShard(g, m), WithAntiEntropyInterval(0))
+		if err := s.Start(m.Groups[g][0]); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		stores = append(stores, store)
+	}
+
+	for _, tc := range []struct {
+		name string
+		opts []ClientOption
+	}{
+		{"plain", nil},
+		{"read cache", []ClientOption{WithReadCache()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClient(m.Groups[0], nil, tc.opts...)
+			defer c.Close()
+			ctx := ctxTimeout(t, "10s")
+			tag := strings.ReplaceAll(tc.name, " ", "") + "-"
+			for g := 0; g < 2; g++ {
+				uri := uriOwnedBy(m, g, tag)
+				ver := stores[g].Version()
+				if err := c.Set(ctx, uri, AttrArch, "linux"); err != nil {
+					t.Fatalf("Set on group %d: %v", g, err)
+				}
+				if v, ok, err := c.FirstValue(ctx, uri, AttrArch); err != nil || !ok || v != "linux" {
+					t.Fatalf("FirstValue on group %d = %q %v %v", g, v, ok, err)
+				}
+				if vals, err := c.Values(ctx, uri, AttrArch); err != nil || len(vals) != 1 || vals[0] != "linux" {
+					t.Fatalf("Values on group %d = %v %v", g, vals, err)
+				}
+				// The Set advanced the owning group's version stream, so
+				// a wait on the version before it returns at once.
+				if v, err := c.WaitURI(ctx, uri, ver, 5*time.Second); err != nil || v <= ver {
+					t.Fatalf("WaitURI on group %d = %d %v, want > %d", g, v, err, ver)
+				}
+				if _, ok := stores[g].FirstValue(uri, AttrArch); !ok {
+					t.Fatalf("the write to %s did not land on group %d", uri, g)
+				}
+			}
+			uris, err := c.URIs(ctx, "snipe://hosts/"+tag)
+			if err != nil || len(uris) != 2 {
+				t.Fatalf("URIs = %v %v, want one per group", uris, err)
+			}
+			var want int
+			for _, store := range stores {
+				u, _, _ := store.Stats()
+				want += u
+			}
+			if u, _, _, err := c.Stats(ctx); err != nil || u != want {
+				t.Fatalf("Stats uris = %d %v, want %d", u, err, want)
+			}
+		})
+	}
+}
+
+// TestUnshardedClientResolvesMapOnce: against a catalog that publishes
+// no shard map, the default client asks for one exactly once and is
+// never redirected; a map published later reaches it through the first
+// wrong-shard redirect.
+func TestUnshardedClientResolvesMapOnce(t *testing.T) {
+	s0 := startTestServer(t, "late-g0")
+	c := NewClient([]string{s0.Addr()}, nil)
+	defer c.Close()
+	ctx := ctxTimeout(t, "30s")
+
+	for i := 0; i < 1000; i++ {
+		uri := fmt.Sprintf("snipe://hosts/u%d", i%50)
+		var err error
+		switch i % 4 {
+		case 0:
+			err = c.Set(ctx, uri, AttrArch, fmt.Sprintf("a%d", i))
+		case 1:
+			_, _, err = c.FirstValue(ctx, uri, AttrArch)
+		case 2:
+			_, err = c.Values(ctx, uri, AttrArch)
+		case 3:
+			_, err = c.Get(ctx, uri)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	snap := c.MetricsSnapshot()
+	if got := snap.Counters["shard_map_resolves"]; got != 1 {
+		t.Fatalf("shard_map_resolves = %d over 1,000 unsharded ops, want 1", got)
+	}
+	if got := snap.Counters["wrong_shard_redirects"]; got != 0 {
+		t.Fatalf("wrong_shard_redirects = %d, want 0", got)
+	}
+
+	// The deployment shards: a second group appears and both enforce.
+	s1 := startTestServer(t, "late-g1")
+	m := &ShardMap{Epoch: 1, Groups: [][]string{{s0.Addr()}, {s1.Addr()}}}
+	s0.SetShard(0, m)
+	s1.SetShard(1, m)
+	if err := PublishShardMap(ctx, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	moved := uriOwnedBy(m, 1, "late")
+	if err := c.Set(ctx, moved, AttrArch, "relocated"); err != nil {
+		t.Fatalf("write after the map appeared: %v", err)
+	}
+	if _, ok := s1.Store().FirstValue(moved, AttrArch); !ok {
+		t.Fatal("the write did not land on the new owner")
+	}
+	snap = c.MetricsSnapshot()
+	if r, w := snap.Counters["shard_map_resolves"], snap.Counters["wrong_shard_redirects"]; r != 2 || w != 1 {
+		t.Fatalf("after one redirect: resolves %d redirects %d, want 2 and 1", r, w)
+	}
 }

@@ -19,7 +19,7 @@ const defaultSyncPage = 8192
 // the requester must page the snapshot first. Replication-internal;
 // SyncFromPeer drives it.
 func (c *Client) Catchup(ctx context.Context, theirs VersionVector, maxOps int) (mode uint8, ops []Assertion, err error) {
-	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdCatchup, func(e *xdr.Encoder) {
+	d, err := c.roundTrip(ctx, c.seed, request(cmdCatchup, func(e *xdr.Encoder) {
 		theirs.Encode(e)
 		e.PutUint32(uint32(maxOps))
 	}))
@@ -45,7 +45,7 @@ func (c *Client) Catchup(ctx context.Context, theirs VersionVector, maxOps int) 
 // next-page cursor ("" when complete), and the server's version vector.
 // Replication-internal; SyncFromPeer drives it.
 func (c *Client) SnapshotPage(ctx context.Context, afterURI string, maxOps int) (ops []Assertion, next string, vv VersionVector, err error) {
-	d, err := c.roundTrip(ctx, c.seedGroup(), request(cmdSnapshotPage, func(e *xdr.Encoder) {
+	d, err := c.roundTrip(ctx, c.seed, request(cmdSnapshotPage, func(e *xdr.Encoder) {
 		e.PutString(afterURI)
 		e.PutUint32(uint32(maxOps))
 	}))

@@ -84,9 +84,9 @@ type Manager struct {
 	authorizer   *seckey.Authorizer // nil: secure allocation disabled
 	closed       bool
 
-	mon       *liveness.Monitor // optional failure detector (UseLiveness)
-	watchDone chan struct{}
-	watchWG   sync.WaitGroup
+	mon         *liveness.Monitor // optional failure detector (UseLiveness)
+	cancelWatch func()            // drops the monitor subscription, which ends the watcher
+	watchWG     sync.WaitGroup
 }
 
 // NewManager creates and registers a resource manager. listens
@@ -140,23 +140,15 @@ func (m *Manager) UseLiveness(mon *liveness.Monitor) {
 		return
 	}
 	m.mon = mon
-	m.watchDone = make(chan struct{})
-	m.mu.Unlock()
-	events := mon.Events()
+	events, cancel := mon.Subscribe(0)
+	m.cancelWatch = cancel
 	m.watchWG.Add(1)
+	m.mu.Unlock()
 	go func() {
 		defer m.watchWG.Done()
-		for {
-			select {
-			case <-m.watchDone:
-				return
-			case ev, ok := <-events:
-				if !ok {
-					return
-				}
-				if ev.To == liveness.Dead {
-					m.reportDeadHost(ev.Host)
-				}
+		for ev := range events { // closed by cancelWatch or the monitor's Close
+			if ev.To == liveness.Dead {
+				m.reportDeadHost(ev.Host)
 			}
 		}
 	}()
@@ -201,10 +193,10 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	watchDone := m.watchDone
+	cancelWatch := m.cancelWatch
 	m.mu.Unlock()
-	if watchDone != nil {
-		close(watchDone)
+	if cancelWatch != nil {
+		cancelWatch()
 		m.watchWG.Wait()
 	}
 	m.cat.Remove(naming.ServiceURN(ServiceName), rcds.AttrLocation, m.urn)

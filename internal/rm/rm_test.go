@@ -329,3 +329,32 @@ func TestSelectHostFiltersUnplaceableHosts(t *testing.T) {
 		t.Fatalf("want ErrNoHosts with all hosts suspect, got %v", err)
 	}
 }
+
+// TestCloseDropsLivenessSubscription: a closed manager leaves nothing
+// registered on a monitor that outlives it, so transitions after the
+// close fill no abandoned channel and count no dropped events.
+func TestCloseDropsLivenessSubscription(t *testing.T) {
+	w := newWorld(t)
+	m := w.manager("rm-sub")
+	mon := liveness.NewMonitor(w.cat, liveness.Options{
+		CheckInterval: time.Hour, // manual transitions only
+		MinSuspect:    time.Hour,
+		MaxSuspect:    2 * time.Hour,
+	})
+	t.Cleanup(mon.Close)
+	m.UseLiveness(mon)
+	m.Close()
+
+	host := naming.HostURL("flapper")
+	for i := 0; i < 100; i++ {
+		mon.MarkSuspect(host, "test")
+		mon.ReportSuccess(host)
+	}
+	c := mon.MetricsSnapshot().Counters
+	if got := c["transitions_suspect"] + c["transitions_alive"]; got != 200 {
+		t.Fatalf("drove %d transitions, want 200", got)
+	}
+	if got := c["liveness_events_dropped"]; got != 0 {
+		t.Fatalf("liveness_events_dropped = %d after the manager closed, want 0", got)
+	}
+}

@@ -23,11 +23,6 @@ type ClientConfig struct {
 	Service  string
 	Catalog  naming.Catalog
 	Endpoint *comm.Endpoint
-	// Mux, when non-nil, is a shared stream mux over Endpoint (an
-	// endpoint supports exactly one mux). Nil builds an owned one.
-	Mux *comm.StreamMux
-	// MuxOptions tunes an owned mux (ignored when Mux is set).
-	MuxOptions []comm.StreamMuxOption
 	// Monitor, when non-nil, feeds the balancer: the client subscribes
 	// to its failure notifications and takes replicas on suspect or
 	// dead hosts out of rotation before their calls can fail.
@@ -93,8 +88,7 @@ func indexOf(table []replica, urn string) int {
 // whose response was lost. Handlers should be idempotent or dedupe.
 type Client struct {
 	cfg ClientConfig
-	mux *comm.StreamMux
-	own bool
+	mux *comm.StreamMux // over cfg.Endpoint; built and closed by the client
 	uri string
 
 	mu         sync.Mutex
@@ -135,7 +129,7 @@ func newClient(cfg ClientConfig, poll time.Duration) (*Client, error) {
 	}
 	c := &Client{
 		cfg:     cfg,
-		mux:     cfg.Mux,
+		mux:     comm.NewStreamMux(cfg.Endpoint),
 		uri:     naming.ServiceURN(cfg.Service),
 		down:    make(map[string]liveness.State),
 		metrics: stats.NewRegistry(),
@@ -145,10 +139,6 @@ func newClient(cfg ClientConfig, poll time.Duration) (*Client, error) {
 	c.mRefreshes = c.metrics.Counter("table_refreshes")
 	c.mRefreshesSync = c.metrics.Counter("table_refreshes_sync")
 	c.mNoReplicas = c.metrics.Counter("no_replicas")
-	if c.mux == nil {
-		c.mux = comm.NewStreamMux(cfg.Endpoint, cfg.MuxOptions...)
-		c.own = true
-	}
 	if cfg.Monitor != nil {
 		for _, info := range cfg.Monitor.Snapshot() {
 			if !info.State.Placeable() {
@@ -505,8 +495,7 @@ func (c *Client) callOnce(ctx context.Context, urn, method string, req []byte) (
 }
 
 // Close ends the catalog watch and the monitor subscription, waits for
-// their goroutines and for a refresh still running, and closes the mux
-// when the client owns it.
+// their goroutines and for a refresh still running, and closes the mux.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
@@ -516,9 +505,7 @@ func (c *Client) Close() {
 		if c.cancelMonitor != nil {
 			c.cancelMonitor()
 		}
-		if c.own {
-			c.mux.Close()
-		}
+		c.mux.Close()
 	})
 	c.wg.Wait()
 }

@@ -26,31 +26,23 @@ type ServerConfig struct {
 	Name     string
 	Catalog  naming.Catalog
 	Endpoint *comm.Endpoint
-	// Mux, when non-nil, is a shared stream mux over Endpoint (an
-	// endpoint supports exactly one mux). Nil builds an owned one.
-	Mux *comm.StreamMux
-	// MuxOptions tunes an owned mux (ignored when Mux is set).
-	MuxOptions []comm.StreamMuxOption
 	// Monitor and HostURL, when both set, arm self-draining: the
 	// replica drains as soon as its own host enters Suspect, without
 	// waiting for an external Evacuator to tell it to.
 	Monitor *liveness.Monitor
 	HostURL string
-	// DrainGrace bounds how long Drain waits for in-flight streams
-	// (default 15s).
-	DrainGrace time.Duration
-	// OnError, if non-nil, observes handler failures.
-	OnError func(method string, err error)
 }
+
+// drainGrace bounds how long Drain waits for in-flight streams.
+const drainGrace = 15 * time.Second
 
 // Server is one replica: it registers its endpoint URN under the
 // service URN and serves streams accepted from the group's clients.
 type Server struct {
 	cfg ServerConfig
-	mux *comm.StreamMux
-	own bool   // we built the mux and must close it
-	uri string // service URN (naming.ServiceURN)
-	urn string // this replica's endpoint URN
+	mux *comm.StreamMux // over cfg.Endpoint; built and closed by the server
+	uri string          // service URN (naming.ServiceURN)
+	urn string          // this replica's endpoint URN
 
 	mu       sync.Mutex
 	handlers map[string]Handler
@@ -72,25 +64,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Name == "" || cfg.Catalog == nil || cfg.Endpoint == nil {
 		return nil, errors.New("service: server needs Name, Catalog and Endpoint")
 	}
-	if cfg.DrainGrace <= 0 {
-		cfg.DrainGrace = 15 * time.Second
-	}
 	s := &Server{
 		cfg:      cfg,
-		mux:      cfg.Mux,
+		mux:      comm.NewStreamMux(cfg.Endpoint),
 		uri:      naming.ServiceURN(cfg.Name),
 		urn:      cfg.Endpoint.URN(),
 		handlers: make(map[string]Handler),
 	}
-	if s.mux == nil {
-		s.mux = comm.NewStreamMux(cfg.Endpoint, cfg.MuxOptions...)
-		s.own = true
-	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if err := cfg.Catalog.Add(s.uri, rcds.AttrServiceReplica, s.urn); err != nil {
-		if s.own {
-			s.mux.Close()
-		}
+		s.mux.Close()
 		s.cancel()
 		return nil, fmt.Errorf("service: registering %s replica %s: %w", cfg.Name, s.urn, err)
 	}
@@ -112,8 +95,7 @@ func (s *Server) URN() string { return s.urn }
 // ServiceURI returns the group's catalog URN.
 func (s *Server) ServiceURI() string { return s.uri }
 
-// Mux exposes the stream mux, mainly so tests and co-located clients
-// can share it.
+// Mux exposes the stream mux.
 func (s *Server) Mux() *comm.StreamMux { return s.mux }
 
 // Draining reports whether the replica has stopped accepting streams.
@@ -149,9 +131,6 @@ func (s *Server) serve(st *comm.Stream) {
 	}
 	if err := h(s.ctx, st); err != nil {
 		st.Reset(err.Error())
-		if s.cfg.OnError != nil {
-			s.cfg.OnError(st.Method(), err)
-		}
 		return
 	}
 	st.CloseWrite() // idempotent if the handler already half-closed
@@ -189,12 +168,12 @@ func (s *Server) withdraw() {
 // catalog registration so new resolutions skip it, stop accepting
 // streams (peers that raced the withdrawal get ErrDraining and retry
 // on another replica), then wait for in-flight streams to finish —
-// bounded by ctx AND the configured DrainGrace. The endpoint stays
+// bounded by ctx AND drainGrace. The endpoint stays
 // open throughout so in-flight responses can still ride every route.
 func (s *Server) Drain(ctx context.Context) error {
 	s.withdraw()
 	s.mux.Drain()
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.DrainGrace)
+	ctx, cancel := context.WithTimeout(ctx, drainGrace)
 	defer cancel()
 	done := make(chan struct{})
 	go func() {
@@ -240,9 +219,7 @@ func (s *Server) Close() {
 		if s.cancelSub != nil {
 			s.cancelSub()
 		}
-		if s.own {
-			s.mux.Close()
-		}
+		s.mux.Close()
 	})
 	s.wg.Wait()
 }

@@ -310,7 +310,7 @@ func TestTableFollowsServiceURNInAnotherShard(t *testing.T) {
 	if err := rcds.PublishShardMap(context.Background(), m, nil); err != nil {
 		t.Fatal(err)
 	}
-	rc := rcds.NewClient(m.Groups[0], nil, rcds.WithShardRouting(), rcds.WithReadCache())
+	rc := rcds.NewClient(m.Groups[0], nil, rcds.WithReadCache())
 	t.Cleanup(rc.Close)
 	w := &world{t: t, cat: naming.ClientCatalog(rc)}
 
