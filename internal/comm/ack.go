@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"sync"
 	"time"
 
@@ -10,31 +11,43 @@ import (
 // Acknowledgement coalescing. A striped transfer generates one
 // per-fragment ack per received fragment; at 64 KiB fragments a
 // 64 MiB message produces a thousand reverse-path frames, each paying
-// full framing and syscall cost. The coalescer batches a connection's
-// outgoing acks into frameAckBatch/frameFragAckBatch frames:
+// full framing and syscall cost. And the ack of a request is three
+// read/write calls spent ~30 µs before the response leaves for the same
+// peer. The coalescer holds a connection's outgoing acks for as long as
+// holding them can save a frame, and never longer than
+// Endpoint.ackFlush:
 //
 //   - per-fragment acks accumulate until the batch fills (ackBatchMax)
-//     or the flush timer fires (Endpoint.ackFlush);
-//   - end-to-end acks flush the connection's pending acks immediately,
-//     so single-message traffic sees no added ack latency — the
-//     coalescer only defers the high-rate per-fragment stream;
-//   - a batch of one encodes as the legacy single-ack frame, so a pair
-//     of endpoints exchanging sparse acks produces pre-batching wire
-//     traffic (and stays readable to older decoders).
+//     or the flush timer fires;
+//   - an end-to-end ack flushes the connection's pending acks at once,
+//     so single-message traffic sees no added ack latency — unless the
+//     sender marked the message flagReplyExpected and the connection is
+//     its own (the hello named it). Such an ack is parked under the same
+//     timer and noted in Endpoint.owed; the next message frame this
+//     endpoint sends that peer on a direct route takes it along in its
+//     trailer (Endpoint.takeOwed, from sendOn). If none leaves in time
+//     the timer sends it as it sends everything else;
+//   - a batch of one encodes as the single-ack frame.
 //
 // Each readLoop owns one coalescer for its connection; stop() flushes
-// any stragglers when the connection dies.
+// any stragglers when the connection dies, and Quiesce, CloseListener
+// and Close flush what is parked before they act.
 
-// ackBatchMax caps the entries in one batched ack frame; a full batch
-// flushes immediately rather than waiting out the timer.
+// ackBatchMax caps the entries in one batched ack frame or one message
+// frame's trailer; a full batch flushes immediately rather than waiting
+// out the timer.
 const ackBatchMax = 64
 
 type ackCoalescer struct {
 	e    *Endpoint
 	conn FrameConn
+	// peer is the URN the connection's hello named: the endpoint that
+	// dialed it. Empty on a connection this endpoint dialed itself. Only
+	// the read loop touches it.
+	peer string
 
 	mu         sync.Mutex
-	acks       []ackRef // pending end-to-end acks (normally flushed same-call)
+	acks       []ackRef // pending end-to-end acks: parked, or about to be flushed
 	frags      []ackRef // pending per-fragment acks
 	timer      *time.Timer
 	timerArmed bool
@@ -43,7 +56,7 @@ type ackCoalescer struct {
 
 func newAckCoalescer(e *Endpoint, conn FrameConn) *ackCoalescer {
 	a := &ackCoalescer{e: e, conn: conn}
-	a.timer = time.AfterFunc(time.Hour, a.timerFlush)
+	a.timer = time.AfterFunc(time.Hour, a.flush)
 	a.timer.Stop()
 	return a
 }
@@ -52,20 +65,33 @@ func newAckCoalescer(e *Endpoint, conn FrameConn) *ackCoalescer {
 // connection's pending acks (fragment acks for the same message
 // included, ordered before it).
 func (a *ackCoalescer) ack(src, dst string, seq uint64) {
-	a.mu.Lock()
-	a.acks = append(a.acks, ackRef{src: src, dst: dst, seq: seq})
-	enc, split := a.takeLocked()
-	a.mu.Unlock()
-	a.send(enc, split)
+	a.add(ackRef{src: src, dst: dst, seq: seq}, false, true)
 }
 
 // fragAck queues one per-fragment acknowledgement, flushing when the
 // batch fills; otherwise the flush timer (armed on the first pending
 // entry) bounds how long it waits.
 func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
+	a.add(ackRef{src: src, dst: dst, seq: seq, fragIdx: fragIdx}, true, false)
+}
+
+// park queues the end-to-end acknowledgement of a message whose sender
+// expects a reply, and notes it as owed to that sender: it leaves in the
+// reply's frame, or with the timer.
+func (a *ackCoalescer) park(src, dst string, seq uint64) {
+	a.e.mAcksDeferred.Inc()
+	a.add(ackRef{src: src, dst: dst, seq: seq}, false, false)
+	a.e.noteOwed(peerPair{src, dst}, a)
+}
+
+func (a *ackCoalescer) add(ref ackRef, frag, now bool) {
 	a.mu.Lock()
-	a.frags = append(a.frags, ackRef{src: src, dst: dst, seq: seq, fragIdx: fragIdx})
-	if len(a.frags) >= ackBatchMax || a.stopped {
+	if frag {
+		a.frags = append(a.frags, ref)
+	} else {
+		a.acks = append(a.acks, ref)
+	}
+	if now || a.stopped || len(a.frags) >= ackBatchMax || len(a.acks) >= ackBatchMax {
 		enc, split := a.takeLocked()
 		a.mu.Unlock()
 		a.send(enc, split)
@@ -78,8 +104,41 @@ func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
 	a.mu.Unlock()
 }
 
-// timerFlush is the AfterFunc body.
-func (a *ackCoalescer) timerFlush() {
+// take moves up to limit of the parked acks of the messages src sent dst
+// out of the coalescer and appends their sequence numbers to buf, for
+// the trailer of a frame about to leave for src.
+func (a *ackCoalescer) take(src, dst string, buf carriedAcks, limit int) carriedAcks {
+	a.mu.Lock()
+	kept := a.acks[:0]
+	for _, r := range a.acks {
+		if buf.count() < limit && r.src == src && r.dst == dst {
+			buf = binary.BigEndian.AppendUint64(buf, r.seq)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	a.acks = kept
+	if a.timerArmed && len(a.acks) == 0 && len(a.frags) == 0 {
+		a.timerArmed = false
+		a.timer.Stop()
+	}
+	a.mu.Unlock()
+	return buf
+}
+
+// giveBack takes acks that take handed out and whose frame was not
+// sent, and sends them, with whatever else is pending, on their own.
+func (a *ackCoalescer) giveBack(src, dst string, acks carriedAcks) {
+	a.mu.Lock()
+	for i := 0; i < acks.count(); i++ {
+		a.acks = append(a.acks, ackRef{src: src, dst: dst, seq: acks.seq(i)})
+	}
+	a.mu.Unlock()
+	a.flush()
+}
+
+// flush sends everything pending; it is also the timer's AfterFunc body.
+func (a *ackCoalescer) flush() {
 	a.mu.Lock()
 	enc, split := a.takeLocked()
 	a.mu.Unlock()
@@ -96,6 +155,7 @@ func (a *ackCoalescer) stop() {
 	a.mu.Unlock()
 	a.timer.Stop()
 	a.send(enc, split)
+	a.e.forgetOwed(a)
 }
 
 // takeLocked drains the pending acks into at most two frames, encoded
@@ -122,9 +182,8 @@ func (a *ackCoalescer) takeLocked() (enc *xdr.Encoder, split int) {
 			putFragAck(enc, f.src, f.dst, f.seq, f.fragIdx)
 		} else {
 			putAckBatch(enc, frameFragAckBatch, a.frags)
-			a.e.mAckBatches.Inc()
-			a.e.mAcksBatched.Add(uint64(n))
 		}
+		a.countFrame(n)
 		a.frags = a.frags[:0]
 	}
 	split = enc.Len()
@@ -134,12 +193,22 @@ func (a *ackCoalescer) takeLocked() (enc *xdr.Encoder, split int) {
 			putAck(enc, f.src, f.dst, f.seq)
 		} else {
 			putAckBatch(enc, frameAckBatch, a.acks)
-			a.e.mAckBatches.Inc()
-			a.e.mAcksBatched.Add(uint64(n))
 		}
+		a.countFrame(n)
 		a.acks = a.acks[:0]
 	}
 	return enc, split
+}
+
+// countFrame counts one ack frame of n entries. With acks_piggybacked,
+// ack_frames and acks_batched add up to the acks this endpoint sent.
+func (a *ackCoalescer) countFrame(n int) {
+	if n == 1 {
+		a.e.mAckFrames.Inc()
+		return
+	}
+	a.e.mAckBatches.Inc()
+	a.e.mAcksBatched.Add(uint64(n))
 }
 
 // send writes the frames takeLocked drained, outside the coalescer
@@ -158,4 +227,61 @@ func (a *ackCoalescer) send(enc *xdr.Encoder, split int) {
 		a.conn.Send(b[split:])
 	}
 	putFrameEncoder(enc)
+}
+
+// peerPair names one direction of a conversation: the messages src
+// sends dst.
+type peerPair struct{ src, dst string }
+
+// noteOwed records that a holds parked acks of pair's messages. One
+// coalescer per pair is remembered, the one that parked last; acks
+// parked on another connection of the same peer leave with its timer.
+func (e *Endpoint) noteOwed(pair peerPair, a *ackCoalescer) {
+	e.owedMu.Lock()
+	if e.owed[pair] != a { // the steady state writes nothing
+		e.owed[pair] = a
+	}
+	e.owedMu.Unlock()
+}
+
+// forgetOwed drops a stopped coalescer from the table.
+func (e *Endpoint) forgetOwed(a *ackCoalescer) {
+	e.owedMu.Lock()
+	for pair, held := range e.owed {
+		if held == a {
+			delete(e.owed, pair)
+		}
+	}
+	e.owedMu.Unlock()
+}
+
+// takeOwed collects, for a frame about to leave for src with room bytes
+// to spare, the parked acks of the messages src sent dst. It returns
+// them appended to buf, and the coalescer to give them back to should
+// the frame not be sent.
+func (e *Endpoint) takeOwed(src, dst string, buf carriedAcks, room int) (*ackCoalescer, carriedAcks) {
+	limit := min((room-ackTrailerOverhead)/carriedAckSize, ackBatchMax)
+	if limit < 1 {
+		return nil, buf
+	}
+	e.owedMu.Lock()
+	a := e.owed[peerPair{src, dst}]
+	e.owedMu.Unlock()
+	if a == nil {
+		return nil, buf
+	}
+	return a, a.take(src, dst, buf, limit)
+}
+
+// flushOwed sends every parked ack now, each on its arrival connection.
+func (e *Endpoint) flushOwed() {
+	e.owedMu.Lock()
+	held := make([]*ackCoalescer, 0, len(e.owed))
+	for _, a := range e.owed {
+		held = append(held, a)
+	}
+	e.owedMu.Unlock()
+	for _, a := range held {
+		a.flush()
+	}
 }

@@ -12,7 +12,7 @@ import (
 // sender still saw every per-fragment acknowledgement despite the
 // batching.
 func TestAckCoalescingBatchesFragAcks(t *testing.T) {
-	a, b, _, _ := stripePair(t, func(e *Endpoint) { e.ackFlush = 25 * time.Millisecond })
+	a, b, _, _ := stripePair(t, withAckFlush(25*time.Millisecond))
 	payload := patternPayload(7, 2<<20)
 	if err := sendWaitT(a, "urn:stripe:b", 1, payload, 30*time.Second); err != nil {
 		t.Fatalf("striped send: %v", err)

@@ -80,6 +80,7 @@ type outMsg struct {
 	lastAttempt time.Time
 	backoff     time.Duration // wait after lastAttempt before the next retry
 	attempts    int
+	flags       uint8         // stamped on every fragment of a single-route transmission: flagReplyExpected or 0
 	acked       chan struct{} // closed on acknowledgement
 
 	// Pooled-payload bookkeeping: msg.Payload came from the payload
@@ -250,10 +251,12 @@ type Endpoint struct {
 	// stripeStallFor) and this only bounds it from above.
 	stripeStall time.Duration
 	// ackFlush is how long the per-connection coalescer holds
-	// per-fragment acks for a batch (see ack.go): long enough to batch a
-	// burst of fragments from one window, short enough never to stall
-	// the sender's in-flight window (fragment RTTs are hundreds of
-	// microseconds on local media at minimum).
+	// per-fragment acks for a batch, and the end-to-end ack of a request
+	// for its response (see ack.go): long enough to batch a burst of
+	// fragments from one window, short enough never to stall the
+	// sender's in-flight window (fragment RTTs are hundreds of
+	// microseconds on local media at minimum) and three orders of
+	// magnitude under the retry interval.
 	ackFlush time.Duration
 
 	// Outbound state, sharded by destination URN.
@@ -265,6 +268,11 @@ type Endpoint struct {
 	listeners   []listenerEntry
 	localRoutes []Route              // copy-on-write: sharedLocalRoutes hands it out without copying
 	conns       map[string]FrameConn // route key → conn
+
+	// Parked end-to-end acks (see ack.go): which connection's coalescer
+	// holds the acks owed for each direction of traffic.
+	owedMu sync.Mutex
+	owed   map[peerPair]*ackCoalescer
 
 	// Route resolution.
 	cacheMu    sync.Mutex
@@ -315,6 +323,9 @@ type Endpoint struct {
 	mFragRequeues *stats.Counter   // fragments requeued off a failed route mid-stripe
 	mAckBatches   *stats.Counter   // batched ack frames sent
 	mAcksBatched  *stats.Counter   // individual acks carried inside batch frames
+	mAckFrames    *stats.Counter   // single-ack frames sent
+	mAcksDeferred *stats.Counter   // end-to-end acks parked for a reply to carry
+	mAcksCarried  *stats.Counter   // end-to-end acks sent in a message frame's trailer
 	mDeadRefused  *stats.Counter   // sends refused up front: peer host dead
 	mDeadSkips    *stats.Counter   // buffered retries skipped: peer host dead
 	hAckLatency   *stats.Histogram // µs, send → end-to-end ack
@@ -334,6 +345,7 @@ func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 		buffering:     true,
 		ackFlush:      200 * time.Microsecond,
 		conns:         make(map[string]FrameConn),
+		owed:          make(map[peerPair]*ackCoalescer),
 		routeCache:    make(map[string]routeCacheEntry),
 		expected:      make(map[string]uint64),
 		reorder:       make(map[string]map[uint64]*Message),
@@ -361,6 +373,9 @@ func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 	e.mFragRequeues = e.metrics.Counter("frag_requeues")
 	e.mAckBatches = e.metrics.Counter("ack_batches")
 	e.mAcksBatched = e.metrics.Counter("acks_batched")
+	e.mAckFrames = e.metrics.Counter("ack_frames")
+	e.mAcksDeferred = e.metrics.Counter("acks_deferred")
+	e.mAcksCarried = e.metrics.Counter("acks_piggybacked")
 	e.mDeadRefused = e.metrics.Counter("dead_peer_refused")
 	e.mDeadSkips = e.metrics.Counter("dead_peer_skips")
 	e.hAckLatency = e.metrics.Histogram("ack_latency_us", stats.LatencyBucketsUs)
@@ -478,6 +493,7 @@ func (e *Endpoint) CloseListener(route Route) error {
 	if ln == nil {
 		return fmt.Errorf("comm: no listener for route %s", route)
 	}
+	e.flushOwed() // a listener may take its connections with it
 	return ln.Close()
 }
 
@@ -499,7 +515,7 @@ func (e *Endpoint) AttachConn(routeKey string, conn FrameConn) {
 // migration and route failures. With buffering disabled, Send fails if
 // no route currently works.
 func (e *Endpoint) Send(dst string, tag uint32, payload []byte) error {
-	_, err := e.send(dst, tag, payload)
+	_, err := e.send(dst, tag, payload, 0)
 	return err
 }
 
@@ -507,7 +523,7 @@ func (e *Endpoint) Send(dst string, tag uint32, payload []byte) error {
 // acknowledges the message or ctx ends. The message remains buffered
 // and retried even if the wait is abandoned.
 func (e *Endpoint) SendWait(ctx context.Context, dst string, tag uint32, payload []byte) error {
-	om, err := e.send(dst, tag, payload)
+	om, err := e.send(dst, tag, payload, 0)
 	if err != nil {
 		return err
 	}
@@ -531,7 +547,10 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (e *Endpoint) send(dst string, tag uint32, payload []byte) (*outMsg, error) {
+// send is Send with the flags the message's frames carry
+// (flagReplyExpected from the stream layer, 0 from everyone else), and
+// returns the buffered message.
+func (e *Endpoint) send(dst string, tag uint32, payload []byte, flags uint8) (*outMsg, error) {
 	if len(payload) > MaxMessageSize {
 		return nil, ErrTooLarge
 	}
@@ -553,6 +572,7 @@ func (e *Endpoint) send(dst string, tag uint32, payload []byte) (*outMsg, error)
 	copy(cp, payload)
 	om := &outMsg{
 		enqueued: time.Now(),
+		flags:    flags,
 		acked:    make(chan struct{}),
 		pooled:   true,
 	}
@@ -661,7 +681,7 @@ func (e *Endpoint) sendVia(om *outMsg, local []Route, target string, routes rout
 			e.observeRouteError(route.key)
 			continue
 		}
-		if err := e.sendOn(conn, om); err != nil {
+		if err := e.sendOn(conn, om, direct); err != nil {
 			lastErr = err
 			e.mSendErrors.Inc()
 			e.observeRouteError(route.key)
@@ -750,21 +770,39 @@ func (e *Endpoint) retryBackoff(attempts int) time.Duration {
 // sendOn pushes om down one connection, a fragment at a time: each is
 // built by value over the message's own payload and encoded into one
 // pooled encoder, so a message that fits a frame costs no allocation.
-func (e *Endpoint) sendOn(conn FrameConn, om *outMsg) error {
+// When conn leads to the destination itself (direct: not to a gateway
+// that relays to it), the first fragment takes along, in whatever room
+// it leaves of the MTU, the end-to-end acks parked for the destination.
+func (e *Endpoint) sendOn(conn FrameConn, om *outMsg, direct bool) error {
 	m := &om.msg
 	mtu := conn.MTU() - (msgFrameOverhead + len(m.Src) + len(m.Dst))
 	if mtu < 16 {
 		return fmt.Errorf("%w: URNs too long for transport MTU", ErrTooLarge)
 	}
+	var (
+		seqs  [ackBatchMax * carriedAckSize]byte
+		owing *ackCoalescer
+		acks  carriedAcks
+	)
+	if direct {
+		owing, acks = e.takeOwed(m.Dst, m.Src, seqs[:0], mtu-min(len(m.Payload), mtu))
+	}
 	enc := getFrameEncoder()
 	defer putFrameEncoder(enc)
 	count := fragCount(len(m.Payload), mtu)
 	for i := 0; i < count; i++ {
-		f := fragAt(m, i, count, mtu, 0)
-		if err := conn.Send(encodeMsgFrameInto(enc, &f)); err != nil {
+		f := fragAt(m, i, count, mtu, om.flags)
+		if err := conn.Send(encodeMsgFrameInto(enc, &f, acks)); err != nil {
+			if len(acks) > 0 {
+				owing.giveBack(m.Dst, m.Src, acks)
+			}
 			return err
 		}
 		e.mFragments.Inc()
+		if n := acks.count(); n > 0 {
+			e.mAcksCarried.Add(uint64(n))
+			acks = nil // they rode the first fragment
+		}
 	}
 	return nil
 }
@@ -866,12 +904,21 @@ func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, names *peerName
 	}
 	switch ftype {
 	case frameHello:
-		decodeHello(d) // peer identity: informational
+		// The peer's identity decides one thing: whether an ack may wait
+		// for a reply on its way to that peer (see handleMsgFrame).
+		if urn, err := decodeHello(d); err == nil {
+			ac.peer = urn
+		}
 
 	case frameMsg:
-		f, err := decodeMsgFrame(d, names)
+		f, acks, err := decodeMsgFrame(d, names)
 		if err != nil {
 			return false
+		}
+		// The acks a frame carries stand on their own: they count whatever
+		// becomes of the message part (delivered, duplicate, quiesced).
+		for i := 0; i < acks.count(); i++ {
+			e.handleAck(f.Dst, f.Src, acks.seq(i))
 		}
 		return e.handleMsgFrame(conn, ac, &f, frame)
 
@@ -1041,8 +1088,17 @@ func (e *Endpoint) handleMsgFrame(conn FrameConn, ac *ackCoalescer, f *msgFrame,
 	if f.Flags&flagStriped != 0 {
 		ac.fragAck(f.Src, f.Dst, f.Seq, f.FragIdx)
 	}
-	// End-to-end acknowledgement: the message is safely accepted.
-	ac.ack(f.Src, f.Dst, f.Seq)
+	// End-to-end acknowledgement: the message is safely accepted. It
+	// leaves at once, unless the sender said a reply is coming and this
+	// connection is its own: then the ack may ride in that reply. A
+	// message that came through a gateway (the hello named someone else)
+	// is acknowledged here and now, on the connection the gateway
+	// expects its ack on.
+	if f.Flags&flagReplyExpected != 0 && ac.peer == f.Src {
+		ac.park(f.Src, f.Dst, f.Seq)
+	} else {
+		ac.ack(f.Src, f.Dst, f.Seq)
+	}
 	return retained
 }
 
@@ -1244,6 +1300,7 @@ func (e *Endpoint) Close() {
 	e.mu.Lock()
 	e.cond.Broadcast()
 	e.mu.Unlock()
+	e.flushOwed() // while the connections can still carry them
 	e.connMu.Lock()
 	lns := append([]listenerEntry(nil), e.listeners...)
 	conns := make([]FrameConn, 0, len(e.conns))
@@ -1268,6 +1325,9 @@ func (e *Endpoint) Quiesce() {
 	e.mu.Lock()
 	e.quiesced = true
 	e.mu.Unlock()
+	// What was accepted is acknowledged before the checkpoint, not when
+	// a reply that may never be written would have carried it.
+	e.flushOwed()
 }
 
 // SequenceState is the portable communications state of an endpoint,

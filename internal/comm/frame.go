@@ -29,6 +29,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -37,10 +38,11 @@ import (
 
 // Frame types exchanged between endpoints, inside transport frames.
 // Batched acknowledgement frames (frameAckBatch, frameFragAckBatch)
-// carry N single-ack entries in one transport frame; receivers that
-// coalesce acks emit them, while single-ack frames remain valid on the
-// wire — an endpoint decodes both, so mixed-version pairs interoperate
-// (an old receiver simply never batches).
+// carry N single-ack entries in one transport frame; a batch of one
+// goes out as the single-ack frame. An end-to-end ack has a third way
+// to travel: in the trailer of a message frame (flagAcks). Both ends of
+// a conversation run the same build: the message frame was replaced
+// outright when it gained the trailer, with no version negotiation.
 const (
 	frameHello        uint8 = iota + 1 // sender identifies itself: URN
 	frameMsg                           // one fragment of an application message
@@ -50,13 +52,25 @@ const (
 	frameFragAckBatch                  // batched per-fragment acknowledgements
 )
 
-// Fragment flag bits carried in msgFrame.Flags.
+// Fragment flag bits carried in msgFrame.Flags. A frame with a bit
+// outside flagsKnown does not decode.
 const (
 	// flagStriped marks a fragment of a message striped across several
 	// routes in parallel; the receiver acknowledges each such fragment
 	// individually (frameFragAck) so the sender can run a bounded
 	// in-flight window per route and detect dead routes mid-stripe.
 	flagStriped uint8 = 1 << 0
+	// flagReplyExpected is the sender's word that the receiver is about
+	// to send it a message of its own (the answer to a request). The
+	// receiver may then hold the end-to-end ack for up to
+	// Endpoint.ackFlush so that it rides in that message (see ack.go)
+	// instead of a frame of its own. Only the stream layer sets it.
+	flagReplyExpected uint8 = 1 << 1
+	// flagAcks says the frame ends in a trailer of end-to-end acks: see
+	// carriedAcks. It is set exactly when the trailer is there.
+	flagAcks uint8 = 1 << 2
+
+	flagsKnown = flagStriped | flagReplyExpected | flagAcks
 )
 
 // AnyTag matches any message tag in receive operations.
@@ -111,8 +125,38 @@ type msgFrame struct {
 	Seq       uint64
 	FragIdx   uint32
 	FragCount uint32
-	Flags     uint8 // fragment-of-stripe header: flagStriped, ...
+	Flags     uint8 // flagStriped, flagReplyExpected, flagAcks
 	Payload   []byte
+}
+
+// carriedAcks is the trailer of a message frame: end-to-end acks that
+// ride with it, as they lie on the wire behind a uint32 count — one
+// big-endian uint64 sequence number each. An entry acknowledges the
+// message of that number which the frame's Dst sent to the frame's Src,
+// so the trailer repeats neither URN. Decoded, it aliases the frame
+// buffer and is read in place. It is cargo of the frame, not part of the
+// fragment, and travels beside the msgFrame rather than in it: a stripe
+// keeps a msgFrame per fragment and none of them ever has a trailer.
+type carriedAcks []byte
+
+// ackTrailerOverhead is the trailer's count; each ack adds carriedAckSize.
+const (
+	ackTrailerOverhead = 4
+	carriedAckSize     = 8
+)
+
+func (c carriedAcks) count() int { return len(c) / carriedAckSize }
+
+func (c carriedAcks) seq(i int) uint64 {
+	return binary.BigEndian.Uint64(c[i*carriedAckSize:])
+}
+
+// wireSize is what the trailer adds to its frame.
+func (c carriedAcks) wireSize() int {
+	if len(c) == 0 {
+		return 0
+	}
+	return ackTrailerOverhead + len(c)
 }
 
 func encodeHello(urn string) []byte {
@@ -127,13 +171,14 @@ func decodeHello(d *xdr.Decoder) (string, error) {
 }
 
 // msgFrameOverhead is what a message fragment costs on the wire beyond
-// its URNs and payload: frame type, the two URN length prefixes, tag,
-// seq, fragment index and count, flags and the payload length prefix.
+// its URNs, payload and ack trailer: frame type, the two URN length
+// prefixes, tag, seq, fragment index and count, flags and the payload
+// length prefix.
 const msgFrameOverhead = 34
 
-func encodeMsgFrame(f *msgFrame) []byte {
-	e := xdr.NewEncoder(msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload))
-	return encodeMsgFrameInto(e, f)
+func encodeMsgFrame(f *msgFrame, acks carriedAcks) []byte {
+	e := xdr.NewEncoder(msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload) + acks.wireSize())
+	return encodeMsgFrameInto(e, f, acks)
 }
 
 // encodeMsgFrameInto encodes into a caller-owned (typically pooled)
@@ -141,7 +186,7 @@ func encodeMsgFrame(f *msgFrame) []byte {
 // buffer: it is valid until the next use of the encoder, which is fine
 // for every FrameConn.Send implementation (all of them either write the
 // frame synchronously or copy it before queueing).
-func encodeMsgFrameInto(e *xdr.Encoder, f *msgFrame) []byte {
+func encodeMsgFrameInto(e *xdr.Encoder, f *msgFrame, acks carriedAcks) []byte {
 	e.Reset()
 	e.PutUint8(frameMsg)
 	e.PutString(f.Src)
@@ -150,8 +195,17 @@ func encodeMsgFrameInto(e *xdr.Encoder, f *msgFrame) []byte {
 	e.PutUint64(f.Seq)
 	e.PutUint32(f.FragIdx)
 	e.PutUint32(f.FragCount)
-	e.PutUint8(f.Flags)
+	// flagAcks follows the trailer, whatever the caller left in Flags.
+	flags := f.Flags &^ flagAcks
+	if len(acks) > 0 {
+		flags |= flagAcks
+	}
+	e.PutUint8(flags)
 	e.PutBytes(f.Payload)
+	if len(acks) > 0 {
+		e.PutUint32(uint32(acks.count()))
+		e.PutRaw(acks)
+	}
 	return e.Bytes()
 }
 
@@ -182,38 +236,56 @@ func reuseURN(d *xdr.Decoder, last *string) (string, error) {
 	return *last, nil
 }
 
-// decodeMsgFrame decodes one message fragment by value; names is the
+// decodeMsgFrame decodes one message fragment by value, and the acks its
+// frame carries (empty without flagAcks); names is the
 // connection's URN memo.
-func decodeMsgFrame(d *xdr.Decoder, names *peerNames) (f msgFrame, err error) {
+func decodeMsgFrame(d *xdr.Decoder, names *peerNames) (f msgFrame, acks carriedAcks, err error) {
 	if f.Src, f.Dst, err = names.decode(d); err != nil {
-		return f, err
+		return f, nil, err
 	}
 	if f.Tag, err = d.Uint32(); err != nil {
-		return f, err
+		return f, nil, err
 	}
 	if f.Seq, err = d.Uint64(); err != nil {
-		return f, err
+		return f, nil, err
 	}
 	if f.FragIdx, err = d.Uint32(); err != nil {
-		return f, err
+		return f, nil, err
 	}
 	if f.FragCount, err = d.Uint32(); err != nil {
-		return f, err
+		return f, nil, err
 	}
 	if f.Flags, err = d.Uint8(); err != nil {
-		return f, err
+		return f, nil, err
 	}
 	// The payload aliases the decoder's buffer — no per-fragment copy.
 	// The receive path owns the frame buffer (see handleMsgFrame): a
 	// whole message is copied out of it for the application, a fragment
 	// is parked with it in a reassembly until the message completes.
 	if f.Payload, err = d.BytesMax(maxWirePayload); err != nil {
-		return f, err
+		return f, nil, err
 	}
 	if f.FragCount == 0 || f.FragIdx >= f.FragCount {
-		return f, fmt.Errorf("%w: fragment %d/%d", ErrBadFrame, f.FragIdx, f.FragCount)
+		return f, nil, fmt.Errorf("%w: fragment %d/%d", ErrBadFrame, f.FragIdx, f.FragCount)
 	}
-	return f, nil
+	if f.Flags&^flagsKnown != 0 {
+		return f, nil, fmt.Errorf("%w: unknown flag bits %#x", ErrBadFrame, f.Flags&^flagsKnown)
+	}
+	if f.Flags&flagAcks == 0 {
+		if d.Remaining() != 0 {
+			return f, nil, fmt.Errorf("%w: %d bytes behind the payload and no ack flag", ErrBadFrame, d.Remaining())
+		}
+		return f, nil, nil
+	}
+	// The trailer is the rest of the frame: the count must say exactly
+	// that, which bounds it before anything is sized by it.
+	rest := d.Remaining()
+	n, err := d.Uint32()
+	if err != nil || n == 0 || n > ackBatchMax || int(n)*carriedAckSize != d.Remaining() {
+		return f, nil, fmt.Errorf("%w: ack trailer of %d bytes, count %d", ErrBadFrame, rest, n)
+	}
+	acks, err = d.Raw(d.Remaining())
+	return f, acks, err
 }
 
 // Acknowledgement frames. The put* forms append one frame to an

@@ -2,6 +2,8 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,15 +182,15 @@ func TestReassemblyCountMismatch(t *testing.T) {
 func TestMsgFrameEncodeDecode(t *testing.T) {
 	f := &msgFrame{Src: "urn:snipe:p1", Dst: "urn:snipe:p2", Tag: 99,
 		Seq: 1 << 40, FragIdx: 2, FragCount: 5, Payload: []byte{1, 2, 3}}
-	buf := encodeMsgFrame(f)
+	buf := encodeMsgFrame(f, nil)
 	d := xdr.NewDecoder(buf)
 	ftype, _ := d.Uint8()
 	if ftype != frameMsg {
 		t.Fatalf("frame type %d", ftype)
 	}
-	got, err := decodeMsgFrame(d, &peerNames{})
-	if err != nil {
-		t.Fatal(err)
+	got, acks, err := decodeMsgFrame(d, &peerNames{})
+	if err != nil || len(acks) != 0 {
+		t.Fatalf("decode: %v, %d-byte trailer", err, len(acks))
 	}
 	if got.Src != f.Src || got.Dst != f.Dst || got.Tag != 99 ||
 		got.Seq != f.Seq || got.FragIdx != 2 || got.FragCount != 5 ||
@@ -197,18 +199,118 @@ func TestMsgFrameEncodeDecode(t *testing.T) {
 	}
 }
 
+// seqTrailer builds the trailer a sender would for these acks.
+func seqTrailer(seqs ...uint64) carriedAcks {
+	var c carriedAcks
+	for _, q := range seqs {
+		c = binary.BigEndian.AppendUint64(c, q)
+	}
+	return c
+}
+
+// TestMsgFrameWire pins the message frame byte for byte, trailer
+// included: the layout is the protocol, and both ends must run it.
+func TestMsgFrameWire(t *testing.T) {
+	f := &msgFrame{Src: "ab", Dst: "c", Tag: 0x01020304, Seq: 5, FragIdx: 0, FragCount: 1,
+		Flags: flagReplyExpected, Payload: []byte{0xee}}
+	acks := seqTrailer(7, 1<<32)
+	want := []byte{
+		frameMsg,
+		0, 0, 0, 2, 'a', 'b', // src
+		0, 0, 0, 1, 'c', // dst
+		1, 2, 3, 4, // tag
+		0, 0, 0, 0, 0, 0, 0, 5, // seq
+		0, 0, 0, 0, // fragment index
+		0, 0, 0, 1, // fragment count
+		flagReplyExpected | flagAcks,
+		0, 0, 0, 1, 0xee, // payload
+		0, 0, 0, 2, // carried acks: count
+		0, 0, 0, 0, 0, 0, 0, 7,
+		0, 0, 0, 1, 0, 0, 0, 0,
+	}
+	got := encodeMsgFrame(f, acks)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("wire bytes\n got %x\nwant %x", got, want)
+	}
+	if n := msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload) + ackTrailerOverhead + 2*carriedAckSize; len(got) != n {
+		t.Fatalf("frame is %d bytes, the overhead constants say %d", len(got), n)
+	}
+	dec, carried, err := decodeMsgFrame(xdr.NewDecoder(got[1:]), &peerNames{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Flags != flagReplyExpected|flagAcks || carried.count() != 2 || carried.seq(0) != 7 || carried.seq(1) != 1<<32 {
+		t.Fatalf("decoded flags %#x, acks %x", dec.Flags, []byte(carried))
+	}
+	// Without acks the same frame ends at its payload and says so.
+	got = encodeMsgFrame(f, nil)
+	if !bytes.Equal(got, append(want[:32:32], flagReplyExpected, 0, 0, 0, 1, 0xee)) {
+		t.Fatalf("wire bytes without a trailer: %x", got)
+	}
+}
+
+// TestMsgFrameRejectsBadTrailers: the flag and the trailer come together
+// or not at all, the count is the rest of the frame exactly, and a flag
+// bit this build does not know is not guessed at.
+func TestMsgFrameRejectsBadTrailers(t *testing.T) {
+	f := &msgFrame{Src: "a", Dst: "b", Seq: 1, FragCount: 1, Payload: []byte("xy")}
+	two := seqTrailer(3, 4)
+	full := seqTrailer(make([]uint64, ackBatchMax)...)
+	body := func(acks carriedAcks) []byte { return encodeMsgFrame(f, acks)[1:] }
+	// withFlags is the body with its flags byte rewritten.
+	withFlags := func(acks carriedAcks, edit func(flags uint8) uint8) []byte {
+		b := body(acks)
+		at := len(b) - acks.wireSize() - 4 - len(f.Payload) - 1
+		b[at] = edit(b[at])
+		return b
+	}
+	// withCount is the two-ack body with its count rewritten.
+	withCount := func(n uint32) []byte {
+		b := body(two)
+		binary.BigEndian.PutUint32(b[len(b)-len(two)-4:], n)
+		return b
+	}
+	for name, b := range map[string][]byte{
+		"unknown flag bit":         withFlags(nil, func(fl uint8) uint8 { return fl | 1<<3 }),
+		"top flag bit":             withFlags(nil, func(fl uint8) uint8 { return fl | 1<<7 }),
+		"flag without trailer":     withFlags(nil, func(fl uint8) uint8 { return fl | flagAcks }),
+		"trailer without flag":     withFlags(two, func(fl uint8) uint8 { return fl &^ flagAcks }),
+		"bytes behind the payload": append(body(nil), 0),
+		"count of zero":            append(withFlags(nil, func(fl uint8) uint8 { return fl | flagAcks }), 0, 0, 0, 0),
+		"count above the entries":  withCount(3),
+		"count below the entries":  withCount(1),
+		"hostile count":            withCount(0xffffffff),
+		"count that wraps":         withCount(0x20000002), // times 8 is 16 in 32-bit arithmetic
+		"half an entry":            body(two)[:len(body(two))-4],
+		"count cut short":          body(two)[:len(body(two))-len(two)-2],
+		"more than a batch":        body(seqTrailer(make([]uint64, ackBatchMax+1)...)),
+	} {
+		if _, _, err := decodeMsgFrame(xdr.NewDecoder(b), &peerNames{}); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: %v, want ErrBadFrame", name, err)
+		}
+	}
+	for name, acks := range map[string]carriedAcks{"no trailer": nil, "two acks": two, "a full batch": full} {
+		_, got, err := decodeMsgFrame(xdr.NewDecoder(body(acks)), &peerNames{})
+		if err != nil || !bytes.Equal(got, acks) {
+			t.Errorf("%s: %d acks, %v", name, got.count(), err)
+		}
+	}
+}
+
 func TestMsgFrameRejectsBadFragments(t *testing.T) {
 	f := &msgFrame{Src: "a", Dst: "b", FragIdx: 5, FragCount: 5, Payload: nil}
-	buf := encodeMsgFrame(f)
+	buf := encodeMsgFrame(f, nil)
 	d := xdr.NewDecoder(buf)
 	d.Uint8()
-	if _, err := decodeMsgFrame(d, &peerNames{}); err == nil {
+	if _, _, err := decodeMsgFrame(d, &peerNames{}); err == nil {
 		t.Fatal("FragIdx >= FragCount accepted")
 	}
 	f2 := &msgFrame{Src: "a", Dst: "b", FragIdx: 0, FragCount: 0}
-	d2 := xdr.NewDecoder(encodeMsgFrame(f2))
+	d2 := xdr.NewDecoder(encodeMsgFrame(f2, nil))
 	d2.Uint8()
-	if _, err := decodeMsgFrame(d2, &peerNames{}); err == nil {
+	if _, _, err := decodeMsgFrame(d2, &peerNames{}); err == nil {
 		t.Fatal("FragCount == 0 accepted")
 	}
 }
@@ -291,14 +393,23 @@ func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
 	for _, urn := range []string{"", "a", "urn:snipe:p1", "urn:snipe:host-17/process-with-a-long-name"} {
 		src, dst := urn, urn+"x"
 		frame := &msgFrame{Src: src, Dst: dst, Tag: 1, Seq: 2, FragCount: 1, Payload: []byte("payload")}
+		acks := seqTrailer(9, 10, 11)
 		for name, encode := range map[string]func() []byte{
-			"encodeHello":    func() []byte { return encodeHello(src) },
-			"encodeMsgFrame": func() []byte { return encodeMsgFrame(frame) },
-			"encodeAck":      func() []byte { return encodeAck(src, dst, 7) },
-			"encodeFragAck":  func() []byte { return encodeFragAck(src, dst, 7, 3) },
+			"encodeHello":              func() []byte { return encodeHello(src) },
+			"encodeMsgFrame":           func() []byte { return encodeMsgFrame(frame, nil) },
+			"encodeMsgFrame with acks": func() []byte { return encodeMsgFrame(frame, acks) },
+			"encodeAck":                func() []byte { return encodeAck(src, dst, 7) },
+			"encodeFragAck":            func() []byte { return encodeFragAck(src, dst, 7, 3) },
 		} {
 			if got := testing.AllocsPerRun(20, func() { encode() }); got != 1 {
 				t.Errorf("%s with %d-byte URNs: %.0f allocations, want 1", name, len(src), got)
+			}
+		}
+		// And the constants are exact, not merely large enough.
+		for name, carried := range map[string]carriedAcks{"plain": nil, "carrying": acks} {
+			want := msgFrameOverhead + len(src) + len(dst) + len(frame.Payload) + carried.wireSize()
+			if b := encodeMsgFrame(frame, carried); len(b) != want || cap(b) != want {
+				t.Errorf("%s frame with %d-byte URNs: len %d cap %d, want %d", name, len(src), len(b), cap(b), want)
 			}
 		}
 	}

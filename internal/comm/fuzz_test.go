@@ -4,6 +4,7 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"snipe/internal/xdr"
@@ -13,33 +14,55 @@ import (
 // may panic or allocate proportionally to a hostile length prefix.
 
 func FuzzDecodeMsgFrame(f *testing.F) {
-	for _, fr := range []*msgFrame{
-		{Src: "urn:snipe:a", Dst: "urn:snipe:b", Tag: 7, Seq: 1, FragIdx: 0, FragCount: 1, Payload: []byte("hi")},
-		{Src: "", Dst: "", Tag: 0, Seq: 0, FragIdx: 2, FragCount: 5, Payload: nil},
-		{Src: "urn:snipe:x", Dst: "urn:snipe:y", Tag: AnyTag, Seq: 1 << 40, FragIdx: 9, FragCount: 10, Payload: bytes.Repeat([]byte{0xab}, 100)},
-		{Src: "urn:snipe:s", Dst: "urn:snipe:d", Tag: 3, Seq: 8, FragIdx: 1, FragCount: 4, Flags: flagStriped, Payload: []byte("striped")},
+	for _, seed := range []struct {
+		fr   msgFrame
+		acks carriedAcks
+	}{
+		{fr: msgFrame{Src: "urn:snipe:a", Dst: "urn:snipe:b", Tag: 7, Seq: 1, FragIdx: 0, FragCount: 1, Payload: []byte("hi")}},
+		{fr: msgFrame{Src: "", Dst: "", Tag: 0, Seq: 0, FragIdx: 2, FragCount: 5, Payload: nil}},
+		{fr: msgFrame{Src: "urn:snipe:x", Dst: "urn:snipe:y", Tag: AnyTag, Seq: 1 << 40, FragIdx: 9, FragCount: 10, Payload: bytes.Repeat([]byte{0xab}, 100)}},
+		{fr: msgFrame{Src: "urn:snipe:s", Dst: "urn:snipe:d", Tag: 3, Seq: 8, FragIdx: 1, FragCount: 4, Flags: flagStriped, Payload: []byte("striped")}},
+		{fr: msgFrame{Src: "urn:snipe:c", Dst: "urn:snipe:r", Tag: StreamTag, Seq: 9, FragCount: 1, Flags: flagReplyExpected, Payload: []byte("request")}},
+		{fr: msgFrame{Src: "urn:snipe:r", Dst: "urn:snipe:c", Tag: StreamTag, Seq: 4, FragCount: 1, Payload: []byte("response")}, acks: seqTrailer(9)},
+		{fr: msgFrame{Src: "urn:snipe:r", Dst: "urn:snipe:c", Tag: 1, Seq: 5, FragCount: 2, Flags: flagReplyExpected}, acks: seqTrailer(make([]uint64, ackBatchMax)...)},
 	} {
-		f.Add(encodeMsgFrame(fr)[1:]) // strip the frame-type byte, as the dispatcher does
+		f.Add(encodeMsgFrame(&seed.fr, seed.acks)[1:]) // strip the frame-type byte, as the dispatcher does
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// A trailer whose count promises more than the frame holds.
+	hostile := encodeMsgFrame(&msgFrame{Src: "a", Dst: "b", Seq: 1, FragCount: 1}, seqTrailer(1))[1:]
+	binary.BigEndian.PutUint32(hostile[len(hostile)-12:], 0xffffffff)
+	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var names peerNames // shared by both decodes: the second takes the reuse path
-		fr, err := decodeMsgFrame(xdr.NewDecoder(b), &names)
+		fr, acks, err := decodeMsgFrame(xdr.NewDecoder(b), &names)
 		if err != nil {
 			return
 		}
 		if fr.FragCount == 0 || fr.FragIdx >= fr.FragCount {
 			t.Fatalf("decodeMsgFrame accepted inconsistent fragment %d/%d", fr.FragIdx, fr.FragCount)
 		}
-		// A successful decode must round-trip.
-		again, err := decodeMsgFrame(xdr.NewDecoder(encodeMsgFrame(&fr)[1:]), &names)
+		if fr.Flags&^flagsKnown != 0 {
+			t.Fatalf("decodeMsgFrame accepted flags %#x", fr.Flags)
+		}
+		if n := acks.count(); (fr.Flags&flagAcks != 0) != (n > 0) || n > ackBatchMax || len(acks)%carriedAckSize != 0 {
+			t.Fatalf("decodeMsgFrame accepted flags %#x with a %d-byte trailer", fr.Flags, len(acks))
+		}
+		// A successful decode consumed the whole frame, so encoding it
+		// again gives the same bytes, and they decode to the same frame.
+		enc := encodeMsgFrame(&fr, acks)[1:]
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("re-encoding differs:\n got %x\nfrom %x", enc, b)
+		}
+		again, acksAgain, err := decodeMsgFrame(xdr.NewDecoder(enc), &names)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if again.Src != fr.Src || again.Dst != fr.Dst || again.Tag != fr.Tag ||
-			again.Seq != fr.Seq || again.Flags != fr.Flags || !bytes.Equal(again.Payload, fr.Payload) {
-			t.Fatalf("round-trip mismatch: %+v vs %+v", fr, again)
+		if again.Src != fr.Src || again.Dst != fr.Dst || again.Tag != fr.Tag || again.Seq != fr.Seq ||
+			again.FragIdx != fr.FragIdx || again.FragCount != fr.FragCount || again.Flags != fr.Flags ||
+			!bytes.Equal(again.Payload, fr.Payload) || !bytes.Equal(acksAgain, acks) {
+			t.Fatalf("round-trip mismatch: %+v %x vs %+v %x", fr, acks, again, acksAgain)
 		}
 	})
 }

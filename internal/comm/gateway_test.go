@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 )
@@ -172,5 +173,95 @@ func TestGatewayNoChains(t *testing.T) {
 	res.set("urn:gwB", GatewayRoute("urn:gwA"))
 	if err := sender.Send("urn:dst", 1, []byte("x")); err == nil {
 		t.Fatal("chained gateway send succeeded")
+	}
+}
+
+// TestGatewayStreamEchoPiggybacksNothing: a unary stream call to a
+// destination behind a gateway. Acks on a relayed path keep to the
+// connections the gateway expects them on: what came through the gateway
+// is acknowledged at once where it arrived (the hello there names the
+// gateway, not the sender), and a frame that leaves through the gateway
+// carries no ack. So the call completes with no ack parked or carried
+// anywhere, no retransmission, and the gateway's ack table drained.
+func TestGatewayStreamEchoPiggybacksNothing(t *testing.T) {
+	sender, gateway, receiver, _ := gatewayWorld(t)
+	ms, mr := NewStreamMux(sender), NewStreamMux(receiver)
+	defer ms.Close()
+	defer mr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp := patternPayload(6, 4<<10)
+	defer serveEchoes(ctx, mr, resp, nil)()
+	defer cancel()
+
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		got, err := unaryEcho(ctx, ms, "urn:behind", make([]byte, 256))
+		if err != nil || !bytes.Equal(got, resp) {
+			t.Fatalf("call %d through the gateway: %d bytes, %v", i, len(got), err)
+		}
+	}
+	waitFor(t, 3*time.Second, func() bool { return sender.Pending() == 0 && receiver.Pending() == 0 },
+		"acks outstanding after the last call")
+	for _, e := range []*Endpoint{sender, gateway, receiver} {
+		c := counters(e, "acks_deferred", "acks_piggybacked", "retried", "duplicates")
+		if c[0]+c[1]+c[2]+c[3] != 0 {
+			t.Errorf("%s: %d acks deferred, %d piggybacked, %d retried, %d duplicates, want none",
+				e.URN(), c[0], c[1], c[2], c[3])
+		}
+	}
+	// A request is one message, or two when the flusher left with the
+	// OPEN before the rest was queued.
+	if got := counters(receiver, "received", "ack_frames", "acks_batched"); got[0] < calls || got[1]+got[2] != got[0] {
+		t.Errorf("receiver accepted %d messages for %d calls and acknowledged %d+%d on their arrival connection",
+			got[0], calls, got[1], got[2])
+	}
+	waitFor(t, 3*time.Second, func() bool {
+		relayMu.Lock()
+		defer relayMu.Unlock()
+		return len(gateway.relayConns) == 0
+	}, "the gateway still holds ack routes for relayed messages")
+}
+
+// TestGatewayRouteCarriesNoAcks: the request came straight from its
+// sender, so its ack is parked for the reply — but the only way back is
+// through a gateway, and a frame on a gateway route carries nothing: the
+// gateway would have to pick the acks out of a frame it only relays. The
+// ack leaves with the timer, on the connection the request arrived on.
+func TestGatewayRouteCarriesNoAcks(t *testing.T) {
+	res := newTestResolver()
+	gwView := newTestResolver()
+	gateway := NewEndpoint("urn:gw", WithResolver(gwView), WithGatewayRelay())
+	defer gateway.Close()
+	gwRoute, err := gateway.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.set("urn:gw", gwRoute)
+	opts := []EndpointOption{WithRetryInterval(10 * time.Second), withAckFlush(50 * time.Millisecond)}
+	asker := newTestEndpoint(t, "urn:asker", res, opts...)
+	answerer := newTestEndpoint(t, "urn:answerer", res, opts...)
+	gwView.set("urn:asker", asker.Routes()[0])
+	res.set("urn:asker", GatewayRoute("urn:gw")) // the way back is the gateway alone
+
+	sendExpectingReply(t, asker, "urn:answerer", []byte("request"))
+	if _, err := recvT(answerer, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := answerer.Send("urn:asker", 9, []byte("response")); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := recvT(asker, 3*time.Second); err != nil || string(m.Payload) != "response" {
+		t.Fatalf("response through the gateway: %v, %v", m, err)
+	}
+	waitFor(t, 3*time.Second, func() bool { return asker.Pending() == 0 && answerer.Pending() == 0 },
+		"acks outstanding after the exchange")
+	if c := counters(answerer, "acks_deferred", "acks_piggybacked", "ack_frames"); c[0] != 1 || c[1] != 0 || c[2] != 1 {
+		t.Errorf("answerer: %d deferred, %d piggybacked, %d ack frames, want 1, 0 and 1", c[0], c[1], c[2])
+	}
+	for _, e := range []*Endpoint{asker, gateway, answerer} {
+		if c := counters(e, "retried", "duplicates"); c[0]+c[1] != 0 {
+			t.Errorf("%s: %d retried, %d duplicates, want none", e.URN(), c[0], c[1])
+		}
 	}
 }

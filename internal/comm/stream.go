@@ -45,11 +45,15 @@ import (
 // (Open, Write and CloseWrite of a unary call; Write and CloseWrite of its
 // answer) ride one message, and a frame never waits for a later stream
 // call to get out. The flusher is the only sender, so frames to one peer
-// leave in the order they were queued. A batch is sealed, and the next
-// frame starts a new one behind it, when another frame would take it past
-// the chunk size plus streamBatchSlack: a message carries at most one
-// full DATA chunk and a few small frames, and the DATA queued for a
-// stream is bounded by the credit its peer granted. A batch the endpoint
+// leave in the order they were queued. It marks a message
+// flagReplyExpected when the batch holds a frame of a stream the peer can
+// still write to (a request, a WINDOW grant): the peer's endpoint may then
+// send that message's ack inside its answer (see ack.go). A batch is
+// sealed, and the next frame starts a new one behind it, when another
+// frame would take it past the chunk size plus streamBatchSlack: a
+// message carries at most one full DATA chunk and a few small frames, and
+// the DATA queued for a stream is bounded by the credit its peer granted.
+// A batch the endpoint
 // refuses (ErrBufferFull, ErrPeerDead, ErrClosed) is dropped together
 // with every batch queued behind it for that peer, so that no stream
 // reaches the peer with a hole in it; every stream with a frame among
@@ -134,6 +138,28 @@ type streamBatch struct {
 	enc     *xdr.Encoder
 	streams []*Stream // the stream of each frame in enc (frames of no stream left out)
 	next    *streamBatch
+}
+
+// replyExpected reports whether the peer is about to answer this batch:
+// whether it carries a frame of a stream whose inbound half is still
+// open. A request (OPEN, DATA, CLOSE) does; its response, sent after the
+// requester half-closed, does not. Only the flusher that took the batch
+// off its queue calls it.
+func (b *streamBatch) replyExpected() bool {
+	var last *Stream
+	for _, s := range b.streams {
+		if s == last {
+			continue // the frames of one call are neighbours
+		}
+		last = s
+		s.mu.Lock()
+		open := !s.recvEOF && s.failure == nil
+		s.mu.Unlock()
+		if open {
+			return true
+		}
+	}
+	return false
 }
 
 // streamBatchPool recycles batches, each with the capacity of its streams
@@ -419,7 +445,11 @@ func (m *StreamMux) nextBatch(peer string) *streamBatch {
 func (m *StreamMux) flush(peer string) {
 	defer m.flushers.Done()
 	for b := m.nextBatch(peer); b != nil; b = m.nextBatch(peer) {
-		err := m.ep.Send(peer, StreamTag, b.enc.Bytes())
+		var flags uint8
+		if b.replyExpected() {
+			flags = flagReplyExpected
+		}
+		_, err := m.ep.send(peer, StreamTag, b.enc.Bytes(), flags)
 		if err != nil {
 			m.mSendFailures.Inc()
 			m.failQueue(peer, b, fmt.Errorf("%w: sending to %s: %w", ErrStreamReset, peer, err))

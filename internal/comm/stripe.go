@@ -423,7 +423,7 @@ func (e *Endpoint) stripeWorker(s *stripeState, routeKey string, conn FrameConn,
 		if !ok {
 			return
 		}
-		if err := conn.Send(encodeMsgFrameInto(enc, s.frags[idx])); err != nil {
+		if err := conn.Send(encodeMsgFrameInto(enc, s.frags[idx], nil)); err != nil {
 			e.mSendErrors.Inc()
 			e.observeRouteError(routeKey)
 			e.dropConn(routeKey, conn)

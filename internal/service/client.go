@@ -480,6 +480,10 @@ func (c *Client) callOnce(ctx context.Context, urn, method string, req []byte) (
 	if err := st.CloseWrite(); err != nil {
 		return nil, err
 	}
+	// The first chunk is the response itself, not a copy of it: it is a
+	// window into the message that carried it, so its capacity is cut to
+	// its length and a second chunk is appended into a buffer of the
+	// response's own. Most responses are one chunk.
 	var resp []byte
 	for {
 		chunk, err := st.Read(ctx)
@@ -490,7 +494,11 @@ func (c *Client) callOnce(ctx context.Context, urn, method string, req []byte) (
 		if err != nil {
 			return nil, err
 		}
-		resp = append(resp, chunk...)
+		if resp == nil {
+			resp = chunk[:len(chunk):len(chunk)]
+		} else {
+			resp = append(resp, chunk...)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -283,6 +284,80 @@ func TestCallAllocs(t *testing.T) {
 		t.Errorf("256 B → 4 KiB Call costs %.1f allocations, want ≤ 50", got)
 	} else {
 		t.Logf("256 B → 4 KiB Call: %.1f allocations", got)
+	}
+	// Bytes: the request is copied once into the send buffer and the
+	// response once out of the frame buffer, and the caller gets that
+	// second copy itself. A further copy of the response would show as
+	// 4 KiB more.
+	// TotalAlloc is the whole process's, and whatever else runs in it
+	// (table refreshes, timers, goroutines of earlier tests winding down)
+	// can only add: the least of a few rounds is the call's own.
+	const rounds, calls = 5, 400
+	least := ^uint64(0)
+	for r := 0; r < rounds; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	if least > 9<<10 {
+		t.Errorf("256 B → 4 KiB Call allocates %d bytes, want ≤ %d", least, 9<<10)
+	} else {
+		t.Logf("256 B → 4 KiB Call: %d bytes allocated", least)
+	}
+}
+
+// TestCallJoinsResponseChunks: a response the handler wrote in two
+// pieces reaches the caller whole and in order, and a response of one
+// piece comes back with no capacity beyond its length — it is a window
+// into the message that carried it, and an append by the caller must
+// not write into what lies behind it.
+func TestCallJoinsResponseChunks(t *testing.T) {
+	w := newWorld(t)
+	answer := make([]byte, 4<<10)
+	for i := range answer {
+		answer[i] = byte(i * 7)
+	}
+	srv, err := NewServer(ServerConfig{
+		Name: "chunks", Catalog: w.cat, Endpoint: w.endpoint(naming.ProcessURN("h1", "chunks")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Handle("split", func(ctx context.Context, st *comm.Stream) error {
+		req, err := readAll(ctx, st)
+		if err != nil {
+			return err
+		}
+		cut := int(req[0]) * 16
+		if cut > 0 {
+			if err := st.Write(ctx, answer[:cut]); err != nil {
+				return err
+			}
+		}
+		return st.Write(ctx, answer[cut:])
+	})
+	cli, err := NewClient(ClientConfig{
+		Service: "chunks", Catalog: w.cat, Endpoint: w.endpoint(naming.ProcessURN("cli", "chunks")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, cut := range []byte{0, 1, 100, 255} {
+		resp, err := cli.Call(ctx, "split", []byte{cut})
+		if err != nil || !bytes.Equal(resp, answer) {
+			t.Fatalf("response cut at %d: %d bytes, %v", int(cut)*16, len(resp), err)
+		}
+		if cut == 0 && cap(resp) != len(resp) {
+			t.Fatalf("one-chunk response has capacity %d beyond its %d bytes", cap(resp), len(resp))
+		}
 	}
 }
 
