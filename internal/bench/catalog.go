@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -51,6 +52,11 @@ type CatalogResult struct {
 
 	LoadSecs       float64 `json:"load_secs"`
 	WriteOpsPerSec float64 `json:"write_ops_per_sec"`
+	// What one URI costs one replica to hold: the process's settled heap
+	// after the load, less what it was before the replicas were made, over
+	// URIs × replicas. Every replica's op log is compacted to its tail
+	// first and counts; the loading client keeps no table of the URIs.
+	HeapBytesPerURI float64 `json:"heap_bytes_per_uri"`
 
 	Reads         int     `json:"reads"`
 	ReadOpsPerSec float64 `json:"read_ops_per_sec"`
@@ -76,12 +82,12 @@ type CatalogResult struct {
 
 	// Rejoin proof: ops the downed replica missed vs elements it pulled
 	// via the compacted snapshot, and the serving side's page counter.
-	RejoinHistoryOps     int     `json:"rejoin_history_ops"`
-	RejoinSnapshotOps    int     `json:"rejoin_snapshot_ops"`
-	SnapshotPagesServed  uint64  `json:"snapshot_pages_served"`
-	RejoinUsedSnapshot   bool    `json:"rejoin_used_snapshot"`
-	RejoinConverged      bool    `json:"rejoin_converged"`
-	RejoinSecs           float64 `json:"rejoin_secs"`
+	RejoinHistoryOps    int     `json:"rejoin_history_ops"`
+	RejoinSnapshotOps   int     `json:"rejoin_snapshot_ops"`
+	SnapshotPagesServed uint64  `json:"snapshot_pages_served"`
+	RejoinUsedSnapshot  bool    `json:"rejoin_used_snapshot"`
+	RejoinConverged     bool    `json:"rejoin_converged"`
+	RejoinSecs          float64 `json:"rejoin_secs"`
 }
 
 // catURI names the i-th population URI. The path hashes through
@@ -100,6 +106,16 @@ func waitUntil(timeout, poll time.Duration, cond func() bool) bool {
 	return true
 }
 
+// settledHeap returns the live heap after two collections (the second
+// frees what the first one's sweep let go).
+func settledHeap() float64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
 func vecSum(v rcds.VersionVector) uint64 {
 	var sum uint64
 	for _, seq := range v {
@@ -114,6 +130,7 @@ func vecSum(v rcds.VersionVector) uint64 {
 func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 	res := CatalogResult{Groups: cfg.Groups, Replicas: cfg.Replicas, URIs: cfg.URIs, Writers: cfg.Writers}
 	ctx := context.Background()
+	heapBefore := settledHeap()
 
 	// Replica groups: each an independent master–master mesh; the shard
 	// map is enforced and seeded on every replica before traffic, as
@@ -213,6 +230,12 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 	}) {
 		return res, fmt.Errorf("bench: replica groups did not converge after load")
 	}
+	for _, srvs := range groups {
+		for _, s := range srvs {
+			s.Store().Compact(cfg.CompactKeep)
+		}
+	}
+	res.HeapBytesPerURI = (settledHeap() - heapBefore) / float64(cfg.URIs*cfg.Replicas)
 
 	// Phase 2: placement verification. Per-group population, a sampled
 	// cross-check that no URI is present on a non-owning group, vector

@@ -114,8 +114,8 @@ const historySize = 32
 type hostRecord struct {
 	state     State
 	seq       uint64
-	aliveSeq  uint64    // highest seq any alive claim carried at inc
-	inc       uint64    // gossip incarnation (zero for legacy heartbeats)
+	aliveSeq  uint64 // highest seq any alive claim carried at inc
+	inc       uint64 // gossip incarnation (zero for legacy heartbeats)
 	load      float64
 	lastBeat  time.Time // local arrival time of the last NEW evidence
 	lastSeen  time.Time // last intake mentioning the host, fresh or stale

@@ -77,12 +77,18 @@ const (
 // meet. A Sole assertion is a clear-and-set (Set): it is the attribute's
 // register, and every element and tombstone of (URI, Name) stamped
 // before it is gone — deleted where it is held, dropped where it arrives
-// late. Sole and Deleted never combine. ServerTime is
-// the wall-clock time (Unix nanoseconds) at which the accepting RC
-// server stamped the update — the paper's "automatic time stamping of
-// metadata by the RC servers" that lets temporally disjoint tasks judge
-// the age of what they read (§3.1). It is informational and plays no
-// part in conflict resolution.
+// late. Sole and Deleted never combine. ServerTime is the wall-clock
+// time (Unix nanoseconds) at which the accepting RC server stamped the
+// update — the paper's "automatic time stamping of metadata by the RC
+// servers" that lets temporally disjoint tasks judge the age of what they
+// read (§3.1). It is informational and plays no part in conflict
+// resolution.
+//
+// A Store keeps entries by value, a URI's in one slice, so the struct's
+// 144 bytes are most of what an entry costs: the strings of a stored
+// entry are shared — URI with the catalog's key, a well-known Name with
+// this package's constant, Origin with the store's list — and only Value
+// (and a signature) is the entry's own.
 type Assertion struct {
 	URI        string
 	Name       string
@@ -97,24 +103,37 @@ type Assertion struct {
 	Signer     string // principal that produced Signature
 }
 
-// elemKey identifies an entry within a URI's catalog. RCDS attributes
-// are multi-valued (a file has many locations, a process many comm
-// addresses), so an element's identity is the (name, value) pair. The
-// attribute's register has a slot of its own, (name, sole) with an empty
-// value: its value lives in the assertion, so the slot — and the floor
-// its stamp puts under late elements — outlives a Remove of that value.
-type elemKey struct {
-	name  string
-	value string
-	sole  bool
-}
-
-// keyOf returns the catalog slot the assertion occupies.
-func keyOf(a *Assertion) elemKey {
-	if a.Sole {
-		return elemKey{name: a.Name, sole: true}
+// attrNames holds the well-known names above, each mapped to itself: the
+// copy a decoder hands out instead of allocating the name again for every
+// op and keeping one per catalog entry. It is built once and only read.
+var attrNames = func() map[string]string {
+	names := []string{
+		AttrHostDaemonURL, AttrCPUs, AttrArch, AttrInterface, AttrBroker,
+		AttrPublicKey, AttrCommAddr, AttrNotify, AttrState, AttrLocation,
+		AttrMcastRouter, AttrLoad, AttrHeartbeat, AttrMemory,
+		AttrSupervisorLIFN, AttrCodeHash, AttrCodeSig, AttrPlayground,
+		AttrProtocol, AttrServiceReplica, AttrGroupDigest, AttrGossipGroup,
 	}
-	return elemKey{name: a.Name, value: a.Value}
+	m := make(map[string]string, len(names))
+	for _, n := range names {
+		m[n] = n
+	}
+	return m
+}()
+
+// decodeName reads an assertion name. A well-known one comes back as the
+// package's own string, with nothing allocated; any other is kept as
+// decoded and not remembered — the schema stays open and attrNames stays
+// the size it was built.
+func decodeName(d *xdr.Decoder) (string, error) {
+	b, err := d.BytesMax(maxWireURI)
+	if err != nil {
+		return "", err
+	}
+	if name, ok := attrNames[string(b)]; ok {
+		return name, nil
+	}
+	return string(b), nil
 }
 
 // Supersedes reports whether a beats b under last-writer-wins order:
@@ -198,7 +217,7 @@ func DecodeAssertion(d *xdr.Decoder) (Assertion, error) {
 	if a.URI, err = d.StringMax(maxWireURI); err != nil {
 		return a, err
 	}
-	if a.Name, err = d.StringMax(maxWireURI); err != nil {
+	if a.Name, err = decodeName(d); err != nil {
 		return a, err
 	}
 	if a.Value, err = d.StringMax(maxWireValue); err != nil {

@@ -26,10 +26,12 @@
 // The package splits three ways, mirroring the deployment shape:
 //
 //   - Store (store.go, persist.go) is the replica state machine: the
-//     assertion catalog, the per-origin op log with its version vector
-//     and compaction floor, and the merge rules. It is purely local —
-//     no I/O beyond explicit Save/Load — so every replication property
-//     is testable without a network.
+//     assertion catalog (per URI one slice of entries sorted by name,
+//     register first, then value; DESIGN.md "What a URN costs"), the
+//     per-origin op log with its version vector and compaction floor,
+//     and the merge rules. It is purely local — no I/O beyond explicit
+//     Save/Load — so every replication property is testable without a
+//     network.
 //   - Server (server.go, wire.go) puts a Store on the wire: a
 //     multiplexed length-prefixed binary protocol with optional HMAC
 //     authentication, push replication to peers, periodic anti-entropy

@@ -32,6 +32,12 @@ import (
 // snapshotMagic guards against loading foreign files.
 const snapshotMagic = "SNIPE-RC-SNAPSHOT-2"
 
+// snapshotEntryHint is what SaveTo reserves per assertion: 49 bytes of
+// fixed fields and length prefixes plus the strings, which for a process
+// URN with a short name, value and origin come to 100. A catalog of
+// longer ones costs the encoder one more doubling, not a dozen.
+const snapshotEntryHint = 112
+
 // snapshotMagicV1 marks the format that held only the op log, from
 // which a compacted catalog could not be rebuilt.
 const snapshotMagicV1 = "SNIPE-RC-SNAPSHOT-1"
@@ -39,13 +45,6 @@ const snapshotMagicV1 = "SNIPE-RC-SNAPSHOT-1"
 // SaveTo writes a snapshot of the replica's state.
 func (s *Store) SaveTo(w io.Writer) error {
 	s.mu.Lock()
-	e := xdr.NewEncoder(1 << 16)
-	e.PutString(snapshotMagic)
-	e.PutString(s.origin)
-	e.PutUint64(s.lamport)
-	e.PutUint64(s.seq)
-	s.vv.Encode(e)
-	VersionVector(s.floor).Encode(e)
 	entries, logged := 0, 0
 	for _, cat := range s.catalogs {
 		entries += len(cat)
@@ -53,10 +52,20 @@ func (s *Store) SaveTo(w io.Writer) error {
 	for _, l := range s.log {
 		logged += len(l)
 	}
+	// Sized once from the counts: the store lock is held until the last
+	// byte is encoded, and a buffer doubling its way up to a 1M-URI
+	// catalog would copy the snapshot a dozen times under it.
+	e := xdr.NewEncoder(1<<10 + (entries+logged)*snapshotEntryHint)
+	e.PutString(snapshotMagic)
+	e.PutString(s.origin)
+	e.PutUint64(s.lamport)
+	e.PutUint64(s.seq)
+	s.vv.Encode(e)
+	VersionVector(s.floor).Encode(e)
 	e.PutUint32(uint32(entries))
 	for _, cat := range s.catalogs {
-		for _, a := range cat {
-			a.Encode(e)
+		for i := range cat {
+			cat[i].Encode(e)
 		}
 	}
 	e.PutUint32(uint32(logged))
@@ -112,7 +121,8 @@ func LoadStore(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 	for _, a := range entries {
-		s.applyLocked(a)
+		cat := s.ownLocked(&a)
+		s.applyLocked(cat, a)
 	}
 	logged, err := DecodeAssertions(d)
 	if err != nil {
@@ -121,6 +131,7 @@ func LoadStore(r io.Reader) (*Store, error) {
 	// The vector was saved, so the log goes back as it was, holes and
 	// all, without recordLocked's walk.
 	for _, op := range logged {
+		s.ownLocked(&op)
 		s.originLogLocked(op.Origin)[op.Seq] = op
 	}
 	if err := d.Finish(); err != nil {

@@ -353,7 +353,7 @@ func (s *Server) dispatch(body []byte) []byte {
 		if err != nil {
 			return errResponse(err)
 		}
-		name, err := d.StringMax(maxWireURI)
+		name, err := decodeName(d)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -380,7 +380,7 @@ func (s *Server) dispatch(body []byte) []byte {
 		if err != nil {
 			return errResponse(err)
 		}
-		name, err := d.StringMax(maxWireURI)
+		name, err := decodeName(d)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -394,7 +394,7 @@ func (s *Server) dispatch(body []byte) []byte {
 		if err != nil {
 			return errResponse(err)
 		}
-		name, err := d.StringMax(maxWireURI)
+		name, err := decodeName(d)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -515,7 +515,7 @@ func decodeTriple(d *xdr.Decoder) (uri, name, value string, err error) {
 	if uri, err = d.StringMax(maxWireURI); err != nil {
 		return
 	}
-	if name, err = d.StringMax(maxWireURI); err != nil {
+	if name, err = decodeName(d); err != nil {
 		return
 	}
 	value, err = d.StringMax(maxWireValue)

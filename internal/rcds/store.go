@@ -2,6 +2,7 @@ package rcds
 
 import (
 	"crypto/sha256"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,14 +23,28 @@ type Event struct {
 // summarising them. The entries are a function of the set of ops
 // received, whatever their order or repetition. All methods are safe for
 // concurrent use.
+//
+// A URI's entries are one slice of Assertion values sorted by slot (see
+// search): by name, an attribute's register before its elements, the
+// elements by value. An attribute is therefore one contiguous run, found
+// by binary search and read in the order Get returns; a Set cuts the run
+// down to its register in one pass. Inserting into the middle of a slice
+// is a memmove: nothing beside the search for the 1–16 entries of every
+// URI the system itself writes, and for a service group of a thousand
+// replicas 68 KB on average, which makes that Add cost about four times
+// what a map insert did (BenchmarkStoreAdd: 2.2 µs against 0.5). What a URI costs to hold is its map slot, its
+// key's bytes once (every entry's URI aliases the key), 144 B per entry
+// and the value strings; names and origins are shared (decodeName,
+// ownLocked). DESIGN.md "What a URN costs" has the budget.
 type Store struct {
 	mu      sync.Mutex
 	origin  string
 	lamport uint64
 	seq     uint64 // this origin's next op sequence number - 1
 
-	catalogs map[string]map[elemKey]*Assertion
+	catalogs map[string][]Assertion          // URI → entries in slot order; never empty once made
 	log      map[string]map[uint64]Assertion // origin → seq → op (may have holes)
+	origins  []string                        // every origin seen (a handful), for ownLocked to hand out
 	vv       VersionVector                   // contiguous high-water marks
 	floor    map[string]uint64               // origin → first log seq still servable (0 = from the start)
 
@@ -62,7 +77,8 @@ type subscription struct {
 func NewStore(origin string) *Store {
 	s := &Store{
 		origin:   origin,
-		catalogs: make(map[string]map[elemKey]*Assertion),
+		catalogs: make(map[string][]Assertion),
+		origins:  []string{origin},
 		log:      make(map[string]map[uint64]Assertion),
 		vv:       make(VersionVector),
 		floor:    make(map[string]uint64),
@@ -103,62 +119,162 @@ func (s *Store) newLocalOp(uri, name, value string, deleted bool) Assertion {
 	}
 }
 
-// live reports whether entry a, held at key in cat, is a live value of
-// its attribute. An element is unless it is a tombstone. The register is
-// unless an element stands at (name, its value): applyLocked keeps only
-// elements stamped after the register, so that one is a Remove that took
-// the value away or an Add that carries it (and is the one counted).
-func live(cat map[elemKey]*Assertion, key elemKey, a *Assertion) bool {
-	if !key.sole {
-		return !a.Deleted
+// slotCmp orders the stored entry e against the slot (name, sole, value):
+// by name, an attribute's register before its elements, elements by
+// value. A register's own value is not part of its slot, so the slot —
+// and the floor its stamp puts under late elements — outlives a Remove of
+// that value, which leaves its tombstone among the elements.
+func slotCmp(e *Assertion, name string, sole bool, value string) int {
+	if e.Name != name { // equal names are mostly one string: see decodeName
+		return strings.Compare(e.Name, name)
 	}
-	_, over := cat[elemKey{name: key.name, value: a.Value}]
-	return !over
+	switch {
+	case e.Sole && sole:
+		return 0
+	case e.Sole:
+		return -1
+	case sole:
+		return 1
+	}
+	return strings.Compare(e.Value, value)
+}
+
+// search returns the index in cat of the slot (name, sole, value) and
+// whether an entry stands there; if none does, the index is where one
+// would be inserted. search(cat, name, true, "") is the start of the
+// attribute's run.
+func search(cat []Assertion, name string, sole bool, value string) (int, bool) {
+	i := sort.Search(len(cat), func(k int) bool { return slotCmp(&cat[k], name, sole, value) >= 0 })
+	return i, i < len(cat) && slotCmp(&cat[i], name, sole, value) == 0
+}
+
+// walkLive calls visit with each live entry of the run that starts at
+// cat[i], in value order, and returns the index after the run. An
+// element is live unless it is a tombstone. The register is live unless
+// an element stands at its value: applyLocked keeps only elements stamped
+// after the register, so that one is a Remove that took the value away or
+// an Add that carries it (and is the one visited).
+func walkLive(cat []Assertion, i int, visit func(*Assertion)) int {
+	name := cat[i].Name
+	var reg *Assertion
+	if cat[i].Sole {
+		reg = &cat[i]
+		i++
+	}
+	for ; i < len(cat) && cat[i].Name == name; i++ {
+		e := &cat[i]
+		if reg != nil && e.Value >= reg.Value {
+			if e.Value != reg.Value {
+				visit(reg)
+			}
+			reg = nil
+		}
+		if !e.Deleted {
+			visit(e)
+		}
+	}
+	if reg != nil {
+		visit(reg)
+	}
+	return i
+}
+
+// walkLiveOf is walkLive over the run of name, if cat has one.
+func walkLiveOf(cat []Assertion, name string, visit func(*Assertion)) {
+	if i, _ := search(cat, name, true, ""); i < len(cat) && cat[i].Name == name {
+		walkLive(cat, i, visit)
+	}
+}
+
+// countLive returns the number of live entries in cat.
+func countLive(cat []Assertion) (n int) {
+	for i := 0; i < len(cat); {
+		i = walkLive(cat, i, func(*Assertion) { n++ })
+	}
+	return n
 }
 
 // liveValue reports whether value is a live value of name in cat.
-func liveValue(cat map[elemKey]*Assertion, name, value string) bool {
-	if cur, ok := cat[elemKey{name: name, value: value}]; ok {
-		return !cur.Deleted
+func liveValue(cat []Assertion, name, value string) bool {
+	if i, ok := search(cat, name, false, value); ok {
+		return !cat[i].Deleted
 	}
-	reg := cat[elemKey{name: name, sole: true}]
-	return reg != nil && reg.Value == value
+	i, ok := search(cat, name, true, "")
+	return ok && cat[i].Value == value
 }
 
-// applyLocked merges one assertion into the catalog. An attribute's
-// register is a floor under the whole attribute: an assertion not
-// stamped after it is dropped, and a Sole assertion that is deletes
-// every element and tombstone of the attribute stamped before it. Above
-// the floor each (name, value) keeps its last writer. Returns true if
-// the catalog visibly changed. Caller holds s.mu.
-func (s *Store) applyLocked(a Assertion) bool {
-	cat, ok := s.catalogs[a.URI]
-	if !ok {
-		cat = make(map[elemKey]*Assertion)
-		s.catalogs[a.URI] = cat
+// ownLocked returns the entries held for a's URI and makes a's URI and
+// origin the store's own copies of those strings — the catalog map's key
+// and an element of s.origins — so that keeping a, in the catalog or the
+// log, keeps neither string of the request it was decoded from. Caller
+// holds s.mu.
+func (s *Store) ownLocked(a *Assertion) []Assertion {
+	cat := s.catalogs[a.URI]
+	if len(cat) > 0 {
+		a.URI = cat[0].URI
 	}
-	reg := cat[elemKey{name: a.Name, sole: true}]
-	if reg != nil && !a.Supersedes(reg) {
+	if i := slices.Index(s.origins, a.Origin); i >= 0 {
+		a.Origin = s.origins[i]
+	} else {
+		s.origins = append(s.origins, a.Origin)
+	}
+	return cat
+}
+
+// mergeLocked files op in its origin's log and merges it into the
+// catalog, reporting whether the catalog visibly changed. Caller holds
+// s.mu.
+func (s *Store) mergeLocked(op Assertion) bool {
+	cat := s.ownLocked(&op)
+	s.recordLocked(op)
+	return s.applyLocked(cat, op)
+}
+
+// applyLocked merges one assertion into cat, the entries of its URI (as
+// ownLocked returned them). An attribute's register is a floor under the
+// whole attribute: an assertion not stamped after it is dropped, and a
+// Sole assertion that is takes the head of the run and cuts from it every
+// element and tombstone stamped before it. Above the floor each
+// (name, value) keeps its last writer. Returns true if the catalog
+// visibly changed. Caller holds s.mu.
+func (s *Store) applyLocked(cat []Assertion, a Assertion) bool {
+	i, hasReg := search(cat, a.Name, true, "")
+	if hasReg && !a.Supersedes(&cat[i]) {
 		return false
 	}
-	key, cur := keyOf(&a), reg
+	moved := false // cat's header changed and goes back into the map
 	if !a.Sole {
-		if cur = cat[key]; cur != nil && !a.Supersedes(cur) {
+		k, ok := search(cat, a.Name, false, a.Value)
+		if ok && !a.Supersedes(&cat[k]) {
 			return false
 		}
-	}
-	if cur != nil {
-		*cur = a // readers copy under s.mu; nothing holds the entry
+		if ok {
+			cat[k] = a
+		} else {
+			cat, moved = slices.Insert(cat, k, a), true
+		}
 	} else {
-		cp := a
-		cat[key] = &cp
-	}
-	if a.Sole && len(cat) > 1 {
-		for k, old := range cat {
-			if k.name == a.Name && !k.sole && a.Supersedes(old) {
-				delete(cat, k)
+		if hasReg {
+			cat[i] = a
+		} else {
+			cat, moved = slices.Insert(cat, i, a), true
+		}
+		w, r := i+1, i+1
+		for ; r < len(cat) && cat[r].Name == a.Name; r++ {
+			if !a.Supersedes(&cat[r]) {
+				cat[w] = cat[r]
+				w++
 			}
 		}
+		if w < r {
+			cat, moved = slices.Delete(cat, w, r), true
+			if cap(cat) >= 4*len(cat) {
+				cat = slices.Clone(cat) // a wide attribute cleared: give the room back
+			}
+		}
+	}
+	if moved {
+		s.catalogs[a.URI] = cat
 	}
 	if a.Clock > s.lamport {
 		s.lamport = a.Clock
@@ -222,8 +338,7 @@ func (s *Store) Set(uri, name, value string) []Assertion {
 	defer s.mu.Unlock()
 	op := s.newLocalOp(uri, name, value, false)
 	op.Sole = true
-	s.recordLocked(op)
-	s.applyLocked(op)
+	s.mergeLocked(op)
 	return []Assertion{op}
 }
 
@@ -234,8 +349,7 @@ func (s *Store) Add(uri, name, value string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	op := s.newLocalOp(uri, name, value, false)
-	s.recordLocked(op)
-	s.applyLocked(op)
+	s.mergeLocked(op)
 	return []Assertion{op}
 }
 
@@ -247,8 +361,7 @@ func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) []
 	op := s.newLocalOp(uri, name, value, false)
 	op.Signer = signer
 	op.Signature = sig
-	s.recordLocked(op)
-	s.applyLocked(op)
+	s.mergeLocked(op)
 	return []Assertion{op}
 }
 
@@ -261,8 +374,7 @@ func (s *Store) Remove(uri, name, value string) []Assertion {
 		return nil
 	}
 	op := s.newLocalOp(uri, name, value, true)
-	s.recordLocked(op)
-	s.applyLocked(op)
+	s.mergeLocked(op)
 	return []Assertion{op}
 }
 
@@ -271,15 +383,11 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ops []Assertion
-	cat := s.catalogs[uri]
-	for key, cur := range cat {
-		if key.name == name && live(cat, key, cur) {
-			ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
-		}
-	}
+	walkLiveOf(s.catalogs[uri], name, func(cur *Assertion) {
+		ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
+	})
 	for _, op := range ops {
-		s.recordLocked(op)
-		s.applyLocked(op)
+		s.mergeLocked(op)
 	}
 	return ops
 }
@@ -295,8 +403,7 @@ func (s *Store) ApplyRemote(ops []Assertion) int {
 			continue // our own ops echoed back
 		}
 		s.mRemoteOps.Inc()
-		s.recordLocked(op)
-		if s.applyLocked(op) {
+		if s.mergeLocked(op) {
 			changed++
 			s.mRemoteApplied.Inc()
 			// Replication lag: origin's mint time to our apply time. The
@@ -325,12 +432,9 @@ func (s *Store) Get(uri string) []Assertion {
 	defer s.mu.Unlock()
 	var out []Assertion
 	cat := s.catalogs[uri]
-	for key, a := range cat {
-		if live(cat, key, a) {
-			out = append(out, *a)
-		}
+	for i := 0; i < len(cat); {
+		i = walkLive(cat, i, func(a *Assertion) { out = append(out, *a) })
 	}
-	sortAssertions(out)
 	return out
 }
 
@@ -340,13 +444,7 @@ func (s *Store) Values(uri, name string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []string
-	cat := s.catalogs[uri]
-	for key, a := range cat {
-		if key.name == name && live(cat, key, a) {
-			out = append(out, a.Value)
-		}
-	}
-	sort.Strings(out)
+	walkLiveOf(s.catalogs[uri], name, func(a *Assertion) { out = append(out, a.Value) })
 	return out
 }
 
@@ -357,14 +455,11 @@ func (s *Store) FirstValue(uri, name string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *Assertion
-	cat := s.catalogs[uri]
-	for key, a := range cat {
-		if key.name == name && live(cat, key, a) {
-			if best == nil || a.Supersedes(best) {
-				best = a
-			}
+	walkLiveOf(s.catalogs[uri], name, func(a *Assertion) {
+		if best == nil || a.Supersedes(best) {
+			best = a
 		}
-	}
+	})
 	if best == nil {
 		return "", false
 	}
@@ -377,14 +472,8 @@ func (s *Store) URIs(prefix string) []string {
 	defer s.mu.Unlock()
 	var out []string
 	for uri, cat := range s.catalogs {
-		if !strings.HasPrefix(uri, prefix) {
-			continue
-		}
-		for key, a := range cat {
-			if live(cat, key, a) {
-				out = append(out, uri)
-				break
-			}
+		if strings.HasPrefix(uri, prefix) && countLive(cat) > 0 {
+			out = append(out, uri)
 		}
 	}
 	sort.Strings(out)
@@ -504,19 +593,20 @@ func (s *Store) Unsubscribe(id int) {
 	delete(s.subs, id)
 }
 
-// Stats reports catalog sizes for monitoring: URIs held, live values,
-// and tombstones (which only Remove and RemoveAll leave, until the
-// attribute's next Set).
+// Stats reports catalog sizes for monitoring: URIs held (one whose
+// values were all removed still holds their tombstones and counts), live
+// values (a register and an Add over its value are one), and tombstones
+// (which only Remove and RemoveAll leave, until the attribute's next
+// Set). It walks every entry: what it costs is the catalog's size.
 func (s *Store) Stats() (uris, elements, tombstones int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	uris = len(s.catalogs)
 	for _, cat := range s.catalogs {
-		for key, a := range cat {
-			if a.Deleted {
+		elements += countLive(cat)
+		for i := range cat {
+			if cat[i].Deleted {
 				tombstones++
-			} else if live(cat, key, a) {
-				elements++
 			}
 		}
 	}
@@ -574,9 +664,7 @@ func (s *Store) SnapshotPage(afterURI string, maxOps int) (ops []Assertion, next
 		if len(ops) >= maxOps {
 			return ops, next, s.vv.Copy()
 		}
-		for _, a := range s.catalogs[uri] {
-			ops = append(ops, *a)
-		}
+		ops = append(ops, s.catalogs[uri]...)
 		next = uri
 	}
 	return ops, "", s.vv.Copy()
@@ -596,8 +684,7 @@ func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 			continue // our own ops: already in our log
 		}
 		s.mSnapInstall.Inc()
-		s.recordLocked(op)
-		if s.applyLocked(op) {
+		if s.mergeLocked(op) {
 			changed++
 		}
 	}
@@ -686,8 +773,8 @@ func (s *Store) LogLen() int {
 }
 
 // ContentHash returns a digest over the full catalog content — every
-// element, tombstone and register with all its fields, in deterministic
-// order. Two replicas whose hashes match hold byte-identical catalogs;
+// element, tombstone and register with all its fields, URIs sorted and
+// each one's entries in slot order. Two replicas whose hashes match hold byte-identical catalogs;
 // the convergence proof the catch-up tests and bench assert.
 func (s *Store) ContentHash() [32]byte {
 	s.mu.Lock()
@@ -701,36 +788,13 @@ func (s *Store) ContentHash() [32]byte {
 	e := xdr.NewEncoder(256)
 	for _, uri := range uris {
 		cat := s.catalogs[uri]
-		elems := make([]Assertion, 0, len(cat))
-		for _, a := range cat {
-			elems = append(elems, *a)
-		}
-		sort.Slice(elems, func(i, j int) bool {
-			if elems[i].Name != elems[j].Name {
-				return elems[i].Name < elems[j].Name
-			}
-			if elems[i].Value != elems[j].Value {
-				return elems[i].Value < elems[j].Value
-			}
-			// A register and an element over its value share both.
-			return !elems[i].Sole && elems[j].Sole
-		})
-		for i := range elems {
+		for i := range cat {
 			e.Reset()
-			elems[i].Encode(e)
+			cat[i].Encode(e)
 			h.Write(e.Bytes())
 		}
 	}
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
-}
-
-func sortAssertions(as []Assertion) {
-	sort.Slice(as, func(i, j int) bool {
-		if as[i].Name != as[j].Name {
-			return as[i].Name < as[j].Name
-		}
-		return as[i].Value < as[j].Value
-	})
 }

@@ -3,10 +3,12 @@ package rcds
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"snipe/internal/testutil"
 	"snipe/internal/xdr"
@@ -567,6 +569,9 @@ func TestSetChurnIsFlat(t *testing.T) {
 	if uris, elems, tombs := st.Stats(); uris != 1 || elems != 1 || tombs != 0 {
 		t.Errorf("after %d distinct values: %d URIs, %d elements, %d tombstones; want 1, 1, 0", next, uris, elems, tombs)
 	}
+	if cat := st.catalogs[uri]; len(cat) != 1 || cap(cat) > 2 {
+		t.Errorf("the URI's entries: %d in room for %d, want 1 in at most 2", len(cat), cap(cat))
+	}
 }
 
 // Property: assertions round-trip through the wire encoding.
@@ -586,21 +591,348 @@ func TestQuickAssertionRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkStoreSet(b *testing.B) {
-	s := NewStore("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Set("urn:snipe:host:h1", AttrLoad, "0.5")
+// refStore is the catalog as this package held it before a URI's entries
+// became one sorted slice: a map per URI from slot to boxed entry, with
+// the merge rule, liveness and read paths copied from that code. It is
+// what TestStoreMatchesReference holds the slice layout to.
+type refStore struct {
+	catalogs map[string]map[refKey]*Assertion
+}
+
+type refKey struct {
+	name  string
+	value string
+	sole  bool
+}
+
+func newRefStore() *refStore {
+	return &refStore{catalogs: make(map[string]map[refKey]*Assertion)}
+}
+
+func refKeyOf(a *Assertion) refKey {
+	if a.Sole {
+		return refKey{name: a.Name, sole: true}
+	}
+	return refKey{name: a.Name, value: a.Value}
+}
+
+func refLive(cat map[refKey]*Assertion, key refKey, a *Assertion) bool {
+	if !key.sole {
+		return !a.Deleted
+	}
+	_, over := cat[refKey{name: key.name, value: a.Value}]
+	return !over
+}
+
+func (r *refStore) liveValue(uri, name, value string) bool {
+	cat := r.catalogs[uri]
+	if cur, ok := cat[refKey{name: name, value: value}]; ok {
+		return !cur.Deleted
+	}
+	reg := cat[refKey{name: name, sole: true}]
+	return reg != nil && reg.Value == value
+}
+
+func (r *refStore) apply(ops []Assertion) {
+	for _, a := range ops {
+		cat, ok := r.catalogs[a.URI]
+		if !ok {
+			cat = make(map[refKey]*Assertion)
+			r.catalogs[a.URI] = cat
+		}
+		reg := cat[refKey{name: a.Name, sole: true}]
+		if reg != nil && !a.Supersedes(reg) {
+			continue
+		}
+		key, cur := refKeyOf(&a), reg
+		if !a.Sole {
+			if cur = cat[key]; cur != nil && !a.Supersedes(cur) {
+				continue
+			}
+		}
+		cp := a
+		cat[key] = &cp
+		if a.Sole {
+			for k, old := range cat {
+				if k.name == a.Name && !k.sole && a.Supersedes(old) {
+					delete(cat, k)
+				}
+			}
+		}
 	}
 }
 
-func BenchmarkStoreGet(b *testing.B) {
-	s := NewStore("bench")
-	for i := 0; i < 10; i++ {
-		s.Add("u", fmt.Sprintf("n%d", i), "v")
+func (r *refStore) Get(uri string) []Assertion {
+	var out []Assertion
+	cat := r.catalogs[uri]
+	for key, a := range cat {
+		if refLive(cat, key, a) {
+			out = append(out, *a)
+		}
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Get("u")
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Value < out[j].Value
+	})
+	return out
+}
+
+func (r *refStore) Values(uri, name string) []string {
+	var out []string
+	for _, a := range r.Get(uri) {
+		if a.Name == name {
+			out = append(out, a.Value)
+		}
+	}
+	return out
+}
+
+func (r *refStore) FirstValue(uri, name string) (string, bool) {
+	var best *Assertion
+	cat := r.catalogs[uri]
+	for key, a := range cat {
+		if key.name == name && refLive(cat, key, a) && (best == nil || a.Supersedes(best)) {
+			best = a
+		}
+	}
+	if best == nil {
+		return "", false
+	}
+	return best.Value, true
+}
+
+func (r *refStore) URIs() []string {
+	var out []string
+	for uri := range r.catalogs {
+		if len(r.Get(uri)) > 0 {
+			out = append(out, uri)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (r *refStore) Stats() (uris, elements, tombstones int) {
+	uris = len(r.catalogs)
+	for _, cat := range r.catalogs {
+		for key, a := range cat {
+			if a.Deleted {
+				tombstones++
+			} else if refLive(cat, key, a) {
+				elements++
+			}
+		}
+	}
+	return
+}
+
+// entries renders every entry held, sorted: the multiset SnapshotPage
+// must serve.
+func (r *refStore) entries() []string {
+	var out []string
+	for _, cat := range r.catalogs {
+		for _, a := range cat {
+			out = append(out, entryString(a))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// entryString renders every field of an entry.
+func entryString(a *Assertion) string {
+	return fmt.Sprintf("%s t=%d signer=%q sig=%x", a, a.ServerTime, a.Signer, a.Signature)
+}
+
+// diff reports the first read on which st and r disagree, "" if none.
+func (r *refStore) diff(st *Store, uris, names []string) string {
+	for _, uri := range uris {
+		got, want := st.Get(uri), r.Get(uri)
+		if len(got) != len(want) {
+			return fmt.Sprintf("Get(%s) = %v, reference %v", uri, got, want)
+		}
+		for i := range got {
+			if entryString(&got[i]) != entryString(&want[i]) {
+				return fmt.Sprintf("Get(%s) = %v, reference %v", uri, got, want)
+			}
+		}
+		for _, name := range names {
+			if got, want := st.Values(uri, name), r.Values(uri, name); fmt.Sprint(got) != fmt.Sprint(want) {
+				return fmt.Sprintf("Values(%s, %s) = %v, reference %v", uri, name, got, want)
+			}
+			gv, gok := st.FirstValue(uri, name)
+			wv, wok := r.FirstValue(uri, name)
+			if gv != wv || gok != wok {
+				return fmt.Sprintf("FirstValue(%s, %s) = %q %v, reference %q %v", uri, name, gv, gok, wv, wok)
+			}
+		}
+	}
+	if got, want := st.URIs(""), r.URIs(); fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Sprintf("URIs = %v, reference %v", got, want)
+	}
+	gu, ge, gt := st.Stats()
+	wu, we, wt := r.Stats()
+	if gu != wu || ge != we || gt != wt {
+		return fmt.Sprintf("Stats = %d %d %d, reference %d %d %d", gu, ge, gt, wu, we, wt)
+	}
+	page, next, _ := st.SnapshotPage("", 0)
+	if next != "" {
+		return "snapshot did not fit one page"
+	}
+	held := make([]string, len(page))
+	for i := range page {
+		held[i] = entryString(&page[i])
+	}
+	sort.Strings(held)
+	if want := r.entries(); fmt.Sprint(held) != fmt.Sprint(want) {
+		return fmt.Sprintf("entries held %v, reference %v", held, want)
+	}
+	return ""
+}
+
+// TestStoreMatchesReference drives the slice layout and the map layout it
+// replaced with the same ops — three writers' Set, Add, AddSigned, Remove
+// and RemoveAll over 4 URIs × 3 names × 5 values, gossiped in part, so
+// late, duplicate and lower-stamped ops all occur — and compares every
+// read the store offers after every op, and which values each removal
+// found to tombstone.
+func TestStoreMatchesReference(t *testing.T) {
+	const seeds = 2500
+	for seed := int64(0); seed < seeds; seed++ {
+		if msg := matchReferenceOnce(rand.New(rand.NewSource(seed))); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+func matchReferenceOnce(rng *rand.Rand) string {
+	const writers = 3
+	uris := []string{"u0", "u1", "u2", "u3"}
+	names := []string{"n0", "n1", "n2"}
+	stores, refs := make([]*Store, writers), make([]*refStore, writers)
+	for i := range stores {
+		stores[i], refs[i] = NewStore(fmt.Sprintf("r%d", i)), newRefStore()
+	}
+	for n := 8 + rng.Intn(40); n > 0; n-- {
+		w := rng.Intn(writers)
+		st, ref := stores[w], refs[w]
+		uri, name := uris[rng.Intn(len(uris))], names[rng.Intn(len(names))]
+		value := fmt.Sprintf("v%d", rng.Intn(5))
+		var ops []Assertion
+		what := ""
+		switch rng.Intn(5) {
+		case 0:
+			what, ops = "Set", st.Set(uri, name, value)
+		case 1:
+			what, ops = "Add", st.Add(uri, name, value)
+		case 2:
+			what, ops = "AddSigned", st.AddSigned(uri, name, value, "signer", []byte{byte(n)})
+		case 3:
+			was := ref.liveValue(uri, name, value)
+			what, ops = "Remove", st.Remove(uri, name, value)
+			if (len(ops) == 1) != was {
+				return fmt.Sprintf("Remove(%s, %s, %s) minted %v, reference held it live: %v", uri, name, value, ops, was)
+			}
+		case 4:
+			was := ref.Values(uri, name)
+			what, ops = "RemoveAll", st.RemoveAll(uri, name)
+			var found []string
+			for _, op := range ops {
+				found = append(found, op.Value)
+			}
+			sort.Strings(found)
+			if fmt.Sprint(found) != fmt.Sprint(was) {
+				return fmt.Sprintf("RemoveAll(%s, %s) tombstoned %v, reference held %v", uri, name, found, was)
+			}
+		}
+		ref.apply(ops)
+		if msg := ref.diff(st, uris, names); msg != "" {
+			return fmt.Sprintf("after %s(%s, %s, %s) on %s: %s", what, uri, name, value, st.Origin(), msg)
+		}
+		if rng.Intn(3) == 0 {
+			src, dst := rng.Intn(writers), rng.Intn(writers)
+			ops := stores[src].OpsSince(stores[dst].Vector(), 0)
+			rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+			stores[dst].ApplyRemote(ops)
+			refs[dst].apply(ops)
+			if msg := refs[dst].diff(stores[dst], uris, names); msg != "" {
+				return fmt.Sprintf("after %s took %d ops from %s: %s", stores[dst].Origin(), len(ops), stores[src].Origin(), msg)
+			}
+		}
+	}
+	return ""
+}
+
+// TestWideURI: a service group or multicast URN holds hundreds of values
+// under one name. A thousand Adds in shuffled order leave the URI's slice
+// in slot order and read back in value order; one Set cuts all of them and
+// gives their room back; a Remove of the value the register holds leaves
+// its tombstone beside the register, which stays as the floor.
+func TestWideURI(t *testing.T) {
+	const uri, n = "urn:snipe:service:wide", 1000
+	st := NewStore("rc0")
+	values := make([]string, n)
+	for i := range values {
+		values[i] = fmt.Sprintf("urn:snipe:process:node%04d/replica", i)
+	}
+	shuffled := append([]string(nil), values...)
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	st.Set(uri, AttrState, "up")
+	for _, v := range shuffled {
+		st.Add(uri, AttrServiceReplica, v)
+	}
+	st.Add(uri, AttrLoad, "0.5") // a run on either side of the wide one
+	checkSlotOrder := func() {
+		t.Helper()
+		cat := st.catalogs[uri]
+		for i := 1; i < len(cat); i++ {
+			if slotCmp(&cat[i-1], cat[i].Name, cat[i].Sole, cat[i].Value) >= 0 {
+				t.Fatalf("entries %d and %d out of slot order: %v, %v", i-1, i, &cat[i-1], &cat[i])
+			}
+		}
+		for i := range cat {
+			if unsafe.StringData(cat[i].URI) != unsafe.StringData(cat[0].URI) {
+				t.Fatalf("entry %d holds a URI string of its own", i)
+			}
+		}
+	}
+	checkSlotOrder()
+	got := st.Get(uri)
+	if len(got) != n+2 {
+		t.Fatalf("Get returned %d entries, want %d", len(got), n+2)
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := &got[i-1], &got[i]
+		if a.Name > b.Name || (a.Name == b.Name && a.Value >= b.Value) {
+			t.Fatalf("Get not in (name, value) order at %d: %v, %v", i, a, b)
+		}
+	}
+	if vals := st.Values(uri, AttrServiceReplica); fmt.Sprint(vals) != fmt.Sprint(values) {
+		t.Fatalf("Values returned %d values, not the %d added in order", len(vals), n)
+	}
+
+	st.Set(uri, AttrServiceReplica, values[7])
+	checkSlotOrder()
+	if cat := st.catalogs[uri]; len(cat) != 3 || cap(cat) > 8 {
+		t.Fatalf("after the Set the URI holds %d entries in room for %d, want 3 in at most 8", len(cat), cap(cat))
+	}
+	if vals := st.Values(uri, AttrServiceReplica); len(vals) != 1 || vals[0] != values[7] {
+		t.Fatalf("after the Set: %v", vals)
+	}
+	if ops := st.Remove(uri, AttrServiceReplica, values[7]); len(ops) != 1 || !ops[0].Deleted {
+		t.Fatalf("Remove of the register's value minted %v", ops)
+	}
+	checkSlotOrder()
+	i, hasReg := search(st.catalogs[uri], AttrServiceReplica, true, "")
+	if cat := st.catalogs[uri]; !hasReg || len(cat) != 4 || !cat[i+1].Deleted || cat[i+1].Value != cat[i].Value {
+		t.Fatalf("the tombstone is not beside the register: %v", cat)
+	}
+	if vals := st.Values(uri, AttrServiceReplica); len(vals) != 0 {
+		t.Fatalf("after the Remove: %v", vals)
+	}
+	if _, elems, tombs := st.Stats(); elems != 2 || tombs != 1 {
+		t.Fatalf("Stats: %d elements, %d tombstones; want 2 and 1", elems, tombs)
 	}
 }
