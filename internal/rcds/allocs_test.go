@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"snipe/internal/testutil"
 	"snipe/internal/xdr"
@@ -13,9 +14,11 @@ import (
 
 // TestClientRoutedOpAllocs is the tier-1 guard on the always-routed
 // client path: against a one-group server with no shard map published,
-// a warmed Set and an uncached FirstValue cost what they cost before
-// every client routed by shard map — client and server both counted,
-// since AllocsPerRun reads the process-wide counter. The benchmark
+// a warmed Set and an uncached FirstValue cost what they were measured
+// to cost once the server executed a request in its connection's read
+// loop (two under what a goroutine and closure per request made them) —
+// client and server both counted, since AllocsPerRun reads the
+// process-wide counter. The benchmark
 // ledger gates the same path as catalog_mix allocs_per_op.
 func TestClientRoutedOpAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -47,21 +50,95 @@ func TestClientRoutedOpAllocs(t *testing.T) {
 		set()
 		first()
 	}
-	// Bounds are the counts measured at the last commit whose default
-	// client skipped the routed path.
 	for _, tc := range []struct {
 		name  string
 		op    func()
 		bound float64
 	}{
-		{"Set", set, 15},
-		{"FirstValue", first, 11},
+		{"Set", set, 13},
+		{"FirstValue", first, 9},
 	} {
 		if got := testing.AllocsPerRun(2000, tc.op); got > tc.bound {
 			t.Errorf("%s costs %.1f allocations, want ≤ %.0f", tc.name, got, tc.bound)
 		} else {
 			t.Logf("%s: %.1f allocations", tc.name, got)
 		}
+	}
+}
+
+// maxReplicatedSetAllocs bounds a warmed Set on a two-replica group end
+// to end — the client, the replica that takes it and the replica it is
+// pushed to: the count measured when the push became a one-way frame,
+// and one.
+const maxReplicatedSetAllocs = 23
+
+// TestReplicatedSetCost is the tier-1 guard on what a replicated write
+// costs in frames and allocations: a Set on a two-replica group is one
+// frame in each direction on the client's link and one frame, pusher to
+// peer, on the push link — the Ping that opened it aside, the peer never
+// writes. Both links run through counting relays, which allocate nothing
+// per frame. The benchmark ledger gates the same as catalog_mix
+// io_syscalls_per_op and allocs_per_op.
+func TestReplicatedSetCost(t *testing.T) {
+	const n = 2000
+	rc := startChain(t, [][]int{{}, {0}})
+	push := startFrameRelay(t, rc[1].Addr())
+	rc[0].SetPeers(push.Addr())
+	front := startFrameRelay(t, rc[0].Addr())
+	c := NewClient([]string{front.Addr()}, nil)
+	defer c.Close()
+
+	ctx := context.Background()
+	vals := [2]string{"v0", "v1"}
+	sets := 0
+	set := func() {
+		sets++
+		if err := c.Set(ctx, "urn:alloc", "k", vals[sets&1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle := func() {
+		testutil.WaitFor(t, 5*time.Second, func() bool { return counter(rc[1], "remote_ops") == uint64(sets) },
+			"replica 1 did not receive every op")
+	}
+	for j := 0; j < 200; j++ { // dials, the shard-map bootstrap, the push link's Ping, pools
+		set()
+	}
+	settle()
+	before := sets
+	upC, downC := front.up.frames.Load(), front.down.frames.Load()
+	upP, downP := push.up.frames.Load(), push.down.frames.Load()
+
+	if testutil.RaceEnabled {
+		for j := 0; j < n; j++ {
+			set()
+		}
+	} else if got := testing.AllocsPerRun(n, set); got > maxReplicatedSetAllocs {
+		t.Errorf("a replicated Set costs %.1f allocations end to end, want ≤ %d", got, maxReplicatedSetAllocs)
+	} else {
+		t.Logf("replicated Set: %.1f allocations", got)
+	}
+	settle()
+	did := int64(sets - before)
+
+	if up, down := front.up.frames.Load()-upC, front.down.frames.Load()-downC; up != did || down != did {
+		t.Errorf("client link: %d frames up, %d down for %d Sets; want one each way per Set", up, down, did)
+	}
+	// A Set the push loop had not yet taken when the next one arrived
+	// shares its frame: never more than one frame per Set, and one op.
+	up, down := push.up.frames.Load()-upP, push.down.frames.Load()-downP
+	if up == 0 || up > did || down != 0 {
+		t.Errorf("push link: %d frames pusher → peer, %d back for %d Sets; want at most one per Set and none back", up, down, did)
+	}
+	t.Logf("%.3f push frames per Set", float64(up)/float64(did))
+	if got := counter(rc[0], "apply_ops_sent"); got != uint64(sets) {
+		t.Errorf("%d ops pushed for %d Sets", got, sets)
+	}
+	if got := counter(rc[0], "applies_received") + counter(rc[1], "applies_sent"); got != 0 {
+		t.Errorf("%d Apply frames went from replica 1 to replica 0: a push was echoed", got)
+	}
+	if f := rc[0].PushFailures() + rc[1].PushFailures(); f != 0 {
+		t.Errorf("%d push failures", f)
 	}
 }
 

@@ -173,10 +173,10 @@ type replicaGroup struct {
 //
 // Client is safe for concurrent use, and requests are multiplexed: any
 // number of goroutines share one persistent connection per replica
-// group, each request carrying a wire-level ID so responses are matched
-// out of order. A slow request (a Wait long-poll, a large OpsSince)
-// never blocks concurrent lookups. When a connection dies, unanswered
-// requests are re-issued against the next replica.
+// group, each request carrying a wire-level ID its response is matched
+// by. A connection's requests are answered in arrival order, except a
+// Wait long-poll, which never blocks a concurrent lookup. When a
+// connection dies, unanswered requests are re-issued against the next.
 //
 // URI-keyed operations are routed to the replica group owning the URI
 // under the catalog's shard map (DESIGN.md "Sharded catalog"). The map
@@ -890,19 +890,27 @@ func (c *Client) OpsSince(ctx context.Context, theirs VersionVector, max int) ([
 	return DecodeAssertions(d)
 }
 
-// Apply pushes replication ops to the server (peer-to-peer path). from
-// is the origin of the replica pushing them, which the receiver's relay
-// leaves out when it passes the ops on.
-func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) (int, error) {
-	d, err := c.roundTrip(ctx, c.seed, request(cmdApply, func(e *xdr.Encoder) {
+// Apply posts replication ops to the server (peer-to-peer path): one
+// frame under request ID 0, which asks for no answer, so a nil error
+// means the kernel took the frame, not that the peer applied it; a
+// connection's frames are applied in the order posted. from is the
+// pushing replica's origin, which the receiver's relay leaves out. A
+// failed write breaks the connection and is not retried; ctx bounds a dial.
+func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) error {
+	cc, err := c.getConn(ctx, c.seed)
+	if err != nil {
+		return err
+	}
+	post := request(cmdApply, func(e *xdr.Encoder) {
 		e.PutString(from)
 		EncodeAssertions(e, ops)
-	}))
-	if err != nil {
-		return 0, err
+	})
+	if err := cc.writeRequest(post, time.Now().Add(c.Timeout())); err != nil {
+		cc.fail(err)
+		c.connFailed(c.seed, cc)
+		return err
 	}
-	n, err := d.Uint32()
-	return int(n), err
+	return nil
 }
 
 // Wait long-polls until the seed group's catalog version exceeds

@@ -34,9 +34,10 @@
 //     network.
 //   - Server (server.go, wire.go) puts a Store on the wire: a
 //     multiplexed length-prefixed binary protocol with optional HMAC
-//     authentication, push replication to peers, periodic anti-entropy
-//     pulls (SyncFromPeer), and optional shard enforcement plus log
-//     compaction.
+//     authentication, a connection's requests served in arrival order
+//     by its read loop, push replication to peers as one-way frames,
+//     periodic anti-entropy pulls (SyncFromPeer) that repair what a push
+//     lost, and optional shard enforcement plus log compaction.
 //   - Client (client.go, cache.go, shard.go, sync.go) is what the rest
 //     of SNIPE holds: failover across a replica group, request
 //     multiplexing, the watch-coherent read cache, and routing of

@@ -109,3 +109,45 @@ func FuzzParseResponse(f *testing.F) {
 		parseResponse(b)
 	})
 }
+
+// FuzzServeFrame feeds the server whole request frames, as its read loop
+// hands them to serve after the MAC check: a frame is answered under
+// its own non-zero ID, or is a posted Apply answered with nothing, or is
+// refused — and a refused frame leaves the store as it was.
+func FuzzServeFrame(f *testing.F) {
+	triple := func(e *xdr.Encoder) { e.PutString("urn:a"); e.PutString("n"); e.PutString("v") }
+	posted := request(cmdApply, func(e *xdr.Encoder) {
+		e.PutString("rc1")
+		EncodeAssertions(e, []Assertion{{URI: "urn:a", Name: "n", Value: "v", Clock: 1, Origin: "rc1", Seq: 1, Sole: true}})
+	})
+	f.Add(posted)                                                      // a posted Apply
+	f.Add(request(cmdSet, triple))                                     // ID 0 + other command
+	f.Add(withID(append([]byte(nil), posted...), 9))                   // Apply under a request ID
+	f.Add(request(cmdApply, func(e *xdr.Encoder) { e.PutString("") })) // posted, no sender origin
+	f.Add(withID(request(cmdSet, triple), 1))
+	f.Add(withID(request(cmdGet, func(e *xdr.Encoder) { e.PutString("urn:a") }), 2))
+	f.Add(withID(request(cmdWait, func(e *xdr.Encoder) { e.PutUint64(0); e.PutUint32(1 << 31) }), 3))
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		s := NewServer(NewStore("rc0"))
+		resp, err := s.serve(frame, nil) // nil: a Wait is answered at once, as past the parked bound
+		if err != nil {
+			if resp != nil {
+				t.Fatalf("refused with %v and answered %x", err, resp)
+			}
+			if uris, _, _ := s.Store().Stats(); uris != 0 || s.Store().Version() != 0 {
+				t.Fatalf("refused with %v after touching the store", err)
+			}
+			return
+		}
+		id, _, _ := splitMux(frame) // serve accepted it, so it has an ID
+		if (id == 0) != (resp == nil) {
+			t.Fatalf("request ID %d answered %x", id, resp)
+		}
+		if resp != nil {
+			if got, _, err := splitMux(resp); err != nil || got != id {
+				t.Fatalf("request ID %d answered under ID %d (%v)", id, got, err)
+			}
+		}
+	})
+}

@@ -55,15 +55,15 @@ func setN(t *testing.T, srv *Server, n int) {
 	}
 }
 
-// TestPushIsNotEchoed: on a two-replica group a Set is two RPCs end to
-// end — the client's and one Apply carrying one op. The receiver's
-// relay has only the sender to go to, and does not.
+// TestPushIsNotEchoed: on a two-replica group a Set is one RPC and one
+// one-way frame end to end — the client's, and one Apply carrying one
+// op. The receiver's relay has only the sender to go to, and does not.
 func TestPushIsNotEchoed(t *testing.T) {
 	const n = 40
 	rc := startChain(t, [][]int{{1}, {0}})
 	setN(t, rc[0], n)
 	// Every op reaches replica 1, its relay decides on every one, and
-	// replica 0 has counted the last Apply it sent.
+	// replica 0 has counted the last Apply frame it wrote.
 	testutil.WaitFor(t, 5*time.Second, func() bool {
 		return counter(rc[1], "relay_skipped") == n && counter(rc[0], "apply_ops_sent") == n
 	}, "replica 1 did not leave every relayed op out of its push to replica 0")
@@ -74,14 +74,14 @@ func TestPushIsNotEchoed(t *testing.T) {
 		t.Error("replica 1 does not hold what replica 0 holds")
 	}
 	if got := counter(rc[0], "applies_received"); got != 0 {
-		t.Errorf("replica 0 received %d Apply RPCs; its own writes were echoed back", got)
+		t.Errorf("replica 0 applied %d Apply frames; its own writes were echoed back", got)
 	}
 	if got := counter(rc[1], "applies_sent"); got != 0 {
-		t.Errorf("replica 1 sent %d Apply RPCs with no write of its own", got)
+		t.Errorf("replica 1 sent %d Apply frames with no write of its own", got)
 	}
 	sent, ops := counter(rc[0], "applies_sent"), counter(rc[0], "apply_ops_sent")
 	if ops != n || sent == 0 || sent > n {
-		t.Errorf("replica 0 sent %d ops in %d Apply RPCs for %d Sets", ops, sent, n)
+		t.Errorf("replica 0 sent %d ops in %d Apply frames for %d Sets", ops, sent, n)
 	}
 	t.Logf("%.2f ops per Apply", float64(ops)/float64(sent))
 	if f := rc[0].PushFailures() + rc[1].PushFailures(); f != 0 {
@@ -110,10 +110,10 @@ func TestRelayChain(t *testing.T) {
 		}
 	}
 	if got := counter(a, "applies_received"); got != 0 {
-		t.Errorf("A received %d Apply RPCs", got)
+		t.Errorf("A applied %d Apply frames", got)
 	}
 	if got := counter(c, "applies_sent"); got != 0 {
-		t.Errorf("C sent %d Apply RPCs", got)
+		t.Errorf("C sent %d Apply frames", got)
 	}
 	if got := counter(b, "apply_ops_sent"); got != n {
 		t.Errorf("B relayed %d ops, want %d (to C alone)", got, n)

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"snipe/internal/stats"
 	"snipe/internal/xdr"
 )
 
-// pushTimeout bounds one replication RPC (push or anti-entropy pull) to
-// a peer.
+// pushTimeout bounds one replication RPC to a peer: a push link's Ping
+// or an anti-entropy pull. (A push is no RPC, only a write.)
 const pushTimeout = 5 * time.Second
 
 // maxPendingPushOps bounds the ops queued for push while the push loop
@@ -104,9 +105,9 @@ type Server struct {
 	mShardReject *stats.Counter // ops redirected to their owning group
 	mSnapPages   *stats.Counter // snapshot pages served to rejoiners
 	mTailPulls   *stats.Counter // catch-up tail pulls served
-	mAppliesSent *stats.Counter // Apply RPCs a peer accepted
-	mOpsSent     *stats.Counter // ops those RPCs carried
-	mAppliesRecv *stats.Counter // Apply RPCs received
+	mAppliesSent *stats.Counter // Apply frames written to a peer's connection
+	mOpsSent     *stats.Counter // ops those frames carried
+	mAppliesRecv *stats.Counter // Apply frames applied
 	mRelaySkip   *stats.Counter // ops not sent to the peer they came from or that minted them
 }
 
@@ -256,18 +257,38 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn multiplexes one client connection: every request frame
-// carries an ID and is dispatched in its own goroutine, and responses
-// are written (under a per-connection writer lock) as they complete —
-// possibly out of order, so a long-poll never blocks a lookup.
+// maxParkedWaits bounds the long-polls one connection may have parked,
+// the only goroutines it can hold. A Wait past the bound is answered at
+// once with the current version, which is a legal long-poll answer.
+const maxParkedWaits = 1024
+
+// serveConn serves one client connection from its read loop: a request
+// is executed where it is read, in arrival order, and answered before
+// the next frame is read. Only a Wait, the one command that parks, gets
+// a goroutine, which ends with the connection at the latest. A frame
+// serve refuses or a response that cannot be written ends the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var writeMu sync.Mutex // guards fw
 	fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
-	var reqWG sync.WaitGroup
+	answer := func(frame []byte, park <-chan struct{}) bool {
+		resp, err := s.serve(frame, park)
+		if err != nil || resp == nil {
+			return err == nil
+		}
+		// The writer lock only serialises this connection's long-poll
+		// answers with the read loop's; a stalled client stalls only itself.
+		writeMu.Lock()
+		defer writeMu.Unlock()
+		return writeFrame(fw, resp, s.secret) == nil //lint:allow lockedio intentional per-connection response writer lock
+	}
+	var waits sync.WaitGroup
+	var parked atomic.Int32 // raised by this loop alone, so Load then Add keeps the bound
+	gone := make(chan struct{})
 	defer func() {
-		reqWG.Wait()
 		conn.Close()
+		close(gone)
+		waits.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -277,28 +298,71 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		id, body, err := splitMux(frame)
-		if err != nil {
+		if len(frame) > muxHeader && frame[muxHeader] == cmdWait && parked.Load() < maxParkedWaits {
+			parked.Add(1)
+			waits.Add(1)
+			go func() {
+				defer waits.Done()
+				defer parked.Add(-1)
+				if !answer(frame, gone) {
+					conn.Close() // the read loop returns
+				}
+			}()
+			continue
+		}
+		if !answer(frame, nil) {
 			return
 		}
-		reqWG.Add(1)
-		go func(id uint64, body []byte) {
-			defer reqWG.Done()
-			resp := s.dispatch(body)
-			// The writer lock only serialises responses multiplexed onto
-			// this one client connection; a stalled client stalls its own
-			// responses, nothing else.
-			setMuxID(resp, id)
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			writeFrame(fw, resp, s.secret) //lint:allow lockedio intentional per-connection response writer lock
-		}(id, body)
 	}
 }
 
-// dispatch executes one request and returns the response as a frame
-// body awaiting its request ID.
-func (s *Server) dispatch(body []byte) []byte {
+// serve executes one request frame and returns the response frame, its
+// ID in place — or nil for an Apply, which is posted under request ID 0,
+// applied and relayed here and answered with nothing. An error means the
+// frame is no request of this protocol and ends the connection, the
+// store untouched: no ID or no command, ID 0 on anything but an Apply, an
+// Apply under another ID or one that does not decode. A Wait blocks only
+// if park is non-nil, and at most until it closes.
+func (s *Server) serve(frame []byte, park <-chan struct{}) ([]byte, error) {
+	id, body, err := splitMux(frame)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(body) == 0 || (id == 0) != (body[0] == cmdApply):
+		return nil, errors.New("rcds: not a request")
+	case id == 0:
+		return nil, s.applyPosted(xdr.NewDecoder(body[1:]))
+	}
+	resp := s.dispatch(body, park)
+	setMuxID(resp, id)
+	return resp, nil
+}
+
+// applyPosted applies one posted Apply and, if any op was news here,
+// queues it for relay (less the sender), so partially connected groups
+// converge quickly. An Apply that names no sender is refused unread.
+func (s *Server) applyPosted(d *xdr.Decoder) error {
+	from, err := d.StringMax(maxWireURI)
+	if err == nil && from == "" {
+		err = errors.New("rcds: apply without a sender origin")
+	}
+	if err != nil {
+		return err
+	}
+	ops, err := DecodeAssertions(d)
+	if err != nil {
+		return err
+	}
+	s.mAppliesRecv.Inc()
+	if s.store.ApplyRemote(ops) > 0 {
+		s.enqueuePush(ops, from)
+	}
+	return nil
+}
+
+// dispatch executes one request other than Apply and returns the
+// response as a frame body awaiting its request ID. park is serve's.
+func (s *Server) dispatch(body []byte, park <-chan struct{}) []byte {
 	d := xdr.NewDecoder(body)
 	cmd, err := d.Uint8()
 	if err != nil {
@@ -427,27 +491,6 @@ func (s *Server) dispatch(body []byte) []byte {
 		ops := s.store.OpsSince(theirs, int(max))
 		return okResponse(func(e *xdr.Encoder) { EncodeAssertions(e, ops) })
 
-	case cmdApply:
-		from, err := d.StringMax(maxWireURI)
-		if err == nil && from == "" {
-			err = errors.New("apply without a sender origin")
-		}
-		if err != nil {
-			return errResponse(err)
-		}
-		ops, err := DecodeAssertions(d)
-		if err != nil {
-			return errResponse(err)
-		}
-		s.mAppliesRecv.Inc()
-		n := s.store.ApplyRemote(ops)
-		// Relay newly learned ops onward so partially connected replica
-		// groups still converge quickly; pushLoop leaves out the sender.
-		if n > 0 {
-			s.enqueuePush(ops, from)
-		}
-		return okResponse(func(e *xdr.Encoder) { e.PutUint32(uint32(n)) })
-
 	case cmdWait:
 		since, err := d.Uint64()
 		if err != nil {
@@ -457,9 +500,10 @@ func (s *Server) dispatch(body []byte) []byte {
 		if err != nil {
 			return errResponse(err)
 		}
-		// Long-polls run in per-request goroutines and must not outlive
-		// the server: s.done cuts them short at shutdown.
-		v := s.store.WaitVersionCancel(since, time.Duration(timeoutMs)*time.Millisecond, s.done)
+		v := s.store.Version()
+		if park != nil {
+			v = s.store.WaitVersionCancel(since, time.Duration(timeoutMs)*time.Millisecond, park)
+		}
 		return okResponse(func(e *xdr.Encoder) { e.PutUint64(v) })
 
 	case cmdStats:
@@ -566,14 +610,18 @@ type peerLink struct {
 }
 
 // pushLoop forwards queued ops to the peers: each time it wakes it takes
-// the whole pending list and sends every peer one Apply with the ops
-// that are news there. A batch is not sent back to the replica it came
-// from, nor an op to the replica that minted it — so on a two-replica
-// group a relayed write goes nowhere, and on a chain it only travels
-// away from its source. A peer whose origin is not yet known (its Ping
-// failed) is sent everything, which costs an echo and loses nothing.
+// the whole pending list and posts every peer one Apply with the ops
+// that are news there — a write, not a round trip, so a slow peer holds
+// up the others only once its socket buffer is full, and a link's frames
+// are applied in the order queued. A batch is not sent back to the
+// replica it came from, nor an op to the replica that minted it: on a
+// two-replica group a relayed write goes nowhere, on a chain it only
+// travels away from its source. A peer whose origin is not yet known (its
+// Ping failed) is sent everything: an echo, and nothing lost.
 func (s *Server) pushLoop() {
 	defer s.wg.Done()
+	ctx, cancel := s.syncCtx() // ends with the server, for every push
+	defer cancel()
 	links := make(map[string]*peerLink)
 	defer func() {
 		for _, l := range links {
@@ -598,7 +646,7 @@ func (s *Server) pushLoop() {
 				l = &peerLink{c: NewClient([]string{peer}, s.secret)}
 				links[peer] = l
 			}
-			s.pushTo(l, peer, batches)
+			s.pushTo(ctx, l, peer, batches)
 		}
 		for i := range batches {
 			batches[i] = pushBatch{} // the list is reused; the ops are not kept
@@ -606,8 +654,9 @@ func (s *Server) pushLoop() {
 	}
 }
 
-// pushTo sends peer its share of batches in one Apply.
-func (s *Server) pushTo(l *peerLink, peer string, batches []pushBatch) {
+// pushTo posts peer its share of batches in one Apply. Ops written into
+// a connection that then dies count as sent; anti-entropy fetches them.
+func (s *Server) pushTo(ctx context.Context, l *peerLink, peer string, batches []pushBatch) {
 	if s.peerGate != nil && s.peerGate(peer) != nil {
 		// Link severed (netsim partition): count it as a lost push and
 		// leave repair to anti-entropy after healing.
@@ -615,8 +664,8 @@ func (s *Server) pushTo(l *peerLink, peer string, batches []pushBatch) {
 		return
 	}
 	if l.origin == "" {
-		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
-		l.origin, _ = l.c.Ping(ctx) // on error it stays unknown and nothing is filtered
+		pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
+		l.origin, _ = l.c.Ping(pingCtx) // on error it stays unknown and nothing is filtered
 		cancel()
 	}
 	ops, skipped := opsFor(batches, l.origin)
@@ -624,10 +673,7 @@ func (s *Server) pushTo(l *peerLink, peer string, batches []pushBatch) {
 	if len(ops) == 0 {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
-	_, err := l.c.Apply(ctx, s.store.Origin(), ops)
-	cancel()
-	if err != nil {
+	if err := l.c.Apply(ctx, s.store.Origin(), ops); err != nil {
 		l.origin = "" // whoever answers next is asked again
 		s.countPushFail()
 		return
@@ -710,9 +756,9 @@ func (s *Server) antiEntropyLoop() {
 	}
 }
 
-// syncCtx derives a context for one anti-entropy exchange, cancelled
-// when the server shuts down so a sync cannot outlive Close. The
-// exchange as a whole is NOT deadline-bounded: a rejoin snapshot at
+// syncCtx derives a context cancelled when the server shuts down: the
+// push loop's, and one per anti-entropy exchange so a sync cannot outlive
+// Close. The exchange as a whole is NOT deadline-bounded: a rejoin snapshot at
 // catalog scale legitimately takes many page round trips, and cutting
 // it off mid-transfer would discard the round's work before MergeVector
 // could claim it. Stall protection is per RPC — SyncFromPeer bounds

@@ -18,9 +18,13 @@ import (
 // Framing is multiplexed: every request and response body begins with a
 // uint64 request ID chosen by the client (muxHeader bytes, reserved by
 // the body's builder and filled in by whoever sends it). One connection
-// carries many in-flight requests; the server answers each in its own
-// goroutine and may write responses out of order, so a long-poll Wait
-// never blocks a concurrent Get on the same connection.
+// carries many in-flight requests; the server answers them in arrival
+// order from the connection's read loop, except that a long-poll Wait
+// parks beside the loop, so it never blocks a concurrent Get. Request ID
+// 0 marks a frame that asks for no answer, which is how, and the only
+// way, cmdApply travels: replication is a one-way, in-order stream per
+// connection, and a lost push is anti-entropy's to repair. ID 0 on
+// another command, or cmdApply under another ID, ends the connection.
 const (
 	cmdPing uint8 = iota + 1
 	cmdSet

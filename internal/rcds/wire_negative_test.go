@@ -3,8 +3,10 @@ package rcds
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"snipe/internal/xdr"
 )
@@ -101,19 +103,26 @@ func TestDecodeAssertionFlagsNegative(t *testing.T) {
 	}
 }
 
+// postedApply builds an Apply frame as Client.Apply posts it: request ID
+// 0, the command, then whatever origin and ops write.
+func postedApply(origin func(*xdr.Encoder), ops []Assertion) []byte {
+	return request(cmdApply, func(e *xdr.Encoder) {
+		origin(e)
+		EncodeAssertions(e, ops)
+	})
+}
+
+// withID puts a request ID into a frame built by request.
+func withID(frame []byte, id uint64) []byte {
+	setMuxID(frame, id)
+	return frame
+}
+
 // TestApplyOriginNegative: an Apply names the replica it comes from, or
 // is refused before any op in it is looked at.
 func TestApplyOriginNegative(t *testing.T) {
 	srv := NewServer(NewStore("rc0"))
 	op := NewStore("rc1").Set("u", "n", "v")
-	apply := func(origin func(*xdr.Encoder)) error {
-		e := xdr.NewEncoder(64)
-		e.PutUint8(cmdApply)
-		origin(e)
-		EncodeAssertions(e, op)
-		_, err := parseResponse(srv.dispatch(e.Bytes())[muxHeader:])
-		return err
-	}
 	cases := []struct {
 		name   string
 		origin func(*xdr.Encoder)
@@ -123,20 +132,78 @@ func TestApplyOriginNegative(t *testing.T) {
 		{"no origin field", func(*xdr.Encoder) {}}, // the op count is read as its length
 	}
 	for _, tc := range cases {
-		if err := apply(tc.origin); !errors.Is(err, ErrServer) {
-			t.Errorf("%s: error %v, want a server error", tc.name, err)
+		if resp, err := srv.serve(postedApply(tc.origin, op), nil); err == nil {
+			t.Errorf("%s: accepted (response %x), want the connection refused", tc.name, resp)
 		}
 	}
-	if err := srv.dispatch([]byte{cmdApply}); len(err) <= muxHeader || err[muxHeader] != statusErr {
-		t.Errorf("bare Apply command answered %x", err)
+	if _, err := srv.serve(request(cmdApply, nil), nil); err == nil {
+		t.Error("bare Apply command accepted")
 	}
 	if _, elems, _ := srv.Store().Stats(); elems != 0 {
 		t.Fatalf("a refused Apply left %d elements", elems)
 	}
-	if err := apply(func(e *xdr.Encoder) { e.PutString("rc1") }); err != nil {
-		t.Fatalf("well-formed Apply refused: %v", err)
+	if got := counter(srv, "applies_received"); got != 0 {
+		t.Fatalf("applies_received = %d after refusals only", got)
+	}
+	resp, err := srv.serve(postedApply(func(e *xdr.Encoder) { e.PutString("rc1") }, op), nil)
+	if err != nil || resp != nil {
+		t.Fatalf("well-formed Apply: response %x, error %v; want neither", resp, err)
 	}
 	if v, ok := srv.Store().FirstValue("u", "n"); !ok || v != "v" {
 		t.Fatalf("well-formed Apply not applied: %q, %v", v, ok)
+	}
+	if got := counter(srv, "applies_received"); got != 1 {
+		t.Fatalf("applies_received = %d after one applied frame", got)
+	}
+}
+
+// TestRequestIDZeroNegative: request ID 0 asks for no answer, and Apply
+// is the one command that may and must. Everything else about the pair
+// is a refusal that ends the connection with the store untouched — seen
+// here both at serve, which decides, and on a live connection, which the
+// server closes without writing a byte.
+func TestRequestIDZeroNegative(t *testing.T) {
+	srv := NewServer(NewStore("rc0"), WithAntiEntropyInterval(0))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	op := NewStore("rc1").Set("u", "n", "v")
+	triple := func(e *xdr.Encoder) { e.PutString("u"); e.PutString("n"); e.PutString("v") }
+	cut := postedApply(func(e *xdr.Encoder) { e.PutString("rc1") }, op)
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"ID 0 on Set", request(cmdSet, triple)},
+		{"ID 0 on Get", request(cmdGet, func(e *xdr.Encoder) { e.PutString("u") })},
+		{"ID 0 on Ping", request(cmdPing, nil)},
+		{"ID 0 on Wait", request(cmdWait, func(e *xdr.Encoder) { e.PutUint64(0); e.PutUint32(10) })},
+		{"ID 0 on an unknown command", request(0x7f, nil)},
+		{"ID 0 and no command", noMuxID[:]},
+		{"shorter than an ID", []byte{0, 0, 0}},
+		{"Apply under a request ID", withID(postedApply(func(e *xdr.Encoder) { e.PutString("rc1") }, op), 7)},
+		{"posted Apply cut short", cut[:len(cut)-3]},
+		{"posted Apply with a hostile op count", request(cmdApply, func(e *xdr.Encoder) { e.PutString("rc1"); e.PutUint32(1 << 31) })},
+	}
+	for _, tc := range cases {
+		if resp, err := srv.serve(tc.frame, nil); err == nil {
+			t.Errorf("%s: serve accepted it (response %x)", tc.name, resp)
+		}
+		conn := dialRaw(t, srv.Addr())
+		if err := writeFrame(xdr.NewFrameWriter(conn), tc.frame, nil); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 16)); n != 0 || err != io.EOF {
+			t.Errorf("%s: read %d bytes, %v; want the connection closed with nothing written", tc.name, n, err)
+		}
+		conn.Close()
+	}
+	if uris, _, _ := srv.Store().Stats(); uris != 0 || srv.Store().Version() != 0 {
+		t.Fatalf("refused frames touched the store: %d URIs, version %d", uris, srv.Store().Version())
+	}
+	if got := counter(srv, "applies_received"); got != 0 {
+		t.Fatalf("applies_received = %d, want 0: it counts applied frames only", got)
 	}
 }
