@@ -154,9 +154,8 @@ func MeasureAvailabilitySNIPE(replicas, queries int, downFraction float64) (E3Re
 		}
 		s.SetPeers(peers...)
 	}
-	client := rcds.NewClient(addrs, nil)
+	client := rcds.NewClient(addrs, nil, rcds.WithTimeout(300*time.Millisecond))
 	defer client.Close()
-	client.SetTimeout(300 * time.Millisecond)
 	if err := client.Set(context.Background(), "urn:av", "k", "v"); err != nil {
 		return res, err
 	}

@@ -38,10 +38,10 @@ var lockedioMethods = map[string]bool{
 
 	// The one length-prefixed frame reader and writer, under every comm
 	// stream transport and every rcds connection.
-	"snipe/internal/xdr.FrameReader.Next":          true,
-	"snipe/internal/xdr.FrameReader.ReadBody":      true,
-	"snipe/internal/xdr.FrameReader.ReadBodyAlloc": true,
-	"snipe/internal/xdr.FrameWriter.WriteFrame":    true,
+	"snipe/internal/xdr.FrameReader.Next":         true,
+	"snipe/internal/xdr.FrameReader.ReadBody":     true,
+	"snipe/internal/xdr.FrameReader.ReadBodyInto": true,
+	"snipe/internal/xdr.FrameWriter.WriteFrame":   true,
 }
 
 // rcds wraps the xdr frame calls above with its MAC; the analysis is

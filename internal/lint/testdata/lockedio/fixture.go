@@ -77,7 +77,7 @@ func (p *peer) frameReadUnderLock() ([]byte, error) {
 	if err := p.fr.ReadBody(buf); err != nil { // want `network I/O \(ReadBody\) while holding p.mu`
 		return nil, err
 	}
-	return p.fr.ReadBodyAlloc(int(n)) // want `network I/O \(ReadBodyAlloc\) while holding p.mu`
+	return p.fr.ReadBodyInto(buf, int(n)) // want `network I/O \(ReadBodyInto\) while holding p.mu`
 }
 
 func (p *peer) frameWriteAfterUnlock(body []byte) error {

@@ -149,10 +149,11 @@ func TestClientCatalogWarmReadAllocs(t *testing.T) {
 	if err := cat.Set(uri, rcds.AttrLoad, "0.5"); err != nil {
 		t.Fatal(err)
 	}
-	reads := func() uint64 {
+	readsOf := func(c *rcds.Client) uint64 {
 		cs := c.MetricsSnapshot().Counters
 		return cs["cache_hits"] + cs["cache_misses"]
 	}
+	reads := func() uint64 { return readsOf(c) }
 	hits := func() uint64 { return c.MetricsSnapshot().Counters["cache_hits"] }
 
 	// Reads are misses until the cache's watch has confirmed coherence;
@@ -188,13 +189,22 @@ func TestClientCatalogWarmReadAllocs(t *testing.T) {
 		t.Fatalf("%d reads counted for 402 issued", got)
 	}
 
-	// A miss still goes out under the client's deadline.
-	c.SetTimeout(time.Nanosecond)
-	start = reads()
-	if _, err := cat.Values(HostURL("cold"), rcds.AttrLoad); !errors.Is(err, context.DeadlineExceeded) {
+	// A miss still goes out under the client's deadline, and one that
+	// fails under it is counted once all the same. The timeout is fixed
+	// at construction, so this client's first call is spent failing to
+	// resolve the shard map — no read yet; the second is routed, misses
+	// and expires.
+	hurried := rcds.NewClient(c.Servers(), nil, rcds.WithReadCache(), rcds.WithTimeout(time.Nanosecond))
+	defer hurried.Close()
+	cold := ClientCatalog(hurried)
+	if _, err := cold.Values(HostURL("cold"), rcds.AttrLoad); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("routing under a 1 ns timeout: %v, want deadline exceeded", err)
+	}
+	start = readsOf(hurried)
+	if _, err := cold.Values(HostURL("cold"), rcds.AttrLoad); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("a miss under a 1 ns timeout: %v, want deadline exceeded", err)
 	}
-	if got := reads() - start; got != 1 {
+	if got := readsOf(hurried) - start; got != 1 {
 		t.Fatalf("%d reads counted for one miss", got)
 	}
 }

@@ -14,12 +14,14 @@ import (
 
 // TestClientRoutedOpAllocs is the tier-1 guard on the always-routed
 // client path: against a one-group server with no shard map published,
-// a warmed Set and an uncached FirstValue cost what they were measured
-// to cost once the server executed a request in its connection's read
-// loop (two under what a goroutine and closure per request made them) —
-// client and server both counted, since AllocsPerRun reads the
-// process-wide counter. The benchmark
-// ledger gates the same path as catalog_mix allocs_per_op.
+// a warmed op costs what it keeps and one — client and server both
+// counted, since AllocsPerRun reads the process-wide counter. A Set keeps
+// the stored value, its log entry and the op handed to the push queue; an
+// uncached FirstValue the value it returns; an uncached Get the slice and
+// the value (the URI is the caller's string, the name and origin are
+// shared). What a client that caches reads does after a write, sweep its
+// groups' caches, it does in place. The benchmark ledger gates the same
+// path as catalog_mix allocs_per_op.
 func TestClientRoutedOpAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow allocations are counted as the program's")
@@ -46,31 +48,47 @@ func TestClientRoutedOpAllocs(t *testing.T) {
 			t.Fatalf("first value: %v %v", ok, err)
 		}
 	}
-	for j := 0; j < 200; j++ { // dial, the shard-map bootstrap, pools
-		set()
-		first()
+	get := func() {
+		if as, err := c.Get(ctx, "urn:alloc"); err != nil || len(as) != 1 {
+			t.Fatalf("get: %v %v", as, err)
+		}
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		name  string
 		op    func()
 		bound float64
 	}{
-		{"Set", set, 13},
-		{"FirstValue", first, 9},
-	} {
+		{"Set", set, 4},
+		{"FirstValue", first, 2},
+		{"Get", get, 3},
+	}
+	for j := 0; j < 200; j++ { // dial, the shard-map bootstrap, pools
+		for _, tc := range cases {
+			tc.op()
+		}
+	}
+	for _, tc := range cases {
 		if got := testing.AllocsPerRun(2000, tc.op); got > tc.bound {
 			t.Errorf("%s costs %.1f allocations, want ≤ %.0f", tc.name, got, tc.bound)
 		} else {
 			t.Logf("%s: %.1f allocations", tc.name, got)
 		}
 	}
+
+	// Made only now: every write above would have woken its watch, whose
+	// long-poll cycle is no part of what a write costs.
+	cached := NewClient([]string{s.Addr()}, nil, WithReadCache())
+	defer cached.Close()
+	if got := testing.AllocsPerRun(1000, func() { cached.invalidateWrite("urn:alloc", nil) }); got > 0 {
+		t.Errorf("the cache sweep after a write costs %.1f allocations, want 0", got)
+	}
 }
 
 // maxReplicatedSetAllocs bounds a warmed Set on a two-replica group end
 // to end — the client, the replica that takes it and the replica it is
-// pushed to: the count measured when the push became a one-way frame,
-// and one.
-const maxReplicatedSetAllocs = 23
+// pushed to: what the replicas keep (each the value and its log entry,
+// the first the op it hands the push queue), and one.
+const maxReplicatedSetAllocs = 6
 
 // TestReplicatedSetCost is the tier-1 guard on what a replicated write
 // costs in frames and allocations: a Set on a two-replica group is one
@@ -176,7 +194,7 @@ func checkBytesPerURI(t *testing.T, what string, st *Store, before uint64, uris 
 
 // TestStoreBytesPerURI is the tier-1 guard on what a URN costs to hold,
 // on the three ways an entry gets into a store, every string as the wire
-// decoders produce it: a client's Set decoded by decodeTriple (replica 0
+// decoders produce it: a client's Set decoded as the server's dispatch does (replica 0
 // of the ledger's catalog_mix, whose URNs and values these are), the
 // pushed op decoded by DecodeAssertion into ApplyRemote (replica 1, where
 // the origin too is a decoded string), and a snapshot file read by
@@ -199,11 +217,14 @@ func TestStoreBytesPerURI(t *testing.T) {
 			req.PutString(fmt.Sprintf("urn:snipe:process:node%04d/task%05d", k/64, k))
 			req.PutString(AttrState)
 			req.PutString(state)
-			uri, name, value, err := decodeTriple(xdr.NewDecoder(req.Bytes()))
+			d := xdr.NewDecoder(req.Bytes()) // as Server.dispatchURI reads a Set
+			uri, _ := d.BytesMax(maxWireURI)
+			name, _ := decodeName(d)
+			value, err := d.StringMax(maxWireValue)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, op := range local.Set(uri, name, value) {
+			for _, op := range local.Set(local.key(uri), name, value) {
 				op.Encode(pushes)
 			}
 		}

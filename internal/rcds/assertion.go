@@ -1,7 +1,9 @@
 package rcds
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"snipe/internal/xdr"
 )
@@ -210,49 +212,76 @@ const (
 	maxWireItems = 64 << 10 // list responses: values, URIs, names
 )
 
-// DecodeAssertion reads an assertion written by Encode.
-func DecodeAssertion(d *xdr.Decoder) (Assertion, error) {
-	var a Assertion
-	var err error
-	if a.URI, err = d.StringMax(maxWireURI); err != nil {
-		return a, err
+// assertionView is an assertion as it lies in the frame it arrived in:
+// the numbers, flags and name (decodeName's) in a, the other strings as
+// views into the frame's buffer — for own to copy or, the URI and origin,
+// for the caller to replace by a copy it already holds.
+type assertionView struct {
+	a                               Assertion
+	uri, value, origin, sig, signer []byte
+}
+
+// decode reads an assertion written by Encode.
+func (v *assertionView) decode(d *xdr.Decoder) (err error) {
+	if v.uri, err = d.BytesMax(maxWireURI); err != nil {
+		return err
 	}
-	if a.Name, err = decodeName(d); err != nil {
-		return a, err
+	if v.a.Name, err = decodeName(d); err != nil {
+		return err
 	}
-	if a.Value, err = d.StringMax(maxWireValue); err != nil {
-		return a, err
+	if v.value, err = d.BytesMax(maxWireValue); err != nil {
+		return err
 	}
-	if a.Clock, err = d.Uint64(); err != nil {
-		return a, err
+	if v.a.Clock, err = d.Uint64(); err != nil {
+		return err
 	}
-	if a.Origin, err = d.StringMax(maxWireURI); err != nil {
-		return a, err
+	if v.origin, err = d.BytesMax(maxWireURI); err != nil {
+		return err
 	}
-	if a.Seq, err = d.Uint64(); err != nil {
-		return a, err
+	if v.a.Seq, err = d.Uint64(); err != nil {
+		return err
 	}
 	flags, err := d.Uint8()
 	if err != nil {
-		return a, err
+		return err
 	}
 	if flags&^(flagDeleted|flagSole) != 0 || flags == flagDeleted|flagSole {
-		return a, fmt.Errorf("%w: %#x", ErrBadFlags, flags)
+		return fmt.Errorf("%w: %#x", ErrBadFlags, flags)
 	}
-	a.Deleted, a.Sole = flags&flagDeleted != 0, flags&flagSole != 0
-	if a.ServerTime, err = d.Int64(); err != nil {
-		return a, err
+	v.a.Deleted, v.a.Sole = flags&flagDeleted != 0, flags&flagSole != 0
+	if v.a.ServerTime, err = d.Int64(); err != nil {
+		return err
 	}
-	if a.Signature, err = d.BytesCopyMax(maxWireSig); err != nil {
-		return a, err
+	if v.sig, err = d.BytesMax(maxWireSig); err != nil {
+		return err
 	}
-	if len(a.Signature) == 0 {
-		a.Signature = nil
+	v.signer, err = d.BytesMax(maxWireURI)
+	return err
+}
+
+// own returns the assertion under uri and origin — the view's, as strings
+// the caller holds or has made — with its own copy of the value and of
+// any signature and signer. Nothing in it aliases the frame.
+func (v assertionView) own(uri, origin string) Assertion {
+	a := v.a
+	a.URI, a.Origin = uri, origin
+	a.Value, a.Signer = string(v.value), string(v.signer)
+	if len(v.sig) > 0 {
+		a.Signature = bytes.Clone(v.sig)
 	}
-	if a.Signer, err = d.StringMax(maxWireURI); err != nil {
-		return a, err
+	return a
+}
+
+// copied is own for a caller that holds no string of the assertion.
+func (v assertionView) copied() Assertion { return v.own(string(v.uri), string(v.origin)) }
+
+// DecodeAssertion reads an assertion written by Encode.
+func DecodeAssertion(d *xdr.Decoder) (Assertion, error) {
+	var v assertionView
+	if err := v.decode(d); err != nil {
+		return Assertion{}, err
 	}
-	return a, nil
+	return v.copied(), nil
 }
 
 // EncodeAssertions writes a length-prefixed assertion list.
@@ -263,28 +292,36 @@ func EncodeAssertions(e *xdr.Encoder, as []Assertion) {
 	}
 }
 
+// minWireAssertion is the size of the smallest encoded assertion: six
+// empty length-prefixed fields, three 8-byte numbers and the flags.
+const minWireAssertion = 6*4 + 3*8 + 1
+
 // DecodeAssertions reads a list written by EncodeAssertions.
 func DecodeAssertions(d *xdr.Decoder) ([]Assertion, error) {
+	return decodeAssertions(d, nil, assertionView.copied)
+}
+
+// decodeAssertions reads a list written by EncodeAssertions into dst's
+// storage, each assertion as own makes it from its view. A count that the
+// bytes left could not hold is refused before anything is sized by it.
+func decodeAssertions(d *xdr.Decoder, dst []Assertion, own func(assertionView) Assertion) ([]Assertion, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Assertion, 0, minInt(int(n), 4096))
+	if int64(n)*minWireAssertion > int64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: %d assertions declared, %d bytes remain",
+			xdr.ErrStringTooLong, n, d.Remaining())
+	}
+	dst = slices.Grow(dst[:0], min(int(n), 4096))
+	var v assertionView
 	for i := uint32(0); i < n; i++ {
-		a, err := DecodeAssertion(d)
-		if err != nil {
+		if err := v.decode(d); err != nil {
 			return nil, err
 		}
-		out = append(out, a)
+		dst = append(dst, own(v))
 	}
-	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return dst, nil
 }
 
 // VersionVector summarises how much of each origin's op log a replica
@@ -331,7 +368,7 @@ func DecodeVersionVector(d *xdr.Decoder) (VersionVector, error) {
 		return nil, fmt.Errorf("%w: vector count %d exceeds remaining %d bytes",
 			xdr.ErrStringTooLong, n, d.Remaining())
 	}
-	v := make(VersionVector, minInt(int(n), 1024))
+	v := make(VersionVector, min(int(n), 1024))
 	for i := uint32(0); i < n; i++ {
 		origin, err := d.StringMax(maxWireURI)
 		if err != nil {

@@ -41,19 +41,50 @@ func WithReadCache() ClientOption {
 	return func(c *Client) { c.cacheOn = true }
 }
 
-// WithTimeout sets the initial per-request dial/IO timeout.
+// WithTimeout sets the per-request dial/IO timeout.
 func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.timeout = d }
 }
 
-// call is one in-flight request awaiting its response frame.
+// call is one request and the response to it: a record an operation
+// takes from callPool (newCall), builds its request in, hands to
+// roundTrip, decodes the response from, and returns (release). req is the
+// caller's throughout. resp is the frame the response arrived in: the
+// connection's read loop swaps it in for the record's previous one — a
+// connection and the records it answers pass their buffers round — and
+// then sends on ch, after which the record is the caller's alone until
+// release; what the caller returns must not alias resp. A record whose
+// call was abandoned is never pooled: a read loop may be about to fill it.
 type call struct {
-	ch chan callResult
+	ch        chan error  // one result per attempt: nil, resp and dec set; or the connection's end
+	req       xdr.Encoder // the request's frame body
+	resp      []byte      // storage of the response frame
+	dec       xdr.Decoder // over resp, at the payload once roundTrip has returned nil
+	abandoned bool        // roundTrip left while the call was pending (ctx expiry)
 }
 
-type callResult struct {
-	body []byte
-	err  error
+var callPool = sync.Pool{New: func() any { return &call{ch: make(chan error, 1)} }}
+
+// newCall takes a record and begins a request for cmd in it; the caller
+// appends the arguments to req.
+func newCall(cmd uint8) *call {
+	cl := callPool.Get().(*call)
+	cl.req.Reset()
+	cl.req.PutUint64(0) // the request ID: roundTrip sets each attempt's, an Apply goes under 0
+	cl.req.PutUint8(cmd)
+	return cl
+}
+
+// release returns the record to the pool, less any buffer that grew past
+// maxKeptBuffer, once the caller has decoded what it wanted.
+func (cl *call) release() {
+	if cl.abandoned {
+		return
+	}
+	keepEncoder(&cl.req)
+	cl.resp = kept(cl.resp)
+	cl.dec.Reset(nil)
+	callPool.Put(cl)
 }
 
 // clientConn is one multiplexed connection to a replica: a writer lock
@@ -73,26 +104,26 @@ type clientConn struct {
 	err     error
 }
 
-// register records a pending call for id.
-func (cc *clientConn) register(id uint64) (*call, error) {
-	cl := &call{ch: make(chan callResult, 1)}
+// register records cl as the pending call for id.
+func (cc *clientConn) register(id uint64, cl *call) error {
 	cc.mu.Lock()
+	defer cc.mu.Unlock()
 	if cc.broken {
-		err := cc.err
-		cc.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", errConnBroken, err)
+		return fmt.Errorf("%w: %v", errConnBroken, cc.err)
 	}
 	cc.pending[id] = cl
-	cc.mu.Unlock()
-	return cl, nil
+	return nil
 }
 
-// unregister abandons a pending call (context expiry); a late response
-// for the id is discarded by the read loop.
-func (cc *clientConn) unregister(id uint64) {
+// unregister withdraws the pending call for id; a late response for it is
+// discarded by the read loop. It reports false if the read loop or fail
+// has taken the record already and is about to send its result.
+func (cc *clientConn) unregister(id uint64) bool {
 	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	_, ok := cc.pending[id]
 	delete(cc.pending, id)
-	cc.mu.Unlock()
+	return ok
 }
 
 // fail marks the connection dead and completes every pending call with
@@ -110,14 +141,17 @@ func (cc *clientConn) fail(err error) {
 	cc.mu.Unlock()
 	cc.c.Close()
 	for _, cl := range pending {
-		cl.ch <- callResult{err: fmt.Errorf("%w: %v", errConnBroken, err)}
+		cl.ch <- fmt.Errorf("%w: %v", errConnBroken, err)
 	}
 }
 
-// readLoop demultiplexes response frames to their pending calls.
+// readLoop demultiplexes response frames to their pending calls: a frame
+// is read into the loop's buffer and handed to the call it answers in
+// exchange for that record's previous one.
 func (cc *clientConn) readLoop() {
+	var buf []byte
 	for {
-		frame, err := readFrame(cc.fr, cc.secret)
+		frame, err := readFrame(cc.fr, buf, cc.secret)
 		if err != nil {
 			cc.fail(err)
 			return
@@ -131,9 +165,13 @@ func (cc *clientConn) readLoop() {
 		cl, ok := cc.pending[id]
 		delete(cc.pending, id)
 		cc.mu.Unlock()
+		buf = frame
 		if ok {
-			cl.ch <- callResult{body: body}
+			buf, cl.resp = cl.resp, frame
+			cl.dec.Reset(body)
+			cl.ch <- nil
 		}
+		buf = kept(buf)
 	}
 }
 
@@ -192,10 +230,13 @@ type Client struct {
 	groups   []*replicaGroup // index = shard group id; nil until a map installs
 	shard    *ShardMap       // installed shard map; nil = route everything to seed
 	mapTried bool            // first resolution attempted
-	timeout  time.Duration
 	closed   bool
 
-	cacheOn bool // WithReadCache
+	timeout time.Duration // per-request dial/IO timeout; set once, before first use
+	cacheOn bool          // WithReadCache; likewise
+
+	originMu sync.Mutex
+	origins  []string // origins decoded by Get, shared among its results; at most maxClientOrigins
 
 	nextID   atomic.Uint64
 	inflight atomic.Int64
@@ -264,13 +305,6 @@ func retireGroup(g *replicaGroup) {
 	if conn != nil {
 		conn.fail(ErrClientClosed)
 	}
-}
-
-// SetTimeout sets the per-request dial/IO timeout.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
 }
 
 // Servers returns the configured seed replica addresses.
@@ -371,18 +405,14 @@ func (c *Client) allGroups(ctx context.Context) ([]*replicaGroup, error) {
 // namespace and installs it if its epoch is newer than the current one.
 func (c *Client) resolveShardMap(ctx context.Context) error {
 	c.mMapResolve.Inc()
-	d, err := c.roundTrip(ctx, c.seed, request(cmdFirst, func(e *xdr.Encoder) {
-		e.PutString(ShardMapURI)
-		e.PutString(AttrShardMap)
-	}))
-	if err != nil {
+	cl := newCall(cmdFirst)
+	defer cl.release()
+	cl.req.PutString(ShardMapURI)
+	cl.req.PutString(AttrShardMap)
+	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
 		return err
 	}
-	ok, err := d.Bool()
-	if err != nil {
-		return err
-	}
-	v, err := d.StringMax(maxWireValue)
+	v, ok, err := decodeFirst(&cl.dec)
 	if err != nil {
 		return err
 	}
@@ -438,7 +468,6 @@ func PublishShardMap(ctx context.Context, m *ShardMap, secret []byte) error {
 func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, error) {
 	c.mu.Lock()
 	closed := c.closed
-	timeout := c.timeout
 	c.mu.Unlock()
 	if closed {
 		return nil, ErrClientClosed
@@ -462,7 +491,7 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 	addr := g.addrs[g.current%len(g.addrs)]
 	g.mu.Unlock()
 
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: c.timeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 
 	g.mu.Lock()
@@ -504,21 +533,18 @@ func (c *Client) connFailed(g *replicaGroup, cc *clientConn) {
 	}
 }
 
-// roundTrip sends req (a frame body from request) to group g and
-// returns the response payload decoder. The request is issued over the
+// roundTrip sends cl's request to group g and, on a nil return, leaves
+// cl.dec at the response's payload. The request is issued over the
 // group's shared multiplexed connection; if that connection dies before
 // the response arrives, the request is re-issued against the group's
 // next replica (as many times as there are replicas), each attempt under
-// its own ID written into req.
-func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, req []byte) (*xdr.Decoder, error) {
+// its own ID written into the request.
+func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, cl *call) error {
 	g.mu.Lock()
 	n := len(g.addrs)
 	g.mu.Unlock()
-	c.mu.Lock()
-	timeout := c.timeout
-	c.mu.Unlock()
 	if n == 0 {
-		return nil, ErrNoServers
+		return ErrNoServers
 	}
 	c.mRequests.Inc()
 	c.inflight.Add(1)
@@ -527,74 +553,75 @@ func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, req []byte) (*x
 	var lastErr error
 	for attempt := 0; attempt < n+1; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		cc, err := c.getConn(ctx, g)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
-				return nil, err
+				return err
 			}
 			lastErr = err
 			continue
 		}
 		id := c.nextID.Add(1)
-		cl, err := cc.register(id)
-		if err != nil {
+		if err := cc.register(id, cl); err != nil {
 			lastErr = err
 			c.connFailed(g, cc)
 			continue
 		}
-		setMuxID(req, id)
-		if err := cc.writeRequest(req, time.Now().Add(timeout)); err != nil {
-			cc.unregister(id)
+		setMuxID(cl.req.Bytes(), id)
+		if err := cc.writeRequest(cl.req.Bytes(), time.Now().Add(c.timeout)); err != nil {
+			if !cc.unregister(id) {
+				<-cl.ch // whoever took the record is done with it once this arrives
+			}
 			cc.fail(err)
 			lastErr = err
 			c.connFailed(g, cc)
 			continue
 		}
 		select {
-		case res := <-cl.ch:
-			if res.err != nil {
-				lastErr = res.err
+		case err := <-cl.ch:
+			if err != nil {
+				lastErr = err
 				c.connFailed(g, cc)
 				continue
 			}
-			return parseResponse(res.body)
+			return parseResponse(&cl.dec)
 		case <-ctx.Done():
 			cc.unregister(id)
-			return nil, ctx.Err()
+			cl.abandoned = true // the read loop may have taken it already
+			return ctx.Err()
 		}
 	}
-	return nil, fmt.Errorf("%w (last: %v)", ErrNoServers, lastErr)
+	return fmt.Errorf("%w (last: %v)", ErrNoServers, lastErr)
 }
 
-// routedTrip sends a URI-keyed request to the group owning uri. A
+// routedTrip is roundTrip to the group owning uri. A
 // wrong-shard redirect (stale map) re-resolves the map and retries
 // against the new owner, a bounded number of times.
-func (c *Client) routedTrip(ctx context.Context, uri string, req []byte) (*xdr.Decoder, error) {
+func (c *Client) routedTrip(ctx context.Context, uri string, cl *call) error {
 	var lastErr error
 	for attempt := 0; attempt < wrongShardRetries; attempt++ {
 		g, err := c.route(ctx, uri)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d, err := c.roundTrip(ctx, g, req)
-		if err == nil {
-			return d, nil
+		if err = c.roundTrip(ctx, g, cl); err == nil {
+			return nil
 		}
 		// Declared past the return above: its address escapes into
 		// errors.As, and the steady path must not pay for that.
 		var ws *WrongShardError
 		if !errors.As(err, &ws) {
-			return nil, err
+			return err
 		}
 		c.mWrongShard.Inc()
 		lastErr = err
 		if rerr := c.resolveShardMap(ctx); rerr != nil {
-			return nil, rerr
+			return rerr
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // peekGroup is route for a reader that must not do I/O: nil when reads
@@ -641,92 +668,82 @@ func (c *Client) CachedFirstValue(uri, name string) (v string, present, ok bool)
 // Timeout reports the client's configured per-request timeout. Callers
 // that hold a context-less interface (naming.Catalog adapters) use it
 // to derive per-call deadlines.
-func (c *Client) Timeout() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.timeout
-}
+func (c *Client) Timeout() time.Duration { return c.timeout }
 
 // Ping checks connectivity, returning the responding server's
 // origin ID.
 func (c *Client) Ping(ctx context.Context) (string, error) {
-	d, err := c.roundTrip(ctx, c.seed, request(cmdPing, nil))
-	if err != nil {
+	cl := newCall(cmdPing)
+	defer cl.release()
+	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
 		return "", err
 	}
-	return d.StringMax(maxWireURI)
+	return cl.dec.StringMax(maxWireURI)
 }
 
-// Set makes value the sole live value of (uri, name).
-func (c *Client) Set(ctx context.Context, uri, name, value string) error {
-	_, err := c.routedTrip(ctx, uri, request(cmdSet, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-		e.PutString(value)
-	}))
-	c.invalidateWrite(uri, err)
-	return err
+// newTriple begins a request for cmd on (uri, name, value).
+func newTriple(cmd uint8, uri, name, value string) *call {
+	cl := newCall(cmd)
+	cl.req.PutString(uri)
+	cl.req.PutString(name)
+	cl.req.PutString(value)
+	return cl
 }
 
-// Add inserts value as an additional live value of (uri, name).
-func (c *Client) Add(ctx context.Context, uri, name, value string) error {
-	_, err := c.routedTrip(ctx, uri, request(cmdAdd, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-		e.PutString(value)
-	}))
-	c.invalidateWrite(uri, err)
-	return err
-}
-
-// AddSigned inserts a value with a detached signature by signer.
-func (c *Client) AddSigned(ctx context.Context, uri, name, value, signer string, sig []byte) error {
-	_, err := c.routedTrip(ctx, uri, request(cmdAddSigned, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-		e.PutString(value)
-		e.PutString(signer)
-		e.PutBytes(sig)
-	}))
-	c.invalidateWrite(uri, err)
-	return err
-}
-
-// Remove tombstones the (uri, name, value) element.
-func (c *Client) Remove(ctx context.Context, uri, name, value string) error {
-	_, err := c.routedTrip(ctx, uri, request(cmdRemove, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-		e.PutString(value)
-	}))
-	c.invalidateWrite(uri, err)
-	return err
-}
-
-// RemoveAll tombstones every live value of (uri, name).
-func (c *Client) RemoveAll(ctx context.Context, uri, name string) error {
-	_, err := c.routedTrip(ctx, uri, request(cmdRemoveAll, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-	}))
+// write sends cl, a write to uri, and releases it.
+func (c *Client) write(ctx context.Context, uri string, cl *call) error {
+	err := c.routedTrip(ctx, uri, cl)
+	cl.release()
 	c.invalidateWrite(uri, err)
 	return err
 }
 
 // invalidateWrite drops cached reads for a URI this client just wrote,
 // preserving read-your-writes before the watch notices the version
-// advance. Every group's cache is swept: cheap, and correct across a
-// map change that moved the URI between groups mid-write.
+// advance. Every group's cache is swept, where it stands in the client's
+// list: cheap, and correct across a map change that moved the URI
+// between groups mid-write.
 func (c *Client) invalidateWrite(uri string, err error) {
 	if !c.cacheOn || err != nil {
 		return
 	}
 	c.mu.Lock()
-	groups := append([]*replicaGroup{c.seed}, c.groups...)
-	c.mu.Unlock()
-	for _, g := range groups {
+	defer c.mu.Unlock()
+	c.seed.cache.invalidateURI(uri)
+	for _, g := range c.groups {
 		g.cache.invalidateURI(uri)
 	}
+}
+
+// Set makes value the sole live value of (uri, name).
+func (c *Client) Set(ctx context.Context, uri, name, value string) error {
+	return c.write(ctx, uri, newTriple(cmdSet, uri, name, value))
+}
+
+// Add inserts value as an additional live value of (uri, name).
+func (c *Client) Add(ctx context.Context, uri, name, value string) error {
+	return c.write(ctx, uri, newTriple(cmdAdd, uri, name, value))
+}
+
+// AddSigned inserts a value with a detached signature by signer.
+func (c *Client) AddSigned(ctx context.Context, uri, name, value, signer string, sig []byte) error {
+	cl := newTriple(cmdAddSigned, uri, name, value)
+	cl.req.PutString(signer)
+	cl.req.PutBytes(sig)
+	return c.write(ctx, uri, cl)
+}
+
+// Remove tombstones the (uri, name, value) element.
+func (c *Client) Remove(ctx context.Context, uri, name, value string) error {
+	return c.write(ctx, uri, newTriple(cmdRemove, uri, name, value))
+}
+
+// RemoveAll tombstones every live value of (uri, name).
+func (c *Client) RemoveAll(ctx context.Context, uri, name string) error {
+	cl := newCall(cmdRemoveAll)
+	cl.req.PutString(uri)
+	cl.req.PutString(name)
+	return c.write(ctx, uri, cl)
 }
 
 // Get returns the live assertions for uri.
@@ -751,12 +768,42 @@ func (c *Client) Get(ctx context.Context, uri string) ([]Assertion, error) {
 	return as, err
 }
 
+// maxClientOrigins bounds Client.origins: a peer must not be able to grow
+// it. Past the bound an origin is a string of its own, as before.
+const maxClientOrigins = 64
+
+// originOf returns origin as a string, the client's one copy of it while
+// the table has room.
+func (c *Client) originOf(origin []byte) string {
+	c.originMu.Lock()
+	defer c.originMu.Unlock()
+	for _, o := range c.origins {
+		if o == string(origin) {
+			return o
+		}
+	}
+	o := string(origin)
+	if len(c.origins) < maxClientOrigins {
+		c.origins = append(c.origins, o)
+	}
+	return o
+}
+
+// getRemote is Get past the cache. Only the slice and the values it
+// returns are new: the URI is the caller's string, the origins the client's.
 func (c *Client) getRemote(ctx context.Context, uri string) ([]Assertion, error) {
-	d, err := c.routedTrip(ctx, uri, request(cmdGet, func(e *xdr.Encoder) { e.PutString(uri) }))
-	if err != nil {
+	cl := newCall(cmdGet)
+	defer cl.release()
+	cl.req.PutString(uri)
+	if err := c.routedTrip(ctx, uri, cl); err != nil {
 		return nil, err
 	}
-	return DecodeAssertions(d)
+	return decodeAssertions(&cl.dec, nil, func(v assertionView) Assertion {
+		if string(v.uri) == uri {
+			return v.own(uri, c.originOf(v.origin))
+		}
+		return v.own(string(v.uri), c.originOf(v.origin))
+	})
 }
 
 // Values returns the live values of (uri, name).
@@ -782,14 +829,14 @@ func (c *Client) Values(ctx context.Context, uri, name string) ([]string, error)
 }
 
 func (c *Client) valuesRemote(ctx context.Context, uri, name string) ([]string, error) {
-	d, err := c.routedTrip(ctx, uri, request(cmdValues, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-	}))
-	if err != nil {
+	cl := newCall(cmdValues)
+	defer cl.release()
+	cl.req.PutString(uri)
+	cl.req.PutString(name)
+	if err := c.routedTrip(ctx, uri, cl); err != nil {
 		return nil, err
 	}
-	return d.StringSliceMax(maxWireItems, maxWireValue)
+	return cl.dec.StringSliceMax(maxWireItems, maxWireValue)
 }
 
 // FirstValue returns the most recently written live value of
@@ -816,13 +863,18 @@ func (c *Client) FirstValue(ctx context.Context, uri, name string) (string, bool
 }
 
 func (c *Client) firstRemote(ctx context.Context, uri, name string) (string, bool, error) {
-	d, err := c.routedTrip(ctx, uri, request(cmdFirst, func(e *xdr.Encoder) {
-		e.PutString(uri)
-		e.PutString(name)
-	}))
-	if err != nil {
+	cl := newCall(cmdFirst)
+	defer cl.release()
+	cl.req.PutString(uri)
+	cl.req.PutString(name)
+	if err := c.routedTrip(ctx, uri, cl); err != nil {
 		return "", false, err
 	}
+	return decodeFirst(&cl.dec)
+}
+
+// decodeFirst reads a cmdFirst response: whether there is a value, and it.
+func decodeFirst(d *xdr.Decoder) (string, bool, error) {
 	ok, err := d.Bool()
 	if err != nil {
 		return "", false, err
@@ -861,33 +913,36 @@ func (c *Client) URIs(ctx context.Context, prefix string) ([]string, error) {
 }
 
 func (c *Client) urisFrom(ctx context.Context, g *replicaGroup, prefix string) ([]string, error) {
-	d, err := c.roundTrip(ctx, g, request(cmdURIs, func(e *xdr.Encoder) { e.PutString(prefix) }))
-	if err != nil {
+	cl := newCall(cmdURIs)
+	defer cl.release()
+	cl.req.PutString(prefix)
+	if err := c.roundTrip(ctx, g, cl); err != nil {
 		return nil, err
 	}
-	return d.StringSliceMax(maxWireItems, maxWireValue)
+	return cl.dec.StringSliceMax(maxWireItems, maxWireValue)
 }
 
 // Vector returns the seed server's version vector
 // (replication-internal; peer clients are single-group).
 func (c *Client) Vector(ctx context.Context) (VersionVector, error) {
-	d, err := c.roundTrip(ctx, c.seed, request(cmdVector, nil))
-	if err != nil {
+	cl := newCall(cmdVector)
+	defer cl.release()
+	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
 		return nil, err
 	}
-	return DecodeVersionVector(d)
+	return DecodeVersionVector(&cl.dec)
 }
 
 // OpsSince returns ops the holder of vector theirs has not seen.
 func (c *Client) OpsSince(ctx context.Context, theirs VersionVector, max int) ([]Assertion, error) {
-	d, err := c.roundTrip(ctx, c.seed, request(cmdOpsSince, func(e *xdr.Encoder) {
-		theirs.Encode(e)
-		e.PutUint32(uint32(max))
-	}))
-	if err != nil {
+	cl := newCall(cmdOpsSince)
+	defer cl.release()
+	theirs.Encode(&cl.req)
+	cl.req.PutUint32(uint32(max))
+	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
 		return nil, err
 	}
-	return DecodeAssertions(d)
+	return DecodeAssertions(&cl.dec)
 }
 
 // Apply posts replication ops to the server (peer-to-peer path): one
@@ -901,11 +956,11 @@ func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) error 
 	if err != nil {
 		return err
 	}
-	post := request(cmdApply, func(e *xdr.Encoder) {
-		e.PutString(from)
-		EncodeAssertions(e, ops)
-	})
-	if err := cc.writeRequest(post, time.Now().Add(c.Timeout())); err != nil {
+	cl := newCall(cmdApply) // for its encoder: nothing is registered, nothing comes back
+	defer cl.release()
+	cl.req.PutString(from)
+	EncodeAssertions(&cl.req, ops)
+	if err := cc.writeRequest(cl.req.Bytes(), time.Now().Add(c.timeout)); err != nil {
 		cc.fail(err)
 		c.connFailed(c.seed, cc)
 		return err
@@ -934,14 +989,14 @@ func (c *Client) WaitURI(ctx context.Context, uri string, since uint64, timeout 
 }
 
 func (c *Client) waitOn(ctx context.Context, g *replicaGroup, since uint64, timeout time.Duration) (uint64, error) {
-	d, err := c.roundTrip(ctx, g, request(cmdWait, func(e *xdr.Encoder) {
-		e.PutUint64(since)
-		e.PutUint32(uint32(timeout / time.Millisecond))
-	}))
-	if err != nil {
+	cl := newCall(cmdWait)
+	defer cl.release()
+	cl.req.PutUint64(since)
+	cl.req.PutUint32(uint32(timeout / time.Millisecond))
+	if err := c.roundTrip(ctx, g, cl); err != nil {
 		return 0, err
 	}
-	v, err := d.Uint64()
+	v, err := cl.dec.Uint64()
 	if err == nil && g.cache != nil {
 		g.cache.advance(v)
 	}
@@ -970,10 +1025,12 @@ func (c *Client) Stats(ctx context.Context) (uris, elems, tombs int, err error) 
 }
 
 func (c *Client) statsFrom(ctx context.Context, g *replicaGroup) (uris, elems, tombs int, err error) {
-	d, err := c.roundTrip(ctx, g, request(cmdStats, nil))
-	if err != nil {
+	cl := newCall(cmdStats)
+	defer cl.release()
+	if err := c.roundTrip(ctx, g, cl); err != nil {
 		return 0, 0, 0, err
 	}
+	d := &cl.dec
 	u, err := d.Uint32()
 	if err != nil {
 		return 0, 0, 0, err

@@ -289,7 +289,7 @@ func (sc *serialClient) roundTrip(req []byte) (*xdr.Decoder, error) {
 	if err := writeFrame(sc.fw, req, nil); err != nil {
 		return nil, err
 	}
-	frame, err := readFrame(sc.fr, nil)
+	frame, err := readFrame(sc.fr, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +297,7 @@ func (sc *serialClient) roundTrip(req []byte) (*xdr.Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseResponse(body)
+	return parseBody(body)
 }
 
 func (sc *serialClient) firstValue(uri, name string) (string, bool, error) {

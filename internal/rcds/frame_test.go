@@ -76,7 +76,7 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 // cover its body is refused whole.
 func TestReadFrameLimitAndMAC(t *testing.T) {
 	over := binary.BigEndian.AppendUint32(nil, maxFrame+1)
-	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(over)), nil); err != ErrFrameTooLarge {
+	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(over)), nil, nil); err != ErrFrameTooLarge {
 		t.Fatalf("header over maxFrame: %v, want ErrFrameTooLarge", err)
 	}
 	secret := []byte("k")
@@ -85,15 +85,15 @@ func TestReadFrameLimitAndMAC(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := append([]byte(nil), wire.Bytes()...)
-	if body, err := readFrame(xdr.NewFrameReader(bytes.NewReader(good)), secret); err != nil || string(body) != "authentic body" {
+	if body, err := readFrame(xdr.NewFrameReader(bytes.NewReader(good)), nil, secret); err != nil || string(body) != "authentic body" {
 		t.Fatalf("authentic frame: %q, %v", body, err)
 	}
 	tampered := append([]byte(nil), good...)
 	tampered[6] ^= 1 // a body byte
-	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(tampered)), secret); err != ErrBadMAC {
+	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(tampered)), nil, secret); err != ErrBadMAC {
 		t.Fatalf("tampered body: %v, want ErrBadMAC", err)
 	}
-	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(good[:len(good)-5])), secret); err == nil {
+	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(good[:len(good)-5])), nil, secret); err == nil {
 		t.Fatal("a frame cut short inside its MAC was accepted")
 	}
 }

@@ -58,6 +58,7 @@ func FuzzDecodeAssertions(f *testing.F) {
 	})
 	f.Add(e.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count
+	f.Add(hostileCount)                   // one the cap on preallocation alone would let through
 	e = xdr.NewEncoder(256)
 	EncodeAssertions(e, []Assertion{
 		{URI: "urn:a", Name: "n", Value: "v", Clock: 3, Origin: "o", Seq: 3, Sole: true},
@@ -101,12 +102,12 @@ func FuzzParseResponse(f *testing.F) {
 		// statusWrongShard by design (server error / typed redirect),
 		// everything else as ErrUnknownStatus.
 		if len(b) > 0 && b[0] != statusOK {
-			if _, err := parseResponse(b); err == nil {
+			if _, err := parseBody(b); err == nil {
 				t.Fatalf("parseResponse accepted non-OK status %d", b[0])
 			}
 			return
 		}
-		parseResponse(b)
+		parseBody(b)
 	})
 }
 
@@ -128,9 +129,10 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(withID(request(cmdGet, func(e *xdr.Encoder) { e.PutString("urn:a") }), 2))
 	f.Add(withID(request(cmdWait, func(e *xdr.Encoder) { e.PutUint64(0); e.PutUint32(1 << 31) }), 3))
 	f.Add([]byte{0, 0, 0})
+	f.Add(request(cmdApply, func(e *xdr.Encoder) { e.PutString("rc1"); e.PutRaw(hostileCount) })) // more ops declared than bytes
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		s := NewServer(NewStore("rc0"))
-		resp, err := s.serve(frame, nil) // nil: a Wait is answered at once, as past the parked bound
+		resp, err := s.serve(new(served), frame, nil) // nil: a Wait is answered at once, as past the parked bound
 		if err != nil {
 			if resp != nil {
 				t.Fatalf("refused with %v and answered %x", err, resp)

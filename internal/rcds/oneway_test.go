@@ -141,11 +141,11 @@ func startFakePeer(t *testing.T, origin string) *fakePeer {
 		}
 		fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
 		for pinged := false; ; {
-			frame, err := readFrame(fr, nil)
+			frame, err := readFrame(fr, nil, nil)
 			if err != nil {
 				return
 			}
-			resp, err := p.srv.serve(frame, nil)
+			resp, err := p.srv.serve(new(served), frame, nil)
 			if !pinged && err == nil && resp != nil {
 				pinged = true
 				if writeFrame(fw, resp, nil) != nil {
@@ -305,7 +305,7 @@ func appendRequest(wire *bytes.Buffer, id uint64, req []byte) {
 func (rc *rawConn) next(t *testing.T) (uint64, *xdr.Decoder) {
 	t.Helper()
 	rc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := readFrame(rc.fr, nil)
+	frame, err := readFrame(rc.fr, nil, nil)
 	if err != nil {
 		t.Fatalf("reading a response: %v", err)
 	}
@@ -313,7 +313,7 @@ func (rc *rawConn) next(t *testing.T) (uint64, *xdr.Decoder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := parseResponse(body)
+	dec, err := parseBody(body)
 	if err != nil {
 		t.Fatalf("response %d: %v", id, err)
 	}

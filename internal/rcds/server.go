@@ -1,6 +1,7 @@
 package rcds
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,11 +23,27 @@ const pushTimeout = 5 * time.Second
 // a failed push and reach the peers by anti-entropy.
 const maxPendingPushOps = 4096
 
-// pushBatch is ops queued for push together: what one write minted here
-// or one Apply brought in.
-type pushBatch struct {
-	ops  []Assertion
-	from string // origin of the replica that pushed ops here; "" = written here
+// maxKeptOps is maxKeptBuffer for a reused slice of ops, counted in the
+// larger of its two element types: a connection's decoded Apply holds
+// 144-byte Assertions, the push queue 160-byte queuedOps, so neither
+// keeps more than maxKeptBuffer.
+const maxKeptOps = maxKeptBuffer / 160
+
+// keptOps clears ops, which keep strings alive, and returns the storage
+// for reuse, or nil if it grew past maxKeptOps.
+func keptOps[T any](ops []T) []T {
+	if cap(ops) > maxKeptOps {
+		return nil
+	}
+	clear(ops)
+	return ops[:0]
+}
+
+// queuedOp is an op awaiting push: the queue's own copy, so that what a
+// connection decoded it into can be reused.
+type queuedOp struct {
+	op   Assertion
+	from string // origin of the replica that pushed op here; "" = written here
 }
 
 // ServerOption configures a Server.
@@ -96,11 +113,10 @@ type Server struct {
 	stopped  bool
 	pushFail int // push attempts that failed (peer down); healed by anti-entropy
 
-	// The push queue: batches awaiting pushLoop, which takes the list
-	// whole, so an idle server holds none.
-	pending    []pushBatch
-	pendingOps int           // ops in pending, at most maxPendingPushOps
-	pushWake   chan struct{} // one token: pending is non-empty
+	// The push queue: ops awaiting pushLoop, which takes the list whole,
+	// so an idle server holds none.
+	pending  []queuedOp    // at most maxPendingPushOps
+	pushWake chan struct{} // one token: pending is non-empty
 
 	mShardReject *stats.Counter // ops redirected to their owning group
 	mSnapPages   *stats.Counter // snapshot pages served to rejoiners
@@ -145,20 +161,24 @@ func (s *Server) SetShard(self int, m *ShardMap) {
 	s.mu.Unlock()
 }
 
-// shardCheck returns a wrong-shard redirect when sharding is enforced
-// and uri belongs to another group; nil means serve it here.
-func (s *Server) shardCheck(uri string) []byte {
+// wrongShard reports whether sharding is enforced and uri belongs to
+// another group, in which case e now answers request id with the redirect.
+func (s *Server) wrongShard(e *xdr.Encoder, id uint64, uri string) bool {
 	s.mu.Lock()
 	sc := s.shard
 	s.mu.Unlock()
 	if sc == nil || IsConfigURI(uri) {
-		return nil
+		return false
 	}
-	if owner := sc.m.Owner(uri); owner != sc.self {
-		s.mShardReject.Inc()
-		return wrongShardResponse(owner, sc.m.Epoch)
+	owner := sc.m.Owner(uri)
+	if owner == sc.self {
+		return false
 	}
-	return nil
+	s.mShardReject.Inc()
+	respond(e, id, statusWrongShard)
+	e.PutUint32(uint32(owner))
+	e.PutUint64(sc.m.Epoch)
+	return true
 }
 
 // Store returns the server's underlying replica store.
@@ -262,17 +282,30 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // once with the current version, which is a legal long-poll answer.
 const maxParkedWaits = 1024
 
+// served is what a connection's read loop owns and reuses from frame to
+// frame, so that a request costs the server only what the store keeps of
+// it. Each holds what the connection's frames have needed, up to
+// maxKeptBuffer: nothing is allocated ahead of the first frame.
+type served struct {
+	buf  []byte      // storage of the frame being served; a request is decoded where it lies, and nothing kept may alias it
+	resp xdr.Encoder // the response to it, until it is written
+	ops  []Assertion // a posted Apply's ops, until they are merged and queued (by copy) for relay
+	from string      // the sender origin the last Apply named; a push link names one
+}
+
 // serveConn serves one client connection from its read loop: a request
-// is executed where it is read, in arrival order, and answered before
-// the next frame is read. Only a Wait, the one command that parks, gets
-// a goroutine, which ends with the connection at the latest. A frame
-// serve refuses or a response that cannot be written ends the connection.
+// is executed where it is read — in the connection's one frame buffer,
+// answered from its one encoder — in arrival order, and answered before
+// the next frame is read over it. Only a Wait, the one command that
+// parks, gets a goroutine, with its own copy of its frame and its own
+// encoder, which ends with the connection at the latest. A frame serve
+// refuses or a response that cannot be written ends the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var writeMu sync.Mutex // guards fw
 	fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
-	answer := func(frame []byte, park <-chan struct{}) bool {
-		resp, err := s.serve(frame, park)
+	answer := func(sc *served, frame []byte, park <-chan struct{}) bool {
+		resp, err := s.serve(sc, frame, park)
 		if err != nil || resp == nil {
 			return err == nil
 		}
@@ -293,37 +326,42 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	var sc served
 	for {
-		frame, err := readFrame(fr, s.secret)
+		frame, err := readFrame(fr, sc.buf, s.secret)
 		if err != nil {
 			return
 		}
+		sc.buf = kept(frame) // the storage; frame itself stays good until the next is read
 		if len(frame) > muxHeader && frame[muxHeader] == cmdWait && parked.Load() < maxParkedWaits {
 			parked.Add(1)
 			waits.Add(1)
-			go func() {
+			go func(frame []byte) {
 				defer waits.Done()
 				defer parked.Add(-1)
-				if !answer(frame, gone) {
+				if !answer(new(served), frame, gone) {
 					conn.Close() // the read loop returns
 				}
-			}()
+			}(bytes.Clone(frame)) // it outlives the frame it arrived in
 			continue
 		}
-		if !answer(frame, nil) {
+		ok := answer(&sc, frame, nil)
+		keepEncoder(&sc.resp)
+		sc.ops = keptOps(sc.ops)
+		if !ok {
 			return
 		}
 	}
 }
 
-// serve executes one request frame and returns the response frame, its
-// ID in place — or nil for an Apply, which is posted under request ID 0,
+// serve executes one request frame and returns the response frame, built
+// in sc.resp — or nil for an Apply, which is posted under request ID 0,
 // applied and relayed here and answered with nothing. An error means the
 // frame is no request of this protocol and ends the connection, the
 // store untouched: no ID or no command, ID 0 on anything but an Apply, an
 // Apply under another ID or one that does not decode. A Wait blocks only
 // if park is non-nil, and at most until it closes.
-func (s *Server) serve(frame []byte, park <-chan struct{}) ([]byte, error) {
+func (s *Server) serve(sc *served, frame []byte, park <-chan struct{}) ([]byte, error) {
 	id, body, err := splitMux(frame)
 	switch {
 	case err != nil:
@@ -331,56 +369,175 @@ func (s *Server) serve(frame []byte, park <-chan struct{}) ([]byte, error) {
 	case len(body) == 0 || (id == 0) != (body[0] == cmdApply):
 		return nil, errors.New("rcds: not a request")
 	case id == 0:
-		return nil, s.applyPosted(xdr.NewDecoder(body[1:]))
+		return nil, s.applyPosted(sc, xdr.NewDecoder(body[1:]))
 	}
-	resp := s.dispatch(body, park)
-	setMuxID(resp, id)
-	return resp, nil
+	if err := s.dispatch(&sc.resp, id, xdr.NewDecoder(body), park); err != nil {
+		respondErr(&sc.resp, id, err)
+	}
+	return sc.resp.Bytes(), nil
 }
 
 // applyPosted applies one posted Apply and, if any op was news here,
 // queues it for relay (less the sender), so partially connected groups
 // converge quickly. An Apply that names no sender is refused unread.
-func (s *Server) applyPosted(d *xdr.Decoder) error {
-	from, err := d.StringMax(maxWireURI)
-	if err == nil && from == "" {
+func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
+	from, err := d.BytesMax(maxWireURI)
+	if err == nil && len(from) == 0 {
 		err = errors.New("rcds: apply without a sender origin")
 	}
 	if err != nil {
 		return err
 	}
-	ops, err := DecodeAssertions(d)
+	ops, changed, err := s.store.applyEncoded(d, sc.ops)
 	if err != nil {
 		return err
 	}
+	sc.ops = ops
 	s.mAppliesRecv.Inc()
-	if s.store.ApplyRemote(ops) > 0 {
-		s.enqueuePush(ops, from)
+	if changed > 0 {
+		if sc.from != string(from) {
+			sc.from = string(from)
+		}
+		s.enqueuePush(ops, sc.from)
 	}
 	return nil
 }
 
-// dispatch executes one request other than Apply and returns the
-// response as a frame body awaiting its request ID. park is serve's.
-func (s *Server) dispatch(body []byte, park <-chan struct{}) []byte {
-	d := xdr.NewDecoder(body)
+// dispatch executes one request other than Apply — d is at its command —
+// and builds the response to id in e. An error is the caller's to make
+// the response. park is serve's.
+func (s *Server) dispatch(e *xdr.Encoder, id uint64, d *xdr.Decoder, park <-chan struct{}) error {
 	cmd, err := d.Uint8()
 	if err != nil {
-		return errResponse(err)
+		return err
 	}
 	switch cmd {
-	case cmdPing:
-		return okResponse(func(e *xdr.Encoder) { e.PutString(s.store.Origin()) })
+	case cmdSet, cmdAdd, cmdAddSigned, cmdRemove, cmdRemoveAll, cmdGet, cmdValues, cmdFirst:
+		return s.dispatchURI(e, id, cmd, d)
 
-	case cmdSet, cmdAdd, cmdRemove:
-		uri, name, value, err := decodeTriple(d)
+	case cmdPing:
+		respond(e, id, statusOK)
+		e.PutString(s.store.Origin())
+
+	case cmdURIs:
+		prefix, err := d.StringMax(maxWireURI)
 		if err != nil {
-			return errResponse(err)
+			return err
 		}
-		if rej := s.shardCheck(uri); rej != nil {
-			return rej
+		respond(e, id, statusOK)
+		e.PutStringSlice(s.store.URIs(prefix))
+
+	case cmdVector:
+		respond(e, id, statusOK)
+		s.store.Vector().Encode(e)
+
+	case cmdOpsSince, cmdCatchup:
+		theirs, err := DecodeVersionVector(d)
+		if err != nil {
+			return err
 		}
-		var ops []Assertion
+		max, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		respond(e, id, statusOK)
+		if cmd == cmdCatchup {
+			if !s.store.CanServeTail(theirs) {
+				// The requester is below our compaction floor: it must page
+				// the snapshot (cmdSnapshotPage) before pulling the tail.
+				e.PutUint8(catchupModeSnapshot)
+				return nil
+			}
+			s.mTailPulls.Inc()
+			e.PutUint8(catchupModeTail)
+		}
+		EncodeAssertions(e, s.store.OpsSince(theirs, int(max)))
+
+	case cmdWait:
+		since, err := d.Uint64()
+		if err != nil {
+			return err
+		}
+		timeoutMs, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		v := s.store.Version()
+		if park != nil {
+			v = s.store.WaitVersionCancel(since, time.Duration(timeoutMs)*time.Millisecond, park)
+		}
+		respond(e, id, statusOK)
+		e.PutUint64(v)
+
+	case cmdStats:
+		uris, elems, tombs := s.store.Stats()
+		respond(e, id, statusOK)
+		e.PutUint32(uint32(uris))
+		e.PutUint32(uint32(elems))
+		e.PutUint32(uint32(tombs))
+
+	case cmdSnapshotPage:
+		afterURI, err := d.StringMax(maxWireURI)
+		if err != nil {
+			return err
+		}
+		max, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		s.mSnapPages.Inc()
+		ops, next, vv := s.store.SnapshotPage(afterURI, int(max))
+		respond(e, id, statusOK)
+		vv.Encode(e)
+		e.PutString(next)
+		EncodeAssertions(e, ops)
+
+	default:
+		return fmt.Errorf("unknown command %d", cmd)
+	}
+	return nil
+}
+
+// dispatchURI is dispatch for the commands on one URI, d at the URI. The
+// URI is looked up where it lies and served under the store's own copy of
+// it; of a write, the value is the one string copied out of the frame.
+func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decoder) error {
+	b, err := d.BytesMax(maxWireURI)
+	if err != nil {
+		return err
+	}
+	uri := s.store.key(b)
+	if s.wrongShard(e, id, uri) {
+		return nil
+	}
+	if cmd == cmdGet {
+		respond(e, id, statusOK)
+		s.store.encodeLive(e, uri, "", true, (*Assertion).Encode)
+		return nil
+	}
+	name, err := decodeName(d)
+	if err != nil {
+		return err
+	}
+	var ops []Assertion
+	switch cmd {
+	case cmdValues:
+		respond(e, id, statusOK)
+		s.store.encodeLive(e, uri, name, false, func(a *Assertion, e *xdr.Encoder) { e.PutString(a.Value) })
+		return nil
+	case cmdFirst:
+		v, ok := s.store.FirstValue(uri, name)
+		respond(e, id, statusOK)
+		e.PutBool(ok)
+		e.PutString(v)
+		return nil
+	case cmdRemoveAll:
+		ops = s.store.RemoveAll(uri, name)
+	default:
+		value, err := d.StringMax(maxWireValue)
+		if err != nil {
+			return err
+		}
 		switch cmd {
 		case cmdSet:
 			ops = s.store.Set(uri, name, value)
@@ -388,188 +545,27 @@ func (s *Server) dispatch(body []byte, park <-chan struct{}) []byte {
 			ops = s.store.Add(uri, name, value)
 		case cmdRemove:
 			ops = s.store.Remove(uri, name, value)
+		case cmdAddSigned:
+			signer, err := d.StringMax(maxWireURI)
+			if err != nil {
+				return err
+			}
+			sig, err := d.BytesCopyMax(maxWireSig)
+			if err != nil {
+				return err
+			}
+			ops = s.store.AddSigned(uri, name, value, signer, sig)
 		}
-		s.enqueuePush(ops, "")
-		return okResponse(nil)
-
-	case cmdAddSigned:
-		uri, name, value, err := decodeTriple(d)
-		if err != nil {
-			return errResponse(err)
-		}
-		signer, err := d.StringMax(maxWireURI)
-		if err != nil {
-			return errResponse(err)
-		}
-		sig, err := d.BytesCopyMax(maxWireSig)
-		if err != nil {
-			return errResponse(err)
-		}
-		if rej := s.shardCheck(uri); rej != nil {
-			return rej
-		}
-		ops := s.store.AddSigned(uri, name, value, signer, sig)
-		s.enqueuePush(ops, "")
-		return okResponse(nil)
-
-	case cmdRemoveAll:
-		uri, err := d.StringMax(maxWireURI)
-		if err != nil {
-			return errResponse(err)
-		}
-		name, err := decodeName(d)
-		if err != nil {
-			return errResponse(err)
-		}
-		if rej := s.shardCheck(uri); rej != nil {
-			return rej
-		}
-		ops := s.store.RemoveAll(uri, name)
-		s.enqueuePush(ops, "")
-		return okResponse(nil)
-
-	case cmdGet:
-		uri, err := d.StringMax(maxWireURI)
-		if err != nil {
-			return errResponse(err)
-		}
-		if rej := s.shardCheck(uri); rej != nil {
-			return rej
-		}
-		as := s.store.Get(uri)
-		return okResponse(func(e *xdr.Encoder) { EncodeAssertions(e, as) })
-
-	case cmdValues:
-		uri, err := d.StringMax(maxWireURI)
-		if err != nil {
-			return errResponse(err)
-		}
-		name, err := decodeName(d)
-		if err != nil {
-			return errResponse(err)
-		}
-		if rej := s.shardCheck(uri); rej != nil {
-			return rej
-		}
-		return okResponse(func(e *xdr.Encoder) { e.PutStringSlice(s.store.Values(uri, name)) })
-
-	case cmdFirst:
-		uri, err := d.StringMax(maxWireURI)
-		if err != nil {
-			return errResponse(err)
-		}
-		name, err := decodeName(d)
-		if err != nil {
-			return errResponse(err)
-		}
-		if rej := s.shardCheck(uri); rej != nil {
-			return rej
-		}
-		v, ok := s.store.FirstValue(uri, name)
-		return okResponse(func(e *xdr.Encoder) { e.PutBool(ok); e.PutString(v) })
-
-	case cmdURIs:
-		prefix, err := d.StringMax(maxWireURI)
-		if err != nil {
-			return errResponse(err)
-		}
-		return okResponse(func(e *xdr.Encoder) { e.PutStringSlice(s.store.URIs(prefix)) })
-
-	case cmdVector:
-		vv := s.store.Vector()
-		return okResponse(func(e *xdr.Encoder) { vv.Encode(e) })
-
-	case cmdOpsSince:
-		theirs, err := DecodeVersionVector(d)
-		if err != nil {
-			return errResponse(err)
-		}
-		max, err := d.Uint32()
-		if err != nil {
-			return errResponse(err)
-		}
-		ops := s.store.OpsSince(theirs, int(max))
-		return okResponse(func(e *xdr.Encoder) { EncodeAssertions(e, ops) })
-
-	case cmdWait:
-		since, err := d.Uint64()
-		if err != nil {
-			return errResponse(err)
-		}
-		timeoutMs, err := d.Uint32()
-		if err != nil {
-			return errResponse(err)
-		}
-		v := s.store.Version()
-		if park != nil {
-			v = s.store.WaitVersionCancel(since, time.Duration(timeoutMs)*time.Millisecond, park)
-		}
-		return okResponse(func(e *xdr.Encoder) { e.PutUint64(v) })
-
-	case cmdStats:
-		uris, elems, tombs := s.store.Stats()
-		return okResponse(func(e *xdr.Encoder) {
-			e.PutUint32(uint32(uris))
-			e.PutUint32(uint32(elems))
-			e.PutUint32(uint32(tombs))
-		})
-
-	case cmdCatchup:
-		theirs, err := DecodeVersionVector(d)
-		if err != nil {
-			return errResponse(err)
-		}
-		max, err := d.Uint32()
-		if err != nil {
-			return errResponse(err)
-		}
-		if !s.store.CanServeTail(theirs) {
-			// The requester is below our compaction floor: it must page
-			// the snapshot (cmdSnapshotPage) before pulling the tail.
-			return okResponse(func(e *xdr.Encoder) { e.PutUint8(catchupModeSnapshot) })
-		}
-		s.mTailPulls.Inc()
-		ops := s.store.OpsSince(theirs, int(max))
-		return okResponse(func(e *xdr.Encoder) {
-			e.PutUint8(catchupModeTail)
-			EncodeAssertions(e, ops)
-		})
-
-	case cmdSnapshotPage:
-		afterURI, err := d.StringMax(maxWireURI)
-		if err != nil {
-			return errResponse(err)
-		}
-		max, err := d.Uint32()
-		if err != nil {
-			return errResponse(err)
-		}
-		s.mSnapPages.Inc()
-		ops, next, vv := s.store.SnapshotPage(afterURI, int(max))
-		return okResponse(func(e *xdr.Encoder) {
-			vv.Encode(e)
-			e.PutString(next)
-			EncodeAssertions(e, ops)
-		})
 	}
-	return errResponse(fmt.Errorf("unknown command %d", cmd))
+	s.enqueuePush(ops, "")
+	respond(e, id, statusOK)
+	return nil
 }
 
-func decodeTriple(d *xdr.Decoder) (uri, name, value string, err error) {
-	if uri, err = d.StringMax(maxWireURI); err != nil {
-		return
-	}
-	if name, err = decodeName(d); err != nil {
-		return
-	}
-	value, err = d.StringMax(maxWireValue)
-	return
-}
-
-// enqueuePush queues ops for asynchronous push replication; from is the
-// origin of the replica that pushed them here, "" for a write accepted
-// here. It never blocks: past maxPendingPushOps the ops are left to
-// anti-entropy.
+// enqueuePush queues copies of ops for asynchronous push replication;
+// from is the origin of the replica that pushed them here, "" for a write
+// accepted here. It never blocks: past maxPendingPushOps the ops are left
+// to anti-entropy.
 func (s *Server) enqueuePush(ops []Assertion, from string) {
 	if len(ops) == 0 {
 		return
@@ -578,11 +574,12 @@ func (s *Server) enqueuePush(ops []Assertion, from string) {
 	queued := false
 	switch {
 	case len(s.peers) == 0:
-	case s.pendingOps+len(ops) > maxPendingPushOps:
+	case len(s.pending)+len(ops) > maxPendingPushOps:
 		s.pushFail++
 	default:
-		s.pending = append(s.pending, pushBatch{ops: ops, from: from})
-		s.pendingOps += len(ops)
+		for i := range ops {
+			s.pending = append(s.pending, queuedOp{ops[i], from})
+		}
 		queued = true
 	}
 	s.mu.Unlock()
@@ -628,7 +625,8 @@ func (s *Server) pushLoop() {
 			l.c.Close()
 		}
 	}()
-	var batches []pushBatch
+	var queued []queuedOp // the list taken; its storage goes back as the next
+	var ops []Assertion   // one peer's share of it, reused from peer to peer
 	for {
 		select {
 		case <-s.done:
@@ -636,8 +634,7 @@ func (s *Server) pushLoop() {
 		case <-s.pushWake:
 		}
 		s.mu.Lock()
-		batches, s.pending = s.pending, batches[:0]
-		s.pendingOps = 0
+		queued, s.pending = s.pending, queued
 		peers := s.peers // SetPeers installs a new slice, never edits one
 		s.mu.Unlock()
 		for _, peer := range peers {
@@ -646,74 +643,52 @@ func (s *Server) pushLoop() {
 				l = &peerLink{c: NewClient([]string{peer}, s.secret)}
 				links[peer] = l
 			}
-			s.pushTo(ctx, l, peer, batches)
+			ops = s.pushTo(ctx, l, peer, queued, ops[:0])
 		}
-		for i := range batches {
-			batches[i] = pushBatch{} // the list is reused; the ops are not kept
-		}
+		queued, ops = keptOps(queued), keptOps(ops) // the storage is reused; the ops are not kept
 	}
 }
 
-// pushTo posts peer its share of batches in one Apply. Ops written into
-// a connection that then dies count as sent; anti-entropy fetches them.
-func (s *Server) pushTo(ctx context.Context, l *peerLink, peer string, batches []pushBatch) {
+// pushTo posts peer its share of queued, gathered in ops' storage (which
+// it returns), in one Apply. Ops written into a connection that then dies
+// count as sent; anti-entropy fetches them.
+func (s *Server) pushTo(ctx context.Context, l *peerLink, peer string, queued []queuedOp, ops []Assertion) []Assertion {
 	if s.peerGate != nil && s.peerGate(peer) != nil {
 		// Link severed (netsim partition): count it as a lost push and
 		// leave repair to anti-entropy after healing.
 		s.countPushFail()
-		return
+		return ops
 	}
 	if l.origin == "" {
 		pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
 		l.origin, _ = l.c.Ping(pingCtx) // on error it stays unknown and nothing is filtered
 		cancel()
 	}
-	ops, skipped := opsFor(batches, l.origin)
-	s.mRelaySkip.Add(uint64(skipped))
+	ops = opsFor(ops, queued, l.origin)
+	s.mRelaySkip.Add(uint64(len(queued) - len(ops)))
 	if len(ops) == 0 {
-		return
+		return ops
 	}
 	if err := l.c.Apply(ctx, s.store.Origin(), ops); err != nil {
 		l.origin = "" // whoever answers next is asked again
 		s.countPushFail()
-		return
+		return ops
 	}
 	s.mAppliesSent.Inc()
 	s.mOpsSent.Add(uint64(len(ops)))
+	return ops
 }
 
-// opsFor returns the ops in batches that are news to the peer with the
-// given origin, and how many it left out: those the peer itself pushed
-// here and those it minted. An unknown origin ("") leaves out none.
-func opsFor(batches []pushBatch, origin string) (ops []Assertion, skipped int) {
-	news := func(b *pushBatch, op *Assertion) bool {
-		return origin == "" || (b.from != origin && op.Origin != origin)
-	}
-	total, keep := 0, 0
-	for i := range batches {
-		b := &batches[i]
-		for j := range b.ops {
-			total++
-			if news(b, &b.ops[j]) {
-				keep++
-			}
+// opsFor appends to ops, and returns, the queued ops that are news to the
+// peer with the given origin: all but those the peer itself pushed here
+// and those it minted. An unknown origin ("") leaves out none.
+func opsFor(ops []Assertion, queued []queuedOp, origin string) []Assertion {
+	for i := range queued {
+		if q := &queued[i]; origin == "" || (q.from != origin && q.op.Origin != origin) {
+			ops = append(ops, q.op)
 		}
 	}
-	if keep == total && len(batches) == 1 {
-		return batches[0].ops, 0 // the common case: one write, sent as it is
-	}
-	if keep > 0 {
-		ops = make([]Assertion, 0, keep)
-		for i := range batches {
-			b := &batches[i]
-			for j := range b.ops {
-				if news(b, &b.ops[j]) {
-					ops = append(ops, b.ops[j])
-				}
-			}
-		}
-	}
-	return ops, total - keep
+	return ops
 }
 
 // antiEntropyLoop periodically syncs from each peer via SyncFromPeer:

@@ -157,9 +157,8 @@ func TestAntiEntropyHealsPartition(t *testing.T) {
 
 func TestClientFailover(t *testing.T) {
 	servers := startReplicaGroup(t, 3, nil)
-	c := NewClient(groupAddrs(servers), nil)
+	c := NewClient(groupAddrs(servers), nil, WithTimeout(500*time.Millisecond))
 	defer c.Close()
-	c.SetTimeout(500 * time.Millisecond)
 	if err := c.Set(context.Background(), "urn:a", "n", "1"); err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +174,8 @@ func TestClientFailover(t *testing.T) {
 }
 
 func TestClientAllServersDown(t *testing.T) {
-	c := NewClient([]string{"127.0.0.1:1"}, nil) // nothing listening
+	c := NewClient([]string{"127.0.0.1:1"}, nil, WithTimeout(200*time.Millisecond)) // nothing listening
 	defer c.Close()
-	c.SetTimeout(200 * time.Millisecond)
 	if _, err := c.Ping(context.Background()); !errors.Is(err, ErrNoServers) {
 		t.Fatalf("want ErrNoServers, got %v", err)
 	}
@@ -195,17 +193,15 @@ func TestHMACAuthentication(t *testing.T) {
 
 	// Wrong secret: the server rejects the frame and drops the
 	// connection; the client sees no servers.
-	bad := NewClient(groupAddrs(servers), []byte("wrong"))
+	bad := NewClient(groupAddrs(servers), []byte("wrong"), WithTimeout(300*time.Millisecond))
 	defer bad.Close()
-	bad.SetTimeout(300 * time.Millisecond)
 	if _, err := bad.Ping(context.Background()); err == nil {
 		t.Fatal("wrong secret accepted")
 	}
 
 	// No secret at all likewise fails.
-	none := NewClient(groupAddrs(servers), nil)
+	none := NewClient(groupAddrs(servers), nil, WithTimeout(300*time.Millisecond))
 	defer none.Close()
-	none.SetTimeout(300 * time.Millisecond)
 	if _, err := none.Ping(context.Background()); err == nil {
 		t.Fatal("missing MAC accepted")
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"snipe/internal/testutil"
-	"snipe/internal/xdr"
 )
 
 func TestShardKeyNormalizesSpellings(t *testing.T) {
@@ -157,12 +156,12 @@ func TestServerEnforcesShardOwnership(t *testing.T) {
 	c := NewClient(m.Groups[0], nil)
 	defer c.Close()
 	raw := func(cmd uint8, fields ...string) error {
-		_, err := c.roundTrip(context.Background(), c.seed, request(cmd, func(e *xdr.Encoder) {
-			for _, f := range fields {
-				e.PutString(f)
-			}
-		}))
-		return err
+		cl := newCall(cmd)
+		defer cl.release()
+		for _, f := range fields {
+			cl.req.PutString(f)
+		}
+		return c.roundTrip(context.Background(), c.seed, cl)
 	}
 	var foreign string
 	for i := 0; ; i++ {

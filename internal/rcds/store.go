@@ -2,6 +2,7 @@ package rcds
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
@@ -221,6 +222,34 @@ func (s *Store) ownLocked(a *Assertion) []Assertion {
 	return cat
 }
 
+// keyLocked returns uri as a string: the catalog's own key if the store
+// holds the URI (indexing a map by string(uri) does not allocate), else a
+// copy, which a write then makes the key. Caller holds s.mu.
+func (s *Store) keyLocked(uri []byte) string {
+	if cat := s.catalogs[string(uri)]; len(cat) > 0 {
+		return cat[0].URI
+	}
+	return string(uri)
+}
+
+// key is keyLocked for a server serving a request on uri where it lies.
+func (s *Store) key(uri []byte) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.keyLocked(uri)
+}
+
+// originLocked is keyLocked for an origin: the copy in s.origins, or a
+// new one for ownLocked to add once an op of it is kept.
+func (s *Store) originLocked(origin []byte) string {
+	for _, o := range s.origins {
+		if o == string(origin) {
+			return o
+		}
+	}
+	return string(origin)
+}
+
 // mergeLocked files op in its origin's log and merges it into the
 // catalog, reporting whether the catalog visibly changed. Caller holds
 // s.mu.
@@ -397,6 +426,27 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 func (s *Store) ApplyRemote(ops []Assertion) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.applyRemoteLocked(ops)
+}
+
+// applyEncoded is ApplyRemote for a list of ops still in the frame it
+// arrived in. They are decoded into ops' storage against the store's own
+// URI keys and origins — of an op on a URI the replica holds only the
+// value is allocated — and returned, aliasing nothing of the frame.
+// Nothing is merged unless every op decodes.
+func (s *Store) applyEncoded(d *xdr.Decoder, ops []Assertion) ([]Assertion, int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ops, err := decodeAssertions(d, ops, func(v assertionView) Assertion {
+		return v.own(s.keyLocked(v.uri), s.originLocked(v.origin))
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return ops, s.applyRemoteLocked(ops), nil
+}
+
+func (s *Store) applyRemoteLocked(ops []Assertion) int {
 	changed := 0
 	for _, op := range ops {
 		if op.Origin == s.origin {
@@ -425,45 +475,55 @@ func (s *Store) observeLookup(start time.Time) {
 	s.hLookupUs.Observe(float64(time.Since(start).Microseconds()))
 }
 
-// Get returns the live assertions for uri, sorted by (name, value).
-func (s *Store) Get(uri string) []Assertion {
+// visitLive calls visit, under the lock, with each live entry of uri —
+// every attribute's if all, else those of name — sorted by (name, value),
+// and counts one lookup. Every read of live entries is this walk.
+func (s *Store) visitLive(uri, name string, all bool, visit func(*Assertion)) {
 	defer s.observeLookup(time.Now())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Assertion
 	cat := s.catalogs[uri]
-	for i := 0; i < len(cat); {
-		i = walkLive(cat, i, func(a *Assertion) { out = append(out, *a) })
+	if !all {
+		walkLiveOf(cat, name, visit)
+		return
 	}
+	for i := 0; i < len(cat); {
+		i = walkLive(cat, i, visit)
+	}
+}
+
+// Get returns the live assertions for uri, sorted by (name, value).
+func (s *Store) Get(uri string) (out []Assertion) {
+	s.visitLive(uri, "", true, func(a *Assertion) { out = append(out, *a) })
 	return out
 }
 
+// encodeLive writes to e the number of entries visitLive visits and each
+// one as put writes it: a server's answer to a lookup, made under the lock
+// straight from the entries with nothing copied out first.
+func (s *Store) encodeLive(e *xdr.Encoder, uri, name string, all bool, put func(*Assertion, *xdr.Encoder)) {
+	at, n := e.Len(), uint32(0)
+	e.PutUint32(0)
+	s.visitLive(uri, name, all, func(a *Assertion) { put(a, e); n++ })
+	binary.BigEndian.PutUint32(e.Bytes()[at:], n)
+}
+
 // Values returns the live values of (uri, name), sorted.
-func (s *Store) Values(uri, name string) []string {
-	defer s.observeLookup(time.Now())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	walkLiveOf(s.catalogs[uri], name, func(a *Assertion) { out = append(out, a.Value) })
+func (s *Store) Values(uri, name string) (out []string) {
+	s.visitLive(uri, name, false, func(a *Assertion) { out = append(out, a.Value) })
 	return out
 }
 
 // FirstValue returns the most recently written live value of
 // (uri, name), if any.
-func (s *Store) FirstValue(uri, name string) (string, bool) {
-	defer s.observeLookup(time.Now())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var best *Assertion
-	walkLiveOf(s.catalogs[uri], name, func(a *Assertion) {
+func (s *Store) FirstValue(uri, name string) (v string, ok bool) {
+	var best *Assertion // an entry: read under the lock only
+	s.visitLive(uri, name, false, func(a *Assertion) {
 		if best == nil || a.Supersedes(best) {
-			best = a
+			best, v = a, a.Value
 		}
 	})
-	if best == nil {
-		return "", false
-	}
-	return best.Value, true
+	return v, best != nil
 }
 
 // URIs returns all URIs with live assertions under the prefix, sorted.

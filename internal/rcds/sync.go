@@ -3,8 +3,6 @@ package rcds
 import (
 	"context"
 	"fmt"
-
-	"snipe/internal/xdr"
 )
 
 // defaultSyncPage is the per-RPC op bound for catch-up pulls: large
@@ -19,13 +17,14 @@ const defaultSyncPage = 8192
 // the requester must page the snapshot first. Replication-internal;
 // SyncFromPeer drives it.
 func (c *Client) Catchup(ctx context.Context, theirs VersionVector, maxOps int) (mode uint8, ops []Assertion, err error) {
-	d, err := c.roundTrip(ctx, c.seed, request(cmdCatchup, func(e *xdr.Encoder) {
-		theirs.Encode(e)
-		e.PutUint32(uint32(maxOps))
-	}))
-	if err != nil {
+	cl := newCall(cmdCatchup)
+	defer cl.release()
+	theirs.Encode(&cl.req)
+	cl.req.PutUint32(uint32(maxOps))
+	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
 		return 0, nil, err
 	}
+	d := &cl.dec
 	if mode, err = d.Uint8(); err != nil {
 		return 0, nil, err
 	}
@@ -45,13 +44,14 @@ func (c *Client) Catchup(ctx context.Context, theirs VersionVector, maxOps int) 
 // next-page cursor ("" when complete), and the server's version vector.
 // Replication-internal; SyncFromPeer drives it.
 func (c *Client) SnapshotPage(ctx context.Context, afterURI string, maxOps int) (ops []Assertion, next string, vv VersionVector, err error) {
-	d, err := c.roundTrip(ctx, c.seed, request(cmdSnapshotPage, func(e *xdr.Encoder) {
-		e.PutString(afterURI)
-		e.PutUint32(uint32(maxOps))
-	}))
-	if err != nil {
+	cl := newCall(cmdSnapshotPage)
+	defer cl.release()
+	cl.req.PutString(afterURI)
+	cl.req.PutUint32(uint32(maxOps))
+	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
 		return nil, "", nil, err
 	}
+	d := &cl.dec
 	if vv, err = DecodeVersionVector(d); err != nil {
 		return nil, "", nil, err
 	}

@@ -16,8 +16,7 @@ import (
 // (see DESIGN.md substitutions).
 //
 // Framing is multiplexed: every request and response body begins with a
-// uint64 request ID chosen by the client (muxHeader bytes, reserved by
-// the body's builder and filled in by whoever sends it). One connection
+// uint64 request ID chosen by the client (muxHeader bytes). One connection
 // carries many in-flight requests; the server answers them in arrival
 // order from the connection's read loop, except that a long-poll Wait
 // parks beside the loop, so it never blocks a concurrent Get. Request ID
@@ -108,13 +107,36 @@ func writeFrame(fw *xdr.FrameWriter, body []byte, secret []byte) error {
 	return fw.WriteFrame(body, mac)
 }
 
-// readFrame receives one frame from the connection's frame reader,
-// verifying its HMAC when secret is non-empty and returning the body.
-// A declared length beyond maxFrame is refused before any buffer is
-// sized, and the buffer then grows with the bytes that arrive, not with
-// the length an unauthenticated peer declared. The HMAC is verified
-// over the whole body before the caller parses any of it.
-func readFrame(fr *xdr.FrameReader, secret []byte) ([]byte, error) {
+// maxKeptBuffer bounds what a reused buffer — a connection's frame
+// buffer and response encoder, a call record's request and response — may
+// keep between uses: one a large frame grew past it is dropped after that
+// use, so a 16 MiB snapshot page pins nothing.
+const maxKeptBuffer = 64 << 10
+
+// kept returns b's storage emptied for its next use, or nil if b grew
+// past maxKeptBuffer.
+func kept(b []byte) []byte {
+	if cap(b) > maxKeptBuffer {
+		return nil
+	}
+	return b[:0]
+}
+
+// keepEncoder is kept for an encoder's buffer.
+func keepEncoder(e *xdr.Encoder) {
+	if cap(e.Bytes()) > maxKeptBuffer {
+		*e = xdr.Encoder{}
+	}
+}
+
+// readFrame receives one frame from the connection's frame reader into
+// buf's storage, verifying its HMAC when secret is non-empty, and returns
+// the body, the caller's until it hands it back as the next call's buf. A
+// declared length beyond maxFrame is refused before any buffer is sized,
+// and the buffer then grows with the bytes that arrive, not with the
+// length an unauthenticated peer declared. The HMAC is verified over the
+// whole body before the caller parses any of it.
+func readFrame(fr *xdr.FrameReader, buf, secret []byte) ([]byte, error) {
 	n, err := fr.Next()
 	if err != nil {
 		return nil, err
@@ -122,7 +144,7 @@ func readFrame(fr *xdr.FrameReader, secret []byte) ([]byte, error) {
 	if n > maxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	buf, err := fr.ReadBodyAlloc(int(n))
+	buf, err = fr.ReadBodyInto(buf, int(n))
 	if err != nil {
 		return nil, err
 	}
@@ -143,15 +165,8 @@ func readFrame(fr *xdr.FrameReader, secret []byte) ([]byte, error) {
 // under the MAC).
 const muxHeader = 8
 
-// noMuxID is what request and the response builders put where the
-// request ID goes; setMuxID writes the ID over it. (PutRaw of an array,
-// not PutUint64(0): request and okResponse must stay cheap enough to
-// inline, which keeps their encoder on the caller's stack.)
-var noMuxID [muxHeader]byte
-
-// setMuxID writes the request ID into a frame body built by request or
-// one of the response builders. A request re-sent on another connection
-// is patched again with that attempt's ID.
+// setMuxID writes the request ID into a request's frame body. A request
+// re-sent on another connection is patched again with that attempt's ID.
 func setMuxID(frame []byte, id uint64) {
 	binary.BigEndian.PutUint64(frame[:muxHeader], id)
 }
@@ -164,76 +179,48 @@ func splitMux(frame []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(frame), frame[muxHeader:], nil
 }
 
-// request assembles cmd+payload into a frame body.
-func request(cmd uint8, payload func(*xdr.Encoder)) []byte {
-	e := xdr.NewEncoder(64)
-	e.PutRaw(noMuxID[:])
-	e.PutUint8(cmd)
-	if payload != nil {
-		payload(e)
-	}
-	return e.Bytes()
+// respond starts the response to request id in e, replacing whatever e
+// held: the ID and the status. The payload is the caller's to append.
+func respond(e *xdr.Encoder, id uint64, status uint8) {
+	e.Reset()
+	e.PutUint64(id)
+	e.PutUint8(status)
 }
 
-// okResponse assembles a success response.
-func okResponse(payload func(*xdr.Encoder)) []byte {
-	e := xdr.NewEncoder(64)
-	e.PutRaw(noMuxID[:])
-	e.PutUint8(statusOK)
-	if payload != nil {
-		payload(e)
-	}
-	return e.Bytes()
-}
-
-// errResponse assembles an error response.
-func errResponse(err error) []byte {
-	e := xdr.NewEncoder(64)
-	e.PutRaw(noMuxID[:])
-	e.PutUint8(statusErr)
+// respondErr makes e the error response to request id.
+func respondErr(e *xdr.Encoder, id uint64, err error) {
+	respond(e, id, statusErr)
 	e.PutString(err.Error())
-	return e.Bytes()
 }
 
-// wrongShardResponse assembles a wrong-shard redirect naming the owning
-// group under the server's shard map of the given epoch.
-func wrongShardResponse(group int, epoch uint64) []byte {
-	e := xdr.NewEncoder(32)
-	e.PutRaw(noMuxID[:])
-	e.PutUint8(statusWrongShard)
-	e.PutUint32(uint32(group))
-	e.PutUint64(epoch)
-	return e.Bytes()
-}
-
-// parseResponse splits a response (the frame body after its request ID)
-// into a decoder positioned at the payload, or the server-side error.
-func parseResponse(body []byte) (*xdr.Decoder, error) {
-	d := xdr.NewDecoder(body)
+// parseResponse reads the status at the head of a response (d is at the
+// frame body after its request ID) and leaves d at the payload, or
+// returns the server-side error.
+func parseResponse(d *xdr.Decoder) error {
 	status, err := d.Uint8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch status {
 	case statusOK:
-		return d, nil
+		return nil
 	case statusErr:
 		msg, err := d.StringMax(maxWireValue)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, fmt.Errorf("%w: %s", ErrServer, msg)
+		return fmt.Errorf("%w: %s", ErrServer, msg)
 	case statusWrongShard:
 		group, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		epoch, err := d.Uint64()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, &WrongShardError{Group: int(group), Epoch: epoch}
+		return &WrongShardError{Group: int(group), Epoch: epoch}
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownStatus, status)
+		return fmt.Errorf("%w: %d", ErrUnknownStatus, status)
 	}
 }

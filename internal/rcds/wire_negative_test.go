@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestParseResponseNegative(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := parseResponse(tc.body)
+			d, err := parseBody(tc.body)
 			if err == nil {
 				t.Fatalf("parseResponse(%x) accepted (decoder %v)", tc.body, d)
 			}
@@ -59,17 +60,17 @@ func TestParseResponseNegative(t *testing.T) {
 	}
 
 	// The well-formed shapes still parse.
-	if _, err := parseResponse(okResponse(nil)[muxHeader:]); err != nil {
+	if _, err := parseBody(okResponse(nil)[muxHeader:]); err != nil {
 		t.Fatalf("empty OK response rejected: %v", err)
 	}
-	if _, err := parseResponse(okResponse(func(e *xdr.Encoder) { e.PutString("x") })[muxHeader:]); err != nil {
+	if _, err := parseBody(okResponse(func(e *xdr.Encoder) { e.PutString("x") })[muxHeader:]); err != nil {
 		t.Fatalf("OK response rejected: %v", err)
 	}
 
 	// A well-formed wrong-shard redirect surfaces as the typed error,
 	// not an opaque server error: the router matches on it to re-resolve
 	// the shard map.
-	_, err := parseResponse(wrongShardResponse(3, 9)[muxHeader:])
+	_, err := parseBody(wrongShardResponse(3, 9)[muxHeader:])
 	if !errors.Is(err, ErrWrongShard) {
 		t.Fatalf("wrong-shard response: error %v, want errors.Is(ErrWrongShard)", err)
 	}
@@ -103,6 +104,37 @@ func TestDecodeAssertionFlagsNegative(t *testing.T) {
 	}
 }
 
+// hostileCount is an assertion list that declares 4,096 entries and has
+// eight bytes to show for them.
+var hostileCount = append(binary.BigEndian.AppendUint32(nil, 4096), make([]byte, 8)...)
+
+// TestDecodeAssertionsCountNegative: a list is sized by its count only
+// once the bytes that follow could hold that many assertions — on every
+// path that takes a list, a 12-byte body declaring 4,096 used to cost the
+// receiver 4,096 × 144 B before the first decode failed.
+func TestDecodeAssertionsCountNegative(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	as, err := DecodeAssertions(xdr.NewDecoder(hostileCount))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, xdr.ErrStringTooLong) || as != nil {
+		t.Fatalf("4,096 assertions declared in 8 bytes: %d decoded, error %v; want xdr.ErrStringTooLong", len(as), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Errorf("refusing the count allocated %d bytes", got)
+	}
+	// The bound is the smallest assertion there is: a list of exactly
+	// those still decodes.
+	e := xdr.NewEncoder(256)
+	EncodeAssertions(e, make([]Assertion, 5))
+	if e.Len() != 4+5*minWireAssertion {
+		t.Fatalf("five empty assertions encode in %d bytes, want 4 + 5 × %d", e.Len(), minWireAssertion)
+	}
+	if as, err := DecodeAssertions(xdr.NewDecoder(e.Bytes())); err != nil || len(as) != 5 {
+		t.Fatalf("five empty assertions: %d decoded, %v", len(as), err)
+	}
+}
+
 // postedApply builds an Apply frame as Client.Apply posts it: request ID
 // 0, the command, then whatever origin and ops write.
 func postedApply(origin func(*xdr.Encoder), ops []Assertion) []byte {
@@ -132,11 +164,11 @@ func TestApplyOriginNegative(t *testing.T) {
 		{"no origin field", func(*xdr.Encoder) {}}, // the op count is read as its length
 	}
 	for _, tc := range cases {
-		if resp, err := srv.serve(postedApply(tc.origin, op), nil); err == nil {
+		if resp, err := srv.serve(new(served), postedApply(tc.origin, op), nil); err == nil {
 			t.Errorf("%s: accepted (response %x), want the connection refused", tc.name, resp)
 		}
 	}
-	if _, err := srv.serve(request(cmdApply, nil), nil); err == nil {
+	if _, err := srv.serve(new(served), request(cmdApply, nil), nil); err == nil {
 		t.Error("bare Apply command accepted")
 	}
 	if _, elems, _ := srv.Store().Stats(); elems != 0 {
@@ -145,7 +177,7 @@ func TestApplyOriginNegative(t *testing.T) {
 	if got := counter(srv, "applies_received"); got != 0 {
 		t.Fatalf("applies_received = %d after refusals only", got)
 	}
-	resp, err := srv.serve(postedApply(func(e *xdr.Encoder) { e.PutString("rc1") }, op), nil)
+	resp, err := srv.serve(new(served), postedApply(func(e *xdr.Encoder) { e.PutString("rc1") }, op), nil)
 	if err != nil || resp != nil {
 		t.Fatalf("well-formed Apply: response %x, error %v; want neither", resp, err)
 	}
@@ -180,14 +212,14 @@ func TestRequestIDZeroNegative(t *testing.T) {
 		{"ID 0 on Ping", request(cmdPing, nil)},
 		{"ID 0 on Wait", request(cmdWait, func(e *xdr.Encoder) { e.PutUint64(0); e.PutUint32(10) })},
 		{"ID 0 on an unknown command", request(0x7f, nil)},
-		{"ID 0 and no command", noMuxID[:]},
+		{"ID 0 and no command", make([]byte, muxHeader)},
 		{"shorter than an ID", []byte{0, 0, 0}},
 		{"Apply under a request ID", withID(postedApply(func(e *xdr.Encoder) { e.PutString("rc1") }, op), 7)},
 		{"posted Apply cut short", cut[:len(cut)-3]},
 		{"posted Apply with a hostile op count", request(cmdApply, func(e *xdr.Encoder) { e.PutString("rc1"); e.PutUint32(1 << 31) })},
 	}
 	for _, tc := range cases {
-		if resp, err := srv.serve(tc.frame, nil); err == nil {
+		if resp, err := srv.serve(new(served), tc.frame, nil); err == nil {
 			t.Errorf("%s: serve accepted it (response %x)", tc.name, resp)
 		}
 		conn := dialRaw(t, srv.Addr())

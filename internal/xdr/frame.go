@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 )
 
 // Record framing. Every stream protocol in the repository delimits its
@@ -22,9 +23,9 @@ import (
 // It is a constant so that what a connection keeps resident is known.
 const FrameReadAhead = 512
 
-// frameGrowStep is the first size of a buffer ReadBodyAlloc allocates.
-// The length in a header is the peer's claim; memory follows the bytes
-// that actually arrive.
+// frameGrowStep is the most ReadBodyInto adds to a buffer before any of
+// the body has arrived. The length in a header is the peer's claim;
+// memory follows the bytes that actually arrive.
 const frameGrowStep = 64 << 10
 
 // FrameReader reads length-prefixed frames from a byte stream through a
@@ -42,7 +43,7 @@ func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
 // Next consumes the next frame's header and returns the body length it
 // declares. The caller must consume exactly that many body bytes
-// (ReadBody or ReadBodyAlloc) before calling Next again. At a clean end
+// (ReadBody or ReadBodyInto) before calling Next again. At a clean end
 // of stream it returns io.EOF, inside a header io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() (uint32, error) {
 	if err := fr.ReadBody(fr.hdr[:]); err != nil {
@@ -86,27 +87,26 @@ func (fr *FrameReader) ReadBody(dst []byte) error {
 	return nil
 }
 
-// ReadBodyAlloc reads an n-byte body into a fresh buffer. The buffer
-// starts at no more than 64 KiB and doubles as bytes arrive, so a peer
-// that declares a large frame and then stalls holds only what it has
-// sent.
-func (fr *FrameReader) ReadBodyAlloc(n int) ([]byte, error) {
-	buf := make([]byte, min(n, frameGrowStep))
-	got := 0
-	for {
+// ReadBodyInto reads an n-byte body into buf's storage, from its start,
+// and returns it; a caller that hands the slice back for its next frame
+// allocates only when a frame is larger than any before it. Storage is
+// added as bytes arrive — up to 64 KiB at first, then doubling — so a
+// peer that declares a large frame and then stalls holds only what it
+// has sent, and a nil buf costs a small frame no more than its size.
+func (fr *FrameReader) ReadBodyInto(buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		got := len(buf)
+		buf = slices.Grow(buf, min(n, max(2*got, frameGrowStep))-got)
+		buf = buf[:min(n, cap(buf))]
 		if err := fr.ReadBody(buf[got:]); err != nil {
 			if err == io.EOF && got > 0 {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
-		if got = len(buf); got == n {
-			return buf, nil
-		}
-		grown := make([]byte, min(n, 2*got))
-		copy(grown, buf)
-		buf = grown
 	}
+	return buf, nil
 }
 
 // FrameWriter writes length-prefixed frames with one vectored write per

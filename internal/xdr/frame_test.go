@@ -31,8 +31,10 @@ func refReadFrame(r io.Reader, limit uint32) ([]byte, error) {
 }
 
 // readFrameVia reads one frame the way comm does (a right-sized
-// destination buffer, ReadBody) or the way rcds does (ReadBodyAlloc).
-func readFrameVia(fr *FrameReader, limit uint32, alloc bool) ([]byte, error) {
+// destination buffer, ReadBody) or, given a buffer to own, the way rcds
+// does: ReadBodyInto that buffer, which is kept for the next frame, so
+// what is returned is a copy.
+func readFrameVia(fr *FrameReader, limit uint32, owned *[]byte) ([]byte, error) {
 	n, err := fr.Next()
 	if err != nil {
 		return nil, err
@@ -40,8 +42,13 @@ func readFrameVia(fr *FrameReader, limit uint32, alloc bool) ([]byte, error) {
 	if n > limit {
 		return nil, errFrameOverLimit
 	}
-	if alloc {
-		return fr.ReadBodyAlloc(int(n))
+	if owned != nil {
+		body, err := fr.ReadBodyInto(*owned, int(n))
+		if err != nil {
+			return nil, err
+		}
+		*owned = body
+		return append([]byte{}, body...), nil
 	}
 	buf := make([]byte, n)
 	if err := fr.ReadBody(buf); err != nil {
@@ -104,7 +111,11 @@ func checkAgainstReference(t *testing.T, stream []byte, chunks []int, limit uint
 		want, wantErr := drain(func() ([]byte, error) { return refReadFrame(ref, limit) })
 		for _, alloc := range []bool{false, true} {
 			fr := NewFrameReader(src())
-			got, gotErr := drain(func() ([]byte, error) { return readFrameVia(fr, limit, alloc) })
+			var owned *[]byte // one buffer for all of a stream's frames
+			if alloc {
+				owned = new([]byte)
+			}
+			got, gotErr := drain(func() ([]byte, error) { return readFrameVia(fr, limit, owned) })
 			if gotErr != wantErr {
 				t.Fatalf("alloc=%v eofWithData=%v: after %d frames error %v, reference %v after %d",
 					alloc, eofWithData, len(got), gotErr, wantErr, len(want))
@@ -205,12 +216,47 @@ func TestFrameReaderStalledBody(t *testing.T) {
 	if err != nil || n != declared {
 		t.Fatalf("Next = %d, %v", n, err)
 	}
-	if _, err := fr.ReadBodyAlloc(declared); err != io.ErrUnexpectedEOF {
+	if _, err := fr.ReadBodyInto(nil, declared); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated body: %v, want io.ErrUnexpectedEOF", err)
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("a 16 MiB header and 1000 body bytes made the reader allocate %d bytes", got)
+	}
+}
+
+// TestReadBodyIntoReusesAndGrows: a buffer handed back is read into
+// again with nothing allocated while frames fit it, a nil one costs a
+// small frame its own size and not the first growth step, and a large
+// frame's buffer is at most twice what arrived.
+func TestReadBodyIntoReusesAndGrows(t *testing.T) {
+	var wire bytes.Buffer
+	fw := NewFrameWriter(&wire)
+	sizes := []int{300, 40, 0, 300, 200 << 10}
+	for _, n := range sizes {
+		if err := fw.WriteFrame(bytes.Repeat([]byte{byte(n)}, n), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&wire)
+	var buf []byte
+	for i, n := range sizes {
+		declared, err := fr.Next()
+		if err != nil || int(declared) != n {
+			t.Fatalf("frame %d: Next = %d, %v", i, declared, err)
+		}
+		had := cap(buf)
+		if buf, err = fr.ReadBodyInto(buf, n); err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{byte(n)}, n)) {
+			t.Fatalf("frame %d: %d bytes, %v", i, len(buf), err)
+		}
+		switch {
+		case n <= had && cap(buf) != had:
+			t.Errorf("frame %d (%d bytes) fitted the %d-byte buffer and was read into another of %d", i, n, had, cap(buf))
+		case i == 0 && cap(buf) > 2*n:
+			t.Errorf("a first frame of %d bytes got a buffer of %d", n, cap(buf))
+		case cap(buf) > 2*n+frameGrowStep:
+			t.Errorf("a %d-byte frame left a buffer of %d", n, cap(buf))
+		}
 	}
 }
 
@@ -229,7 +275,7 @@ func TestFrameWriterRoundTrip(t *testing.T) {
 	bodies = append(bodies, []byte("bodymac!"))
 	fr := NewFrameReader(&wire)
 	for i, want := range bodies {
-		got, err := readFrameVia(fr, 1<<20, false)
+		got, err := readFrameVia(fr, 1<<20, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: %q, %v; want %q", i, got, err, want)
 		}

@@ -146,6 +146,9 @@ type Decoder struct {
 // copy data; the caller must not mutate it while decoding.
 func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data} }
 
+// Reset points the decoder at data, from its start.
+func (d *Decoder) Reset(data []byte) { d.buf, d.off = data, 0 }
+
 // Remaining reports the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
@@ -388,11 +391,4 @@ func (d *Decoder) StringSliceMax(maxItems, maxEach int) ([]string, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
