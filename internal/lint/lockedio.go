@@ -38,17 +38,16 @@ var lockedioMethods = map[string]bool{
 
 	// The one length-prefixed frame reader and writer, under every comm
 	// stream transport and every rcds connection.
-	"snipe/internal/xdr.FrameReader.Next":         true,
-	"snipe/internal/xdr.FrameReader.ReadBody":     true,
-	"snipe/internal/xdr.FrameReader.ReadBodyInto": true,
-	"snipe/internal/xdr.FrameWriter.WriteFrame":   true,
+	"snipe/internal/xdr.FrameReader.Next":       true,
+	"snipe/internal/xdr.FrameReader.ReadBody":   true,
+	"snipe/internal/xdr.FrameReader.Serve":      true,
+	"snipe/internal/xdr.FrameWriter.WriteFrame": true,
 }
 
-// rcds wraps the xdr frame calls above with its MAC; the analysis is
-// intra-procedural, so the wrappers are named too.
+// rcds wraps the xdr frame write above with its MAC; the analysis is
+// intra-procedural, so the wrapper is named too.
 var lockedioFuncs = map[string]bool{
 	"snipe/internal/rcds.writeFrame": true,
-	"snipe/internal/rcds.readFrame":  true,
 }
 
 // NewLockedio returns the lockedio analyzer. The analysis is

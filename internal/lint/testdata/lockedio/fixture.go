@@ -77,7 +77,20 @@ func (p *peer) frameReadUnderLock() ([]byte, error) {
 	if err := p.fr.ReadBody(buf); err != nil { // want `network I/O \(ReadBody\) while holding p.mu`
 		return nil, err
 	}
-	return p.fr.ReadBodyInto(buf, int(n)) // want `network I/O \(ReadBodyInto\) while holding p.mu`
+	return buf, nil
+}
+
+func (p *peer) frameLoopUnderLock(fn func([]byte) ([]byte, error)) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fr.Serve(1<<20, nil, fn) // want `network I/O \(Serve\) while holding p.mu`
+}
+
+func (p *peer) frameLoopAfterUnlock(fn func([]byte) ([]byte, error)) error {
+	p.mu.Lock()
+	limit := uint32(1 << 20)
+	p.mu.Unlock()
+	return p.fr.Serve(limit, nil, fn) // clean: lock released
 }
 
 func (p *peer) frameWriteAfterUnlock(body []byte) error {

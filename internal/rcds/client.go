@@ -146,33 +146,31 @@ func (cc *clientConn) fail(err error) {
 }
 
 // readLoop demultiplexes response frames to their pending calls: a frame
-// is read into the loop's buffer and handed to the call it answers in
-// exchange for that record's previous one.
+// arrives in the loop's buffer and is handed to the call it answers in
+// exchange for that record's previous one. The loop is the frame reader's
+// (xdr.FrameReader.Serve), which must not be closed from inside: whatever
+// ends the connection there is an error out of it, and fail runs after.
 func (cc *clientConn) readLoop() {
-	var buf []byte
-	for {
-		frame, err := readFrame(cc.fr, buf, cc.secret)
+	cc.fail(cc.fr.Serve(maxFrame, nil, func(buf []byte) ([]byte, error) {
+		frame, err := openFrame(buf, cc.secret)
 		if err != nil {
-			cc.fail(err)
-			return
+			return nil, err
 		}
 		id, body, err := splitMux(frame)
 		if err != nil {
-			cc.fail(err)
-			return
+			return nil, err
 		}
 		cc.mu.Lock()
 		cl, ok := cc.pending[id]
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		buf = frame
 		if ok {
 			buf, cl.resp = cl.resp, frame
 			cl.dec.Reset(body)
 			cl.ch <- nil
 		}
-		buf = kept(buf)
-	}
+		return kept(buf), nil
+	}))
 }
 
 // writeRequest writes one request, its ID already set, under the writer

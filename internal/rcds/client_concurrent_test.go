@@ -289,7 +289,7 @@ func (sc *serialClient) roundTrip(req []byte) (*xdr.Decoder, error) {
 	if err := writeFrame(sc.fw, req, nil); err != nil {
 		return nil, err
 	}
-	frame, err := readFrame(sc.fr, nil, nil)
+	frame, err := nextFrame(sc.fr, nil)
 	if err != nil {
 		return nil, err
 	}

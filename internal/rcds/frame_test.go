@@ -15,7 +15,7 @@ import (
 
 // TestServerStalledOversizeHeader: an unauthenticated peer that declares
 // the largest frame the protocol allows and then stalls must not make
-// the server set that much memory aside. readFrame used to make([]byte,
+// the server set that much memory aside. The reader used to make([]byte,
 // n) as soon as the four header bytes had arrived — 16 MiB pinned per
 // idle connection, before a body byte and before the MAC.
 func TestServerStalledOversizeHeader(t *testing.T) {
@@ -76,7 +76,7 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 // cover its body is refused whole.
 func TestReadFrameLimitAndMAC(t *testing.T) {
 	over := binary.BigEndian.AppendUint32(nil, maxFrame+1)
-	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(over)), nil, nil); err != ErrFrameTooLarge {
+	if _, err := nextFrame(xdr.NewFrameReader(bytes.NewReader(over)), nil); err != ErrFrameTooLarge {
 		t.Fatalf("header over maxFrame: %v, want ErrFrameTooLarge", err)
 	}
 	secret := []byte("k")
@@ -85,15 +85,15 @@ func TestReadFrameLimitAndMAC(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := append([]byte(nil), wire.Bytes()...)
-	if body, err := readFrame(xdr.NewFrameReader(bytes.NewReader(good)), nil, secret); err != nil || string(body) != "authentic body" {
+	if body, err := nextFrame(xdr.NewFrameReader(bytes.NewReader(good)), secret); err != nil || string(body) != "authentic body" {
 		t.Fatalf("authentic frame: %q, %v", body, err)
 	}
 	tampered := append([]byte(nil), good...)
 	tampered[6] ^= 1 // a body byte
-	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(tampered)), nil, secret); err != ErrBadMAC {
+	if _, err := nextFrame(xdr.NewFrameReader(bytes.NewReader(tampered)), secret); err != ErrBadMAC {
 		t.Fatalf("tampered body: %v, want ErrBadMAC", err)
 	}
-	if _, err := readFrame(xdr.NewFrameReader(bytes.NewReader(good[:len(good)-5])), nil, secret); err == nil {
+	if _, err := nextFrame(xdr.NewFrameReader(bytes.NewReader(good[:len(good)-5])), secret); err == nil {
 		t.Fatal("a frame cut short inside its MAC was accepted")
 	}
 }

@@ -2,9 +2,28 @@ package rcds
 
 import (
 	"bytes"
+	"errors"
 
 	"snipe/internal/xdr"
 )
+
+var errOneFrame = errors.New("one frame read")
+
+// nextFrame reads one frame off fr the way both read loops do — the frame
+// reader's Serve under maxFrame, then openFrame — and returns its body; the
+// frames behind it stay in fr for the next call.
+func nextFrame(fr *xdr.FrameReader, secret []byte) (body []byte, err error) {
+	err = fr.Serve(maxFrame, nil, func(frame []byte) ([]byte, error) {
+		if body, err = openFrame(frame, secret); err != nil {
+			return nil, err
+		}
+		return nil, errOneFrame
+	})
+	if err == errOneFrame {
+		err = nil
+	}
+	return body, err
+}
 
 // request assembles cmd and payload into a request's frame body, as a
 // client's call record holds it before roundTrip gives it an ID.

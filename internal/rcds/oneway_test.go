@@ -141,7 +141,7 @@ func startFakePeer(t *testing.T, origin string) *fakePeer {
 		}
 		fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
 		for pinged := false; ; {
-			frame, err := readFrame(fr, nil, nil)
+			frame, err := nextFrame(fr, nil)
 			if err != nil {
 				return
 			}
@@ -305,7 +305,7 @@ func appendRequest(wire *bytes.Buffer, id uint64, req []byte) {
 func (rc *rawConn) next(t *testing.T) (uint64, *xdr.Decoder) {
 	t.Helper()
 	rc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := readFrame(rc.fr, nil, nil)
+	frame, err := nextFrame(rc.fr, nil)
 	if err != nil {
 		t.Fatalf("reading a response: %v", err)
 	}

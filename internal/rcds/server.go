@@ -14,8 +14,8 @@ import (
 	"snipe/internal/xdr"
 )
 
-// pushTimeout bounds one replication RPC to a peer: a push link's Ping
-// or an anti-entropy pull. (A push is no RPC, only a write.)
+// pushTimeout bounds one replication RPC to a peer — a push link's Ping or
+// an anti-entropy pull; a push is only a write — and one response's write.
 const pushTimeout = 5 * time.Second
 
 // maxPendingPushOps bounds the ops queued for push while the push loop
@@ -125,6 +125,8 @@ type Server struct {
 	mOpsSent     *stats.Counter // ops those frames carried
 	mAppliesRecv *stats.Counter // Apply frames applied
 	mRelaySkip   *stats.Counter // ops not sent to the peer they came from or that minted them
+	mConnReads   *stats.Counter // read calls ended connections issued, those that found nothing included
+	mConnFrames  *stats.Counter // frames they were served
 }
 
 // NewServer creates a server over store. Call Start to begin serving.
@@ -146,6 +148,8 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	s.mOpsSent = store.Metrics().Counter("apply_ops_sent")
 	s.mAppliesRecv = store.Metrics().Counter("applies_received")
 	s.mRelaySkip = store.Metrics().Counter("relay_skipped")
+	s.mConnReads = store.Metrics().Counter("conn_reads")
+	s.mConnFrames = store.Metrics().Counter("conn_frames")
 	return s
 }
 
@@ -235,10 +239,14 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	for c := range s.conns {
+	conns := s.conns
+	s.conns = make(map[net.Conn]struct{})
+	s.mu.Unlock()
+	// Outside the lock: a Close waits for the connection's read loop to
+	// leave the descriptor, and the request it is serving may want the lock.
+	for c := range conns {
 		c.Close()
 	}
-	s.mu.Unlock()
 	s.wg.Wait()
 }
 
@@ -283,37 +291,40 @@ func (s *Server) acceptLoop(ln net.Listener) {
 const maxParkedWaits = 1024
 
 // served is what a connection's read loop owns and reuses from frame to
-// frame, so that a request costs the server only what the store keeps of
-// it. Each holds what the connection's frames have needed, up to
-// maxKeptBuffer: nothing is allocated ahead of the first frame.
+// frame, beside the frame's own storage, so that a request costs the server
+// only what the store keeps of it; each holds what the connection's frames
+// have needed, up to maxKeptBuffer, and nothing ahead of the first.
 type served struct {
-	buf  []byte      // storage of the frame being served; a request is decoded where it lies, and nothing kept may alias it
-	resp xdr.Encoder // the response to it, until it is written
+	resp xdr.Encoder // the response to the frame being served, until it is written
 	ops  []Assertion // a posted Apply's ops, until they are merged and queued (by copy) for relay
 	from string      // the sender origin the last Apply named; a push link names one
 }
 
-// serveConn serves one client connection from its read loop: a request
-// is executed where it is read — in the connection's one frame buffer,
-// answered from its one encoder — in arrival order, and answered before
-// the next frame is read over it. Only a Wait, the one command that
-// parks, gets a goroutine, with its own copy of its frame and its own
-// encoder, which ends with the connection at the latest. A frame serve
-// refuses or a response that cannot be written ends the connection.
+// serveConn serves one client connection from its read loop, the frame
+// reader's (xdr.FrameReader.Serve): a request is executed where it is read
+// — in the loop's frame buffer, which nothing kept may alias, answered from
+// the connection's one encoder — in arrival order, and answered before the
+// next frame is read over it. Only a Wait, the one command that parks, gets
+// a goroutine, with its own copy of its frame and its own encoder, which
+// ends with the connection at the latest. A frame serve refuses, or a
+// response not written within pushTimeout (a client that sends and does not
+// read), ends the connection: by an error out of the loop, never a Close
+// inside it, which would wait for the read lock the loop holds.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var writeMu sync.Mutex // guards fw
 	fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
-	answer := func(sc *served, frame []byte, park <-chan struct{}) bool {
+	answer := func(sc *served, frame []byte, park <-chan struct{}) error {
 		resp, err := s.serve(sc, frame, park)
 		if err != nil || resp == nil {
-			return err == nil
+			return err
 		}
 		// The writer lock only serialises this connection's long-poll
 		// answers with the read loop's; a stalled client stalls only itself.
 		writeMu.Lock()
 		defer writeMu.Unlock()
-		return writeFrame(fw, resp, s.secret) == nil //lint:allow lockedio intentional per-connection response writer lock
+		conn.SetWriteDeadline(time.Now().Add(pushTimeout))
+		return writeFrame(fw, resp, s.secret) //lint:allow lockedio intentional per-connection response writer lock, bounded by the write deadline
 	}
 	var waits sync.WaitGroup
 	var parked atomic.Int32 // raised by this loop alone, so Load then Add keeps the bound
@@ -322,36 +333,38 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 		close(gone)
 		waits.Wait()
+		reads, frames := fr.Counts()
+		s.mConnReads.Add(reads)
+		s.mConnFrames.Add(frames)
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
 	var sc served
-	for {
-		frame, err := readFrame(fr, sc.buf, s.secret)
+	// The peer left, a frame was refused, a response could not be written:
+	// however the loop ended, the connection ends the same way.
+	_ = fr.Serve(maxFrame, nil, func(buf []byte) ([]byte, error) {
+		frame, err := openFrame(buf, s.secret)
 		if err != nil {
-			return
+			return nil, err
 		}
-		sc.buf = kept(frame) // the storage; frame itself stays good until the next is read
 		if len(frame) > muxHeader && frame[muxHeader] == cmdWait && parked.Load() < maxParkedWaits {
 			parked.Add(1)
 			waits.Add(1)
 			go func(frame []byte) {
 				defer waits.Done()
 				defer parked.Add(-1)
-				if !answer(new(served), frame, gone) {
+				if answer(new(served), frame, gone) != nil {
 					conn.Close() // the read loop returns
 				}
 			}(bytes.Clone(frame)) // it outlives the frame it arrived in
-			continue
+			return kept(buf), nil
 		}
-		ok := answer(&sc, frame, nil)
+		err = answer(&sc, frame, nil)
 		keepEncoder(&sc.resp)
 		sc.ops = keptOps(sc.ops)
-		if !ok {
-			return
-		}
-	}
+		return kept(buf), err
+	})
 }
 
 // serve executes one request frame and returns the response frame, built

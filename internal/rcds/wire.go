@@ -71,8 +71,8 @@ const maxFrame = 16 << 20
 
 // Errors of the wire layer.
 var (
-	// ErrFrameTooLarge indicates a declared frame beyond maxFrame.
-	ErrFrameTooLarge = errors.New("rcds: frame too large")
+	// ErrFrameTooLarge indicates a frame beyond maxFrame, declared or to be written.
+	ErrFrameTooLarge = xdr.ErrFrameTooLarge
 	// ErrBadMAC indicates a frame failing HMAC verification.
 	ErrBadMAC = errors.New("rcds: bad frame MAC")
 	// ErrServer wraps an error string returned by the server.
@@ -129,36 +129,22 @@ func keepEncoder(e *xdr.Encoder) {
 	}
 }
 
-// readFrame receives one frame from the connection's frame reader into
-// buf's storage, verifying its HMAC when secret is non-empty, and returns
-// the body, the caller's until it hands it back as the next call's buf. A
-// declared length beyond maxFrame is refused before any buffer is sized,
-// and the buffer then grows with the bytes that arrive, not with the
-// length an unauthenticated peer declared. The HMAC is verified over the
-// whole body before the caller parses any of it.
-func readFrame(fr *xdr.FrameReader, buf, secret []byte) ([]byte, error) {
-	n, err := fr.Next()
-	if err != nil {
-		return nil, err
+// openFrame verifies a received frame's HMAC when secret is non-empty —
+// over the whole body, before the caller parses any of it — and returns the
+// body. xdr.FrameReader.Serve has bounded the frame by maxFrame and grown its
+// buffer with the bytes that arrived, not with what an unauthenticated peer declared.
+func openFrame(frame, secret []byte) ([]byte, error) {
+	if len(secret) == 0 {
+		return frame, nil
 	}
-	if n > maxFrame {
-		return nil, ErrFrameTooLarge
+	if len(frame) < macSize {
+		return nil, ErrBadMAC
 	}
-	buf, err = fr.ReadBodyInto(buf, int(n))
-	if err != nil {
-		return nil, err
+	body, mac := frame[:len(frame)-macSize], frame[len(frame)-macSize:]
+	if !seckey.CheckMAC(secret, body, mac) {
+		return nil, ErrBadMAC
 	}
-	if len(secret) > 0 {
-		if len(buf) < macSize {
-			return nil, ErrBadMAC
-		}
-		body, mac := buf[:len(buf)-macSize], buf[len(buf)-macSize:]
-		if !seckey.CheckMAC(secret, body, mac) {
-			return nil, ErrBadMAC
-		}
-		return body, nil
-	}
-	return buf, nil
+	return body, nil
 }
 
 // muxHeader is the request ID at the head of every frame body (and

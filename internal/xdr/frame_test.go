@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -30,11 +31,9 @@ func refReadFrame(r io.Reader, limit uint32) ([]byte, error) {
 	return buf, nil
 }
 
-// readFrameVia reads one frame the way comm does (a right-sized
-// destination buffer, ReadBody) or, given a buffer to own, the way rcds
-// does: ReadBodyInto that buffer, which is kept for the next frame, so
-// what is returned is a copy.
-func readFrameVia(fr *FrameReader, limit uint32, owned *[]byte) ([]byte, error) {
+// readFrameVia pulls one frame the way comm does: Next, a right-sized
+// destination buffer, ReadBody.
+func readFrameVia(fr *FrameReader, limit uint32) ([]byte, error) {
 	n, err := fr.Next()
 	if err != nil {
 		return nil, err
@@ -42,19 +41,25 @@ func readFrameVia(fr *FrameReader, limit uint32, owned *[]byte) ([]byte, error) 
 	if n > limit {
 		return nil, errFrameOverLimit
 	}
-	if owned != nil {
-		body, err := fr.ReadBodyInto(*owned, int(n))
-		if err != nil {
-			return nil, err
-		}
-		*owned = body
-		return append([]byte{}, body...), nil
-	}
 	buf := make([]byte, n)
 	if err := fr.ReadBody(buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// drainServe has the frames of r pushed the way rcds does — Serve, one
+// buffer handed back for all of a stream's frames, so what is kept is a
+// copy — until the first error, which it returns in the reference's terms.
+func drainServe(r io.Reader, limit uint32) (frames [][]byte, err error) {
+	err = NewFrameReader(r).Serve(limit, nil, func(frame []byte) ([]byte, error) {
+		frames = append(frames, append([]byte{}, frame...))
+		return frame[:0], nil
+	})
+	if err == ErrFrameTooLarge {
+		err = errFrameOverLimit
+	}
+	return frames, err
 }
 
 // chunkReader hands out a byte stream in reads of scheduled sizes,
@@ -98,9 +103,27 @@ func drain(read func() ([]byte, error)) (frames [][]byte, err error) {
 	}
 }
 
+// sameFrames requires of one face of FrameReader the reference's frames
+// and the reference's terminal error.
+func sameFrames(t *testing.T, face string, got [][]byte, gotErr error, want [][]byte, wantErr error) {
+	t.Helper()
+	if gotErr != wantErr {
+		t.Fatalf("%s: after %d frames error %v, reference %v after %d", face, len(got), gotErr, wantErr, len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames, reference %d", face, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) || (got[i] == nil) != (want[i] == nil) {
+			t.Fatalf("%s: frame %d differs from the reference (%d vs %d bytes)", face, i, len(got[i]), len(want[i]))
+		}
+	}
+}
+
 // checkAgainstReference delivers stream in the given chunking to the
-// reference and to both faces of FrameReader, and requires the same
-// frames and the same terminal error from all three.
+// reference and to both faces of FrameReader — frames pulled, frames
+// pushed by Serve through a blocking Read — and requires the same frames
+// and the same terminal error from all three.
 func checkAgainstReference(t *testing.T, stream []byte, chunks []int, limit uint32) {
 	t.Helper()
 	for _, eofWithData := range []bool{false, true} {
@@ -109,27 +132,11 @@ func checkAgainstReference(t *testing.T, stream []byte, chunks []int, limit uint
 		}
 		ref := src()
 		want, wantErr := drain(func() ([]byte, error) { return refReadFrame(ref, limit) })
-		for _, alloc := range []bool{false, true} {
-			fr := NewFrameReader(src())
-			var owned *[]byte // one buffer for all of a stream's frames
-			if alloc {
-				owned = new([]byte)
-			}
-			got, gotErr := drain(func() ([]byte, error) { return readFrameVia(fr, limit, owned) })
-			if gotErr != wantErr {
-				t.Fatalf("alloc=%v eofWithData=%v: after %d frames error %v, reference %v after %d",
-					alloc, eofWithData, len(got), gotErr, wantErr, len(want))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("alloc=%v eofWithData=%v: %d frames, reference %d", alloc, eofWithData, len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) || (got[i] == nil) != (want[i] == nil) {
-					t.Fatalf("alloc=%v eofWithData=%v: frame %d differs from the reference (%d vs %d bytes)",
-						alloc, eofWithData, i, len(got[i]), len(want[i]))
-				}
-			}
-		}
+		fr := NewFrameReader(src())
+		got, gotErr := drain(func() ([]byte, error) { return readFrameVia(fr, limit) })
+		sameFrames(t, fmt.Sprintf("pulled, eofWithData=%v", eofWithData), got, gotErr, want, wantErr)
+		got, gotErr = drainServe(src(), limit)
+		sameFrames(t, fmt.Sprintf("pushed, eofWithData=%v", eofWithData), got, gotErr, want, wantErr)
 	}
 }
 
@@ -146,24 +153,27 @@ func frameStream(sizes ...int) []byte {
 	return s
 }
 
-func TestFrameReaderMatchesReference(t *testing.T) {
-	const limit = 1 << 20
-	small := frameStream(64, 17, 200, 1, 90)
-	streams := map[string][]byte{
-		"small frames":               small,
+// The streams and the chunkings every face and every driver of
+// FrameReader is held to the reference over.
+const referenceLimit = 1 << 20
+
+var (
+	smallFrames      = frameStream(64, 17, 200, 1, 90)
+	referenceStreams = map[string][]byte{
+		"small frames":               smallFrames,
 		"zero-length frames":         frameStream(0, 5, 0, 0, 3, 0),
 		"straddling the read-ahead":  frameStream(300, 300, 300, 300),
 		"around the read-ahead size": frameStream(FrameReadAhead-5, FrameReadAhead-4, FrameReadAhead-3, FrameReadAhead, FrameReadAhead+1, 2*FrameReadAhead+3),
 		"large then small":           frameStream(70<<10, 10, 200<<10, 0, 7),
 		"oversize header":            append(frameStream(8, 8), 0xff, 0xff, 0xff, 0xff, 1, 2, 3),
-		"just over the limit":        binary.BigEndian.AppendUint32(frameStream(3), limit+1),
+		"just over the limit":        binary.BigEndian.AppendUint32(frameStream(3), referenceLimit+1),
 		"EOF mid-header":             append(frameStream(12), 0, 0),
 		"EOF after header":           binary.BigEndian.AppendUint32(frameStream(12), 40),
-		"EOF mid-body":               small[:len(small)-10],
+		"EOF mid-body":               smallFrames[:len(smallFrames)-10],
 		"EOF mid large body":         frameStream(100 << 10)[:80<<10],
 		"empty stream":               nil,
 	}
-	chunkings := map[string][]int{
+	referenceChunkings = map[string][]int{
 		"one read":           nil,
 		"a byte at a time":   {1},
 		"two bytes":          {2},
@@ -174,10 +184,13 @@ func TestFrameReaderMatchesReference(t *testing.T) {
 		"read-ahead plus 1":  {FrameReadAhead + 1},
 		"big then small":     {4096, 1},
 	}
-	for sname, stream := range streams {
-		for cname, chunks := range chunkings {
+)
+
+func TestFrameReaderMatchesReference(t *testing.T) {
+	for sname, stream := range referenceStreams {
+		for cname, chunks := range referenceChunkings {
 			t.Run(sname+"/"+cname, func(t *testing.T) {
-				checkAgainstReference(t, stream, chunks, limit)
+				checkAgainstReference(t, stream, chunks, referenceLimit)
 			})
 		}
 	}
@@ -211,12 +224,7 @@ func TestFrameReaderStalledBody(t *testing.T) {
 	stream = append(stream, make([]byte, 1000)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	fr := NewFrameReader(&chunkReader{data: stream})
-	n, err := fr.Next()
-	if err != nil || n != declared {
-		t.Fatalf("Next = %d, %v", n, err)
-	}
-	if _, err := fr.ReadBodyInto(nil, declared); err != io.ErrUnexpectedEOF {
+	if _, err := drainServe(&chunkReader{data: stream}, declared); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated body: %v, want io.ErrUnexpectedEOF", err)
 	}
 	runtime.ReadMemStats(&after)
@@ -225,29 +233,27 @@ func TestFrameReaderStalledBody(t *testing.T) {
 	}
 }
 
-// TestReadBodyIntoReusesAndGrows: a buffer handed back is read into
-// again with nothing allocated while frames fit it, a nil one costs a
-// small frame its own size and not the first growth step, and a large
-// frame's buffer is at most twice what arrived.
-func TestReadBodyIntoReusesAndGrows(t *testing.T) {
+// TestServeReusesAndGrows: storage handed back is read into again with
+// nothing allocated while frames fit it, none costs a small frame its own
+// size and not the first growth step, and a large frame's buffer is at
+// most twice what arrived. The whole stream costs a handful of reads: the
+// first four frames and the fifth's header in the read-ahead, the rest of
+// the fifth straight into its storage, one read per step of its growth.
+func TestServeReusesAndGrows(t *testing.T) {
 	var wire bytes.Buffer
 	fw := NewFrameWriter(&wire)
-	sizes := []int{300, 40, 0, 300, 200 << 10}
+	sizes := []int{300, 40, 0, 100, 200 << 10}
 	for _, n := range sizes {
 		if err := fw.WriteFrame(bytes.Repeat([]byte{byte(n)}, n), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fr := NewFrameReader(&wire)
-	var buf []byte
-	for i, n := range sizes {
-		declared, err := fr.Next()
-		if err != nil || int(declared) != n {
-			t.Fatalf("frame %d: Next = %d, %v", i, declared, err)
-		}
-		had := cap(buf)
-		if buf, err = fr.ReadBodyInto(buf, n); err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{byte(n)}, n)) {
-			t.Fatalf("frame %d: %d bytes, %v", i, len(buf), err)
+	fr := NewFrameReader(&chunkReader{data: wire.Bytes(), eofWithData: true})
+	i, had := 0, 0
+	err := fr.Serve(1<<20, nil, func(buf []byte) ([]byte, error) {
+		n := sizes[i]
+		if !bytes.Equal(buf, bytes.Repeat([]byte{byte(n)}, n)) {
+			t.Fatalf("frame %d: %d bytes, want %d of %d", i, len(buf), n, byte(n))
 		}
 		switch {
 		case n <= had && cap(buf) != had:
@@ -257,6 +263,34 @@ func TestReadBodyIntoReusesAndGrows(t *testing.T) {
 		case cap(buf) > 2*n+frameGrowStep:
 			t.Errorf("a %d-byte frame left a buffer of %d", n, cap(buf))
 		}
+		i, had = i+1, cap(buf)
+		return buf, nil // Serve starts the next frame at the storage's start
+	})
+	if err != io.EOF || i != len(sizes) {
+		t.Fatalf("%d of %d frames, then %v; want all and io.EOF", i, len(sizes), err)
+	}
+	if reads, frames := fr.Counts(); reads > 6 || frames != uint64(len(sizes)) {
+		t.Errorf("Counts() = %d reads, %d frames; want ≤ 6 and %d", reads, frames, len(sizes))
+	}
+}
+
+// TestServeResumes: a Serve that fn ended leaves the frames behind the
+// one it ended on in the read-ahead, and the next Serve begins with them.
+func TestServeResumes(t *testing.T) {
+	stop := errors.New("one frame")
+	fr := NewFrameReader(bytes.NewReader(frameStream(5, 0, 700, 9)))
+	for i, want := range []int{5, 0, 700, 9} {
+		got := -1
+		err := fr.Serve(1<<20, nil, func(frame []byte) ([]byte, error) {
+			got = len(frame)
+			return nil, stop
+		})
+		if err != stop || got != want {
+			t.Fatalf("Serve %d: a frame of %d bytes and %v, want %d", i, got, err, want)
+		}
+	}
+	if err := fr.Serve(1<<20, nil, nil); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }
 
@@ -275,7 +309,7 @@ func TestFrameWriterRoundTrip(t *testing.T) {
 	bodies = append(bodies, []byte("bodymac!"))
 	fr := NewFrameReader(&wire)
 	for i, want := range bodies {
-		got, err := readFrameVia(fr, 1<<20, nil)
+		got, err := readFrameVia(fr, 1<<20)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: %q, %v; want %q", i, got, err, want)
 		}
