@@ -86,11 +86,9 @@ const (
 // read (§3.1). It is informational and plays no part in conflict
 // resolution.
 //
-// A Store keeps entries by value, a URI's in one slice, so the struct's
-// 144 bytes are most of what an entry costs: the strings of a stored
-// entry are shared — URI with the catalog's key, a well-known Name with
-// this package's constant, Origin with the store's list — and only Value
-// (and a signature) is the entry's own.
+// The struct's 136 bytes are what an op costs in flight — a request, a
+// push, an answer. A Store keeps none: it keeps a 72-byte entry
+// (store.go) and rebuilds the Assertion it hands out.
 type Assertion struct {
 	URI        string
 	Name       string

@@ -125,7 +125,8 @@ func TestSyncFromPeerSnapshotPath(t *testing.T) {
 	history := 0
 	for r := 0; r < rewrites; r++ {
 		for i := 0; i < uris; i++ {
-			history += len(src.Set(fmt.Sprintf("urn:s%d", i), "k", fmt.Sprintf("v%d", r%2)))
+			src.Set(fmt.Sprintf("urn:s%d", i), "k", fmt.Sprintf("v%d", r%2))
+			history++
 		}
 	}
 	src.Remove("urn:s0", "k", fmt.Sprintf("v%d", rewrites-1))

@@ -46,11 +46,11 @@ const snapshotMagicV1 = "SNIPE-RC-SNAPSHOT-1"
 func (s *Store) SaveTo(w io.Writer) error {
 	s.mu.Lock()
 	entries, logged := 0, 0
-	for _, cat := range s.catalogs {
-		entries += len(cat)
+	for _, h := range s.catalogs {
+		entries += len(h.entries)
 	}
-	for _, l := range s.log {
-		logged += len(l)
+	for _, l := range s.logs {
+		logged += l.n
 	}
 	// Sized once from the counts: the store lock is held until the last
 	// byte is encoded, and a buffer doubling its way up to a 1M-URI
@@ -63,15 +63,21 @@ func (s *Store) SaveTo(w io.Writer) error {
 	s.vv.Encode(e)
 	VersionVector(s.floor).Encode(e)
 	e.PutUint32(uint32(entries))
-	for _, cat := range s.catalogs {
-		for i := range cat {
-			cat[i].Encode(e)
+	for uri, h := range s.catalogs {
+		for i := range h.entries {
+			a := s.assertion(uri, &h.entries[i])
+			a.Encode(e)
 		}
 	}
 	e.PutUint32(uint32(logged))
-	for _, l := range s.log {
-		for _, op := range l {
-			op.Encode(e)
+	for _, l := range s.logs {
+		for _, c := range l.chunks {
+			for i := range c.ops {
+				if c.have&(1<<i) != 0 {
+					a := s.assertion(c.ops[i].uri, &c.ops[i].e)
+					a.Encode(e)
+				}
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -120,9 +126,10 @@ func LoadStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range entries {
-		cat := s.ownLocked(&a)
-		s.applyLocked(cat, a)
+	for i := range entries {
+		a := &entries[i]
+		h := heldLocked(s, a.URI)
+		s.applyLocked(h.uri, h.entries, newEntry(a, originLocked(s, a.Origin)))
 	}
 	logged, err := DecodeAssertions(d)
 	if err != nil {
@@ -130,9 +137,10 @@ func LoadStore(r io.Reader) (*Store, error) {
 	}
 	// The vector was saved, so the log goes back as it was, holes and
 	// all, without recordLocked's walk.
-	for _, op := range logged {
-		s.ownLocked(&op)
-		s.originLogLocked(op.Origin)[op.Seq] = op
+	for i := range logged {
+		a := &logged[i]
+		o := originLocked(s, a.Origin)
+		s.logs[o].put(a.Seq, logOp{heldLocked(s, a.URI).uri, newEntry(a, o)})
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err

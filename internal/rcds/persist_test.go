@@ -3,8 +3,11 @@ package rcds
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +23,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s.Remove("urn:f1", AttrLocation, "fs1")
 	// Remote ops are preserved too.
 	other := NewStore("rc2")
-	s.ApplyRemote(other.Set("urn:h2", AttrArch, "sparc"))
+	s.ApplyRemote([]Assertion{other.Set("urn:h2", AttrArch, "sparc")})
 
 	var buf bytes.Buffer
 	if err := s.SaveTo(&buf); err != nil {
@@ -61,8 +64,7 @@ func TestSnapshotPreservesClocks(t *testing.T) {
 	}
 	// New local ops on the restored store must supersede pre-snapshot
 	// state everywhere (clocks must not regress).
-	ops := got.Set("u", "n", "post-restart")
-	op := ops[len(ops)-1]
+	op := got.Set("u", "n", "post-restart")
 	if !op.Supersedes(&Assertion{Clock: 10, Origin: "rc1", Seq: 10}) {
 		t.Fatalf("restored clocks regressed: %+v", op)
 	}
@@ -111,7 +113,7 @@ func TestSnapshotKeepsCompactedCatalog(t *testing.T) {
 	s.Set("urn:h0", AttrLoad, "0.5")
 	s.Remove("urn:h0", AttrLoad, "0.5") // a register under a tombstone
 	other := NewStore("rc2")
-	s.ApplyRemote(other.Set("urn:h2", AttrArch, "sparc"))
+	s.ApplyRemote([]Assertion{other.Set("urn:h2", AttrArch, "sparc")})
 	if s.Compact(0) == 0 || s.LogLen() != 0 {
 		t.Fatalf("Compact(0) left %d log entries", s.LogLen())
 	}
@@ -136,7 +138,7 @@ func TestSnapshotKeepsCompactedCatalog(t *testing.T) {
 	}
 	// A write after the restart takes the next sequence number, advances
 	// the vector and is served to a peer that was up to date.
-	op := got.Set("urn:h3", AttrArch, "post-restart")[0]
+	op := got.Set("urn:h3", AttrArch, "post-restart")
 	if op.Seq != before["rc1"]+1 || got.Vector()["rc1"] != op.Seq {
 		t.Errorf("post-restart op seq %d, vector %v; saved vector %v", op.Seq, got.Vector(), before)
 	}
@@ -226,4 +228,119 @@ func TestRestartedReplicaCatchesUp(t *testing.T) {
 	if v, ok, _ := c1b.FirstValue(context.Background(), "urn:a", "k"); !ok || v != "before" {
 		t.Fatalf("pre-crash state: %q %v", v, ok)
 	}
+}
+
+// goldenStore builds, with a fixed clock, the store testdata/golden.snap
+// was saved from by the release before catalog entries and the op log
+// took their compact form: registers (one overwritten), elements, a
+// tombstone, a register under its tombstone, a signed entry, two origins,
+// a log compacted below a floor and, of the second origin, a log with a
+// hole (seq 3 never delivered, 4 and 5 held above it).
+func goldenStore() *Store {
+	now := int64(1_700_000_000_000_000_000)
+	clock := func() int64 { now += 1000; return now }
+	st, peer := NewStore("rc1"), NewStore("rc2")
+	st.SetNowFunc(clock)
+	peer.SetNowFunc(clock)
+	st.Set("urn:snipe:host:alpha", AttrArch, "linux-amd64")
+	st.Set("urn:snipe:host:alpha", AttrLoad, "0.25")
+	st.Set("urn:snipe:host:alpha", AttrLoad, "0.50")
+	st.Add("urn:snipe:file:f1", AttrLocation, "http://a/f1")
+	st.Add("urn:snipe:file:f1", AttrLocation, "http://b/f1")
+	st.Add("urn:snipe:file:f1", AttrLocation, "http://c/f1")
+	st.Remove("urn:snipe:file:f1", AttrLocation, "http://b/f1")
+	st.AddSigned("urn:snipe:user:alice", AttrPublicKey, "aabbcc", "alice", []byte{1, 2, 3, 4})
+	st.Set("urn:snipe:process:p1", AttrState, "running")
+	st.Remove("urn:snipe:process:p1", AttrState, "running")
+	peer.Set("urn:snipe:host:beta", AttrArch, "sparc")
+	peer.Add("urn:snipe:file:f1", AttrLocation, "http://d/f1")
+	peer.Set("urn:snipe:host:alpha", AttrLoad, "0.75")
+	peer.Add("urn:snipe:host:beta", AttrInterface, "tcp://beta:1")
+	peer.Add("urn:snipe:host:beta", AttrInterface, "tcp://beta:2")
+	ops := peer.OpsSince(nil, 0)
+	st.ApplyRemote([]Assertion{ops[0], ops[1], ops[3], ops[4]})
+	st.Compact(6)
+	return st
+}
+
+// goldenHash is the ContentHash of goldenStore's catalog, as the release
+// that wrote testdata/golden.snap computed it.
+const goldenHash = "eaf2ee865decef03e4c491d9bc24b4ae09d3c9501b38ecbb18430366de134f2a"
+
+// TestGoldenSnapshot: a snapshot file written before entries and the log
+// took their compact form loads to the same catalog, vector, floors and
+// log — ContentHash equal to the value that release computed — and goes
+// round SaveTo and LoadStore unchanged. goldenStore, built on this tree,
+// is the witness for everything but the hash.
+func TestGoldenSnapshot(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "golden.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := LoadStore(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := loaded.SaveTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadStore(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenStore()
+	// Below the floor (rc1 ≤ 4), at it, past rc2's hole, and from nothing.
+	vectors := []VersionVector{nil, {"rc1": 4}, {"rc1": 4, "rc2": 1}, {"rc1": 7, "rc2": 3}}
+	for _, c := range []struct {
+		name string
+		st   *Store
+	}{{"loaded", loaded}, {"saved and loaded again", reloaded}, {"built on this tree", want}} {
+		if h := c.st.ContentHash(); hex.EncodeToString(h[:]) != goldenHash {
+			t.Errorf("%s: ContentHash %x, want %s", c.name, h, goldenHash)
+		}
+		if c.st == want {
+			continue
+		}
+		gu, ge, gt := c.st.Stats()
+		wu, we, wt := want.Stats()
+		if gu != wu || ge != we || gt != wt {
+			t.Errorf("%s: Stats %d %d %d, want %d %d %d", c.name, gu, ge, gt, wu, we, wt)
+		}
+		if got, w := c.st.Vector(), want.Vector(); !got.Dominates(w) || !w.Dominates(got) {
+			t.Errorf("%s: Vector %v, want %v", c.name, got, w)
+		}
+		if got, w := c.st.LogLen(), want.LogLen(); got != w {
+			t.Errorf("%s: LogLen %d, want %d", c.name, got, w)
+		}
+		for _, vv := range vectors {
+			if got, w := c.st.CanServeTail(vv), want.CanServeTail(vv); got != w {
+				t.Errorf("%s: CanServeTail(%v) = %v, want %v", c.name, vv, got, w)
+			}
+			if got, w := opSet(c.st.OpsSince(vv, 0)), opSet(want.OpsSince(vv, 0)); got != w {
+				t.Errorf("%s: OpsSince(%v) = %s, want %s", c.name, vv, got, w)
+			}
+		}
+	}
+	// What the release that wrote the file read back from it.
+	if u, e, tb := want.Stats(); u != 5 || e != 9 || tb != 2 {
+		t.Errorf("the golden store's Stats are %d %d %d, want 5 9 2", u, e, tb)
+	}
+	if vv := want.Vector(); len(vv) != 2 || vv["rc1"] != 10 || vv["rc2"] != 2 || want.LogLen() != 10 {
+		t.Errorf("the golden store's vector is %v with %d ops logged, want rc1:10 rc2:2 and 10", vv, want.LogLen())
+	}
+	if n := len(want.OpsSince(VersionVector{"rc1": 4}, 0)); n != 8 {
+		t.Errorf("the golden store serves %d ops above rc1's floor, want 6 of rc1 and 2 of rc2", n)
+	}
+}
+
+// opSet renders ops as a sorted multiset.
+func opSet(ops []Assertion) string {
+	s := make([]string, len(ops))
+	for i := range ops {
+		s[i] = entryString(&ops[i])
+	}
+	sort.Strings(s)
+	return strings.Join(s, "\n")
 }

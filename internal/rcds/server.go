@@ -24,10 +24,10 @@ const pushTimeout = 5 * time.Second
 const maxPendingPushOps = 4096
 
 // maxKeptOps is maxKeptBuffer for a reused slice of ops, counted in the
-// larger of its two element types: a connection's decoded Apply holds
-// 144-byte Assertions, the push queue 160-byte queuedOps, so neither
+// largest of its element types: a connection's decoded Apply holds
+// 136-byte Assertions, the push queue 152-byte queuedOps, so neither
 // keeps more than maxKeptBuffer.
-const maxKeptOps = maxKeptBuffer / 160
+const maxKeptOps = maxKeptBuffer / 152
 
 // keptOps clears ops, which keep strings alive, and returns the storage
 // for reuse, or nil if it grew past maxKeptOps.
@@ -525,18 +525,18 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 	}
 	if cmd == cmdGet {
 		respond(e, id, statusOK)
-		s.store.encodeLive(e, uri, "", true, (*Assertion).Encode)
+		s.store.encodeLive(e, uri, "", true, func(a Assertion, e *xdr.Encoder) { a.Encode(e) })
 		return nil
 	}
 	name, err := decodeName(d)
 	if err != nil {
 		return err
 	}
-	var ops []Assertion
+	ops := make([]Assertion, 1) // the op a write makes, on this stack, or RemoveAll's
 	switch cmd {
 	case cmdValues:
 		respond(e, id, statusOK)
-		s.store.encodeLive(e, uri, name, false, func(a *Assertion, e *xdr.Encoder) { e.PutString(a.Value) })
+		s.store.encodeLive(e, uri, name, false, func(a Assertion, e *xdr.Encoder) { e.PutString(a.Value) })
 		return nil
 	case cmdFirst:
 		v, ok := s.store.FirstValue(uri, name)
@@ -553,11 +553,15 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 		}
 		switch cmd {
 		case cmdSet:
-			ops = s.store.Set(uri, name, value)
+			ops[0] = s.store.Set(uri, name, value)
 		case cmdAdd:
-			ops = s.store.Add(uri, name, value)
+			ops[0] = s.store.Add(uri, name, value)
 		case cmdRemove:
-			ops = s.store.Remove(uri, name, value)
+			if op, made := s.store.Remove(uri, name, value); made {
+				ops[0] = op
+			} else {
+				ops = nil
+			}
 		case cmdAddSigned:
 			signer, err := d.StringMax(maxWireURI)
 			if err != nil {
@@ -567,7 +571,7 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 			if err != nil {
 				return err
 			}
-			ops = s.store.AddSigned(uri, name, value, signer, sig)
+			ops[0] = s.store.AddSigned(uri, name, value, signer, sig)
 		}
 	}
 	s.enqueuePush(ops, "")

@@ -25,29 +25,26 @@ type Event struct {
 // received, whatever their order or repetition. All methods are safe for
 // concurrent use.
 //
-// A URI's entries are one slice of Assertion values sorted by slot (see
-// search): by name, an attribute's register before its elements, the
-// elements by value. An attribute is therefore one contiguous run, found
-// by binary search and read in the order Get returns; a Set cuts the run
-// down to its register in one pass. Inserting into the middle of a slice
-// is a memmove: nothing beside the search for the 1–16 entries of every
-// URI the system itself writes, and for a service group of a thousand
-// replicas 68 KB on average, which makes that Add cost about four times
-// what a map insert did (BenchmarkStoreAdd: 2.2 µs against 0.5). What a URI costs to hold is its map slot, its
-// key's bytes once (every entry's URI aliases the key), 144 B per entry
-// and the value strings; names and origins are shared (decodeName,
-// ownLocked). DESIGN.md "What a URN costs" has the budget.
+// A URI's entries are one slice sorted by slot (see search): by name, an
+// attribute's register before its elements, the elements by value, so an
+// attribute is one contiguous run, found by binary search and read in the
+// order Get returns, and a Set cuts it down to its register in one pass.
+// Neither the catalog nor the log keeps an Assertion but a 72-byte entry,
+// which names its URI by where it is held and its origin by index; every
+// Assertion the store hands out is rebuilt from one. DESIGN.md "What a URN
+// costs" has the budget, and what an insert into a wide attribute costs.
 type Store struct {
 	mu      sync.Mutex
 	origin  string
 	lamport uint64
 	seq     uint64 // this origin's next op sequence number - 1
 
-	catalogs map[string][]Assertion          // URI → entries in slot order; never empty once made
-	log      map[string]map[uint64]Assertion // origin → seq → op (may have holes)
-	origins  []string                        // every origin seen (a handful), for ownLocked to hand out
-	vv       VersionVector                   // contiguous high-water marks
-	floor    map[string]uint64               // origin → first log seq still servable (0 = from the start)
+	catalogs map[string]held   // URI → its entries
+	origins  []string          // every origin seen (a handful), this replica's first: an entry's origin indexes it
+	logs     []opLog           // by origin index: each origin's ops by seq (may have holes)
+	vv       VersionVector     // contiguous high-water marks
+	floor    map[string]uint64 // origin → first log seq still servable (0 = from the start)
+	decoded  []uint32          // applyEncoded's origin index per op, reused
 
 	version uint64 // bumped on every visible change
 	cond    *sync.Cond
@@ -69,6 +66,132 @@ type Store struct {
 	hReplLagUs     *stats.Histogram // origin mint → local apply, master-master lag
 }
 
+// held is what the catalog holds for one URI: its entries, never empty,
+// and the key's own copy of the URI, which every op on it shares.
+type held struct {
+	uri     string
+	entries []entry
+}
+
+// entry is what a Store keeps of an op: the Assertion less its URI, the
+// origin an index into Store.origins, the signature behind a pointer that
+// almost every entry leaves nil.
+type entry struct {
+	name, value string
+	clock, seq  uint64
+	serverTime  int64
+	signed      *signature
+	origin      uint32
+	deleted     bool
+	sole        bool
+}
+
+// signature is an entry's detached signature and its signer.
+type signature struct {
+	sig    []byte
+	signer string
+}
+
+// newEntry is the entry for a, whose origin is s.origins[o].
+func newEntry(a *Assertion, o uint32) entry {
+	e := entry{name: a.Name, value: a.Value, clock: a.Clock, seq: a.Seq, serverTime: a.ServerTime,
+		origin: o, deleted: a.Deleted, sole: a.Sole}
+	if len(a.Signature) > 0 || a.Signer != "" {
+		e.signed = &signature{a.Signature, a.Signer}
+	}
+	return e
+}
+
+// assertion rebuilds the Assertion e stands for on uri. Caller holds s.mu.
+func (s *Store) assertion(uri string, e *entry) Assertion {
+	a := Assertion{URI: uri, Name: e.name, Value: e.value, Clock: e.clock, Origin: s.origins[e.origin],
+		Seq: e.seq, Deleted: e.deleted, Sole: e.sole, ServerTime: e.serverTime}
+	if e.signed != nil {
+		a.Signature, a.Signer = e.signed.sig, e.signed.signer
+	}
+	return a
+}
+
+// supersedes is Assertion.Supersedes for entries. Equal clocks break on
+// the origins' names, never their indices: a replica numbers origins in
+// the order it met them, and another met them in another.
+func (s *Store) supersedes(a, b *entry) bool {
+	if a.clock != b.clock {
+		return a.clock > b.clock
+	}
+	if a.origin != b.origin {
+		return s.origins[a.origin] > s.origins[b.origin]
+	}
+	return a.seq > b.seq
+}
+
+// logChunk is how many consecutive seqs one chunk of an opLog spans.
+const logChunk = 64
+
+// logOp is an op as its origin's log keeps it.
+type logOp struct {
+	uri string
+	e   entry
+}
+
+// opChunk holds the ops of logChunk consecutive seqs, have marking those filed.
+type opChunk struct {
+	have uint64
+	ops  [logChunk]logOp
+}
+
+// opLog is one origin's ops by seq, holes allowed, in chunks made as ops
+// arrive: ops in order cost one allocation per logChunk, a stray seq one chunk.
+type opLog struct {
+	chunks map[uint64]*opChunk // seq / logChunk → chunk; nil until the origin's first op
+	n      int                 // ops held
+}
+
+// at returns the op filed at seq, or nil.
+func (l *opLog) at(seq uint64) *logOp {
+	if c := l.chunks[seq/logChunk]; c != nil && c.have&(1<<(seq%logChunk)) != 0 {
+		return &c.ops[seq%logChunk]
+	}
+	return nil
+}
+
+// put files op at seq unless one is filed there, reporting whether it did.
+func (l *opLog) put(seq uint64, op logOp) bool {
+	if l.chunks == nil {
+		l.chunks = make(map[uint64]*opChunk)
+	}
+	c := l.chunks[seq/logChunk]
+	if c == nil {
+		c = new(opChunk)
+		l.chunks[seq/logChunk] = c
+	} else if c.have&(1<<(seq%logChunk)) != 0 {
+		return false
+	}
+	c.have |= 1 << (seq % logChunk)
+	c.ops[seq%logChunk] = op
+	l.n++
+	return true
+}
+
+// drop removes every op at or below seq horizon, zeroed so that none pins
+// a string, and the chunks it empties, returning how many ops it removed.
+func (l *opLog) drop(horizon uint64) (n int) {
+	for k, c := range l.chunks {
+		for i := range c.ops {
+			if c.have&(1<<i) != 0 && k*logChunk+uint64(i) <= horizon {
+				c.have &^= 1 << i
+				c.ops[i] = logOp{}
+				n++
+			}
+		}
+		if c.have == 0 {
+			delete(l.chunks, k)
+		}
+	}
+	l.n -= n
+	return n
+}
+
 type subscription struct {
 	prefix string
 	ch     chan Event
@@ -78,9 +201,9 @@ type subscription struct {
 func NewStore(origin string) *Store {
 	s := &Store{
 		origin:   origin,
-		catalogs: make(map[string][]Assertion),
+		catalogs: make(map[string]held),
 		origins:  []string{origin},
-		log:      make(map[string]map[uint64]Assertion),
+		logs:     make([]opLog, 1),
 		vv:       make(VersionVector),
 		floor:    make(map[string]uint64),
 		subs:     make(map[int]*subscription),
@@ -125,26 +248,26 @@ func (s *Store) newLocalOp(uri, name, value string, deleted bool) Assertion {
 // value. A register's own value is not part of its slot, so the slot —
 // and the floor its stamp puts under late elements — outlives a Remove of
 // that value, which leaves its tombstone among the elements.
-func slotCmp(e *Assertion, name string, sole bool, value string) int {
-	if e.Name != name { // equal names are mostly one string: see decodeName
-		return strings.Compare(e.Name, name)
+func slotCmp(e *entry, name string, sole bool, value string) int {
+	if e.name != name { // equal names are mostly one string: see decodeName
+		return strings.Compare(e.name, name)
 	}
 	switch {
-	case e.Sole && sole:
+	case e.sole && sole:
 		return 0
-	case e.Sole:
+	case e.sole:
 		return -1
 	case sole:
 		return 1
 	}
-	return strings.Compare(e.Value, value)
+	return strings.Compare(e.value, value)
 }
 
 // search returns the index in cat of the slot (name, sole, value) and
 // whether an entry stands there; if none does, the index is where one
 // would be inserted. search(cat, name, true, "") is the start of the
 // attribute's run.
-func search(cat []Assertion, name string, sole bool, value string) (int, bool) {
+func search(cat []entry, name string, sole bool, value string) (int, bool) {
 	i := sort.Search(len(cat), func(k int) bool { return slotCmp(&cat[k], name, sole, value) >= 0 })
 	return i, i < len(cat) && slotCmp(&cat[i], name, sole, value) == 0
 }
@@ -155,22 +278,22 @@ func search(cat []Assertion, name string, sole bool, value string) (int, bool) {
 // an element stands at its value: applyLocked keeps only elements stamped
 // after the register, so that one is a Remove that took the value away or
 // an Add that carries it (and is the one visited).
-func walkLive(cat []Assertion, i int, visit func(*Assertion)) int {
-	name := cat[i].Name
-	var reg *Assertion
-	if cat[i].Sole {
+func walkLive(cat []entry, i int, visit func(*entry)) int {
+	name := cat[i].name
+	var reg *entry
+	if cat[i].sole {
 		reg = &cat[i]
 		i++
 	}
-	for ; i < len(cat) && cat[i].Name == name; i++ {
+	for ; i < len(cat) && cat[i].name == name; i++ {
 		e := &cat[i]
-		if reg != nil && e.Value >= reg.Value {
-			if e.Value != reg.Value {
+		if reg != nil && e.value >= reg.value {
+			if e.value != reg.value {
 				visit(reg)
 			}
 			reg = nil
 		}
-		if !e.Deleted {
+		if !e.deleted {
 			visit(e)
 		}
 	}
@@ -181,100 +304,95 @@ func walkLive(cat []Assertion, i int, visit func(*Assertion)) int {
 }
 
 // walkLiveOf is walkLive over the run of name, if cat has one.
-func walkLiveOf(cat []Assertion, name string, visit func(*Assertion)) {
-	if i, _ := search(cat, name, true, ""); i < len(cat) && cat[i].Name == name {
+func walkLiveOf(cat []entry, name string, visit func(*entry)) {
+	if i, _ := search(cat, name, true, ""); i < len(cat) && cat[i].name == name {
 		walkLive(cat, i, visit)
 	}
 }
 
 // countLive returns the number of live entries in cat.
-func countLive(cat []Assertion) (n int) {
+func countLive(cat []entry) (n int) {
 	for i := 0; i < len(cat); {
-		i = walkLive(cat, i, func(*Assertion) { n++ })
+		i = walkLive(cat, i, func(*entry) { n++ })
 	}
 	return n
 }
 
+// anyLive reports whether cat holds a live entry, walking it only as far
+// as the first attribute that has one.
+func anyLive(cat []entry) (live bool) {
+	for i := 0; i < len(cat) && !live; {
+		i = walkLive(cat, i, func(*entry) { live = true })
+	}
+	return live
+}
+
 // liveValue reports whether value is a live value of name in cat.
-func liveValue(cat []Assertion, name, value string) bool {
+func liveValue(cat []entry, name, value string) bool {
 	if i, ok := search(cat, name, false, value); ok {
-		return !cat[i].Deleted
+		return !cat[i].deleted
 	}
 	i, ok := search(cat, name, true, "")
-	return ok && cat[i].Value == value
+	return ok && cat[i].value == value
 }
 
-// ownLocked returns the entries held for a's URI and makes a's URI and
-// origin the store's own copies of those strings — the catalog map's key
-// and an element of s.origins — so that keeping a, in the catalog or the
-// log, keeps neither string of the request it was decoded from. Caller
-// holds s.mu.
-func (s *Store) ownLocked(a *Assertion) []Assertion {
-	cat := s.catalogs[a.URI]
-	if len(cat) > 0 {
-		a.URI = cat[0].URI
+// originLocked returns the index of origin in s.origins, adding a copy and
+// an empty log if it is new: an op's origin is resolved once, where the op
+// is decoded or handed in, to the index its entry keeps. Caller holds s.mu.
+func originLocked[T string | []byte](s *Store, origin T) uint32 {
+	for i, o := range s.origins {
+		if o == string(origin) {
+			return uint32(i)
+		}
 	}
-	if i := slices.Index(s.origins, a.Origin); i >= 0 {
-		a.Origin = s.origins[i]
-	} else {
-		s.origins = append(s.origins, a.Origin)
-	}
-	return cat
+	s.origins = append(s.origins, string(origin))
+	s.logs = append(s.logs, opLog{})
+	return uint32(len(s.origins) - 1)
 }
 
-// keyLocked returns uri as a string: the catalog's own key if the store
-// holds the URI (indexing a map by string(uri) does not allocate), else a
-// copy, which a write then makes the key. Caller holds s.mu.
-func (s *Store) keyLocked(uri []byte) string {
-	if cat := s.catalogs[string(uri)]; len(cat) > 0 {
-		return cat[0].URI
+// heldLocked returns what the catalog holds for uri (indexing a map by
+// string(uri) does not allocate), or no entries under a copy of uri, which
+// a write then makes the key. Caller holds s.mu.
+func heldLocked[T string | []byte](s *Store, uri T) held {
+	if h, ok := s.catalogs[string(uri)]; ok {
+		return h
 	}
-	return string(uri)
+	return held{uri: string(uri)}
 }
 
-// key is keyLocked for a server serving a request on uri where it lies.
+// key returns uri as heldLocked keys it, for a server serving a request on
+// uri where it lies.
 func (s *Store) key(uri []byte) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.keyLocked(uri)
+	return heldLocked(s, uri).uri
 }
 
-// originLocked is keyLocked for an origin: the copy in s.origins, or a
-// new one for ownLocked to add once an op of it is kept.
-func (s *Store) originLocked(origin []byte) string {
-	for _, o := range s.origins {
-		if o == string(origin) {
-			return o
-		}
-	}
-	return string(origin)
+// mergeLocked files a, whose origin is s.origins[o], in that origin's log
+// and merges it into the catalog, reporting whether the catalog visibly
+// changed. Both keep the URI as heldLocked keys it. Caller holds s.mu.
+func (s *Store) mergeLocked(a *Assertion, o uint32) bool {
+	h := heldLocked(s, a.URI)
+	e := newEntry(a, o)
+	s.recordLocked(h.uri, &e)
+	return s.applyLocked(h.uri, h.entries, e)
 }
 
-// mergeLocked files op in its origin's log and merges it into the
-// catalog, reporting whether the catalog visibly changed. Caller holds
-// s.mu.
-func (s *Store) mergeLocked(op Assertion) bool {
-	cat := s.ownLocked(&op)
-	s.recordLocked(op)
-	return s.applyLocked(cat, op)
-}
-
-// applyLocked merges one assertion into cat, the entries of its URI (as
-// ownLocked returned them). An attribute's register is a floor under the
-// whole attribute: an assertion not stamped after it is dropped, and a
-// Sole assertion that is takes the head of the run and cuts from it every
-// element and tombstone stamped before it. Above the floor each
-// (name, value) keeps its last writer. Returns true if the catalog
-// visibly changed. Caller holds s.mu.
-func (s *Store) applyLocked(cat []Assertion, a Assertion) bool {
-	i, hasReg := search(cat, a.Name, true, "")
-	if hasReg && !a.Supersedes(&cat[i]) {
+// applyLocked merges one entry into cat, the entries held for uri. An
+// attribute's register is a floor under the whole attribute: an entry not
+// stamped after it is dropped, and a Sole entry that is takes the head of
+// the run and cuts from it every element and tombstone stamped before it.
+// Above the floor each (name, value) keeps its last writer. Returns true
+// if the catalog visibly changed. Caller holds s.mu.
+func (s *Store) applyLocked(uri string, cat []entry, a entry) bool {
+	i, hasReg := search(cat, a.name, true, "")
+	if hasReg && !s.supersedes(&a, &cat[i]) {
 		return false
 	}
 	moved := false // cat's header changed and goes back into the map
-	if !a.Sole {
-		k, ok := search(cat, a.Name, false, a.Value)
-		if ok && !a.Supersedes(&cat[k]) {
+	if !a.sole {
+		k, ok := search(cat, a.name, false, a.value)
+		if ok && !s.supersedes(&a, &cat[k]) {
 			return false
 		}
 		if ok {
@@ -289,8 +407,8 @@ func (s *Store) applyLocked(cat []Assertion, a Assertion) bool {
 			cat, moved = slices.Insert(cat, i, a), true
 		}
 		w, r := i+1, i+1
-		for ; r < len(cat) && cat[r].Name == a.Name; r++ {
-			if !a.Supersedes(&cat[r]) {
+		for ; r < len(cat) && cat[r].name == a.name; r++ {
+			if !s.supersedes(&a, &cat[r]) {
 				cat[w] = cat[r]
 				w++
 			}
@@ -303,51 +421,36 @@ func (s *Store) applyLocked(cat []Assertion, a Assertion) bool {
 		}
 	}
 	if moved {
-		s.catalogs[a.URI] = cat
+		s.catalogs[uri] = held{uri, cat}
 	}
-	if a.Clock > s.lamport {
-		s.lamport = a.Clock
+	if a.clock > s.lamport {
+		s.lamport = a.clock
 	}
 	s.version++
-	s.notifyLocked(a)
+	s.notifyLocked(uri, &a)
 	s.cond.Broadcast()
 	return true
 }
 
-// originLogLocked returns origin's op log, creating it if need be.
-// Caller holds s.mu.
-func (s *Store) originLogLocked(origin string) map[uint64]Assertion {
-	l, ok := s.log[origin]
-	if !ok {
-		l = make(map[uint64]Assertion)
-		s.log[origin] = l
-	}
-	return l
-}
-
-// recordLocked files op in the origin's log and advances the contiguous
-// version vector, draining any pending ops that become contiguous.
-// Caller holds s.mu.
-func (s *Store) recordLocked(a Assertion) {
-	l := s.originLogLocked(a.Origin)
-	if _, dup := l[a.Seq]; dup {
+// recordLocked files e, an op on uri, in its origin's log and advances the
+// contiguous version vector, draining any pending ops that become
+// contiguous. Caller holds s.mu.
+func (s *Store) recordLocked(uri string, e *entry) {
+	l := &s.logs[e.origin]
+	if !l.put(e.seq, logOp{uri, *e}) {
 		return
 	}
-	l[a.Seq] = a
-	for {
-		next := s.vv[a.Origin] + 1
-		if _, ok := l[next]; !ok {
-			break
-		}
-		s.vv[a.Origin] = next
+	origin := s.origins[e.origin]
+	for l.at(s.vv[origin]+1) != nil {
+		s.vv[origin]++
 	}
 }
 
-func (s *Store) notifyLocked(a Assertion) {
+func (s *Store) notifyLocked(uri string, e *entry) {
 	for _, sub := range s.subs {
-		if strings.HasPrefix(a.URI, sub.prefix) {
+		if strings.HasPrefix(uri, sub.prefix) {
 			select {
-			case sub.ch <- Event{Assertion: a}:
+			case sub.ch <- Event{Assertion: s.assertion(uri, e)}:
 			default: // slow subscriber: drop rather than block the store
 			}
 		}
@@ -362,49 +465,49 @@ func (s *Store) notifyLocked(a Assertion) {
 // while one that arrives afterwards with a lower stamp is dropped. An
 // overwrite therefore costs the same at the first and the millionth
 // value and leaves no tombstone. It returns the op to push to peers.
-func (s *Store) Set(uri, name, value string) []Assertion {
+func (s *Store) Set(uri, name, value string) Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	op := s.newLocalOp(uri, name, value, false)
 	op.Sole = true
-	s.mergeLocked(op)
-	return []Assertion{op}
+	s.mergeLocked(&op, 0)
+	return op
 }
 
 // Add inserts value as an additional live value for (uri, name) —
 // RCDS attributes such as locations and comm addresses are
 // multi-valued. Returns the op to push.
-func (s *Store) Add(uri, name, value string) []Assertion {
+func (s *Store) Add(uri, name, value string) Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	op := s.newLocalOp(uri, name, value, false)
-	s.mergeLocked(op)
-	return []Assertion{op}
+	s.mergeLocked(&op, 0)
+	return op
 }
 
 // AddSigned inserts a value carrying a detached signature (used for
 // signed metadata subsets such as published keys and code signatures).
-func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) []Assertion {
+func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	op := s.newLocalOp(uri, name, value, false)
 	op.Signer = signer
 	op.Signature = sig
-	s.mergeLocked(op)
-	return []Assertion{op}
+	s.mergeLocked(&op, 0)
+	return op
 }
 
-// Remove tombstones the (uri, name, value) element. Returns the ops to
-// push (empty if the element was not live).
-func (s *Store) Remove(uri, name, value string) []Assertion {
+// Remove tombstones the (uri, name, value) element. Returns the op to
+// push, and false, with no op made, if the element was not live.
+func (s *Store) Remove(uri, name, value string) (Assertion, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !liveValue(s.catalogs[uri], name, value) {
-		return nil
+	if !liveValue(s.catalogs[uri].entries, name, value) {
+		return Assertion{}, false
 	}
 	op := s.newLocalOp(uri, name, value, true)
-	s.mergeLocked(op)
-	return []Assertion{op}
+	s.mergeLocked(&op, 0)
+	return op, true
 }
 
 // RemoveAll tombstones every live value of (uri, name).
@@ -412,11 +515,11 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ops []Assertion
-	walkLiveOf(s.catalogs[uri], name, func(cur *Assertion) {
-		ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
+	walkLiveOf(s.catalogs[uri].entries, name, func(cur *entry) {
+		ops = append(ops, s.newLocalOp(uri, name, cur.value, true))
 	})
-	for _, op := range ops {
-		s.mergeLocked(op)
+	for i := range ops {
+		s.mergeLocked(&ops[i], 0)
 	}
 	return ops
 }
@@ -426,34 +529,41 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 func (s *Store) ApplyRemote(ops []Assertion) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyRemoteLocked(ops)
+	return s.applyRemoteLocked(ops, func(i int) uint32 { return originLocked(s, ops[i].Origin) })
 }
 
 // applyEncoded is ApplyRemote for a list of ops still in the frame it
 // arrived in. They are decoded into ops' storage against the store's own
-// URI keys and origins — of an op on a URI the replica holds only the
-// value is allocated — and returned, aliasing nothing of the frame.
-// Nothing is merged unless every op decodes.
+// URI keys and origins, each origin resolved there to the index the merge
+// files it under — of an op on a URI the replica holds only the value is
+// allocated — and returned, aliasing nothing of the frame. Nothing is
+// merged unless every op decodes.
 func (s *Store) applyEncoded(d *xdr.Decoder, ops []Assertion) ([]Assertion, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	origins := s.decoded[:0]
 	ops, err := decodeAssertions(d, ops, func(v assertionView) Assertion {
-		return v.own(s.keyLocked(v.uri), s.originLocked(v.origin))
+		o := originLocked(s, v.origin)
+		origins = append(origins, o)
+		return v.own(heldLocked(s, v.uri).uri, s.origins[o])
 	})
+	defer func() { s.decoded = keptOps(origins) }()
 	if err != nil {
 		return nil, 0, err
 	}
-	return ops, s.applyRemoteLocked(ops), nil
+	return ops, s.applyRemoteLocked(ops, func(i int) uint32 { return origins[i] }), nil
 }
 
-func (s *Store) applyRemoteLocked(ops []Assertion) int {
+// applyRemoteLocked merges ops, origin(i) the index of ops[i]'s origin.
+func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32) int {
 	changed := 0
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		if op.Origin == s.origin {
 			continue // our own ops echoed back
 		}
 		s.mRemoteOps.Inc()
-		if s.mergeLocked(op) {
+		if s.mergeLocked(op, origin(i)) {
 			changed++
 			s.mRemoteApplied.Inc()
 			// Replication lag: origin's mint time to our apply time. The
@@ -478,52 +588,53 @@ func (s *Store) observeLookup(start time.Time) {
 // visitLive calls visit, under the lock, with each live entry of uri —
 // every attribute's if all, else those of name — sorted by (name, value),
 // and counts one lookup. Every read of live entries is this walk.
-func (s *Store) visitLive(uri, name string, all bool, visit func(*Assertion)) {
+func (s *Store) visitLive(uri, name string, all bool, visit func(Assertion)) {
 	defer s.observeLookup(time.Now())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cat := s.catalogs[uri]
+	cat := s.catalogs[uri].entries
+	each := func(e *entry) { visit(s.assertion(uri, e)) }
 	if !all {
-		walkLiveOf(cat, name, visit)
+		walkLiveOf(cat, name, each)
 		return
 	}
 	for i := 0; i < len(cat); {
-		i = walkLive(cat, i, visit)
+		i = walkLive(cat, i, each)
 	}
 }
 
 // Get returns the live assertions for uri, sorted by (name, value).
 func (s *Store) Get(uri string) (out []Assertion) {
-	s.visitLive(uri, "", true, func(a *Assertion) { out = append(out, *a) })
+	s.visitLive(uri, "", true, func(a Assertion) { out = append(out, a) })
 	return out
 }
 
 // encodeLive writes to e the number of entries visitLive visits and each
 // one as put writes it: a server's answer to a lookup, made under the lock
 // straight from the entries with nothing copied out first.
-func (s *Store) encodeLive(e *xdr.Encoder, uri, name string, all bool, put func(*Assertion, *xdr.Encoder)) {
+func (s *Store) encodeLive(e *xdr.Encoder, uri, name string, all bool, put func(Assertion, *xdr.Encoder)) {
 	at, n := e.Len(), uint32(0)
 	e.PutUint32(0)
-	s.visitLive(uri, name, all, func(a *Assertion) { put(a, e); n++ })
+	s.visitLive(uri, name, all, func(a Assertion) { put(a, e); n++ })
 	binary.BigEndian.PutUint32(e.Bytes()[at:], n)
 }
 
 // Values returns the live values of (uri, name), sorted.
 func (s *Store) Values(uri, name string) (out []string) {
-	s.visitLive(uri, name, false, func(a *Assertion) { out = append(out, a.Value) })
+	s.visitLive(uri, name, false, func(a Assertion) { out = append(out, a.Value) })
 	return out
 }
 
 // FirstValue returns the most recently written live value of
 // (uri, name), if any.
 func (s *Store) FirstValue(uri, name string) (v string, ok bool) {
-	var best *Assertion // an entry: read under the lock only
-	s.visitLive(uri, name, false, func(a *Assertion) {
-		if best == nil || a.Supersedes(best) {
-			best, v = a, a.Value
+	var best Assertion
+	s.visitLive(uri, name, false, func(a Assertion) {
+		if !ok || a.Supersedes(&best) {
+			best, ok = a, true
 		}
 	})
-	return v, best != nil
+	return best.Value, ok
 }
 
 // URIs returns all URIs with live assertions under the prefix, sorted.
@@ -531,8 +642,8 @@ func (s *Store) URIs(prefix string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []string
-	for uri, cat := range s.catalogs {
-		if strings.HasPrefix(uri, prefix) && countLive(cat) > 0 {
+	for uri, h := range s.catalogs {
+		if strings.HasPrefix(uri, prefix) && anyLive(h.entries) {
 			out = append(out, uri)
 		}
 	}
@@ -554,19 +665,16 @@ func (s *Store) OpsSince(theirs VersionVector, max int) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Assertion
-	origins := make([]string, 0, len(s.log))
-	for origin := range s.log {
-		origins = append(origins, origin)
-	}
-	sort.Strings(origins)
-	for _, origin := range origins {
-		l := s.log[origin]
+	names := slices.Clone(s.origins)
+	slices.Sort(names)
+	for _, origin := range names {
+		o := slices.Index(s.origins, origin)
 		for seq := theirs[origin] + 1; seq <= s.vv[origin]; seq++ {
-			op, ok := l[seq]
-			if !ok {
+			op := s.logs[o].at(seq)
+			if op == nil {
 				break
 			}
-			out = append(out, op)
+			out = append(out, s.assertion(op.uri, &op.e))
 			if max > 0 && len(out) >= max {
 				return out
 			}
@@ -662,10 +770,10 @@ func (s *Store) Stats() (uris, elements, tombstones int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	uris = len(s.catalogs)
-	for _, cat := range s.catalogs {
-		elements += countLive(cat)
-		for i := range cat {
-			if cat[i].Deleted {
+	for _, h := range s.catalogs {
+		elements += countLive(h.entries)
+		for i := range h.entries {
+			if h.entries[i].deleted {
 				tombstones++
 			}
 		}
@@ -724,7 +832,9 @@ func (s *Store) SnapshotPage(afterURI string, maxOps int) (ops []Assertion, next
 		if len(ops) >= maxOps {
 			return ops, next, s.vv.Copy()
 		}
-		ops = append(ops, s.catalogs[uri]...)
+		for _, e := range s.catalogs[uri].entries {
+			ops = append(ops, s.assertion(uri, &e))
+		}
 		next = uri
 	}
 	return ops, "", s.vv.Copy()
@@ -739,12 +849,13 @@ func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := 0
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		if op.Origin == s.origin {
 			continue // our own ops: already in our log
 		}
 		s.mSnapInstall.Inc()
-		if s.mergeLocked(op) {
+		if s.mergeLocked(op, originLocked(s, op.Origin)) {
 			changed++
 		}
 	}
@@ -799,7 +910,7 @@ func (s *Store) Compact(keepTail int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dropped := 0
-	for origin, l := range s.log {
+	for o, origin := range s.origins {
 		mark := s.vv[origin]
 		if mark <= uint64(keepTail) {
 			continue
@@ -808,12 +919,7 @@ func (s *Store) Compact(keepTail int) int {
 		if horizon+1 > s.floor[origin] {
 			s.floor[origin] = horizon + 1
 		}
-		for seq := range l {
-			if seq <= horizon {
-				delete(l, seq)
-				dropped++
-			}
-		}
+		dropped += s.logs[o].drop(horizon)
 	}
 	if dropped > 0 {
 		s.mCompacted.Add(uint64(dropped))
@@ -826,8 +932,8 @@ func (s *Store) LogLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, l := range s.log {
-		n += len(l)
+	for _, l := range s.logs {
+		n += l.n
 	}
 	return n
 }
@@ -847,10 +953,10 @@ func (s *Store) ContentHash() [32]byte {
 	h := sha256.New()
 	e := xdr.NewEncoder(256)
 	for _, uri := range uris {
-		cat := s.catalogs[uri]
-		for i := range cat {
+		for _, en := range s.catalogs[uri].entries {
+			a := s.assertion(uri, &en)
 			e.Reset()
-			cat[i].Encode(e)
+			a.Encode(e)
 			h.Write(e.Bytes())
 		}
 	}

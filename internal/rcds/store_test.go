@@ -1,8 +1,11 @@
 package rcds
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -44,19 +47,18 @@ func TestRemove(t *testing.T) {
 	s := NewStore("s1")
 	s.Add("u", "n", "v1")
 	s.Add("u", "n", "v2")
-	ops := s.Remove("u", "n", "v1")
-	if len(ops) != 1 || !ops[0].Deleted {
-		t.Fatalf("Remove ops = %v", ops)
+	if op, ok := s.Remove("u", "n", "v1"); !ok || !op.Deleted {
+		t.Fatalf("Remove op = %v, %v", op, ok)
 	}
 	if vals := s.Values("u", "n"); len(vals) != 1 || vals[0] != "v2" {
 		t.Fatalf("after remove: %v", vals)
 	}
 	// Removing a non-live element is a no-op.
-	if ops := s.Remove("u", "n", "v1"); ops != nil {
-		t.Fatalf("double remove ops = %v", ops)
+	if op, ok := s.Remove("u", "n", "v1"); ok {
+		t.Fatalf("double remove op = %v", op)
 	}
-	if ops := s.Remove("u", "n", "never"); ops != nil {
-		t.Fatalf("remove of absent ops = %v", ops)
+	if op, ok := s.Remove("u", "n", "never"); ok {
+		t.Fatalf("remove of absent op = %v", op)
 	}
 }
 
@@ -108,16 +110,15 @@ func TestServerTimeStamping(t *testing.T) {
 	s := NewStore("s1")
 	var fake int64 = 12345
 	s.SetNowFunc(func() int64 { return fake })
-	ops := s.Add("u", "n", "v")
-	if ops[0].ServerTime != 12345 {
-		t.Fatalf("ServerTime = %d", ops[0].ServerTime)
+	if op := s.Add("u", "n", "v"); op.ServerTime != 12345 {
+		t.Fatalf("ServerTime = %d", op.ServerTime)
 	}
 }
 
 func TestReplicationConvergenceTwoWay(t *testing.T) {
 	a, b := NewStore("a"), NewStore("b")
-	opsA := a.Set("u", "n", "from-a")
-	opsB := b.Set("u", "n", "from-b")
+	opsA := []Assertion{a.Set("u", "n", "from-a")}
+	opsB := []Assertion{b.Set("u", "n", "from-b")}
 	// Exchange in both orders; replicas must converge identically.
 	a.ApplyRemote(opsB)
 	b.ApplyRemote(opsA)
@@ -134,7 +135,7 @@ func TestReplicationConvergenceTwoWay(t *testing.T) {
 
 func TestReplicationIdempotent(t *testing.T) {
 	a, b := NewStore("a"), NewStore("b")
-	ops := a.Add("u", "n", "v")
+	ops := []Assertion{a.Add("u", "n", "v")}
 	if n := b.ApplyRemote(ops); n != 1 {
 		t.Fatalf("first apply changed %d", n)
 	}
@@ -148,16 +149,14 @@ func TestReplicationIdempotent(t *testing.T) {
 
 func TestTombstoneBeatsEarlierAdd(t *testing.T) {
 	a, b := NewStore("a"), NewStore("b")
-	add := a.Add("u", "n", "v")
-	b.ApplyRemote(add)
-	del := b.Remove("u", "n", "v")
-	a.ApplyRemote(del)
+	b.ApplyRemote([]Assertion{a.Add("u", "n", "v")})
+	del, _ := b.Remove("u", "n", "v")
+	a.ApplyRemote([]Assertion{del})
 	if vals := a.Values("u", "n"); len(vals) != 0 {
 		t.Fatalf("tombstone lost: %v", vals)
 	}
 	// A later re-add resurrects the element everywhere.
-	re := a.Add("u", "n", "v")
-	b.ApplyRemote(re)
+	b.ApplyRemote([]Assertion{a.Add("u", "n", "v")})
 	if vals := b.Values("u", "n"); len(vals) != 1 {
 		t.Fatalf("re-add lost: %v", vals)
 	}
@@ -189,9 +188,9 @@ func TestVersionVectorAndOpsSince(t *testing.T) {
 
 func TestOutOfOrderRemoteOps(t *testing.T) {
 	a, b := NewStore("a"), NewStore("b")
-	op1 := a.Add("u", "n", "1")[0]
-	op2 := a.Add("u", "n", "2")[0]
-	op3 := a.Add("u", "n", "3")[0]
+	op1 := a.Add("u", "n", "1")
+	op2 := a.Add("u", "n", "2")
+	op3 := a.Add("u", "n", "3")
 	// Deliver 3 then 1 then 2 (push reordering).
 	b.ApplyRemote([]Assertion{op3})
 	if vv := b.Vector(); vv["a"] != 0 {
@@ -369,11 +368,13 @@ func convergeOnce(rng *rand.Rand) string {
 		value := fmt.Sprintf("v%d", rng.Intn(3))
 		switch rng.Intn(4) {
 		case 0:
-			all = append(all, st.Set(uri, name, value)...)
+			all = append(all, st.Set(uri, name, value))
 		case 1:
-			all = append(all, st.Add(uri, name, value)...)
+			all = append(all, st.Add(uri, name, value))
 		case 2:
-			all = append(all, st.Remove(uri, name, value)...)
+			if op, ok := st.Remove(uri, name, value); ok {
+				all = append(all, op)
+			}
 		case 3:
 			all = append(all, st.RemoveAll(uri, name)...)
 		}
@@ -502,14 +503,14 @@ func TestSetSemantics(t *testing.T) {
 	// must find the register's value to remove it.
 	st := NewStore("local")
 	st.Add("u", "n", "old")
-	if ops := st.Set("u", "n", "v"); len(ops) != 1 || !ops[0].Sole {
-		t.Fatalf("Set minted %v, want one Sole op", ops)
+	if op := st.Set("u", "n", "v"); !op.Sole {
+		t.Fatalf("Set minted %v, want a Sole op", op)
 	}
-	if ops := st.Remove("u", "n", "old"); ops != nil {
-		t.Fatalf("Remove of a value the Set cleared minted %v", ops)
+	if op, ok := st.Remove("u", "n", "old"); ok {
+		t.Fatalf("Remove of a value the Set cleared minted %v", op)
 	}
-	if ops := st.Remove("u", "n", "v"); len(ops) != 1 || !ops[0].Deleted {
-		t.Fatalf("Remove of the register's value minted %v", ops)
+	if op, ok := st.Remove("u", "n", "v"); !ok || !op.Deleted {
+		t.Fatalf("Remove of the register's value minted %v, %v", op, ok)
 	}
 	if got := st.URIs(""); len(got) != 0 {
 		t.Fatalf("URIs lists %v after its only value was removed", got)
@@ -569,7 +570,7 @@ func TestSetChurnIsFlat(t *testing.T) {
 	if uris, elems, tombs := st.Stats(); uris != 1 || elems != 1 || tombs != 0 {
 		t.Errorf("after %d distinct values: %d URIs, %d elements, %d tombstones; want 1, 1, 0", next, uris, elems, tombs)
 	}
-	if cat := st.catalogs[uri]; len(cat) != 1 || cap(cat) > 2 {
+	if cat := st.catalogs[uri].entries; len(cat) != 1 || cap(cat) > 2 {
 		t.Errorf("the URI's entries: %d in room for %d, want 1 in at most 2", len(cat), cap(cat))
 	}
 }
@@ -594,9 +595,18 @@ func TestQuickAssertionRoundTrip(t *testing.T) {
 // refStore is the catalog as this package held it before a URI's entries
 // became one sorted slice: a map per URI from slot to boxed entry, with
 // the merge rule, liveness and read paths copied from that code. It is
-// what TestStoreMatchesReference holds the slice layout to.
+// what TestStoreMatchesReference holds the slice layout to. Beside it is
+// the op log as the store kept it before the log was chunked — per origin
+// a map from seq to the boxed op — with the vector, floors and
+// compaction that served from it: what TestLogMatchesReference holds the
+// chunked log to.
 type refStore struct {
 	catalogs map[string]map[refKey]*Assertion
+
+	origin string // the replica's own: ops of it that come back are not merged
+	log    map[string]map[uint64]*Assertion
+	vv     VersionVector
+	floor  map[string]uint64
 }
 
 type refKey struct {
@@ -605,8 +615,9 @@ type refKey struct {
 	sole  bool
 }
 
-func newRefStore() *refStore {
-	return &refStore{catalogs: make(map[string]map[refKey]*Assertion)}
+func newRefStore(origin string) *refStore {
+	return &refStore{catalogs: make(map[string]map[refKey]*Assertion), origin: origin,
+		log: make(map[string]map[uint64]*Assertion), vv: make(VersionVector), floor: make(map[string]uint64)}
 }
 
 func refKeyOf(a *Assertion) refKey {
@@ -813,7 +824,7 @@ func matchReferenceOnce(rng *rand.Rand) string {
 	names := []string{"n0", "n1", "n2"}
 	stores, refs := make([]*Store, writers), make([]*refStore, writers)
 	for i := range stores {
-		stores[i], refs[i] = NewStore(fmt.Sprintf("r%d", i)), newRefStore()
+		stores[i], refs[i] = NewStore(fmt.Sprintf("r%d", i)), newRefStore("")
 	}
 	for n := 8 + rng.Intn(40); n > 0; n-- {
 		w := rng.Intn(writers)
@@ -824,14 +835,17 @@ func matchReferenceOnce(rng *rand.Rand) string {
 		what := ""
 		switch rng.Intn(5) {
 		case 0:
-			what, ops = "Set", st.Set(uri, name, value)
+			what, ops = "Set", []Assertion{st.Set(uri, name, value)}
 		case 1:
-			what, ops = "Add", st.Add(uri, name, value)
+			what, ops = "Add", []Assertion{st.Add(uri, name, value)}
 		case 2:
-			what, ops = "AddSigned", st.AddSigned(uri, name, value, "signer", []byte{byte(n)})
+			what, ops = "AddSigned", []Assertion{st.AddSigned(uri, name, value, "signer", []byte{byte(n)})}
 		case 3:
 			was := ref.liveValue(uri, name, value)
-			what, ops = "Remove", st.Remove(uri, name, value)
+			what = "Remove"
+			if op, ok := st.Remove(uri, name, value); ok {
+				ops = []Assertion{op}
+			}
 			if (len(ops) == 1) != was {
 				return fmt.Sprintf("Remove(%s, %s, %s) minted %v, reference held it live: %v", uri, name, value, ops, was)
 			}
@@ -867,9 +881,10 @@ func matchReferenceOnce(rng *rand.Rand) string {
 
 // TestWideURI: a service group or multicast URN holds hundreds of values
 // under one name. A thousand Adds in shuffled order leave the URI's slice
-// in slot order and read back in value order; one Set cuts all of them and
-// gives their room back; a Remove of the value the register holds leaves
-// its tombstone beside the register, which stays as the floor.
+// in slot order, every op in the log under the catalog's one copy of the
+// URI, and read back in value order; one Set cuts all of them and gives
+// their room back; a Remove of the value the register holds leaves its
+// tombstone beside the register, which stays as the floor.
 func TestWideURI(t *testing.T) {
 	const uri, n = "urn:snipe:service:wide", 1000
 	st := NewStore("rc0")
@@ -886,15 +901,18 @@ func TestWideURI(t *testing.T) {
 	st.Add(uri, AttrLoad, "0.5") // a run on either side of the wide one
 	checkSlotOrder := func() {
 		t.Helper()
-		cat := st.catalogs[uri]
+		h := st.catalogs[uri]
+		cat := h.entries
 		for i := 1; i < len(cat); i++ {
-			if slotCmp(&cat[i-1], cat[i].Name, cat[i].Sole, cat[i].Value) >= 0 {
-				t.Fatalf("entries %d and %d out of slot order: %v, %v", i-1, i, &cat[i-1], &cat[i])
+			if slotCmp(&cat[i-1], cat[i].name, cat[i].sole, cat[i].value) >= 0 {
+				t.Fatalf("entries %d and %d out of slot order: %+v, %+v", i-1, i, cat[i-1], cat[i])
 			}
 		}
-		for i := range cat {
-			if unsafe.StringData(cat[i].URI) != unsafe.StringData(cat[0].URI) {
-				t.Fatalf("entry %d holds a URI string of its own", i)
+		for _, c := range st.logs[0].chunks {
+			for i := range c.ops {
+				if c.have&(1<<i) != 0 && unsafe.StringData(c.ops[i].uri) != unsafe.StringData(h.uri) {
+					t.Fatalf("logged op %d holds a URI string of its own", c.ops[i].e.seq)
+				}
 			}
 		}
 	}
@@ -915,24 +933,331 @@ func TestWideURI(t *testing.T) {
 
 	st.Set(uri, AttrServiceReplica, values[7])
 	checkSlotOrder()
-	if cat := st.catalogs[uri]; len(cat) != 3 || cap(cat) > 8 {
+	if cat := st.catalogs[uri].entries; len(cat) != 3 || cap(cat) > 8 {
 		t.Fatalf("after the Set the URI holds %d entries in room for %d, want 3 in at most 8", len(cat), cap(cat))
 	}
 	if vals := st.Values(uri, AttrServiceReplica); len(vals) != 1 || vals[0] != values[7] {
 		t.Fatalf("after the Set: %v", vals)
 	}
-	if ops := st.Remove(uri, AttrServiceReplica, values[7]); len(ops) != 1 || !ops[0].Deleted {
-		t.Fatalf("Remove of the register's value minted %v", ops)
+	if op, ok := st.Remove(uri, AttrServiceReplica, values[7]); !ok || !op.Deleted {
+		t.Fatalf("Remove of the register's value minted %v, %v", op, ok)
 	}
 	checkSlotOrder()
-	i, hasReg := search(st.catalogs[uri], AttrServiceReplica, true, "")
-	if cat := st.catalogs[uri]; !hasReg || len(cat) != 4 || !cat[i+1].Deleted || cat[i+1].Value != cat[i].Value {
-		t.Fatalf("the tombstone is not beside the register: %v", cat)
+	cat := st.catalogs[uri].entries
+	if i, hasReg := search(cat, AttrServiceReplica, true, ""); !hasReg || len(cat) != 4 || !cat[i+1].deleted || cat[i+1].value != cat[i].value {
+		t.Fatalf("the tombstone is not beside the register: %+v", cat)
 	}
 	if vals := st.Values(uri, AttrServiceReplica); len(vals) != 0 {
 		t.Fatalf("after the Remove: %v", vals)
 	}
 	if _, elems, tombs := st.Stats(); elems != 2 || tombs != 1 {
 		t.Fatalf("Stats: %d elements, %d tombstones; want 2 and 1", elems, tombs)
+	}
+}
+
+// merge is the old mergeLocked: the op filed in its origin's log, the
+// vector advanced over what became contiguous, then the catalog merge.
+func (r *refStore) merge(a Assertion) {
+	l := r.log[a.Origin]
+	if l == nil {
+		l = make(map[uint64]*Assertion)
+		r.log[a.Origin] = l
+	}
+	if l[a.Seq] == nil {
+		l[a.Seq] = &a
+		for l[r.vv[a.Origin]+1] != nil {
+			r.vv[a.Origin]++
+		}
+	}
+	r.apply([]Assertion{a})
+}
+
+// applyRemote is ApplyRemote and InstallSnapshotOps, which differ only in
+// their counters: the replica's own ops are skipped.
+func (r *refStore) applyRemote(ops []Assertion) {
+	for _, a := range ops {
+		if a.Origin != r.origin {
+			r.merge(a)
+		}
+	}
+}
+
+func (r *refStore) mergeVector(vv VersionVector) {
+	for origin, seq := range vv {
+		if seq > r.vv[origin] {
+			r.vv[origin] = seq
+			r.floor[origin] = max(r.floor[origin], seq+1)
+		}
+	}
+}
+
+func (r *refStore) canServeTail(theirs VersionVector) bool {
+	for origin, seq := range r.vv {
+		if have := theirs[origin]; seq > have && have+1 < r.floor[origin] {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refStore) compact(keep int) (dropped int) {
+	for origin, l := range r.log {
+		mark := r.vv[origin]
+		if mark <= uint64(keep) {
+			continue
+		}
+		horizon := mark - uint64(keep)
+		r.floor[origin] = max(r.floor[origin], horizon+1)
+		for seq := range l {
+			if seq <= horizon {
+				delete(l, seq)
+				dropped++
+			}
+		}
+	}
+	return dropped
+}
+
+func (r *refStore) logLen() (n int) {
+	for _, l := range r.log {
+		n += len(l)
+	}
+	return n
+}
+
+func (r *refStore) opsSince(theirs VersionVector, max int) (out []Assertion) {
+	var origins []string
+	for origin := range r.log {
+		origins = append(origins, origin)
+	}
+	sort.Strings(origins)
+	for _, origin := range origins {
+		for seq := theirs[origin] + 1; seq <= r.vv[origin]; seq++ {
+			op := r.log[origin][seq]
+			if op == nil {
+				break
+			}
+			if out = append(out, *op); max > 0 && len(out) >= max {
+				return out
+			}
+		}
+	}
+	return out
+}
+
+// contentHash is ContentHash over the map layout: URIs sorted, each one's
+// entries in slot order, every field encoded.
+func (r *refStore) contentHash() [32]byte {
+	var uris []string
+	for uri := range r.catalogs {
+		uris = append(uris, uri)
+	}
+	sort.Strings(uris)
+	h := sha256.New()
+	e := xdr.NewEncoder(256)
+	for _, uri := range uris {
+		var cat []*Assertion
+		for _, a := range r.catalogs[uri] {
+			cat = append(cat, a)
+		}
+		sort.Slice(cat, func(i, j int) bool {
+			a, b := cat[i], cat[j]
+			switch {
+			case a.Name != b.Name:
+				return a.Name < b.Name
+			case a.Sole != b.Sole:
+				return a.Sole
+			}
+			return a.Value < b.Value
+		})
+		for _, a := range cat {
+			e.Reset()
+			a.Encode(e)
+			h.Write(e.Bytes())
+		}
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// diffLog reports the first thing the log serves differently from r's,
+// "" if none: the vector, the ops held, the ops OpsSince serves under
+// every vector in theirs and several limits, whether each tail can be
+// served at all, and the catalog behind it all.
+func (r *refStore) diffLog(st *Store, theirs []VersionVector) string {
+	if got := st.Vector(); !got.Dominates(r.vv) || !r.vv.Dominates(got) {
+		return fmt.Sprintf("Vector = %v, reference %v", got, r.vv)
+	}
+	if got, want := st.LogLen(), r.logLen(); got != want {
+		return fmt.Sprintf("LogLen = %d, reference %d", got, want)
+	}
+	for _, vv := range theirs {
+		if got, want := st.CanServeTail(vv), r.canServeTail(vv); got != want {
+			return fmt.Sprintf("CanServeTail(%v) = %v, reference %v", vv, got, want)
+		}
+		for _, max := range []int{0, 1, 3, 7} {
+			got, want := st.OpsSince(vv, max), r.opsSince(vv, max)
+			if len(got) != len(want) {
+				return fmt.Sprintf("OpsSince(%v, %d) = %v, reference %v", vv, max, got, want)
+			}
+			for i := range got {
+				if entryString(&got[i]) != entryString(&want[i]) {
+					return fmt.Sprintf("OpsSince(%v, %d) = %v, reference %v", vv, max, got, want)
+				}
+			}
+		}
+	}
+	if st.ContentHash() != r.contentHash() {
+		return "the catalogs differ"
+	}
+	return ""
+}
+
+// TestLogMatchesReference drives the chunked log and the map log it
+// replaced with the same ops: local writes, pushes of other writers' ops
+// picked at random, reordered and duplicated (the store's own among them,
+// echoed back), forged ops up to 10⁹ seqs ahead of their origin, vector
+// merges that leave holes below the mark, snapshot pages installed,
+// Compact at random depths, and restarts from a snapshot file (which the
+// map log survived as it was). After every step the two must serve the same
+// ops under several vectors and limits, hold as many, drop as many, and
+// agree on the vector, the servable tails and the catalog.
+func TestLogMatchesReference(t *testing.T) {
+	const seeds = 1500
+	for seed := int64(0); seed < seeds; seed++ {
+		if msg := matchLogOnce(rand.New(rand.NewSource(seed))); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+func matchLogOnce(rng *rand.Rand) string {
+	st, ref := NewStore("t"), newRefStore("t")
+	writers := []*Store{NewStore("w0"), NewStore("w1")}
+	origins := []string{"t", "w0", "w1", "far"}
+	var pool []Assertion // every op minted, the store's own included
+	write := func(w *Store) Assertion {
+		uri, name, value := fmt.Sprintf("u%d", rng.Intn(3)), fmt.Sprintf("n%d", rng.Intn(2)), fmt.Sprintf("v%d", rng.Intn(4))
+		if rng.Intn(2) == 0 {
+			return w.Set(uri, name, value)
+		}
+		return w.Add(uri, name, value)
+	}
+	for step, steps := 0, 20+rng.Intn(40); step < steps; step++ {
+		what := ""
+		switch rng.Intn(9) {
+		case 0:
+			what = "a local write"
+			op := write(st)
+			ref.merge(op)
+			pool = append(pool, op)
+		case 1, 2:
+			what = "writes elsewhere"
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				pool = append(pool, write(writers[rng.Intn(len(writers))]))
+			}
+		case 3:
+			what = "a push"
+			var batch []Assertion
+			for n := rng.Intn(8); n > 0 && len(pool) > 0; n-- {
+				batch = append(batch, pool[rng.Intn(len(pool))])
+			}
+			st.ApplyRemote(batch)
+			ref.applyRemote(batch)
+		case 4:
+			what = "a far-ahead op"
+			op := write(writers[0])
+			op.Origin, op.Seq = "far", uint64(1+rng.Intn(1000))*uint64(1+rng.Intn(1e6))
+			st.ApplyRemote([]Assertion{op})
+			ref.applyRemote([]Assertion{op})
+		case 5:
+			origin := origins[1+rng.Intn(3)]
+			what = "a vector merge on " + origin
+			vv := VersionVector{origin: st.Vector()[origin] + uint64(rng.Intn(6))}
+			st.MergeVector(vv)
+			ref.mergeVector(vv)
+		case 6:
+			what = "a snapshot page"
+			page, _, _ := writers[rng.Intn(len(writers))].SnapshotPage("", 0)
+			rng.Shuffle(len(page), func(i, j int) { page[i], page[j] = page[j], page[i] })
+			st.InstallSnapshotOps(page)
+			ref.applyRemote(page)
+		case 7:
+			keep := rng.Intn(6)
+			what = fmt.Sprintf("Compact(%d)", keep)
+			if got, want := st.Compact(keep), ref.compact(keep); got != want {
+				return fmt.Sprintf("step %d: Compact(%d) dropped %d, reference %d", step, keep, got, want)
+			}
+		case 8:
+			what = "a restart"
+			var file bytes.Buffer
+			if err := st.SaveTo(&file); err != nil {
+				return err.Error()
+			}
+			var err error
+			if st, err = LoadStore(&file); err != nil {
+				return err.Error()
+			}
+		}
+		theirs := []VersionVector{nil, st.Vector(), {"t": 1}}
+		random := make(VersionVector)
+		for _, origin := range origins {
+			random[origin] = uint64(rng.Intn(int(st.Vector()[origin]) + 3))
+		}
+		if msg := ref.diffLog(st, append(theirs, random)); msg != "" {
+			return fmt.Sprintf("step %d, after %s: %s", step, what, msg)
+		}
+	}
+	return ""
+}
+
+// maxSparseLogBytes bounds what 1,000 ops whose seqs lie 10⁶ apart cost a
+// log: a 6 KiB chunk each (64 ops of 88 B), where a structure dense in seq
+// would hold the 10⁹ seqs between them.
+const maxSparseLogBytes = 8 << 20
+
+// TestSparseLogSeqs: a log costs what it holds, whatever the seqs. Ops of
+// one origin 10⁶ seqs apart, which a peer can send, are held and cost a
+// chunk each, never the range between them; once the vector has passed
+// them a compaction drops them and gives every chunk back. The race
+// detector's shadow memory would count as the program's: under it only
+// what is held and dropped is checked.
+func TestSparseLogSeqs(t *testing.T) {
+	const ops, gap = 1000, 1_000_000
+	batch := make([]Assertion, ops)
+	for i := range batch {
+		batch[i] = Assertion{URI: "urn:sparse", Name: "n", Value: strconv.Itoa(i), Clock: 1, Origin: "far", Seq: uint64(i+1) * gap}
+	}
+	before := int64(settledHeap())
+	st := NewStore("rc0")
+	st.ApplyRemote(batch)
+	held := int64(settledHeap()) - before
+	if st.LogLen() != ops {
+		t.Fatalf("the log holds %d ops, want %d", st.LogLen(), ops)
+	}
+	if held > maxSparseLogBytes && !testutil.RaceEnabled {
+		t.Errorf("%d ops %d seqs apart cost %d B, want ≤ %d", ops, gap, held, maxSparseLogBytes)
+	} else {
+		t.Logf("%d ops %d seqs apart: %d B", ops, gap, held)
+	}
+	if ops := st.OpsSince(nil, 0); len(ops) != 0 {
+		t.Fatalf("OpsSince served %d ops past a hole at seq 1", len(ops))
+	}
+	st.MergeVector(VersionVector{"far": ops * gap})
+	if got := st.Compact(0); got != ops || st.LogLen() != 0 {
+		t.Fatalf("Compact(0) dropped %d of %d ops, %d left", got, ops, st.LogLen())
+	}
+	if left := int64(settledHeap()) - before; left > held/8 && !testutil.RaceEnabled {
+		t.Errorf("after the compaction the store still holds %d B of the %d its log took", left, held)
+	}
+	runtime.KeepAlive(st)
+}
+
+// TestEntryIsCompact pins what a catalog entry and a logged op cost: the
+// entry is at most 72 B, half the Assertion it replaces.
+func TestEntryIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got > 72 {
+		t.Errorf("an entry is %d B, want ≤ 72", got)
 	}
 }

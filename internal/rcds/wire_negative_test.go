@@ -154,7 +154,7 @@ func withID(frame []byte, id uint64) []byte {
 // is refused before any op in it is looked at.
 func TestApplyOriginNegative(t *testing.T) {
 	srv := NewServer(NewStore("rc0"))
-	op := NewStore("rc1").Set("u", "n", "v")
+	op := []Assertion{NewStore("rc1").Set("u", "n", "v")}
 	cases := []struct {
 		name   string
 		origin func(*xdr.Encoder)
@@ -200,7 +200,7 @@ func TestRequestIDZeroNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	op := NewStore("rc1").Set("u", "n", "v")
+	op := []Assertion{NewStore("rc1").Set("u", "n", "v")}
 	triple := func(e *xdr.Encoder) { e.PutString("u"); e.PutString("n"); e.PutString("v") }
 	cut := postedApply(func(e *xdr.Encoder) { e.PutString("rc1") }, op)
 	cases := []struct {
