@@ -1,9 +1,12 @@
 package comm
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"snipe/internal/testutil"
 )
@@ -50,6 +53,49 @@ func TestSendWaitAllocs(t *testing.T) {
 		t.Errorf("64 B SendWait costs %.1f allocations, want ≤ 20", got)
 	} else {
 		t.Logf("64 B SendWait: %.1f allocations", got)
+	}
+}
+
+// TestUnaryEchoAllocs is the guard on the stream layer's share of a
+// service call: 1,000 warmed unary echoes (256 B → 4 KiB) between two
+// muxes over TCP loopback at one P start no flusher beyond the first per
+// peer, and each costs at most 22 allocations, both ends counted and the
+// test's own handler goroutine with them (21 measured; 29 when every
+// burst of frames started a flusher and every receive-loop wait
+// registered a context watcher).
+func TestUnaryEchoAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's shadow allocations are counted as the program's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res := newTestResolver()
+	a := newTestEndpoint(t, "urn:echo-alloc:a", res, WithRetryInterval(5*time.Second))
+	b := newTestEndpoint(t, "urn:echo-alloc:b", res, WithRetryInterval(5*time.Second))
+	ma, mb := NewStreamMux(a), NewStreamMux(b)
+	defer ma.Close()
+	defer mb.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, resp := make([]byte, 256), patternPayload(7, 4<<10)
+	defer serveEchoes(ctx, mb, resp, nil)()
+	defer cancel()
+	op := func() {
+		got, err := unaryEcho(ctx, ma, "urn:echo-alloc:b", req)
+		if err != nil || !bytes.Equal(got, resp) {
+			t.Fatalf("call: %d bytes, %v", len(got), err)
+		}
+	}
+	for i := 0; i < 200; i++ { // dial, hello, pools, the flushers
+		op()
+	}
+	if got := testing.AllocsPerRun(1000, op); got > 22 {
+		t.Errorf("unary echo costs %.1f allocations, want ≤ 22", got)
+	} else {
+		t.Logf("unary echo: %.1f allocations", got)
+	}
+	for _, m := range []*StreamMux{ma, mb} {
+		if n := m.mFlusherStarts.Value(); n > 1 {
+			t.Errorf("%s started %d flushers for its one peer, want 1", m.Endpoint().URN(), n)
+		}
 	}
 }
 

@@ -1125,7 +1125,9 @@ func (e *Endpoint) Recv(ctx context.Context) (*Message, error) {
 // wakes it too (RecvMatch, Stream.Read, Stream.Write). The watcher that
 // does that is registered only when the caller is about to wait for the
 // first time: most calls find their message, data or credit already there
-// and never pay for one.
+// and never pay for one. A loop that waits on one cond under one context
+// for its whole life (StreamMux.run) keeps one waiter across its waits and
+// registers once.
 type ctxWaiter struct {
 	stop func() bool
 }
@@ -1163,6 +1165,11 @@ func (w *ctxWaiter) release() {
 func (e *Endpoint) RecvMatch(ctx context.Context, src string, tag uint32) (*Message, error) {
 	var w ctxWaiter
 	defer w.release()
+	return e.recvMatch(ctx, src, tag, &w)
+}
+
+// recvMatch is RecvMatch parking through w, which the caller releases.
+func (e *Endpoint) recvMatch(ctx context.Context, src string, tag uint32, w *ctxWaiter) (*Message, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"snipe/internal/stats"
 	"snipe/internal/xdr"
@@ -39,23 +40,27 @@ import (
 //
 // Send path: no frame is sent on its own. Every outbound frame, of any
 // kind and any stream, is appended to the batch pending for its peer, and
-// a flusher goroutine — started by the first frame queued for an idle
-// peer, gone once nothing is left — hands each batch to Endpoint.Send as
-// one message. So the frames a goroutine produces before it next blocks
-// (Open, Write and CloseWrite of a unary call; Write and CloseWrite of its
-// answer) ride one message, and a frame never waits for a later stream
-// call to get out. The flusher is the only sender, so frames to one peer
-// leave in the order they were queued. It marks a message
-// flagReplyExpected when the batch holds a frame of a stream the peer can
-// still write to (a request, a WINDOW grant): the peer's endpoint may then
-// send that message's ack inside its answer (see ack.go). A batch is
-// sealed, and the next frame starts a new one behind it, when another
-// frame would take it past the chunk size plus streamBatchSlack: a
-// message carries at most one full DATA chunk and a few small frames, and
-// the DATA queued for a stream is bounded by the credit its peer granted.
-// A batch the endpoint
-// refuses (ErrBufferFull, ErrPeerDead, ErrClosed) is dropped together
-// with every batch queued behind it for that peer, so that no stream
+// the peer's flusher goroutine hands each batch to Endpoint.Send as one
+// message. The first frame for a peer with no queue starts the flusher; it
+// drains the whole queue per wake, parks on a one-token channel that the
+// next frame to find the queue empty fills, and after streamFlushIdle with
+// nothing queued exits, taking the queue with it. So the frames a
+// goroutine produces before it next blocks (Open, Write and CloseWrite of
+// a unary call; Write and CloseWrite of its answer) ride one message, and
+// a frame never waits for a later stream call to get out. The flusher is
+// the only sender, so frames to one peer leave in the order they were
+// queued. It marks a message flagReplyExpected when the batch holds a
+// frame of a stream the peer can still write to (a request, a WINDOW
+// grant): the peer's endpoint may then send that message's ack inside its
+// answer (see ack.go). A batch is sealed, and the next frame starts a new
+// one behind it, when another frame would take it past the chunk size
+// plus streamBatchSlack: a message carries at most one full DATA chunk and
+// a few small frames, and the DATA queued for a stream is bounded by the
+// credit its peer granted. A stream frame that would take its peer's
+// queue past maxStreamQueueBytes fails that stream alone with
+// ErrBufferFull. A batch the endpoint refuses (ErrBufferFull, ErrPeerDead,
+// ErrClosed) is dropped together with every batch queued behind it for
+// that peer, so that no stream
 // reaches the peer with a hole in it; every stream with a frame among
 // them fails, queues nothing more, and is RESET toward the peer. The
 // cause surfaces from those streams' next Read or Write.
@@ -121,6 +126,12 @@ const (
 	// room for the small frames (an OPEN with its method name, a WINDOW)
 	// that ride with a full DATA chunk.
 	streamBatchSlack = 1 << 10
+	// maxStreamQueueBytes bounds the frames queued for one peer and not
+	// yet taken by its flusher: 64 default chunks.
+	maxStreamQueueBytes = 64 * defaultStreamChunk
+	// streamFlushIdle is how long a flusher stays parked with nothing
+	// queued before it exits.
+	streamFlushIdle = time.Second
 	// maxWireReason bounds a decoded reset reason.
 	maxWireReason = 1024
 )
@@ -183,19 +194,22 @@ func putStreamBatch(b *streamBatch) {
 	streamBatchPool.Put(b)
 }
 
-// sendQueue is the batches queued for one peer, oldest first; frames are
-// appended to the last one. Both ends are nil while the peer's only batch
-// is being sent.
+// sendQueue is one peer's outbound queue: the batches its flusher has not
+// yet taken, oldest first, with frames appended to the last one; the
+// bytes they hold; and the channel that wakes the parked flusher.
 type sendQueue struct {
 	head, tail *streamBatch
+	bytes      int
+	wake       chan struct{} // one token: the queue went from empty to not
 }
 
 // StreamMux multiplexes streams over one Endpoint. One mux owns the
 // endpoint's StreamTag traffic; the endpoint's other tags are untouched.
 type StreamMux struct {
 	ep     *Endpoint
-	window int // per-stream receive window, bytes
-	chunk  int // cap on one DATA frame's payload
+	window int           // per-stream receive window, bytes
+	chunk  int           // cap on one DATA frame's payload
+	idle   time.Duration // how long a flusher parks empty before it exits
 
 	nextID   atomic.Uint64
 	draining atomic.Bool
@@ -206,16 +220,18 @@ type StreamMux struct {
 	streams map[streamKey]*Stream
 	// out holds, per peer, the batches not yet handed to the endpoint. A
 	// peer has an entry exactly as long as a flusher goroutine runs for it.
-	out    map[string]sendQueue
+	out    map[string]*sendQueue
 	closed bool
 
-	mFramesOut    *stats.Counter // frames queued for sending, all kinds
-	mMsgsOut      *stats.Counter // batches the endpoint accepted
-	mWindowsOut   *stats.Counter // WINDOW frames among mFramesOut
-	mResetsOut    *stats.Counter // RESET frames among mFramesOut
-	mSendFailures *stats.Counter // batches the endpoint refused
+	mFramesOut     *stats.Counter // frames queued for sending, all kinds
+	mMsgsOut       *stats.Counter // batches the endpoint accepted
+	mWindowsOut    *stats.Counter // WINDOW frames among mFramesOut
+	mResetsOut     *stats.Counter // RESET frames among mFramesOut
+	mSendFailures  *stats.Counter // batches the endpoint refused
+	mFlusherStarts *stats.Counter // flusher goroutines started
 
 	accepts  chan *Stream
+	quit     <-chan struct{} // closed by Close: flushers drain and exit
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup // the receive loop
 	flushers sync.WaitGroup // flusher goroutines; Close waits for them first
@@ -225,32 +241,34 @@ type StreamMux struct {
 // receive loop. Close the mux before (or instead of) closing the
 // endpoint; closing the endpoint also unblocks the mux.
 func NewStreamMux(ep *Endpoint) *StreamMux {
-	return newStreamMux(ep, defaultStreamWindow, defaultStreamChunk)
+	return newStreamMux(ep, defaultStreamWindow, defaultStreamChunk, streamFlushIdle)
 }
 
-// newStreamMux is NewStreamMux with the window and chunk the package's
-// flow-control tests shrink. chunk must be at most half of window: a
-// reader withholds up to a quarter of the window before it grants credit
+// newStreamMux is NewStreamMux with the window, chunk and flusher idle
+// period the package's tests shrink. chunk must be at most half of window:
+// a reader withholds up to a quarter of the window before it grants credit
 // back, and a writer waiting for one chunk's credit must always be
 // satisfiable.
-func newStreamMux(ep *Endpoint, window, chunk int) *StreamMux {
+func newStreamMux(ep *Endpoint, window, chunk int, idle time.Duration) *StreamMux {
 	reg := ep.Metrics()
 	m := &StreamMux{
 		ep:      ep,
 		window:  window,
 		chunk:   chunk,
+		idle:    idle,
 		streams: make(map[streamKey]*Stream),
-		out:     make(map[string]sendQueue),
+		out:     make(map[string]*sendQueue),
 
-		mFramesOut:    reg.Counter("stream_frames_out"),
-		mMsgsOut:      reg.Counter("stream_msgs_out"),
-		mWindowsOut:   reg.Counter("stream_window_updates_out"),
-		mResetsOut:    reg.Counter("stream_resets_out"),
-		mSendFailures: reg.Counter("stream_send_failures"),
+		mFramesOut:     reg.Counter("stream_frames_out"),
+		mMsgsOut:       reg.Counter("stream_msgs_out"),
+		mWindowsOut:    reg.Counter("stream_window_updates_out"),
+		mResetsOut:     reg.Counter("stream_resets_out"),
+		mSendFailures:  reg.Counter("stream_send_failures"),
+		mFlusherStarts: reg.Counter("stream_flusher_starts"),
 	}
 	m.accepts = make(chan *Stream, streamAcceptBacklog)
 	ctx, cancel := context.WithCancel(context.Background())
-	m.cancel = cancel
+	m.quit, m.cancel = ctx.Done(), cancel
 	m.wg.Add(1)
 	go m.run(ctx)
 	return m
@@ -288,9 +306,10 @@ func (m *StreamMux) Close() {
 	}
 	m.closed = true // streams queue nothing from here on
 	m.mu.Unlock()
-	// The receive loop goes first: an OPEN it still handles is refused
-	// with a RESET, and once it is gone nothing feeds the flushers, which
-	// run dry.
+	// Cancelling stops the receive loop — an OPEN it still handles is
+	// refused with a RESET — and tells every flusher to exit once its
+	// queue is empty. With the loop gone nothing feeds the flushers, and
+	// a RESET it queued after its peer's flusher left started another.
 	m.cancel()
 	m.wg.Wait()
 	m.flushers.Wait()
@@ -323,7 +342,7 @@ func (m *StreamMux) Open(ctx context.Context, dst, method string) (*Stream, erro
 		return nil, ErrClosed
 	}
 	m.streams[streamKey{dst, id, true}] = s
-	m.enqueueLocked(dst, s, streamFrame{kind: streamOpen, id: id, orig: true, method: method, delta: uint32(m.window)})
+	m.enqueueLocked(dst, s, streamFrame{kind: streamOpen, id: id, orig: true, method: method, delta: uint32(m.window)}) // a refusal fails s
 	return s, nil
 }
 
@@ -391,8 +410,26 @@ func (m *StreamMux) enqueueLocked(peer string, s *Stream, f streamFrame) error {
 			return s.sendErr // never a frame behind a lost one
 		}
 	}
-	q, flushing := m.out[peer]
-	if q.tail == nil || q.tail.enc.Len()+f.wireSize() > m.chunk+streamBatchSlack {
+	size := f.wireSize()
+	q := m.out[peer]
+	switch {
+	case q == nil:
+		q = &sendQueue{wake: make(chan struct{}, 1)}
+		m.out[peer] = q
+		m.flushers.Add(1)
+		m.mFlusherStarts.Inc()
+		go m.flush(peer, q)
+	case s != nil && q.bytes+size > maxStreamQueueBytes:
+		err := fmt.Errorf("%w: %w: %d bytes queued for %s", ErrStreamReset, ErrBufferFull, q.bytes, peer)
+		m.failLocked(peer, s, err)
+		return err
+	case q.head == nil:
+		select {
+		case q.wake <- struct{}{}:
+		default: // a wake-up is already coming
+		}
+	}
+	if q.tail == nil || q.tail.enc.Len()+size > m.chunk+streamBatchSlack {
 		b := getStreamBatch()
 		if q.tail == nil {
 			q.head = b
@@ -400,9 +437,9 @@ func (m *StreamMux) enqueueLocked(peer string, s *Stream, f streamFrame) error {
 			q.tail.next = b
 		}
 		q.tail = b
-		m.out[peer] = q
 	}
 	f.encode(q.tail.enc)
+	q.bytes += size
 	if s != nil {
 		q.tail.streams = append(q.tail.streams, s)
 		s.queued++
@@ -414,37 +451,67 @@ func (m *StreamMux) enqueueLocked(peer string, s *Stream, f streamFrame) error {
 	case streamReset:
 		m.mResetsOut.Inc()
 	}
-	if !flushing {
-		m.flushers.Add(1)
-		go m.flush(peer)
-	}
 	return nil
 }
 
-// nextBatch takes the oldest batch queued for peer, or ends the peer's
-// flusher when there is none.
-func (m *StreamMux) nextBatch(peer string) *streamBatch {
+// nextBatch takes the oldest batch off q, or returns nil when q is empty.
+func (m *StreamMux) nextBatch(q *sendQueue) *streamBatch {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	q := m.out[peer]
 	b := q.head
 	if b == nil {
-		delete(m.out, peer)
 		return nil
 	}
 	if q.head = b.next; q.head == nil {
 		q.tail = nil
 	}
-	m.out[peer] = q
+	q.bytes -= b.enc.Len()
 	return b
 }
 
-// flush hands peer's batches to the endpoint, one message each, until
-// none is left. It is the only sender of StreamTag messages, which is
-// what keeps the frames to one peer in the order they were queued.
-func (m *StreamMux) flush(peer string) {
+// retire deletes peer's queue q, ending its flusher, if q is still empty:
+// a frame that got in first is sent, and one that comes after starts a
+// flusher.
+func (m *StreamMux) retire(peer string, q *sendQueue) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if q.head != nil {
+		return false
+	}
+	delete(m.out, peer)
+	return true
+}
+
+// flush is peer's flusher: it hands q's batches to the endpoint, one
+// message each, until none is left, then parks until a frame wakes it,
+// Close stops it or it has been idle for m.idle. It is the only sender of
+// StreamTag messages to peer, which is what keeps the frames to one peer in
+// the order they were queued.
+func (m *StreamMux) flush(peer string, q *sendQueue) {
 	defer m.flushers.Done()
-	for b := m.nextBatch(peer); b != nil; b = m.nextBatch(peer) {
+	idle := time.NewTimer(m.idle)
+	defer idle.Stop()
+	for {
+		b := m.nextBatch(q)
+		if b == nil {
+			if !idle.Stop() {
+				select {
+				case <-idle.C:
+				default:
+				}
+			}
+			idle.Reset(m.idle)
+			select {
+			case <-q.wake:
+				continue
+			case <-m.quit:
+			case <-idle.C:
+			}
+			if m.retire(peer, q) {
+				return
+			}
+			continue
+		}
 		var flags uint8
 		if b.replyExpected() {
 			flags = flagReplyExpected
@@ -452,7 +519,7 @@ func (m *StreamMux) flush(peer string) {
 		_, err := m.ep.send(peer, StreamTag, b.enc.Bytes(), flags)
 		if err != nil {
 			m.mSendFailures.Inc()
-			m.failQueue(peer, b, fmt.Errorf("%w: sending to %s: %w", ErrStreamReset, peer, err))
+			m.failQueue(peer, q, b, fmt.Errorf("%w: sending to %s: %w", ErrStreamReset, peer, err))
 			continue
 		}
 		m.mMsgsOut.Inc()
@@ -466,37 +533,38 @@ func (m *StreamMux) flush(peer string) {
 	}
 }
 
+// failLocked fails s for good with err, which its next Read or Write
+// returns: it accepts no further frame, and a RESET for it is queued so
+// that a peer holding part of the stream aborts it too.
+func (m *StreamMux) failLocked(peer string, s *Stream, err error) {
+	s.sendErr, s.retired = err, true
+	m.dropIfSentLocked(s)
+	m.enqueueLocked(peer, nil, streamFrame{kind: streamReset, id: s.id, orig: s.opened, reason: "send failed"})
+	s.abortLocal(err)
+}
+
 // failQueue gives up on the batch the endpoint refused and on every batch
-// queued behind it: a later batch may carry the rest of a stream whose
-// earlier frames were in the refused one, and sending it would hand the
-// peer a stream with a hole in it. Every stream with a frame among them
-// fails with err and accepts no further frame, and a RESET for each is
-// queued so that a peer holding part of the stream aborts it too.
-func (m *StreamMux) failQueue(peer string, refused *streamBatch, err error) {
-	var failed []*Stream
+// queued behind it in q: a later batch may carry the rest of a stream
+// whose earlier frames were in the refused one, and sending it would hand
+// the peer a stream with a hole in it. Every stream with a frame among
+// them fails with err (see failLocked). q stays peer's queue, with its
+// wake channel: the flusher calling this is still running.
+func (m *StreamMux) failQueue(peer string, q *sendQueue, refused *streamBatch, err error) {
 	m.mu.Lock()
-	rest := m.out[peer].head
-	m.out[peer] = sendQueue{} // the entry stays: this flusher is still running
-	refused.next = rest
+	defer m.mu.Unlock()
+	refused.next = q.head
+	q.head, q.tail, q.bytes = nil, nil, 0
 	for b := refused; b != nil; {
 		for _, s := range b.streams {
 			s.queued--
 			if s.sendErr == nil {
-				s.sendErr, s.retired = err, true
-				failed = append(failed, s)
+				m.failLocked(peer, s, err)
 			}
 			m.dropIfSentLocked(s)
 		}
 		next := b.next
 		putStreamBatch(b)
 		b = next
-	}
-	for _, s := range failed {
-		m.enqueueLocked(peer, nil, streamFrame{kind: streamReset, id: s.id, orig: s.opened, reason: "send failed"})
-	}
-	m.mu.Unlock()
-	for _, s := range failed {
-		s.abortLocal(err)
 	}
 }
 
@@ -505,8 +573,10 @@ func (m *StreamMux) failQueue(peer string, refused *streamBatch, err error) {
 // endpoint's sequencing, so OPEN precedes its DATA, and CLOSE follows.
 func (m *StreamMux) run(ctx context.Context) {
 	defer m.wg.Done()
+	var w ctxWaiter // registered on the loop's first wait, for its whole life
+	defer w.release()
 	for {
-		msg, err := m.ep.RecvMatch(ctx, "", StreamTag)
+		msg, err := m.ep.recvMatch(ctx, "", StreamTag, &w)
 		if err != nil {
 			return
 		}

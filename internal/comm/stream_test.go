@@ -24,8 +24,8 @@ func streamPairSized(t *testing.T, window, chunk int) (*StreamMux, *StreamMux) {
 	res := newTestResolver()
 	a := newTestEndpoint(t, "urn:stream:a", res)
 	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := newStreamMux(a, window, chunk)
-	mb := newStreamMux(b, window, chunk)
+	ma := newStreamMux(a, window, chunk, streamFlushIdle)
+	mb := newStreamMux(b, window, chunk, streamFlushIdle)
 	t.Cleanup(ma.Close)
 	t.Cleanup(mb.Close)
 	return ma, mb
@@ -676,7 +676,7 @@ func TestStreamBatchesKeepOrderAndSize(t *testing.T) {
 	res := newTestResolver()
 	a := newTestEndpoint(t, "urn:stream:a", res)
 	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := newStreamMux(a, window, chunk)
+	ma := newStreamMux(a, window, chunk, streamFlushIdle)
 	t.Cleanup(ma.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -819,8 +819,8 @@ func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
 	res := newTestResolver()
 	a := newTestEndpoint(t, "urn:stream:a", res, WithLiveness(&refuseNth{n: 2}), WithFailFastDead())
 	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := newStreamMux(a, defaultStreamWindow, chunk)
-	mb := newStreamMux(b, defaultStreamWindow, chunk)
+	ma := newStreamMux(a, defaultStreamWindow, chunk, streamFlushIdle)
+	mb := newStreamMux(b, defaultStreamWindow, chunk, streamFlushIdle)
 	t.Cleanup(ma.Close)
 	t.Cleanup(mb.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

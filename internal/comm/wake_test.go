@@ -178,12 +178,13 @@ func TestStreamBatchRecycledAfterFailQueueOwnsNothing(t *testing.T) {
 	}
 	// The refused batch is off the queue, the rest still on it, and the
 	// entry stands for the flusher that found the refusal.
-	ma.out[peer] = sendQueue{head: batches[1], tail: batches[2]}
+	q := &sendQueue{head: batches[1], tail: batches[2], wake: make(chan struct{}, 1)}
+	ma.out[peer] = q
 	batches[0].next = nil
 	ma.mu.Unlock()
 
 	cause := errors.New("refused")
-	ma.failQueue(peer, batches[0], cause)
+	ma.failQueue(peer, q, batches[0], cause)
 
 	for i, s := range streams {
 		if _, err := s.Read(context.Background()); !errors.Is(err, cause) {

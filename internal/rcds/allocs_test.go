@@ -141,7 +141,7 @@ func TestReplicatedSetCost(t *testing.T) {
 	if up, down := front.up.frames.Load()-upC, front.down.frames.Load()-downC; up != did || down != did {
 		t.Errorf("client link: %d frames up, %d down for %d Sets; want one each way per Set", up, down, did)
 	}
-	// A Set the push loop had not yet taken when the next one arrived
+	// A Set the pusher had not yet taken when the next one arrived
 	// shares its frame: never more than one frame per Set, and one op.
 	up, down := push.up.frames.Load()-upP, push.down.frames.Load()-downP
 	if up == 0 || up > did || down != 0 {

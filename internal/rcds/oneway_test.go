@@ -26,9 +26,41 @@ type frameRelay struct {
 	ln       net.Listener
 	up, down linkCount // up: from whoever dialled the relay to the server; down: back
 
-	mu    sync.Mutex
-	conns []net.Conn
-	wg    sync.WaitGroup
+	mu     sync.Mutex
+	conns  []net.Conn
+	resume chan struct{} // while set, nothing more is read on the way up; closed to go on
+	wg     sync.WaitGroup
+}
+
+// pause stops the relay reading what the dialling side sends, as a
+// server whose reader has stalled: its socket buffers fill, and then the
+// writer's writes block.
+func (r *frameRelay) pause() {
+	r.mu.Lock()
+	if r.resume == nil {
+		r.resume = make(chan struct{})
+	}
+	r.mu.Unlock()
+}
+
+// unpause lets the relay read on.
+func (r *frameRelay) unpause() {
+	r.mu.Lock()
+	if r.resume != nil {
+		close(r.resume)
+		r.resume = nil
+	}
+	r.mu.Unlock()
+}
+
+// waitUp holds the up pump while the relay is paused.
+func (r *frameRelay) waitUp() {
+	r.mu.Lock()
+	resume := r.resume
+	r.mu.Unlock()
+	if resume != nil {
+		<-resume
+	}
 }
 
 func startFrameRelay(t testing.TB, backend string) *frameRelay {
@@ -62,6 +94,7 @@ func startFrameRelay(t testing.TB, backend string) *frameRelay {
 	}()
 	t.Cleanup(func() {
 		ln.Close()
+		r.unpause()
 		r.mu.Lock()
 		for _, c := range r.conns {
 			c.Close()
@@ -84,6 +117,9 @@ func (r *frameRelay) pump(src, dst net.Conn, n *linkCount) {
 	var hdr [4]byte
 	hdrGot, body := 0, 0 // bytes of the current header read; bytes of the current body still to come
 	for {
+		if n == &r.up {
+			r.waitUp()
+		}
 		got, err := src.Read(buf)
 		for b := buf[:got]; len(b) > 0; {
 			if body > 0 {

@@ -57,7 +57,7 @@ func TestServedFrameIsNotKept(t *testing.T) {
 	defer rc0.Close()
 	var once sync.Once
 	open := func() { once.Do(func() { close(release) }) }
-	defer open() // a failed assertion must not leave the push loop in the gate
+	defer open() // a failed assertion must not leave the pusher in the gate
 
 	const uriA, valA = "urn:owner:aaaaaaaa", "value-of-A"
 	const uriB, valB = "urn:owner:bbbbbbbb", "value-of-B"
@@ -169,7 +169,7 @@ func TestAbandonedCallIsNotRecycled(t *testing.T) {
 // TestLargeFrameIsNotPinned: a 1 MiB value goes through every reused
 // buffer there is — the client's call record (request and response), its
 // connection's, the server connection's frame buffer and response
-// encoder, the push loop's record, the peer connection's frame buffer and
+// encoder, the pusher's record, the peer connection's frame buffer and
 // ops — and once it is overwritten and compacted away, none of them still
 // holds the room it took: a record taken from the pool holds at most
 // maxKeptBuffer, and the heap is back within half a frame of where it

@@ -3,6 +3,10 @@ package rcds
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -120,29 +124,39 @@ func TestRelayChain(t *testing.T) {
 	}
 }
 
-// TestPushQueueOverflowCounts: while the push loop is held up by a peer
-// it cannot reach, writes keep being accepted; past maxPendingPushOps
-// they are counted as failed pushes and not queued, and anti-entropy
-// delivers them once the peer is back.
+// TestPushQueueOverflowCounts: while one peer's pusher is held up by a
+// peer it cannot reach, writes keep being accepted; past maxPendingPushOps
+// they are counted as failed pushes and not queued for that peer, the
+// other peer gets every one, and anti-entropy delivers them to the first
+// once it is back.
 func TestPushQueueOverflowCounts(t *testing.T) {
 	const extra = 64
 	release := make(chan struct{})
 	var once sync.Once
 	open := func() { once.Do(func() { close(release) }) }
-	gate := func(string) error { <-release; return nil }
 
 	rc1 := NewServer(NewStore("rc1"), WithAntiEntropyInterval(20*time.Millisecond))
 	if err := rc1.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer rc1.Close()
-	rc0 := NewServer(NewStore("rc0"), WithPeers(rc1.Addr()), WithAntiEntropyInterval(0))
-	rc0.peerGate = gate
+	rc2 := NewServer(NewStore("rc2"), WithAntiEntropyInterval(0))
+	if err := rc2.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer rc2.Close()
+	rc0 := NewServer(NewStore("rc0"), WithPeers(rc1.Addr(), rc2.Addr()), WithAntiEntropyInterval(0))
+	rc0.peerGate = func(peer string) error {
+		if peer == rc1.Addr() {
+			<-release
+		}
+		return nil
+	}
 	if err := rc0.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer rc0.Close()
-	defer open() // a failed assertion must not leave the push loop in the gate
+	defer open() // a failed assertion must not leave a pusher in the gate
 
 	// setN's deadline is the "nothing blocks" check: every Set returns.
 	setN(t, rc0, maxPendingPushOps+extra)
@@ -153,6 +167,9 @@ func TestPushQueueOverflowCounts(t *testing.T) {
 	if got := counter(rc1, "remote_ops"); got != 0 {
 		t.Fatalf("%d ops reached the gated peer", got)
 	}
+	testutil.WaitFor(t, 10*time.Second, func() bool {
+		return counter(rc2, "remote_ops") == maxPendingPushOps+extra
+	}, "the ungated peer did not get every write by push")
 
 	// The gate opens: the queued ops are pushed, and replica 1, now told
 	// of its peer, pulls the ones that were never queued.
@@ -162,4 +179,99 @@ func TestPushQueueOverflowCounts(t *testing.T) {
 		return rc1.Store().Vector().Dominates(rc0.Store().Vector()) &&
 			rc1.Store().ContentHash() == rc0.Store().ContentHash()
 	}, "replica 1 never caught up")
+}
+
+// pushers counts the goroutines pushing to a peer, of every server in the
+// process.
+func pushers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "rcds.(*Server).push(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestSlowPeerHoldsUpOnlyItself: a replica pushes to two peers, and one
+// stops reading for 3 s. Pushes to the other keep becoming visible there
+// as fast as before. The stalled peer's list fills, what overflows it
+// counts in PushFailures, and anti-entropy brings that peer level once it
+// reads again. Dropping it from the peer set stops its pusher.
+func TestSlowPeerHoldsUpOnlyItself(t *testing.T) {
+	start := func(origin string, ae time.Duration) *Server {
+		s := NewServer(NewStore(origin), WithAntiEntropyInterval(ae))
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	src, fast := start("src", 0), start("fast", 0)
+	slow := start("slow", 20*time.Millisecond) // with no peers until it reads again
+	relay := startFrameRelay(t, slow.Addr())
+	src.SetPeers(fast.Addr(), relay.Addr())
+
+	// A round is a burst of 1 KiB writes at src and a marker behind them;
+	// it returns how long the marker took to be visible at fast.
+	value := strings.Repeat("v", 1<<10)
+	rounds := 0
+	round := func() time.Duration {
+		for j := 0; j < 63; j++ {
+			src.enqueuePush([]Assertion{src.Store().Set(fmt.Sprintf("urn:bulk%02d", j), AttrState, value)}, "")
+		}
+		rounds++
+		marker := strconv.Itoa(rounds)
+		begin := time.Now()
+		src.enqueuePush([]Assertion{src.Store().Set("urn:marker", AttrState, marker)}, "")
+		for {
+			if v, _ := fast.Store().FirstValue("urn:marker", AttrState); v == marker {
+				return time.Since(begin)
+			}
+			if time.Since(begin) > 10*time.Second {
+				t.Fatalf("round %d: the marker never reached the fast peer", rounds)
+			}
+			runtime.Gosched()
+		}
+	}
+	// phase runs rounds for d, and for as long after as until() is false,
+	// and returns the median time to visibility.
+	phase := func(d time.Duration, until func() bool) time.Duration {
+		var took []time.Duration
+		for end := time.Now().Add(d); time.Now().Before(end) || !until(); {
+			took = append(took, round())
+			if len(took) > 1e6 {
+				t.Fatal("the phase never ended")
+			}
+		}
+		slices.Sort(took)
+		return took[len(took)/2]
+	}
+
+	base := phase(time.Second, func() bool { return true })
+	relay.pause()
+	stalled := phase(3*time.Second, func() bool { return src.PushFailures() > 0 })
+	relay.unpause()
+	t.Logf("visible at the fast peer after a median %v unpaused, %v with the other peer stalled; %d rounds, %d push failures",
+		base, stalled, rounds, src.PushFailures())
+	if stalled > 2*base {
+		t.Errorf("a stalled peer slowed pushes to the other from %v to %v", base, stalled)
+	}
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return fast.Store().ContentHash() == src.Store().ContentHash()
+	}, "the fast peer missed a push")
+	if got := counter(fast, "remote_ops"); got != uint64(64*rounds) {
+		t.Errorf("%d ops pushed to the fast peer, want all %d", got, 64*rounds)
+	}
+
+	slow.SetPeers(src.Addr())
+	testutil.WaitFor(t, 10*time.Second, func() bool {
+		return slow.Store().Vector().Dominates(src.Store().Vector()) &&
+			slow.Store().ContentHash() == src.Store().ContentHash()
+	}, "the stalled peer never caught up")
+
+	src.SetPeers(fast.Addr())
+	testutil.WaitFor(t, 5*time.Second, func() bool { return pushers() == 2 },
+		"the dropped peer's pusher still runs") // src → fast, slow → src
 }

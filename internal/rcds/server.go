@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +19,9 @@ import (
 // an anti-entropy pull; a push is only a write — and one response's write.
 const pushTimeout = 5 * time.Second
 
-// maxPendingPushOps bounds the ops queued for push while the push loop
-// is busy with a slow peer. Ops beyond it are not queued: they count as
-// a failed push and reach the peers by anti-entropy.
+// maxPendingPushOps bounds the ops queued for one peer while its pusher
+// is busy with it. Ops beyond it are not queued for that peer: they count
+// as a failed push and reach it by anti-entropy.
 const maxPendingPushOps = 4096
 
 // maxKeptOps is maxKeptBuffer for a reused slice of ops, counted in the
@@ -111,12 +112,8 @@ type Server struct {
 	done     chan struct{}
 	wg       sync.WaitGroup
 	stopped  bool
-	pushFail int // push attempts that failed (peer down); healed by anti-entropy
-
-	// The push queue: ops awaiting pushLoop, which takes the list whole,
-	// so an idle server holds none.
-	pending  []queuedOp    // at most maxPendingPushOps
-	pushWake chan struct{} // one token: pending is non-empty
+	pushFail int       // push attempts that failed (peer down); healed by anti-entropy
+	pushers  []*pusher // one per peer address while the server runs
 
 	mShardReject *stats.Counter // ops redirected to their owning group
 	mSnapPages   *stats.Counter // snapshot pages served to rejoiners
@@ -135,7 +132,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		store:      store,
 		aeInterval: 250 * time.Millisecond,
 		conns:      make(map[net.Conn]struct{}),
-		pushWake:   make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -197,11 +193,10 @@ func (s *Server) Start(addr string) error {
 	}
 	s.mu.Lock()
 	s.ln = ln
+	s.setPushersLocked()
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	s.wg.Add(1)
-	go s.pushLoop()
 	// The loop re-reads the peer set every tick, so it starts even when
 	// peers arrive later via SetPeers (the common bootstrap order).
 	if s.aeInterval > 0 {
@@ -239,6 +234,10 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	for _, p := range s.pushers {
+		p.stop()
+	}
+	s.pushers = nil
 	conns := s.conns
 	s.conns = make(map[net.Conn]struct{})
 	s.mu.Unlock()
@@ -251,10 +250,39 @@ func (s *Server) Close() {
 }
 
 // SetPeers replaces the peer set (used when the replica group changes).
+// A running server starts a pusher for each new address and stops the
+// pushers of the addresses no longer listed.
 func (s *Server) SetPeers(addrs ...string) {
 	s.mu.Lock()
 	s.peers = append([]string(nil), addrs...)
+	s.setPushersLocked()
 	s.mu.Unlock()
+}
+
+// setPushersLocked makes the pushers match s.peers: one per address, the
+// running ones kept with what they hold. A server that has not started, or
+// has stopped, runs none. Caller holds s.mu.
+func (s *Server) setPushersLocked() {
+	if s.ln == nil || s.stopped {
+		return
+	}
+	s.pushers = slices.DeleteFunc(s.pushers, func(p *pusher) bool {
+		gone := !slices.Contains(s.peers, p.peer)
+		if gone {
+			p.stop()
+		}
+		return gone
+	})
+	for _, peer := range s.peers {
+		if !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.peer == peer }) {
+			p := &pusher{peer: peer, wake: make(chan struct{}, 1)}
+			var ctx context.Context
+			ctx, p.stop = context.WithCancel(context.Background())
+			s.pushers = append(s.pushers, p)
+			s.wg.Add(1)
+			go s.push(ctx, p)
+		}
+	}
 }
 
 // PushFailures reports how many peer pushes failed and were left to
@@ -579,31 +607,27 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 	return nil
 }
 
-// enqueuePush queues copies of ops for asynchronous push replication;
-// from is the origin of the replica that pushed them here, "" for a write
-// accepted here. It never blocks: past maxPendingPushOps the ops are left
-// to anti-entropy.
+// enqueuePush queues copies of ops for asynchronous push replication, on
+// every peer's pusher; from is the origin of the replica that pushed them
+// here, "" for a write accepted here. It never blocks: past
+// maxPendingPushOps the ops are left to anti-entropy for that peer alone.
 func (s *Server) enqueuePush(ops []Assertion, from string) {
 	if len(ops) == 0 {
 		return
 	}
 	s.mu.Lock()
-	queued := false
-	switch {
-	case len(s.peers) == 0:
-	case len(s.pending)+len(ops) > maxPendingPushOps:
-		s.pushFail++
-	default:
-		for i := range ops {
-			s.pending = append(s.pending, queuedOp{ops[i], from})
+	defer s.mu.Unlock()
+	for _, p := range s.pushers {
+		if len(p.pending)+len(ops) > maxPendingPushOps {
+			s.pushFail++
+			continue
 		}
-		queued = true
-	}
-	s.mu.Unlock()
-	if queued {
+		for i := range ops {
+			p.pending = append(p.pending, queuedOp{ops[i], from})
+		}
 		select {
-		case s.pushWake <- struct{}{}:
-		default: // pushLoop already has a wake-up coming
+		case p.wake <- struct{}{}:
+		default: // the pusher already has a wake-up coming
 		}
 	}
 }
@@ -615,53 +639,51 @@ func (s *Server) countPushFail() {
 	s.mu.Unlock()
 }
 
-// peerLink is pushLoop's state for one peer address: the client it
-// pushes through and the origin of the replica answering there, "" until
-// a Ping has told and again after a push fails.
+// pusher is one peer's push replication: the ops queued for it, the
+// token that wakes its goroutine (push), and how to stop it. An idle
+// pusher holds no ops.
+type pusher struct {
+	peer    string
+	pending []queuedOp    // guarded by Server.mu; at most maxPendingPushOps
+	wake    chan struct{} // one token: pending is non-empty
+	stop    context.CancelFunc
+}
+
+// peerLink is a pusher's connection state: the client it pushes through
+// and the origin of the replica answering there, "" until a Ping has told
+// and again after a push fails.
 type peerLink struct {
 	c      *Client
 	origin string
 }
 
-// pushLoop forwards queued ops to the peers: each time it wakes it takes
-// the whole pending list and posts every peer one Apply with the ops
-// that are news there — a write, not a round trip, so a slow peer holds
-// up the others only once its socket buffer is full, and a link's frames
-// are applied in the order queued. A batch is not sent back to the
-// replica it came from, nor an op to the replica that minted it: on a
-// two-replica group a relayed write goes nowhere, on a chain it only
-// travels away from its source. A peer whose origin is not yet known (its
-// Ping failed) is sent everything: an echo, and nothing lost.
-func (s *Server) pushLoop() {
+// push forwards p's queued ops to its peer until ctx ends: each time it
+// wakes it takes the whole pending list and posts one Apply with the ops
+// that are news there — a write, not a round trip, and a link's frames
+// are applied in the order queued. Every peer has its own pusher, so a
+// peer whose socket buffer is full holds up only its own pushes; its list
+// fills to maxPendingPushOps and the rest is anti-entropy's. A batch is not
+// sent back to the replica it came from, nor an op to the replica that
+// minted it: on a two-replica group a relayed write goes nowhere, on a
+// chain it only travels away from its source. A peer whose origin is not
+// yet known (its Ping failed) is sent everything: an echo, and nothing
+// lost.
+func (s *Server) push(ctx context.Context, p *pusher) {
 	defer s.wg.Done()
-	ctx, cancel := s.syncCtx() // ends with the server, for every push
-	defer cancel()
-	links := make(map[string]*peerLink)
-	defer func() {
-		for _, l := range links {
-			l.c.Close()
-		}
-	}()
+	l := peerLink{c: NewClient([]string{p.peer}, s.secret)}
+	defer l.c.Close()
 	var queued []queuedOp // the list taken; its storage goes back as the next
-	var ops []Assertion   // one peer's share of it, reused from peer to peer
+	var ops []Assertion   // the peer's share of it
 	for {
 		select {
-		case <-s.done:
+		case <-ctx.Done():
 			return
-		case <-s.pushWake:
+		case <-p.wake:
 		}
 		s.mu.Lock()
-		queued, s.pending = s.pending, queued
-		peers := s.peers // SetPeers installs a new slice, never edits one
+		queued, p.pending = p.pending, queued
 		s.mu.Unlock()
-		for _, peer := range peers {
-			l, ok := links[peer]
-			if !ok {
-				l = &peerLink{c: NewClient([]string{peer}, s.secret)}
-				links[peer] = l
-			}
-			ops = s.pushTo(ctx, l, peer, queued, ops[:0])
-		}
+		ops = s.pushTo(ctx, &l, p.peer, queued, ops)
 		queued, ops = keptOps(queued), keptOps(ops) // the storage is reused; the ops are not kept
 	}
 }
@@ -748,9 +770,8 @@ func (s *Server) antiEntropyLoop() {
 	}
 }
 
-// syncCtx derives a context cancelled when the server shuts down: the
-// push loop's, and one per anti-entropy exchange so a sync cannot outlive
-// Close. The exchange as a whole is NOT deadline-bounded: a rejoin snapshot at
+// syncCtx derives a context cancelled when the server shuts down, one per
+// anti-entropy exchange so a sync cannot outlive Close. The exchange as a whole is NOT deadline-bounded: a rejoin snapshot at
 // catalog scale legitimately takes many page round trips, and cutting
 // it off mid-transfer would discard the round's work before MergeVector
 // could claim it. Stall protection is per RPC — SyncFromPeer bounds

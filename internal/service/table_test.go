@@ -238,8 +238,11 @@ func TestRefreshCoalesces(t *testing.T) {
 // TestCallAllocs is the tier-1 guard on the unary call path: one warmed
 // 256 B → 4 KiB Call over TCP loopback to a group of three replicas —
 // pick, open, write, half-close, the handler's read and answer, read to
-// EOF — costs at most 50 heap allocations, both ends counted. The
-// benchmark ledger gates the same number on its service_call workload.
+// EOF — costs at most 30 heap allocations and 8 KiB, both ends counted
+// (27 and ~7,520 B measured; 35 and ~7,870 B while every burst of frames
+// started a flusher goroutine and every wait of a mux's receive loop
+// registered a context watcher). The benchmark ledger gates the same
+// numbers on its service_call workload.
 func TestCallAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow allocations are counted as the program's")
@@ -280,8 +283,8 @@ func TestCallAllocs(t *testing.T) {
 	for i := 0; i < 500; i++ { // dial, hello, pools, the table and its follow-up refresh
 		op()
 	}
-	if got := testing.AllocsPerRun(2000, op); got > 50 {
-		t.Errorf("256 B → 4 KiB Call costs %.1f allocations, want ≤ 50", got)
+	if got := testing.AllocsPerRun(2000, op); got > 30 {
+		t.Errorf("256 B → 4 KiB Call costs %.1f allocations, want ≤ 30", got)
 	} else {
 		t.Logf("256 B → 4 KiB Call: %.1f allocations", got)
 	}
@@ -303,8 +306,8 @@ func TestCallAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, (after.TotalAlloc-before.TotalAlloc)/calls)
 	}
-	if least > 9<<10 {
-		t.Errorf("256 B → 4 KiB Call allocates %d bytes, want ≤ %d", least, 9<<10)
+	if least > 8<<10 {
+		t.Errorf("256 B → 4 KiB Call allocates %d bytes, want ≤ %d", least, 8<<10)
 	} else {
 		t.Logf("256 B → 4 KiB Call: %d bytes allocated", least)
 	}
