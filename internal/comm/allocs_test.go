@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"snipe/internal/testutil"
+	"snipe/internal/xdr"
 )
 
 // TestSendWaitAllocs is the tier-1 guard on the small-message fast path:
@@ -53,6 +54,95 @@ func TestSendWaitAllocs(t *testing.T) {
 		t.Errorf("64 B SendWait costs %.1f allocations, want ≤ 20", got)
 	} else {
 		t.Logf("64 B SendWait: %.1f allocations", got)
+	}
+}
+
+// TestStripedSendWaitAllocs is the guard on the striped path: one
+// warmed 256 KiB SendWait at one P to a sink listening on two TCP
+// loopback routes (the msg_bulk topology), striped across both, costs at
+// most 12 allocations, both ends counted. 10 are measured: the buffered
+// message and its ack channel, the stripe record and its fragment slots,
+// the second route's worker, the receiver's reassembly and its fragment
+// table, the assembled payload and the delivered message, and about one
+// sync.Pool refill after the GC cycles the 256 KiB deliveries set off.
+// The bound leaves 2 for GC timing. It was 35 when a stripe kept
+// per-route maps, a fragment table, a watcher goroutine and a channel
+// per state change.
+func TestStripedSendWaitAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's shadow allocations are counted as the program's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	delivered := make(chan struct{}, 1)
+	sink := NewEndpoint("urn:stripe-alloc-sink", WithHandler(func(*Message) { delivered <- struct{}{} }))
+	defer sink.Close()
+	var routes []Route
+	for i := 0; i < 2; i++ {
+		r, err := sink.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes = append(routes, r)
+	}
+	src := NewEndpoint("urn:stripe-alloc-src", WithResolver(StaticResolver{"urn:stripe-alloc-sink": routes}))
+	defer src.Close()
+	if _, err := src.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	payload := patternPayload(9, stripeThreshold)
+	op := func() {
+		if err := src.SendWait(ctx, "urn:stripe-alloc-sink", 7, payload); err != nil {
+			t.Fatal(err)
+		}
+		<-delivered
+	}
+	for i := 0; i < 200; i++ { // dial, hello, pools, route scores past scoreMinSamples
+		op()
+	}
+	striped := src.mStriped.Value()
+	got := testing.AllocsPerRun(1000, op)
+	if n := src.mStriped.Value() - striped; n < 1000 {
+		t.Fatalf("%d of 1,001 messages striped", n)
+	}
+	if got > 12 {
+		t.Errorf("striped 256 KiB SendWait costs %.1f allocations, want ≤ 12", got)
+	} else {
+		t.Logf("striped 256 KiB SendWait: %.1f allocations", got)
+	}
+}
+
+// TestAckBatchDecodeAllocs: a full batch of per-fragment acks, handled
+// where the read loop hands it over, allocates nothing: its entries
+// decode into stack scratch and the URNs into the connection's memo.
+func TestAckBatchDecodeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e := NewEndpoint("urn:batch-src")
+	defer e.Close()
+	s := newTestStripe(ackBatchMax*100, 100, "r1", "r2")
+	e.stripeMu.Lock()
+	e.stripes[reasmKey{"urn:batch-src", "urn:batch-dst", 1}] = s
+	e.stripeMu.Unlock()
+	refs := make([]ackRef, ackBatchMax)
+	for i := range refs {
+		refs[i] = ackRef{src: "urn:batch-src", dst: "urn:batch-dst", seq: 1, fragIdx: uint32(i)}
+	}
+	enc := xdr.NewEncoder(64)
+	putAckBatch(enc, frameFragAckBatch, refs)
+	frame := enc.Bytes()
+	var names peerNames
+	e.handleFrame(nil, nil, &names, frame) // the URN memo's first fill
+	if got := testing.AllocsPerRun(100, func() { e.handleFrame(nil, nil, &names, frame) }); got != 0 {
+		t.Errorf("%d-entry frag-ack batch: %.1f allocations, want 0", ackBatchMax, got)
+	}
+	if n := e.mFragAcks.Value(); n != 102*ackBatchMax { // the first fill, AllocsPerRun's warm-up and 100 runs
+		t.Fatalf("frag_acks = %d, want every entry of 102 batches counted", n)
+	}
+	if s.nQueued != 0 {
+		t.Fatalf("%d fragments still queued after all were acknowledged", s.nQueued)
 	}
 }
 

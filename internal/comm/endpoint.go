@@ -936,25 +936,29 @@ func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, names *peerName
 		}
 		e.handleFragAck(src, dst, seq, fragIdx)
 
-	case frameAckBatch:
-		refs, err := decodeAckBatch(d, names, false)
-		if err != nil {
-			return false
-		}
-		for i := range refs {
-			e.handleAck(refs[i].src, refs[i].dst, refs[i].seq)
-		}
-
-	case frameFragAckBatch:
-		refs, err := decodeAckBatch(d, names, true)
-		if err != nil {
-			return false
-		}
-		for i := range refs {
-			e.handleFragAck(refs[i].src, refs[i].dst, refs[i].seq, refs[i].fragIdx)
-		}
+	case frameAckBatch, frameFragAckBatch:
+		e.handleAckBatch(d, names, ftype == frameFragAckBatch)
 	}
 	return false
+}
+
+// handleAckBatch retires every entry of a batched acknowledgement frame.
+// A batch of up to ackBatchMax entries — any this build sends — decodes
+// into stack scratch.
+func (e *Endpoint) handleAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool) {
+	var scratch [ackBatchMax]ackRef
+	refs, err := decodeAckBatch(d, names, withFrag, scratch[:0])
+	if err != nil {
+		return
+	}
+	for i := range refs {
+		r := &refs[i]
+		if withFrag {
+			e.handleFragAck(r.src, r.dst, r.seq, r.fragIdx)
+		} else {
+			e.handleAck(r.src, r.dst, r.seq)
+		}
+	}
 }
 
 // handleAck retires one end-to-end acknowledged message: the sender
@@ -1296,6 +1300,13 @@ func (e *Endpoint) Close() {
 		return
 	}
 	close(e.done)
+	// A stripe parked on its window would otherwise wait out its stall
+	// window; one that registers after this sees e.done itself.
+	e.stripeMu.Lock()
+	for _, s := range e.stripes {
+		s.cancel()
+	}
+	e.stripeMu.Unlock()
 	// Shard barrier: any sender that passed the closed check before the
 	// swap has finished inserting by the time each shard lock cycles,
 	// so nothing slips into a shard after this point.

@@ -135,8 +135,9 @@ type msgFrame struct {
 // message of that number which the frame's Dst sent to the frame's Src,
 // so the trailer repeats neither URN. Decoded, it aliases the frame
 // buffer and is read in place. It is cargo of the frame, not part of the
-// fragment, and travels beside the msgFrame rather than in it: a stripe
-// keeps a msgFrame per fragment and none of them ever has a trailer.
+// fragment, and travels beside the msgFrame rather than in it: a
+// fragment is cut from its message anew for every send (fragAt), and a
+// striped one never carries a trailer.
 type carriedAcks []byte
 
 // ackTrailerOverhead is the trailer's count; each ack adds carriedAckSize.
@@ -329,12 +330,6 @@ func putFragAck(e *xdr.Encoder, src, dst string, seq uint64, fragIdx uint32) {
 	e.PutUint32(fragIdx)
 }
 
-func encodeFragAck(src, dst string, seq uint64, fragIdx uint32) []byte {
-	e := xdr.NewEncoder(ackFrameOverhead + 4 + len(src) + len(dst))
-	putFragAck(e, src, dst, seq, fragIdx)
-	return e.Bytes()
-}
-
 func decodeFragAck(d *xdr.Decoder, names *peerNames) (src, dst string, seq uint64, fragIdx uint32, err error) {
 	if src, dst, err = names.decode(d); err != nil {
 		return
@@ -375,8 +370,9 @@ func putAckBatch(e *xdr.Encoder, ftype uint8, refs []ackRef) {
 
 // decodeAckBatch reads the entries of a batched acknowledgement frame;
 // withFrag selects the frameFragAckBatch layout (an extra fragment
-// index per entry).
-func decodeAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool) ([]ackRef, error) {
+// index per entry). The entries go into scratch, the caller's empty
+// slice, unless there are more of them than it holds.
+func decodeAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool, scratch []ackRef) ([]ackRef, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -392,7 +388,10 @@ func decodeAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool) ([]ackRef, 
 		return nil, fmt.Errorf("%w: ack batch count %d exceeds remaining %d bytes",
 			ErrBadFrame, n, d.Remaining())
 	}
-	refs := make([]ackRef, 0, n)
+	refs := scratch[:0]
+	if int(n) > cap(scratch) {
+		refs = make([]ackRef, 0, n)
+	}
 	for i := uint32(0); i < n; i++ {
 		var r ackRef
 		if r.src, r.dst, err = names.decode(d); err != nil {
@@ -434,23 +433,6 @@ func fragAt(m *Message, i, count, mtu int, flags uint8) msgFrame {
 	}
 }
 
-// fragment splits a message into all its fragments at mtu payload bytes
-// each, for the stripe path, which tracks every fragment of a message at
-// once. The single-route path sends fragAt values one by one instead.
-func fragment(src, dst string, tag uint32, seq uint64, payload []byte, mtu int, flags uint8) []*msgFrame {
-	if mtu <= 0 {
-		mtu = 1 << 16
-	}
-	m := Message{Src: src, Dst: dst, Tag: tag, Seq: seq, Payload: payload}
-	backing := make([]msgFrame, fragCount(len(payload), mtu))
-	frames := make([]*msgFrame, len(backing))
-	for i := range backing {
-		backing[i] = fragAt(&m, i, len(backing), mtu, flags)
-		frames[i] = &backing[i]
-	}
-	return frames
-}
-
 // reassembly accumulates the fragments of one in-flight message of two
 // or more fragments (a message that fits one fragment never gets one,
 // see collect). Fragment payloads alias the pooled receive buffers they
@@ -461,8 +443,7 @@ func fragment(src, dst string, tag uint32, seq uint64, payload []byte, mtu int, 
 // recycled receive buffer is structurally never reachable from a
 // delivered Message.
 type reassembly struct {
-	frags    [][]byte
-	backing  [][]byte // pooled receive buffers backing frags, released on completion
+	frags    []fragPart
 	received int
 	total    int
 	size     int
@@ -470,9 +451,12 @@ type reassembly struct {
 	dst      string
 }
 
+// fragPart is one received fragment: its payload, and the pooled receive
+// buffer backing it, released on completion.
+type fragPart struct{ payload, buf []byte }
+
 func newReassembly(count uint32, tag uint32, dst string) *reassembly {
-	return &reassembly{frags: make([][]byte, count), backing: make([][]byte, count),
-		total: int(count), tag: tag, dst: dst}
+	return &reassembly{frags: make([]fragPart, count), total: int(count), tag: tag, dst: dst}
 }
 
 // add records a fragment and takes ownership of buf, the receive
@@ -486,11 +470,10 @@ func (r *reassembly) add(f *msgFrame, buf []byte) (payload []byte, retained bool
 	if int(f.FragCount) != r.total {
 		return nil, false, fmt.Errorf("%w: fragment count changed mid-message", ErrBadFrame)
 	}
-	if r.frags[f.FragIdx] != nil {
+	if r.frags[f.FragIdx].payload != nil {
 		return nil, false, nil // duplicate fragment (retransmission)
 	}
-	r.frags[f.FragIdx] = f.Payload
-	r.backing[f.FragIdx] = buf
+	r.frags[f.FragIdx] = fragPart{f.Payload, buf}
 	r.received++
 	r.size += len(f.Payload)
 	if r.size > MaxMessageSize {
@@ -501,7 +484,7 @@ func (r *reassembly) add(f *msgFrame, buf []byte) (payload []byte, retained bool
 	}
 	out := make([]byte, 0, r.size)
 	for _, frag := range r.frags {
-		out = append(out, frag...)
+		out = append(out, frag.payload...)
 	}
 	r.release()
 	return out, true, nil
@@ -512,11 +495,10 @@ func (r *reassembly) add(f *msgFrame, buf []byte) (payload []byte, retained bool
 // this already), or when abandoning an in-progress reassembly
 // (geometry restart, decode error, shutdown).
 func (r *reassembly) release() {
-	for i, b := range r.backing {
-		r.frags[i] = nil
-		r.backing[i] = nil
-		if b != nil {
-			putPayloadBuf(b)
+	for i, frag := range r.frags {
+		r.frags[i] = fragPart{}
+		if frag.buf != nil {
+			putPayloadBuf(frag.buf)
 		}
 	}
 }

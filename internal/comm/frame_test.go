@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -325,6 +327,70 @@ func TestAckEncodeDecode(t *testing.T) {
 	src, dst, seq, err := decodeAck(d, &peerNames{})
 	if err != nil || src != "urn:src" || dst != "urn:dst" || seq != 77 {
 		t.Fatalf("ack round trip: %s %s %d %v", src, dst, seq, err)
+	}
+}
+
+// ackBatchBody is a batch frame of n entries after its type byte.
+func ackBatchBody(ftype uint8, n int) ([]ackRef, []byte) {
+	refs := make([]ackRef, n)
+	for i := range refs {
+		refs[i] = ackRef{src: fmt.Sprintf("urn:s%d", i%3), dst: "urn:d", seq: uint64(i) << 20, fragIdx: uint32(i)}
+	}
+	e := xdr.NewEncoder(64)
+	putAckBatch(e, ftype, refs)
+	return refs, e.Bytes()[1:]
+}
+
+// TestAckBatchBeyondScratch: a batch longer than the caller's scratch
+// (which no build sends, but the wire allows) still decodes entry for
+// entry, into a slice of its own.
+func TestAckBatchBeyondScratch(t *testing.T) {
+	for _, ftype := range []uint8{frameAckBatch, frameFragAckBatch} {
+		withFrag := ftype == frameFragAckBatch
+		want, body := ackBatchBody(ftype, 3*ackBatchMax+1)
+		var scratch [ackBatchMax]ackRef
+		got, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, withFrag, scratch[:0])
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("type %d: %d of %d entries, %v", ftype, len(got), len(want), err)
+		}
+		for i := range want {
+			if !withFrag {
+				want[i].fragIdx = 0
+			}
+			if got[i] != want[i] {
+				t.Fatalf("type %d entry %d: %+v, want %+v", ftype, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAckBatchHostileCount: a count the frame's bytes cannot hold fails
+// as a bad frame before anything is sized by it, whether or not it would
+// have fit the scratch.
+func TestAckBatchHostileCount(t *testing.T) {
+	for _, count := range []uint32{2, ackBatchMax + 1, 1000, 0xffffffff} {
+		_, body := ackBatchBody(frameFragAckBatch, 1)
+		binary.BigEndian.PutUint32(body, count)
+		decode := func() error {
+			var scratch [ackBatchMax]ackRef
+			_, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, true, scratch[:0])
+			return err
+		}
+		if err := decode(); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("count %d over one entry: %v, want ErrBadFrame", count, err)
+		}
+		if testutil.RaceEnabled {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 512 {
+			t.Errorf("count %d: %d bytes allocated per refusal", count, per)
+		}
 	}
 }
 

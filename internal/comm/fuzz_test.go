@@ -132,13 +132,14 @@ func FuzzDecodeAckBatch(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count, no entries
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var names peerNames
-		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, false)
+		var scratch, scratch2 [ackBatchMax]ackRef
+		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, false, scratch[:0])
 		if err != nil {
 			return
 		}
 		// A successful decode must round-trip entry for entry.
 		b2 := encodeAckBatchSeed(frameAckBatch, refs)
-		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, false)
+		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, false, scratch2[:0])
 		if err != nil || len(again) != len(refs) {
 			t.Fatalf("re-decode: %d entries, err=%v (want %d)", len(again), err, len(refs))
 		}
@@ -159,12 +160,13 @@ func FuzzDecodeFragAckBatch(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var names peerNames
-		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, true)
+		var scratch, scratch2 [ackBatchMax]ackRef
+		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, true, scratch[:0])
 		if err != nil {
 			return
 		}
 		b2 := encodeAckBatchSeed(frameFragAckBatch, refs)
-		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, true)
+		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, true, scratch2[:0])
 		if err != nil || len(again) != len(refs) {
 			t.Fatalf("re-decode: %d entries, err=%v (want %d)", len(again), err, len(refs))
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"snipe/internal/testutil"
+	"snipe/internal/xdr"
 )
 
 // Timeout-flavoured conveniences over the context-first Endpoint API,
@@ -45,4 +46,29 @@ func (e *Endpoint) orderRoutesAdaptive(local, remote []Route) []Route {
 		out = append(out, r.Route)
 	}
 	return out
+}
+
+// fragment splits a message into all its fragments at mtu payload bytes
+// each, as the tests' reassembly fixtures want them; the send paths cut
+// one fragAt value at a time instead.
+func fragment(src, dst string, tag uint32, seq uint64, payload []byte, mtu int, flags uint8) []*msgFrame {
+	if mtu <= 0 {
+		mtu = 1 << 16
+	}
+	m := Message{Src: src, Dst: dst, Tag: tag, Seq: seq, Payload: payload}
+	backing := make([]msgFrame, fragCount(len(payload), mtu))
+	frames := make([]*msgFrame, len(backing))
+	for i := range backing {
+		backing[i] = fragAt(&m, i, len(backing), mtu, flags)
+		frames[i] = &backing[i]
+	}
+	return frames
+}
+
+// encodeFragAck builds a right-sized single per-fragment ack frame; the
+// endpoint only ever appends them to its coalescer's encoder (putFragAck).
+func encodeFragAck(src, dst string, seq uint64, fragIdx uint32) []byte {
+	e := xdr.NewEncoder(ackFrameOverhead + 4 + len(src) + len(dst))
+	putFragAck(e, src, dst, seq, fragIdx)
+	return e.Bytes()
 }

@@ -147,8 +147,8 @@ func TestReassemblyReleaseRecyclesBacking(t *testing.T) {
 	putPayloadBuf(dupBuf)
 	// Abandon: release must nil out and recycle both parked backings.
 	r.release()
-	for i := range r.backing {
-		if r.backing[i] != nil || r.frags[i] != nil {
+	for i := range r.frags {
+		if r.frags[i].buf != nil || r.frags[i].payload != nil {
 			t.Fatalf("release left fragment %d parked", i)
 		}
 	}
@@ -171,8 +171,8 @@ func TestReassemblyReleaseRecyclesBacking(t *testing.T) {
 	if string(out) != "ab" {
 		t.Fatalf("assembled %q", out)
 	}
-	for i := range r2.backing {
-		if r2.backing[i] != nil {
+	for i := range r2.frags {
+		if r2.frags[i].buf != nil {
 			t.Fatalf("completion left backing %d unrecycled", i)
 		}
 	}

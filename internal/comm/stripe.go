@@ -7,19 +7,26 @@ import (
 )
 
 // Multi-path striped transmission. A large message to a multi-homed
-// peer is fragmented once (at the smallest MTU among the participating
-// routes, so every transmission of the message shares one fragment
-// geometry) and the fragments are pulled by one worker goroutine per
-// route: each worker keeps up to stripeWindow fragments in flight and
-// pulls the next queued fragment as its per-fragment acknowledgements
-// come back, so faster media naturally carry more of the message. A
-// route that fails mid-stripe — a send error, or no acknowledgement
-// progress for the stall window — has its in-flight fragments requeued
-// onto the surviving routes. Exactly-once delivery never depends on
-// any of this: the receiver reassembles by (src, dst, seq, fragment)
-// and deduplicates by sequence number, and the whole-message retry
-// path remains the loss backstop, so striping can only add bandwidth,
-// not failure modes.
+// peer is cut at one fragment geometry — the smallest MTU among the
+// participating routes, so every transmission of the message shares it
+// — and each route has a worker that keeps up to stripeWindow fragments
+// in flight and pulls the next queued fragment as its per-fragment
+// acknowledgements come back, so faster media naturally carry more of
+// the message. The goroutine transmitting the message works the best
+// route itself; each other route gets one goroutine, and none exists
+// only to watch: a whole-message ack (handleAck) or Close cancels a
+// registered stripe directly. A route that fails mid-stripe — a send
+// error, or no acknowledgement progress for the stall window — has its
+// in-flight fragments requeued onto the surviving routes. Exactly-once
+// delivery never depends on any of this: the receiver reassembles by
+// (src, dst, seq, fragment) and deduplicates by sequence number, and the
+// whole-message retry path remains the loss backstop, so striping can
+// only add bandwidth, not failure modes.
+//
+// A stripe is one record: its routes inline, one slot per fragment, and
+// fragments cut from the message on demand (fragAt). The record is never
+// recycled: handleFragAck calls into a stripe it looked up outside
+// stripeMu, and a late ack must not land in another message's stripe.
 
 const (
 	// stripeThreshold is the payload size at or above which a message to
@@ -39,19 +46,35 @@ const (
 	fragAcked                 // acknowledged by the receiver
 )
 
+// stripeRoute is one route taking part in a stripe. key and conn are
+// fixed for the stripe's life; the rest is guarded by the stripe's mu.
+type stripeRoute struct {
+	key      string
+	conn     FrameConn
+	inFlight int // fragments reserved or sent on this route
+	failed   bool
+}
+
+// fragSlot is one fragment's state. queued is a column of the stripe's
+// queue, not of this fragment: the fragment indices awaiting a route are
+// slots[:nQueued].queued, a LIFO stack sharing the slots' allocation.
+type fragSlot struct {
+	sentAt time.Time
+	queued int32
+	route  int32 // index into routes while reserved or sent, else -1
+	state  uint8
+}
+
 // stripeState tracks one striped message in flight.
 type stripeState struct {
-	mu     sync.Mutex
-	frags  []*msgFrame
-	state  []uint8  // per-fragment lifecycle
-	route  []string // per-fragment owning route while reserved/sent
-	sentAt []time.Time
-
-	queue    []int          // fragment indices awaiting a route (LIFO)
-	perRoute map[string]int // route key → fragments reserved or sent
-	failed   map[string]bool
+	mu       sync.Mutex
+	wg       sync.WaitGroup // the workers of routes 1…n−1
+	msg      Message        // fragments are cut from it while the transmission holds its payload
+	mtu      int            // payload bytes per fragment
+	routes   []stripeRoute  // ranked best-first; routeBuf up to maxStackRoutes
+	slots    []fragSlot
+	nQueued  int
 	unsent   int // fragments in fragQueued or fragReserved
-	acked    int
 	requeues int
 	canceled bool
 
@@ -62,39 +85,37 @@ type stripeState struct {
 	// hole still trips the stall window.
 	lastAck time.Time
 
-	// gen/waitCh implement a timed condition wait (sync.Cond cannot):
-	// every state change bumps gen and closes waitCh.
-	gen    uint64
+	// waitCh implements a timed condition wait (sync.Cond cannot): the
+	// first worker to park makes it, the next state change closes it.
+	// It is nil while no worker waits.
 	waitCh chan struct{}
+
+	routeBuf [maxStackRoutes]stripeRoute
 }
 
-func newStripe(frags []*msgFrame) *stripeState {
-	s := &stripeState{
-		frags:    frags,
-		state:    make([]uint8, len(frags)),
-		route:    make([]string, len(frags)),
-		sentAt:   make([]time.Time, len(frags)),
-		queue:    make([]int, len(frags)),
-		perRoute: make(map[string]int),
-		failed:   make(map[string]bool),
-		unsent:   len(frags),
-		lastAck:  time.Now(),
-		waitCh:   make(chan struct{}),
+// newStripe queues every fragment of m, cut at mtu payload bytes, for
+// routes (ranked best-first; copied into the record).
+func newStripe(m *Message, mtu int, routes []stripeRoute) *stripeState {
+	s := &stripeState{msg: *m, mtu: mtu, lastAck: time.Now()}
+	s.routes = append(s.routeBuf[:0], routes...)
+	s.slots = make([]fragSlot, fragCount(len(m.Payload), mtu))
+	for i := range s.slots {
+		s.slots[i].queued = int32(i)
+		s.slots[i].route = -1
 	}
-	for i := range frags {
-		s.queue[i] = i
-	}
+	s.nQueued, s.unsent = len(s.slots), len(s.slots)
 	return s
 }
 
 // broadcastLocked wakes every timed waiter. Caller holds s.mu.
 func (s *stripeState) broadcastLocked() {
-	s.gen++
-	close(s.waitCh)
-	s.waitCh = make(chan struct{})
+	if s.waitCh != nil {
+		close(s.waitCh)
+		s.waitCh = nil
+	}
 }
 
-// next claims the next queued fragment for the worker on routeKey,
+// next claims the next queued fragment for the worker on route ri,
 // honouring its in-flight window. It blocks while the worker has
 // nothing to do but the stripe is still in progress. Returns ok=false
 // when the worker should exit: the stripe is complete or canceled,
@@ -102,20 +123,20 @@ func (s *stripeState) broadcastLocked() {
 // arrived for a full stall window (in which case every route with
 // fragments in flight — possibly including this one — is failed and
 // requeued, and surviving callers re-enter to pick the fragments up).
-func (s *stripeState) next(routeKey string, window int, stall time.Duration) (int, bool) {
+func (s *stripeState) next(ri, window int, stall time.Duration) (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	r := &s.routes[ri]
 	for {
-		if s.canceled || s.unsent == 0 || s.failed[routeKey] {
+		if s.canceled || s.unsent == 0 || r.failed {
 			return 0, false
 		}
-		if len(s.queue) > 0 && s.perRoute[routeKey] < window {
-			idx := s.queue[len(s.queue)-1]
-			s.queue = s.queue[:len(s.queue)-1]
-			s.state[idx] = fragReserved
-			s.route[idx] = routeKey
-			s.sentAt[idx] = time.Now()
-			s.perRoute[routeKey]++
+		if s.nQueued > 0 && r.inFlight < window {
+			s.nQueued--
+			idx := int(s.slots[s.nQueued].queued)
+			sl := &s.slots[idx]
+			sl.state, sl.route, sl.sentAt = fragReserved, int32(ri), time.Now()
+			r.inFlight++
 			return idx, true
 		}
 		// The stall deadline is measured from the last *acknowledgement*
@@ -129,25 +150,21 @@ func (s *stripeState) next(routeKey string, window int, stall time.Duration) (in
 			// Fail every route still holding fragments and restart the
 			// stall clock for the survivors; the whole-message retry
 			// path recovers if none survive.
-			for key, n := range s.perRoute {
-				if n > 0 && !s.failed[key] {
-					s.failRouteLocked(key)
+			for i := range s.routes {
+				if s.routes[i].inFlight > 0 {
+					s.failRouteLocked(i)
 				}
 			}
 			s.lastAck = now
-			if s.failed[routeKey] {
+			if r.failed {
 				return 0, false
 			}
 			continue
 		}
+		// Re-check everything from the top after the wait: a cancel,
+		// completion or requeue may have arrived, and the stall clock
+		// may have been fed.
 		s.waitLocked(deadline.Sub(now))
-		// Re-check everything from the top: a cancel, completion or
-		// requeue may have arrived while waiting, and the stall clock
-		// may have been fed. (The old code treated *any* wakeup —
-		// including mere sends — as progress, so a stripe pushing
-		// fragments without ever being acked never tripped the stall,
-		// and a cancel racing the timer could strand the decision a
-		// full extra window.)
 	}
 }
 
@@ -155,6 +172,9 @@ func (s *stripeState) next(routeKey string, window int, stall time.Duration) (in
 // elapses, then reacquires it. Callers re-derive what happened from
 // state; the wakeup itself carries no verdict.
 func (s *stripeState) waitLocked(d time.Duration) {
+	if s.waitCh == nil {
+		s.waitCh = make(chan struct{})
+	}
 	ch := s.waitCh
 	s.mu.Unlock()
 	t := time.NewTimer(d)
@@ -169,12 +189,15 @@ func (s *stripeState) waitLocked(d time.Duration) {
 // sent marks a reserved fragment as pushed into its conn. If the
 // fragment was re-assigned (its first route was declared stalled and
 // stole back the reservation) or already acknowledged, this is a no-op.
-func (s *stripeState) sent(routeKey string, idx int) {
+// A waiter cares about a send only when it was the last one.
+func (s *stripeState) sent(ri, idx int) {
 	s.mu.Lock()
-	if s.state[idx] == fragReserved && s.route[idx] == routeKey {
-		s.state[idx] = fragSent
+	if sl := &s.slots[idx]; sl.state == fragReserved && sl.route == int32(ri) {
+		sl.state = fragSent
 		s.unsent--
-		s.broadcastLocked()
+		if s.unsent == 0 {
+			s.broadcastLocked()
+		}
 	}
 	s.mu.Unlock()
 }
@@ -184,70 +207,70 @@ func (s *stripeState) sent(routeKey string, idx int) {
 func (s *stripeState) ackFrag(idx int) (routeKey string, bytes int, elapsed time.Duration, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if idx < 0 || idx >= len(s.frags) || s.state[idx] == fragAcked {
+	if idx < 0 || idx >= len(s.slots) || s.slots[idx].state == fragAcked {
 		return "", 0, 0, false
 	}
-	prev := s.state[idx]
-	routeKey = s.route[idx]
-	if prev == fragQueued {
+	sl := &s.slots[idx]
+	switch sl.state {
+	case fragQueued:
 		// Acked before any worker claimed it (a duplicate transmission
 		// from an earlier whole-message attempt landed): pull it out of
 		// the queue so no worker sends it again.
-		for i, q := range s.queue {
-			if q == idx {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		for i := 0; i < s.nQueued; i++ {
+			if s.slots[i].queued == int32(idx) {
+				s.nQueued--
+				s.slots[i].queued = s.slots[s.nQueued].queued
 				break
 			}
 		}
 		s.unsent--
-	}
-	if prev == fragReserved {
+	case fragReserved:
 		s.unsent--
+		s.routes[sl.route].inFlight--
+	case fragSent:
+		s.routes[sl.route].inFlight--
 	}
-	if prev == fragReserved || prev == fragSent {
-		s.perRoute[routeKey]--
-	}
-	s.state[idx] = fragAcked
-	s.acked++
+	sl.state = fragAcked
 	s.lastAck = time.Now()
 	s.broadcastLocked()
-	return routeKey, len(s.frags[idx].Payload), time.Since(s.sentAt[idx]), routeKey != ""
-}
-
-// failRoute declares a route dead mid-stripe and requeues its
-// fragments on the survivors. Returns how many fragments were
-// requeued.
-func (s *stripeState) failRoute(routeKey string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failRouteLocked(routeKey)
-}
-
-func (s *stripeState) failRouteLocked(routeKey string) int {
-	if s.failed[routeKey] {
-		return 0
+	if sl.route < 0 {
+		return "", 0, 0, false
 	}
-	s.failed[routeKey] = true
-	n := 0
-	for idx := range s.frags {
-		if s.route[idx] != routeKey {
+	return s.routes[sl.route].key, min(s.mtu, len(s.msg.Payload)-idx*s.mtu), time.Since(sl.sentAt), true
+}
+
+// failRoute declares route ri dead mid-stripe and requeues its
+// fragments on the survivors.
+func (s *stripeState) failRoute(ri int) {
+	s.mu.Lock()
+	s.failRouteLocked(ri)
+	s.mu.Unlock()
+}
+
+func (s *stripeState) failRouteLocked(ri int) {
+	r := &s.routes[ri]
+	if r.failed {
+		return
+	}
+	r.failed = true
+	for idx := range s.slots {
+		sl := &s.slots[idx]
+		if sl.route != int32(ri) {
 			continue
 		}
-		switch s.state[idx] {
+		switch sl.state {
 		case fragSent:
 			s.unsent++
 			fallthrough
 		case fragReserved:
-			s.state[idx] = fragQueued
-			s.route[idx] = ""
-			s.queue = append(s.queue, idx)
-			n++
+			sl.state, sl.route = fragQueued, -1
+			s.slots[s.nQueued].queued = int32(idx)
+			s.nQueued++
+			s.requeues++
 		}
 	}
-	s.perRoute[routeKey] = 0
-	s.requeues += n
+	r.inFlight = 0
 	s.broadcastLocked()
-	return n
 }
 
 // cancel ends the stripe early (whole-message ack arrived, or the
@@ -259,22 +282,6 @@ func (s *stripeState) cancel() {
 	s.mu.Unlock()
 }
 
-// complete reports whether every fragment was pushed into a live conn
-// (or the stripe was made moot by a whole-message ack).
-func (s *stripeState) complete() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.canceled || s.unsent == 0
-}
-
-// remainingUnsent reports fragments never successfully handed to any
-// conn.
-func (s *stripeState) remainingUnsent() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.unsent
-}
-
 // transmitStriped attempts to send om by striping it across every
 // healthy direct route. It reports handled=false when striping does
 // not apply (fewer than two live direct routes, or the message
@@ -284,15 +291,12 @@ func (s *stripeState) remainingUnsent() int {
 // acknowledgements, requeues and the whole-message retry complete the
 // reliability story asynchronously.
 func (e *Endpoint) transmitStriped(om *outMsg, local []Route, routes routeSet) (handled bool, err error) {
-	type routeConn struct {
-		key  string
-		conn FrameConn
-	}
-	var rcs []routeConn
-	minMTU := 0
 	m := &om.msg
 	hdr := msgFrameOverhead + len(m.Src) + len(m.Dst)
 	var scratch [maxStackRoutes]rankedRoute
+	var rbuf [maxStackRoutes]stripeRoute
+	live := rbuf[:0]
+	minMTU := 0
 	for _, route := range e.rankRoutes(local, routes, scratch[:0]) {
 		if route.Transport == GatewayTransport {
 			continue // relayed paths don't participate in stripes
@@ -306,27 +310,19 @@ func (e *Endpoint) transmitStriped(om *outMsg, local []Route, routes routeSet) (
 		if mtu < 16 {
 			continue
 		}
-		rcs = append(rcs, routeConn{route.key, conn})
+		live = append(live, stripeRoute{key: route.key, conn: conn})
 		if minMTU == 0 || mtu < minMTU {
 			minMTU = mtu
 		}
 	}
-	if len(rcs) < 2 {
+	if len(live) < 2 || fragCount(len(m.Payload), minMTU) < 2 {
 		return false, nil
 	}
-	frags := fragment(m.Src, m.Dst, m.Tag, m.Seq, m.Payload, minMTU, flagStriped)
-	if len(frags) < 2 {
-		return false, nil
-	}
-	s := newStripe(frags)
+	s := newStripe(m, minMTU, live)
 	skey := reasmKey{m.Src, m.Dst, m.Seq}
-	if e.closed.Load() {
-		return true, ErrClosed
-	}
 	e.stripeMu.Lock()
 	e.stripes[skey] = s
 	e.stripeMu.Unlock()
-	e.mStriped.Inc()
 	defer func() {
 		e.stripeMu.Lock()
 		if e.stripes[skey] == s {
@@ -334,49 +330,42 @@ func (e *Endpoint) transmitStriped(om *outMsg, local []Route, routes routeSet) (
 		}
 		e.stripeMu.Unlock()
 	}()
+	// From here on handleAck and Close cancel the stripe; an ack or a
+	// Close that landed before it was registered is seen here instead.
+	select {
+	case <-e.done:
+		return true, ErrClosed
+	case <-om.acked:
+		return true, nil
+	default:
+	}
+	e.mStriped.Inc()
 
 	// The stall window adapts to the participating routes: once they
 	// have RTT history, waiting a fixed multi-second window to declare
 	// a microsecond-RTT route dead wastes the whole transfer's latency
 	// budget.
-	keys := make([]string, len(rcs))
-	for i, rc := range rcs {
-		keys[i] = rc.key
+	stall := e.stripeStallFor(s.routes)
+	for ri := 1; ri < len(s.routes); ri++ {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			e.stripeWorker(s, ri, stall)
+		}()
 	}
-	stall := e.stripeStallFor(keys)
+	e.stripeWorker(s, 0, stall)
+	s.wg.Wait()
 
-	// A whole-message ack (e.g. the receiver had already accepted this
-	// sequence from an earlier attempt) or endpoint shutdown moots the
-	// stripe.
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-om.acked:
-			s.cancel()
-		case <-e.done:
-			s.cancel()
-		case <-stop:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for _, rc := range rcs {
-		wg.Add(1)
-		go func(rc routeConn) {
-			defer wg.Done()
-			e.stripeWorker(s, rc.key, rc.conn, stall)
-		}(rc)
+	s.mu.Lock()
+	requeues, unsent, canceled := s.requeues, s.unsent, s.canceled
+	s.mu.Unlock()
+	if requeues > 0 {
+		e.mFragRequeues.Add(uint64(requeues))
 	}
-	wg.Wait()
-	close(stop)
-
-	if requeued := s.requeues; requeued > 0 {
-		e.mFragRequeues.Add(uint64(requeued))
-	}
-	if !s.complete() {
+	if !canceled && unsent > 0 {
 		e.invalidateRoutes(m.Dst)
 		return true, fmt.Errorf("comm: stripe to %s: %d of %d fragments unsent after route failures",
-			m.Dst, s.remainingUnsent(), len(frags))
+			m.Dst, unsent, len(s.slots))
 	}
 	return true, nil
 }
@@ -391,11 +380,11 @@ const stripeStallMin = 50 * time.Millisecond
 // [stripeStallMin, e.stripeStall]. Routes without enough history
 // contribute nothing; with no history at all, the configured ceiling
 // applies unchanged.
-func (e *Endpoint) stripeStallFor(routeKeys []string) time.Duration {
+func (e *Endpoint) stripeStallFor(routes []stripeRoute) time.Duration {
 	var maxRTTUs float64
 	e.scoreMu.Lock()
-	for _, key := range routeKeys {
-		if s := e.scores[key]; s != nil && s.samples >= scoreMinSamples && s.rttUs > maxRTTUs {
+	for i := range routes {
+		if s := e.scores[routes[i].key]; s != nil && s.samples >= scoreMinSamples && s.rttUs > maxRTTUs {
 			maxRTTUs = s.rttUs
 		}
 	}
@@ -413,24 +402,26 @@ func (e *Endpoint) stripeStallFor(routeKeys []string) time.Duration {
 	return stall
 }
 
-// stripeWorker pulls fragments for one route until the stripe
-// completes or the route dies.
-func (e *Endpoint) stripeWorker(s *stripeState, routeKey string, conn FrameConn, stall time.Duration) {
+// stripeWorker pulls fragments for route ri until the stripe completes
+// or the route dies.
+func (e *Endpoint) stripeWorker(s *stripeState, ri int, stall time.Duration) {
+	r := &s.routes[ri]
 	enc := getFrameEncoder()
 	defer putFrameEncoder(enc)
 	for {
-		idx, ok := s.next(routeKey, stripeWindow, stall)
+		idx, ok := s.next(ri, stripeWindow, stall)
 		if !ok {
 			return
 		}
-		if err := conn.Send(encodeMsgFrameInto(enc, s.frags[idx], nil)); err != nil {
+		f := fragAt(&s.msg, idx, len(s.slots), s.mtu, flagStriped)
+		if err := r.conn.Send(encodeMsgFrameInto(enc, &f, nil)); err != nil {
 			e.mSendErrors.Inc()
-			e.observeRouteError(routeKey)
-			e.dropConn(routeKey, conn)
-			s.failRoute(routeKey)
+			e.observeRouteError(r.key)
+			e.dropConn(r.key, r.conn)
+			s.failRoute(ri)
 			return
 		}
 		e.mFragments.Inc()
-		s.sent(routeKey, idx)
+		s.sent(ri, idx)
 	}
 }

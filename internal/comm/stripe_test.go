@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,6 +51,22 @@ func stripePair(t *testing.T, opts ...EndpointOption) (a, b *Endpoint, links [2]
 		b.AttachConn(routes[i][0].String(), NewStreamFrameConn(cb))
 	}
 	return a, b, links, res
+}
+
+// stripeRoutes is a stripe's route list for keys, with no conns.
+func stripeRoutes(keys ...string) []stripeRoute {
+	routes := make([]stripeRoute, len(keys))
+	for i, key := range keys {
+		routes[i].key = key
+	}
+	return routes
+}
+
+// newTestStripe is the stripe of an n-byte message cut at mtu over
+// conn-less routes with the given keys, for driving its state machine by
+// hand.
+func newTestStripe(n, mtu int, keys ...string) *stripeState {
+	return newStripe(&Message{Src: "s", Dst: "d", Seq: 1, Payload: patternPayload(1, n)}, mtu, stripeRoutes(keys...))
 }
 
 // patternPayload builds a payload whose content encodes its identity,
@@ -330,12 +348,11 @@ func TestStripePayloadPoolSurvivesRetryRace(t *testing.T) {
 // another route, stall window far away) must be released promptly when
 // cancel() races in — not strand until the stall deadline.
 func TestStripeCancelReleasesWorkers(t *testing.T) {
-	frags := fragment("s", "d", 1, 1, patternPayload(1, 400), 100, flagStriped)
-	s := newStripe(frags)
+	s := newTestStripe(400, 100, "r1", "r2")
 	// One route claims every fragment so the others find the queue
 	// empty and wait.
-	for range frags {
-		if _, ok := s.next("r1", len(frags), time.Hour); !ok {
+	for range s.slots {
+		if _, ok := s.next(0, len(s.slots), time.Hour); !ok {
 			t.Fatal("initial claim failed")
 		}
 	}
@@ -344,7 +361,7 @@ func TestStripeCancelReleasesWorkers(t *testing.T) {
 	for i := 0; i < nWaiters; i++ {
 		go func() {
 			start := time.Now()
-			if _, ok := s.next("r2", 4, time.Hour); ok {
+			if _, ok := s.next(1, 4, time.Hour); ok {
 				t.Error("blocked worker got a fragment after cancel")
 			}
 			done <- time.Since(start)
@@ -368,24 +385,23 @@ func TestStripeCancelReleasesWorkers(t *testing.T) {
 // acknowledgements for a full stall window is failed and its fragments
 // requeued; the stalled worker is released rather than spinning.
 func TestStripeStallFailsSilentRoute(t *testing.T) {
-	frags := fragment("s", "d", 1, 1, patternPayload(2, 400), 100, flagStriped)
-	s := newStripe(frags)
-	idx, ok := s.next("r1", 1, 60*time.Millisecond)
+	s := newTestStripe(400, 100, "r1", "r2")
+	idx, ok := s.next(0, 1, 60*time.Millisecond)
 	if !ok {
 		t.Fatal("no fragment claimed")
 	}
-	s.sent("r1", idx)
+	s.sent(0, idx)
 	// Window full, no acks arriving: the next pull must wait out the
 	// stall window, fail "r1" and exit.
 	start := time.Now()
-	if _, ok := s.next("r1", 1, 60*time.Millisecond); ok {
+	if _, ok := s.next(0, 1, 60*time.Millisecond); ok {
 		t.Fatal("stalled route still pulling fragments")
 	}
 	if e := time.Since(start); e > 2*time.Second {
 		t.Fatalf("stall verdict took %v; want ~the 60ms window", e)
 	}
 	s.mu.Lock()
-	requeues, failed := s.requeues, s.failed["r1"]
+	requeues, failed := s.requeues, s.routes[0].failed
 	s.mu.Unlock()
 	if !failed || requeues == 0 {
 		t.Fatalf("stall did not fail the silent route: failed=%v requeues=%d", failed, requeues)
@@ -399,14 +415,15 @@ func TestStripeStallAdaptive(t *testing.T) {
 	e := NewEndpoint("urn:stall", withStripeStall(5*time.Second))
 	defer e.Close()
 	keys := []string{"k-eth", "k-atm"}
-	if got := e.stripeStallFor(keys); got != 5*time.Second {
+	routes := stripeRoutes(keys...)
+	if got := e.stripeStallFor(routes); got != 5*time.Second {
 		t.Fatalf("no history: stall = %v, want the 5s ceiling", got)
 	}
 	// One sample short of the threshold still keeps the ceiling.
 	for i := 0; i < scoreMinSamples-1; i++ {
 		e.observeRouteAck(keys[0], 1<<10, 10*time.Millisecond)
 	}
-	if got := e.stripeStallFor(keys); got != 5*time.Second {
+	if got := e.stripeStallFor(routes); got != 5*time.Second {
 		t.Fatalf("below sample threshold: stall = %v, want the 5s ceiling", got)
 	}
 	// Enough history: 8× the slowest participating route's RTT.
@@ -414,7 +431,7 @@ func TestStripeStallAdaptive(t *testing.T) {
 	for i := 0; i < scoreMinSamples; i++ {
 		e.observeRouteAck(keys[1], 1<<10, 2*time.Millisecond)
 	}
-	got := e.stripeStallFor(keys)
+	got := e.stripeStallFor(routes)
 	if got < 75*time.Millisecond || got > 85*time.Millisecond {
 		t.Fatalf("adaptive stall = %v, want ~80ms (8 × 10ms)", got)
 	}
@@ -422,7 +439,7 @@ func TestStripeStallAdaptive(t *testing.T) {
 	for i := 0; i < scoreMinSamples; i++ {
 		e.observeRouteAck("k-inproc", 1<<10, 100*time.Microsecond)
 	}
-	if got := e.stripeStallFor([]string{"k-inproc"}); got != stripeStallMin {
+	if got := e.stripeStallFor(stripeRoutes("k-inproc")); got != stripeStallMin {
 		t.Fatalf("floor clamp: stall = %v, want %v", got, stripeStallMin)
 	}
 	// Very slow media clamp to the configured ceiling.
@@ -431,7 +448,163 @@ func TestStripeStallAdaptive(t *testing.T) {
 	for i := 0; i < scoreMinSamples; i++ {
 		e2.observeRouteAck("k-slow", 1<<10, time.Second)
 	}
-	if got := e2.stripeStallFor([]string{"k-slow"}); got != 200*time.Millisecond {
+	if got := e2.stripeStallFor(stripeRoutes("k-slow")); got != 200*time.Millisecond {
 		t.Fatalf("ceiling clamp: stall = %v, want 200ms", got)
+	}
+}
+
+// sinkConn is a route into a peer that takes every frame and answers
+// none. Recv blocks until Close.
+type sinkConn struct {
+	mtu    int
+	frags  atomic.Int32 // message frames taken
+	onFrag func()       // called on each message frame, if set
+	once   sync.Once
+	done   chan struct{}
+}
+
+func (c *sinkConn) Send(frame []byte) error {
+	if len(frame) > 0 && frame[0] == frameMsg {
+		c.frags.Add(1)
+		if c.onFrag != nil {
+			c.onFrag()
+		}
+	}
+	return nil
+}
+
+func (c *sinkConn) Recv() ([]byte, error) {
+	<-c.done
+	return nil, ErrClosed
+}
+
+func (c *sinkConn) Close() error {
+	c.once.Do(func() { close(c.done) })
+	return nil
+}
+
+func (c *sinkConn) MTU() int           { return c.mtu }
+func (c *sinkConn) RemoteAddr() string { return "sinkConn" }
+
+// holeDst is the peer of sinkStripe's endpoint.
+const holeDst = "urn:hole:b"
+
+// sinkStripe is an endpoint whose peer holeDst is reachable over two
+// sinkConn routes of the given MTU. Retries and the stall window are
+// hours away, so only an acknowledgement, a cancel or Close moves a
+// stripe it starts.
+func sinkStripe(t *testing.T, mtu int) (*Endpoint, [2]*sinkConn) {
+	t.Helper()
+	routes := []Route{{Transport: "attached", Addr: "hole-1"}, {Transport: "attached", Addr: "hole-2"}}
+	res := newTestResolver()
+	res.set(holeDst, routes...)
+	e := NewEndpoint("urn:hole:a", WithResolver(res), WithRetryInterval(time.Hour))
+	t.Cleanup(e.Close)
+	var conns [2]*sinkConn
+	for i, r := range routes {
+		conns[i] = &sinkConn{mtu: mtu, done: make(chan struct{})}
+		e.AttachConn(r.String(), conns[i])
+	}
+	return e, conns
+}
+
+// transmitStripedT stripes om from e to holeDst, failing if it does not
+// stripe.
+func transmitStripedT(t *testing.T, e *Endpoint, om *outMsg) {
+	t.Helper()
+	routes, err := e.resolveRoutes(holeDst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handled, err := e.transmitStriped(om, e.sharedLocalRoutes(), routes)
+	if !handled || err != nil {
+		t.Fatalf("transmitStriped: handled=%v err=%v", handled, err)
+	}
+}
+
+// holeMsg is a 256 KiB message to holeDst that is in no send buffer.
+func holeMsg(e *Endpoint) *outMsg {
+	return &outMsg{msg: Message{Src: e.URN(), Dst: holeDst, Tag: 1, Seq: 1, Payload: patternPayload(4, stripeThreshold)},
+		acked: make(chan struct{})}
+}
+
+// TestStripeCloseReleasesParkedWorkers: Close cancels a stripe whose
+// workers are parked on full windows with the stall verdict an hour
+// away, and the transmission returns at once.
+func TestStripeCloseReleasesParkedWorkers(t *testing.T) {
+	e, conns := sinkStripe(t, 1400)
+	sent := make(chan error, 1)
+	go func() { sent <- e.Send(holeDst, 1, patternPayload(5, stripeThreshold)) }()
+	waitFor(t, 5*time.Second, func() bool {
+		return conns[0].frags.Load()+conns[1].frags.Load() == 2*stripeWindow
+	}, "both windows full")
+	time.Sleep(20 * time.Millisecond) // let both workers park
+	start := time.Now()
+	e.Close()
+	select {
+	case <-sent:
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("transmission released %v after Close", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("transmission still parked 1 s after Close")
+	}
+}
+
+// TestStripeAckBeforeRegistrationMoots: a message acknowledged before
+// its stripe registers (so handleAck found nothing to cancel) sends no
+// fragment.
+func TestStripeAckBeforeRegistrationMoots(t *testing.T) {
+	e, conns := sinkStripe(t, 64<<10)
+	om := holeMsg(e)
+	close(om.acked)
+	transmitStripedT(t, e, om)
+	if n := conns[0].frags.Load() + conns[1].frags.Load(); n != 0 {
+		t.Fatalf("%d fragments sent for an acknowledged message", n)
+	}
+	if n := e.MetricsSnapshot().Gauges["stripes_active"]; n != 0 {
+		t.Fatalf("%v stripes still registered", n)
+	}
+}
+
+// TestStripeLateAcksChangeNothing: once a stripe has deregistered,
+// per-fragment acks and the message's ack reach neither its record nor
+// the frag_acks count.
+func TestStripeLateAcksChangeNothing(t *testing.T) {
+	e, conns := sinkStripe(t, 64<<10)
+	om := holeMsg(e)
+	key := reasmKey{om.msg.Src, om.msg.Dst, om.msg.Seq}
+	var s *stripeState
+	for _, c := range conns {
+		c.onFrag = func() {
+			e.stripeMu.Lock()
+			s = e.stripes[key]
+			e.stripeMu.Unlock()
+		}
+	}
+	transmitStripedT(t, e, om)
+	if s == nil {
+		t.Fatal("no fragment sent")
+	}
+	s.mu.Lock()
+	before := append([]fragSlot(nil), s.slots...)
+	lastAck := s.lastAck
+	s.mu.Unlock()
+	for i := range before {
+		e.handleFragAck(key.src, key.dst, key.seq, uint32(i))
+	}
+	e.handleAck(key.src, key.dst, key.seq)
+	if n := e.mFragAcks.Value(); n != 0 {
+		t.Fatalf("frag_acks = %d after acks for a deregistered stripe", n)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range before {
+		if s.slots[i] != before[i] {
+			t.Fatalf("fragment %d changed: %+v → %+v", i, before[i], s.slots[i])
+		}
+	}
+	if s.canceled || !s.lastAck.Equal(lastAck) {
+		t.Fatalf("record changed: canceled=%v, stall clock moved %v", s.canceled, s.lastAck.Sub(lastAck))
 	}
 }
