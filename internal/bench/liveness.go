@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -263,6 +264,9 @@ type LivenessScalePoint struct {
 	GossipWritesPerSec float64 `json:"gossip_writes_per_sec"`
 	LegacyWritesPerSec float64 `json:"legacy_writes_per_sec"`
 	WriteReduction     float64 `json:"write_reduction"`
+	// CatalogScans is how many times the monitor re-read a prefix of
+	// the catalog over the whole run, warmup to heal.
+	CatalogScans uint64 `json:"catalog_scans"`
 }
 
 // scaleWorld is one running cluster of the scale sweep.
@@ -582,6 +586,7 @@ func MeasureLivenessScale(hosts, groupSize int, probe time.Duration) (LivenessSc
 		return pt, fmt.Errorf("heal: %w", err)
 	}
 	pt.HealReviveMs = float64(revive) / 1e6
+	pt.CatalogScans = w.mon.Metrics().Counter("catalog_scans").Value()
 
 	// Legacy baseline, measured: one catalog heartbeat per host per
 	// interval into the same store type, counted over a few intervals.
@@ -644,11 +649,21 @@ func RunLivenessScaleSuite(quick bool) ([]LivenessScalePoint, error) {
 	return out, nil
 }
 
+// RunEnv records where a set of numbers came from.
+type RunEnv struct {
+	GoVersion  string `json:"go_version"`
+	OS         string `json:"goos"`
+	Arch       string `json:"goarch"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
 // FailoverArtifact is the machine-readable form of a detection run,
 // written to BENCH_failover.json.
 type FailoverArtifact struct {
 	Experiment  string               `json:"experiment"`
 	GeneratedAt string               `json:"generated_at"`
+	Env         RunEnv               `json:"env"`
 	Quick       bool                 `json:"quick"`
 	Points      []FailoverPoint      `json:"points"`
 	Scale       []LivenessScalePoint `json:"scale,omitempty"`
@@ -660,10 +675,17 @@ func WriteFailoverArtifact(path string, points []FailoverPoint, scale []Liveness
 	art := FailoverArtifact{
 		Experiment:  "liveness",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Quick:       quick,
-		Points:      points,
-		Scale:       scale,
-		Monitor:     monitor,
+		Env: RunEnv{
+			GoVersion:  runtime.Version(),
+			OS:         runtime.GOOS,
+			Arch:       runtime.GOARCH,
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+		},
+		Quick:   quick,
+		Points:  points,
+		Scale:   scale,
+		Monitor: monitor,
 	}
 	b, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {

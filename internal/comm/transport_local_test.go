@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -177,9 +178,12 @@ func TestLocalTransportsConcurrentEndpoints(t *testing.T) {
 			delivered.Add(1)
 		}
 	}()
+	var senders sync.WaitGroup
 	for p := 0; p < nPairs; p++ {
 		src := newLocalTestEndpoint(t, fmt.Sprintf("urn:lp%d", p), "inproc", "", res)
+		senders.Add(1)
 		go func(e *Endpoint) {
+			defer senders.Done()
 			for i := 0; i < nMsgs; i++ {
 				if err := sendWaitT(e, "urn:lsink", 0, []byte("m"), 10*time.Second); err != nil {
 					t.Errorf("send: %v", err)
@@ -191,6 +195,10 @@ func TestLocalTransportsConcurrentEndpoints(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("only %d/%d messages delivered", delivered.Load(), nPairs*nMsgs)
+		t.Errorf("only %d/%d messages delivered", delivered.Load(), nPairs*nMsgs)
 	}
+	// The sink holding the last message does not mean its sender has the
+	// ack: cleanup closes the senders, so their last SendWait must return
+	// first.
+	senders.Wait()
 }

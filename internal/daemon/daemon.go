@@ -10,7 +10,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -52,39 +51,27 @@ type Config struct {
 	Registry *task.Registry // available programs
 	Listens  []ListenSpec   // interfaces; default loopback TCP
 
-	// HeartbeatInterval is the liveness cadence. In the default gossip
-	// mode it is the probe interval of the host's gossip agent; in
-	// legacy mode (Gossip.Legacy) it is the cadence of per-tick catalog
-	// heartbeat writes, each jittered ±10% so many virtual hosts
-	// sharing a replica do not thundering-herd it in lockstep. Default
-	// 100ms.
+	// HeartbeatInterval is the liveness cadence: the probe interval of
+	// the host's gossip agent, and so the cadence at which its own
+	// sequence number advances and its group's digest is written. The
+	// catalog heartbeat is written only at start and at a clean
+	// shutdown. Default 100ms.
 	HeartbeatInterval time.Duration
 
 	// Gossip tunes the daemon's participation in the hierarchical
 	// gossip liveness tier (see internal/gossip). The zero value is the
-	// default: gossip enabled, one cluster-wide group.
+	// default: one cluster-wide group.
 	Gossip GossipOptions
 }
 
 // GossipOptions configures a daemon's gossip liveness participation.
 type GossipOptions struct {
-	// Legacy disables gossip and restores the original per-tick catalog
-	// heartbeat — the fallback for mixed clusters and the ablation
-	// baseline for the write-amplification experiment.
-	Legacy bool
 	// Groups is the cluster-wide gossip group count; hosts hash into
 	// groups by name (gossip.GroupOf). Default 1.
 	Groups int
 	// Gate injects partitions into gossip traffic for netsim-style
 	// failure experiments; nil means no injection.
 	Gate func(from, to string) error
-}
-
-// WithLegacyHeartbeat returns a copy of the config running the
-// original per-tick catalog heartbeat instead of gossip liveness.
-func (c Config) WithLegacyHeartbeat() Config {
-	c.Gossip.Legacy = true
-	return c
 }
 
 // runningTask tracks one hosted task.
@@ -115,11 +102,11 @@ type Daemon struct {
 	wg      sync.WaitGroup
 	started bool
 	hbSeq   uint64        // heartbeat sequence number (guarded by mu)
-	agent   *gossip.Agent // gossip liveness participant (nil in legacy mode)
+	agent   *gossip.Agent // gossip liveness participant (nil before Start)
 
 	// Telemetry (see internal/stats); pointers captured at construction.
 	metrics     *stats.Registry
-	mHeartbeats *stats.Counter // per-host heartbeat publications to RC metadata
+	mHeartbeats *stats.Counter // startup and tombstone heartbeats written to RC metadata
 	mDigests    *stats.Counter // group digest publications (reporter duty)
 	mSpawns     *stats.Counter
 	mSpawnErrs  *stats.Counter
@@ -180,7 +167,7 @@ func (d *Daemon) Resolver() *naming.Resolver { return d.resolver }
 func (d *Daemon) Endpoint() *comm.Endpoint { return d.ep }
 
 // Start brings the daemon up: endpoints listening, host metadata
-// registered, protocol handler and load monitor running.
+// registered, protocol handler and gossip agent running.
 func (d *Daemon) Start() error {
 	d.mu.Lock()
 	if d.started {
@@ -215,23 +202,15 @@ func (d *Daemon) Start() error {
 	cat.Set(d.hostURL, rcds.AttrCPUs, fmt.Sprintf("%d", d.cfg.CPUs))
 	cat.Set(d.hostURL, rcds.AttrMemory, fmt.Sprintf("%d", d.cfg.MemoryMB))
 	cat.Set(d.hostURL, rcds.AttrHostDaemonURL, d.urn)
-	d.publishHeartbeat(false) // liveness + load, one write (see internal/liveness)
+	// The startup record: ongoing liveness and load ride the gossip tier
+	// and its group digest (see internal/liveness).
+	d.publishHeartbeat(false)
 	for _, r := range routes {
 		cat.Add(d.hostURL, rcds.AttrInterface, r.String())
 	}
 	if err := naming.Register(cat, d.urn, routes); err != nil {
 		return err
 	}
-
-	if d.cfg.Gossip.Legacy {
-		// Legacy liveness: one replicated heartbeat write per tick.
-		d.wg.Add(1)
-		go d.loadLoop()
-		return nil
-	}
-	// Gossip liveness: the heartbeat published above stays as the host's
-	// startup record; ongoing liveness and load ride the gossip tier and
-	// its group digest.
 	return d.startGossip()
 }
 
@@ -268,8 +247,8 @@ func (d *Daemon) WithdrawRoute(route comm.Route) error {
 }
 
 // Close stops the daemon and kills its tasks. This is the clean
-// shutdown path: after the heartbeat loop stops, the daemon publishes
-// a tombstone heartbeat and withdraws its records from RC metadata, so
+// shutdown path: after its gossip agent says goodbye, the daemon
+// publishes a tombstone heartbeat and withdraws its records from RC metadata, so
 // liveness monitors see a planned departure ("left"), never a crash.
 func (d *Daemon) Close() { d.shutdown(false) }
 
@@ -309,8 +288,6 @@ func (d *Daemon) shutdown(crash bool) {
 		}
 	}
 	if !crash {
-		// The heartbeat loop is down (wg.Wait above), so no racing beat
-		// can resurrect the record after the tombstone lands.
 		d.publishHeartbeat(true)
 		cat := d.cfg.Catalog
 		cat.Remove(d.hostURL, rcds.AttrHostDaemonURL, d.urn)
@@ -326,10 +303,10 @@ func (d *Daemon) shutdown(crash bool) {
 	d.mu.Unlock()
 }
 
-// publishHeartbeat folds liveness and load into one replicated RC
-// write: a monotonically increasing sequence number, the wall clock,
-// and the load figure placement reads (down marks the clean-shutdown
-// tombstone).
+// publishHeartbeat writes the host's catalog heartbeat: the startup
+// record, or (down) the clean-shutdown tombstone. It folds a sequence
+// number, the wall clock and the load figure into one replicated RC
+// write.
 func (d *Daemon) publishHeartbeat(down bool) {
 	d.mu.Lock()
 	d.hbSeq++
@@ -338,32 +315,6 @@ func (d *Daemon) publishHeartbeat(down bool) {
 	hb.Load = d.Load()
 	d.cfg.Catalog.Set(d.hostURL, rcds.AttrHeartbeat, hb.String())
 	d.mHeartbeats.Inc()
-}
-
-// loadLoop periodically publishes the host's heartbeat — carrying the
-// load figure (running task count per CPU) that resource-manager
-// placement consumes, and the sequence number liveness monitors watch.
-// Each interval is jittered ±10% so heartbeats from many hosts decay
-// out of phase instead of thundering-herding the RC replica.
-func (d *Daemon) loadLoop() {
-	defer d.wg.Done()
-	timer := time.NewTimer(d.jitteredInterval())
-	defer timer.Stop()
-	for {
-		select {
-		case <-d.done:
-			return
-		case <-timer.C:
-			d.publishHeartbeat(false)
-			timer.Reset(d.jitteredInterval())
-		}
-	}
-}
-
-// jitteredInterval returns the configured heartbeat interval ±10%.
-func (d *Daemon) jitteredInterval() time.Duration {
-	base := d.cfg.HeartbeatInterval
-	return base + time.Duration((rand.Float64()*0.2-0.1)*float64(base))
 }
 
 // Load returns the current load figure: running tasks per CPU.

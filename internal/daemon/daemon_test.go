@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"snipe/internal/comm"
+	"snipe/internal/gossip"
 	"snipe/internal/liveness"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
@@ -473,7 +474,7 @@ func TestLoadPublishing(t *testing.T) {
 	if got := d.Load(); got != 2.0 { // 4 tasks / 2 CPUs
 		t.Fatalf("load = %v", got)
 	}
-	// The heartbeat loop publishes the load figure to the catalog.
+	// The load figure reaches the catalog through the group digest.
 	testutil.WaitFor(t, 3*time.Second, func() bool {
 		load, ok := liveness.HostLoad(w.cat, d.HostURL())
 		return ok && load == 2.0
@@ -548,35 +549,38 @@ func BenchmarkSpawnExit(b *testing.B) {
 
 func TestHeartbeatIntervalConfigurable(t *testing.T) {
 	w := newWorld(t)
-	// Legacy mode: the per-tick heartbeat IS the configurable cadence
-	// under test (gossip mode writes no per-tick heartbeats at all).
-	d := New(Config{
-		HostName: "hb-fast", Catalog: w.cat,
-		HeartbeatInterval: 10 * time.Millisecond,
-	}.WithLegacyHeartbeat())
+	// HeartbeatInterval is the gossip probe cadence: each probe round
+	// advances the host's own sequence number, and the group digest the
+	// lone member writes as reporter carries it.
+	d := New(Config{HostName: "hb-fast", Catalog: w.cat, HeartbeatInterval: 10 * time.Millisecond})
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
 
 	readSeq := func() uint64 {
-		v, ok := w.store.FirstValue(d.HostURL(), rcds.AttrHeartbeat)
+		v, ok := w.store.FirstValue(naming.LivenessGroupURI(0), rcds.AttrGroupDigest)
 		if !ok {
 			return 0
 		}
-		hb, err := liveness.ParseHeartbeat(v)
+		dg, err := gossip.ParseDigest(v)
 		if err != nil {
-			t.Fatalf("malformed heartbeat %q: %v", v, err)
+			t.Fatalf("malformed digest %q: %v", v, err)
 		}
-		return hb.Seq
+		for _, u := range dg.Members {
+			if u.Host == d.HostURL() {
+				return u.Seq
+			}
+		}
+		return 0
 	}
 	start := readSeq()
 	time.Sleep(200 * time.Millisecond)
-	// 200ms at a 10ms cadence (±10% jitter) publishes ~20 beats; the
-	// default 100ms cadence could manage at most 3. Requiring 6 proves
-	// the configured interval took effect with wide scheduling slack.
+	// 200ms at a 10ms cadence advances the seq ~20 times; the default
+	// 100ms cadence could manage at most 3. Requiring 6 proves the
+	// configured interval took effect with wide scheduling slack.
 	if got := readSeq(); got < start+6 {
-		t.Fatalf("seq advanced %d->%d in 200ms; configured interval ignored", start, got)
+		t.Fatalf("digest seq advanced %d->%d in 200ms; configured interval ignored", start, got)
 	}
 }
 

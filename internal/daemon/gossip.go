@@ -12,13 +12,13 @@ import (
 )
 
 // This file is the daemon's side of the hierarchical liveness tier:
-// instead of writing a catalog heartbeat every tick (O(N) replicated
+// rather than writing a catalog heartbeat every tick (O(N) replicated
 // writes across the cluster), each daemon runs a gossip.Agent that
 // probes its group peers over the daemon's own comm endpoint
 // (task.TagGossip) and — when elected reporter — folds the group's
 // state into ONE digest write per interval (O(N/groupSize)). The
-// per-host heartbeat survives only as the startup record, the clean
-// shutdown tombstone, and the Gossip.Legacy fallback.
+// per-host heartbeat survives only as the startup record and the clean
+// shutdown tombstone.
 
 // startGossip publishes the host's group membership and brings up its
 // gossip agent. Called from Start after the endpoint is routable.
@@ -74,8 +74,8 @@ func (d *Daemon) handleGossip(m *comm.Message) {
 
 // gossipPeers lists this daemon's group members from the catalog: the
 // hosts that published a matching gossip-group attribute and hash into
-// the same group. Legacy-heartbeat hosts never publish the attribute,
-// so they are never probed.
+// the same group. A host record without the attribute (one registered
+// by hand) is never probed.
 func (d *Daemon) gossipPeers(group, groups int) ([]string, error) {
 	urls, err := d.cfg.Catalog.URIs(naming.HostPrefix)
 	if err != nil {
@@ -106,9 +106,8 @@ func (d *Daemon) writeDigest(dg *gossip.Digest) error {
 	return err
 }
 
-// GossipAgent returns the daemon's gossip agent (nil in legacy mode or
-// before Start) — the hook tests and experiments use to inspect group
-// state.
+// GossipAgent returns the daemon's gossip agent (nil before Start) —
+// the hook tests and experiments use to inspect group state.
 func (d *Daemon) GossipAgent() *gossip.Agent {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -75,10 +75,6 @@ type Config struct {
 	// agent without it never takes reporter duty (and gossips nothing
 	// to the catalog tier).
 	WriteDigest func(*Digest) error
-	// Observer receives accepted member state changes first-hand — the
-	// direct-event feed for a colocated liveness.Monitor. Called
-	// without agent locks held. Optional.
-	Observer func(Update)
 	// Gate injects partitions at the gossip layer: a non-nil error for
 	// (from, to) drops the send, regardless of transport. Optional.
 	Gate func(from, to string) error
@@ -331,14 +327,14 @@ func (a *Agent) Deliver(m *Message) {
 	a.mRx.Inc()
 	now := time.Now()
 	var out []send
-	var events []Update
+	changed := false
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
 		return
 	}
 	for _, u := range m.Updates {
-		a.applyLocked(u, now, &out, &events)
+		changed = a.applyLocked(u, now, &out) || changed
 	}
 	switch m.Kind {
 	case kindPing:
@@ -364,9 +360,8 @@ func (a *Agent) Deliver(m *Message) {
 		// Merge-only; already done above.
 	}
 	a.mu.Unlock()
-	a.emit(events)
 	a.deliver(out)
-	if len(events) > 0 {
+	if changed {
 		// A state change arrived between run-loop ticks; if we are the
 		// reporter, flush it to the catalog now instead of letting it
 		// age up to a quarter interval.
@@ -394,15 +389,13 @@ func (a *Agent) run() {
 		case <-ticker.C:
 			now := time.Now()
 			var out []send
-			var events []Update
 			phase++
 			if phase%4 == 0 {
 				out = append(out, a.probeTick(now)...)
 			}
 			a.mu.Lock()
-			a.timeoutsLocked(now, &out, &events)
+			a.timeoutsLocked(now, &out)
 			a.mu.Unlock()
-			a.emit(events)
 			a.deliver(out)
 			a.digestTick(now)
 			if a.cfg.Peers != nil && now.After(nextRefresh) {
@@ -487,7 +480,7 @@ func (a *Agent) reshuffleLocked() {
 // timeoutsLocked ages probes toward indirection and suspicion, and
 // suspects toward death, and expires retained verdicts and stale
 // relays. Caller holds a.mu.
-func (a *Agent) timeoutsLocked(now time.Time, out *[]send, events *[]Update) {
+func (a *Agent) timeoutsLocked(now time.Time, out *[]send) {
 	for id, p := range a.probes {
 		age := now.Sub(p.start)
 		if !p.indirect && age > a.cfg.AckTimeout {
@@ -500,7 +493,7 @@ func (a *Agent) timeoutsLocked(now time.Time, out *[]send, events *[]Update) {
 		if age > a.cfg.ProbeTimeout {
 			delete(a.probes, id)
 			if m, ok := a.members[p.target]; ok && m.State == StateAlive {
-				a.applyLocked(Update{Host: p.target, Inc: m.Inc, Seq: m.Seq, State: StateSuspect, Load: m.Load, NoCat: m.NoCat}, now, out, events)
+				a.applyLocked(Update{Host: p.target, Inc: m.Inc, Seq: m.Seq, State: StateSuspect, Load: m.Load, NoCat: m.NoCat}, now, out)
 			}
 		}
 	}
@@ -508,7 +501,7 @@ func (a *Agent) timeoutsLocked(now time.Time, out *[]send, events *[]Update) {
 		switch m.State {
 		case StateSuspect:
 			if now.Sub(m.changedAt) > a.cfg.SuspectTimeout {
-				a.applyLocked(Update{Host: host, Inc: m.Inc, Seq: m.Seq, State: StateDead, Load: m.Load, NoCat: m.NoCat}, now, out, events)
+				a.applyLocked(Update{Host: host, Inc: m.Inc, Seq: m.Seq, State: StateDead, Load: m.Load, NoCat: m.NoCat}, now, out)
 			}
 		case StateDead, StateLeft:
 			if host != a.cfg.Self && now.Sub(m.changedAt) > a.cfg.Retention {
@@ -540,12 +533,12 @@ func (a *Agent) helpersLocked(target string) []string {
 	return candidates
 }
 
-// applyLocked merges one gossiped claim into the member table,
-// planning refutations, dissemination pushes and observer events.
-// Caller holds a.mu.
-func (a *Agent) applyLocked(u Update, now time.Time, out *[]send, events *[]Update) {
+// applyLocked merges one gossiped claim into the member table and
+// plans refutations and dissemination pushes. It reports whether the
+// table learned a member or a member changed state. Caller holds a.mu.
+func (a *Agent) applyLocked(u Update, now time.Time, out *[]send) bool {
 	if !validHostName(u.Host) {
-		return
+		return false
 	}
 	if u.Host == a.cfg.Self {
 		// A claim about ourselves. Suspicion, death or departure at our
@@ -560,7 +553,7 @@ func (a *Agent) applyLocked(u Update, now time.Time, out *[]send, events *[]Upda
 			a.dirty = true
 			*out = append(*out, a.pushPlanLocked(a.self.Update)...)
 		}
-		return
+		return false
 	}
 	m, ok := a.members[u.Host]
 	if !ok {
@@ -569,30 +562,30 @@ func (a *Agent) applyLocked(u Update, now time.Time, out *[]send, events *[]Upda
 		a.members[u.Host] = m
 		a.insertRingLocked(u.Host)
 		a.dirty = true
-		*events = append(*events, u)
 		if u.State != StateAlive {
 			a.urgent = true
 			a.countTransitionLocked(u.State)
 			*out = append(*out, a.pushPlanLocked(u)...)
 		}
-		return
+		return true
 	}
 	if !u.Supersedes(m.Update) {
-		return
+		return false
 	}
 	old := m.State
 	m.Update = u
-	if u.State != old {
-		m.changedAt = now
-		a.dirty = true
-		a.urgent = true
-		a.countTransitionLocked(u.State)
-		*events = append(*events, u)
-		// State changes spread faster than the probe cadence: push to a
-		// few random peers immediately (suspicions so refutation starts
-		// early; recoveries so false verdicts die early).
-		*out = append(*out, a.pushPlanLocked(u)...)
+	if u.State == old {
+		return false
 	}
+	m.changedAt = now
+	a.dirty = true
+	a.urgent = true
+	a.countTransitionLocked(u.State)
+	// State changes spread faster than the probe cadence: push to a few
+	// random peers immediately (suspicions so refutation starts early;
+	// recoveries so false verdicts die early).
+	*out = append(*out, a.pushPlanLocked(u)...)
+	return true
 }
 
 func (a *Agent) countTransitionLocked(state uint8) {
@@ -794,15 +787,5 @@ func (a *Agent) deliver(out []send) {
 			continue
 		}
 		a.cfg.Transport.Send(s.to, s.msg)
-	}
-}
-
-// emit invokes the observer outside the agent lock.
-func (a *Agent) emit(events []Update) {
-	if a.cfg.Observer == nil {
-		return
-	}
-	for _, u := range events {
-		a.cfg.Observer(u)
 	}
 }

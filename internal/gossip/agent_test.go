@@ -535,37 +535,3 @@ func TestMinorityReporterFlagsDigest(t *testing.T) {
 		return false
 	})
 }
-
-func TestObserverSeesTransitions(t *testing.T) {
-	m := newMesh()
-	a, b := "snipe://hosts/a", "snipe://hosts/b"
-	var mu sync.Mutex
-	var seen []Update
-	agents := spawnGroup(t, m, []string{a, b}, func(h string, cfg *Config) {
-		if h == a {
-			cfg.Observer = func(u Update) {
-				mu.Lock()
-				seen = append(seen, u)
-				mu.Unlock()
-			}
-		}
-	})
-	waitFor(t, 5*time.Second, "mutual genuine alive", func() bool {
-		return seesLive(agents[a], b) && seesLive(agents[b], a)
-	})
-	agents[b].Stop()
-	waitFor(t, 5*time.Second, "observer saw suspicion and death", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		var suspect, dead bool
-		for _, u := range seen {
-			if u.Host == b && u.State == StateSuspect {
-				suspect = true
-			}
-			if u.Host == b && u.State == StateDead {
-				dead = true
-			}
-		}
-		return suspect && dead
-	})
-}

@@ -44,7 +44,7 @@ func TestObserveGossipFreshness(t *testing.T) {
 		{"clean departure", u(3, 2, gossip.StateLeft), Left},
 	}
 	for _, s := range steps {
-		w.mon.ObserveGossip(s.u)
+		w.mon.observeGossip(s.u, true, time.Now())
 		if got := w.mon.State(host); got != s.want {
 			t.Fatalf("%s: state = %v, want %v", s.name, got, s.want)
 		}
@@ -60,21 +60,21 @@ func TestObserveGossipFreshness(t *testing.T) {
 func TestMinorityDigestDowngradesDeath(t *testing.T) {
 	w := newBeatWorld(t, slowOptions())
 	host := naming.HostURL("g2")
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 1, State: gossip.StateAlive})
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 1, State: gossip.StateAlive}, true, time.Now())
 
 	// A minority reporter's death verdict counts only as suspicion: the
 	// reporter may be the partitioned one.
-	w.mon.ObserveGossipQuorum(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateDead}, false, time.Now())
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateDead}, false, time.Now())
 	if got := w.mon.State(host); got != Suspect {
 		t.Fatalf("minority verdict gave %v, want %v", got, Suspect)
 	}
 	// The same claim with quorum is believed.
-	w.mon.ObserveGossipQuorum(gossip.Update{Host: host, Inc: 1, Seq: 3, State: gossip.StateDead}, true, time.Now())
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 3, State: gossip.StateDead}, true, time.Now())
 	if got := w.mon.State(host); got != Dead {
 		t.Fatalf("quorum verdict gave %v, want %v", got, Dead)
 	}
 	// A later minority verdict cannot resurrect a dead host to suspect.
-	w.mon.ObserveGossipQuorum(gossip.Update{Host: host, Inc: 1, Seq: 4, State: gossip.StateDead}, false, time.Now())
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 4, State: gossip.StateDead}, false, time.Now())
 	if got := w.mon.State(host); got != Dead {
 		t.Fatalf("minority verdict moved a dead host to %v", got)
 	}
@@ -116,9 +116,9 @@ func TestDigestIntakeViaCatalog(t *testing.T) {
 func TestStaleDigestLosesToDirectEvidence(t *testing.T) {
 	w := newBeatWorld(t, slowOptions())
 	host := naming.HostURL("g3")
-	// Direct gossip (the colocated agent's observer feed) has already
-	// seen the host refute a false verdict at incarnation 2.
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 2, Seq: 4, State: gossip.StateAlive})
+	// Earlier evidence (another group's digest, say) has already shown
+	// the host refuting a false verdict at incarnation 2.
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 2, Seq: 4, State: gossip.StateAlive}, true, time.Now())
 
 	// A digest written before the refutation still carries the stale
 	// death at incarnation 1. It must lose.
@@ -154,7 +154,7 @@ func TestSubscribeDropOldest(t *testing.T) {
 		if i%2 == 1 {
 			state = gossip.StateAlive
 		}
-		w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: seq, State: state})
+		w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: seq, State: state}, true, time.Now())
 	}
 	dropped := w.mon.Metrics().Counter("liveness_events_dropped").Value()
 	if dropped != transitions-2 {
@@ -198,7 +198,7 @@ func TestArrivalClockRefreshRules(t *testing.T) {
 	u := func(inc, seq uint64, state uint8) gossip.Update {
 		return gossip.Update{Host: host, Inc: inc, Seq: seq, State: state}
 	}
-	w.mon.ObserveGossipQuorum(u(1, 5, gossip.StateAlive), true, t0)
+	w.mon.observeGossip(u(1, 5, gossip.StateAlive), true, t0)
 	rec, ok := recordOf(w.mon, host)
 	if !ok || !rec.lastBeat.Equal(t0) {
 		t.Fatalf("fresh claim did not set the arrival clock: %v %v", ok, rec.lastBeat)
@@ -208,14 +208,14 @@ func TestArrivalClockRefreshRules(t *testing.T) {
 	// counters behind the digest cadence): the clock refreshes. Replayed
 	// digests are deduped before they can reach the claim merge.
 	t1 := t0.Add(time.Second)
-	w.mon.ObserveGossipQuorum(u(1, 5, gossip.StateAlive), true, t1)
+	w.mon.observeGossip(u(1, 5, gossip.StateAlive), true, t1)
 	rec, _ = recordOf(w.mon, host)
 	if !rec.lastBeat.Equal(t1) {
 		t.Fatalf("re-vouched claim did not refresh the arrival clock: %v", rec.lastBeat)
 	}
 	// A claim at a LOWER seq is history and refreshes nothing.
 	t2 := t1.Add(time.Second)
-	w.mon.ObserveGossipQuorum(u(1, 3, gossip.StateAlive), true, t2)
+	w.mon.observeGossip(u(1, 3, gossip.StateAlive), true, t2)
 	rec, _ = recordOf(w.mon, host)
 	if !rec.lastBeat.Equal(t1) {
 		t.Fatalf("stale claim refreshed the arrival clock to %v", rec.lastBeat)
@@ -223,9 +223,9 @@ func TestArrivalClockRefreshRules(t *testing.T) {
 	// Once a verdict freezes the record, an alive claim at the frozen
 	// seq must not refresh the clock either — reviving or sustaining a
 	// suspected host demands seq progress.
-	w.mon.ObserveGossipQuorum(u(1, 4, gossip.StateSuspect), true, t2)
+	w.mon.observeGossip(u(1, 4, gossip.StateSuspect), true, t2)
 	t3 := t2.Add(time.Second)
-	w.mon.ObserveGossipQuorum(u(1, 4, gossip.StateAlive), true, t3)
+	w.mon.observeGossip(u(1, 4, gossip.StateAlive), true, t3)
 	rec, _ = recordOf(w.mon, host)
 	if rec.state != Suspect || !rec.lastBeat.Equal(t1) {
 		t.Fatalf("claim at frozen seq touched a suspected record: %v %v", rec.state, rec.lastBeat)
@@ -300,8 +300,8 @@ func TestMinorityAliveCannotResurrectDead(t *testing.T) {
 	u := func(inc, seq uint64, state uint8) gossip.Update {
 		return gossip.Update{Host: host, Inc: inc, Seq: seq, State: state}
 	}
-	w.mon.ObserveGossipQuorum(u(1, 1, gossip.StateAlive), true, now)
-	w.mon.ObserveGossipQuorum(u(1, 2, gossip.StateDead), true, now)
+	w.mon.observeGossip(u(1, 1, gossip.StateAlive), true, now)
+	w.mon.observeGossip(u(1, 2, gossip.StateDead), true, now)
 	if got := w.mon.State(host); got != Dead {
 		t.Fatalf("quorum verdict gave %v", got)
 	}
@@ -309,23 +309,23 @@ func TestMinorityAliveCannotResurrectDead(t *testing.T) {
 	// reporter's advancing seqs must refresh the record without flapping
 	// it back to Alive against the majority's verdict.
 	for seq := uint64(3); seq < 8; seq++ {
-		w.mon.ObserveGossipQuorum(u(1, seq, gossip.StateAlive), false, now)
+		w.mon.observeGossip(u(1, seq, gossip.StateAlive), false, now)
 		if got := w.mon.State(host); got != Dead {
 			t.Fatalf("minority alive at seq %d resurrected host to %v", seq, got)
 		}
 	}
 	// Quorum evidence of further progress does resurrect.
-	w.mon.ObserveGossipQuorum(u(1, 9, gossip.StateAlive), true, now)
+	w.mon.observeGossip(u(1, 9, gossip.StateAlive), true, now)
 	if got := w.mon.State(host); got != Alive {
 		t.Fatalf("quorum alive after progress gave %v", got)
 	}
 	// Dead again; the member's own refutation (incarnation bump) revives
 	// it even when carried by a minority digest.
-	w.mon.ObserveGossipQuorum(u(1, 10, gossip.StateDead), true, now)
+	w.mon.observeGossip(u(1, 10, gossip.StateDead), true, now)
 	if got := w.mon.State(host); got != Dead {
 		t.Fatalf("second verdict gave %v", got)
 	}
-	w.mon.ObserveGossipQuorum(u(2, 1, gossip.StateAlive), false, now)
+	w.mon.observeGossip(u(2, 1, gossip.StateAlive), false, now)
 	if got := w.mon.State(host); got != Alive {
 		t.Fatalf("minority-carried refutation gave %v", got)
 	}
@@ -339,15 +339,15 @@ func TestMinorityAliveClearsSuspicion(t *testing.T) {
 	w := newBeatWorld(t, slowOptions())
 	host := naming.HostURL("g8")
 	now := time.Now()
-	w.mon.ObserveGossipQuorum(gossip.Update{Host: host, Inc: 1, Seq: 1, State: gossip.StateAlive}, false, now)
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 1, State: gossip.StateAlive}, false, now)
 	if got := w.mon.State(host); got != Alive {
 		t.Fatalf("minority alive on a fresh record gave %v", got)
 	}
-	w.mon.ObserveGossipQuorum(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateSuspect}, false, now)
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateSuspect}, false, now)
 	if got := w.mon.State(host); got != Suspect {
 		t.Fatalf("minority suspicion gave %v", got)
 	}
-	w.mon.ObserveGossipQuorum(gossip.Update{Host: host, Inc: 1, Seq: 3, State: gossip.StateAlive}, false, now)
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 3, State: gossip.StateAlive}, false, now)
 	if got := w.mon.State(host); got != Alive {
 		t.Fatalf("minority alive did not clear suspicion: %v", got)
 	}
@@ -356,22 +356,22 @@ func TestMinorityAliveClearsSuspicion(t *testing.T) {
 func TestReplayedAliveBetweenVerdictAndCreditedSeq(t *testing.T) {
 	w := newBeatWorld(t, slowOptions())
 	host := naming.HostURL("g9")
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 9, State: gossip.StateAlive})
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 9, State: gossip.StateAlive}, true, time.Now())
 	// The prober last heard the member at seq 4; its verdict carries
 	// that lagging seq and freezes the record there.
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 4, State: gossip.StateSuspect})
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 4, State: gossip.StateSuspect}, true, time.Now())
 	if got := w.mon.State(host); got != Suspect {
 		t.Fatalf("verdict gave %v", got)
 	}
 	// An out-of-order digest served by a lagging replica replays an
 	// alive claim from between the frozen seq and the highest alive seq
 	// already credited: that is history, not progress.
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 7, State: gossip.StateAlive})
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 7, State: gossip.StateAlive}, true, time.Now())
 	if got := w.mon.State(host); got != Suspect {
 		t.Fatalf("replayed alive claim resurrected host to %v", got)
 	}
 	// Progress past both seqs is genuine life after the verdict.
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 10, State: gossip.StateAlive})
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 10, State: gossip.StateAlive}, true, time.Now())
 	if got := w.mon.State(host); got != Alive {
 		t.Fatalf("genuine progress gave %v", got)
 	}
@@ -385,8 +385,8 @@ func TestDeadRecordExpiresAfterRetention(t *testing.T) {
 	w.mon.retention = 40 * time.Millisecond
 	w.mon.mu.Unlock()
 	host := naming.HostURL("g10")
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 1, State: gossip.StateAlive})
-	w.mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateDead})
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 1, State: gossip.StateAlive}, true, time.Now())
+	w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateDead}, true, time.Now())
 	if got := w.mon.State(host); got != Dead {
 		t.Fatalf("verdict gave %v", got)
 	}
@@ -396,7 +396,7 @@ func TestDeadRecordExpiresAfterRetention(t *testing.T) {
 	// flap it through a fresh timeout cycle.
 	hold := time.Now().Add(150 * time.Millisecond)
 	for time.Now().Before(hold) {
-		w.mon.ObserveGossipQuorum(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateDead}, true, time.Now())
+		w.mon.observeGossip(gossip.Update{Host: host, Inc: 1, Seq: 2, State: gossip.StateDead}, true, time.Now())
 		if got := w.mon.State(host); got != Dead {
 			t.Fatalf("still-mentioned dead record expired early: %v", got)
 		}
@@ -424,7 +424,7 @@ func TestHostLoadDigestPath(t *testing.T) {
 	host := naming.HostURL("gh1")
 
 	// A gossip-mode host publishes load through its group digest, which
-	// beats even a (stale) legacy heartbeat on the same record.
+	// beats even the (stale) startup heartbeat on the same record.
 	cat.Set(host, rcds.AttrGossipGroup, "5/8")
 	cat.Set(host, rcds.AttrHeartbeat, Heartbeat{Seq: 1, Time: 1, Load: 9.75}.String())
 	d := &gossip.Digest{Group: 5, Reporter: host, Seq: 3, Quorum: true, Members: []gossip.Update{

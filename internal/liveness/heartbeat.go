@@ -2,11 +2,13 @@
 // "failure notification" made a system property instead of a private
 // habit of each layer.
 //
-// Host daemons publish heartbeats — a monotonically increasing sequence
-// number, a wall-clock timestamp and the host's load, folded into ONE
-// replicated RC metadata write per beat (riding the daemon's existing
-// load publication, so liveness costs no new wire protocol). A Monitor
-// watches the catalog and tracks every host through the state machine
+// Two kinds of catalog record carry liveness evidence. A host daemon
+// writes one heartbeat — a sequence number, a wall-clock timestamp and
+// the host's load — when it starts, and a tombstone heartbeat when it
+// shuts down cleanly; it does not beat per tick. Ongoing liveness rides
+// the gossip tier (internal/gossip): each group's elected reporter
+// writes one digest of its members' claims per interval. A Monitor
+// watches both prefixes and tracks every host through the state machine
 //
 //	alive → suspect → dead
 //
@@ -96,9 +98,9 @@ func HostOfURN(urn string) string {
 
 // HostLoad reads a host's load figure. A gossip-mode host (it carries
 // a gossip-group attribute) publishes load through its group's digest,
-// so that is consulted first; the per-host heartbeat covers legacy
-// daemons, and the standalone load attribute covers records published
-// by hand.
+// so that is consulted first; the per-host heartbeat covers a host
+// whose group has not written yet, and the standalone load attribute
+// covers records published by hand.
 func HostLoad(cat naming.Catalog, hostURL string) (float64, bool) {
 	if v, ok, err := cat.FirstValue(hostURL, rcds.AttrGossipGroup); err == nil && ok {
 		if load, ok := digestLoad(cat, hostURL, v); ok {

@@ -62,7 +62,7 @@ type Info struct {
 	Host         string
 	State        State
 	Seq          uint64        // last heartbeat/gossip sequence number seen
-	Inc          uint64        // gossip incarnation (zero for legacy heartbeats)
+	Inc          uint64        // gossip incarnation (zero for a heartbeat-only record)
 	Load         float64       // load carried by the last heartbeat or digest
 	Age          time.Duration // since the last new liveness evidence arrived
 	SuspectAfter time.Duration // current adaptive suspicion bound
@@ -91,7 +91,8 @@ const (
 	// evidence).
 	failureThreshold = 3
 	// scanInterval is the catalog poll period when the catalog offers
-	// neither push subscriptions nor version long-poll.
+	// neither push subscriptions nor version long-poll (naming.Watch's
+	// tick face).
 	scanInterval = 100 * time.Millisecond
 )
 
@@ -115,7 +116,7 @@ type hostRecord struct {
 	state     State
 	seq       uint64
 	aliveSeq  uint64 // highest seq any alive claim carried at inc
-	inc       uint64 // gossip incarnation (zero for legacy heartbeats)
+	inc       uint64 // gossip incarnation (zero for a heartbeat-only record)
 	load      float64
 	lastBeat  time.Time // local arrival time of the last NEW evidence
 	lastSeen  time.Time // last intake mentioning the host, fresh or stale
@@ -126,36 +127,27 @@ type hostRecord struct {
 }
 
 // digestMark records the newest digest ingested for one gossip group.
-// The scan-based watch paths re-read every group's digest each cycle,
-// and a lagging replica can serve an older one during catch-up; a
-// digest that is not strictly newer than the mark contributes no
-// liveness evidence twice.
+// A lagging replica can serve an older digest during catch-up, and a
+// group whose reporter is gone leaves its last digest in the catalog
+// to be re-read; a digest that is not strictly newer than the mark
+// contributes no liveness evidence twice.
 type digestMark struct {
 	reporter string
 	seq      uint64
 }
 
-// subscriber is the push face of a catalog (satisfied by
-// naming.StoreCatalog via rcds.Store.Subscribe).
-type subscriber interface {
-	Subscribe(prefix string, ch chan rcds.Event) int
-	Unsubscribe(id int)
-}
-
-// waiter is the long-poll face of a catalog (satisfied by
-// *rcds.Client): Wait blocks until the replica's catalog version
-// advances past since.
-type waiter interface {
-	Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error)
-}
-
-// Monitor tracks host liveness from heartbeat metadata. It rides the
-// catalog's own change-notification channel: push subscriptions for
-// in-process stores, the Wait long-poll for remote RC clients, a plain
-// scan ticker otherwise.
+// Monitor tracks host liveness from heartbeat and group-digest
+// metadata. Both reach it one way: a naming.Watch per prefix, whose
+// wake-up re-reads the prefix, so a notification the catalog drops
+// costs latency, never evidence.
 type Monitor struct {
 	cat  naming.Catalog
 	opts Options
+
+	// digestVals is the digest value last ingested per group URI, so a
+	// re-read of an unchanged digest skips the parse. Only the digest
+	// scan touches it.
+	digestVals map[string]string
 
 	mu    sync.Mutex
 	hosts map[string]*hostRecord
@@ -195,15 +187,16 @@ func NewMonitor(cat naming.Catalog, opts Options) *Monitor {
 	opts.fill()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
-		cat:       cat,
-		opts:      opts,
-		hosts:     make(map[string]*hostRecord),
-		marks:     make(map[int]digestMark),
-		retention: max(10*opts.MaxSuspect, time.Minute),
-		subs:      make(map[int]chan Event),
-		ctx:       ctx,
-		cancel:    cancel,
-		metrics:   stats.NewRegistry(),
+		cat:        cat,
+		opts:       opts,
+		digestVals: make(map[string]string),
+		hosts:      make(map[string]*hostRecord),
+		marks:      make(map[int]digestMark),
+		retention:  max(10*opts.MaxSuspect, time.Minute),
+		subs:       make(map[int]chan Event),
+		ctx:        ctx,
+		cancel:     cancel,
+		metrics:    stats.NewRegistry(),
 	}
 	m.mHeartbeats = m.metrics.Counter("heartbeats_observed")
 	m.mDigests = m.metrics.Counter("digests_observed")
@@ -215,8 +208,13 @@ func NewMonitor(cat naming.Catalog, opts Options) *Monitor {
 	m.mEvidence = m.metrics.Counter("evidence_reports")
 	m.mScans = m.metrics.Counter("catalog_scans")
 	m.hDetectDelay = m.metrics.Histogram("detect_delay_us", stats.LatencyBucketsUs)
-	m.startWatch()
-	m.wg.Add(1)
+	// Seed from what is already registered. Each watch re-reads its
+	// prefix once it is in place, which covers what lands in between.
+	m.scanHosts()
+	m.scanDigests()
+	m.wg.Add(3)
+	go m.watch(naming.HostPrefix, m.scanHosts)
+	go m.watch(naming.LivenessPrefix, m.scanDigests)
 	go m.evalLoop()
 	return m
 }
@@ -441,9 +439,9 @@ func (m *Monitor) observe(hostURL, value string, now time.Time) {
 		(rec.state == Dead && rec.inc == 0 && hb.Seq < rec.seq):
 		// A restarted daemon begins a new incarnation at seq 1: any
 		// heartbeat after a tombstone is such a rebirth, and so is a
-		// LOWER-seq heartbeat after a death verdict on a legacy record —
-		// without that clause a reborn host stays Dead until its new
-		// counter outruns its old one. Gossip-fed records (inc > 0)
+		// LOWER-seq heartbeat after a death verdict on a heartbeat-only
+		// record — without that clause a reborn host stays Dead until its
+		// new counter outruns its old one. Gossip-fed records (inc > 0)
 		// instead revive through their agent's boot-derived incarnation;
 		// for them the frozen startup heartbeat a crashed host leaves in
 		// the catalog must not keep resurrecting the record. An equal-seq
@@ -476,17 +474,16 @@ func (m *Monitor) observe(hostURL, value string, now time.Time) {
 
 // observeDigest ingests one gossip group digest: the second tier of
 // the hierarchical detector. Intake is deduplicated on the digest's
-// (reporter, seq): the scan-based watch paths re-read every group's
-// digest each cycle, and a digest that stops changing — the whole
-// group crashed and no reporter remains to write — must contribute no
-// new liveness evidence, or its members stay Alive forever. An older
-// seq from the same reporter (a lagging replica during catch-up) is
-// likewise a replay; a different reporter is always admitted — that is
-// failover, not a replay. Every member entry of an admitted digest is
-// merged as gossip evidence; a minority digest (reporter partitioned
-// from most of its group) has its death verdicts downgraded to
-// suspicion, so an isolated ex-reporter cannot condemn the healthy
-// majority.
+// (reporter, seq): a digest that stops changing — the whole group
+// crashed and no reporter remains to write — must contribute no new
+// liveness evidence however often it is read, or its members stay
+// Alive forever. An older seq from the same reporter (a lagging
+// replica during catch-up) is likewise a replay; a different reporter
+// is always admitted — that is failover, not a replay. Every member
+// entry of an admitted digest is merged as gossip evidence; a minority
+// digest (reporter partitioned from most of its group) has its death
+// verdicts downgraded to suspicion, so an isolated ex-reporter cannot
+// condemn the healthy majority.
 func (m *Monitor) observeDigest(value string, now time.Time) {
 	d, err := gossip.ParseDigest(value)
 	if err != nil {
@@ -502,15 +499,8 @@ func (m *Monitor) observeDigest(value string, now time.Time) {
 	m.mu.Unlock()
 	m.mDigests.Inc()
 	for _, u := range d.Members {
-		m.ObserveGossipQuorum(u, d.Quorum, now)
+		m.observeGossip(u, d.Quorum, now)
 	}
-}
-
-// ObserveGossip ingests one first-hand gossip event — the direct feed
-// a colocated gossip.Agent's Observer hook supplies, bypassing the
-// catalog round-trip.
-func (m *Monitor) ObserveGossip(u gossip.Update) {
-	m.ObserveGossipQuorum(u, true, time.Now())
 }
 
 // gossipRank orders a monitor state against gossip claims at equal
@@ -546,7 +536,7 @@ func gossipStateRank(s uint8) int {
 	}
 }
 
-// ObserveGossipQuorum merges one gossip liveness claim about a host.
+// observeGossip merges one gossip liveness claim about a host.
 // Higher incarnation wins outright. At equal incarnations freshness is
 // asymmetric in both directions that matter: a suspicion or death
 // verdict carries the sequence at which the member was LAST HEARD,
@@ -573,7 +563,7 @@ func gossipStateRank(s uint8) int {
 // quorum, and its lone survivor must be able to refute a false
 // suspicion of itself. An incarnation bump — the member's own
 // refutation — revives from any state regardless of quorum.
-func (m *Monitor) ObserveGossipQuorum(u gossip.Update, quorum bool, now time.Time) {
+func (m *Monitor) observeGossip(u gossip.Update, quorum bool, now time.Time) {
 	if u.Host == "" {
 		return
 	}
@@ -789,124 +779,52 @@ func (m *Monitor) emit(ev *Event) {
 
 // --- watch plumbing ------------------------------------------------------
 
-// startWatch wires heartbeat intake to the cheapest channel the
-// catalog offers: push events, version long-poll, or periodic scan.
-// For push catalogs the subscription is registered here, synchronously,
-// so no heartbeat written after NewMonitor returns can fall between
-// the seed scan and the subscription becoming active.
-func (m *Monitor) startWatch() {
-	m.wg.Add(1)
-	switch c := m.cat.(type) {
-	case subscriber:
-		ch := make(chan rcds.Event, 256)
-		id := c.Subscribe(naming.HostPrefix, ch)
-		gid := c.Subscribe(naming.LivenessPrefix, ch) // gossip group digests
-		m.scan()                                      // seed from hosts already registered
-		go m.watchSubscribe(c, id, gid, ch)
-	case waiter:
-		m.scan()
-		go m.watchWait(c)
-	default:
-		m.scan()
-		go m.watchScan()
-	}
-}
-
-// watchSubscribe rides a store's push subscription: every heartbeat
-// and group-digest assertion lands here as it is applied.
-func (m *Monitor) watchSubscribe(sub subscriber, id, gid int, ch chan rcds.Event) {
+// watch re-runs scan whenever the catalog under prefix may have
+// changed, on whichever notification face the catalog offers: a
+// store's push subscription, a remote client's long-poll on the replica
+// group that owns prefix, or a tick every scanInterval (naming.Watch
+// makes that choice). A wake-up carries no detail, so a burst of writes
+// costs one re-read, and one the catalog drops costs nothing.
+func (m *Monitor) watch(prefix string, scan func()) {
 	defer m.wg.Done()
-	defer sub.Unsubscribe(id)
-	defer sub.Unsubscribe(gid)
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case ev := <-ch:
-			a := ev.Assertion
-			if a.Deleted {
-				continue
-			}
-			switch a.Name {
-			case rcds.AttrHeartbeat:
-				m.observe(a.URI, a.Value, time.Now())
-			case rcds.AttrGroupDigest:
-				m.observeDigest(a.Value, time.Now())
-			}
-		}
-	}
+	naming.Watch(m.ctx, m.cat, prefix, scanInterval, scan)
 }
 
-// watchWait rides a remote RC client's Wait long-poll: when the
-// replica's version advances, rescan the host records. Subscription
-// events are not available across the wire, so the scan granularity is
-// the notification latency — still push-shaped, not timer-shaped.
-func (m *Monitor) watchWait(w waiter) {
-	defer m.wg.Done()
-	const poll = 2 * time.Second
-	var since uint64
-	for {
-		if m.ctx.Err() != nil {
-			return
-		}
-		ctx, cancel := context.WithTimeout(m.ctx, poll+5*time.Second)
-		v, err := w.Wait(ctx, since, poll)
-		cancel()
-		if err != nil {
-			select {
-			case <-m.ctx.Done():
-				return
-			case <-time.After(scanInterval):
-			}
-			continue
-		}
-		if v != since {
-			since = v
-			m.scan()
-		}
-	}
-}
-
-// watchScan is the fallback: poll the catalog on a fixed cadence.
-func (m *Monitor) watchScan() {
-	defer m.wg.Done()
-	ticker := time.NewTicker(scanInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case <-ticker.C:
-			m.scan()
-		}
-	}
-}
-
-// scan reads every host record's heartbeat and every group digest from
-// the catalog. Catalog errors are tolerated: an unreachable catalog
-// stalls intake, and the silence is indistinguishable from host
-// failure — exactly the partition semantics the detector is specified
-// to report.
-func (m *Monitor) scan() {
+// scanHosts reads every host record's heartbeat. Catalog errors are
+// tolerated here and in scanDigests: an unreachable catalog stalls
+// intake, and the silence is indistinguishable from host failure —
+// exactly the partition semantics the detector is specified to report.
+func (m *Monitor) scanHosts() {
 	m.mScans.Inc()
+	urls, err := m.cat.URIs(naming.HostPrefix)
+	if err != nil {
+		return
+	}
 	now := time.Now()
-	if urls, err := m.cat.URIs(naming.HostPrefix); err == nil {
-		for _, url := range urls {
-			v, ok, err := m.cat.FirstValue(url, rcds.AttrHeartbeat)
-			if err != nil || !ok {
-				continue
-			}
+	for _, url := range urls {
+		if v, ok, err := m.cat.FirstValue(url, rcds.AttrHeartbeat); err == nil && ok {
 			m.observe(url, v, now)
 		}
 	}
-	if uris, err := m.cat.URIs(naming.LivenessPrefix); err == nil {
-		for _, uri := range uris {
-			v, ok, err := m.cat.FirstValue(uri, rcds.AttrGroupDigest)
-			if err != nil || !ok {
-				continue
-			}
-			m.observeDigest(v, now)
+}
+
+// scanDigests reads every gossip group digest. A digest whose value was
+// already ingested is skipped unparsed: most groups have not written
+// since the last wake-up.
+func (m *Monitor) scanDigests() {
+	m.mScans.Inc()
+	uris, err := m.cat.URIs(naming.LivenessPrefix)
+	if err != nil {
+		return
+	}
+	now := time.Now()
+	for _, uri := range uris {
+		v, ok, err := m.cat.FirstValue(uri, rcds.AttrGroupDigest)
+		if err != nil || !ok || v == m.digestVals[uri] {
+			continue
 		}
+		m.digestVals[uri] = v
+		m.observeDigest(v, now)
 	}
 }
 
@@ -933,7 +851,7 @@ func (m *Monitor) evaluate(now time.Time) {
 	for url, rec := range m.hosts {
 		if rec.state == Dead || rec.state == Left {
 			// A settled record is kept while anything still mentions the
-			// host (scan mode re-reads whatever the catalog retains) and
+			// host (every re-read finds whatever the catalog retains) and
 			// expired once the evidence stops, mirroring the gossip
 			// agents' own member retention: bounded memory under churn,
 			// and a host reborn after a long outage meets a clean slate

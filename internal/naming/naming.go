@@ -132,9 +132,8 @@ func (c storeCatalog) Set(uri, name, value string) error {
 	return nil
 }
 
-// Subscribe exposes the wrapped store's push subscriptions so that
-// watchers holding a Catalog (the liveness monitor) can discover the
-// cheap event channel by interface assertion instead of polling.
+// Subscribe exposes the wrapped store's push subscriptions, Watch's
+// push face, discovered by interface assertion.
 func (c storeCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
 	return c.s.Subscribe(prefix, ch)
 }
@@ -153,7 +152,7 @@ type clientCatalog struct{ c *rcds.Client }
 // ClientCatalog wraps a remote RCDS client as a Catalog. The wrapper
 // also forwards the discovery faces callers probe for by interface
 // assertion: ReadCacheActive (Resolver), MetricsSnapshot (daemon
-// status), the liveness monitor's long-poll Wait and Watch's WaitURI.
+// status) and Watch's long-poll WaitURI.
 func ClientCatalog(c *rcds.Client) Catalog { return clientCatalog{c} }
 
 // Client returns the wrapped RCDS client, for callers that own its
@@ -221,16 +220,10 @@ func (cc clientCatalog) ReadCacheActive() bool { return cc.c.ReadCacheActive() }
 // MetricsSnapshot forwards the client's metrics registry.
 func (cc clientCatalog) MetricsSnapshot() stats.Snapshot { return cc.c.MetricsSnapshot() }
 
-// Wait forwards the client's long-poll, satisfying the liveness
-// monitor's waiter face. The caller supplies the context: long polls
-// outlive the per-request timeout by design.
-func (cc clientCatalog) Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error) {
-	return cc.c.Wait(ctx, since, timeout)
-}
-
 // WaitURI forwards the shard-aware long-poll: the version stream of the
-// replica group that owns uri, which in a sharded catalog need not be the
-// seed group Wait follows. It is Watch's long-poll face.
+// replica group that owns uri. It is Watch's long-poll face; the caller
+// supplies the context, since long polls outlive the per-request
+// timeout by design.
 func (cc clientCatalog) WaitURI(ctx context.Context, uri string, since uint64, timeout time.Duration) (uint64, error) {
 	return cc.c.WaitURI(ctx, uri, since, timeout)
 }
