@@ -257,6 +257,7 @@ func runCatalog() error {
 	fmt.Fprintln(w, "phase\tmetric\tvalue")
 	fmt.Fprintf(w, "load\twrite ops/s\t%.0f\n", res.WriteOpsPerSec)
 	fmt.Fprintf(w, "load\tsecs\t%.2f\n", res.LoadSecs)
+	fmt.Fprintf(w, "load\trequest writes per frame\t%.3f\n", res.LoadWritesPerFrame)
 	fmt.Fprintf(w, "load\theap B per URI per replica\t%.0f\n", res.HeapBytesPerURI)
 	fmt.Fprintf(w, "read\tread ops/s\t%.0f\n", res.ReadOpsPerSec)
 	fmt.Fprintf(w, "read\tp50 / p99 ms\t%.2f / %.2f\n", res.ReadP50Ms, res.ReadP99Ms)

@@ -52,6 +52,9 @@ type CatalogResult struct {
 
 	LoadSecs       float64 `json:"load_secs"`
 	WriteOpsPerSec float64 `json:"write_ops_per_sec"`
+	// Request write calls per request frame the load's client issued: the
+	// writers share its connections, and concurrent requests go out together.
+	LoadWritesPerFrame float64 `json:"load_request_writes_per_frame"`
 	// What one URI costs one replica to hold: the process's settled heap
 	// after the load, less what it was before the replicas were made, over
 	// URIs × replicas. Every replica's op log is compacted to its tail
@@ -210,6 +213,8 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 	wg.Wait()
 	res.LoadSecs = time.Since(start).Seconds()
 	res.WriteOpsPerSec = float64(cfg.URIs) / res.LoadSecs
+	cm := client.Metrics()
+	res.LoadWritesPerFrame = float64(cm.Counter("request_writes").Value()) / float64(cm.Counter("request_frames").Value())
 	if err := failed(); err != nil {
 		return res, err
 	}
@@ -486,6 +491,7 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 type CatalogArtifact struct {
 	Experiment  string        `json:"experiment"`
 	GeneratedAt string        `json:"generated_at"`
+	Env         RunEnv        `json:"env"`
 	Quick       bool          `json:"quick"`
 	Result      CatalogResult `json:"result"`
 }
@@ -495,6 +501,7 @@ func WriteCatalogArtifact(path string, result CatalogResult, quick bool) error {
 	art := CatalogArtifact{
 		Experiment:  "catalog",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Env:         currentEnv(),
 		Quick:       quick,
 		Result:      result,
 	}

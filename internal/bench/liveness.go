@@ -658,6 +658,17 @@ type RunEnv struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
+// currentEnv is this process's RunEnv.
+func currentEnv() RunEnv {
+	return RunEnv{
+		GoVersion:  runtime.Version(),
+		OS:         runtime.GOOS,
+		Arch:       runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
 // FailoverArtifact is the machine-readable form of a detection run,
 // written to BENCH_failover.json.
 type FailoverArtifact struct {
@@ -675,17 +686,11 @@ func WriteFailoverArtifact(path string, points []FailoverPoint, scale []Liveness
 	art := FailoverArtifact{
 		Experiment:  "liveness",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Env: RunEnv{
-			GoVersion:  runtime.Version(),
-			OS:         runtime.GOOS,
-			Arch:       runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-		},
-		Quick:   quick,
-		Points:  points,
-		Scale:   scale,
-		Monitor: monitor,
+		Env:         currentEnv(),
+		Quick:       quick,
+		Points:      points,
+		Scale:       scale,
+		Monitor:     monitor,
 	}
 	b, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {

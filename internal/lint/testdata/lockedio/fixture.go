@@ -83,14 +83,14 @@ func (p *peer) frameReadUnderLock() ([]byte, error) {
 func (p *peer) frameLoopUnderLock(fn func([]byte) ([]byte, error)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.fr.Serve(1<<20, nil, fn) // want `network I/O \(Serve\) while holding p.mu`
+	return p.fr.Serve(1<<20, nil, fn, nil) // want `network I/O \(Serve\) while holding p.mu`
 }
 
 func (p *peer) frameLoopAfterUnlock(fn func([]byte) ([]byte, error)) error {
 	p.mu.Lock()
 	limit := uint32(1 << 20)
 	p.mu.Unlock()
-	return p.fr.Serve(limit, nil, fn) // clean: lock released
+	return p.fr.Serve(limit, nil, fn, nil) // clean: lock released
 }
 
 func (p *peer) frameWriteAfterUnlock(body []byte) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ func WithTimeout(d time.Duration) ClientOption {
 }
 
 // call is one request and the response to it: a record an operation
-// takes from callPool (newCall), builds its request in, hands to
+// takes from callPool (newCall), builds its request frame in, hands to
 // roundTrip, decodes the response from, and returns (release). req is the
 // caller's throughout. resp is the frame the response arrived in: the
 // connection's read loop swaps it in for the record's previous one — a
@@ -57,7 +58,7 @@ func WithTimeout(d time.Duration) ClientOption {
 // call was abandoned is never pooled: a read loop may be about to fill it.
 type call struct {
 	ch        chan error  // one result per attempt: nil, resp and dec set; or the connection's end
-	req       xdr.Encoder // the request's frame body
+	req       xdr.Encoder // the request's frame: the length prefix, the body, and once sealed its MAC
 	resp      []byte      // storage of the response frame
 	dec       xdr.Decoder // over resp, at the payload once roundTrip has returned nil
 	abandoned bool        // roundTrip left while the call was pending (ctx expiry)
@@ -70,6 +71,7 @@ var callPool = sync.Pool{New: func() any { return &call{ch: make(chan error, 1)}
 func newCall(cmd uint8) *call {
 	cl := callPool.Get().(*call)
 	cl.req.Reset()
+	beginFrame(&cl.req)
 	cl.req.PutUint64(0) // the request ID: roundTrip sets each attempt's, an Apply goes under 0
 	cl.req.PutUint8(cmd)
 	return cl
@@ -87,16 +89,26 @@ func (cl *call) release() {
 	callPool.Put(cl)
 }
 
-// clientConn is one multiplexed connection to a replica: a writer lock
-// serialises frame writes, a reader goroutine demultiplexes responses
-// to pending calls by request ID.
+// clientConn is one multiplexed connection to a replica: callers write
+// their request frames in batches (writeRequest), a reader goroutine
+// demultiplexes responses to pending calls by request ID.
 type clientConn struct {
 	c      net.Conn
 	secret []byte
 	fr     *xdr.FrameReader // used by readLoop alone
+	calls  atomic.Int32     // ordinary calls in flight: registered, not yet answered; a Wait is none
 
 	writeMu sync.Mutex
-	fw      *xdr.FrameWriter // guarded by writeMu
+	wrote   sync.Cond   // on writeMu: a batch has been written, or has failed
+	queue   net.Buffers // frames behind the writer: the next batch
+	batch   net.Buffers // the writer's: the batch it is writing, else the storage the queue gets next
+	writing bool        // a caller is the writer; callers that find one queue
+	taken   uint64      // batches the writer has taken from the queue
+	written uint64      // of them, those written or failed
+	failed  uint64      // the first batch whose write failed, 0 if none; every one from it on failed
+	werr    error       // that write's error
+
+	mWrites, mFrames *stats.Counter // the client's: write calls, frames they carried
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -170,19 +182,94 @@ func (cc *clientConn) readLoop() {
 			cl.ch <- nil
 		}
 		return kept(buf), nil
-	}))
+	}, nil))
 }
 
-// writeRequest writes one request, its ID already set, under the writer
-// lock.
-func (cc *clientConn) writeRequest(req []byte, deadline time.Time) error {
+// writeRequest writes one sealed request frame and returns once it has been
+// written, or has failed, which breaks the connection. The first caller to
+// find the connection's write idle becomes its writer; callers that arrive
+// behind it queue their frames and wait, and it writes each batch the queue
+// holds in one vectored write until the queue is empty — in queue order, so
+// one caller's frames go out in the order it wrote them. A lone frame is a
+// batch of one. While another ordinary call is in flight, the writer first
+// yields once, so that callers already runnable — woken by the responses of
+// one read, as a client's concurrent callers are — queue behind it (on one
+// processor the writer lock is never contended). Every write is bounded by
+// the deadline of the writer's request: a stalled peer stalls only the
+// requests of this connection.
+func (cc *clientConn) writeRequest(frame []byte, deadline time.Time) error {
 	cc.writeMu.Lock()
 	defer cc.writeMu.Unlock()
-	cc.c.SetWriteDeadline(deadline)
-	// The writer lock is per-connection and guards nothing but this
-	// write; a stalled peer stalls only requests multiplexed onto this
-	// same connection, bounded by the write deadline above.
-	return writeFrame(cc.fw, req, cc.secret) //lint:allow lockedio intentional per-connection writer lock, bounded by the write deadline
+	cc.queue = append(cc.queue, frame)
+	mine := cc.taken + 1
+	if cc.writing {
+		for cc.written < mine {
+			cc.wrote.Wait()
+		}
+		return cc.result(mine)
+	}
+	cc.writing = true
+	if cc.calls.Load() > 1 {
+		cc.writeMu.Unlock()
+		runtime.Gosched()
+		cc.writeMu.Lock()
+	}
+	for len(cc.queue) > 0 {
+		batch := cc.queue
+		cc.queue, cc.batch = cc.batch, batch
+		cc.taken++
+		cc.writeMu.Unlock()
+		cc.mWrites.Inc()
+		cc.mFrames.Add(uint64(len(batch)))
+		cc.c.SetWriteDeadline(deadline)
+		_, err := cc.batch.WriteTo(cc.c) // consumes cc.batch; batch keeps the storage
+		if err != nil {
+			cc.fail(err) // no batch after this one may follow a partial frame
+		}
+		cc.writeMu.Lock()
+		clear(batch) // the frames are their callers' again
+		cc.batch = batch[:0]
+		if err != nil && cc.failed == 0 {
+			cc.failed, cc.werr = cc.taken, err
+		}
+		cc.written = cc.taken
+		cc.wrote.Broadcast()
+	}
+	cc.writing = false
+	return cc.result(mine)
+}
+
+// result is the outcome of batch n, written. Caller holds writeMu.
+func (cc *clientConn) result(n uint64) error {
+	if cc.failed != 0 && n >= cc.failed {
+		return cc.werr
+	}
+	return nil
+}
+
+// exchange issues cl's request, sealed under id, on cc and waits for its
+// response: nil leaves cl.dec at it. If ctx ends first the record is
+// abandoned and ctx's error returned; any other error is the connection's,
+// which is dead.
+func (cc *clientConn) exchange(ctx context.Context, cl *call, id uint64, deadline time.Time) error {
+	if err := cc.register(id, cl); err != nil {
+		return err
+	}
+	if cl.req.Bytes()[frameHeader+muxHeader] != cmdWait {
+		cc.calls.Add(1)
+		defer cc.calls.Add(-1)
+	}
+	// A failed write has failed the connection, which completes cl unless
+	// the read loop has: either way its end comes on cl.ch.
+	_ = cc.writeRequest(cl.req.Bytes(), deadline)
+	select {
+	case err := <-cl.ch:
+		return err
+	case <-ctx.Done():
+		cc.unregister(id)
+		cl.abandoned = true // the read loop may have taken it already
+		return ctx.Err()
+	}
 }
 
 // replicaGroup is the client's connection state for one replica group:
@@ -248,6 +335,8 @@ type Client struct {
 	mCacheMiss  *stats.Counter
 	mWrongShard *stats.Counter
 	mMapResolve *stats.Counter
+	mWrites     *stats.Counter // request write calls, over every connection
+	mFrames     *stats.Counter // request frames they carried
 	gInflight   *stats.Gauge
 }
 
@@ -267,6 +356,8 @@ func NewClient(addrs []string, secret []byte, opts ...ClientOption) *Client {
 	c.mCacheMiss = c.metrics.Counter("cache_misses")
 	c.mWrongShard = c.metrics.Counter("wrong_shard_redirects")
 	c.mMapResolve = c.metrics.Counter("shard_map_resolves")
+	c.mWrites = c.metrics.Counter("request_writes")
+	c.mFrames = c.metrics.Counter("request_frames")
 	c.gInflight = c.metrics.Gauge("inflight")
 	for _, o := range opts {
 		o(c)
@@ -508,7 +599,8 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 		return g.conn, nil
 	}
 	cc := &clientConn{c: conn, secret: c.secret, pending: make(map[uint64]*call),
-		fr: xdr.NewFrameReader(conn), fw: xdr.NewFrameWriter(conn)}
+		fr: xdr.NewFrameReader(conn), mWrites: c.mWrites, mFrames: c.mFrames}
+	cc.wrote.L = &cc.writeMu
 	g.conn = cc
 	go cc.readLoop()
 	return cc, nil
@@ -536,7 +628,8 @@ func (c *Client) connFailed(g *replicaGroup, cc *clientConn) {
 // group's shared multiplexed connection; if that connection dies before
 // the response arrives, the request is re-issued against the group's
 // next replica (as many times as there are replicas), each attempt under
-// its own ID written into the request.
+// its own ID written into the request, and sealed again. A request past
+// maxFrame is refused before any attempt.
 func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, cl *call) error {
 	g.mu.Lock()
 	n := len(g.addrs)
@@ -548,6 +641,7 @@ func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, cl *call) error
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 
+	unsealed := cl.req.Len() // each attempt seals the request under its own ID
 	var lastErr error
 	for attempt := 0; attempt < n+1; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -562,34 +656,20 @@ func (c *Client) roundTrip(ctx context.Context, g *replicaGroup, cl *call) error
 			continue
 		}
 		id := c.nextID.Add(1)
-		if err := cc.register(id, cl); err != nil {
+		cl.req.Truncate(unsealed)
+		setMuxID(cl.req.Bytes()[frameHeader:], id)
+		if err := sealFrame(&cl.req, unsealed-frameHeader, c.secret); err != nil {
+			return err
+		}
+		if err := cc.exchange(ctx, cl, id, time.Now().Add(c.timeout)); err != nil {
+			if cl.abandoned {
+				return err
+			}
 			lastErr = err
 			c.connFailed(g, cc)
 			continue
 		}
-		setMuxID(cl.req.Bytes(), id)
-		if err := cc.writeRequest(cl.req.Bytes(), time.Now().Add(c.timeout)); err != nil {
-			if !cc.unregister(id) {
-				<-cl.ch // whoever took the record is done with it once this arrives
-			}
-			cc.fail(err)
-			lastErr = err
-			c.connFailed(g, cc)
-			continue
-		}
-		select {
-		case err := <-cl.ch:
-			if err != nil {
-				lastErr = err
-				c.connFailed(g, cc)
-				continue
-			}
-			return parseResponse(&cl.dec)
-		case <-ctx.Done():
-			cc.unregister(id)
-			cl.abandoned = true // the read loop may have taken it already
-			return ctx.Err()
-		}
+		return parseResponse(&cl.dec)
 	}
 	return fmt.Errorf("%w (last: %v)", ErrNoServers, lastErr)
 }
@@ -958,8 +1038,10 @@ func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) error 
 	defer cl.release()
 	cl.req.PutString(from)
 	EncodeAssertions(&cl.req, ops)
+	if err := sealFrame(&cl.req, cl.req.Len()-frameHeader, c.secret); err != nil {
+		return err
+	}
 	if err := cc.writeRequest(cl.req.Bytes(), time.Now().Add(c.timeout)); err != nil {
-		cc.fail(err)
 		c.connFailed(c.seed, cc)
 		return err
 	}

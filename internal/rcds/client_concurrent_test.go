@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,4 +423,133 @@ func BenchmarkCatalogLookupSerial8(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestGatheredWriteFailure: 64 callers Set through one client while the
+// server kills the connection they share after every 300 frames it reads,
+// so that batches of gathered requests are cut off mid-write and
+// unanswered. Each caller fails over to a new connection or returns an
+// error within the client timeout; none hangs. Two posters' Applies share
+// the connection, and each poster's frames arrive in the order it posted
+// them.
+func TestGatheredWriteFailure(t *testing.T) {
+	const killEvery, callers, each, posts = 300, 64, 40, 150
+	const timeout = 5 * time.Second
+	srv := NewServer(NewStore("rc0")) // never started: it answers what the listener reads
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	arrived := map[string][]uint64{} // poster → the seqs of its Applies, in arrival order
+	var kills atomic.Int32
+	var handlers sync.WaitGroup
+	accepted := make(chan struct{})
+	//lint:allow goroutinelife the accept loop exits when the deferred cleanup closes the listener
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			handlers.Add(1)
+			//lint:allow goroutinelife a handler ends with its connection: at a kill, or when the client closes it
+			go func() {
+				defer handlers.Done()
+				defer conn.Close()
+				fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
+				for k := 1; ; k++ {
+					if k%killEvery == 0 {
+						kills.Add(1)
+						return
+					}
+					frame, err := nextFrame(fr, nil)
+					if err != nil {
+						return
+					}
+					if id, body, _ := splitMux(frame); id == 0 && len(body) > 0 {
+						d := xdr.NewDecoder(body[1:])
+						from, _ := d.StringMax(maxWireURI)
+						ops, err := DecodeAssertions(d)
+						if err != nil || len(ops) != 1 {
+							t.Errorf("a posted Apply that does not decode: %v", err)
+							return
+						}
+						mu.Lock()
+						arrived[from] = append(arrived[from], ops[0].Seq)
+						mu.Unlock()
+						continue
+					}
+					resp, err := srv.serve(new(served), frame, nil)
+					if err != nil {
+						t.Errorf("a request that does not serve: %v", err)
+						return
+					}
+					if writeFrame(fw, resp, nil) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	defer func() {
+		ln.Close()
+		<-accepted
+		handlers.Wait()
+	}()
+
+	c := NewClient([]string{ln.Addr().String()}, nil, WithTimeout(timeout))
+	defer c.Close()
+	ctx := context.Background() // nothing but the client bounds a call
+	var wg sync.WaitGroup
+	var answered, failed atomic.Int64
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				start := time.Now()
+				err := c.Set(ctx, fmt.Sprintf("urn:g%02d-%03d", g, i), AttrState, "running")
+				if took := time.Since(start); took > timeout {
+					t.Errorf("a Set took %v (%v), past the client timeout", took, err)
+				}
+				if err == nil {
+					answered.Add(1)
+				} else {
+					failed.Add(1)
+				}
+			}
+		}()
+	}
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			from := fmt.Sprintf("poster%d", p)
+			for seq := uint64(1); seq <= posts; seq++ {
+				op := Assertion{URI: "urn:posted", Name: AttrState, Value: "running", Origin: from, Seq: seq, Clock: seq}
+				_ = c.Apply(ctx, from, []Assertion{op}) // a frame on a killed connection is lost, not reordered
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	within(t, time.Minute, done, "callers on a connection killed under them")
+	t.Logf("%d kills; %d Sets answered, %d failed", kills.Load(), answered.Load(), failed.Load())
+	if kills.Load() == 0 || answered.Load() == 0 {
+		t.Errorf("%d kills and %d Sets answered: the run did not cross a kill", kills.Load(), answered.Load())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for from, seqs := range arrived {
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] <= seqs[i-1] {
+				t.Errorf("%s's Apply %d arrived after its Apply %d", from, seqs[i], seqs[i-1])
+			}
+		}
+	}
 }

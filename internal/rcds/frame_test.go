@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -95,5 +96,35 @@ func TestReadFrameLimitAndMAC(t *testing.T) {
 	}
 	if _, err := nextFrame(xdr.NewFrameReader(bytes.NewReader(good[:len(good)-5])), secret); err == nil {
 		t.Fatal("a frame cut short inside its MAC was accepted")
+	}
+}
+
+// TestSealFrame: frames sealed one behind another in one encoder read back
+// as those frames, each under its MAC, and one past maxFrame is refused
+// and dropped, leaving the frames before it whole.
+func TestSealFrame(t *testing.T) {
+	secret := []byte("k")
+	var e xdr.Encoder
+	for _, body := range []string{"first", "second"} {
+		beginFrame(&e)
+		e.PutRaw([]byte(body))
+		if err := sealFrame(&e, len(body), secret); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed := e.Len()
+	beginFrame(&e)
+	e.PutRaw(make([]byte, maxFrame-macSize+1))
+	if err := sealFrame(&e, maxFrame-macSize+1, secret); err != ErrFrameTooLarge || e.Len() != sealed {
+		t.Fatalf("a frame past maxFrame: %v, %d bytes left; want ErrFrameTooLarge and the %d before it", err, e.Len(), sealed)
+	}
+	fr := xdr.NewFrameReader(bytes.NewReader(e.Bytes()))
+	for _, want := range []string{"first", "second"} {
+		if body, err := nextFrame(fr, secret); err != nil || string(body) != want {
+			t.Fatalf("read back %q, %v; want %q", body, err, want)
+		}
+	}
+	if _, err := nextFrame(fr, secret); err != io.EOF {
+		t.Fatalf("after the sealed frames: %v, want io.EOF", err)
 	}
 }

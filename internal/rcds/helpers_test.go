@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 
+	"snipe/internal/seckey"
 	"snipe/internal/xdr"
 )
 
@@ -18,7 +19,7 @@ func nextFrame(fr *xdr.FrameReader, secret []byte) (body []byte, err error) {
 			return nil, err
 		}
 		return nil, errOneFrame
-	})
+	}, nil)
 	if err == errOneFrame {
 		err = nil
 	}
@@ -26,14 +27,25 @@ func nextFrame(fr *xdr.FrameReader, secret []byte) (body []byte, err error) {
 }
 
 // request assembles cmd and payload into a request's frame body, as a
-// client's call record holds it before roundTrip gives it an ID.
+// client's call record holds it, behind the frame's length prefix, before
+// roundTrip gives it an ID.
 func request(cmd uint8, payload func(*xdr.Encoder)) []byte {
 	cl := newCall(cmd)
 	defer cl.release()
 	if payload != nil {
 		payload(&cl.req)
 	}
-	return bytes.Clone(cl.req.Bytes())
+	return bytes.Clone(cl.req.Bytes()[frameHeader:])
+}
+
+// writeFrame writes body as one frame through fw, its HMAC appended when
+// secret is non-empty: what a peer speaking the protocol by hand sends.
+func writeFrame(fw *xdr.FrameWriter, body []byte, secret []byte) error {
+	var mac []byte
+	if len(secret) > 0 {
+		mac = seckey.SumMAC(secret, body)
+	}
+	return fw.WriteFrame(body, mac)
 }
 
 // okResponse assembles a success response under request ID 0.

@@ -193,10 +193,12 @@ func acceptOne(t *testing.T) (peer net.Conn, conn *net.TCPConn) {
 
 // TestUnwritableResponseEndsDescriptorLoop is
 // TestUnwritableResponseEndsConnection on a real socket, its write side
-// shut down (a wrapper with a failing Write would not do: the frame writer
-// finds the descriptor's vectored write behind it): the first response
-// fails to go out, which ends the loop from inside the descriptor's read
-// lock, and the handler's Close, after it, returns.
+// shut down (a wrapper with a failing Write would not do: the write must
+// reach the descriptor): 64 lookups arrive together, the loop serves the
+// complete frames its first read took — a read-ahead's worth — and their
+// responses, written together, fail to go out. That ends the loop from
+// inside the descriptor's read lock before it reads again, so no lookup
+// behind that read is served, and the handler's Close, after it, returns.
 func TestUnwritableResponseEndsDescriptorLoop(t *testing.T) {
 	srv := NewServer(NewStore("rc0"))
 	defer srv.Close()
@@ -223,8 +225,12 @@ func TestUnwritableResponseEndsDescriptorLoop(t *testing.T) {
 		close(handlerGone)
 	}()
 	within(t, 5*time.Second, handlerGone, "the handler of a client that cannot be answered")
-	if n := counter(srv, "lookups"); n != 1 {
-		t.Errorf("%d of the 64 lookups were served, want the one whose response failed", n)
+	firstRead := uint64(xdr.FrameReadAhead / (wire.Len() / 64)) // the frames are of one size
+	if n := counter(srv, "lookups"); n != firstRead {
+		t.Errorf("%d of the 64 lookups were served, want the %d complete in the first read, whose responses failed", n, firstRead)
+	}
+	if n := counter(srv, "conn_writes"); n != 1 {
+		t.Errorf("%d writes, want the one that failed", n)
 	}
 }
 
@@ -358,7 +364,9 @@ const maxReadsPerFrame = 1.05
 // peer's push connection one read per frame, and 16 requests that arrive
 // together are served from one or two reads, not sixteen. The counts are
 // the frame reader's own — a counting net.Conn around the connection would
-// hide its descriptor and measure the other path.
+// hide its descriptor and measure the other path. Writes are counted too:
+// a sequential call is a batch of one, exactly one write per frame each
+// way, and the 16 are answered in one write per read that delivered them.
 func TestReadsPerFrame(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the detector's scheduling is not the program's")
@@ -398,8 +406,14 @@ func TestReadsPerFrame(t *testing.T) {
 	c.Close()
 	reads, frames := cc.fr.Counts()
 	check("client connection", reads, frames, 2*n)
+	if writes, sent := c.Metrics().Counter("request_writes").Value(), c.Metrics().Counter("request_frames").Value(); writes != frames || sent != frames {
+		t.Errorf("client connection: %d request writes for %d frames, want one per frame, %d", writes, sent, frames)
+	}
 	testutil.WaitFor(t, 5*time.Second, func() bool { return connCount(rc[0]) == 0 }, "the client's connection was not ended")
 	check("serving connection", counter(rc[0], "conn_reads"), counter(rc[0], "conn_frames"), 2*n)
+	if writes, frames := counter(rc[0], "conn_writes"), counter(rc[0], "conn_frames"); writes != frames {
+		t.Errorf("serving connection: %d response writes for %d frames, want one per frame", writes, frames)
+	}
 	rc[0].Close() // and its push link with it
 	testutil.WaitFor(t, 5*time.Second, func() bool { return connCount(rc[1]) == 0 }, "the push link was not ended")
 	check("peer's push connection", counter(rc[1], "conn_reads"), counter(rc[1], "conn_frames"), n/4)
@@ -427,5 +441,52 @@ func TestReadsPerFrame(t *testing.T) {
 	testutil.WaitFor(t, 5*time.Second, func() bool { return connCount(s) == 0 }, "the burst's connection was not ended")
 	if reads, frames := counter(s, "conn_reads"), counter(s, "conn_frames"); frames != 17 || reads > 5 {
 		t.Errorf("a Ping and a burst of 16: %d reads for %d frames, want ≤ 5 for 17", reads, frames)
+	}
+	if writes := counter(s, "conn_writes"); writes > 3 {
+		t.Errorf("a Ping and a burst of 16: %d response writes, want the Ping's and ≤ 2 for the burst", writes)
+	}
+}
+
+// TestWritesPerFrame: 16 goroutines that share a client's connection
+// gather their requests, at most one write for every two frames, counted
+// by the client's own request_writes and request_frames. (Sequential calls
+// and a burst of requests are TestReadsPerFrame's.)
+func TestWritesPerFrame(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the detector's scheduling is not the program's")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	s := startTestServer(t, "concurrent")
+	c := NewClient([]string{s.Addr()}, nil)
+	defer c.Close()
+	requests := func() (writes, frames uint64) {
+		return c.Metrics().Counter("request_writes").Value(), c.Metrics().Counter("request_frames").Value()
+	}
+	if err := c.Set(ctx, "urn:first", AttrState, "running"); err != nil { // and the shard-map lookup before it
+		t.Fatal(err)
+	}
+	w0, f0 := requests()
+	const callers, each = 16, 200
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := c.Set(ctx, fmt.Sprintf("urn:c%02d-%04d", g, i), AttrState, "running"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	w, f := requests()
+	w, f = w-w0, f-f0
+	t.Logf("%d callers: %d request writes for %d frames (%.3f)", callers, w, f, float64(w)/float64(f))
+	if f != callers*each || 2*w > f {
+		t.Errorf("%d callers on one connection: %d request writes for %d frames, want %d frames at ≤ 0.5 writes each",
+			callers, w, f, callers*each)
 	}
 }

@@ -124,6 +124,7 @@ type Server struct {
 	mRelaySkip   *stats.Counter // ops not sent to the peer they came from or that minted them
 	mConnReads   *stats.Counter // read calls ended connections issued, those that found nothing included
 	mConnFrames  *stats.Counter // frames they were served
+	mConnWrites  *stats.Counter // write calls they answered those frames in
 }
 
 // NewServer creates a server over store. Call Start to begin serving.
@@ -146,6 +147,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	s.mRelaySkip = store.Metrics().Counter("relay_skipped")
 	s.mConnReads = store.Metrics().Counter("conn_reads")
 	s.mConnFrames = store.Metrics().Counter("conn_frames")
+	s.mConnWrites = store.Metrics().Counter("conn_writes")
 	return s
 }
 
@@ -323,36 +325,52 @@ const maxParkedWaits = 1024
 // only what the store keeps of it; each holds what the connection's frames
 // have needed, up to maxKeptBuffer, and nothing ahead of the first.
 type served struct {
-	resp xdr.Encoder // the response to the frame being served, until it is written
+	resp xdr.Encoder // the responses to the frames of one read, framed one after another, until they are written
 	ops  []Assertion // a posted Apply's ops, until they are merged and queued (by copy) for relay
 	from string      // the sender origin the last Apply named; a push link names one
 }
 
 // serveConn serves one client connection from its read loop, the frame
 // reader's (xdr.FrameReader.Serve): a request is executed where it is read
-// — in the loop's frame buffer, which nothing kept may alias, answered from
-// the connection's one encoder — in arrival order, and answered before the
-// next frame is read over it. Only a Wait, the one command that parks, gets
-// a goroutine, with its own copy of its frame and its own encoder, which
-// ends with the connection at the latest. A frame serve refuses, or a
-// response not written within pushTimeout (a client that sends and does not
-// read), ends the connection: by an error out of the loop, never a Close
-// inside it, which would wait for the read lock the loop holds.
+// — in the loop's frame buffer, which nothing kept may alias — in arrival
+// order, and its response framed behind those to the frames before it in
+// the connection's one encoder. The responses to the frames one read
+// delivered go out in one write, at Serve's flush, before the next read; a
+// batch that reaches maxKeptBuffer is written at once, so that a read of
+// small requests for large answers holds one answer at a time. Only a Wait,
+// the one command that parks, gets a goroutine, with its own copy of its
+// frame and its own encoder, which it writes itself and which ends with
+// the connection at the latest. A frame serve refuses, or a write not done
+// within pushTimeout (a client that sends and does not read), ends the
+// connection: by an error out of the loop, never a Close inside it, which
+// would wait for the read lock the loop holds.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	var writeMu sync.Mutex // guards fw
-	fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
-	answer := func(sc *served, frame []byte, park <-chan struct{}) error {
-		resp, err := s.serve(sc, frame, park)
-		if err != nil || resp == nil {
-			return err
+	fr := xdr.NewFrameReader(conn)
+	var writeMu sync.Mutex // serialises the loop's writes with the parked Waits'
+	var writes uint64      // guarded by writeMu
+	// write sends what sc.resp holds in one write call and empties it.
+	write := func(sc *served) error {
+		if sc.resp.Len() == 0 {
+			return nil
 		}
 		// The writer lock only serialises this connection's long-poll
 		// answers with the read loop's; a stalled client stalls only itself.
 		writeMu.Lock()
 		defer writeMu.Unlock()
+		writes++
 		conn.SetWriteDeadline(time.Now().Add(pushTimeout))
-		return writeFrame(fw, resp, s.secret) //lint:allow lockedio intentional per-connection response writer lock, bounded by the write deadline
+		_, err := conn.Write(sc.resp.Bytes()) //lint:allow lockedio intentional per-connection response writer lock, bounded by the write deadline
+		sc.resp.Reset()
+		keepEncoder(&sc.resp)
+		return err
+	}
+	answer := func(sc *served, frame []byte, park <-chan struct{}) error {
+		body, err := s.serve(sc, frame, park)
+		if err != nil || body == nil {
+			return err
+		}
+		return sealFrame(&sc.resp, len(body), s.secret)
 	}
 	var waits sync.WaitGroup
 	var parked atomic.Int32 // raised by this loop alone, so Load then Add keeps the bound
@@ -364,6 +382,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		reads, frames := fr.Counts()
 		s.mConnReads.Add(reads)
 		s.mConnFrames.Add(frames)
+		s.mConnWrites.Add(writes)
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -382,26 +401,30 @@ func (s *Server) serveConn(conn net.Conn) {
 			go func(frame []byte) {
 				defer waits.Done()
 				defer parked.Add(-1)
-				if answer(new(served), frame, gone) != nil {
+				sc := new(served)
+				if answer(sc, frame, gone) != nil || write(sc) != nil {
 					conn.Close() // the read loop returns
 				}
 			}(bytes.Clone(frame)) // it outlives the frame it arrived in
 			return kept(buf), nil
 		}
 		err = answer(&sc, frame, nil)
-		keepEncoder(&sc.resp)
+		if err == nil && sc.resp.Len() >= maxKeptBuffer {
+			err = write(&sc)
+		}
 		sc.ops = keptOps(sc.ops)
 		return kept(buf), err
-	})
+	}, func() error { return write(&sc) })
 }
 
-// serve executes one request frame and returns the response frame, built
-// in sc.resp — or nil for an Apply, which is posted under request ID 0,
-// applied and relayed here and answered with nothing. An error means the
-// frame is no request of this protocol and ends the connection, the
-// store untouched: no ID or no command, ID 0 on anything but an Apply, an
-// Apply under another ID or one that does not decode. A Wait blocks only
-// if park is non-nil, and at most until it closes.
+// serve executes one request frame and returns the body of the response
+// frame, begun behind what sc.resp holds and left for the caller to seal —
+// or nil for an Apply, which is posted under request ID 0, applied and
+// relayed here and answered with nothing. An error means the frame is no
+// request of this protocol and ends the connection, the store untouched:
+// no ID or no command, ID 0 on anything but an Apply, an Apply under
+// another ID or one that does not decode. A Wait blocks only if park is
+// non-nil, and at most until it closes.
 func (s *Server) serve(sc *served, frame []byte, park <-chan struct{}) ([]byte, error) {
 	id, body, err := splitMux(frame)
 	switch {
@@ -412,10 +435,13 @@ func (s *Server) serve(sc *served, frame []byte, park <-chan struct{}) ([]byte, 
 	case id == 0:
 		return nil, s.applyPosted(sc, xdr.NewDecoder(body[1:]))
 	}
+	beginFrame(&sc.resp)
+	at := sc.resp.Len()
 	if err := s.dispatch(&sc.resp, id, xdr.NewDecoder(body), park); err != nil {
+		sc.resp.Truncate(at)
 		respondErr(&sc.resp, id, err)
 	}
-	return sc.resp.Bytes(), nil
+	return sc.resp.Bytes()[at:], nil
 }
 
 // applyPosted applies one posted Apply and, if any op was news here,

@@ -90,21 +90,36 @@ var (
 
 const macSize = 32
 
-// writeFrame sends one length-prefixed frame through the connection's
-// frame writer, appending an HMAC of the body when secret is non-empty.
-func writeFrame(fw *xdr.FrameWriter, body []byte, secret []byte) error {
-	total := len(body)
+// frameHeader is the length prefix a frame begins with. Both ends build a
+// frame whole in an encoder — the prefix, the body, its MAC — so that what
+// goes out is one run of bytes, and frames written together are runs side
+// by side.
+const frameHeader = 4
+
+// beginFrame starts a frame at e's end: its length prefix, which sealFrame
+// fills in. The body follows.
+func beginFrame(e *xdr.Encoder) { e.PutUint32(0) }
+
+// sealFrame ends the frame whose body is the last n bytes of e: it appends
+// the body's HMAC when secret is non-empty and fills in the length prefix
+// in front of the body. A frame past maxFrame is refused and dropped from
+// e, leaving the frames before it whole.
+func sealFrame(e *xdr.Encoder, n int, secret []byte) error {
+	b := e.Bytes()
+	start := len(b) - n - frameHeader
+	total := n
 	if len(secret) > 0 {
 		total += macSize
 	}
 	if total > maxFrame {
+		e.Truncate(start)
 		return ErrFrameTooLarge
 	}
-	var mac []byte
 	if len(secret) > 0 {
-		mac = seckey.SumMAC(secret, body)
+		e.PutRaw(seckey.SumMAC(secret, b[start+frameHeader:]))
 	}
-	return fw.WriteFrame(body, mac)
+	binary.BigEndian.PutUint32(e.Bytes()[start:], uint32(total))
+	return nil
 }
 
 // maxKeptBuffer bounds what a reused buffer — a connection's frame
@@ -165,10 +180,9 @@ func splitMux(frame []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(frame), frame[muxHeader:], nil
 }
 
-// respond starts the response to request id in e, replacing whatever e
-// held: the ID and the status. The payload is the caller's to append.
+// respond starts the body of the response to request id at e's end: the
+// ID and the status. The payload is the caller's to append.
 func respond(e *xdr.Encoder, id uint64, status uint8) {
-	e.Reset()
 	e.PutUint64(id)
 	e.PutUint8(status)
 }

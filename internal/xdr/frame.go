@@ -45,10 +45,11 @@ type FrameReader struct {
 	// Serve's frame state machine: a source of bytes reads into next() and tells took().
 	limit         uint32
 	fn            func([]byte) ([]byte, error)
-	n             int    // the body length the current header declared; -1 between frames and inside a header
-	body          []byte // the current body's storage, filled to its length
-	direct        bool   // next() returned body's storage, not the read-ahead
-	reads, frames uint64 // read calls issued, frames delivered
+	flush         func() error // nil: fn's answers need no flush
+	n             int          // the body length the current header declared; -1 between frames and inside a header
+	body          []byte       // the current body's storage, filled to its length
+	direct        bool         // next() returned body's storage, not the read-ahead
+	reads, frames uint64       // read calls issued, frames delivered
 }
 
 // NewFrameReader returns a FrameReader on r.
@@ -108,13 +109,18 @@ func (fr *FrameReader) ReadBody(dst []byte) error {
 // buf's storage, then in what fn returned for the frame before (the frame
 // is fn's until then; nil is legal). Storage is added as bytes arrive — up
 // to 64 KiB at first, then doubling — so a peer that declares a large frame
-// and stalls holds only what it has sent. On a stream socket Serve waits
-// inside the descriptor's read lock (serveFD), which Close waits for: fn
-// must return an error for Serve's caller to close on, not close itself.
-func (fr *FrameReader) Serve(limit uint32, buf []byte, fn func(frame []byte) ([]byte, error)) error {
-	fr.limit, fr.fn, fr.n, fr.body = limit, fn, -1, buf[:0]
-	defer func() { fr.fn, fr.body = nil, nil }() // the reader may outlive the loop; what fn captured and the last buffer need not
-	if err := fr.advance(); err != nil {
+// and stalls holds only what it has sent. flush, if not nil, is called once
+// the frames one read completed have all been handed to fn, before the loop
+// reads or waits again — also when fn or the stream has ended it, whose
+// error then wins over flush's — so that a caller answering its frames can
+// write the answers to a read's frames together. On a stream socket Serve
+// waits inside the descriptor's read lock (serveFD), which Close waits for:
+// fn and flush must return an error for Serve's caller to close on, not
+// close themselves.
+func (fr *FrameReader) Serve(limit uint32, buf []byte, fn func(frame []byte) ([]byte, error), flush func() error) error {
+	fr.limit, fr.fn, fr.flush, fr.n, fr.body = limit, fn, flush, -1, buf[:0]
+	defer func() { fr.fn, fr.flush, fr.body = nil, nil, nil }() // the reader may outlive the loop; what fn and flush captured and the last buffer need not
+	if err := fr.deliver(); err != nil {
 		return err
 	}
 	if served, err := fr.serveFD(); served {
@@ -163,11 +169,24 @@ func (fr *FrameReader) took(n int, err error) error {
 	} else {
 		fr.hi += n
 	}
-	if ferr := fr.advance(); ferr != nil {
+	if ferr := fr.deliver(); ferr != nil {
 		return ferr
 	}
 	if err == io.EOF && (fr.lo < fr.hi || fr.n >= 0 && len(fr.body) > 0) {
 		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// deliver is advance followed by the flush of what it handed fn, if it
+// handed fn a frame.
+func (fr *FrameReader) deliver() error {
+	frames := fr.frames
+	err := fr.advance()
+	if fr.flush != nil && fr.frames != frames {
+		if ferr := fr.flush(); err == nil {
+			err = ferr
+		}
 	}
 	return err
 }

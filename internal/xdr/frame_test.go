@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -55,7 +56,7 @@ func drainServe(r io.Reader, limit uint32) (frames [][]byte, err error) {
 	err = NewFrameReader(r).Serve(limit, nil, func(frame []byte) ([]byte, error) {
 		frames = append(frames, append([]byte{}, frame...))
 		return frame[:0], nil
-	})
+	}, nil)
 	if err == ErrFrameTooLarge {
 		err = errFrameOverLimit
 	}
@@ -265,12 +266,47 @@ func TestServeReusesAndGrows(t *testing.T) {
 		}
 		i, had = i+1, cap(buf)
 		return buf, nil // Serve starts the next frame at the storage's start
-	})
+	}, nil)
 	if err != io.EOF || i != len(sizes) {
 		t.Fatalf("%d of %d frames, then %v; want all and io.EOF", i, len(sizes), err)
 	}
 	if reads, frames := fr.Counts(); reads > 6 || frames != uint64(len(sizes)) {
 		t.Errorf("Counts() = %d reads, %d frames; want ≤ 6 and %d", reads, frames, len(sizes))
+	}
+}
+
+// TestServeFlushesOncePerRead: flush follows the frames each read
+// completed — three, then one, then one that took two reads and the end —
+// and is not called for a read that completed none. An error from fn or
+// flush ends Serve after the flush of what the read completed, and fn's
+// wins.
+func TestServeFlushesOncePerRead(t *testing.T) {
+	stream := frameStream(10, 10, 10, 10, 10) // 14 bytes a frame
+	refused, stop := errors.New("frame refused"), errors.New("flush failed")
+	serve := func(failAt, failFlush int) (flushed []int, err error) { // the frame fn refuses, the flush that fails; 0 for none
+		var frames int
+		fr := NewFrameReader(&chunkReader{data: stream, chunks: []int{42, 14, 7, 7}, eofWithData: true})
+		err = fr.Serve(1<<20, nil, func(frame []byte) ([]byte, error) {
+			if frames++; frames == failAt {
+				return nil, refused
+			}
+			return frame, nil
+		}, func() error {
+			if flushed = append(flushed, frames); len(flushed) == failFlush {
+				return stop
+			}
+			return nil
+		})
+		return flushed, err
+	}
+	if flushed, err := serve(0, 0); err != io.EOF || !slices.Equal(flushed, []int{3, 4, 5}) {
+		t.Errorf("flushes after %v frames, then %v; want after [3 4 5], then io.EOF", flushed, err)
+	}
+	if flushed, err := serve(0, 2); err != stop || !slices.Equal(flushed, []int{3, 4}) {
+		t.Errorf("a failing second flush: flushes after %v frames, then %v; want after [3 4], then its error", flushed, err)
+	}
+	if flushed, err := serve(2, 1); err != refused || !slices.Equal(flushed, []int{2}) {
+		t.Errorf("fn failing on frame 2, and the flush after it: flushes after %v frames, then %v; want after [2], then fn's error", flushed, err)
 	}
 }
 
@@ -284,12 +320,12 @@ func TestServeResumes(t *testing.T) {
 		err := fr.Serve(1<<20, nil, func(frame []byte) ([]byte, error) {
 			got = len(frame)
 			return nil, stop
-		})
+		}, nil)
 		if err != stop || got != want {
 			t.Fatalf("Serve %d: a frame of %d bytes and %v, want %d", i, got, err, want)
 		}
 	}
-	if err := fr.Serve(1<<20, nil, nil); err != io.EOF {
+	if err := fr.Serve(1<<20, nil, nil, nil); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }

@@ -64,6 +64,9 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards all encoded data, retaining the buffer.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Truncate discards the data encoded past the first n bytes.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
 // PutUint8 appends a single byte.
 func (e *Encoder) PutUint8(v uint8) { e.buf = append(e.buf, v) }
 
