@@ -230,8 +230,6 @@ type Endpoint struct {
 	bufferLimit   int
 	retryInterval time.Duration
 	buffering     bool
-	liveness      PeerLiveness // optional failure detector fed by send/ack evidence
-	failFastDead  bool         // refuse + stop retrying sends to dead peers
 	handler       func(*Message)
 	handlerTags   map[uint32]bool // nil = handler takes all tags
 
@@ -326,8 +324,6 @@ type Endpoint struct {
 	mAckFrames    *stats.Counter   // single-ack frames sent
 	mAcksDeferred *stats.Counter   // end-to-end acks parked for a reply to carry
 	mAcksCarried  *stats.Counter   // end-to-end acks sent in a message frame's trailer
-	mDeadRefused  *stats.Counter   // sends refused up front: peer host dead
-	mDeadSkips    *stats.Counter   // buffered retries skipped: peer host dead
 	hAckLatency   *stats.Histogram // µs, send → end-to-end ack
 	hMsgSize      *stats.Histogram // bytes per application message
 }
@@ -376,8 +372,6 @@ func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 	e.mAckFrames = e.metrics.Counter("ack_frames")
 	e.mAcksDeferred = e.metrics.Counter("acks_deferred")
 	e.mAcksCarried = e.metrics.Counter("acks_piggybacked")
-	e.mDeadRefused = e.metrics.Counter("dead_peer_refused")
-	e.mDeadSkips = e.metrics.Counter("dead_peer_skips")
 	e.hAckLatency = e.metrics.Histogram("ack_latency_us", stats.LatencyBucketsUs)
 	e.hMsgSize = e.metrics.Histogram("msg_size_bytes", stats.SizeBuckets)
 	for _, o := range opts {
@@ -557,10 +551,6 @@ func (e *Endpoint) send(dst string, tag uint32, payload []byte, flags uint8) (*o
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if e.peerDead(dst) {
-		e.mDeadRefused.Inc()
-		return nil, fmt.Errorf("%w: %s", ErrPeerDead, dst)
-	}
 	// Buffer-limit accounting is endpoint-wide and exact: reserve a
 	// slot first, back the reservation out if over the limit. Shards
 	// never consult each other.
@@ -638,12 +628,6 @@ func (e *Endpoint) transmit(om *outMsg) error {
 	if lastErr == nil {
 		lastErr = ErrNoRoute
 	}
-	// Every advertised route failed: that is suspicion evidence about
-	// the peer itself, not any one path — feed the failure detector.
-	// (Resolver errors and empty advertisements above are not reported:
-	// a catalog outage or a mid-migration window says nothing about the
-	// peer's host.)
-	e.reportSendFailure(om.msg.Dst)
 	return lastErr
 }
 
@@ -993,8 +977,7 @@ func (e *Endpoint) handleAck(src, dst string, seq uint64) {
 		if route != "" {
 			e.observeRouteAck(route, len(om.msg.Payload), attemptAge)
 		}
-		e.reportSendSuccess(dst) // end-to-end ack: direct proof of life
-		om.releasePayload()      // the system buffer's reference
+		om.releasePayload() // the system buffer's reference
 	}
 }
 
@@ -1228,14 +1211,6 @@ func (e *Endpoint) retryLoop() {
 			sh.mu.Unlock()
 		}
 		for _, om := range due {
-			// With fail-fast on, retries to a confirmed-dead peer are
-			// suppressed while it stays dead; the message remains
-			// buffered, so a revived peer (healed partition, restart)
-			// still collects its traffic.
-			if e.peerDead(om.msg.Dst) {
-				e.mDeadSkips.Inc()
-				continue
-			}
 			e.mRetried.Inc()
 			e.transmit(om) // failure leaves it buffered for a later tick
 		}

@@ -145,10 +145,13 @@ func TestStreamFlusherCloseDrains(t *testing.T) {
 // TestStreamFlusherOutlivesRefusal: a batch the endpoint refuses fails the
 // streams in it, and the same flusher goes on to serve the calls after.
 func TestStreamFlusherOutlivesRefusal(t *testing.T) {
+	const slots = 4
 	res := newTestResolver()
-	a := newTestEndpoint(t, "urn:flush:a", res, WithLiveness(&refuseNth{n: 1}), WithFailFastDead())
+	a := newTestEndpoint(t, "urn:flush:a", res, WithBufferLimit(slots), withRouteCacheTTL(0))
 	b := newTestEndpoint(t, "urn:flush:b", res)
-	ma, mb := NewStreamMux(a), NewStreamMux(b)
+	// An idle flusher outlives the wait for the buffer to drain below.
+	ma := newStreamMux(a, defaultStreamWindow, defaultStreamChunk, time.Minute)
+	mb := NewStreamMux(b)
 	t.Cleanup(ma.Close)
 	t.Cleanup(mb.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -156,9 +159,18 @@ func TestStreamFlusherOutlivesRefusal(t *testing.T) {
 	defer serveEchoes(ctx, mb, []byte("pong"), nil)()
 	defer cancel()
 
-	if _, err := unaryEcho(ctx, ma, "urn:flush:b", []byte("ping")); !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("the refused call: %v, want ErrPeerDead", err)
+	// Messages to a peer that is not listening yet hold every slot of
+	// the system buffer, so the endpoint refuses the call's batch.
+	for i := 0; i < slots; i++ {
+		if err := a.Send("urn:flush:late", 0, []byte("held")); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if _, err := unaryEcho(ctx, ma, "urn:flush:b", []byte("ping")); !errors.Is(err, ErrBufferFull) {
+		t.Fatalf("the refused call: %v, want ErrBufferFull", err)
+	}
+	newTestEndpoint(t, "urn:flush:late", res)
+	waitFor(t, 5*time.Second, func() bool { return a.Pending() == 0 }, "held messages never delivered")
 	for i := 0; i < 10; i++ {
 		if got, err := unaryEcho(ctx, ma, "urn:flush:b", []byte("ping")); err != nil || string(got) != "pong" {
 			t.Fatalf("call %d after the refusal: %q, %v", i, got, err)

@@ -58,12 +58,12 @@ import (
 // a few small frames, and the DATA queued for a stream is bounded by the
 // credit its peer granted. A stream frame that would take its peer's
 // queue past maxStreamQueueBytes fails that stream alone with
-// ErrBufferFull. A batch the endpoint refuses (ErrBufferFull, ErrPeerDead,
-// ErrClosed) is dropped together with every batch queued behind it for
-// that peer, so that no stream
-// reaches the peer with a hole in it; every stream with a frame among
-// them fails, queues nothing more, and is RESET toward the peer. The
-// cause surfaces from those streams' next Read or Write.
+// ErrBufferFull. A batch the endpoint refuses (ErrBufferFull, ErrClosed,
+// or without buffering a send no route carries) is dropped together with
+// every batch queued behind it for that peer, so that no stream reaches
+// the peer with a hole in it; every stream with a frame among them fails,
+// queues nothing more, and is RESET toward the peer. The cause surfaces
+// from those streams' next Read or Write.
 //
 // Flow control is credit-based per direction. Each side grants its
 // receive window up front (the opener's window rides in OPEN; the
@@ -327,9 +327,10 @@ func (m *StreamMux) Close() {
 }
 
 // Open starts a stream to dst for the named method. It returns as soon
-// as the OPEN frame is queued; a peer that cannot be reached (dead,
-// send buffer full) or that refuses the stream (draining, overloaded,
-// closed) surfaces as an error from the first Read/Write.
+// as the OPEN frame is queued; a send the endpoint refuses (send buffer
+// full, an unreachable peer without buffering) or a peer that refuses
+// the stream (draining, overloaded, closed) surfaces as an error from
+// the first Read/Write.
 func (m *StreamMux) Open(ctx context.Context, dst, method string) (*Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(ctx)
@@ -795,8 +796,9 @@ func (s *Stream) Read(ctx context.Context) ([]byte, error) {
 // Write sends p, chunking to the mux's chunk size and blocking for
 // flow-control credit as needed. It returns once every chunk is queued
 // for the peer, not once it is sent: if the endpoint then refuses the
-// message (send buffer full, peer dead, endpoint closed) the stream
-// fails, and the next Read or Write returns the cause.
+// message (send buffer full, peer unreachable without buffering,
+// endpoint closed) the stream fails, and the next Read or Write returns
+// the cause.
 func (s *Stream) Write(ctx context.Context, p []byte) error {
 	var w ctxWaiter
 	defer w.release()

@@ -482,25 +482,23 @@ func TestStreamSendFailureSurfacesOnRead(t *testing.T) {
 	// Open and Write return once their frames are queued. When the
 	// endpoint then refuses the message, the stream fails with the cause.
 	res := newTestResolver()
-	fl := newFakeLiveness()
-	a := newTestEndpoint(t, "urn:stream:a", res, WithLiveness(fl), WithFailFastDead())
+	a := newRefusingEndpoint(t, "urn:stream:a", res, 1)
 	newTestEndpoint(t, "urn:stream:b", res)
 	ma := NewStreamMux(a)
 	t.Cleanup(ma.Close)
-	fl.setDead("urn:stream:b", true)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	s, err := ma.Open(ctx, "urn:stream:b", "dead")
+	s, err := ma.Open(ctx, "urn:stream:b", "refused")
 	if err != nil {
-		t.Fatalf("open toward a dead peer: %v, want it queued", err)
+		t.Fatalf("open: %v, want it queued", err)
 	}
 	_, err = s.Read(ctx)
-	if !errors.Is(err, ErrPeerDead) || !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("read after a refused send: %v, want ErrStreamReset wrapping ErrPeerDead", err)
+	if !errors.Is(err, errRefused) || !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("read after a refused send: %v, want ErrStreamReset wrapping the refusal", err)
 	}
-	if err := s.Write(ctx, []byte("x")); !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("write after a refused send: %v, want ErrPeerDead", err)
+	if err := s.Write(ctx, []byte("x")); !errors.Is(err, errRefused) {
+		t.Fatalf("write after a refused send: %v, want the refusal", err)
 	}
 	// The refused OPEN, and perhaps already the RESET queued after it.
 	if n := ma.mSendFailures.Value(); n < 1 || n > 2 {
@@ -795,21 +793,35 @@ func TestStreamConcurrentCallsShareBatches(t *testing.T) {
 	}, "streams not reaped after the calls")
 }
 
-// refuseNth is a PeerLiveness that declares every peer dead for exactly
-// one PeerDead query, the nth: the endpoint consults it once per Send.
+// errRefused is the resolver failure a refusing endpoint's nth send meets.
+var errRefused = errors.New("test: resolve refused")
+
+// refuseNth is a resolver that fails exactly one Resolve, the nth, and
+// otherwise answers as res does.
 type refuseNth struct {
-	mu sync.Mutex
-	n  int
+	res *testResolver
+	mu  sync.Mutex
+	n   int
 }
 
-func (r *refuseNth) PeerDead(string) bool {
+func (r *refuseNth) Resolve(urn string) ([]Route, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.n--
-	return r.n == 0
+	refuse := r.n == 0
+	r.mu.Unlock()
+	if refuse {
+		return nil, errRefused
+	}
+	return r.res.Resolve(urn)
 }
-func (*refuseNth) ReportFailure(string) {}
-func (*refuseNth) ReportSuccess(string) {}
+
+// newRefusingEndpoint is a test endpoint whose nth send is refused: with
+// no route cache every transmission resolves its destination, and
+// without buffering a failed transmission fails its Send.
+func newRefusingEndpoint(t testing.TB, urn string, res *testResolver, n int) *Endpoint {
+	return newTestEndpoint(t, urn, res, WithResolver(&refuseNth{res: res, n: n}),
+		WithoutBuffering(), withRouteCacheTTL(0))
+}
 
 func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
 	// A three-chunk Write plus CloseWrite is three batches. The endpoint
@@ -817,7 +829,7 @@ func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
 	// be handed chunks 1 and 3 and a CLOSE as if that were the stream.
 	const chunk = 1 << 10
 	res := newTestResolver()
-	a := newTestEndpoint(t, "urn:stream:a", res, WithLiveness(&refuseNth{n: 2}), WithFailFastDead())
+	a := newRefusingEndpoint(t, "urn:stream:a", res, 2)
 	b := newTestEndpoint(t, "urn:stream:b", res)
 	ma := newStreamMux(a, defaultStreamWindow, chunk, streamFlushIdle)
 	mb := newStreamMux(b, defaultStreamWindow, chunk, streamFlushIdle)
@@ -835,20 +847,39 @@ func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
 	if err := s.Write(ctx, make([]byte, 3*chunk)); err == nil {
 		_ = s.CloseWrite()
 	}
-	if _, err := s.Read(ctx); !errors.Is(err, ErrPeerDead) || !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("opener's read: %v, want ErrStreamReset wrapping ErrPeerDead", err)
+	if _, err := s.Read(ctx); !errors.Is(err, errRefused) || !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("opener's read: %v, want ErrStreamReset wrapping the refusal", err)
 	}
-	if err := s.Write(ctx, []byte("more")); !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("write after the refusal: %v, want ErrPeerDead", err)
+	if err := s.Write(ctx, []byte("more")); !errors.Is(err, errRefused) {
+		t.Fatalf("write after the refusal: %v, want the refusal", err)
+	}
+
+	// The refused batch took a sequence number the peer never receives,
+	// so the peer's endpoint holds back everything sent after it. What it
+	// holds must be the RESET alone: no later chunk and no CLOSE.
+	var held []uint8
+	waitFor(t, 3*time.Second, func() bool {
+		held = held[:0]
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		for _, msg := range b.reorder["urn:stream:a"] {
+			_ = forEachStreamFrame(msg.Payload, func(f streamFrame) { held = append(held, f.kind) })
+		}
+		return len(held) > 0 && held[len(held)-1] == streamReset
+	}, "the RESET after the refused batch never reached the peer")
+	if len(held) != 1 {
+		t.Fatalf("peer holds frame kinds %v after the refused batch, want the RESET alone", held)
 	}
 
 	srv, err := mb.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readAll(ctx, srv)
-	if !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("peer read %d bytes, err %v; want the stream reset, never a clean end", len(got), err)
+	readCtx, readCancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer readCancel()
+	got, err := readAll(readCtx, srv)
+	if err == nil {
+		t.Fatalf("peer read %d bytes and a clean end, want the stream never to end cleanly", len(got))
 	}
 	// The first batch is the OPEN with or without the first chunk.
 	if len(got) > chunk {

@@ -14,15 +14,13 @@
 //
 // using an adaptive timeout derived from the observed inter-arrival
 // history (in the spirit of the φ accrual detector, Hayashibara et al.,
-// SRDS 2004) rather than a fixed deadline, plus SWIM-style external
-// suspicion evidence piggybacked on existing traffic: the comm layer
-// reports send failures and acknowledgements, accelerating detection
-// without extra probes (Das et al., DSN 2002).
+// SRDS 2004) rather than a fixed deadline.
 //
 // Consumers: resource managers filter suspect/dead hosts out of
-// placement and re-report tasks stranded on dead hosts; the comm layer
-// fail-fasts buffered sends to dead peers (flag-guarded); the migration
-// layer evacuates checkpointable tasks off hosts entering suspicion.
+// placement and re-report tasks stranded on dead hosts; service clients
+// balance away from them; the migration layer evacuates checkpointable
+// tasks off hosts entering suspicion. The comm layer is not one: it
+// buffers and retries to every peer whatever the monitor judges.
 // A clean daemon shutdown writes a tombstone heartbeat, so planned
 // exits transition to "left" without ever looking like crashes.
 package liveness

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"snipe/internal/comm"
 	"snipe/internal/gossip"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
@@ -19,6 +18,9 @@ type State uint8
 // Host liveness states. The failure path is Alive → Suspect → Dead;
 // a clean shutdown tombstone goes straight to Left; a fresh heartbeat
 // returns any state to Alive (a healed partition or a restarted host).
+// They are declared in rank order: of two gossip claims at equal
+// (incarnation, sequence) the later state wins, as in the agents' own
+// conflict resolution.
 const (
 	Unknown State = iota // no heartbeat ever observed
 	Alive
@@ -66,7 +68,6 @@ type Info struct {
 	Load         float64       // load carried by the last heartbeat or digest
 	Age          time.Duration // since the last new liveness evidence arrived
 	SuspectAfter time.Duration // current adaptive suspicion bound
-	Failures     int           // consecutive comm-reported send failures
 }
 
 // Options tunes a Monitor. Zero values take the defaults noted.
@@ -86,10 +87,6 @@ const (
 	// deadFactor scales the suspicion bound into the death bound: a
 	// host is dead after deadFactor × suspect-bound of silence.
 	deadFactor = 2
-	// failureThreshold is how many consecutive comm send failures force
-	// suspicion ahead of the heartbeat timeout (SWIM-style piggybacked
-	// evidence).
-	failureThreshold = 3
 	// scanInterval is the catalog poll period when the catalog offers
 	// neither push subscriptions nor version long-poll (naming.Watch's
 	// tick face).
@@ -123,7 +120,6 @@ type hostRecord struct {
 	changedAt time.Time // when the current state was adopted
 	intervals []time.Duration
 	next      int // ring cursor into intervals
-	failures  int // consecutive comm-reported failures
 }
 
 // digestMark records the newest digest ingested for one gossip group.
@@ -176,7 +172,6 @@ type Monitor struct {
 	mDeads       *stats.Counter
 	mRevives     *stats.Counter
 	mLefts       *stats.Counter
-	mEvidence    *stats.Counter
 	mScans       *stats.Counter
 	mDropped     *stats.Counter   // subscriber events evicted (drop-oldest)
 	hDetectDelay *stats.Histogram // µs from last heartbeat to dead verdict
@@ -205,7 +200,6 @@ func NewMonitor(cat naming.Catalog, opts Options) *Monitor {
 	m.mDeads = m.metrics.Counter("transitions_dead")
 	m.mRevives = m.metrics.Counter("transitions_alive")
 	m.mLefts = m.metrics.Counter("transitions_left")
-	m.mEvidence = m.metrics.Counter("evidence_reports")
 	m.mScans = m.metrics.Counter("catalog_scans")
 	m.hDetectDelay = m.metrics.Histogram("detect_delay_us", stats.LatencyBucketsUs)
 	// Seed from what is already registered. Each watch re-reads its
@@ -295,7 +289,6 @@ func (m *Monitor) Snapshot() []Info {
 			Load:         rec.load,
 			Age:          now.Sub(rec.lastBeat),
 			SuspectAfter: m.suspectBoundLocked(rec),
-			Failures:     rec.failures,
 		})
 	}
 	return out
@@ -332,77 +325,6 @@ func (m *Monitor) MarkSuspect(hostURL, reason string) {
 	}
 	m.mu.Unlock()
 	m.emit(ev)
-}
-
-// ReportFailure feeds one comm-layer send failure as suspicion
-// evidence. Enough consecutive failures against a host we have not
-// heard from recently force Suspect ahead of the heartbeat timeout.
-func (m *Monitor) ReportFailure(hostURL string) {
-	m.mEvidence.Inc()
-	now := time.Now()
-	m.mu.Lock()
-	rec, ok := m.hosts[hostURL]
-	if !ok {
-		// No heartbeat record: nothing to corroborate against.
-		m.mu.Unlock()
-		return
-	}
-	rec.failures++
-	var ev *Event
-	if rec.failures >= failureThreshold && rec.state == Alive {
-		// Corroborate: only indict when the heartbeat is also late by at
-		// least one expected interval, so a dead task endpoint on a
-		// healthy host cannot condemn the host.
-		if mean, _, n := rec.intervalStats(); n > 0 && now.Sub(rec.lastBeat) > mean {
-			ev = m.transitionLocked(hostURL, rec, Suspect, "comm send failures")
-		}
-	}
-	m.mu.Unlock()
-	m.emit(ev)
-}
-
-// ReportSuccess feeds one successful end-to-end acknowledgement:
-// direct proof of life that clears accumulated failure evidence and
-// refutes suspicion.
-func (m *Monitor) ReportSuccess(hostURL string) {
-	m.mu.Lock()
-	rec, ok := m.hosts[hostURL]
-	var ev *Event
-	if ok {
-		rec.failures = 0
-		if rec.state == Suspect {
-			ev = m.transitionLocked(hostURL, rec, Alive, "acknowledged traffic")
-		}
-	}
-	m.mu.Unlock()
-	m.emit(ev)
-}
-
-// CommLiveness adapts the monitor to the comm layer's PeerLiveness
-// surface, mapping process URNs to their host records.
-func (m *Monitor) CommLiveness() comm.PeerLiveness { return commAdapter{m} }
-
-type commAdapter struct{ m *Monitor }
-
-func (a commAdapter) PeerDead(dst string) bool {
-	host := HostOfURN(dst)
-	if host == "" {
-		return false
-	}
-	s := a.m.State(host)
-	return s == Dead || s == Left
-}
-
-func (a commAdapter) ReportFailure(dst string) {
-	if host := HostOfURN(dst); host != "" {
-		a.m.ReportFailure(host)
-	}
-}
-
-func (a commAdapter) ReportSuccess(dst string) {
-	if host := HostOfURN(dst); host != "" {
-		a.m.ReportSuccess(host)
-	}
 }
 
 // --- heartbeat intake ----------------------------------------------------
@@ -459,7 +381,6 @@ func (m *Monitor) observe(hostURL, value string, now time.Time) {
 		rec.seq = hb.Seq
 		rec.load = hb.Load
 		rec.lastBeat = now
-		rec.failures = 0
 		if rec.state != Alive {
 			ev = m.transitionLocked(hostURL, rec, Alive, "heartbeat")
 		}
@@ -503,36 +424,19 @@ func (m *Monitor) observeDigest(value string, now time.Time) {
 	}
 }
 
-// gossipRank orders a monitor state against gossip claims at equal
-// (incarnation, sequence): the more advanced claim wins, mirroring the
-// agents' own conflict resolution.
-func gossipRank(s State) int {
-	switch s {
-	case Left:
-		return 4
-	case Dead:
-		return 3
-	case Suspect:
-		return 2
-	case Alive:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func gossipStateRank(s uint8) int {
+// gossipState maps a gossip claim's state to the monitor's.
+func gossipState(s uint8) State {
 	switch s {
 	case gossip.StateLeft:
-		return 4
+		return Left
 	case gossip.StateDead:
-		return 3
+		return Dead
 	case gossip.StateSuspect:
-		return 2
+		return Suspect
 	case gossip.StateAlive:
-		return 1
+		return Alive
 	default:
-		return 0
+		return Unknown
 	}
 }
 
@@ -571,24 +475,24 @@ func (m *Monitor) observeGossip(u gossip.Update, quorum bool, now time.Time) {
 	m.mu.Lock()
 	rec := m.recordLocked(u.Host)
 	rec.lastSeen = now
-	ur, rr := gossipStateRank(u.State), gossipRank(rec.state)
+	claim := gossipState(u.State)
 	incAdvance := u.Inc > rec.inc
 	var fresh bool
 	switch {
 	case u.Inc != rec.inc:
 		fresh = incAdvance
-	case u.State == gossip.StateAlive:
+	case claim == Alive:
 		// Progress past rec.seq alone is not enough: a verdict froze
 		// rec.seq at its lagging last-heard value, so a replayed older
 		// alive claim (an out-of-order digest from a lagging replica)
 		// can sit between the frozen seq and the highest alive seq
 		// already credited. Genuine life advances past both.
-		fresh = ur > rr || (u.Seq > rec.seq && u.Seq > rec.aliveSeq)
+		fresh = claim > rec.state || (u.Seq > rec.seq && u.Seq > rec.aliveSeq)
 	default:
-		fresh = ur > rr || u.Seq > rec.seq
+		fresh = claim > rec.state || u.Seq > rec.seq
 	}
 	if !fresh {
-		if u.State == gossip.StateAlive && u.Seq == rec.seq && rec.state == Alive {
+		if claim == Alive && u.Seq == rec.seq && rec.state == Alive {
 			// A newer digest re-asserting the member at an unchanged seq
 			// is the reporter's failure detector still vouching for it:
 			// fresh group-level evidence even though dissemination lag
@@ -598,7 +502,6 @@ func (m *Monitor) observeGossip(u gossip.Update, quorum bool, now time.Time) {
 			// cannot keep a crashed group alive. A record under a
 			// verdict (Suspect/Dead/Left) still demands seq progress.
 			rec.lastBeat = now
-			rec.failures = 0
 		}
 		m.mu.Unlock()
 		return
@@ -606,8 +509,8 @@ func (m *Monitor) observeGossip(u gossip.Update, quorum bool, now time.Time) {
 	if incAdvance {
 		rec.aliveSeq = 0 // sequences restart with the new incarnation
 	}
-	switch u.State {
-	case gossip.StateAlive:
+	switch claim {
+	case Alive:
 		if !rec.lastBeat.IsZero() && !incAdvance && u.Seq > rec.seq {
 			// Digests batch several gossip rounds between catalog writes:
 			// spread the elapsed time over the sequence distance so the
@@ -622,7 +525,6 @@ func (m *Monitor) observeGossip(u gossip.Update, quorum bool, now time.Time) {
 			rec.aliveSeq = u.Seq
 		}
 		rec.lastBeat = now
-		rec.failures = 0
 		if rec.state != Alive {
 			if !quorum && !incAdvance && (rec.state == Dead || rec.state == Left) {
 				// Minority evidence refreshes but cannot resurrect.
@@ -630,12 +532,12 @@ func (m *Monitor) observeGossip(u gossip.Update, quorum bool, now time.Time) {
 				ev = m.transitionLocked(u.Host, rec, Alive, "gossip alive")
 			}
 		}
-	case gossip.StateSuspect:
+	case Suspect:
 		rec.inc, rec.seq = u.Inc, u.Seq
 		if rec.state == Alive || rec.state == Unknown {
 			ev = m.transitionLocked(u.Host, rec, Suspect, "gossip suspicion")
 		}
-	case gossip.StateDead:
+	case Dead:
 		rec.inc, rec.seq = u.Inc, u.Seq
 		if quorum {
 			if rec.state != Dead && rec.state != Left {
@@ -648,7 +550,7 @@ func (m *Monitor) observeGossip(u gossip.Update, quorum bool, now time.Time) {
 			// Minority digest: the reporter may be the partitioned one.
 			ev = m.transitionLocked(u.Host, rec, Suspect, "minority gossip verdict")
 		}
-	case gossip.StateLeft:
+	case Left:
 		rec.inc, rec.seq = u.Inc, u.Seq
 		if rec.state != Left {
 			ev = m.transitionLocked(u.Host, rec, Left, "gossip departure")

@@ -491,20 +491,15 @@ func TestDrainThenCloseKeepsFinishedResponse(t *testing.T) {
 	}
 }
 
-// deadPeers is a comm.PeerLiveness that holds a fixed set of peers dead.
-type deadPeers map[string]bool
-
-func (d deadPeers) PeerDead(dst string) bool { return d[dst] }
-func (deadPeers) ReportFailure(string)       {}
-func (deadPeers) ReportSuccess(string)       {}
-
-// TestCallFailsOverFromDeadPeerAtOnce: the client's endpoint refuses to
-// send to a replica whose host it holds dead. The refusal reaches the
-// stream after Open and Write have returned, and the call must still move
-// to the next replica at once, not after AttemptTimeout.
+// TestCallFailsOverFromDeadPeerAtOnce: a client endpoint without
+// buffering refuses a send no route carries, here to a replica whose
+// process is gone but whose catalog records remain. The refusal reaches
+// the stream after Open and Write have returned, and the call must still
+// move to the next replica at once, not after AttemptTimeout.
 func TestCallFailsOverFromDeadPeerAtOnce(t *testing.T) {
 	w := newWorld(t)
-	dead, _ := w.echoReplica("pair", "hdead", "dead", nil)
+	_, deadEP := w.echoReplica("pair", "hdead", "dead", nil)
+	deadEP.Close()
 	w.echoReplica("pair", "hlive", "live", nil)
 	// The live replica's host advertises load, so the balancer tries the
 	// dead one first on every call.
@@ -512,8 +507,7 @@ func TestCallFailsOverFromDeadPeerAtOnce(t *testing.T) {
 
 	urn := naming.ProcessURN("cli", "pair")
 	res := naming.NewResolver(w.cat)
-	ep := comm.NewEndpoint(urn, comm.WithResolver(res),
-		comm.WithLiveness(deadPeers{dead.URN(): true}), comm.WithFailFastDead())
+	ep := comm.NewEndpoint(urn, comm.WithResolver(res), comm.WithoutBuffering())
 	route, err := ep.Listen(comm.ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
