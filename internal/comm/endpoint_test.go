@@ -284,21 +284,78 @@ func TestEndpointDuplicateSuppression(t *testing.T) {
 	}
 }
 
+// TestEndpointHandlerMode: a message with a handled tag reaches the
+// handler, which reads its payload before returning (the payload is
+// lent until then); one with another tag waits in the mailbox for Recv.
 func TestEndpointHandlerMode(t *testing.T) {
 	res := newTestResolver()
-	got := make(chan *Message, 1)
+	got := make(chan string, 1)
 	a := newTestEndpoint(t, "urn:a", res)
-	newTestEndpoint(t, "urn:h", res, WithHandler(func(m *Message) { got <- m }))
+	h := newTestEndpoint(t, "urn:h", res, WithHandler(func(m *Message) {
+		got <- fmt.Sprintf("%d:%s", m.Tag, m.Payload)
+	}, 4))
+	if err := a.Send("urn:h", 5, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Send("urn:h", 4, []byte("handled")); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case m := <-got:
-		if string(m.Payload) != "handled" || m.Tag != 4 {
-			t.Fatalf("handler message: %+v", m)
+	case s := <-got:
+		if s != "4:handled" {
+			t.Fatalf("handler saw %q, want 4:handled", s)
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("handler never called")
+	}
+	m, err := recvT(h, 3*time.Second)
+	if err != nil || m.Tag != 5 || string(m.Payload) != "kept" {
+		t.Fatalf("mailbox message: %+v, %v", m, err)
+	}
+}
+
+// TestMisdirectedFrameIsNotAccepted: a message for urn:x that reaches
+// urn:y (a stale or wrong route) is neither delivered nor acknowledged
+// by y, so the sender keeps it buffered and SendWait does not report it
+// delivered.
+func TestMisdirectedFrameIsNotAccepted(t *testing.T) {
+	res := newTestResolver()
+	a := newTestEndpoint(t, "urn:a", res)
+	y := newTestEndpoint(t, "urn:y", res)
+	yRoutes, _ := res.Resolve("urn:y")
+	res.set("urn:x", yRoutes...)
+	if err := sendWaitT(a, "urn:x", 3, []byte("for x"), 500*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("SendWait to urn:x over urn:y's route: %v, want ErrTimeout", err)
+	}
+	if m, err := recvT(y, 100*time.Millisecond); err == nil {
+		t.Fatalf("urn:y delivered %+v", m)
+	}
+	if n := y.MetricsSnapshot().Counters["misdirected"]; n == 0 {
+		t.Fatal("misdirected frames not counted")
+	}
+}
+
+// TestMisdirectedFrameIsNotAckedAsDuplicate: receive sequencing is kept
+// per source, so a misdirected frame whose number is below what y
+// expects next from that source looked like a duplicate of y's own and
+// was re-acked, and the sender forgot a message nobody had. It must not
+// be acked at all.
+func TestMisdirectedFrameIsNotAckedAsDuplicate(t *testing.T) {
+	res := newTestResolver()
+	a := newTestEndpoint(t, "urn:a", res)
+	y := newTestEndpoint(t, "urn:y", res)
+	for i := 0; i < 3; i++ {
+		if err := sendWaitT(a, "urn:y", 1, []byte{byte(i)}, 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	yRoutes, _ := res.Resolve("urn:y")
+	res.set("urn:x", yRoutes...)
+	if err := sendWaitT(a, "urn:x", 1, []byte("for x"), 500*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("SendWait to urn:x (seq 1, below urn:y's 4): %v, want ErrTimeout", err)
+	}
+	if n := y.MetricsSnapshot().Counters["duplicates"]; n != 0 {
+		t.Fatalf("urn:y counted %d duplicates", n)
 	}
 }
 
