@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
 
@@ -128,12 +127,12 @@ func TestFragmentReassemble(t *testing.T) {
 	order := []int{3, 0, 9, 1, 2, 5, 4, 7, 8, 6}
 	var got []byte
 	for _, i := range order {
-		out, _, err := r.add(frames[i], nil)
+		complete, _, err := r.add(frames[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out != nil {
-			got = out
+		if complete {
+			got = r.assemble(make([]byte, r.size))
 		}
 	}
 	if !bytes.Equal(got, payload) {
@@ -147,9 +146,12 @@ func TestFragmentEmptyPayload(t *testing.T) {
 		t.Fatalf("empty payload frames = %v", frames)
 	}
 	r := newReassembly(1, 0, "b")
-	out, _, err := r.add(frames[0], nil)
-	if err != nil || out == nil || len(out) != 0 {
-		t.Fatalf("reassemble empty: %v %v", out, err)
+	complete, _, err := r.add(frames[0], nil)
+	if err != nil || !complete {
+		t.Fatalf("reassemble empty: complete=%v %v", complete, err)
+	}
+	if out := r.assemble(make([]byte, r.size)); out == nil || len(out) != 0 {
+		t.Fatalf("reassemble empty: %v", out)
 	}
 }
 
@@ -159,16 +161,19 @@ func TestReassemblyDuplicateFragment(t *testing.T) {
 	if _, _, err := r.add(frames[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	out, retained, err := r.add(frames[0], nil) // duplicate
-	if err != nil || out != nil || retained {
-		t.Fatalf("duplicate: %v %v retained=%v", out, err, retained)
+	complete, retained, err := r.add(frames[0], nil) // duplicate
+	if err != nil || complete || retained {
+		t.Fatalf("duplicate: complete=%v %v retained=%v", complete, err, retained)
 	}
 	for _, f := range frames[1:] {
-		if out, _, err = r.add(f, nil); err != nil {
+		if complete, _, err = r.add(f, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if string(out) != "hello world" {
+	if !complete {
+		t.Fatal("not complete after every fragment")
+	}
+	if out := r.assemble(make([]byte, r.size)); string(out) != "hello world" {
 		t.Fatalf("got %q", out)
 	}
 }
@@ -379,7 +384,7 @@ func TestAckBatchHostileCount(t *testing.T) {
 		if err := decode(); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("count %d over one entry: %v, want ErrBadFrame", count, err)
 		}
-		if testutil.RaceEnabled {
+		if raceEnabled {
 			continue
 		}
 		var before, after runtime.MemStats
@@ -413,12 +418,12 @@ func TestQuickFragmentRoundTrip(t *testing.T) {
 		r := newReassembly(frames[0].FragCount, 1, "d")
 		var got []byte
 		for _, i := range idx {
-			out, _, err := r.add(frames[i], nil)
+			complete, _, err := r.add(frames[i], nil)
 			if err != nil {
 				return false
 			}
-			if out != nil {
-				got = out
+			if complete {
+				got = r.assemble(make([]byte, r.size))
 			}
 		}
 		return bytes.Equal(got, payload) || (len(payload) == 0 && len(got) == 0)
@@ -453,7 +458,7 @@ func TestQuickRouteRoundTrip(t *testing.T) {
 // allocation — a second means the size hint is short and the last Put
 // regrew the buffer (as encodeAck's did, by one byte, on every ack).
 func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
-	if testutil.RaceEnabled {
+	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, urn := range []string{"", "a", "urn:snipe:p1", "urn:snipe:host-17/process-with-a-long-name"} {

@@ -61,10 +61,15 @@ var relayMu sync.Mutex
 func (e *Endpoint) relayMsgFrame(conn FrameConn, f *msgFrame, buf []byte) (retained bool) {
 	key := reasmKey{f.Src, f.Dst, f.Seq}
 	relayMu.Lock()
-	payload, retained, err := collect(e.relayReasm, key, f, buf)
-	if err != nil || payload == nil {
+	payload, parts, retained, err := collect(e.relayReasm, key, f, buf)
+	if err != nil || (payload == nil && parts == nil) {
 		relayMu.Unlock()
 		return retained
+	}
+	if parts != nil {
+		// transmit holds the payload for as long as it likes: a buffer
+		// of its own, sized to the message.
+		payload = parts.assemble(make([]byte, parts.size))
 	}
 	if len(e.relayConns) >= relayTableMax {
 		e.relayConns = make(map[relayKey]FrameConn)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"snipe/internal/netsim"
-	"snipe/internal/testutil"
 )
 
 // withAckFlush replaces the 200 µs an endpoint holds acks for.
@@ -82,7 +81,7 @@ func serveEchoes(ctx context.Context, m *StreamMux, resp []byte, think func()) (
 // ledger gates the read/write calls those frames cost (service_call,
 // io_syscalls_per_op); this fails in `go test` first.
 func TestUnaryEchoFrameCounts(t *testing.T) {
-	if testutil.RaceEnabled {
+	if raceEnabled {
 		t.Skip("which frame an ack leaves in depends on the scheduling the detector changes")
 	}
 	// One P, as the ledger runs: a request's three frames are queued

@@ -53,9 +53,9 @@ func TestDeliveryQueuesReleaseMessages(t *testing.T) {
 	if cap(sink.handlerQueue.buf) == 0 || cap(sink.mailbox) == 0 {
 		t.Fatal("a queue never held a message: the test exercised nothing")
 	}
-	for i, m := range sink.handlerQueue.buf[:cap(sink.handlerQueue.buf)] {
-		if m != nil {
-			t.Errorf("handler queue slot %d still holds a delivered message (seq %d)", i, m.Seq)
+	for i, it := range sink.handlerQueue.buf[:cap(sink.handlerQueue.buf)] {
+		if it.m != nil || it.parts != nil {
+			t.Errorf("handler queue slot %d still holds a delivered message", i)
 		}
 	}
 	for i, m := range sink.mailbox[:cap(sink.mailbox)] {
@@ -74,21 +74,25 @@ func TestMsgQueueReusesArray(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = &Message{Seq: uint64(i)}
 	}
-	q.push(msgs[0])
+	q.push(msgs[0], nil)
 	for i := 1; i < len(msgs); i++ {
-		q.push(msgs[i]) // two queued
-		if got := q.pop(); got != msgs[i-1] {
+		q.push(msgs[i], nil) // two queued
+		if got := q.peek().m; got != msgs[i-1] {
 			t.Fatalf("pop %d: seq %d, want %d", i, got.Seq, i-1)
 		}
+		q.pop()
 	}
 	if c := cap(q.buf); c > 8 {
 		t.Fatalf("a queue holding at most 2 messages grew to %d slots", c)
 	}
-	if q.len() != 1 || q.pop() != msgs[len(msgs)-1] || q.len() != 0 {
+	if q.len() != 1 || q.peek().m != msgs[len(msgs)-1] {
 		t.Fatal("queue lost or reordered its last message")
 	}
-	for i, m := range q.buf[:cap(q.buf)] {
-		if m != nil {
+	if q.pop(); q.len() != 0 {
+		t.Fatal("queue kept its last message")
+	}
+	for i, it := range q.buf[:cap(q.buf)] {
+		if it.m != nil {
 			t.Errorf("slot %d not cleared", i)
 		}
 	}

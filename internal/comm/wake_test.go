@@ -55,7 +55,7 @@ func TestRecvMatchWakeUps(t *testing.T) {
 	t.Run("message", func(t *testing.T) {
 		wakeRace(t, nil, recv, func(context.CancelFunc) {
 			e.mu.Lock()
-			e.deliverLocked(&Message{Src: "urn:x", Tag: 7})
+			e.deliverLocked(&Message{Src: "urn:x", Tag: 7}, nil)
 			e.mu.Unlock()
 		})
 	})
