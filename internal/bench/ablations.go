@@ -32,7 +32,7 @@ func (p *pathEndpoints) close() {
 
 func buildPath(path string) (*pathEndpoints, error) {
 	pe := &pathEndpoints{}
-	shared := &mutableResolver{m: make(map[string][]comm.Route)}
+	shared := newLockedResolver()
 
 	transport := "tcp"
 	var opts []comm.EndpointOption
@@ -73,7 +73,7 @@ func buildPath(path string) (*pathEndpoints, error) {
 	case "gateway":
 		// Senders only see the gateway; the gateway's private resolver
 		// holds the direct addresses.
-		gwView := &mutableResolver{m: make(map[string][]comm.Route)}
+		gwView := newLockedResolver()
 		_, rg, err := mk("urn:pgw", gwView, comm.WithGatewayRelay())
 		if err != nil {
 			return nil, err

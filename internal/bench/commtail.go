@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"snipe/internal/comm"
@@ -53,10 +54,12 @@ type CommTailStream struct {
 }
 
 // lockedResolver is a mutable resolver safe for concurrent use while
-// the endpoint fleet is still being built.
+// the endpoint fleet is still being built. Its route stamp counts the
+// changes, so endpoints cache its answers as they would a catalog's.
 type lockedResolver struct {
-	mu sync.RWMutex
-	m  map[string][]comm.Route
+	mu  sync.RWMutex
+	m   map[string][]comm.Route
+	ver atomic.Uint64
 }
 
 func newLockedResolver() *lockedResolver {
@@ -72,8 +75,11 @@ func (r *lockedResolver) Resolve(urn string) ([]comm.Route, error) {
 func (r *lockedResolver) set(urn string, routes ...comm.Route) {
 	r.mu.Lock()
 	r.m[urn] = routes
+	r.ver.Add(1)
 	r.mu.Unlock()
 }
+
+func (r *lockedResolver) RouteStamp(string) (uint64, bool) { return r.ver.Load(), true }
 
 // quantileUs returns the q-th order statistic of the sorted latency
 // samples, in microseconds.

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"snipe/internal/comm"
@@ -370,7 +369,6 @@ func MeasureMigration(buffering bool, msgs int) (E5Result, error) {
 	defer d2.Close()
 
 	resolver := naming.NewResolver(cat)
-	resolver.SetTTL(20 * time.Millisecond)
 	opts := []comm.EndpointOption{
 		comm.WithResolver(resolver),
 		comm.WithRetryInterval(50 * time.Millisecond),
@@ -573,7 +571,7 @@ type E7Result struct {
 // kills the preferred interface mid-stream.
 func MeasureFailover(buffering bool, msgs int) (E7Result, error) {
 	res := E7Result{Buffering: buffering, Sent: msgs}
-	resolver := &mutableResolver{m: make(map[string][]comm.Route)}
+	resolver := newLockedResolver()
 	opts := []comm.EndpointOption{
 		comm.WithResolver(resolver),
 		comm.WithRetryInterval(50 * time.Millisecond),
@@ -628,24 +626,6 @@ func MeasureFailover(buffering bool, msgs int) (E7Result, error) {
 	}
 	res.MaxGap = maxGap
 	return res, nil
-}
-
-// mutableResolver is a tiny thread-safe resolver for harness use.
-type mutableResolver struct {
-	mu sync.Mutex
-	m  map[string][]comm.Route
-}
-
-func (r *mutableResolver) Resolve(urn string) ([]comm.Route, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]comm.Route(nil), r.m[urn]...), nil
-}
-
-func (r *mutableResolver) set(urn string, routes ...comm.Route) {
-	r.mu.Lock()
-	r.m[urn] = routes
-	r.mu.Unlock()
 }
 
 // --- RUDP loss sweep (Fig. 1 companion) ----------------------------------

@@ -67,9 +67,7 @@ func MeasureServiceKill(replicas, workers, respBytes int, warm, post time.Durati
 	cat := naming.StoreCatalog(rcds.NewStore("bench-service"))
 
 	endpoint := func(urn string) (*comm.Endpoint, error) {
-		r := naming.NewResolver(cat)
-		r.SetTTL(20 * time.Millisecond)
-		ep := comm.NewEndpoint(urn, comm.WithResolver(r))
+		ep := comm.NewEndpoint(urn, comm.WithResolver(naming.NewResolver(cat)))
 		route, err := ep.Listen(comm.ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
 		if err != nil {
 			return nil, err

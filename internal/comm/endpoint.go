@@ -138,10 +138,10 @@ type listenerEntry struct {
 }
 
 // routeCacheEntry caches one destination's resolved routes and their
-// keys.
+// keys, under the resolver's route stamp read before the resolve.
 type routeCacheEntry struct {
 	routeSet
-	expires time.Time
+	stamp uint64
 }
 
 // msgQueue is the FIFO of messages for the handler. An entry stays
@@ -252,11 +252,6 @@ type Endpoint struct {
 	// Fixed after construction; the package's tests shorten or widen
 	// them with an option of their own.
 	//
-	// routeCacheTTL is how long resolved routes are reused before the
-	// resolver is asked again. A send failure over cached routes
-	// invalidates the entry at once, so it only bounds staleness on
-	// paths that appear healthy.
-	routeCacheTTL time.Duration
 	// stripeStall caps how long a striped transmission tolerates zero
 	// acknowledgement progress before it declares the routes holding
 	// in-flight fragments dead and requeues their fragments: 4× the
@@ -288,9 +283,9 @@ type Endpoint struct {
 	owedMu sync.Mutex
 	owed   map[peerPair]*ackCoalescer
 
-	// Route resolution.
-	cacheMu    sync.Mutex
+	// Route resolution; the resolver is fixed after construction.
 	resolver   Resolver
+	cacheMu    sync.Mutex
 	routeCache map[string]routeCacheEntry // dst URN → resolved routes
 
 	// Adaptive route scoring (see score.go).
@@ -354,7 +349,6 @@ func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 		resolver:      StaticResolver{},
 		bufferLimit:   4096,
 		retryInterval: 200 * time.Millisecond,
-		routeCacheTTL: 250 * time.Millisecond,
 		buffering:     true,
 		ackFlush:      200 * time.Microsecond,
 		conns:         make(map[string]FrameConn),
@@ -455,16 +449,6 @@ func reclaim(m *Message) {
 
 // URN returns the endpoint's global name.
 func (e *Endpoint) URN() string { return e.urn }
-
-// SetResolver replaces the resolver (used when a client joins a
-// universe after construction). Cached routes from the old resolver
-// are dropped.
-func (e *Endpoint) SetResolver(r Resolver) {
-	e.cacheMu.Lock()
-	e.resolver = r
-	e.routeCache = make(map[string]routeCacheEntry)
-	e.cacheMu.Unlock()
-}
 
 // Listen starts accepting connections per spec: the named transport is
 // bound at spec.Addr, and the spec's media profile is advertised to
@@ -732,35 +716,41 @@ func (e *Endpoint) noteSentRoute(om *outMsg, routeKey string) {
 	sh.mu.Unlock()
 }
 
-// resolveRoutes returns dst's advertised routes and their keys,
-// consulting the short-TTL route cache first. Empty results are cached
-// too: a burst of retries to an unknown or mid-migration peer costs one
-// resolver call per TTL instead of one per buffered message per tick.
+// resolveRoutes returns dst's advertised routes and their keys. A
+// cached resolution is reused only while the resolver's route stamp,
+// read before the resolve that filled it, still holds; a resolver with
+// no stamp is asked every time. Empty results are cached too: a burst
+// of retries to an unknown or mid-migration peer costs one resolver
+// call per catalog change, not one per buffered message per tick.
 func (e *Endpoint) resolveRoutes(dst string) (routeSet, error) {
-	now := time.Now()
+	var stamp uint64
+	stamper, stamped := e.resolver.(routeStamper)
+	if stamped {
+		stamp, stamped = stamper.RouteStamp(dst)
+	}
 	e.cacheMu.Lock()
-	if ent, ok := e.routeCache[dst]; ok && now.Before(ent.expires) {
-		e.cacheMu.Unlock()
+	ent, ok := e.routeCache[dst]
+	e.cacheMu.Unlock()
+	if ok && stamped && ent.stamp == stamp {
 		e.mCacheHits.Inc()
 		return ent.routeSet, nil
 	}
-	resolver := e.resolver
-	e.cacheMu.Unlock()
 	e.mResolves.Inc()
-	routes, err := resolver.Resolve(dst)
+	routes, err := e.resolver.Resolve(dst)
 	if err != nil {
 		return routeSet{}, err
 	}
 	rs := newRouteSet(routes)
-	e.cacheMu.Lock()
-	e.routeCache[dst] = routeCacheEntry{routeSet: rs, expires: now.Add(e.routeCacheTTL)}
-	e.cacheMu.Unlock()
+	if stamped {
+		e.cacheMu.Lock()
+		e.routeCache[dst] = routeCacheEntry{routeSet: rs, stamp: stamp}
+		e.cacheMu.Unlock()
+	}
 	return rs, nil
 }
 
 // invalidateRoutes drops dst's cached routes after a send failure so
-// the next attempt re-resolves immediately — failover must not wait
-// out the TTL.
+// the next attempt re-resolves immediately, whatever the stamp says.
 func (e *Endpoint) invalidateRoutes(dst string) {
 	e.cacheMu.Lock()
 	delete(e.routeCache, dst)
@@ -994,6 +984,12 @@ func (e *Endpoint) handleAck(src, dst string, seq uint64) {
 	// A gateway first checks whether this ack belongs to a relayed
 	// message and routes it back to the origin.
 	if e.relayAck(src, dst, seq) {
+		return
+	}
+	// Only an ack of our own message retires anything: one for another
+	// source (misrouted, or in a misdirected frame's trailer) would
+	// otherwise retire ours to the same peer under the same number.
+	if src != e.urn {
 		return
 	}
 	sh := e.shardFor(dst)

@@ -2,17 +2,21 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// testResolver is a mutable resolver shared by test endpoints.
+// testResolver is a mutable resolver shared by test endpoints. Its
+// route stamp counts the changes, as a catalog's change signal would.
 type testResolver struct {
-	mu sync.Mutex
-	m  map[string][]Route
+	mu  sync.Mutex
+	m   map[string][]Route
+	ver atomic.Uint64
 }
 
 func newTestResolver() *testResolver {
@@ -28,8 +32,11 @@ func (r *testResolver) Resolve(urn string) ([]Route, error) {
 func (r *testResolver) set(urn string, routes ...Route) {
 	r.mu.Lock()
 	r.m[urn] = routes
+	r.ver.Add(1)
 	r.mu.Unlock()
 }
+
+func (r *testResolver) RouteStamp(string) (uint64, bool) { return r.ver.Load(), true }
 
 // newTestEndpoint creates an endpoint listening on loopback TCP and
 // registers it with the resolver.
@@ -356,6 +363,80 @@ func TestMisdirectedFrameIsNotAckedAsDuplicate(t *testing.T) {
 	}
 	if n := y.MetricsSnapshot().Counters["duplicates"]; n != 0 {
 		t.Fatalf("urn:y counted %d duplicates", n)
+	}
+}
+
+// inboxConn is a route whose peer takes every frame, answers none of
+// its own accord, and delivers whatever the test puts in in.
+type inboxConn struct {
+	in   chan []byte
+	once sync.Once
+	done chan struct{}
+}
+
+func newInboxConn() *inboxConn {
+	return &inboxConn{in: make(chan []byte, 4), done: make(chan struct{})}
+}
+
+func (c *inboxConn) Send([]byte) error { return nil }
+
+func (c *inboxConn) Recv() ([]byte, error) {
+	select {
+	case f := <-c.in:
+		return f, nil
+	case <-c.done:
+		return nil, ErrClosed
+	}
+}
+
+func (c *inboxConn) Close() error {
+	c.once.Do(func() { close(c.done) })
+	return nil
+}
+
+func (c *inboxConn) MTU() int           { return 1400 }
+func (c *inboxConn) RemoteAddr() string { return "inboxConn" }
+
+// TestAckForAnotherSourceRetiresNothing: an ack names the source of the
+// message it acknowledges. One that names another source, with the dst
+// and seq of a message this endpoint has outstanding, must leave that
+// message unacked, whether it comes as an ack frame or in the trailer
+// of a message frame. Each case ends with a misdirected message frame,
+// counted once everything before it (its own trailer too) is handled.
+func TestAckForAnotherSourceRetiresNothing(t *testing.T) {
+	var trailer [carriedAckSize]byte
+	binary.BigEndian.PutUint64(trailer[:], 1)
+	for name, frames := range map[string][][]byte{
+		"ack frame": {
+			encodeAck("urn:other", "urn:b", 1),
+			encodeMsgFrame(&msgFrame{Src: "urn:b", Dst: "urn:other", Seq: 7, FragCount: 1}, nil),
+		},
+		"trailer": {
+			encodeMsgFrame(&msgFrame{Src: "urn:b", Dst: "urn:other", Seq: 7, FragCount: 1}, trailer[:]),
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			route := Route{Transport: "attached", Addr: "b"}
+			res := newTestResolver()
+			res.set("urn:b", route)
+			a := NewEndpoint("urn:a", WithResolver(res), WithRetryInterval(time.Hour))
+			defer a.Close()
+			conn := newInboxConn()
+			a.AttachConn(route.String(), conn)
+			if err := a.Send("urn:b", 1, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range frames {
+				conn.in <- f
+			}
+			waitFor(t, 5*time.Second, func() bool { return a.MetricsSnapshot().Counters["misdirected"] == 1 },
+				"the message frame was not handled")
+			if n := a.Pending(); n != 1 {
+				t.Fatalf("%d messages outstanding after an ack naming urn:other, want 1", n)
+			}
+			conn.in <- encodeAck("urn:a", "urn:b", 1)
+			waitFor(t, 5*time.Second, func() bool { return a.Pending() == 0 }, "urn:a's own ack did not retire its message")
+		})
 	}
 }
 

@@ -147,7 +147,7 @@ func TestStreamFlusherCloseDrains(t *testing.T) {
 func TestStreamFlusherOutlivesRefusal(t *testing.T) {
 	const slots = 4
 	res := newTestResolver()
-	a := newTestEndpoint(t, "urn:flush:a", res, WithBufferLimit(slots), withRouteCacheTTL(0))
+	a := newTestEndpoint(t, "urn:flush:a", res, WithBufferLimit(slots))
 	b := newTestEndpoint(t, "urn:flush:b", res)
 	// An idle flusher outlives the wait for the buffer to drain below.
 	ma := newStreamMux(a, defaultStreamWindow, defaultStreamChunk, time.Minute)

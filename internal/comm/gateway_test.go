@@ -12,8 +12,11 @@ import (
 func gatewayWorld(t *testing.T) (sender, gateway, receiver *Endpoint, res *testResolver) {
 	t.Helper()
 	res = newTestResolver()
+	// Only the gateway knows the direct route: it resolves through a view
+	// of its own.
+	gwView := newTestResolver()
 
-	gateway = NewEndpoint("urn:gw", WithResolver(res), WithGatewayRelay())
+	gateway = NewEndpoint("urn:gw", WithResolver(gwView), WithGatewayRelay())
 	t.Cleanup(gateway.Close)
 	gwRoute, err := gateway.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
 	if err != nil {
@@ -39,13 +42,8 @@ func gatewayWorld(t *testing.T) (sender, gateway, receiver *Endpoint, res *testR
 	}
 	res.set("urn:outside", GatewayRoute("urn:gw"), sRoute)
 	res.set("urn:behind", GatewayRoute("urn:gw"))
-
-	// Only the gateway knows the direct route. The shared resolver is a
-	// simplification; give the gateway its own view.
-	gwView := newTestResolver()
 	gwView.set("urn:behind", rRoute)
 	gwView.set("urn:outside", sRoute)
-	gateway.SetResolver(gwView)
 	return
 }
 

@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -70,11 +71,14 @@ func (c *failingConn) MTU() int { return 1400 }
 
 func (c *failingConn) RemoteAddr() string { return "failingConn" }
 
-// withRouteCacheTTL replaces the endpoint's route-cache lifetime; zero
-// makes every transmission ask the resolver.
-func withRouteCacheTTL(d time.Duration) EndpointOption {
-	return func(e *Endpoint) { e.routeCacheTTL = d }
+// stampedResolver is a countingResolver with a route stamp, which the
+// test advances as a catalog's change signal would.
+type stampedResolver struct {
+	*countingResolver
+	stamp atomic.Uint64
 }
+
+func (r *stampedResolver) RouteStamp(string) (uint64, bool) { return r.stamp.Load(), true }
 
 // TestRetryBackoffGrowth checks the schedule itself: doubling per
 // attempt from the base interval, positive-only jitter, capped at
@@ -103,14 +107,13 @@ func TestRetryBackoffGrowth(t *testing.T) {
 
 // TestRetryBackoffSchedule asserts a message with attempts=k is not
 // retried before its backoff window: the gap between transmission k
-// and k+1 is at least interval<<(k-1). Resolve is called on every
-// transmission (cache disabled), so the resolver's call times are the
+// and k+1 is at least interval<<(k-1). The resolver has no route stamp,
+// so Resolve is called on every transmission and its call times are the
 // attempt times.
 func TestRetryBackoffSchedule(t *testing.T) {
 	const interval = 40 * time.Millisecond
 	res := newCountingResolver() // no routes for the peer: every attempt fails
-	e := NewEndpoint("urn:bo-sched", WithResolver(res),
-		WithRetryInterval(interval), withRouteCacheTTL(0))
+	e := NewEndpoint("urn:bo-sched", WithResolver(res), WithRetryInterval(interval))
 	defer e.Close()
 
 	if err := e.Send("urn:unreachable", 1, []byte("x")); err != nil {
@@ -172,12 +175,12 @@ func TestRetryBackoffReducesRetries(t *testing.T) {
 }
 
 // TestRouteCacheSingleResolve asserts a burst of buffered messages to
-// one unknown destination costs one resolver call per TTL, not one per
-// message per tick.
+// one unknown destination costs one resolver call while the route stamp
+// holds, not one per message per tick, and exactly one more once the
+// stamp changes.
 func TestRouteCacheSingleResolve(t *testing.T) {
-	res := newCountingResolver() // resolves to no routes
-	e := NewEndpoint("urn:rc", WithResolver(res),
-		WithRetryInterval(30*time.Millisecond), withRouteCacheTTL(10*time.Second))
+	res := &stampedResolver{countingResolver: newCountingResolver()} // resolves to no routes
+	e := NewEndpoint("urn:rc", WithResolver(res), WithRetryInterval(30*time.Millisecond))
 	defer e.Close()
 
 	for i := 0; i < 6; i++ {
@@ -187,23 +190,27 @@ func TestRouteCacheSingleResolve(t *testing.T) {
 	}
 	// Wait for enough cache hits to prove several transmissions consulted
 	// the cache (bounded; replaces a fixed several-retry-ticks sleep).
-	waitFor(t, 5*time.Second, func() bool {
-		return e.Metrics().Counter("route_cache_hits").Value() >= 5
-	}, "route cache never hit")
+	hits := func() uint64 { return e.Metrics().Counter("route_cache_hits").Value() }
+	waitFor(t, 5*time.Second, func() bool { return hits() >= 5 }, "route cache never hit")
 	if got := res.count(); got != 1 {
 		t.Fatalf("resolver called %d times for 6 buffered messages; want 1", got)
+	}
+	res.stamp.Add(1)
+	before := hits()
+	waitFor(t, 5*time.Second, func() bool { return hits() >= before+5 }, "route cache never hit after the stamp changed")
+	if got := res.count(); got != 2 {
+		t.Fatalf("resolver called %d times after one stamp change; want 2", got)
 	}
 }
 
 // TestRouteCacheInvalidatedOnSendFailure asserts a conn-level send
 // failure drops the cached routes so the next attempt re-resolves
-// immediately instead of waiting out the TTL.
+// while the route stamp still holds.
 func TestRouteCacheInvalidatedOnSendFailure(t *testing.T) {
-	res := newCountingResolver()
+	res := &stampedResolver{countingResolver: newCountingResolver()}
 	route := Route{Transport: "brokenwire", Addr: "peer"}
 	res.set("urn:flaky", route)
-	e := NewEndpoint("urn:rc-inv", WithResolver(res),
-		WithRetryInterval(30*time.Millisecond), withRouteCacheTTL(10*time.Second))
+	e := NewEndpoint("urn:rc-inv", WithResolver(res), WithRetryInterval(30*time.Millisecond))
 	defer e.Close()
 	// Pre-seed the connection for the advertised route with one whose
 	// sends fail, so the first transmit fails at the conn level.

@@ -129,12 +129,21 @@ func newRouteSet(routes []Route) routeSet {
 
 // Resolver maps a destination URN to its candidate routes. The full
 // system backs this with RC metadata (AttrCommAddr assertions); tests
-// and single-process universes use a static table.
+// and single-process universes use a static table. One with a
+// RouteStamp method (routeStamper) has its answers cached.
 type Resolver interface {
 	// Resolve returns the destination's advertised routes. An empty
 	// slice with nil error means the URN is known but currently has no
 	// address (e.g. mid-migration); callers should buffer and retry.
 	Resolve(urn string) ([]Route, error)
+}
+
+// routeStamper is a Resolver's optional change signal. RouteStamp
+// returns a stamp that differs from any read before a change that could
+// alter what Resolve(urn) answers; ok is false when the resolver cannot
+// say. It must not allocate: every transmission reads it.
+type routeStamper interface {
+	RouteStamp(urn string) (stamp uint64, ok bool)
 }
 
 // ResolverFunc adapts a function to the Resolver interface.
@@ -151,6 +160,10 @@ type StaticResolver map[string][]Route
 func (s StaticResolver) Resolve(urn string) ([]Route, error) {
 	return s[urn], nil
 }
+
+// RouteStamp implements the optional route stamp: a fixed table never
+// changes, so one resolution per URN lasts the endpoint's life.
+func (StaticResolver) RouteStamp(string) (uint64, bool) { return 0, true }
 
 // OrderRoutes sorts candidate routes best-first given the local
 // endpoint's own networks, implementing §5.3: "If the source and

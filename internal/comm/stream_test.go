@@ -815,12 +815,13 @@ func (r *refuseNth) Resolve(urn string) ([]Route, error) {
 	return r.res.Resolve(urn)
 }
 
-// newRefusingEndpoint is a test endpoint whose nth send is refused: with
-// no route cache every transmission resolves its destination, and
-// without buffering a failed transmission fails its Send.
+// newRefusingEndpoint is a test endpoint whose nth send is refused:
+// refuseNth has no route stamp, so every transmission resolves its
+// destination, and without buffering a failed transmission fails its
+// Send.
 func newRefusingEndpoint(t testing.TB, urn string, res *testResolver, n int) *Endpoint {
 	return newTestEndpoint(t, urn, res, WithResolver(&refuseNth{res: res, n: n}),
-		WithoutBuffering(), withRouteCacheTTL(0))
+		WithoutBuffering())
 }
 
 func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {

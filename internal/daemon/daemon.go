@@ -87,11 +87,10 @@ type runningTask struct {
 
 // Daemon is one host's SNIPE daemon.
 type Daemon struct {
-	cfg      Config
-	hostURL  string
-	urn      string
-	ep       *comm.Endpoint
-	resolver *naming.Resolver
+	cfg     Config
+	hostURL string
+	urn     string
+	ep      *comm.Endpoint
 
 	mu      sync.Mutex
 	tasks   map[string]*runningTask
@@ -160,9 +159,6 @@ func (d *Daemon) URN() string { return d.urn }
 // Registry returns the daemon's program registry.
 func (d *Daemon) Registry() *task.Registry { return d.cfg.Registry }
 
-// Resolver returns the daemon's RC-backed resolver.
-func (d *Daemon) Resolver() *naming.Resolver { return d.resolver }
-
 // Endpoint returns the daemon's own communications endpoint.
 func (d *Daemon) Endpoint() *comm.Endpoint { return d.ep }
 
@@ -177,9 +173,8 @@ func (d *Daemon) Start() error {
 	d.started = true
 	d.mu.Unlock()
 
-	d.resolver = naming.NewResolver(d.cfg.Catalog)
 	d.ep = comm.NewEndpoint(d.urn,
-		comm.WithResolver(d.resolver),
+		comm.WithResolver(naming.NewResolver(d.cfg.Catalog)),
 		comm.WithHandler(d.handleMessage,
 			task.TagSpawnReq, task.TagSignal, task.TagStatusReq,
 			task.TagMigrateReq, task.TagCheckpointReq, task.TagReleaseReq,
@@ -239,11 +234,7 @@ func (d *Daemon) WithdrawRoute(route comm.Route) error {
 	if err := naming.WithdrawRoute(cat, d.urn, route); err != nil {
 		return err
 	}
-	if err := cat.Remove(d.hostURL, rcds.AttrInterface, route.String()); err != nil {
-		return err
-	}
-	d.resolver.Invalidate(d.urn)
-	return nil
+	return cat.Remove(d.hostURL, rcds.AttrInterface, route.String())
 }
 
 // Close stops the daemon and kills its tasks. This is the clean
@@ -414,7 +405,7 @@ func (d *Daemon) spawnAs(urn string, spec task.Spec) (err error) {
 		return err
 	}
 
-	ep := comm.NewEndpoint(urn, comm.WithResolver(d.resolver))
+	ep := comm.NewEndpoint(urn, comm.WithResolver(naming.NewResolver(d.cfg.Catalog)))
 	var routes []comm.Route
 	for _, ls := range d.cfg.Listens {
 		// Tasks listen on the same interfaces as the daemon, any port.
@@ -495,19 +486,26 @@ func (d *Daemon) runTask(rt *runningTask, fn task.Func) {
 	default:
 		to = task.StateFailed
 	}
-	d.mu.Lock()
-	rt.state = to
-	rt.err = err
-	crashed := d.crashed
-	close(rt.done)
-	d.mu.Unlock()
-
 	// Withdraw the task's addresses; keep its state metadata (the
-	// paper's daemons record exits for later queries). A crashing
-	// daemon (Kill) writes nothing: a real crash would not get to.
+	// paper's daemons record exits for later queries). Both writes land
+	// before rt.done tells Checkpoint the task has stopped: a migration
+	// adopts the task elsewhere as soon as Checkpoint returns, and a
+	// withdrawal after that would remove the new location's addresses.
+	// A crashing daemon (Kill) writes nothing: a real crash would not
+	// get to.
+	d.mu.Lock()
+	crashed := d.crashed
+	d.mu.Unlock()
 	if !crashed {
 		naming.Unregister(d.cfg.Catalog, rt.urn)
 		d.cfg.Catalog.Set(rt.urn, rcds.AttrState, string(to))
+	}
+	d.mu.Lock()
+	rt.state = to
+	rt.err = err
+	close(rt.done)
+	d.mu.Unlock()
+	if !crashed {
 		d.notifyStateChange(rt, from, to)
 	}
 	if to != task.StateCheckpointed {

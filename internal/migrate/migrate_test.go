@@ -72,13 +72,11 @@ func (w *world) daemon(host string) *daemon.Daemon {
 	return d
 }
 
-func (w *world) endpoint(urn string) *comm.Endpoint {
+func (w *world) endpoint(urn string, opts ...comm.EndpointOption) *comm.Endpoint {
 	w.t.Helper()
-	res := naming.NewResolver(w.cat)
-	res.SetTTL(20 * time.Millisecond)
-	ep := comm.NewEndpoint(urn,
-		comm.WithResolver(res),
-		comm.WithRetryInterval(50*time.Millisecond))
+	ep := comm.NewEndpoint(urn, append([]comm.EndpointOption{
+		comm.WithResolver(naming.NewResolver(w.cat)),
+		comm.WithRetryInterval(50 * time.Millisecond)}, opts...)...)
 	route, err := ep.Listen(comm.ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
 	if err != nil {
 		w.t.Fatal(err)
@@ -145,6 +143,59 @@ func streamAndMigrateLocal(t *testing.T, w *world, doMigrate func(src, dst *daem
 	}
 	if st, _ := w.store.FirstValue(taskURN, rcds.AttrState); st != string(task.StateRunning) {
 		t.Fatalf("state metadata: %q", st)
+	}
+}
+
+// TestMigrationWindow is §5.6's window as a test. Within 250 ms a sender
+// resolves the task (its first message warms the sender's route cache),
+// the task migrates, and the sender sends a numbered burst. The sender's
+// retries are an hour away, so each message gets one transmission: every
+// one must reach the task at its new host, exactly once and in order, on
+// the first attempt after the catalog changed.
+func TestMigrationWindow(t *testing.T) {
+	w := newWorld(t)
+	controller := w.endpoint("urn:controller", comm.WithRetryInterval(time.Hour))
+	d1 := w.daemon("h1")
+	d2 := w.daemon("h2")
+	taskURN, err := d1.Spawn(task.Spec{Program: "counter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := func(count uint32, b uint8) {
+		t.Helper()
+		m, err := recvMatchT(controller, "", 2, 5*time.Second)
+		if err != nil {
+			t.Fatalf("reply %d: %v", count, err)
+		}
+		d := xdr.NewDecoder(m.Payload)
+		gotCount, _ := d.Uint32()
+		gotB, _ := d.Uint8()
+		if gotCount != count || gotB != b {
+			t.Fatalf("reply: count=%d payload=%d, want count=%d payload=%d", gotCount, gotB, count, b)
+		}
+	}
+
+	start := time.Now()
+	controller.Send(taskURN, 1, []byte{0})
+	expect(1, 0)
+	if _, err := Local(w.cat, d1, d2, taskURN, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	const burst = 16
+	for i := 1; i <= burst; i++ {
+		controller.Send(taskURN, 1, []byte{byte(i)})
+	}
+	if el := time.Since(start); el > 250*time.Millisecond {
+		t.Logf("resolve, migrate and burst took %v, past the 250 ms window", el)
+	}
+	for i := 1; i <= burst; i++ {
+		expect(uint32(i+1), uint8(i))
+	}
+	if m, err := recvMatchT(controller, "", 2, 100*time.Millisecond); err == nil {
+		t.Fatalf("a reply past the burst: %v", m.Payload)
+	}
+	if st, err := d2.TaskState(taskURN); err != nil || st != task.StateRunning {
+		t.Fatalf("task on h2: %v %v", st, err)
 	}
 }
 

@@ -23,8 +23,7 @@
 // either an in-process *rcds.Store or a remote *rcds.Client, which
 // routes by the catalog's shard map — behind context-less reads and writes;
 // Register/Unregister publish a process's communication addresses;
-// Resolver caches URN→address resolutions with a TTL unless the client
-// already maintains its watch-coherent read cache, which supersedes it;
+// Resolver reads them and lends the endpoint the catalog's change signal;
 // Watch turns whichever change-notification face a Catalog has (push
 // subscription, version long-poll, neither) into one callback.
 package naming
@@ -32,7 +31,6 @@ package naming
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"snipe/internal/comm"
@@ -132,6 +130,9 @@ func (c storeCatalog) Set(uri, name, value string) error {
 	return nil
 }
 
+// routeStamp is the store's version: every write changes it.
+func (c storeCatalog) routeStamp(string) (uint64, bool) { return c.s.Version(), true }
+
 // Subscribe exposes the wrapped store's push subscriptions, Watch's
 // push face, discovered by interface assertion.
 func (c storeCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
@@ -151,8 +152,8 @@ type clientCatalog struct{ c *rcds.Client }
 
 // ClientCatalog wraps a remote RCDS client as a Catalog. The wrapper
 // also forwards the discovery faces callers probe for by interface
-// assertion: ReadCacheActive (Resolver), MetricsSnapshot (daemon
-// status) and Watch's long-poll WaitURI.
+// assertion: MetricsSnapshot (daemon status) and Watch's long-poll
+// WaitURI.
 func ClientCatalog(c *rcds.Client) Catalog { return clientCatalog{c} }
 
 // Client returns the wrapped RCDS client, for callers that own its
@@ -213,9 +214,9 @@ func (cc clientCatalog) Set(uri, name, value string) error {
 	return cc.c.Set(ctx, uri, name, value)
 }
 
-// ReadCacheActive reports whether the wrapped client caches reads
-// coherently; the Resolver disables its own TTL cache when so.
-func (cc clientCatalog) ReadCacheActive() bool { return cc.c.ReadCacheActive() }
+// routeStamp is the read-cache epoch of the group owning uri, which
+// every version advance the client's watch sees changes.
+func (cc clientCatalog) routeStamp(uri string) (uint64, bool) { return cc.c.CacheEpoch(uri) }
 
 // MetricsSnapshot forwards the client's metrics registry.
 func (cc clientCatalog) MetricsSnapshot() stats.Snapshot { return cc.c.MetricsSnapshot() }
@@ -294,57 +295,39 @@ func (g gatedCatalog) Set(uri, name, value string) error {
 	return g.cat.Set(uri, name, value)
 }
 
-// Resolver resolves URNs to routes via RC metadata, with a small
-// negative-and-positive cache so that message sends do not hammer the
-// RC servers. Cache entries are invalidated quickly (default 150ms)
-// because stale addresses are rediscovered by the endpoint's retry
-// loop anyway — the paper's "processes that do not notice its
-// migration ... will find its new location via the RC servers" (§5.6).
+// Resolver resolves URNs to routes via RC metadata. It keeps no cache:
+// the endpoint keeps one, and reuses a resolution while the stamp
+// RouteStamp reads from the catalog holds (see DESIGN.md "Route
+// cache"). Processes that do not notice a migration "will find its new
+// location via the RC servers" (§5.6) on their first send after the
+// catalog changes.
 type Resolver struct {
 	cat Catalog
-	ttl time.Duration
-
-	mu    sync.Mutex
-	cache map[string]cacheEntry
 }
 
-type cacheEntry struct {
-	routes  []comm.Route
-	expires time.Time
-}
+// NewResolver builds a resolver over cat.
+func NewResolver(cat Catalog) *Resolver { return &Resolver{cat: cat} }
 
-// NewResolver builds a resolver over cat. When the catalog itself
-// caches reads coherently (an rcds.Client with its watch-invalidated
-// read cache), the resolver's TTL cache is disabled and resolution
-// rides the client cache instead — invalidation is then push-based
-// (Wait sequence numbers) rather than timer-based.
-func NewResolver(cat Catalog) *Resolver {
-	r := &Resolver{cat: cat, ttl: 150 * time.Millisecond, cache: make(map[string]cacheEntry)}
-	if cc, ok := cat.(interface{ ReadCacheActive() bool }); ok && cc.ReadCacheActive() {
-		r.ttl = 0
+// SetTTL does nothing. The resolver had a TTL cache; the endpoint's
+// route cache now follows the catalog's change signal instead. It stays
+// for the benchmark module's resolve rungs, which still call it.
+func (r *Resolver) SetTTL(time.Duration) {}
+
+// RouteStamp implements comm's optional route stamp from the catalog's
+// change signal: an in-process store's version, or a remote client's
+// read-cache epoch for the group owning urn. ok is false for a catalog
+// with no such signal, or a client whose read cache is off or not yet
+// confirmed by its watch.
+func (r *Resolver) RouteStamp(urn string) (stamp uint64, ok bool) {
+	if c, has := r.cat.(interface{ routeStamp(string) (uint64, bool) }); has {
+		return c.routeStamp(urn)
 	}
-	return r
-}
-
-// SetTTL adjusts the cache lifetime.
-func (r *Resolver) SetTTL(d time.Duration) {
-	r.mu.Lock()
-	r.ttl = d
-	r.mu.Unlock()
+	return 0, false
 }
 
 // Resolve implements comm.Resolver: it reads the destination's
 // AttrCommAddr assertions and parses them into routes.
 func (r *Resolver) Resolve(urn string) ([]comm.Route, error) {
-	r.mu.Lock()
-	ttl := r.ttl
-	if e, ok := r.cache[urn]; ok && ttl > 0 && time.Now().Before(e.expires) {
-		routes := e.routes
-		r.mu.Unlock()
-		return routes, nil
-	}
-	r.mu.Unlock()
-
 	vals, err := r.cat.Values(urn, rcds.AttrCommAddr)
 	if err != nil {
 		return nil, fmt.Errorf("naming: resolving %s: %w", urn, err)
@@ -357,19 +340,7 @@ func (r *Resolver) Resolve(urn string) ([]comm.Route, error) {
 		}
 		routes = append(routes, route)
 	}
-	if ttl > 0 {
-		r.mu.Lock()
-		r.cache[urn] = cacheEntry{routes: routes, expires: time.Now().Add(ttl)}
-		r.mu.Unlock()
-	}
 	return routes, nil
-}
-
-// Invalidate drops a cached entry (after a known migration).
-func (r *Resolver) Invalidate(urn string) {
-	r.mu.Lock()
-	delete(r.cache, urn)
-	r.mu.Unlock()
 }
 
 // Register publishes an endpoint's routes as the URN's communication

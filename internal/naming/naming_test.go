@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -31,7 +32,6 @@ func TestRegisterResolveUnregister(t *testing.T) {
 	store := rcds.NewStore("s1")
 	cat := StoreCatalog(store)
 	r := NewResolver(cat)
-	r.SetTTL(time.Millisecond)
 
 	routes := []comm.Route{
 		{Transport: "tcp", Addr: "127.0.0.1:1000"},
@@ -47,18 +47,15 @@ func TestRegisterResolveUnregister(t *testing.T) {
 	if err := Unregister(cat, "urn:p1"); err != nil {
 		t.Fatal(err)
 	}
-	// The resolver cache expires on its TTL; poll until it does.
-	testutil.WaitFor(t, time.Second, func() bool {
-		got, err = r.Resolve("urn:p1")
-		return err == nil && len(got) == 0
-	}, "unregistered name still resolves after the cache TTL")
+	if got, err = r.Resolve("urn:p1"); err != nil || len(got) != 0 {
+		t.Fatalf("after Unregister: %v, %v", got, err)
+	}
 }
 
 func TestWithdrawRoute(t *testing.T) {
 	store := rcds.NewStore("s1")
 	cat := StoreCatalog(store)
 	r := NewResolver(cat)
-	r.SetTTL(0)
 
 	routes := []comm.Route{
 		{Transport: "tcp", Addr: "127.0.0.1:1000", NetName: "eth"},
@@ -76,25 +73,78 @@ func TestWithdrawRoute(t *testing.T) {
 	}
 }
 
-func TestResolverCache(t *testing.T) {
-	store := rcds.NewStore("s1")
-	cat := StoreCatalog(store)
+// TestRouteStampStore: over an in-process store the route stamp is the
+// store's version, so it holds while nothing is written and any write
+// changes it. A catalog with no change signal gives no stamp.
+func TestRouteStampStore(t *testing.T) {
+	cat := StoreCatalog(rcds.NewStore("s1"))
 	r := NewResolver(cat)
-	r.SetTTL(time.Hour)
+	s0, ok := r.RouteStamp("urn:p1")
+	if !ok {
+		t.Fatal("no stamp over a store")
+	}
+	if _, err := r.Resolve("urn:p1"); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := r.RouteStamp("urn:p1"); s != s0 {
+		t.Fatalf("stamp moved from %d to %d with no write", s0, s)
+	}
+	cat.Set(HostURL("elsewhere"), rcds.AttrLoad, "1")
+	if s, _ := r.RouteStamp("urn:p1"); s == s0 {
+		t.Fatal("a write left the stamp unchanged")
+	}
+	gated := NewResolver(GatedCatalog(cat, func() error { return nil }))
+	if _, ok := gated.RouteStamp("urn:p1"); ok {
+		t.Fatal("a catalog with no change signal gave a stamp")
+	}
+}
 
-	Register(cat, "urn:p1", []comm.Route{{Transport: "tcp", Addr: "a:1"}})
-	if got, _ := r.Resolve("urn:p1"); len(got) != 1 {
-		t.Fatalf("first resolve: %v", got)
+// TestRouteStampClient: over a remote client the stamp is its read-cache
+// epoch. It changes once another client's write reaches this client's
+// watch, and there is none while the watch is down.
+func TestRouteStampClient(t *testing.T) {
+	srv := rcds.NewServer(rcds.NewStore("rc0"))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	// Change the catalog; the cache hides it until invalidated.
-	Unregister(cat, "urn:p1")
-	if got, _ := r.Resolve("urn:p1"); len(got) != 1 {
-		t.Fatalf("cached resolve: %v", got)
+	defer srv.Close()
+	c := rcds.NewClient([]string{srv.Addr()}, nil, rcds.WithReadCache())
+	defer c.Close()
+	writer := rcds.NewClient(c.Servers(), nil)
+	defer writer.Close()
+	r := NewResolver(ClientCatalog(c))
+	const urn = "urn:p1"
+	if err := writer.Set(context.Background(), HostURL("h1"), rcds.AttrLoad, "1"); err != nil {
+		t.Fatal(err)
 	}
-	r.Invalidate("urn:p1")
-	if got, _ := r.Resolve("urn:p1"); len(got) != 0 {
-		t.Fatalf("after invalidate: %v", got)
+	// The first read resolves the client's shard map; until then there
+	// is no owning group to take the stamp of.
+	if got, err := r.Resolve(urn); err != nil || len(got) != 0 {
+		t.Fatalf("Resolve before Register: %v, %v", got, err)
 	}
+	var s0 uint64
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		var ok bool
+		s0, ok = r.RouteStamp(urn)
+		return ok
+	}, "no stamp once the watch is up")
+
+	if err := Register(ClientCatalog(writer), urn, []comm.Route{{Transport: "tcp", Addr: "a:1"}}); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		s, ok := r.RouteStamp(urn)
+		return ok && s != s0
+	}, "another client's write never changed the stamp")
+	if got, err := r.Resolve(urn); err != nil || len(got) != 1 {
+		t.Fatalf("Resolve after the stamp changed: %v, %v", got, err)
+	}
+
+	srv.Close()
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		_, ok := r.RouteStamp(urn)
+		return !ok
+	}, "a stamp while the watch is down")
 }
 
 func TestResolverToleratesForeignAddressFormats(t *testing.T) {

@@ -136,6 +136,7 @@ func TestWatchPollsWithoutAFace(t *testing.T) {
 // TestClientCatalogWarmReadAllocs: a read the client's cache answers
 // costs the copy handed to the caller and nothing else — no deadline
 // context, no timer — and every read, hit or miss, is still counted once.
+// The route stamp costs nothing at all.
 func TestClientCatalogWarmReadAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow allocations are counted as the program's")
@@ -187,6 +188,15 @@ func TestClientCatalogWarmReadAllocs(t *testing.T) {
 	}
 	if got := reads() - start; got != 402 { // AllocsPerRun makes one warm-up call
 		t.Fatalf("%d reads counted for 402 issued", got)
+	}
+	// Every transmission reads the route stamp: it costs nothing.
+	r := NewResolver(cat)
+	if got := testing.AllocsPerRun(200, func() {
+		if _, ok := r.RouteStamp(uri); !ok {
+			t.Fatal("no route stamp over a warm cache")
+		}
+	}); got > 0 {
+		t.Errorf("RouteStamp costs %.1f allocations, want 0", got)
 	}
 
 	// A miss still goes out under the client's deadline, and one that

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,7 +24,8 @@ import (
 // Fills are epoch-guarded: a response that was in flight across a flush
 // must not repopulate the cache with pre-flush data, so each fill
 // carries the epoch observed when the request was issued and is
-// discarded if a flush intervened.
+// discarded if a flush intervened. A client issues its groups' epochs
+// from one counter, so no two of its caches ever share one.
 
 // watchPoll is the server-side long-poll window of the watch loop.
 const watchPoll = 2 * time.Second
@@ -58,26 +60,28 @@ type cacheVal struct {
 }
 
 // readCache is the client-side read cache. valid is true only while the
-// watch loop is confirming coherence; epoch increments on every flush
+// watch loop is confirming coherence; epoch changes on every flush
 // so in-flight fills that straddle a flush are discarded.
 type readCache struct {
 	mu      sync.Mutex
 	valid   bool
 	epoch   uint64
-	version uint64 // catalog version the entries were last flushed at
+	epochs  *atomic.Uint64 // issues epoch; the client's, shared by its groups
+	version uint64         // catalog version the entries were last flushed at
 	entries map[cacheKey]cacheVal
 }
 
-func newReadCache() *readCache {
-	return &readCache{entries: make(map[cacheKey]cacheVal)}
+func newReadCache(epochs *atomic.Uint64) *readCache {
+	return &readCache{epoch: epochs.Add(1), epochs: epochs, entries: make(map[cacheKey]cacheVal)}
 }
 
-// epochNow returns the current fill epoch; callers snapshot it before
-// issuing the remote read backing a fill.
-func (rc *readCache) epochNow() uint64 {
+// epochNow returns the current fill epoch and whether the cache is
+// serving; fills snapshot the epoch before issuing the remote read
+// backing them.
+func (rc *readCache) epochNow() (epoch uint64, valid bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.epoch
+	return rc.epoch, rc.valid
 }
 
 // advance records that the group's catalog version was seen at v, and
@@ -90,7 +94,7 @@ func (rc *readCache) advance(v uint64) {
 	rc.mu.Lock()
 	if v != rc.version {
 		rc.version = v
-		rc.epoch++
+		rc.epoch = rc.epochs.Add(1)
 		rc.entries = make(map[cacheKey]cacheVal)
 	}
 	rc.mu.Unlock()
@@ -100,7 +104,7 @@ func (rc *readCache) advance(v uint64) {
 // re-enables it (watch error, replica failover).
 func (rc *readCache) invalidateAll() {
 	rc.mu.Lock()
-	rc.epoch++
+	rc.epoch = rc.epochs.Add(1)
 	rc.valid = false
 	rc.entries = make(map[cacheKey]cacheVal)
 	rc.mu.Unlock()
@@ -117,7 +121,7 @@ func (rc *readCache) setValid() {
 // client), preserving read-your-writes ahead of the watch notification.
 func (rc *readCache) invalidateURI(uri string) {
 	rc.mu.Lock()
-	rc.epoch++
+	rc.epoch = rc.epochs.Add(1)
 	for k := range rc.entries {
 		if k.uri == uri {
 			delete(rc.entries, k)

@@ -319,6 +319,7 @@ type Client struct {
 
 	timeout time.Duration // per-request dial/IO timeout; set once, before first use
 	cacheOn bool          // WithReadCache; likewise
+	epochs  atomic.Uint64 // read-cache epochs (see readCache)
 
 	originMu sync.Mutex
 	origins  []string // origins decoded by Get, shared among its results; at most maxClientOrigins
@@ -371,7 +372,7 @@ func NewClient(addrs []string, secret []byte, opts ...ClientOption) *Client {
 func (c *Client) newGroup(addrs []string) *replicaGroup {
 	g := &replicaGroup{addrs: append([]string(nil), addrs...)}
 	if c.cacheOn {
-		g.cache = newReadCache()
+		g.cache = newReadCache(&c.epochs)
 		ctx, cancel := context.WithCancel(context.Background())
 		g.watchStop = cancel
 		c.wg.Add(1)
@@ -400,11 +401,6 @@ func retireGroup(g *replicaGroup) {
 func (c *Client) Servers() []string {
 	return append([]string(nil), c.seed.addrs...)
 }
-
-// ReadCacheActive reports whether the client caches reads locally.
-// naming.Resolver uses this to skip its own TTL cache and ride the
-// client's watch-invalidated one instead.
-func (c *Client) ReadCacheActive() bool { return c.cacheOn }
 
 // ShardMap returns the shard map the client is currently routing with,
 // or nil when it routes everything to the seed replicas.
@@ -716,6 +712,18 @@ func (c *Client) peekGroup(uri string) *replicaGroup {
 	return c.owner(uri)
 }
 
+// CacheEpoch returns the read-cache epoch of the group owning uri, which
+// every flush of that group's cached reads changes. ok is false while
+// reads of uri are not cached: the cache is off or invalid, or the
+// shard map is unresolved.
+func (c *Client) CacheEpoch(uri string) (epoch uint64, ok bool) {
+	g := c.peekGroup(uri)
+	if g == nil {
+		return 0, false
+	}
+	return g.cache.epochNow()
+}
+
 // CachedValues answers Values from the read cache alone. A hit counts
 // as Values counts it; a miss (ok false) counts nothing and costs no
 // I/O, so a caller that follows it with Values sees one read counted.
@@ -838,7 +846,7 @@ func (c *Client) Get(ctx context.Context, uri string) ([]Assertion, error) {
 		return as, nil
 	}
 	c.mCacheMiss.Inc()
-	epoch := g.cache.epochNow()
+	epoch, _ := g.cache.epochNow()
 	as, err := c.getRemote(ctx, uri)
 	if err == nil {
 		g.cache.storeGet(uri, as, epoch)
@@ -898,7 +906,7 @@ func (c *Client) Values(ctx context.Context, uri, name string) ([]string, error)
 		return vals, nil
 	}
 	c.mCacheMiss.Inc()
-	epoch := g.cache.epochNow()
+	epoch, _ := g.cache.epochNow()
 	vals, err := c.valuesRemote(ctx, uri, name)
 	if err == nil {
 		g.cache.storeValues(uri, name, vals, epoch)
@@ -932,7 +940,7 @@ func (c *Client) FirstValue(ctx context.Context, uri, name string) (string, bool
 		return v, ok, nil
 	}
 	c.mCacheMiss.Inc()
-	epoch := g.cache.epochNow()
+	epoch, _ := g.cache.epochNow()
 	v, ok, err := c.firstRemote(ctx, uri, name)
 	if err == nil {
 		g.cache.storeFirst(uri, name, v, ok, epoch)

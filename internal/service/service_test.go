@@ -32,9 +32,7 @@ func newWorld(t *testing.T) *world {
 
 func (w *world) endpoint(urn string) *comm.Endpoint {
 	w.t.Helper()
-	res := naming.NewResolver(w.cat)
-	res.SetTTL(20 * time.Millisecond)
-	ep := comm.NewEndpoint(urn, comm.WithResolver(res))
+	ep := comm.NewEndpoint(urn, comm.WithResolver(naming.NewResolver(w.cat)))
 	route, err := ep.Listen(comm.ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
 	if err != nil {
 		w.t.Fatal(err)
