@@ -37,7 +37,6 @@ func main() {
 	origin := flag.String("origin", "", "replica identity (default: the listen address)")
 	peers := flag.String("peers", "", "comma-separated peer replica addresses")
 	secret := flag.String("secret", "", "shared secret for HMAC authentication")
-	antiEntropy := flag.Duration("anti-entropy", 500*time.Millisecond, "anti-entropy pull interval")
 	dataFile := flag.String("data", "", "snapshot file for catalog persistence across restarts")
 	saveEvery := flag.Duration("save-every", 10*time.Second, "snapshot interval when -data is set")
 	shardMap := flag.String("shard-map", "", `shard map this replica enforces, e.g. "v1 epoch=1 groups=a:1,a:2|b:1,b:2"`)
@@ -49,7 +48,7 @@ func main() {
 	if id == "" {
 		id = *addr
 	}
-	opts := []rcds.ServerOption{rcds.WithAntiEntropyInterval(*antiEntropy)}
+	var opts []rcds.ServerOption
 	if *secret != "" {
 		opts = append(opts, rcds.WithSecret([]byte(*secret)))
 	}

@@ -95,9 +95,9 @@ func TestStandaloneDeployment(t *testing.T) {
 	snap := filepath.Join(dir, "rc1.snap")
 
 	startProc(t, bins["snipe-rcserver"], "-addr", rc1, "-origin", "rc1",
-		"-peers", rc2, "-anti-entropy", "100ms", "-data", snap)
+		"-peers", rc2, "-data", snap)
 	startProc(t, bins["snipe-rcserver"], "-addr", rc2, "-origin", "rc2",
-		"-peers", rc1, "-anti-entropy", "100ms")
+		"-peers", rc1)
 
 	// Wait for the replicas to answer.
 	waitFor(t, 10*time.Second, func() error {

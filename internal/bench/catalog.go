@@ -151,7 +151,6 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 		addrs := make([]string, cfg.Replicas)
 		for i := 0; i < cfg.Replicas; i++ {
 			s := rcds.NewServer(rcds.NewStore(fmt.Sprintf("rc%d-%d", g, i)),
-				rcds.WithAntiEntropyInterval(250*time.Millisecond),
 				rcds.WithLogCompaction(cfg.CompactKeep))
 			if err := s.Start("127.0.0.1:0"); err != nil {
 				return res, err
@@ -459,7 +458,6 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 	}
 	rejoined := rcds.NewServer(victimStore,
 		rcds.WithPeers(peers...),
-		rcds.WithAntiEntropyInterval(100*time.Millisecond),
 		rcds.WithShard(0, m),
 		rcds.WithLogCompaction(cfg.CompactKeep))
 	rejoinStart := time.Now()

@@ -133,8 +133,7 @@ func MeasureAvailabilitySNIPE(replicas, queries int, downFraction float64) (E3Re
 	res := E3Result{System: "snipe-rc", Replicas: replicas}
 	servers := make([]*rcds.Server, replicas)
 	for i := range servers {
-		servers[i] = rcds.NewServer(rcds.NewStore(fmt.Sprintf("av%d", i)),
-			rcds.WithAntiEntropyInterval(50*time.Millisecond))
+		servers[i] = rcds.NewServer(rcds.NewStore(fmt.Sprintf("av%d", i)))
 		if err := servers[i].Start("127.0.0.1:0"); err != nil {
 			return res, err
 		}

@@ -60,7 +60,7 @@ func TestChaosWorkloadSurvivesComponentFailures(t *testing.T) {
 			case <-time.After(time.Duration(30+rng.Intn(60)) * time.Millisecond):
 			}
 			// Revive on the same address over the same store.
-			revived := rcds.NewServer(old.Store(), rcds.WithAntiEntropyInterval(100*time.Millisecond))
+			revived := rcds.NewServer(old.Store())
 			if err := revived.Start(addr); err == nil {
 				var peers []string
 				for j, s := range servers {

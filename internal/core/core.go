@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"snipe/internal/comm"
 	"snipe/internal/daemon"
@@ -127,8 +126,7 @@ func New(cfg Config) (*Universe, error) {
 		for g := 0; g < nGroups; g++ {
 			for i := 0; i < cfg.RCServers; i++ {
 				s := rcds.NewServer(rcds.NewStore(fmt.Sprintf("rc%d-%d", g, i)),
-					rcds.WithSecret(cfg.Secret),
-					rcds.WithAntiEntropyInterval(100*time.Millisecond))
+					rcds.WithSecret(cfg.Secret))
 				if err := s.Start("127.0.0.1:0"); err != nil {
 					u.Close()
 					return nil, err

@@ -26,7 +26,7 @@ func TestClientRoutedOpAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow allocations are counted as the program's")
 	}
-	s := NewServer(NewStore("alloc"), WithAntiEntropyInterval(0))
+	s := NewServer(NewStore("alloc"))
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ const maxReplicatedSetAllocs = 3
 // TestReplicatedSetCost is the tier-1 guard on what a replicated write
 // costs in frames and allocations: a Set on a two-replica group is one
 // frame in each direction on the client's link and one frame, pusher to
-// peer, on the push link — the Ping that opened it aside, the peer never
-// writes. Both links run through counting relays, which allocate nothing
+// peer, on the push link — the Ping that opened it aside, the peer writes
+// only the answers to the Catchups of a pull that falls due. Both links run through counting relays, which allocate nothing
 // per frame. The benchmark ledger gates the same as catalog_mix
 // io_syscalls_per_op and allocs_per_op.
 func TestReplicatedSetCost(t *testing.T) {
@@ -115,7 +115,9 @@ func TestReplicatedSetCost(t *testing.T) {
 		}
 	}
 	settle := func() {
-		testutil.WaitFor(t, 5*time.Second, func() bool { return counter(rc[1], "remote_ops") == uint64(sets) },
+		// Each Set changes replica 1's catalog once, whether a push or a
+		// pull brought it first.
+		testutil.WaitFor(t, 5*time.Second, func() bool { return counter(rc[1], "remote_ops_applied") == uint64(sets) },
 			"replica 1 did not receive every op")
 	}
 	for j := 0; j < 200; j++ { // dials, the shard-map bootstrap, the push link's Ping, pools
@@ -124,7 +126,7 @@ func TestReplicatedSetCost(t *testing.T) {
 	settle()
 	before := sets
 	upC, downC := front.up.frames.Load(), front.down.frames.Load()
-	upP, downP := push.up.frames.Load(), push.down.frames.Load()
+	upP, downP, pullsP := push.up.frames.Load(), push.down.frames.Load(), counter(rc[0], "pulls")
 
 	if testutil.RaceEnabled {
 		for j := 0; j < n; j++ {
@@ -142,10 +144,17 @@ func TestReplicatedSetCost(t *testing.T) {
 		t.Errorf("client link: %d frames up, %d down for %d Sets; want one each way per Set", up, down, did)
 	}
 	// A Set the pusher had not yet taken when the next one arrived
-	// shares its frame: never more than one frame per Set, and one op.
-	up, down := push.up.frames.Load()-upP, push.down.frames.Load()-downP
-	if up == 0 || up > did || down != 0 {
-		t.Errorf("push link: %d frames pusher → peer, %d back for %d Sets; want at most one per Set and none back", up, down, did)
+	// shares its frame: never more than one frame per Set, and one op. A
+	// pull that fell due meanwhile is one Catchup each way; one in flight
+	// is waited out.
+	var up, down, pulls int64
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		pulls = int64(counter(rc[0], "pulls") - pullsP)
+		up, down = push.up.frames.Load()-upP-pulls, push.down.frames.Load()-downP
+		return down == pulls
+	}, "the push link carried back more than the answers to the pulls' Catchups")
+	if up <= 0 || up > did {
+		t.Errorf("push link: %d frames pusher → peer beside %d Catchups for %d Sets; want at most one per Set", up, pulls, did)
 	}
 	t.Logf("%.3f push frames per Set", float64(up)/float64(did))
 	if got := counter(rc[0], "apply_ops_sent"); got != uint64(sets) {

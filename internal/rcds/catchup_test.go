@@ -161,7 +161,7 @@ func TestSyncFromPeerSnapshotPath(t *testing.T) {
 
 // TestServerRejoinViaSnapshot is the full crash/rejoin cycle: a replica
 // misses a long overwrite history, the survivor compacts its log, and
-// the rejoiner's own anti-entropy loop converges it through the
+// the rejoiner's pull on start converges it through the
 // snapshot path without history replay.
 func TestServerRejoinViaSnapshot(t *testing.T) {
 	servers := startReplicaGroup(t, 2, nil)
@@ -187,10 +187,9 @@ func TestServerRejoinViaSnapshot(t *testing.T) {
 	}
 	servers[0].Store().Compact(5)
 
-	// Restart over the surviving store; AE must use the snapshot path.
+	// Restart over the surviving store; its pull must use the snapshot path.
 	rejoin := NewServer(downStore,
-		WithPeers(servers[0].Addr()),
-		WithAntiEntropyInterval(20*time.Millisecond))
+		WithPeers(servers[0].Addr()))
 	if err := rejoin.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestServerRejoinViaSnapshot(t *testing.T) {
 // netsim partition: the replication link is severed via a Fabric gate
 // (pushes and pulls are skipped while partitioned), the connected side
 // accumulates and compacts history, and healing the partition lets
-// anti-entropy converge the stale side through the snapshot path.
+// the retried pull converge the stale side through the snapshot path.
 func TestPartitionRejoinViaSnapshot(t *testing.T) {
 	fab := netsim.NewFabric()
 	stores := []*Store{NewStore("rc0"), NewStore("rc1")}
@@ -234,7 +233,7 @@ func TestPartitionRejoinViaSnapshot(t *testing.T) {
 		}
 	}
 	for i := range servers {
-		servers[i] = NewServer(stores[i], WithAntiEntropyInterval(20*time.Millisecond))
+		servers[i] = NewServer(stores[i])
 		servers[i].peerGate = mkGate(fmt.Sprintf("n%d", i))
 		if err := servers[i].Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)

@@ -1008,29 +1008,6 @@ func (c *Client) urisFrom(ctx context.Context, g *replicaGroup, prefix string) (
 	return cl.dec.StringSliceMax(maxWireItems, maxWireValue)
 }
 
-// Vector returns the seed server's version vector
-// (replication-internal; peer clients are single-group).
-func (c *Client) Vector(ctx context.Context) (VersionVector, error) {
-	cl := newCall(cmdVector)
-	defer cl.release()
-	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
-		return nil, err
-	}
-	return DecodeVersionVector(&cl.dec)
-}
-
-// OpsSince returns ops the holder of vector theirs has not seen.
-func (c *Client) OpsSince(ctx context.Context, theirs VersionVector, max int) ([]Assertion, error) {
-	cl := newCall(cmdOpsSince)
-	defer cl.release()
-	theirs.Encode(&cl.req)
-	cl.req.PutUint32(uint32(max))
-	if err := c.roundTrip(ctx, c.seed, cl); err != nil {
-		return nil, err
-	}
-	return DecodeAssertions(&cl.dec)
-}
-
 // Apply posts replication ops to the server (peer-to-peer path): one
 // frame under request ID 0, which asks for no answer, so a nil error
 // means the kernel took the frame, not that the peer applied it; a

@@ -14,8 +14,8 @@
 // carries a Lamport clock and the origin server's identity; concurrent
 // updates are resolved by (clock, origin) ordering, a Remove leaves a
 // tombstone, a Set is one op that replaces the attribute's register and
-// clears every element and tombstone stamped before it, and
-// anti-entropy exchanges use per-origin version vectors over each
+// clears every element and tombstone stamped before it, and a pull that
+// repairs a lost push compares per-origin version vectors over each
 // server's op log. This gives the
 // paper's availability-over-atomicity consistency ("a consistency model
 // which sacrifices strict atomicity and serializability", §2.1) with
@@ -36,8 +36,8 @@
 //     multiplexed length-prefixed binary protocol with optional HMAC
 //     authentication, a connection's requests served in arrival order
 //     by its read loop, push replication to peers as one-way frames,
-//     periodic anti-entropy pulls (SyncFromPeer) that repair what a push
-//     lost, and optional shard enforcement plus log compaction.
+//     pulls on evidence over the same link (SyncFromPeer) that repair
+//     what a push lost, and optional shard enforcement plus compaction.
 //   - Client (client.go, cache.go, shard.go, sync.go) is what the rest
 //     of SNIPE holds: failover across a replica group, request
 //     multiplexing, the watch-coherent read cache, and routing of

@@ -146,15 +146,15 @@ func (r *frameRelay) pump(src, dst net.Conn, n *linkCount) {
 	}
 }
 
-// fakePeer is a raw listener that plays a replica to one push link: it
-// answers the link's Ping, then reads frames and never writes again.
-// What it reads it hands to the serve of a server that is never started,
-// which says whether the frame was a well-formed posted Apply and counts
-// its ops.
+// fakePeer is a raw listener that plays a replica to one replication
+// link: it answers the link's Pings, counts the Catchups of its pulls and
+// answers none, and hands every other frame to the serve of a server that
+// is never started, which says whether the frame was a well-formed posted
+// Apply and counts its ops.
 type fakePeer struct {
-	ln          net.Listener
-	srv         *Server
-	frames, bad atomic.Int64 // frames after the Ping; those that were no posted Apply
+	ln                    net.Listener
+	srv                   *Server
+	frames, bad, catchups atomic.Int64 // frames neither Ping nor Catchup; those that were no posted Apply; Catchups
 }
 
 func (p *fakePeer) ops() uint64 { return counter(p.srv, "remote_ops") }
@@ -176,14 +176,17 @@ func startFakePeer(t *testing.T, origin string) *fakePeer {
 			return
 		}
 		fr, fw := xdr.NewFrameReader(conn), xdr.NewFrameWriter(conn)
-		for pinged := false; ; {
+		for {
 			frame, err := nextFrame(fr, nil)
 			if err != nil {
 				return
 			}
+			if len(frame) > muxHeader && frame[muxHeader] == cmdCatchup {
+				p.catchups.Add(1)
+				continue
+			}
 			resp, err := p.srv.serve(new(served), frame, nil)
-			if !pinged && err == nil && resp != nil {
-				pinged = true
+			if len(frame) > muxHeader && frame[muxHeader] == cmdPing && err == nil {
 				if writeFrame(fw, resp, nil) != nil {
 					return
 				}
@@ -210,11 +213,14 @@ func startFakePeer(t *testing.T, origin string) *fakePeer {
 // TestPushAsksForNoAnswer: a peer that never answers an Apply is a
 // healthy peer. 200 writes reach it well inside pushTimeout — the old
 // push RPC would have spent that long on the first — every one in a
-// frame under request ID 0, none counted as a failure.
+// frame under request ID 0, none counted as a failure, and none held up by
+// the pull that asked the peer for a Catchup on start and waits for its
+// answer. Beside the Pings, the link carries nothing but the Applies and
+// the Catchups of the server's pulls.
 func TestPushAsksForNoAnswer(t *testing.T) {
 	const n = 200
 	peer := startFakePeer(t, "mute")
-	rc0 := NewServer(NewStore("rc0"), WithPeers(peer.ln.Addr().String()), WithAntiEntropyInterval(0))
+	rc0 := NewServer(NewStore("rc0"), WithPeers(peer.ln.Addr().String()))
 	if err := rc0.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -235,28 +241,48 @@ func TestPushAsksForNoAnswer(t *testing.T) {
 	if f := rc0.PushFailures(); f != 0 {
 		t.Errorf("%d push failures", f)
 	}
+	testutil.WaitFor(t, pushTimeout/2, func() bool { return uint64(peer.catchups.Load()) == counter(rc0, "pulls") },
+		"the peer did not read one Catchup for each pull")
+	if counter(rc0, "pulls") == 0 {
+		t.Error("the server did not pull from its new peer")
+	}
 }
 
-// TestPushLinkCarriesNothingBack: between two real replicas the push
-// link's peer → pusher direction carries the Ping reply that named the
-// peer, and then nothing, however many writes cross the other way.
+// TestPushLinkCarriesNothingBack: between two real replicas the link's
+// peer → pusher direction carries the Ping reply that named the peer and
+// one answer to each Catchup of the pusher's server's pulls, and nothing
+// else, however many writes cross the other way.
 func TestPushLinkCarriesNothingBack(t *testing.T) {
 	const n = 100
 	rc := startChain(t, [][]int{{}, {}})
 	relay := startFrameRelay(t, rc[1].Addr())
 	rc[0].SetPeers(relay.Addr())
+	// The pull from the new peer is served before the writes begin: a
+	// pull that reads replica 0's vector just before a write is answered
+	// with that write, pushed ahead of its Catchup on the same link.
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return counter(rc[0], "pulls") == 1 && counter(rc[1], "tail_pulls_served") == 1
+	}, "replica 0 did not pull from its new peer")
 	setN(t, rc[0], n)
 	testutil.WaitFor(t, 5*time.Second, func() bool {
 		return rc[1].Store().Vector().Dominates(rc[0].Store().Vector())
 	}, "replica 1 never caught up by push alone")
 
+	// Replica 1 holds nothing replica 0 lacks: every Catchup is answered
+	// with an empty tail. A pull in flight is waited out.
 	pong := okResponse(func(e *xdr.Encoder) { e.PutString("rc1") })
-	if frames, b := relay.down.frames.Load(), relay.down.bytes.Load(); frames != 1 || b != int64(4+len(pong)) {
-		t.Errorf("peer → pusher carried %d frames, %d bytes; want the Ping reply alone (1 frame, %d bytes)", frames, b, 4+len(pong))
-	}
+	tail := okResponse(func(e *xdr.Encoder) { e.PutUint8(catchupModeTail); e.PutUint32(0) })
 	sent := counter(rc[0], "applies_sent")
-	if got := uint64(relay.up.frames.Load()); got != sent+1 {
-		t.Errorf("pusher → peer carried %d frames, want the Ping and %d Applies", got, sent)
+	var pulls uint64
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		pulls = counter(rc[0], "pulls")
+		return uint64(relay.down.frames.Load()) == 1+pulls && uint64(relay.up.frames.Load()) == sent+1+pulls
+	}, "the link did not settle at the Ping, the Applies and one Catchup each way per pull")
+	if want := int64(4+len(pong)) + int64(pulls)*int64(4+len(tail)); relay.down.bytes.Load() != want {
+		t.Errorf("peer → pusher carried %d bytes, want the Ping reply and %d empty tails (%d bytes)", relay.down.bytes.Load(), pulls, want)
+	}
+	if pulls == 0 {
+		t.Error("replica 0 did not pull from its new peer")
 	}
 	if got := counter(rc[1], "applies_received"); got != sent {
 		t.Errorf("replica 1 applied %d frames of the %d sent", got, sent)
@@ -269,8 +295,8 @@ func TestPushLinkCarriesNothingBack(t *testing.T) {
 // TestPushKeepsWriteOrder: writes pipelined on one connection are minted,
 // queued and pushed by that connection's read loop alone, and a link's
 // frames are applied in the order written — so replica 1 learns replica
-// 0's ops in the order replica 0 minted them, with no anti-entropy to
-// tidy up behind.
+// 0's ops in the order replica 0 minted them, with no pull to tidy up
+// behind.
 func TestPushKeepsWriteOrder(t *testing.T) {
 	const writers, each = 16, 100
 	rc := startChain(t, [][]int{{1}, {0}})

@@ -17,8 +17,8 @@ import (
 // sequence counters, and whatever op-log tail compaction has left. The
 // catalog is saved as it stands, not replayed from the log, so a
 // compacted replica (-data with -compact-keep) restarts whole; it then
-// converges with its peers through normal anti-entropy, catching up on
-// whatever it missed while down.
+// pulls from its peers as soon as it starts (DESIGN.md "Replication
+// repair"), catching up on whatever it missed while down.
 //
 // File format, every field in the xdr encoding of the wire protocol:
 //
@@ -136,12 +136,13 @@ func LoadStore(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 	// The vector was saved, so the log goes back as it was, holes and
-	// all, without recordLocked's walk.
+	// all; recountLocked counts what lies above the marks.
 	for i := range logged {
 		a := &logged[i]
 		o := originLocked(s, a.Origin)
 		s.logs[o].put(a.Seq, logOp{heldLocked(s, a.URI).uri, newEntry(a, o)})
 	}
+	s.recountLocked()
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}

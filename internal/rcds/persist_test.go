@@ -173,14 +173,14 @@ func TestSaveLoadFile(t *testing.T) {
 
 func TestRestartedReplicaCatchesUp(t *testing.T) {
 	// A replica snapshots, "crashes", misses writes, restarts from the
-	// snapshot, and converges via anti-entropy.
-	s0 := NewServer(NewStore("rc0"), WithAntiEntropyInterval(30*time.Millisecond))
+	// snapshot, and converges by the pull it makes on start.
+	s0 := NewServer(NewStore("rc0"))
 	if err := s0.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer s0.Close()
 	s1 := NewServer(NewStore("rc1"),
-		WithPeers(s0.Addr()), WithAntiEntropyInterval(30*time.Millisecond))
+		WithPeers(s0.Addr()))
 	if err := s1.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +207,12 @@ func TestRestartedReplicaCatchesUp(t *testing.T) {
 	// A write lands while replica 1 is down.
 	c.Set(context.Background(), "urn:a", "k2", "while-down")
 
-	// Restart from the snapshot; anti-entropy pulls the missed write.
+	// Restart from the snapshot; the pull on start fetches the missed write.
 	restored, err := LoadStore(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1b := NewServer(restored, WithPeers(s0.Addr()), WithAntiEntropyInterval(30*time.Millisecond))
+	s1b := NewServer(restored, WithPeers(s0.Addr()))
 	if err := s1b.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,16 @@ import (
 	"snipe/internal/testutil"
 )
 
-// startChain launches one RC server per entry of links, without
-// anti-entropy so that only pushes move ops: links[i] lists the servers
-// that server i pushes to.
+// startChain launches one RC server per entry of links: links[i] lists
+// the servers that server i pushes to, and pulls from when a peer is new,
+// a hole opens or its pull is due. It returns once the pulls from the new
+// peers are served, so that a test which counts what crosses a link and
+// ends before the next pull falls due (pullPeriod) sees pushes alone.
 func startChain(t *testing.T, links [][]int) []*Server {
 	t.Helper()
 	servers := make([]*Server, len(links))
 	for i := range servers {
-		servers[i] = NewServer(NewStore(fmt.Sprintf("rc%d", i)), WithAntiEntropyInterval(0))
+		servers[i] = NewServer(NewStore(fmt.Sprintf("rc%d", i)))
 		if err := servers[i].Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -38,6 +40,16 @@ func startChain(t *testing.T, links [][]int) []*Server {
 			s.Close()
 		}
 	})
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		var pulls, served uint64
+		for i, s := range servers {
+			if counter(s, "pulls") < uint64(len(links[i])) {
+				return false
+			}
+			pulls, served = pulls+counter(s, "pulls"), served+counter(s, "tail_pulls_served")
+		}
+		return served == pulls
+	}, "the servers did not pull from their new peers")
 	return servers
 }
 
@@ -127,25 +139,25 @@ func TestRelayChain(t *testing.T) {
 // TestPushQueueOverflowCounts: while one peer's pusher is held up by a
 // peer it cannot reach, writes keep being accepted; past maxPendingPushOps
 // they are counted as failed pushes and not queued for that peer, the
-// other peer gets every one, and anti-entropy delivers them to the first
-// once it is back.
+// other peer gets every one, and a pull delivers them to the first once
+// it is back.
 func TestPushQueueOverflowCounts(t *testing.T) {
 	const extra = 64
 	release := make(chan struct{})
 	var once sync.Once
 	open := func() { once.Do(func() { close(release) }) }
 
-	rc1 := NewServer(NewStore("rc1"), WithAntiEntropyInterval(20*time.Millisecond))
+	rc1 := NewServer(NewStore("rc1"))
 	if err := rc1.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer rc1.Close()
-	rc2 := NewServer(NewStore("rc2"), WithAntiEntropyInterval(0))
+	rc2 := NewServer(NewStore("rc2"))
 	if err := rc2.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer rc2.Close()
-	rc0 := NewServer(NewStore("rc0"), WithPeers(rc1.Addr(), rc2.Addr()), WithAntiEntropyInterval(0))
+	rc0 := NewServer(NewStore("rc0"), WithPeers(rc1.Addr(), rc2.Addr()))
 	rc0.peerGate = func(peer string) error {
 		if peer == rc1.Addr() {
 			<-release
@@ -197,19 +209,19 @@ func pushers() int {
 // TestSlowPeerHoldsUpOnlyItself: a replica pushes to two peers, and one
 // stops reading for 3 s. Pushes to the other keep becoming visible there
 // as fast as before. The stalled peer's list fills, what overflows it
-// counts in PushFailures, and anti-entropy brings that peer level once it
+// counts in PushFailures, and a pull brings that peer level once it
 // reads again. Dropping it from the peer set stops its pusher.
 func TestSlowPeerHoldsUpOnlyItself(t *testing.T) {
-	start := func(origin string, ae time.Duration) *Server {
-		s := NewServer(NewStore(origin), WithAntiEntropyInterval(ae))
+	start := func(origin string) *Server {
+		s := NewServer(NewStore(origin))
 		if err := s.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Close)
 		return s
 	}
-	src, fast := start("src", 0), start("fast", 0)
-	slow := start("slow", 20*time.Millisecond) // with no peers until it reads again
+	src, fast := start("src"), start("fast")
+	slow := start("slow") // with no peers until it reads again
 	relay := startFrameRelay(t, slow.Addr())
 	src.SetPeers(fast.Addr(), relay.Addr())
 

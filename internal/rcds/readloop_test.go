@@ -132,7 +132,7 @@ func TestRefusedRequestEndsConnection(t *testing.T) {
 
 	for name, frame := range cases {
 		t.Run(name, func(t *testing.T) {
-			srv := NewServer(NewStore("rc0"), WithSecret(secret), WithAntiEntropyInterval(0))
+			srv := NewServer(NewStore("rc0"), WithSecret(secret))
 			if err := srv.Start("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func TestUnreadingClientIsDropped(t *testing.T) {
 // loop is parked in the descriptor and another's is inside a handler,
 // blocked in a write that would last until its deadline.
 func TestServerCloseInsideHandler(t *testing.T) {
-	srv := NewServer(NewStore("closing"), WithAntiEntropyInterval(0))
+	srv := NewServer(NewStore("closing"))
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,24 @@ import (
 	"snipe/internal/xdr"
 )
 
-// pushTimeout bounds one replication RPC to a peer — a push link's Ping or
-// an anti-entropy pull; a push is only a write — and one response's write.
+// pushTimeout bounds one replication RPC — a push link's Ping, a pull's
+// Catchup or SnapshotPage; a push is only a write — and one response's write.
 const pushTimeout = 5 * time.Second
 
 // maxPendingPushOps bounds the ops queued for one peer while its pusher
 // is busy with it. Ops beyond it are not queued for that peer: they count
-// as a failed push and reach it by anti-entropy.
+// as a failed push, and the peer's next timed pull fetches them.
 const maxPendingPushOps = 4096
+
+// A server's next timed pull (DESIGN.md "Replication repair"): pullPeriod
+// after a pass whose pulls all succeeded, pullRetry after one with a pull
+// failed or gated, so that a healed partition or a returned peer is seen.
+// WithLogCompaction's loop compacts every compactPeriod.
+const (
+	pullPeriod    = 2 * time.Second
+	pullRetry     = 250 * time.Millisecond
+	compactPeriod = 2 * time.Second
+)
 
 // maxKeptOps is maxKeptBuffer for a reused slice of ops, counted in the
 // largest of its element types: a connection's decoded Apply holds
@@ -56,14 +66,9 @@ func WithSecret(secret []byte) ServerOption {
 }
 
 // WithPeers sets the addresses of the other replicas this server pushes
-// updates to and pulls anti-entropy from.
+// updates to and pulls missing ones from.
 func WithPeers(addrs ...string) ServerOption {
 	return func(s *Server) { s.peers = append([]string(nil), addrs...) }
-}
-
-// WithAntiEntropyInterval sets how often the server pulls from peers.
-func WithAntiEntropyInterval(d time.Duration) ServerOption {
-	return func(s *Server) { s.aeInterval = d }
 }
 
 // WithShard makes the server enforce catalog sharding: ops on URIs that
@@ -75,9 +80,9 @@ func WithShard(self int, m *ShardMap) ServerOption {
 	return func(s *Server) { s.shard = &shardConfig{self: self, m: m} }
 }
 
-// WithLogCompaction bounds the op log: a background loop periodically
-// drops entries more than keepTail sequence numbers below each origin's
-// contiguous mark. Replicas that fall below the resulting floor catch
+// WithLogCompaction bounds the op log: every compactPeriod a background
+// loop drops entries more than keepTail sequence numbers below each
+// origin's contiguous mark. Replicas that fall below the resulting floor catch
 // up via snapshot (SyncFromPeer) instead of history replay.
 func WithLogCompaction(keepTail int) ServerOption {
 	return func(s *Server) { s.compactKeep = keepTail }
@@ -90,29 +95,30 @@ type shardConfig struct {
 }
 
 // Server is one RC/metadata server replica: it serves the catalog
-// protocol on a TCP listener, pushes local writes to its peers, and
-// runs periodic anti-entropy pulls so that replicas converge even when
-// pushes are lost — the master–master model of §7.
+// protocol on a TCP listener, pushes writes to its peers, and pulls from
+// them what evidence says a push lost, so that replicas converge — the
+// master–master model of §7.
 type Server struct {
 	store       *Store
 	secret      []byte
 	peers       []string
-	aeInterval  time.Duration
 	compactKeep int // >0: background log compaction keeps this much tail
 	// peerGate, when the package's partition tests set it before Start,
-	// is consulted before every push or anti-entropy exchange with a
-	// peer: while it returns an error the exchange is skipped, modelling
-	// a severed replication link.
+	// is consulted before every push or pull exchange with a peer: while
+	// it returns an error the exchange is skipped, modelling a severed
+	// replication link.
 	peerGate func(peer string) error
+	newPeer  chan struct{} // one token: a pusher started, so pull at once
+	hole     chan struct{} // one token: an Apply left a hole, so pull at once if it stays
 
 	mu       sync.Mutex
 	shard    *shardConfig // nil = unsharded
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
-	done     chan struct{}
+	stop     context.CancelFunc // ends the pull and compaction loops; nil until Start
 	wg       sync.WaitGroup
 	stopped  bool
-	pushFail int       // push attempts that failed (peer down); healed by anti-entropy
+	pushFail int       // push attempts that failed (peer down); a pull repairs them
 	pushers  []*pusher // one per peer address while the server runs
 
 	mShardReject *stats.Counter // ops redirected to their owning group
@@ -125,15 +131,17 @@ type Server struct {
 	mConnReads   *stats.Counter // read calls ended connections issued, those that found nothing included
 	mConnFrames  *stats.Counter // frames they were served
 	mConnWrites  *stats.Counter // write calls they answered those frames in
+	mPulls       *stats.Counter // SyncFromPeer runs this server started
+	mHolePulls   *stats.Counter // pull passes a hole started
 }
 
 // NewServer creates a server over store. Call Start to begin serving.
 func NewServer(store *Store, opts ...ServerOption) *Server {
 	s := &Server{
-		store:      store,
-		aeInterval: 250 * time.Millisecond,
-		conns:      make(map[net.Conn]struct{}),
-		done:       make(chan struct{}),
+		store:   store,
+		newPeer: make(chan struct{}, 1),
+		hole:    make(chan struct{}, 1),
+		conns:   make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -148,6 +156,8 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	s.mConnReads = store.Metrics().Counter("conn_reads")
 	s.mConnFrames = store.Metrics().Counter("conn_frames")
 	s.mConnWrites = store.Metrics().Counter("conn_writes")
+	s.mPulls = store.Metrics().Counter("pulls")
+	s.mHolePulls = store.Metrics().Counter("hole_pulls")
 	return s
 }
 
@@ -187,27 +197,26 @@ func (s *Server) wrongShard(e *xdr.Encoder, id uint64, uri string) bool {
 func (s *Server) Store() *Store { return s.store }
 
 // Start listens on addr (host:port; port 0 picks a free port) and
-// begins serving, pushing, and anti-entropy.
+// begins serving, pushing and pulling.
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("rcds: listen %s: %w", addr, err)
 	}
+	ctx, stop := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.ln = ln
+	s.stop = stop
 	s.setPushersLocked()
 	s.mu.Unlock()
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.acceptLoop(ln)
-	// The loop re-reads the peer set every tick, so it starts even when
-	// peers arrive later via SetPeers (the common bootstrap order).
-	if s.aeInterval > 0 {
-		s.wg.Add(1)
-		go s.antiEntropyLoop()
-	}
+	// The loop starts even with no peers: they may arrive later via
+	// SetPeers (the common bootstrap order), and wake it.
+	go s.pullLoop(ctx)
 	if s.compactKeep > 0 {
 		s.wg.Add(1)
-		go s.compactLoop()
+		go s.compactLoop(ctx)
 	}
 	return nil
 }
@@ -232,9 +241,9 @@ func (s *Server) Close() {
 		return
 	}
 	s.stopped = true
-	close(s.done)
 	if s.ln != nil {
 		s.ln.Close()
+		s.stop()
 	}
 	for _, p := range s.pushers {
 		p.stop()
@@ -262,8 +271,8 @@ func (s *Server) SetPeers(addrs ...string) {
 }
 
 // setPushersLocked makes the pushers match s.peers: one per address, the
-// running ones kept with what they hold. A server that has not started, or
-// has stopped, runs none. Caller holds s.mu.
+// running ones kept with what they hold; a new one wakes the pull loop. A
+// server that has not started, or has stopped, runs none. Caller holds s.mu.
 func (s *Server) setPushersLocked() {
 	if s.ln == nil || s.stopped {
 		return
@@ -277,18 +286,27 @@ func (s *Server) setPushersLocked() {
 	})
 	for _, peer := range s.peers {
 		if !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.peer == peer }) {
-			p := &pusher{peer: peer, wake: make(chan struct{}, 1)}
+			p := &pusher{peer: peer, c: NewClient([]string{peer}, s.secret), wake: make(chan struct{}, 1)}
 			var ctx context.Context
 			ctx, p.stop = context.WithCancel(context.Background())
 			s.pushers = append(s.pushers, p)
 			s.wg.Add(1)
 			go s.push(ctx, p)
+			signal(s.newPeer)
 		}
 	}
 }
 
-// PushFailures reports how many peer pushes failed and were left to
-// anti-entropy to repair.
+// signal puts the one token ch holds, unless it holds it already.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default: // a wake-up is already coming
+	}
+}
+
+// PushFailures reports how many peer pushes failed and were left to a
+// pull to repair.
 func (s *Server) PushFailures() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -446,7 +464,9 @@ func (s *Server) serve(sc *served, frame []byte, park <-chan struct{}) ([]byte, 
 
 // applyPosted applies one posted Apply and, if any op was news here,
 // queues it for relay (less the sender), so partially connected groups
-// converge quickly. An Apply that names no sender is refused unread.
+// converge quickly. An Apply that leaves an op above its origin's
+// contiguous mark wakes the pull loop. An Apply that names no sender is
+// refused unread.
 func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	from, err := d.BytesMax(maxWireURI)
 	if err == nil && len(from) == 0 {
@@ -461,6 +481,9 @@ func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	}
 	sc.ops = ops
 	s.mAppliesRecv.Inc()
+	if s.store.above.Load() > 0 {
+		signal(s.hole)
+	}
 	if changed > 0 {
 		if sc.from != string(from) {
 			sc.from = string(from)
@@ -494,11 +517,7 @@ func (s *Server) dispatch(e *xdr.Encoder, id uint64, d *xdr.Decoder, park <-chan
 		respond(e, id, statusOK)
 		e.PutStringSlice(s.store.URIs(prefix))
 
-	case cmdVector:
-		respond(e, id, statusOK)
-		s.store.Vector().Encode(e)
-
-	case cmdOpsSince, cmdCatchup:
+	case cmdCatchup:
 		theirs, err := DecodeVersionVector(d)
 		if err != nil {
 			return err
@@ -508,16 +527,14 @@ func (s *Server) dispatch(e *xdr.Encoder, id uint64, d *xdr.Decoder, park <-chan
 			return err
 		}
 		respond(e, id, statusOK)
-		if cmd == cmdCatchup {
-			if !s.store.CanServeTail(theirs) {
-				// The requester is below our compaction floor: it must page
-				// the snapshot (cmdSnapshotPage) before pulling the tail.
-				e.PutUint8(catchupModeSnapshot)
-				return nil
-			}
-			s.mTailPulls.Inc()
-			e.PutUint8(catchupModeTail)
+		if !s.store.CanServeTail(theirs) {
+			// The requester is below our compaction floor: it must page
+			// the snapshot (cmdSnapshotPage) before pulling the tail.
+			e.PutUint8(catchupModeSnapshot)
+			return nil
 		}
+		s.mTailPulls.Inc()
+		e.PutUint8(catchupModeTail)
 		EncodeAssertions(e, s.store.OpsSince(theirs, int(max)))
 
 	case cmdWait:
@@ -636,7 +653,7 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 // enqueuePush queues copies of ops for asynchronous push replication, on
 // every peer's pusher; from is the origin of the replica that pushed them
 // here, "" for a write accepted here. It never blocks: past
-// maxPendingPushOps the ops are left to anti-entropy for that peer alone.
+// maxPendingPushOps the ops are left to that peer's pulls alone.
 func (s *Server) enqueuePush(ops []Assertion, from string) {
 	if len(ops) == 0 {
 		return
@@ -651,36 +668,27 @@ func (s *Server) enqueuePush(ops []Assertion, from string) {
 		for i := range ops {
 			p.pending = append(p.pending, queuedOp{ops[i], from})
 		}
-		select {
-		case p.wake <- struct{}{}:
-		default: // the pusher already has a wake-up coming
-		}
+		signal(p.wake)
 	}
 }
 
-// countPushFail records one push left to anti-entropy.
+// countPushFail records one push left to a pull.
 func (s *Server) countPushFail() {
 	s.mu.Lock()
 	s.pushFail++
 	s.mu.Unlock()
 }
 
-// pusher is one peer's push replication: the ops queued for it, the
-// token that wakes its goroutine (push), and how to stop it. An idle
-// pusher holds no ops.
+// pusher is one peer's replication link: the client that pushes go out on
+// and pulls ask through, the ops queued for it, the token that wakes its
+// goroutine (push), and how to stop it. An idle pusher holds no ops.
 type pusher struct {
 	peer    string
+	c       *Client       // closed when push returns
+	origin  string        // the peer's, "" until a Ping tells and after a failed push; push's alone
 	pending []queuedOp    // guarded by Server.mu; at most maxPendingPushOps
 	wake    chan struct{} // one token: pending is non-empty
 	stop    context.CancelFunc
-}
-
-// peerLink is a pusher's connection state: the client it pushes through
-// and the origin of the replica answering there, "" until a Ping has told
-// and again after a push fails.
-type peerLink struct {
-	c      *Client
-	origin string
 }
 
 // push forwards p's queued ops to its peer until ctx ends: each time it
@@ -688,7 +696,7 @@ type peerLink struct {
 // that are news there — a write, not a round trip, and a link's frames
 // are applied in the order queued. Every peer has its own pusher, so a
 // peer whose socket buffer is full holds up only its own pushes; its list
-// fills to maxPendingPushOps and the rest is anti-entropy's. A batch is not
+// fills to maxPendingPushOps and the rest is its pulls'. A batch is not
 // sent back to the replica it came from, nor an op to the replica that
 // minted it: on a two-replica group a relayed write goes nowhere, on a
 // chain it only travels away from its source. A peer whose origin is not
@@ -696,8 +704,7 @@ type peerLink struct {
 // lost.
 func (s *Server) push(ctx context.Context, p *pusher) {
 	defer s.wg.Done()
-	l := peerLink{c: NewClient([]string{p.peer}, s.secret)}
-	defer l.c.Close()
+	defer p.c.Close()
 	var queued []queuedOp // the list taken; its storage goes back as the next
 	var ops []Assertion   // the peer's share of it
 	for {
@@ -709,33 +716,34 @@ func (s *Server) push(ctx context.Context, p *pusher) {
 		s.mu.Lock()
 		queued, p.pending = p.pending, queued
 		s.mu.Unlock()
-		ops = s.pushTo(ctx, &l, p.peer, queued, ops)
+		ops = s.pushTo(ctx, p, queued, ops)
 		queued, ops = keptOps(queued), keptOps(ops) // the storage is reused; the ops are not kept
 	}
 }
 
-// pushTo posts peer its share of queued, gathered in ops' storage (which
-// it returns), in one Apply. Ops written into a connection that then dies
-// count as sent; anti-entropy fetches them.
-func (s *Server) pushTo(ctx context.Context, l *peerLink, peer string, queued []queuedOp, ops []Assertion) []Assertion {
-	if s.peerGate != nil && s.peerGate(peer) != nil {
+// pushTo posts p's peer its share of queued, gathered in ops' storage
+// (which it returns), in one Apply. Ops written into a connection that then
+// dies count as sent; the next Apply the peer gets shows it the hole, or
+// its next timed pull fetches them.
+func (s *Server) pushTo(ctx context.Context, p *pusher, queued []queuedOp, ops []Assertion) []Assertion {
+	if s.peerGate != nil && s.peerGate(p.peer) != nil {
 		// Link severed (netsim partition): count it as a lost push and
-		// leave repair to anti-entropy after healing.
+		// leave repair to the pulls after healing.
 		s.countPushFail()
 		return ops
 	}
-	if l.origin == "" {
+	if p.origin == "" {
 		pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
-		l.origin, _ = l.c.Ping(pingCtx) // on error it stays unknown and nothing is filtered
+		p.origin, _ = p.c.Ping(pingCtx) // on error it stays unknown and nothing is filtered
 		cancel()
 	}
-	ops = opsFor(ops, queued, l.origin)
+	ops = opsFor(ops, queued, p.origin)
 	s.mRelaySkip.Add(uint64(len(queued) - len(ops)))
 	if len(ops) == 0 {
 		return ops
 	}
-	if err := l.c.Apply(ctx, s.store.Origin(), ops); err != nil {
-		l.origin = "" // whoever answers next is asked again
+	if err := p.c.Apply(ctx, s.store.Origin(), ops); err != nil {
+		p.origin = "" // whoever answers next is asked again
 		s.countPushFail()
 		return ops
 	}
@@ -756,82 +764,69 @@ func opsFor(ops []Assertion, queued []queuedOp, origin string) []Assertion {
 	return ops
 }
 
-// antiEntropyLoop periodically syncs from each peer via SyncFromPeer:
-// paged op tails in the steady state, a compacted snapshot plus tail
-// when this replica has fallen below a peer's compaction floor — so a
-// rejoining replica converges without full history replay.
-func (s *Server) antiEntropyLoop() {
+// pullLoop is the server's one pull (DESIGN.md "Replication repair"). A
+// pass runs at once when a pusher starts or an Apply leaves a hole the
+// store still reports, else when the timer is due. It has no deadline — a
+// rejoin snapshot at catalog scale is many page round trips, which a cut
+// would discard before MergeVector banked them — but each RPC in it is
+// bounded by pushTimeout, and Close ends it through ctx.
+func (s *Server) pullLoop(ctx context.Context) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.aeInterval)
-	defer ticker.Stop()
-	clients := make(map[string]*Client)
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
+	due := time.NewTimer(pullPeriod)
+	defer func() { due.Stop() }()
 	for {
 		select {
-		case <-s.done:
+		case <-ctx.Done():
 			return
-		case <-ticker.C:
-			s.mu.Lock()
-			peers := append([]string(nil), s.peers...)
-			s.mu.Unlock()
-			for _, peer := range peers {
-				if s.peerGate != nil && s.peerGate(peer) != nil {
-					continue // link severed; try again next tick
-				}
-				c, ok := clients[peer]
-				if !ok {
-					c = NewClient([]string{peer}, s.secret)
-					clients[peer] = c
-				}
-				ctx, cancel := s.syncCtx()
-				_, err := SyncFromPeer(ctx, s.store, c, 0)
-				cancel()
-				_ = err // peer down or mid-shutdown; try again next tick
+		case <-s.newPeer:
+		case <-s.hole:
+			if s.store.above.Load() == 0 {
+				continue // a relayed op arrived ahead of its predecessor, which followed
 			}
+			s.mHolePulls.Inc()
+		case <-due.C:
 		}
+		next := s.pullPass(ctx)
+		due.Stop() // a tick it made during the pass goes with it
+		due = time.NewTimer(next)
 	}
 }
 
-// syncCtx derives a context cancelled when the server shuts down, one per
-// anti-entropy exchange so a sync cannot outlive Close. The exchange as a whole is NOT deadline-bounded: a rejoin snapshot at
-// catalog scale legitimately takes many page round trips, and cutting
-// it off mid-transfer would discard the round's work before MergeVector
-// could claim it. Stall protection is per RPC — SyncFromPeer bounds
-// every Catchup/SnapshotPage call by pushTimeout, so a dead peer costs
-// one RPC timeout, not a hung loop.
-func (s *Server) syncCtx() (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		select {
-		case <-s.done:
-			cancel()
-		case <-ctx.Done():
+// pullPass runs SyncFromPeer through each pusher's client in turn and
+// returns when the next timed pass is due: sooner if a pull failed or the
+// gate skipped it.
+func (s *Server) pullPass(ctx context.Context) time.Duration {
+	s.mu.Lock()
+	links := slices.Clone(s.pushers)
+	s.mu.Unlock()
+	next := pullPeriod
+	for _, p := range links {
+		if s.peerGate != nil && s.peerGate(p.peer) != nil {
+			next = pullRetry // link severed
+			continue
 		}
-	}()
-	return ctx, cancel
+		s.mPulls.Inc()
+		if _, err := SyncFromPeer(ctx, s.store, p.c, 0); err != nil {
+			next = pullRetry // peer down, its pusher stopped, or Close
+		}
+	}
+	return next
 }
 
-// compactLoop periodically drops op-log entries more than compactKeep
-// below each origin's contiguous mark. Bounding the log is what makes
-// 1M+-URI catalogs viable: without it every write ever made stays
-// resident and every rejoin replays it.
-func (s *Server) compactLoop() {
+// compactLoop every compactPeriod drops op-log entries more than
+// compactKeep below each origin's contiguous mark. Bounding the log is
+// what makes 1M+-URI catalogs viable: without it every write ever made
+// stays resident and every rejoin replays it.
+func (s *Server) compactLoop(ctx context.Context) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.aeInterval * 8)
+	ticker := time.NewTicker(compactPeriod)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.done:
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 			s.store.Compact(s.compactKeep)
 		}
 	}
 }
-
-// ErrStopped is returned by operations on a closed server.
-var ErrStopped = errors.New("rcds: server stopped")

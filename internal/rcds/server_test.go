@@ -9,15 +9,14 @@ import (
 	"time"
 )
 
-// startReplicaGroup launches n fully meshed RC servers with a fast
-// anti-entropy interval, returning them and a cleanup function.
+// startReplicaGroup launches n fully meshed RC servers and has them
+// closed when the test ends.
 func startReplicaGroup(t *testing.T, n int, secret []byte) []*Server {
 	t.Helper()
 	servers := make([]*Server, n)
 	for i := range servers {
 		servers[i] = NewServer(NewStore(fmt.Sprintf("rc%d", i)),
-			WithSecret(secret),
-			WithAntiEntropyInterval(30*time.Millisecond))
+			WithSecret(secret))
 		if err := servers[i].Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +141,7 @@ func TestAntiEntropyHealsPartition(t *testing.T) {
 	}
 	// Bring replica 1 back on a fresh listener over the same store.
 	revived := NewServer(servers[1].Store(),
-		WithPeers(servers[0].Addr()),
-		WithAntiEntropyInterval(30*time.Millisecond))
+		WithPeers(servers[0].Addr()))
 	if err := revived.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestAntiEntropyHealsPartition(t *testing.T) {
 	c1 := NewClient([]string{revived.Addr()}, nil)
 	defer c1.Close()
 	if _, err := c1.WaitFor(ctxTimeout(t, "3s"), "urn:healed", "n"); err != nil {
-		t.Fatalf("anti-entropy did not heal: %v", err)
+		t.Fatalf("the pull on start did not heal: %v", err)
 	}
 }
 
@@ -243,31 +241,6 @@ func TestWaitLongPoll(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("long poll never woke")
-	}
-}
-
-func TestVectorAndOpsSinceRPC(t *testing.T) {
-	servers := startReplicaGroup(t, 1, nil)
-	c := NewClient(groupAddrs(servers), nil)
-	defer c.Close()
-	c.Set(context.Background(), "urn:v", "n", "1")
-	c.Set(context.Background(), "urn:v", "n", "2")
-	vv, err := c.Vector(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vv["rc0"] == 0 {
-		t.Fatalf("vector = %v", vv)
-	}
-	ops, err := c.OpsSince(context.Background(), VersionVector{}, 0)
-	if err != nil || len(ops) == 0 {
-		t.Fatalf("OpsSince = %v, %v", ops, err)
-	}
-	// Apply them to a fresh store and verify it converges.
-	fresh := NewStore("fresh")
-	fresh.ApplyRemote(ops)
-	if v, ok := fresh.FirstValue("urn:v", "n"); !ok || v != "2" {
-		t.Fatalf("fresh store: %q %v", v, ok)
 	}
 }
 

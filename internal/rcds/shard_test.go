@@ -403,7 +403,7 @@ func TestDefaultClientReachesShardedCatalog(t *testing.T) {
 	for g := 0; g < 2; g++ {
 		store := NewStore(fmt.Sprintf("dflt-g%d", g))
 		store.Set(ShardMapURI, AttrShardMap, m.Format())
-		s := NewServer(store, WithShard(g, m), WithAntiEntropyInterval(0))
+		s := NewServer(store, WithShard(g, m))
 		if err := s.Start(m.Groups[g][0]); err != nil {
 			t.Fatal(err)
 		}

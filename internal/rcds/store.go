@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"snipe/internal/stats"
@@ -20,7 +21,7 @@ type Event struct {
 
 // Store is one replica's catalog state: per URI the merged entries
 // (elements, Remove tombstones and one register per Set attribute), the
-// per-origin op logs used for anti-entropy, and the version vector
+// per-origin op logs that pulls are served from, and the version vector
 // summarising them. The entries are a function of the set of ops
 // received, whatever their order or repetition. All methods are safe for
 // concurrent use.
@@ -43,6 +44,7 @@ type Store struct {
 	origins  []string          // every origin seen (a handful), this replica's first: an entry's origin indexes it
 	logs     []opLog           // by origin index: each origin's ops by seq (may have holes)
 	vv       VersionVector     // contiguous high-water marks
+	above    atomic.Int64      // ops filed above their origin's mark, each over a hole a pull fetches; written under mu
 	floor    map[string]uint64 // origin → first log seq still servable (0 = from the start)
 	decoded  []uint32          // applyEncoded's origin index per op, reused
 
@@ -441,9 +443,32 @@ func (s *Store) recordLocked(uri string, e *entry) {
 		return
 	}
 	origin := s.origins[e.origin]
+	if e.seq > s.vv[origin] {
+		s.above.Add(1)
+	}
 	for l.at(s.vv[origin]+1) != nil {
 		s.vv[origin]++
+		s.above.Add(-1)
 	}
+}
+
+// recountLocked raises every origin's mark over the ops filed right above
+// it and counts the ops still above. Caller holds s.mu.
+func (s *Store) recountLocked() {
+	var n int64
+	for o, origin := range s.origins {
+		for s.logs[o].at(s.vv[origin]+1) != nil {
+			s.vv[origin]++
+		}
+		for k, c := range s.logs[o].chunks {
+			for i := range uint64(logChunk) {
+				if c.have&(1<<i) != 0 && k*logChunk+i > s.vv[origin] {
+					n++
+				}
+			}
+		}
+	}
+	s.above.Store(n)
 }
 
 func (s *Store) notifyLocked(uri string, e *entry) {
@@ -524,7 +549,7 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 	return ops
 }
 
-// ApplyRemote merges ops received from a peer (push or anti-entropy),
+// ApplyRemote merges ops received from a peer (push or pull),
 // returning the number that changed the catalog.
 func (s *Store) ApplyRemote(ops []Assertion) int {
 	s.mu.Lock()
@@ -863,12 +888,12 @@ func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 }
 
 // MergeVector raises the store's contiguous version vector to cover vv
-// (a snapshot's base): intermediate superseded ops below the new marks
-// were compacted away on the peer and will never arrive, so the log may
-// now have holes under the vector. The serving floor moves up to the
-// new marks for every origin that advanced — this replica can serve
-// tails only from the snapshot base onward; peers that are further
-// behind must themselves catch up by snapshot.
+// (a snapshot's base), and past the ops filed right above it: superseded
+// ops below the new marks were compacted away on the peer and will never
+// arrive, so the log may now have holes under the vector. The serving
+// floor moves up to the new marks for every origin that advanced — this
+// replica can serve tails only from the snapshot base onward; peers that
+// are further behind must themselves catch up by snapshot.
 func (s *Store) MergeVector(vv VersionVector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -880,6 +905,7 @@ func (s *Store) MergeVector(vv VersionVector) {
 			}
 		}
 	}
+	s.recountLocked()
 }
 
 // CanServeTail reports whether the log can serve every op a replica at

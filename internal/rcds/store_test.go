@@ -989,6 +989,23 @@ func (r *refStore) mergeVector(vv VersionVector) {
 			r.floor[origin] = max(r.floor[origin], seq+1)
 		}
 	}
+	for origin, l := range r.log {
+		for l[r.vv[origin]+1] != nil {
+			r.vv[origin]++
+		}
+	}
+}
+
+// holes counts the ops held above their origin's contiguous mark.
+func (r *refStore) holes() (n int) {
+	for origin, l := range r.log {
+		for seq := range l {
+			if seq > r.vv[origin] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func (r *refStore) canServeTail(theirs VersionVector) bool {
@@ -1082,7 +1099,8 @@ func (r *refStore) contentHash() [32]byte {
 }
 
 // diffLog reports the first thing the log serves differently from r's,
-// "" if none: the vector, the ops held, the ops OpsSince serves under
+// "" if none: the vector, the ops held and how many of them stand above
+// the vector, the ops OpsSince serves under
 // every vector in theirs and several limits, whether each tail can be
 // served at all, and the catalog behind it all.
 func (r *refStore) diffLog(st *Store, theirs []VersionVector) string {
@@ -1091,6 +1109,9 @@ func (r *refStore) diffLog(st *Store, theirs []VersionVector) string {
 	}
 	if got, want := st.LogLen(), r.logLen(); got != want {
 		return fmt.Sprintf("LogLen = %d, reference %d", got, want)
+	}
+	if got, want := int(st.above.Load()), r.holes(); got != want {
+		return fmt.Sprintf("%d ops held above the mark, reference %d", got, want)
 	}
 	for _, vv := range theirs {
 		if got, want := st.CanServeTail(vv), r.canServeTail(vv); got != want {
@@ -1121,8 +1142,9 @@ func (r *refStore) diffLog(st *Store, theirs []VersionVector) string {
 // merges that leave holes below the mark, snapshot pages installed,
 // Compact at random depths, and restarts from a snapshot file (which the
 // map log survived as it was). After every step the two must serve the same
-// ops under several vectors and limits, hold as many, drop as many, and
-// agree on the vector, the servable tails and the catalog.
+// ops under several vectors and limits, hold as many, drop as many, hold
+// as many above the mark (the hole count a pull is started on), and agree
+// on the vector, the servable tails and the catalog.
 func TestLogMatchesReference(t *testing.T) {
 	const seeds = 1500
 	for seed := int64(0); seed < seeds; seed++ {

@@ -22,8 +22,8 @@ import (
 // parks beside the loop, so it never blocks a concurrent Get. Request ID
 // 0 marks a frame that asks for no answer, which is how, and the only
 // way, cmdApply travels: replication is a one-way, in-order stream per
-// connection, and a lost push is anti-entropy's to repair. ID 0 on
-// another command, or cmdApply under another ID, ends the connection.
+// connection, and a lost push is a pull's to repair. ID 0 on another
+// command, or cmdApply under another ID, ends the connection.
 const (
 	cmdPing uint8 = iota + 1
 	cmdSet
@@ -35,8 +35,8 @@ const (
 	cmdValues
 	cmdFirst
 	cmdURIs
-	cmdVector
-	cmdOpsSince
+	_ // 11, 12: Vector and OpsSince, a pull Catchup replaced; the numbers stay retired
+	_
 	cmdApply
 	cmdWait
 	cmdStats

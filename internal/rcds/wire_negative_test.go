@@ -195,7 +195,7 @@ func TestApplyOriginNegative(t *testing.T) {
 // here both at serve, which decides, and on a live connection, which the
 // server closes without writing a byte.
 func TestRequestIDZeroNegative(t *testing.T) {
-	srv := NewServer(NewStore("rc0"), WithAntiEntropyInterval(0))
+	srv := NewServer(NewStore("rc0"))
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
