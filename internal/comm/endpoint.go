@@ -88,6 +88,7 @@ type outMsg struct {
 	attempts    int
 	flags       uint8         // stamped on every fragment of a single-route transmission: flagReplyExpected or 0
 	acked       chan struct{} // closed on acknowledgement
+	wrote       atomic.Bool   // a conn has taken a frame of it: its sequence number is spent
 
 	// Pooled-payload bookkeeping: msg.Payload came from the payload
 	// pool and is recycled when the last reference drops. The system
@@ -210,6 +211,10 @@ type sendShard struct {
 	mu          sync.Mutex
 	nextSeq     map[string]uint64 // dst URN → next send seq
 	outstanding map[outKey]*outMsg
+	// unbuffered serialises an unbuffered endpoint's sends from
+	// numbering through transmission, so a refused one is always the
+	// latest numbered and can hand its number back.
+	unbuffered sync.Mutex
 }
 
 // shardIndex hashes a destination URN to its shard (FNV-1a, masked).
@@ -595,6 +600,10 @@ func (e *Endpoint) send(dst string, tag uint32, payload []byte, flags uint8) (*o
 	}
 	om.refs.Store(1) // the system buffer's reference
 	sh := e.shardFor(dst)
+	if !e.buffering {
+		sh.unbuffered.Lock()
+		defer sh.unbuffered.Unlock()
+	}
 	sh.mu.Lock()
 	sh.nextSeq[dst]++
 	seq := sh.nextSeq[dst]
@@ -608,6 +617,13 @@ func (e *Endpoint) send(dst string, tag uint32, payload []byte, flags uint8) (*o
 	if err != nil && !e.buffering {
 		sh.mu.Lock()
 		delete(sh.outstanding, outKey{dst, seq})
+		// A number the peer never saw would hold every later message in
+		// its reorder buffer, so the next send takes it. One that a conn
+		// took part of stays spent: a fragment may already wait in the
+		// peer's reassembly under it.
+		if !om.wrote.Load() {
+			sh.nextSeq[dst]--
+		}
 		sh.mu.Unlock()
 		e.buffered.Add(-1)
 		om.releasePayload()
@@ -815,6 +831,7 @@ func (e *Endpoint) sendOn(conn FrameConn, om *outMsg, direct bool) error {
 			}
 			return err
 		}
+		om.wrote.Store(true)
 		e.mFragments.Inc()
 		if n := acks.count(); n > 0 {
 			e.mAcksCarried.Add(uint64(n))

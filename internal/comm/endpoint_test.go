@@ -196,6 +196,80 @@ func TestEndpointWithoutBufferingFailsFast(t *testing.T) {
 	}
 }
 
+// gateResolver resolves every URN to routes, except that its first
+// call waits for release and then finds none. Each call reports its
+// number on calls.
+type gateResolver struct {
+	routes  []Route
+	n       atomic.Int32
+	calls   chan int32
+	release chan struct{}
+}
+
+func (r *gateResolver) Resolve(string) ([]Route, error) {
+	n := r.n.Add(1)
+	r.calls <- n
+	if n == 1 {
+		<-r.release
+		return nil, nil
+	}
+	return r.routes, nil
+}
+
+// TestRefusedSendSpendsNoSequence: a send an unbuffered endpoint refuses
+// leaves no hole in its numbering, so the peer delivers the next message
+// rather than holding it for one that never comes. That holds too when
+// the next send began while the refused one was still resolving.
+func TestRefusedSendSpendsNoSequence(t *testing.T) {
+	res := newTestResolver()
+	b := newTestEndpoint(t, "urn:b", res)
+	bRoute := b.Routes()[0]
+	expect := func(t *testing.T, want string) {
+		t.Helper()
+		m, err := recvT(b, 3*time.Second)
+		if err != nil || string(m.Payload) != want {
+			t.Fatalf("peer got %v, %v; want %q", m, err, want)
+		}
+	}
+
+	t.Run("sequential", func(t *testing.T) {
+		a := newTestEndpoint(t, "urn:a:seq", res, WithoutBuffering())
+		res.set("urn:b")
+		if err := a.Send("urn:b", 0, []byte("refused")); !errors.Is(err, ErrNoRoute) {
+			t.Fatalf("want ErrNoRoute, got %v", err)
+		}
+		res.set("urn:b", bRoute)
+		if err := a.Send("urn:b", 0, []byte("next")); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, "next")
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		gate := &gateResolver{routes: []Route{bRoute}, calls: make(chan int32, 4), release: make(chan struct{})}
+		a := NewEndpoint("urn:a:conc", WithResolver(gate), WithoutBuffering())
+		defer a.Close()
+		first, second := make(chan error, 1), make(chan error, 1)
+		go func() { first <- a.Send("urn:b", 0, []byte("refused")) }()
+		<-gate.calls // the first send is resolving
+		go func() { second <- a.Send("urn:b", 0, []byte("next")) }()
+		// A second send that numbers itself while the first is in flight
+		// resolves at once; give it the chance before the first fails.
+		select {
+		case <-gate.calls:
+		case <-time.After(100 * time.Millisecond):
+		}
+		close(gate.release)
+		if err := <-first; !errors.Is(err, ErrNoRoute) {
+			t.Fatalf("want ErrNoRoute, got %v", err)
+		}
+		if err := <-second; err != nil {
+			t.Fatal(err)
+		}
+		expect(t, "next")
+	})
+}
+
 func TestEndpointRouteFailover(t *testing.T) {
 	// Peer advertises two routes; the first is dead. Send must succeed
 	// via the second — "the ability to switch routes/interfaces as

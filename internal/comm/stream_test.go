@@ -855,36 +855,26 @@ func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
 		t.Fatalf("write after the refusal: %v, want the refusal", err)
 	}
 
-	// The refused batch took a sequence number the peer never receives,
-	// so the peer's endpoint holds back everything sent after it. What it
-	// holds must be the RESET alone: no later chunk and no CLOSE.
-	var held []uint8
-	waitFor(t, 3*time.Second, func() bool {
-		held = held[:0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		for _, msg := range b.reorder["urn:stream:a"] {
-			_ = forEachStreamFrame(msg.Payload, func(f streamFrame) { held = append(held, f.kind) })
-		}
-		return len(held) > 0 && held[len(held)-1] == streamReset
-	}, "the RESET after the refused batch never reached the peer")
-	if len(held) != 1 {
-		t.Fatalf("peer holds frame kinds %v after the refused batch, want the RESET alone", held)
-	}
-
+	// The refused batch spent no sequence number, so what the opener sent
+	// after it reaches the peer in order, and that must be the RESET
+	// alone: no later chunk and no CLOSE.
 	srv, err := mb.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	readCtx, readCancel := context.WithTimeout(ctx, 100*time.Millisecond)
-	defer readCancel()
-	got, err := readAll(readCtx, srv)
-	if err == nil {
-		t.Fatalf("peer read %d bytes and a clean end, want the stream never to end cleanly", len(got))
+	got, err := readAll(ctx, srv)
+	if !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("peer read %d bytes and %v, want the stream reset", len(got), err)
 	}
 	// The first batch is the OPEN with or without the first chunk.
 	if len(got) > chunk {
 		t.Errorf("peer read %d bytes, want at most the %d sent before the refused batch", len(got), chunk)
+	}
+	b.mu.Lock()
+	held := len(b.reorder["urn:stream:a"])
+	b.mu.Unlock()
+	if held != 0 {
+		t.Errorf("peer holds %d messages behind the refused batch, want none", held)
 	}
 	if n := ma.ActiveStreams(); n != 0 {
 		t.Errorf("%d streams active on the sender after the failure, want 0", n)

@@ -77,6 +77,7 @@ type stripeState struct {
 	unsent   int // fragments in fragQueued or fragReserved
 	requeues int
 	canceled bool
+	wrote    bool // a conn has taken a fragment: the message's sequence number is spent
 
 	// lastAck is the stall clock: the last time acknowledgement
 	// progress was made (or stalled routes were failed, which restarts
@@ -192,6 +193,7 @@ func (s *stripeState) waitLocked(d time.Duration) {
 // A waiter cares about a send only when it was the last one.
 func (s *stripeState) sent(ri, idx int) {
 	s.mu.Lock()
+	s.wrote = true
 	if sl := &s.slots[idx]; sl.state == fragReserved && sl.route == int32(ri) {
 		sl.state = fragSent
 		s.unsent--
@@ -358,6 +360,9 @@ func (e *Endpoint) transmitStriped(om *outMsg, local []Route, routes routeSet) (
 
 	s.mu.Lock()
 	requeues, unsent, canceled := s.requeues, s.unsent, s.canceled
+	if s.wrote {
+		om.wrote.Store(true)
+	}
 	s.mu.Unlock()
 	if requeues > 0 {
 		e.mFragRequeues.Add(uint64(requeues))
