@@ -61,7 +61,7 @@ func BenchmarkMultipath(b *testing.B) {
 		b.Run(fmt.Sprintf("%s+%s/%dB", bench.MultipathMedia[0].Name, bench.MultipathMedia[1].Name, size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				seed += 20
-				pt, _, err := bench.MeasureMultipath(bench.MultipathMedia, size, seed)
+				pt, err := bench.MeasureMultipath(bench.MultipathMedia, size, seed)
 				if err != nil {
 					b.Fatal(err)
 				}

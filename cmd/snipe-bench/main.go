@@ -142,7 +142,7 @@ func runMultipath() error {
 	if *quick {
 		sizes = []int{1048576}
 	}
-	points, scores, err := bench.MultipathSweep(sizes)
+	points, err := bench.MultipathSweep(sizes)
 	if err != nil {
 		return err
 	}
@@ -163,18 +163,8 @@ func runMultipath() error {
 				p.MBps, p.BestSingle, p.MsgSize)
 		}
 	}
-	fmt.Println("-- sender route scores after the final striped run --")
-	w = tab()
-	fmt.Fprintln(w, "route\tscore\trtt µs\tgoodput MB/s\terr rate\tsamples")
-	for _, s := range scores {
-		fmt.Fprintf(w, "%s\t%.3g\t%.0f\t%.2f\t%.3f\t%d\n",
-			s.Route, s.Score, s.RTTUs, s.GoodputBps/1e6, s.ErrRate, s.Samples)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
 	if *mpOut != "" {
-		if err := bench.WriteMultipathArtifact(*mpOut, points, scores, *quick); err != nil {
+		if err := bench.WriteMultipathArtifact(*mpOut, points, *quick); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (%d points)\n", *mpOut, len(points))
@@ -589,7 +579,7 @@ func runPaths() error {
 
 func runRUDPLoss() error {
 	fmt.Printf("== selective-resend UDP goodput vs frame loss (%s) ==\n", netsim.Ethernet100.Name)
-	losses := []float64{0, 0.01, 0.02, 0.05, 0.10, 0.20}
+	losses := []float64{0, 0.01, 0.02, 0.05, 0.10, 0.20, 0.35}
 	msgs := 600
 	if *quick {
 		losses, msgs = []float64{0, 0.05, 0.20}, 300

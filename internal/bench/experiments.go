@@ -637,7 +637,8 @@ type LossPoint struct {
 	Resends int
 }
 
-// MeasureRUDPLoss measures RUDP goodput on a lossy medium.
+// MeasureRUDPLoss measures RUDP goodput on a lossy medium, and fails
+// unless every message arrives, in the order it was sent.
 func MeasureRUDPLoss(loss float64, msgSize, msgs int, seed uint64) (LossPoint, error) {
 	res := LossPoint{Loss: loss}
 	medium := netsim.Ethernet100.WithLoss(loss)
@@ -647,17 +648,22 @@ func MeasureRUDPLoss(loss float64, msgSize, msgs int, seed uint64) (LossPoint, e
 	}
 	defer cleanup()
 	payload := make([]byte, msgSize)
-	received := make(chan struct{})
+	received := make(chan error, 1)
 	go func() {
 		for i := 0; i < msgs; i++ {
 			rctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-			_, err := b.Recv(rctx)
+			m, err := b.Recv(rctx)
 			cancel()
 			if err != nil {
+				received <- err
+				return
+			}
+			if m.Seq != uint64(i+1) {
+				received <- fmt.Errorf("bench: rudp loss %.2f: message %d arrived as number %d", loss, m.Seq, i+1)
 				return
 			}
 		}
-		close(received)
+		received <- nil
 	}()
 	start := time.Now()
 	for i := 0; i < msgs; i++ {
@@ -669,7 +675,10 @@ func MeasureRUDPLoss(loss float64, msgSize, msgs int, seed uint64) (LossPoint, e
 		}
 	}
 	select {
-	case <-received:
+	case err := <-received:
+		if err != nil {
+			return res, err
+		}
 	case <-time.After(180 * time.Second):
 		return res, fmt.Errorf("bench: rudp loss receiver stalled at loss %.2f", loss)
 	}

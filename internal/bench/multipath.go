@@ -80,12 +80,11 @@ func multipathPair(media [2]netsim.Profile, seed uint64) (a, b *comm.Endpoint, c
 }
 
 // measureStriped pushes n msgSize-byte messages through a dual-homed
-// pair and returns the delivered bandwidth plus the sender's route
-// scores after the run.
-func measureStriped(media [2]netsim.Profile, msgSize, n int, seed uint64) (float64, []comm.RouteScore, error) {
+// pair and returns the delivered bandwidth.
+func measureStriped(media [2]netsim.Profile, msgSize, n int, seed uint64) (float64, error) {
 	a, b, cleanup, err := multipathPair(media, seed)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer cleanup()
 
@@ -115,7 +114,7 @@ func measureStriped(media [2]netsim.Profile, msgSize, n int, seed uint64) (float
 				time.Sleep(200 * time.Microsecond)
 				continue
 			}
-			return 0, nil, err
+			return 0, err
 		}
 		// Striped payloads are large; keep the unacked window shallow so
 		// memory stays bounded without starving the pipes.
@@ -126,23 +125,23 @@ func measureStriped(media [2]netsim.Profile, msgSize, n int, seed uint64) (float
 	select {
 	case err := <-received:
 		if err != nil {
-			return 0, nil, fmt.Errorf("bench: multipath receiver: %w", err)
+			return 0, fmt.Errorf("bench: multipath receiver: %w", err)
 		}
 	case <-time.After(120 * time.Second):
-		return 0, nil, fmt.Errorf("bench: multipath receiver stalled (%s+%s %d)", media[0].Name, media[1].Name, msgSize)
+		return 0, fmt.Errorf("bench: multipath receiver stalled (%s+%s %d)", media[0].Name, media[1].Name, msgSize)
 	}
 	elapsed := time.Since(start)
 	if snap := a.MetricsSnapshot(); snap.Counters["striped"] == 0 {
-		return 0, nil, fmt.Errorf("bench: multipath run at %d bytes never striped", msgSize)
+		return 0, fmt.Errorf("bench: multipath run at %d bytes never striped", msgSize)
 	}
-	return float64(n*msgSize) / 1e6 / elapsed.Seconds(), a.RouteScores(), nil
+	return float64(n*msgSize) / 1e6 / elapsed.Seconds(), nil
 }
 
 // MeasureMultipath measures one point: striped aggregate over the media
 // pair versus each medium alone, all through the identical SNIPE stack
 // (single-medium runs use the same endpoint code; with one route there
 // is nothing to stripe across, so they exercise the failover path).
-func MeasureMultipath(media [2]netsim.Profile, msgSize int, seed uint64) (MultipathPoint, []comm.RouteScore, error) {
+func MeasureMultipath(media [2]netsim.Profile, msgSize int, seed uint64) (MultipathPoint, error) {
 	pt := MultipathPoint{
 		Media:      []string{media[0].Name, media[1].Name},
 		MsgSize:    msgSize,
@@ -159,16 +158,16 @@ func MeasureMultipath(media [2]netsim.Profile, msgSize int, seed uint64) (Multip
 		n = 6
 	}
 
-	mbps, scores, err := measureStriped(media, msgSize, n, seed)
+	mbps, err := measureStriped(media, msgSize, n, seed)
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	pt.MBps = mbps
 
 	for i, m := range media {
 		single, err := MeasureFig1(m, "snipe-tcp", msgSize, seed+10+uint64(i))
 		if err != nil {
-			return pt, nil, err
+			return pt, err
 		}
 		pt.SingleMBps[m.Name] = single.MBps
 		if single.MBps > pt.BestSingle {
@@ -178,51 +177,48 @@ func MeasureMultipath(media [2]netsim.Profile, msgSize int, seed uint64) (Multip
 	if pt.BestSingle > 0 {
 		pt.Speedup = pt.MBps / pt.BestSingle
 	}
-	return pt, scores, nil
+	return pt, nil
 }
 
 // MultipathSweep runs the experiment for every size over the canonical
-// media pair. It returns the points and the route scores observed by
-// the sender on the final (largest) striped run.
-func MultipathSweep(sizes []int) ([]MultipathPoint, []comm.RouteScore, error) {
+// media pair.
+func MultipathSweep(sizes []int) ([]MultipathPoint, error) {
 	if sizes == nil {
 		sizes = MultipathSizes
 	}
 	var out []MultipathPoint
-	var scores []comm.RouteScore
 	seed := uint64(7000)
 	for _, s := range sizes {
 		seed += 20
-		pt, sc, err := MeasureMultipath(MultipathMedia, s, seed)
+		pt, err := MeasureMultipath(MultipathMedia, s, seed)
 		if err != nil {
-			return out, scores, err
+			return out, err
 		}
 		out = append(out, pt)
-		scores = sc
 	}
-	return out, scores, nil
+	return out, nil
 }
 
 // MultipathArtifact is the machine-readable form of a multipath run,
 // written to BENCH_multipath.json.
 type MultipathArtifact struct {
-	Experiment  string            `json:"experiment"`
-	GeneratedAt string            `json:"generated_at"`
-	Quick       bool              `json:"quick"`
-	Points      []MultipathPoint  `json:"points"`
-	RouteScores []comm.RouteScore `json:"route_scores"` // sender's scorer after the last striped run
-	Netsim      stats.Snapshot    `json:"netsim"`
+	Experiment  string           `json:"experiment"`
+	GeneratedAt string           `json:"generated_at"`
+	Quick       bool             `json:"quick"`
+	Points      []MultipathPoint `json:"points"`
+	Netsim      stats.Snapshot   `json:"netsim"`
+	Env         RunEnv           `json:"env"`
 }
 
 // WriteMultipathArtifact writes the run's artifact as indented JSON.
-func WriteMultipathArtifact(path string, points []MultipathPoint, scores []comm.RouteScore, quick bool) error {
+func WriteMultipathArtifact(path string, points []MultipathPoint, quick bool) error {
 	art := MultipathArtifact{
 		Experiment:  "multipath",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Quick:       quick,
 		Points:      points,
-		RouteScores: scores,
 		Netsim:      netsim.Metrics().Snapshot(),
+		Env:         currentEnv(),
 	}
 	b, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {

@@ -8,26 +8,21 @@ import (
 	"snipe/internal/xdr"
 )
 
-// Acknowledgement coalescing. A striped transfer generates one
-// per-fragment ack per received fragment; at 64 KiB fragments a
-// 64 MiB message produces a thousand reverse-path frames, each paying
-// full framing and syscall cost. And the ack of a request is three
-// read/write calls spent ~30 µs before the response leaves for the same
-// peer. The coalescer holds a connection's outgoing acks for as long as
-// holding them can save a frame, and never longer than
-// Endpoint.ackFlush:
+// Acknowledgement coalescing. The ack of a request is three read/write
+// calls spent ~30 µs before the response leaves for the same peer. The
+// coalescer holds a connection's outgoing end-to-end acks for as long as
+// holding them can save a frame, and never longer than Endpoint.ackFlush:
 //
-//   - per-fragment acks accumulate until the batch fills (ackBatchMax)
-//     or the flush timer fires;
-//   - an end-to-end ack flushes the connection's pending acks at once,
-//     so single-message traffic sees no added ack latency — unless the
+//   - an ack flushes the connection's pending acks at once, so
+//     single-message traffic sees no added ack latency — unless the
 //     sender marked the message flagReplyExpected and the connection is
-//     its own (the hello named it). Such an ack is parked under the same
+//     its own (the hello named it). Such an ack is parked under the
 //     timer and noted in Endpoint.owed; the next message frame this
 //     endpoint sends that peer on a direct route takes it along in its
 //     trailer (Endpoint.takeOwed, from sendOn). If none leaves in time
-//     the timer sends it as it sends everything else;
-//   - a batch of one encodes as the single-ack frame.
+//     the timer sends it with whatever else is pending;
+//   - acks pending together leave in one batch frame; a batch of one
+//     encodes as the single-ack frame.
 //
 // Each readLoop owns one coalescer for its connection; stop() flushes
 // any stragglers when the connection dies, and Quiesce, CloseListener
@@ -47,8 +42,7 @@ type ackCoalescer struct {
 	peer string
 
 	mu         sync.Mutex
-	acks       []ackRef // pending end-to-end acks: parked, or about to be flushed
-	frags      []ackRef // pending per-fragment acks
+	acks       []ackRef // pending acks: parked, or about to be flushed
 	timer      *time.Timer
 	timerArmed bool
 	stopped    bool
@@ -62,17 +56,9 @@ func newAckCoalescer(e *Endpoint, conn FrameConn) *ackCoalescer {
 }
 
 // ack queues one end-to-end acknowledgement and flushes the
-// connection's pending acks (fragment acks for the same message
-// included, ordered before it).
+// connection's pending acks.
 func (a *ackCoalescer) ack(src, dst string, seq uint64) {
-	a.add(ackRef{src: src, dst: dst, seq: seq}, false, true)
-}
-
-// fragAck queues one per-fragment acknowledgement, flushing when the
-// batch fills; otherwise the flush timer (armed on the first pending
-// entry) bounds how long it waits.
-func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
-	a.add(ackRef{src: src, dst: dst, seq: seq, fragIdx: fragIdx}, true, false)
+	a.add(ackRef{src: src, dst: dst, seq: seq}, true)
 }
 
 // park queues the end-to-end acknowledgement of a message whose sender
@@ -80,21 +66,17 @@ func (a *ackCoalescer) fragAck(src, dst string, seq uint64, fragIdx uint32) {
 // reply's frame, or with the timer.
 func (a *ackCoalescer) park(src, dst string, seq uint64) {
 	a.e.mAcksDeferred.Inc()
-	a.add(ackRef{src: src, dst: dst, seq: seq}, false, false)
+	a.add(ackRef{src: src, dst: dst, seq: seq}, false)
 	a.e.noteOwed(peerPair{src, dst}, a)
 }
 
-func (a *ackCoalescer) add(ref ackRef, frag, now bool) {
+func (a *ackCoalescer) add(ref ackRef, now bool) {
 	a.mu.Lock()
-	if frag {
-		a.frags = append(a.frags, ref)
-	} else {
-		a.acks = append(a.acks, ref)
-	}
-	if now || a.stopped || len(a.frags) >= ackBatchMax || len(a.acks) >= ackBatchMax {
-		enc, split := a.takeLocked()
+	a.acks = append(a.acks, ref)
+	if now || a.stopped || len(a.acks) >= ackBatchMax {
+		enc := a.takeLocked()
 		a.mu.Unlock()
-		a.send(enc, split)
+		a.send(enc)
 		return
 	}
 	if !a.timerArmed {
@@ -118,7 +100,7 @@ func (a *ackCoalescer) take(src, dst string, buf carriedAcks, limit int) carried
 		}
 	}
 	a.acks = kept
-	if a.timerArmed && len(a.acks) == 0 && len(a.frags) == 0 {
+	if a.timerArmed && len(a.acks) == 0 {
 		a.timerArmed = false
 		a.timer.Stop()
 	}
@@ -140,9 +122,9 @@ func (a *ackCoalescer) giveBack(src, dst string, acks carriedAcks) {
 // flush sends everything pending; it is also the timer's AfterFunc body.
 func (a *ackCoalescer) flush() {
 	a.mu.Lock()
-	enc, split := a.takeLocked()
+	enc := a.takeLocked()
 	a.mu.Unlock()
-	a.send(enc, split)
+	a.send(enc)
 }
 
 // stop flushes anything pending and disarms the timer; the readLoop
@@ -151,81 +133,49 @@ func (a *ackCoalescer) flush() {
 func (a *ackCoalescer) stop() {
 	a.mu.Lock()
 	a.stopped = true
-	enc, split := a.takeLocked()
+	enc := a.takeLocked()
 	a.mu.Unlock()
 	a.timer.Stop()
-	a.send(enc, split)
+	a.send(enc)
 	a.e.forgetOwed(a)
 }
 
-// takeLocked drains the pending acks into at most two frames, encoded
-// back to back in one pooled encoder: the fragment-ack frame (if any)
-// is enc.Bytes()[:split], the end-to-end ack frame (if any) the rest.
-// It returns a nil encoder when nothing was pending. Caller holds a.mu;
+// takeLocked drains the pending acks into one frame, encoded in a pooled
+// encoder, or returns nil when nothing was pending. Caller holds a.mu;
 // encoding under the lock keeps batch composition atomic, while
 // conn.Send happens outside it (see send).
-func (a *ackCoalescer) takeLocked() (enc *xdr.Encoder, split int) {
+func (a *ackCoalescer) takeLocked() *xdr.Encoder {
 	if a.timerArmed {
 		a.timerArmed = false
 		a.timer.Stop()
 	}
-	if len(a.frags) == 0 && len(a.acks) == 0 {
-		return nil, 0
+	n := len(a.acks)
+	if n == 0 {
+		return nil
 	}
-	enc = getFrameEncoder() // pooled encoders are empty
-	// Fragment acks go out before end-to-end acks: a message's final
-	// fragment ack precedes its completion ack, matching the
-	// pre-batching wire order.
-	if n := len(a.frags); n > 0 {
-		if n == 1 {
-			f := a.frags[0]
-			putFragAck(enc, f.src, f.dst, f.seq, f.fragIdx)
-		} else {
-			putAckBatch(enc, frameFragAckBatch, a.frags)
-		}
-		a.countFrame(n)
-		a.frags = a.frags[:0]
-	}
-	split = enc.Len()
-	if n := len(a.acks); n > 0 {
-		if n == 1 {
-			f := a.acks[0]
-			putAck(enc, f.src, f.dst, f.seq)
-		} else {
-			putAckBatch(enc, frameAckBatch, a.acks)
-		}
-		a.countFrame(n)
-		a.acks = a.acks[:0]
-	}
-	return enc, split
-}
-
-// countFrame counts one ack frame of n entries. With acks_piggybacked,
-// ack_frames and acks_batched add up to the acks this endpoint sent.
-func (a *ackCoalescer) countFrame(n int) {
+	enc := getFrameEncoder() // pooled encoders are empty
 	if n == 1 {
+		f := a.acks[0]
+		putAck(enc, f.src, f.dst, f.seq)
 		a.e.mAckFrames.Inc()
-		return
+	} else {
+		putAckBatch(enc, a.acks)
+		a.e.mAckBatches.Inc()
+		a.e.mAcksBatched.Add(uint64(n))
 	}
-	a.e.mAckBatches.Inc()
-	a.e.mAcksBatched.Add(uint64(n))
+	a.acks = a.acks[:0]
+	return enc
 }
 
-// send writes the frames takeLocked drained, outside the coalescer
-// lock, and recycles the encoder. Errors are ignored: a dead connection
-// loses acks the same way a dead wire would, and the sender's
-// retransmission recovers.
-func (a *ackCoalescer) send(enc *xdr.Encoder, split int) {
+// send writes the frame takeLocked drained, outside the coalescer lock,
+// and recycles the encoder. Errors are ignored: a dead connection loses
+// acks the same way a dead wire would, and the sender's retransmission
+// recovers.
+func (a *ackCoalescer) send(enc *xdr.Encoder) {
 	if enc == nil {
 		return
 	}
-	b := enc.Bytes()
-	if split > 0 {
-		a.conn.Send(b[:split])
-	}
-	if len(b) > split {
-		a.conn.Send(b[split:])
-	}
+	a.conn.Send(enc.Bytes())
 	putFrameEncoder(enc)
 }
 

@@ -1,38 +1,28 @@
 package comm
 
 import (
-	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestAckCoalescingBatchesFragAcks drives a striped transfer with a
-// flush window wide enough to span several fragment arrivals, and
-// checks the receiver actually emitted batch frames — and that the
-// sender still saw every per-fragment acknowledgement despite the
-// batching.
-func TestAckCoalescingBatchesFragAcks(t *testing.T) {
-	a, b, _, _ := stripePair(t, withAckFlush(25*time.Millisecond))
-	payload := patternPayload(7, 2<<20)
-	if err := sendWaitT(a, "urn:stripe:b", 1, payload, 30*time.Second); err != nil {
-		t.Fatalf("striped send: %v", err)
+// TestAckFlushBatchesParkedAcks: acks parked for replies that have not
+// been written leave together with the next ack that may not wait, in
+// one batch frame, and retire every message they acknowledge.
+func TestAckFlushBatchesParkedAcks(t *testing.T) {
+	a, b, _ := owedAckPair(t)
+	const parked = 5
+	for i := 0; i < parked; i++ {
+		sendExpectingReply(t, a, "urn:owed:b", []byte(fmt.Sprint("request ", i)))
 	}
-	m, err := recvT(b, 10*time.Second)
-	if err != nil || !bytes.Equal(m.Payload, payload) {
-		t.Fatalf("recv: err=%v len=%d", err, len(m.Payload))
+	waitFor(t, 3*time.Second, func() bool { return counters(b, "acks_deferred")[0] == parked }, "the acks were not parked")
+	if err := a.Send("urn:owed:b", 9, []byte("no reply expected")); err != nil {
+		t.Fatal(err)
 	}
-	snap := b.MetricsSnapshot()
-	if snap.Counters["ack_batches"] == 0 {
-		t.Fatalf("no batched ack frames emitted: %+v", snap.Counters)
-	}
-	if snap.Counters["acks_batched"] < 2*snap.Counters["ack_batches"] {
-		t.Fatalf("batches carried under two acks on average: %d acks in %d batches",
-			snap.Counters["acks_batched"], snap.Counters["ack_batches"])
-	}
-	// Wait for the drain: the sender must account every fragment the
-	// receiver acknowledged, whether it arrived batched or alone.
-	waitFor(t, 5*time.Second, func() bool { return a.Pending() == 0 }, "sender not drained")
-	if got := a.MetricsSnapshot().Counters["frag_acks"]; got == 0 {
-		t.Fatal("sender processed no per-fragment acks")
+	wantQuietDelivery(t, a, b)
+	names := []string{"ack_batches", "acks_batched", "ack_frames", "acks_piggybacked"}
+	if got, want := counters(b, names...), []uint64{1, parked + 1, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("%v = %v, want %v", names, got, want)
 	}
 }

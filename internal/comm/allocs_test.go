@@ -60,7 +60,7 @@ func TestSendWaitAllocs(t *testing.T) {
 // warmed 256 KiB SendWait at one P to a sink listening on two TCP
 // loopback routes (the msg_bulk topology), striped across both, costs at
 // most 10 allocations and 16 KiB, both ends counted. 8 allocations and
-// ~1.6 KB are measured: the buffered message and its ack channel, the
+// ~1.5 KB are measured: the buffered message and its ack channel, the
 // stripe record and its fragment slots, the second route's worker, the
 // receiver's reassembly and its fragment table, and the delivered
 // message. The assembled payload is lent to the handler from the
@@ -118,36 +118,35 @@ func TestStripedSendWaitAllocs(t *testing.T) {
 	t.Logf("striped 256 KiB SendWait: %.1f allocations, %.0f B", got, perOp)
 }
 
-// TestAckBatchDecodeAllocs: a full batch of per-fragment acks, handled
+// TestAckBatchDecodeAllocs: a full batch of end-to-end acks, handled
 // where the read loop hands it over, allocates nothing: its entries
 // decode into stack scratch and the URNs into the connection's memo.
 func TestAckBatchDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	e := NewEndpoint("urn:batch-src")
+	const src, dst = "urn:batch-src", "urn:batch-dst"
+	e := NewEndpoint(src)
 	defer e.Close()
-	s := newTestStripe(ackBatchMax*100, 100, "r1", "r2")
-	e.stripeMu.Lock()
-	e.stripes[reasmKey{"urn:batch-src", "urn:batch-dst", 1}] = s
-	e.stripeMu.Unlock()
+	om := &outMsg{msg: Message{Src: src, Dst: dst, Seq: 1}, acked: make(chan struct{})}
+	e.shardFor(dst).outstanding[outKey{dst, 1}] = om
+	e.buffered.Add(1)
 	refs := make([]ackRef, ackBatchMax)
 	for i := range refs {
-		refs[i] = ackRef{src: "urn:batch-src", dst: "urn:batch-dst", seq: 1, fragIdx: uint32(i)}
+		refs[i] = ackRef{src: src, dst: dst, seq: uint64(i + 1)}
 	}
 	enc := xdr.NewEncoder(64)
-	putAckBatch(enc, frameFragAckBatch, refs)
+	putAckBatch(enc, refs)
 	frame := enc.Bytes()
 	var names peerNames
 	e.handleFrame(nil, nil, &names, frame) // the URN memo's first fill
+	select {
+	case <-om.acked:
+	default:
+		t.Fatal("the batch's first entry did not retire its message")
+	}
 	if got := testing.AllocsPerRun(100, func() { e.handleFrame(nil, nil, &names, frame) }); got != 0 {
-		t.Errorf("%d-entry frag-ack batch: %.1f allocations, want 0", ackBatchMax, got)
-	}
-	if n := e.mFragAcks.Value(); n != 102*ackBatchMax { // the first fill, AllocsPerRun's warm-up and 100 runs
-		t.Fatalf("frag_acks = %d, want every entry of 102 batches counted", n)
-	}
-	if s.nQueued != 0 {
-		t.Fatalf("%d fragments still queued after all were acknowledged", s.nQueued)
+		t.Errorf("%d-entry ack batch: %.1f allocations, want 0", ackBatchMax, got)
 	}
 }
 

@@ -257,19 +257,16 @@ type Endpoint struct {
 	// Fixed after construction; the package's tests shorten or widen
 	// them with an option of their own.
 	//
-	// stripeStall caps how long a striped transmission tolerates zero
-	// acknowledgement progress before it declares the routes holding
-	// in-flight fragments dead and requeues their fragments: 4× the
-	// retry interval, floored at one second. Once a stripe's routes have
-	// RTT history the effective window adapts to the slowest route (see
-	// stripeStallFor) and this only bounds it from above.
+	// stripeStall caps how long a stripe waits on one route's Send
+	// before it declares the route dead, closes its conn and requeues its
+	// fragments: 4× the retry interval, floored at one second. Once a
+	// stripe's routes have RTT history the effective window adapts to the
+	// slowest route (see stripeStallFor) and this only bounds it from
+	// above.
 	stripeStall time.Duration
-	// ackFlush is how long the per-connection coalescer holds
-	// per-fragment acks for a batch, and the end-to-end ack of a request
-	// for its response (see ack.go): long enough to batch a burst of
-	// fragments from one window, short enough never to stall the
-	// sender's in-flight window (fragment RTTs are hundreds of
-	// microseconds on local media at minimum) and three orders of
+	// ackFlush is how long the per-connection coalescer holds the
+	// end-to-end ack of a request for its response (see ack.go): long
+	// enough for a handler's answer to leave, and three orders of
 	// magnitude under the retry interval.
 	ackFlush time.Duration
 
@@ -334,11 +331,10 @@ type Endpoint struct {
 	mCacheHits    *stats.Counter
 	mSendErrors   *stats.Counter
 	mStriped      *stats.Counter   // messages sent via the multi-path stripe path
-	mFragAcks     *stats.Counter   // per-fragment acknowledgements received
 	mFragRequeues *stats.Counter   // fragments requeued off a failed route mid-stripe
 	mAckBatches   *stats.Counter   // batched ack frames sent
 	mAcksBatched  *stats.Counter   // individual acks carried inside batch frames
-	mAckFrames    *stats.Counter   // single-ack frames sent
+	mAckFrames    *stats.Counter   // single-ack frames sent; with acks_batched and acks_piggybacked, every ack sent
 	mAcksDeferred *stats.Counter   // end-to-end acks parked for a reply to carry
 	mAcksCarried  *stats.Counter   // end-to-end acks sent in a message frame's trailer
 	hAckLatency   *stats.Histogram // µs, send → end-to-end ack
@@ -382,7 +378,6 @@ func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 	e.mCacheHits = e.metrics.Counter("route_cache_hits")
 	e.mSendErrors = e.metrics.Counter("send_errors")
 	e.mStriped = e.metrics.Counter("striped")
-	e.mFragAcks = e.metrics.Counter("frag_acks")
 	e.mFragRequeues = e.metrics.Counter("frag_requeues")
 	e.mAckBatches = e.metrics.Counter("ack_batches")
 	e.mAcksBatched = e.metrics.Counter("acks_batched")
@@ -963,15 +958,8 @@ func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, names *peerName
 		}
 		e.handleAck(src, dst, seq)
 
-	case frameFragAck:
-		src, dst, seq, fragIdx, err := decodeFragAck(d, names)
-		if err != nil {
-			return false
-		}
-		e.handleFragAck(src, dst, seq, fragIdx)
-
-	case frameAckBatch, frameFragAckBatch:
-		e.handleAckBatch(d, names, ftype == frameFragAckBatch)
+	case frameAckBatch:
+		e.handleAckBatch(d, names)
 	}
 	return false
 }
@@ -979,19 +967,14 @@ func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, names *peerName
 // handleAckBatch retires every entry of a batched acknowledgement frame.
 // A batch of up to ackBatchMax entries — any this build sends — decodes
 // into stack scratch.
-func (e *Endpoint) handleAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool) {
+func (e *Endpoint) handleAckBatch(d *xdr.Decoder, names *peerNames) {
 	var scratch [ackBatchMax]ackRef
-	refs, err := decodeAckBatch(d, names, withFrag, scratch[:0])
+	refs, err := decodeAckBatch(d, names, scratch[:0])
 	if err != nil {
 		return
 	}
 	for i := range refs {
-		r := &refs[i]
-		if withFrag {
-			e.handleFragAck(r.src, r.dst, r.seq, r.fragIdx)
-		} else {
-			e.handleAck(r.src, r.dst, r.seq)
-		}
+		e.handleAck(refs[i].src, refs[i].dst, refs[i].seq)
 	}
 }
 
@@ -1034,21 +1017,6 @@ func (e *Endpoint) handleAck(src, dst string, seq uint64) {
 			e.observeRouteAck(route, len(om.msg.Payload), attemptAge)
 		}
 		om.releasePayload() // the system buffer's reference
-	}
-}
-
-// handleFragAck feeds one per-fragment acknowledgement into its
-// stripe's window accounting and the route scorer.
-func (e *Endpoint) handleFragAck(src, dst string, seq uint64, fragIdx uint32) {
-	e.stripeMu.Lock()
-	stripe := e.stripes[reasmKey{src, dst, seq}]
-	e.stripeMu.Unlock()
-	if stripe == nil {
-		return
-	}
-	e.mFragAcks.Inc()
-	if route, bytes, elapsed, ok := stripe.ackFrag(int(fragIdx)); ok {
-		e.observeRouteAck(route, bytes, elapsed)
 	}
 }
 
@@ -1096,12 +1064,6 @@ func (e *Endpoint) handleMsgFrame(conn FrameConn, ac *ackCoalescer, f *msgFrame,
 	}
 	if payload == nil && parts == nil {
 		e.mu.Unlock()
-		// Striped fragments are acknowledged individually so the
-		// sender's per-route windows advance and dead routes are
-		// detected mid-stripe.
-		if f.Flags&flagStriped != 0 {
-			ac.fragAck(f.Src, f.Dst, f.Seq, f.FragIdx)
-		}
 		return retained // awaiting more fragments
 	}
 
@@ -1146,12 +1108,6 @@ func (e *Endpoint) handleMsgFrame(conn FrameConn, ac *ackCoalescer, f *msgFrame,
 	}
 	e.mu.Unlock()
 
-	// The final fragment of a stripe still gets its per-fragment ack
-	// (the sender's scorer wants the sample); the message-level ack
-	// below then retires the whole transmission.
-	if f.Flags&flagStriped != 0 {
-		ac.fragAck(f.Src, f.Dst, f.Seq, f.FragIdx)
-	}
 	// End-to-end acknowledgement: the message is safely accepted. It
 	// leaves at once, unless the sender said a reply is coming and this
 	// connection is its own: then the ack may ride in that reply. A
@@ -1357,8 +1313,9 @@ func (e *Endpoint) Close() {
 		return
 	}
 	close(e.done)
-	// A stripe parked on its window would otherwise wait out its stall
-	// window; one that registers after this sees e.done itself.
+	// A stripe's idle workers would otherwise wait out its stall window,
+	// and closing the conns below ends any Send one is blocked in; a
+	// stripe that registers after this sees e.done itself.
 	e.stripeMu.Lock()
 	for _, s := range e.stripes {
 		s.cancel()

@@ -22,10 +22,10 @@
 // observed ack RTT, goodput and error rate (see score.go), blended
 // with the advertised media profile, and large messages to multi-homed
 // peers are striped — fragmented across every healthy route in
-// parallel with a bounded in-flight window per route and per-fragment
-// acknowledgements (see stripe.go), aggregating the bandwidth of all
-// media between two hosts as the paper's Fig. 1 testbed (10/100 Mbit
-// Ethernet plus 155 Mbit ATM between the same pair) invites.
+// parallel, each route taking its next fragment when its conn has taken
+// the last (see stripe.go), aggregating the bandwidth of all media
+// between two hosts as the paper's Fig. 1 testbed (10/100 Mbit Ethernet
+// plus 155 Mbit ATM between the same pair) invites.
 package comm
 
 import (
@@ -36,30 +36,26 @@ import (
 	"snipe/internal/xdr"
 )
 
-// Frame types exchanged between endpoints, inside transport frames.
-// Batched acknowledgement frames (frameAckBatch, frameFragAckBatch)
-// carry N single-ack entries in one transport frame; a batch of one
-// goes out as the single-ack frame. An end-to-end ack has a third way
-// to travel: in the trailer of a message frame (flagAcks). Both ends of
-// a conversation run the same build: the message frame was replaced
-// outright when it gained the trailer, with no version negotiation.
+// Frame types exchanged between endpoints, inside transport frames. A
+// batched acknowledgement frame (frameAckBatch) carries N single-ack
+// entries in one transport frame; a batch of one goes out as the
+// single-ack frame. An end-to-end ack has a third way to travel: in the
+// trailer of a message frame (flagAcks). Types 4 and 6 carried
+// per-fragment acknowledgements; they stay reserved, and a frame of
+// either, like any unknown type, is ignored. Both ends of a conversation
+// run the same build: the message frame was replaced outright when it
+// gained the trailer, with no version negotiation.
 const (
-	frameHello        uint8 = iota + 1 // sender identifies itself: URN
-	frameMsg                           // one fragment of an application message
-	frameAck                           // end-to-end acknowledgement of a message
-	frameFragAck                       // per-fragment acknowledgement of a striped fragment
-	frameAckBatch                      // batched end-to-end acknowledgements
-	frameFragAckBatch                  // batched per-fragment acknowledgements
+	frameHello    uint8 = 1 // sender identifies itself: URN
+	frameMsg      uint8 = 2 // one fragment of an application message
+	frameAck      uint8 = 3 // end-to-end acknowledgement of a message
+	frameAckBatch uint8 = 5 // batched end-to-end acknowledgements
 )
 
 // Fragment flag bits carried in msgFrame.Flags. A frame with a bit
-// outside flagsKnown does not decode.
+// outside flagsKnown does not decode; bit 0 once marked a striped
+// fragment and is reserved.
 const (
-	// flagStriped marks a fragment of a message striped across several
-	// routes in parallel; the receiver acknowledges each such fragment
-	// individually (frameFragAck) so the sender can run a bounded
-	// in-flight window per route and detect dead routes mid-stripe.
-	flagStriped uint8 = 1 << 0
 	// flagReplyExpected is the sender's word that the receiver is about
 	// to send it a message of its own (the answer to a request). The
 	// receiver may then hold the end-to-end ack for up to
@@ -70,7 +66,7 @@ const (
 	// carriedAcks. It is set exactly when the trailer is there.
 	flagAcks uint8 = 1 << 2
 
-	flagsKnown = flagStriped | flagReplyExpected | flagAcks
+	flagsKnown = flagReplyExpected | flagAcks
 )
 
 // AnyTag matches any message tag in receive operations.
@@ -128,7 +124,7 @@ type msgFrame struct {
 	Seq       uint64
 	FragIdx   uint32
 	FragCount uint32
-	Flags     uint8 // flagStriped, flagReplyExpected, flagAcks
+	Flags     uint8 // flagReplyExpected, flagAcks
 	Payload   []byte
 }
 
@@ -297,8 +293,7 @@ func decodeMsgFrame(d *xdr.Decoder, names *peerNames) (f msgFrame, acks carriedA
 // forms build a right-sized frame of their own.
 
 // ackFrameOverhead is an end-to-end ack frame beyond its URNs: frame
-// type, two URN length prefixes, seq. A per-fragment ack adds the
-// fragment index.
+// type, two URN length prefixes, seq.
 const ackFrameOverhead = 17
 
 func putAck(e *xdr.Encoder, src, dst string, seq uint64) {
@@ -322,72 +317,38 @@ func decodeAck(d *xdr.Decoder, names *peerNames) (src, dst string, seq uint64, e
 	return
 }
 
-// putFragAck appends a per-fragment acknowledgement for one striped
-// fragment: the original message's sender, destination (the acker),
-// sequence number, and the fragment index being acknowledged.
-func putFragAck(e *xdr.Encoder, src, dst string, seq uint64, fragIdx uint32) {
-	e.PutUint8(frameFragAck)
-	e.PutString(src)
-	e.PutString(dst)
-	e.PutUint64(seq)
-	e.PutUint32(fragIdx)
-}
-
-func decodeFragAck(d *xdr.Decoder, names *peerNames) (src, dst string, seq uint64, fragIdx uint32, err error) {
-	if src, dst, err = names.decode(d); err != nil {
-		return
-	}
-	if seq, err = d.Uint64(); err != nil {
-		return
-	}
-	fragIdx, err = d.Uint32()
-	return
-}
-
-// ackRef identifies one acknowledged message — or, inside a
-// frag-ack batch, one acknowledged fragment — within a batched
+// ackRef identifies one acknowledged message within a batched
 // acknowledgement frame.
 type ackRef struct {
-	src     string // original message's sender
-	dst     string // original message's destination (the acker)
-	seq     uint64
-	fragIdx uint32 // meaningful only in frameFragAckBatch entries
+	src string // original message's sender
+	dst string // original message's destination (the acker)
+	seq uint64
 }
 
-// putAckBatch appends a batched acknowledgement frame. ftype selects
-// whole-message (frameAckBatch) or per-fragment (frameFragAckBatch)
-// entries.
-func putAckBatch(e *xdr.Encoder, ftype uint8, refs []ackRef) {
-	e.PutUint8(ftype)
+// putAckBatch appends a batched acknowledgement frame.
+func putAckBatch(e *xdr.Encoder, refs []ackRef) {
+	e.PutUint8(frameAckBatch)
 	e.PutUint32(uint32(len(refs)))
 	for i := range refs {
 		r := &refs[i]
 		e.PutString(r.src)
 		e.PutString(r.dst)
 		e.PutUint64(r.seq)
-		if ftype == frameFragAckBatch {
-			e.PutUint32(r.fragIdx)
-		}
 	}
 }
 
-// decodeAckBatch reads the entries of a batched acknowledgement frame;
-// withFrag selects the frameFragAckBatch layout (an extra fragment
-// index per entry). The entries go into scratch, the caller's empty
-// slice, unless there are more of them than it holds.
-func decodeAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool, scratch []ackRef) ([]ackRef, error) {
+// decodeAckBatch reads the entries of a batched acknowledgement frame.
+// The entries go into scratch, the caller's empty slice, unless there
+// are more of them than it holds.
+func decodeAckBatch(d *xdr.Decoder, names *peerNames, scratch []ackRef) ([]ackRef, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
 	}
 	// Each entry costs at least 16 encoded bytes (two string length
-	// prefixes + u64), 20 with the fragment index; a count beyond the
-	// remaining bytes is hostile — fail before preallocating.
-	entryMin := 16
-	if withFrag {
-		entryMin = 20
-	}
-	if int64(n)*int64(entryMin) > int64(d.Remaining()) {
+	// prefixes + u64); a count beyond the remaining bytes is hostile —
+	// fail before preallocating.
+	if int64(n)*16 > int64(d.Remaining()) {
 		return nil, fmt.Errorf("%w: ack batch count %d exceeds remaining %d bytes",
 			ErrBadFrame, n, d.Remaining())
 	}
@@ -402,11 +363,6 @@ func decodeAckBatch(d *xdr.Decoder, names *peerNames, withFrag bool, scratch []a
 		}
 		if r.seq, err = d.Uint64(); err != nil {
 			return nil, err
-		}
-		if withFrag {
-			if r.fragIdx, err = d.Uint32(); err != nil {
-				return nil, err
-			}
 		}
 		refs = append(refs, r)
 	}
@@ -424,8 +380,8 @@ func fragCount(n, mtu int) int {
 }
 
 // fragAt is fragment i of count of m at mtu payload bytes per fragment,
-// aliasing m.Payload. flags is stamped on every fragment (flagStriped
-// for striped transmissions, 0 for the single-route path).
+// aliasing m.Payload. flags is stamped on every fragment (a single-route
+// transmission's flagReplyExpected, else 0).
 func fragAt(m *Message, i, count, mtu int, flags uint8) msgFrame {
 	lo := i * mtu
 	hi := min(lo+mtu, len(m.Payload))

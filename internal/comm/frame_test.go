@@ -336,13 +336,13 @@ func TestAckEncodeDecode(t *testing.T) {
 }
 
 // ackBatchBody is a batch frame of n entries after its type byte.
-func ackBatchBody(ftype uint8, n int) ([]ackRef, []byte) {
+func ackBatchBody(n int) ([]ackRef, []byte) {
 	refs := make([]ackRef, n)
 	for i := range refs {
-		refs[i] = ackRef{src: fmt.Sprintf("urn:s%d", i%3), dst: "urn:d", seq: uint64(i) << 20, fragIdx: uint32(i)}
+		refs[i] = ackRef{src: fmt.Sprintf("urn:s%d", i%3), dst: "urn:d", seq: uint64(i) << 20}
 	}
 	e := xdr.NewEncoder(64)
-	putAckBatch(e, ftype, refs)
+	putAckBatch(e, refs)
 	return refs, e.Bytes()[1:]
 }
 
@@ -350,21 +350,15 @@ func ackBatchBody(ftype uint8, n int) ([]ackRef, []byte) {
 // (which no build sends, but the wire allows) still decodes entry for
 // entry, into a slice of its own.
 func TestAckBatchBeyondScratch(t *testing.T) {
-	for _, ftype := range []uint8{frameAckBatch, frameFragAckBatch} {
-		withFrag := ftype == frameFragAckBatch
-		want, body := ackBatchBody(ftype, 3*ackBatchMax+1)
-		var scratch [ackBatchMax]ackRef
-		got, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, withFrag, scratch[:0])
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("type %d: %d of %d entries, %v", ftype, len(got), len(want), err)
-		}
-		for i := range want {
-			if !withFrag {
-				want[i].fragIdx = 0
-			}
-			if got[i] != want[i] {
-				t.Fatalf("type %d entry %d: %+v, want %+v", ftype, i, got[i], want[i])
-			}
+	want, body := ackBatchBody(3*ackBatchMax + 1)
+	var scratch [ackBatchMax]ackRef
+	got, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, scratch[:0])
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("%d of %d entries, %v", len(got), len(want), err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -374,11 +368,11 @@ func TestAckBatchBeyondScratch(t *testing.T) {
 // have fit the scratch.
 func TestAckBatchHostileCount(t *testing.T) {
 	for _, count := range []uint32{2, ackBatchMax + 1, 1000, 0xffffffff} {
-		_, body := ackBatchBody(frameFragAckBatch, 1)
+		_, body := ackBatchBody(1)
 		binary.BigEndian.PutUint32(body, count)
 		decode := func() error {
 			var scratch [ackBatchMax]ackRef
-			_, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, true, scratch[:0])
+			_, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, scratch[:0])
 			return err
 		}
 		if err := decode(); !errors.Is(err, ErrBadFrame) {
@@ -470,7 +464,6 @@ func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
 			"encodeMsgFrame":           func() []byte { return encodeMsgFrame(frame, nil) },
 			"encodeMsgFrame with acks": func() []byte { return encodeMsgFrame(frame, acks) },
 			"encodeAck":                func() []byte { return encodeAck(src, dst, 7) },
-			"encodeFragAck":            func() []byte { return encodeFragAck(src, dst, 7, 3) },
 		} {
 			if got := testing.AllocsPerRun(20, func() { encode() }); got != 1 {
 				t.Errorf("%s with %d-byte URNs: %.0f allocations, want 1", name, len(src), got)

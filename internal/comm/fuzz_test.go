@@ -21,7 +21,7 @@ func FuzzDecodeMsgFrame(f *testing.F) {
 		{fr: msgFrame{Src: "urn:snipe:a", Dst: "urn:snipe:b", Tag: 7, Seq: 1, FragIdx: 0, FragCount: 1, Payload: []byte("hi")}},
 		{fr: msgFrame{Src: "", Dst: "", Tag: 0, Seq: 0, FragIdx: 2, FragCount: 5, Payload: nil}},
 		{fr: msgFrame{Src: "urn:snipe:x", Dst: "urn:snipe:y", Tag: AnyTag, Seq: 1 << 40, FragIdx: 9, FragCount: 10, Payload: bytes.Repeat([]byte{0xab}, 100)}},
-		{fr: msgFrame{Src: "urn:snipe:s", Dst: "urn:snipe:d", Tag: 3, Seq: 8, FragIdx: 1, FragCount: 4, Flags: flagStriped, Payload: []byte("striped")}},
+		{fr: msgFrame{Src: "urn:snipe:s", Dst: "urn:snipe:d", Tag: 3, Seq: 8, FragIdx: 1, FragCount: 4, Payload: []byte("middle")}},
 		{fr: msgFrame{Src: "urn:snipe:c", Dst: "urn:snipe:r", Tag: StreamTag, Seq: 9, FragCount: 1, Flags: flagReplyExpected, Payload: []byte("request")}},
 		{fr: msgFrame{Src: "urn:snipe:r", Dst: "urn:snipe:c", Tag: StreamTag, Seq: 4, FragCount: 1, Payload: []byte("response")}, acks: seqTrailer(9)},
 		{fr: msgFrame{Src: "urn:snipe:r", Dst: "urn:snipe:c", Tag: 1, Seq: 5, FragCount: 2, Flags: flagReplyExpected}, acks: seqTrailer(make([]uint64, ackBatchMax)...)},
@@ -67,24 +67,6 @@ func FuzzDecodeMsgFrame(f *testing.F) {
 	})
 }
 
-func FuzzDecodeFragAck(f *testing.F) {
-	f.Add(encodeFragAck("urn:snipe:a", "urn:snipe:b", 42, 7)[1:])
-	f.Add(encodeFragAck("", "", 0, 0)[1:])
-	f.Add([]byte{0, 0, 0, 9})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var names peerNames
-		src, dst, seq, idx, err := decodeFragAck(xdr.NewDecoder(b), &names)
-		if err != nil {
-			return
-		}
-		b2 := encodeFragAck(src, dst, seq, idx)[1:]
-		s2, d2, q2, i2, err := decodeFragAck(xdr.NewDecoder(b2), &names)
-		if err != nil || s2 != src || d2 != dst || q2 != seq || i2 != idx {
-			t.Fatalf("frag-ack round-trip mismatch: %q %q %d %d err=%v", s2, d2, q2, i2, err)
-		}
-	})
-}
-
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(encodeHello("urn:snipe:node:1")[1:])
 	f.Add(encodeHello("")[1:])
@@ -117,61 +99,34 @@ func FuzzDecodeAck(f *testing.F) {
 
 // encodeAckBatchSeed builds a batch frame body (frame-type byte
 // stripped) for fuzz seeding.
-func encodeAckBatchSeed(ftype uint8, refs []ackRef) []byte {
+func encodeAckBatchSeed(refs []ackRef) []byte {
 	e := xdr.NewEncoder(64)
-	putAckBatch(e, ftype, refs)
+	putAckBatch(e, refs)
 	return e.Bytes()[1:]
 }
 
 func FuzzDecodeAckBatch(f *testing.F) {
-	f.Add(encodeAckBatchSeed(frameAckBatch, []ackRef{
+	f.Add(encodeAckBatchSeed([]ackRef{
 		{src: "urn:snipe:a", dst: "urn:snipe:b", seq: 1},
 		{src: "urn:snipe:a", dst: "urn:snipe:b", seq: 2},
 	}))
-	f.Add(encodeAckBatchSeed(frameAckBatch, nil))
+	f.Add(encodeAckBatchSeed(nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count, no entries
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var names peerNames
 		var scratch, scratch2 [ackBatchMax]ackRef
-		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, false, scratch[:0])
+		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, scratch[:0])
 		if err != nil {
 			return
 		}
 		// A successful decode must round-trip entry for entry.
-		b2 := encodeAckBatchSeed(frameAckBatch, refs)
-		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, false, scratch2[:0])
+		b2 := encodeAckBatchSeed(refs)
+		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, scratch2[:0])
 		if err != nil || len(again) != len(refs) {
 			t.Fatalf("re-decode: %d entries, err=%v (want %d)", len(again), err, len(refs))
 		}
 		for i := range refs {
 			if again[i].src != refs[i].src || again[i].dst != refs[i].dst || again[i].seq != refs[i].seq {
-				t.Fatalf("entry %d mismatch: %+v vs %+v", i, refs[i], again[i])
-			}
-		}
-	})
-}
-
-func FuzzDecodeFragAckBatch(f *testing.F) {
-	f.Add(encodeAckBatchSeed(frameFragAckBatch, []ackRef{
-		{src: "urn:snipe:a", dst: "urn:snipe:b", seq: 9, fragIdx: 0},
-		{src: "urn:snipe:a", dst: "urn:snipe:b", seq: 9, fragIdx: 3},
-	}))
-	f.Add(encodeAckBatchSeed(frameFragAckBatch, nil))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var names peerNames
-		var scratch, scratch2 [ackBatchMax]ackRef
-		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, true, scratch[:0])
-		if err != nil {
-			return
-		}
-		b2 := encodeAckBatchSeed(frameFragAckBatch, refs)
-		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, true, scratch2[:0])
-		if err != nil || len(again) != len(refs) {
-			t.Fatalf("re-decode: %d entries, err=%v (want %d)", len(again), err, len(refs))
-		}
-		for i := range refs {
-			if again[i] != refs[i] {
 				t.Fatalf("entry %d mismatch: %+v vs %+v", i, refs[i], again[i])
 			}
 		}

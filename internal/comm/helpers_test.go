@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"snipe/internal/testutil"
-	"snipe/internal/xdr"
 )
 
 // Timeout-flavoured conveniences over the context-first Endpoint API,
@@ -63,12 +62,4 @@ func fragment(src, dst string, tag uint32, seq uint64, payload []byte, mtu int, 
 		frames[i] = &backing[i]
 	}
 	return frames
-}
-
-// encodeFragAck builds a right-sized single per-fragment ack frame; the
-// endpoint only ever appends them to its coalescer's encoder (putFragAck).
-func encodeFragAck(src, dst string, seq uint64, fragIdx uint32) []byte {
-	e := xdr.NewEncoder(ackFrameOverhead + 4 + len(src) + len(dst))
-	putFragAck(e, src, dst, seq, fragIdx)
-	return e.Bytes()
 }

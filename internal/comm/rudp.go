@@ -421,10 +421,3 @@ func (c *rudpConn) retxLoop() {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

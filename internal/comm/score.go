@@ -154,7 +154,7 @@ func (e *Endpoint) rankRoutes(local []Route, rs routeSet, out []rankedRoute) []r
 }
 
 // RouteScore is one route's adaptive-scoring state, as exported by
-// RouteScores and surfaced by the multipath benchmark artifact.
+// RouteScores.
 type RouteScore struct {
 	Route      string  `json:"route"`       // route key (Route.String form)
 	Score      float64 `json:"score"`       // scalar preference, higher is better

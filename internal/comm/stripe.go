@@ -9,41 +9,40 @@ import (
 // Multi-path striped transmission. A large message to a multi-homed
 // peer is cut at one fragment geometry — the smallest MTU among the
 // participating routes, so every transmission of the message shares it
-// — and each route has a worker that keeps up to stripeWindow fragments
-// in flight and pulls the next queued fragment as its per-fragment
-// acknowledgements come back, so faster media naturally carry more of
-// the message. The goroutine transmitting the message works the best
+// — and each route has a worker that takes one fragment at a time and
+// the next as soon as its conn's Send returns. Every FrameConn is
+// reliable while it lives, and its own backpressure (a socket buffer,
+// RUDP's window, a bounded channel) bounds what a route holds, so
+// faster media carry more of the message with no fragment acknowledged
+// on its own. The goroutine transmitting the message works the best
 // route itself; each other route gets one goroutine, and none exists
 // only to watch: a whole-message ack (handleAck) or Close cancels a
-// registered stripe directly. A route that fails mid-stripe — a send
-// error, or no acknowledgement progress for the stall window — has its
-// in-flight fragments requeued onto the surviving routes. Exactly-once
-// delivery never depends on any of this: the receiver reassembles by
-// (src, dst, seq, fragment) and deduplicates by sequence number, and the
-// whole-message retry path remains the loss backstop, so striping can
-// only add bandwidth, not failure modes.
+// registered stripe directly. A route fails mid-stripe on a Send error,
+// or when its Send has not returned within the stall window: a worker
+// with nothing left to take then closes the route's conn, which ends
+// the Send. Either way every fragment the route carried in this stripe
+// is requeued onto the survivors, since nothing says it arrived.
+// Exactly-once delivery never depends on any of this: the receiver
+// reassembles by (src, dst, seq, fragment) and deduplicates by sequence
+// number, and the whole-message retry path remains the loss backstop —
+// also for a route that takes every write and delivers nothing — so
+// striping can only add bandwidth, not failure modes.
 //
 // A stripe is one record: its routes inline, one slot per fragment, and
 // fragments cut from the message on demand (fragAt). The record is never
-// recycled: handleFragAck calls into a stripe it looked up outside
-// stripeMu, and a late ack must not land in another message's stripe.
+// recycled: handleAck and Close cancel a stripe they looked up outside
+// stripeMu.
 
-const (
-	// stripeThreshold is the payload size at or above which a message to
-	// a multi-homed peer is striped; smaller messages always use the
-	// single-route failover path.
-	stripeThreshold = 256 << 10
-	// stripeWindow bounds how many fragments each route keeps in flight
-	// (sent but not yet fragment-acknowledged) during a stripe.
-	stripeWindow = 32
-)
+// stripeThreshold is the payload size at or above which a message to a
+// multi-homed peer is striped; smaller messages always use the
+// single-route failover path.
+const stripeThreshold = 256 << 10
 
 // Fragment lifecycle inside one stripe.
 const (
 	fragQueued   uint8 = iota // awaiting a route
-	fragReserved              // claimed by a worker, send in progress
-	fragSent                  // pushed into a conn, awaiting frag-ack
-	fragAcked                 // acknowledged by the receiver
+	fragReserved              // claimed by a worker, its Send in progress
+	fragSent                  // taken by its route's conn
 )
 
 // stripeRoute is one route taking part in a stripe. key and conn are
@@ -51,15 +50,22 @@ const (
 type stripeRoute struct {
 	key      string
 	conn     FrameConn
-	inFlight int // fragments reserved or sent on this route
+	since    int64 // the stall clock (monoNow): when a Send began from idle, or the last one returned
+	inFlight int32 // fragments reserved on this route: in its Send
 	failed   bool
 }
+
+// clockBase anchors the stripes' stall clocks: monoNow is the monotonic
+// time since it in nanoseconds, 8 bytes to a route where a time.Time
+// would take 24.
+var clockBase = time.Now()
+
+func monoNow() int64 { return int64(time.Since(clockBase)) }
 
 // fragSlot is one fragment's state. queued is a column of the stripe's
 // queue, not of this fragment: the fragment indices awaiting a route are
 // slots[:nQueued].queued, a LIFO stack sharing the slots' allocation.
 type fragSlot struct {
-	sentAt time.Time
 	queued int32
 	route  int32 // index into routes while reserved or sent, else -1
 	state  uint8
@@ -79,13 +85,6 @@ type stripeState struct {
 	canceled bool
 	wrote    bool // a conn has taken a fragment: the message's sequence number is spent
 
-	// lastAck is the stall clock: the last time acknowledgement
-	// progress was made (or stalled routes were failed, which restarts
-	// the clock for the survivors). Only acks — not sends — count as
-	// progress, so a sender that keeps pushing fragments into a black
-	// hole still trips the stall window.
-	lastAck time.Time
-
 	// waitCh implements a timed condition wait (sync.Cond cannot): the
 	// first worker to park makes it, the next state change closes it.
 	// It is nil while no worker waits.
@@ -97,7 +96,7 @@ type stripeState struct {
 // newStripe queues every fragment of m, cut at mtu payload bytes, for
 // routes (ranked best-first; copied into the record).
 func newStripe(m *Message, mtu int, routes []stripeRoute) *stripeState {
-	s := &stripeState{msg: *m, mtu: mtu, lastAck: time.Now()}
+	s := &stripeState{msg: *m, mtu: mtu}
 	s.routes = append(s.routeBuf[:0], routes...)
 	s.slots = make([]fragSlot, fragCount(len(m.Payload), mtu))
 	for i := range s.slots {
@@ -116,14 +115,15 @@ func (s *stripeState) broadcastLocked() {
 	}
 }
 
-// next claims the next queued fragment for the worker on route ri,
-// honouring its in-flight window. It blocks while the worker has
-// nothing to do but the stripe is still in progress. Returns ok=false
-// when the worker should exit: the stripe is complete or canceled,
-// the route has been declared failed, or no acknowledgement has
-// arrived for a full stall window (in which case every route with
-// fragments in flight — possibly including this one — is failed and
-// requeued, and surviving callers re-enter to pick the fragments up).
+// next claims the next queued fragment for the worker on route ri, which
+// may hold up to window of them reserved (a stripe worker holds one, from
+// claiming it until its Send returns). It blocks while the worker has
+// nothing to do but the stripe is still in progress, and returns ok=false
+// when the worker should exit: the stripe is complete or canceled, or
+// the route has been declared failed. A blocked worker also keeps the
+// stall clock: a route whose Send has not returned for a full stall
+// window is failed, its fragments requeued, and its conn closed, which
+// makes the Send return.
 func (s *stripeState) next(ri, window int, stall time.Duration) (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -132,40 +132,45 @@ func (s *stripeState) next(ri, window int, stall time.Duration) (int, bool) {
 		if s.canceled || s.unsent == 0 || r.failed {
 			return 0, false
 		}
-		if s.nQueued > 0 && r.inFlight < window {
+		now := monoNow()
+		if s.nQueued > 0 && int(r.inFlight) < window {
 			s.nQueued--
 			idx := int(s.slots[s.nQueued].queued)
 			sl := &s.slots[idx]
-			sl.state, sl.route, sl.sentAt = fragReserved, int32(ri), time.Now()
+			sl.state, sl.route = fragReserved, int32(ri)
+			if r.inFlight == 0 {
+				r.since = now
+			}
 			r.inFlight++
 			return idx, true
 		}
-		// The stall deadline is measured from the last *acknowledgement*
-		// (sends into a dead conn must not feed the clock), and every
-		// worker waits on the same absolute deadline, so no worker
-		// sleeping through a broadcast can push it back.
-		now := time.Now()
-		deadline := s.lastAck.Add(stall)
-		if !now.Before(deadline) {
-			// Acknowledgements have dried up for a full stall window.
-			// Fail every route still holding fragments and restart the
-			// stall clock for the survivors; the whole-message retry
-			// path recovers if none survive.
-			for i := range s.routes {
-				if s.routes[i].inFlight > 0 {
-					s.failRouteLocked(i)
-				}
+		// Every worker derives the same deadline from the routes' own
+		// clocks, so none sleeping through a broadcast can push it back.
+		var stuckBuf [maxStackRoutes]FrameConn
+		stuck, wake := stuckBuf[:0], now+int64(stall)
+		for i := range s.routes {
+			ro := &s.routes[i]
+			if ro.inFlight == 0 {
+				continue
 			}
-			s.lastAck = now
-			if r.failed {
-				return 0, false
+			if deadline := ro.since + int64(stall); now < deadline {
+				wake = min(wake, deadline)
+				continue
 			}
+			s.failRouteLocked(i)
+			stuck = append(stuck, ro.conn)
+		}
+		if len(stuck) > 0 {
+			s.mu.Unlock()
+			for _, c := range stuck {
+				c.Close()
+			}
+			s.mu.Lock()
 			continue
 		}
 		// Re-check everything from the top after the wait: a cancel,
-		// completion or requeue may have arrived, and the stall clock
-		// may have been fed.
-		s.waitLocked(deadline.Sub(now))
+		// completion or requeue may have arrived.
+		s.waitLocked(time.Duration(wake - now))
 	}
 }
 
@@ -187,58 +192,24 @@ func (s *stripeState) waitLocked(d time.Duration) {
 	s.mu.Lock()
 }
 
-// sent marks a reserved fragment as pushed into its conn. If the
-// fragment was re-assigned (its first route was declared stalled and
-// stole back the reservation) or already acknowledged, this is a no-op.
-// A waiter cares about a send only when it was the last one.
+// sent records that route ri's conn took fragment idx, which restarts
+// the route's stall clock. If the fragment was re-assigned meanwhile (its
+// route was declared stalled and requeued it), the slot is left alone. A
+// waiter cares about a send only when it was the last one.
 func (s *stripeState) sent(ri, idx int) {
 	s.mu.Lock()
 	s.wrote = true
 	if sl := &s.slots[idx]; sl.state == fragReserved && sl.route == int32(ri) {
 		sl.state = fragSent
 		s.unsent--
+		r := &s.routes[ri]
+		r.inFlight--
+		r.since = monoNow()
 		if s.unsent == 0 {
 			s.broadcastLocked()
 		}
 	}
 	s.mu.Unlock()
-}
-
-// ackFrag records the receiver's per-fragment acknowledgement,
-// returning the observation to feed the route scorer.
-func (s *stripeState) ackFrag(idx int) (routeKey string, bytes int, elapsed time.Duration, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx < 0 || idx >= len(s.slots) || s.slots[idx].state == fragAcked {
-		return "", 0, 0, false
-	}
-	sl := &s.slots[idx]
-	switch sl.state {
-	case fragQueued:
-		// Acked before any worker claimed it (a duplicate transmission
-		// from an earlier whole-message attempt landed): pull it out of
-		// the queue so no worker sends it again.
-		for i := 0; i < s.nQueued; i++ {
-			if s.slots[i].queued == int32(idx) {
-				s.nQueued--
-				s.slots[i].queued = s.slots[s.nQueued].queued
-				break
-			}
-		}
-		s.unsent--
-	case fragReserved:
-		s.unsent--
-		s.routes[sl.route].inFlight--
-	case fragSent:
-		s.routes[sl.route].inFlight--
-	}
-	sl.state = fragAcked
-	s.lastAck = time.Now()
-	s.broadcastLocked()
-	if sl.route < 0 {
-		return "", 0, 0, false
-	}
-	return s.routes[sl.route].key, min(s.mtu, len(s.msg.Payload)-idx*s.mtu), time.Since(sl.sentAt), true
 }
 
 // failRoute declares route ri dead mid-stripe and requeues its
@@ -289,9 +260,8 @@ func (s *stripeState) cancel() {
 // not apply (fewer than two live direct routes, or the message
 // fragments too coarsely to split) — the caller then runs the
 // single-route failover path. When handled, the returned error is nil
-// once every fragment has been accepted by a live conn; per-fragment
-// acknowledgements, requeues and the whole-message retry complete the
-// reliability story asynchronously.
+// once every fragment has been taken by a live conn; the end-to-end ack
+// and the whole-message retry complete the reliability story.
 func (e *Endpoint) transmitStriped(om *outMsg, local []Route, routes routeSet) (handled bool, err error) {
 	m := &om.msg
 	hdr := msgFrameOverhead + len(m.Src) + len(m.Dst)
@@ -414,11 +384,11 @@ func (e *Endpoint) stripeWorker(s *stripeState, ri int, stall time.Duration) {
 	enc := getFrameEncoder()
 	defer putFrameEncoder(enc)
 	for {
-		idx, ok := s.next(ri, stripeWindow, stall)
+		idx, ok := s.next(ri, 1, stall)
 		if !ok {
 			return
 		}
-		f := fragAt(&s.msg, idx, len(s.slots), s.mtu, flagStriped)
+		f := fragAt(&s.msg, idx, len(s.slots), s.mtu, 0)
 		if err := r.conn.Send(encodeMsgFrameInto(enc, &f, nil)); err != nil {
 			e.mSendErrors.Inc()
 			e.observeRouteError(r.key)

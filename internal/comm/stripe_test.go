@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,8 +82,30 @@ func patternPayload(id byte, n int) []byte {
 	return p
 }
 
+// fragCountingConn counts the message frames sent through it.
+type fragCountingConn struct {
+	FrameConn
+	frags atomic.Int32
+}
+
+func (c *fragCountingConn) Send(frame []byte) error {
+	if len(frame) > 0 && frame[0] == frameMsg {
+		c.frags.Add(1)
+	}
+	return c.FrameConn.Send(frame)
+}
+
 func TestStripeAcrossTwoRoutes(t *testing.T) {
 	a, b, _, _ := stripePair(t)
+	// Count each route's fragments at the sender's end of its conn.
+	var carried []*fragCountingConn
+	a.connMu.Lock()
+	for key, c := range a.conns {
+		cc := &fragCountingConn{FrameConn: c}
+		a.conns[key] = cc
+		carried = append(carried, cc)
+	}
+	a.connMu.Unlock()
 	payload := patternPayload(3, 2<<20)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -99,20 +123,14 @@ func TestStripeAcrossTwoRoutes(t *testing.T) {
 	if snap.Counters["striped"] == 0 {
 		t.Fatalf("message above threshold was not striped: %+v", snap.Counters)
 	}
-	if snap.Counters["frag_acks"] == 0 {
-		t.Fatalf("no per-fragment acknowledgements observed")
+	// Each route takes its next fragment when its conn has taken the
+	// last, and a link's queue pushes back, so both carry some.
+	if len(carried) != 2 || carried[0].frags.Load() == 0 || carried[1].frags.Load() == 0 {
+		t.Fatalf("fragments per route: %d and %d, want both routes used",
+			carried[0].frags.Load(), carried[1].frags.Load())
 	}
-	// Both routes must have carried acknowledged fragments: the scorer
-	// saw samples on each.
-	carried := 0
-	for _, rs := range a.RouteScores() {
-		if rs.Samples > 0 {
-			carried++
-		}
-	}
-	if carried < 2 {
-		t.Fatalf("expected fragments acknowledged on both routes, scorer saw %d: %+v",
-			carried, a.RouteScores())
+	if n := carried[0].frags.Load() + carried[1].frags.Load(); uint64(n) != snap.Counters["fragments"] || snap.Counters["frag_requeues"] != 0 {
+		t.Fatalf("%d fragments through the conns, %d counted, %d requeued", n, snap.Counters["fragments"], snap.Counters["frag_requeues"])
 	}
 }
 
@@ -381,31 +399,65 @@ func TestStripeCancelReleasesWorkers(t *testing.T) {
 	}
 }
 
-// TestStripeStallFailsSilentRoute: a route with fragments sent but no
-// acknowledgements for a full stall window is failed and its fragments
-// requeued; the stalled worker is released rather than spinning.
+// TestStripeStallFailsSilentRoute: a route whose Send never returns is
+// failed once a full stall window passes with the other route idle: its
+// conn is closed, which ends the Send, and its fragment goes to the
+// healthy route, so the message arrives once, about one window late.
 func TestStripeStallFailsSilentRoute(t *testing.T) {
-	s := newTestStripe(400, 100, "r1", "r2")
-	idx, ok := s.next(0, 1, 60*time.Millisecond)
-	if !ok {
-		t.Fatal("no fragment claimed")
+	const stall = 300 * time.Millisecond
+	delivered := make(chan *Message, 4)
+	sink := NewEndpoint("urn:stall:sink", WithHandler(func(m *Message) {
+		delivered <- &Message{Seq: m.Seq, Payload: append([]byte(nil), m.Payload...)}
+	}))
+	defer sink.Close()
+	healthy, err := sink.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.sent(0, idx)
-	// Window full, no acks arriving: the next pull must wait out the
-	// stall window, fail "r1" and exit.
+	stuckRoute := Route{Transport: "attached", Addr: "stuck"}
+	res := newTestResolver()
+	res.set("urn:stall:sink", stuckRoute, healthy)
+	src := NewEndpoint("urn:stall:src", WithResolver(res), WithRetryInterval(time.Hour), withStripeStall(stall))
+	defer src.Close()
+	stuck := &sinkConn{mtu: 64 << 10, stuck: true, done: make(chan struct{})}
+	src.AttachConn(stuckRoute.String(), stuck)
+
+	payload := patternPayload(6, stripeThreshold)
 	start := time.Now()
-	if _, ok := s.next(0, 1, 60*time.Millisecond); ok {
-		t.Fatal("stalled route still pulling fragments")
+	if err := sendWaitT(src, "urn:stall:sink", 1, payload, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if e := time.Since(start); e > 2*time.Second {
-		t.Fatalf("stall verdict took %v; want ~the 60ms window", e)
+	took := time.Since(start)
+	m := <-delivered
+	if !bytes.Equal(m.Payload, payload) {
+		t.Fatal("payload corrupted")
 	}
-	s.mu.Lock()
-	requeues, failed := s.requeues, s.routes[0].failed
-	s.mu.Unlock()
-	if !failed || requeues == 0 {
-		t.Fatalf("stall did not fail the silent route: failed=%v requeues=%d", failed, requeues)
+	if took > stall+time.Second {
+		t.Fatalf("delivery took %v with a %v stall window", took, stall)
 	}
+	if stuck.frags.Load() == 0 {
+		t.Fatal("the stuck route was never given a fragment")
+	}
+	select {
+	case <-stuck.done:
+	default:
+		t.Fatal("the stuck route's conn is still open")
+	}
+	waitFor(t, 3*time.Second, func() bool {
+		src.connMu.Lock()
+		defer src.connMu.Unlock()
+		_, ok := src.conns[stuckRoute.String()]
+		return !ok
+	}, "the stuck route's conn was not dropped")
+	if n := src.mFragRequeues.Value(); n < 1 {
+		t.Fatalf("frag_requeues = %d, want the stuck fragment requeued", n)
+	}
+	select {
+	case m := <-delivered:
+		t.Fatalf("message %d delivered twice", m.Seq)
+	case <-time.After(50 * time.Millisecond):
+	}
+	t.Logf("delivered in %v with a %v stall window", took, stall)
 }
 
 // TestStripeStallAdaptive exercises stripeStallFor: no history keeps
@@ -454,10 +506,12 @@ func TestStripeStallAdaptive(t *testing.T) {
 }
 
 // sinkConn is a route into a peer that takes every frame and answers
-// none. Recv blocks until Close.
+// none. Recv blocks until Close. A stuck one takes no message frame:
+// its Send blocks until Close and then fails.
 type sinkConn struct {
 	mtu    int
-	frags  atomic.Int32 // message frames taken
+	stuck  bool
+	frags  atomic.Int32 // message frames given to Send
 	onFrag func()       // called on each message frame, if set
 	once   sync.Once
 	done   chan struct{}
@@ -468,6 +522,10 @@ func (c *sinkConn) Send(frame []byte) error {
 		c.frags.Add(1)
 		if c.onFrag != nil {
 			c.onFrag()
+		}
+		if c.stuck {
+			<-c.done
+			return ErrClosed
 		}
 	}
 	return nil
@@ -490,10 +548,10 @@ func (c *sinkConn) RemoteAddr() string { return "sinkConn" }
 const holeDst = "urn:hole:b"
 
 // sinkStripe is an endpoint whose peer holeDst is reachable over two
-// sinkConn routes of the given MTU. Retries and the stall window are
-// hours away, so only an acknowledgement, a cancel or Close moves a
-// stripe it starts.
-func sinkStripe(t *testing.T, mtu int) (*Endpoint, [2]*sinkConn) {
+// sinkConn routes of the given MTU, stuck or not. Retries and the stall
+// window are hours away, so only an acknowledgement, a cancel or Close
+// moves a stripe it starts.
+func sinkStripe(t *testing.T, mtu int, stuck bool) (*Endpoint, [2]*sinkConn) {
 	t.Helper()
 	routes := []Route{{Transport: "attached", Addr: "hole-1"}, {Transport: "attached", Addr: "hole-2"}}
 	res := newTestResolver()
@@ -502,7 +560,7 @@ func sinkStripe(t *testing.T, mtu int) (*Endpoint, [2]*sinkConn) {
 	t.Cleanup(e.Close)
 	var conns [2]*sinkConn
 	for i, r := range routes {
-		conns[i] = &sinkConn{mtu: mtu, done: make(chan struct{})}
+		conns[i] = &sinkConn{mtu: mtu, stuck: stuck, done: make(chan struct{})}
 		e.AttachConn(r.String(), conns[i])
 	}
 	return e, conns
@@ -528,17 +586,17 @@ func holeMsg(e *Endpoint) *outMsg {
 		acked: make(chan struct{})}
 }
 
-// TestStripeCloseReleasesParkedWorkers: Close cancels a stripe whose
-// workers are parked on full windows with the stall verdict an hour
-// away, and the transmission returns at once.
+// TestStripeCloseReleasesParkedWorkers: Close ends a stripe whose
+// workers are both blocked in a Send that will not return on its own,
+// with the stall verdict hours away, and the transmission returns at
+// once.
 func TestStripeCloseReleasesParkedWorkers(t *testing.T) {
-	e, conns := sinkStripe(t, 1400)
+	e, conns := sinkStripe(t, 1400, true)
 	sent := make(chan error, 1)
 	go func() { sent <- e.Send(holeDst, 1, patternPayload(5, stripeThreshold)) }()
 	waitFor(t, 5*time.Second, func() bool {
-		return conns[0].frags.Load()+conns[1].frags.Load() == 2*stripeWindow
-	}, "both windows full")
-	time.Sleep(20 * time.Millisecond) // let both workers park
+		return conns[0].frags.Load() == 1 && conns[1].frags.Load() == 1
+	}, "both workers in Send")
 	start := time.Now()
 	e.Close()
 	select {
@@ -547,7 +605,7 @@ func TestStripeCloseReleasesParkedWorkers(t *testing.T) {
 			t.Fatalf("transmission released %v after Close", d)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("transmission still parked 1 s after Close")
+		t.Fatal("transmission still blocked 1 s after Close")
 	}
 }
 
@@ -555,7 +613,7 @@ func TestStripeCloseReleasesParkedWorkers(t *testing.T) {
 // its stripe registers (so handleAck found nothing to cancel) sends no
 // fragment.
 func TestStripeAckBeforeRegistrationMoots(t *testing.T) {
-	e, conns := sinkStripe(t, 64<<10)
+	e, conns := sinkStripe(t, 64<<10, false)
 	om := holeMsg(e)
 	close(om.acked)
 	transmitStripedT(t, e, om)
@@ -567,11 +625,10 @@ func TestStripeAckBeforeRegistrationMoots(t *testing.T) {
 	}
 }
 
-// TestStripeLateAcksChangeNothing: once a stripe has deregistered,
-// per-fragment acks and the message's ack reach neither its record nor
-// the frag_acks count.
+// TestStripeLateAcksChangeNothing: once a stripe has deregistered, the
+// message's ack no longer reaches its record.
 func TestStripeLateAcksChangeNothing(t *testing.T) {
-	e, conns := sinkStripe(t, 64<<10)
+	e, conns := sinkStripe(t, 64<<10, false)
 	om := holeMsg(e)
 	key := reasmKey{om.msg.Src, om.msg.Dst, om.msg.Seq}
 	var s *stripeState
@@ -587,24 +644,65 @@ func TestStripeLateAcksChangeNothing(t *testing.T) {
 		t.Fatal("no fragment sent")
 	}
 	s.mu.Lock()
-	before := append([]fragSlot(nil), s.slots...)
-	lastAck := s.lastAck
+	slots := append([]fragSlot(nil), s.slots...)
+	routes := append([]stripeRoute(nil), s.routes...)
 	s.mu.Unlock()
-	for i := range before {
-		e.handleFragAck(key.src, key.dst, key.seq, uint32(i))
-	}
 	e.handleAck(key.src, key.dst, key.seq)
-	if n := e.mFragAcks.Value(); n != 0 {
-		t.Fatalf("frag_acks = %d after acks for a deregistered stripe", n)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range before {
-		if s.slots[i] != before[i] {
-			t.Fatalf("fragment %d changed: %+v → %+v", i, before[i], s.slots[i])
+	if s.canceled || !slices.Equal(s.slots, slots) || !slices.Equal(s.routes, routes) {
+		t.Fatalf("record changed: canceled=%v, slots %+v → %+v, routes %+v → %+v", s.canceled, slots, s.slots, routes, s.routes)
+	}
+}
+
+// TestStripedSendWaitFrameCounts: a warmed 256 KiB SendWait at one P to
+// a sink listening on two TCP loopback routes (the msg_bulk topology)
+// costs 5 fragments and one single-ack frame: no fragment is
+// acknowledged on its own, so the message's ack travels alone.
+func TestStripedSendWaitFrameCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sink := NewEndpoint("urn:stripe-count-sink")
+	defer sink.Close()
+	var routes []Route
+	for i := 0; i < 2; i++ {
+		r, err := sink.Listen(ListenSpec{Transport: "tcp", Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes = append(routes, r)
+	}
+	src := NewEndpoint("urn:stripe-count-src", WithResolver(StaticResolver{"urn:stripe-count-sink": routes}))
+	defer src.Close()
+	payload := patternPayload(8, stripeThreshold)
+	op := func() {
+		if err := sendWaitT(src, "urn:stripe-count-sink", 7, payload, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recvT(sink, 10*time.Second); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if s.canceled || !s.lastAck.Equal(lastAck) {
-		t.Fatalf("record changed: canceled=%v, stall clock moved %v", s.canceled, s.lastAck.Sub(lastAck))
+	for i := 0; i < 20; i++ { // dial, hello, route scores
+		op()
+	}
+	names := []string{"striped", "fragments", "frag_requeues", "ack_frames", "ack_batches"}
+	srcBefore, sinkBefore := counters(src, names...), counters(sink, names...)
+	const n = 100
+	for i := 0; i < n; i++ {
+		op()
+	}
+	srcAfter, sinkAfter := counters(src, names...), counters(sink, names...)
+	perOp := func(before, after []uint64) []float64 {
+		out := make([]float64, len(names))
+		for i := range out {
+			out[i] = float64(after[i]-before[i]) / n
+		}
+		return out
+	}
+	if got, want := perOp(srcBefore, srcAfter), []float64{1, 5, 0, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("sender %v per op = %v, want %v", names, got, want)
+	}
+	if got, want := perOp(sinkBefore, sinkAfter), []float64{0, 0, 0, 1, 0}; !slices.Equal(got, want) {
+		t.Errorf("sink %v per op = %v, want %v", names, got, want)
 	}
 }
