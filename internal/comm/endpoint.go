@@ -87,8 +87,8 @@ type outMsg struct {
 	backoff     time.Duration // wait after lastAttempt before the next retry
 	attempts    int
 	flags       uint8         // stamped on every fragment of a single-route transmission: flagReplyExpected or 0
+	wrote       atomic.Bool   // a conn has taken a frame of it: its sequence number is spent (beside flags, in its padding)
 	acked       chan struct{} // closed on acknowledgement
-	wrote       atomic.Bool   // a conn has taken a frame of it: its sequence number is spent
 
 	// Pooled-payload bookkeeping: msg.Payload came from the payload
 	// pool and is recycled when the last reference drops. The system
