@@ -322,6 +322,34 @@ func TestMsgFrameRejectsBadFragments(t *testing.T) {
 	}
 }
 
+// TestReservedFrameTypesIgnored: types 4 and 6, which carried
+// per-fragment acks, are reserved; a frame of either, well formed in
+// its old layout, is dropped without retiring anything.
+func TestReservedFrameTypesIgnored(t *testing.T) {
+	const src, dst = "urn:reserved-src", "urn:reserved-dst"
+	e := NewEndpoint(src)
+	defer e.Close()
+	om := &outMsg{msg: Message{Src: src, Dst: dst, Seq: 1}, acked: make(chan struct{})}
+	e.shardFor(dst).outstanding[outKey{dst, 1}] = om
+	e.buffered.Add(1)
+	body := xdr.NewEncoder(64)
+	body.PutString(src)
+	body.PutString(dst)
+	body.PutUint64(1)
+	body.PutUint32(0) // fragment index
+	for _, frame := range [][]byte{
+		append([]byte{4}, body.Bytes()...),
+		append([]byte{6, 0, 0, 0, 1}, body.Bytes()...), // a batch of one
+	} {
+		if e.handleFrame(nil, nil, &peerNames{}, frame) {
+			t.Fatalf("type %d: frame buffer retained", frame[0])
+		}
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("%d messages pending after reserved frames, want the 1 they named", e.Pending())
+	}
+}
+
 func TestAckEncodeDecode(t *testing.T) {
 	buf := encodeAck("urn:src", "urn:dst", 77)
 	d := xdr.NewDecoder(buf)
