@@ -414,7 +414,10 @@ func TestStripeStallFailsSilentRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stuckRoute := Route{Transport: "attached", Addr: "stuck"}
+	// Ranked first, the stuck route is the transmitting goroutine's own:
+	// its first Send blocks before the healthy worker can take every
+	// fragment, and the healthy worker is the one that waits it out.
+	stuckRoute := Route{Transport: "attached", Addr: "stuck", RateBps: 1e9}
 	res := newTestResolver()
 	res.set("urn:stall:sink", stuckRoute, healthy)
 	src := NewEndpoint("urn:stall:src", WithResolver(res), WithRetryInterval(time.Hour), withStripeStall(stall))
@@ -432,7 +435,7 @@ func TestStripeStallFailsSilentRoute(t *testing.T) {
 	if !bytes.Equal(m.Payload, payload) {
 		t.Fatal("payload corrupted")
 	}
-	if took > stall+time.Second {
+	if took < stall || took > stall+time.Second {
 		t.Fatalf("delivery took %v with a %v stall window", took, stall)
 	}
 	if stuck.frags.Load() == 0 {
