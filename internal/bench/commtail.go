@@ -40,8 +40,8 @@ type CommTailPoint struct {
 	MaxUs       float64 `json:"max_us"`
 	GoodputMBps float64 `json:"goodput_mbps"` // aggregate acknowledged bytes / elapsed
 	ElapsedSec  float64 `json:"elapsed_sec"`
-	AckBatches  uint64  `json:"sink_ack_batches"`  // batched ack frames the sink emitted
-	AcksBatched uint64  `json:"sink_acks_batched"` // acks carried inside those batches
+	AckBatches  uint64  `json:"sink_ack_batches"`  // ack frames of more than one ack the sink sent
+	AcksBatched uint64  `json:"sink_acks_batched"` // acks carried inside those frames
 }
 
 // CommTailStream is one single-stream goodput measurement over a

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"sync"
 	"time"
-
-	"snipe/internal/xdr"
 )
 
 // Acknowledgement coalescing. The ack of a request is three read/write
@@ -21,17 +19,25 @@ import (
 //     endpoint sends that peer on a direct route takes it along in its
 //     trailer (Endpoint.takeOwed, from sendOn). If none leaves in time
 //     the timer sends it with whatever else is pending;
-//   - acks pending together leave in one batch frame; a batch of one
-//     encodes as the single-ack frame.
+//   - a flush sends one ack frame per (src, dst) pair pending. A
+//     connection carries one pair unless a gateway relays onto it.
 //
-// Each readLoop owns one coalescer for its connection; stop() flushes
-// any stragglers when the connection dies, and Quiesce, CloseListener
-// and Close flush what is parked before they act.
+// Both encodings are DESIGN.md's frame table. Each readLoop owns one
+// coalescer for its connection; stop() flushes any stragglers when the
+// connection dies, and Quiesce, CloseListener and Close flush what is
+// parked before they act.
 
-// ackBatchMax caps the entries in one batched ack frame or one message
-// frame's trailer; a full batch flushes immediately rather than waiting
-// out the timer.
+// ackBatchMax caps the entries in one ack list, in an ack frame or a
+// message frame's trailer; that many pending acks flush at once rather
+// than wait out the timer.
 const ackBatchMax = 64
+
+// ackRef identifies one pending acknowledgement.
+type ackRef struct {
+	src string // original message's sender
+	dst string // original message's destination (the acker)
+	seq uint64
+}
 
 type ackCoalescer struct {
 	e    *Endpoint
@@ -74,9 +80,8 @@ func (a *ackCoalescer) add(ref ackRef, now bool) {
 	a.mu.Lock()
 	a.acks = append(a.acks, ref)
 	if now || a.stopped || len(a.acks) >= ackBatchMax {
-		enc := a.takeLocked()
 		a.mu.Unlock()
-		a.send(enc)
+		a.flush()
 		return
 	}
 	if !a.timerArmed {
@@ -91,6 +96,14 @@ func (a *ackCoalescer) add(ref ackRef, now bool) {
 // the trailer of a frame about to leave for src.
 func (a *ackCoalescer) take(src, dst string, buf carriedAcks, limit int) carriedAcks {
 	a.mu.Lock()
+	buf = a.takeLocked(src, dst, buf, limit)
+	a.mu.Unlock()
+	return buf
+}
+
+// takeLocked is take with a.mu held; it disarms the timer once nothing
+// is pending.
+func (a *ackCoalescer) takeLocked(src, dst string, buf carriedAcks, limit int) carriedAcks {
 	kept := a.acks[:0]
 	for _, r := range a.acks {
 		if buf.count() < limit && r.src == src && r.dst == dst {
@@ -104,7 +117,6 @@ func (a *ackCoalescer) take(src, dst string, buf carriedAcks, limit int) carried
 		a.timerArmed = false
 		a.timer.Stop()
 	}
-	a.mu.Unlock()
 	return buf
 }
 
@@ -119,12 +131,33 @@ func (a *ackCoalescer) giveBack(src, dst string, acks carriedAcks) {
 	a.flush()
 }
 
-// flush sends everything pending; it is also the timer's AfterFunc body.
+// flush sends everything pending, one ack frame per (src, dst) pair; it
+// is also the timer's AfterFunc body. Each frame is composed under the
+// lock and sent outside it. Errors are ignored: a dead connection loses
+// acks the same way a dead wire would, and the sender's retransmission
+// recovers.
 func (a *ackCoalescer) flush() {
-	a.mu.Lock()
-	enc := a.takeLocked()
-	a.mu.Unlock()
-	a.send(enc)
+	var seqs [ackBatchMax * carriedAckSize]byte
+	for {
+		a.mu.Lock()
+		if len(a.acks) == 0 {
+			a.mu.Unlock()
+			return
+		}
+		src, dst := a.acks[0].src, a.acks[0].dst
+		acks := a.takeLocked(src, dst, seqs[:0], ackBatchMax)
+		a.mu.Unlock()
+		if n := acks.count(); n == 1 {
+			a.e.mAckFrames.Inc()
+		} else {
+			a.e.mAckBatches.Inc()
+			a.e.mAcksBatched.Add(uint64(n))
+		}
+		enc := getFrameEncoder() // pooled encoders are empty
+		putAck(enc, src, dst, acks)
+		a.conn.Send(enc.Bytes())
+		putFrameEncoder(enc)
+	}
 }
 
 // stop flushes anything pending and disarms the timer; the readLoop
@@ -133,50 +166,10 @@ func (a *ackCoalescer) flush() {
 func (a *ackCoalescer) stop() {
 	a.mu.Lock()
 	a.stopped = true
-	enc := a.takeLocked()
 	a.mu.Unlock()
 	a.timer.Stop()
-	a.send(enc)
+	a.flush()
 	a.e.forgetOwed(a)
-}
-
-// takeLocked drains the pending acks into one frame, encoded in a pooled
-// encoder, or returns nil when nothing was pending. Caller holds a.mu;
-// encoding under the lock keeps batch composition atomic, while
-// conn.Send happens outside it (see send).
-func (a *ackCoalescer) takeLocked() *xdr.Encoder {
-	if a.timerArmed {
-		a.timerArmed = false
-		a.timer.Stop()
-	}
-	n := len(a.acks)
-	if n == 0 {
-		return nil
-	}
-	enc := getFrameEncoder() // pooled encoders are empty
-	if n == 1 {
-		f := a.acks[0]
-		putAck(enc, f.src, f.dst, f.seq)
-		a.e.mAckFrames.Inc()
-	} else {
-		putAckBatch(enc, a.acks)
-		a.e.mAckBatches.Inc()
-		a.e.mAcksBatched.Add(uint64(n))
-	}
-	a.acks = a.acks[:0]
-	return enc
-}
-
-// send writes the frame takeLocked drained, outside the coalescer lock,
-// and recycles the encoder. Errors are ignored: a dead connection loses
-// acks the same way a dead wire would, and the sender's retransmission
-// recovers.
-func (a *ackCoalescer) send(enc *xdr.Encoder) {
-	if enc == nil {
-		return
-	}
-	a.conn.Send(enc.Bytes())
-	putFrameEncoder(enc)
 }
 
 // peerPair names one direction of a conversation: the messages src
@@ -210,7 +203,7 @@ func (e *Endpoint) forgetOwed(a *ackCoalescer) {
 // them appended to buf, and the coalescer to give them back to should
 // the frame not be sent.
 func (e *Endpoint) takeOwed(src, dst string, buf carriedAcks, room int) (*ackCoalescer, carriedAcks) {
-	limit := min((room-ackTrailerOverhead)/carriedAckSize, ackBatchMax)
+	limit := min(room/carriedAckSize, ackBatchMax)
 	if limit < 1 {
 		return nil, buf
 	}

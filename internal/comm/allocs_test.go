@@ -7,8 +7,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"snipe/internal/xdr"
 )
 
 // TestSendWaitAllocs is the tier-1 guard on the small-message fast path:
@@ -118,9 +116,9 @@ func TestStripedSendWaitAllocs(t *testing.T) {
 	t.Logf("striped 256 KiB SendWait: %.1f allocations, %.0f B", got, perOp)
 }
 
-// TestAckBatchDecodeAllocs: a full batch of end-to-end acks, handled
-// where the read loop hands it over, allocates nothing: its entries
-// decode into stack scratch and the URNs into the connection's memo.
+// TestAckBatchDecodeAllocs: an ack frame of a full batch, handled where
+// the read loop hands it over, allocates nothing: its entries are read
+// where they lie and the URNs come from the connection's memo.
 func TestAckBatchDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -131,22 +129,20 @@ func TestAckBatchDecodeAllocs(t *testing.T) {
 	om := &outMsg{msg: Message{Src: src, Dst: dst, Seq: 1}, acked: make(chan struct{})}
 	e.shardFor(dst).outstanding[outKey{dst, 1}] = om
 	e.buffered.Add(1)
-	refs := make([]ackRef, ackBatchMax)
-	for i := range refs {
-		refs[i] = ackRef{src: src, dst: dst, seq: uint64(i + 1)}
+	seqs := make([]uint64, ackBatchMax)
+	for i := range seqs {
+		seqs[i] = uint64(i + 1)
 	}
-	enc := xdr.NewEncoder(64)
-	putAckBatch(enc, refs)
-	frame := enc.Bytes()
+	frame := ackFrame(src, dst, seqs...)
 	var names peerNames
-	e.handleFrame(nil, nil, &names, frame) // the URN memo's first fill
+	e.handleFrame(nil, &names, frame) // the URN memo's first fill
 	select {
 	case <-om.acked:
 	default:
-		t.Fatal("the batch's first entry did not retire its message")
+		t.Fatal("the frame's first entry did not retire its message")
 	}
-	if got := testing.AllocsPerRun(100, func() { e.handleFrame(nil, nil, &names, frame) }); got != 0 {
-		t.Errorf("%d-entry ack batch: %.1f allocations, want 0", ackBatchMax, got)
+	if got := testing.AllocsPerRun(100, func() { e.handleFrame(nil, &names, frame) }); got != 0 {
+		t.Errorf("%d-ack frame: %.1f allocations, want 0", ackBatchMax, got)
 	}
 }
 

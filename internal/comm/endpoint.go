@@ -308,10 +308,11 @@ type Endpoint struct {
 	handlerQueue msgQueue
 	quiesced     bool // migration: stop accepting (and acking) new messages
 
-	// Gateway relay state (nil unless WithGatewayRelay); guarded by the
-	// package-level relayMu, not e.mu.
+	// Gateway relay state (nil unless WithGatewayRelay); guarded by
+	// relayMu, not e.mu: relays re-enter transmit, which takes e.mu.
 	gateway    bool
-	relayConns map[relayKey]FrameConn
+	relayMu    sync.Mutex
+	relayAcks  map[relayKey]*ackCoalescer
 	relayReasm map[reasmKey]*reassembly
 
 	closed atomic.Bool
@@ -332,9 +333,9 @@ type Endpoint struct {
 	mSendErrors   *stats.Counter
 	mStriped      *stats.Counter   // messages sent via the multi-path stripe path
 	mFragRequeues *stats.Counter   // fragments requeued off a failed route mid-stripe
-	mAckBatches   *stats.Counter   // batched ack frames sent
-	mAcksBatched  *stats.Counter   // individual acks carried inside batch frames
-	mAckFrames    *stats.Counter   // single-ack frames sent; with acks_batched and acks_piggybacked, every ack sent
+	mAckBatches   *stats.Counter   // ack frames sent with more than one ack
+	mAcksBatched  *stats.Counter   // acks carried inside those frames
+	mAckFrames    *stats.Counter   // one-ack frames sent; with acks_batched and acks_piggybacked, every ack sent
 	mAcksDeferred *stats.Counter   // end-to-end acks parked for a reply to carry
 	mAcksCarried  *stats.Counter   // end-to-end acks sent in a message frame's trailer
 	hAckLatency   *stats.Histogram // µs, send → end-to-end ack
@@ -916,7 +917,7 @@ func (e *Endpoint) readLoop(conn FrameConn, key string) {
 		if err != nil {
 			return
 		}
-		if !e.handleFrame(conn, ac, &names, frame) {
+		if !e.handleFrame(ac, &names, frame) {
 			putPayloadBuf(frame)
 		}
 	}
@@ -925,7 +926,7 @@ func (e *Endpoint) readLoop(conn FrameConn, key string) {
 // handleFrame dispatches one inbound frame. It reports whether
 // ownership of the frame buffer was retained (parked in a reassembly);
 // when false the caller recycles the buffer.
-func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, names *peerNames, frame []byte) (retained bool) {
+func (e *Endpoint) handleFrame(ac *ackCoalescer, names *peerNames, frame []byte) (retained bool) {
 	d := xdr.NewDecoder(frame)
 	ftype, err := d.Uint8()
 	if err != nil {
@@ -946,35 +947,21 @@ func (e *Endpoint) handleFrame(conn FrameConn, ac *ackCoalescer, names *peerName
 		}
 		// The acks a frame carries stand on their own: they count whatever
 		// becomes of the message part (delivered, duplicate, quiesced).
-		for i := 0; i < acks.count(); i++ {
-			e.handleAck(f.Dst, f.Src, acks.seq(i))
-		}
-		return e.handleMsgFrame(conn, ac, &f, frame)
+		e.handleAcks(f.Dst, f.Src, acks)
+		return e.handleMsgFrame(ac, &f, frame)
 
 	case frameAck:
-		src, dst, seq, err := decodeAck(d, names)
-		if err != nil {
-			return false
+		if src, dst, acks, err := decodeAck(d, names); err == nil {
+			e.handleAcks(src, dst, acks)
 		}
-		e.handleAck(src, dst, seq)
-
-	case frameAckBatch:
-		e.handleAckBatch(d, names)
 	}
 	return false
 }
 
-// handleAckBatch retires every entry of a batched acknowledgement frame.
-// A batch of up to ackBatchMax entries — any this build sends — decodes
-// into stack scratch.
-func (e *Endpoint) handleAckBatch(d *xdr.Decoder, names *peerNames) {
-	var scratch [ackBatchMax]ackRef
-	refs, err := decodeAckBatch(d, names, scratch[:0])
-	if err != nil {
-		return
-	}
-	for i := range refs {
-		e.handleAck(refs[i].src, refs[i].dst, refs[i].seq)
+// handleAcks retires the messages src sent dst that acks lists.
+func (e *Endpoint) handleAcks(src, dst string, acks carriedAcks) {
+	for i := 0; i < acks.count(); i++ {
+		e.handleAck(src, dst, acks.seq(i))
 	}
 }
 
@@ -1024,10 +1011,10 @@ func (e *Endpoint) handleAck(src, dst string, seq uint64) {
 // receive buffer backing f.Payload; the return value reports whether
 // its ownership was consumed (parked in a reassembly, or already
 // recycled on message completion) — when false the caller recycles it.
-func (e *Endpoint) handleMsgFrame(conn FrameConn, ac *ackCoalescer, f *msgFrame, buf []byte) (retained bool) {
+func (e *Endpoint) handleMsgFrame(ac *ackCoalescer, f *msgFrame, buf []byte) (retained bool) {
 	if f.Dst != e.urn {
 		if e.gateway {
-			return e.relayMsgFrame(conn, f, buf)
+			return e.relayMsgFrame(ac, f, buf)
 		}
 		// Not ours: accepting it would ack a message its recipient
 		// never saw, and its sequence number (kept per source, not per

@@ -482,7 +482,7 @@ func TestAckForAnotherSourceRetiresNothing(t *testing.T) {
 	binary.BigEndian.PutUint64(trailer[:], 1)
 	for name, frames := range map[string][][]byte{
 		"ack frame": {
-			encodeAck("urn:other", "urn:b", 1),
+			ackFrame("urn:other", "urn:b", 1),
 			encodeMsgFrame(&msgFrame{Src: "urn:b", Dst: "urn:other", Seq: 7, FragCount: 1}, nil),
 		},
 		"trailer": {
@@ -508,7 +508,7 @@ func TestAckForAnotherSourceRetiresNothing(t *testing.T) {
 			if n := a.Pending(); n != 1 {
 				t.Fatalf("%d messages outstanding after an ack naming urn:other, want 1", n)
 			}
-			conn.in <- encodeAck("urn:a", "urn:b", 1)
+			conn.in <- ackFrame("urn:a", "urn:b", 1)
 			waitFor(t, 5*time.Second, func() bool { return a.Pending() == 0 }, "urn:a's own ack did not retire its message")
 		})
 	}

@@ -36,20 +36,14 @@ import (
 	"snipe/internal/xdr"
 )
 
-// Frame types exchanged between endpoints, inside transport frames. A
-// batched acknowledgement frame (frameAckBatch) carries N single-ack
-// entries in one transport frame; a batch of one goes out as the
-// single-ack frame. An end-to-end ack has a third way to travel: in the
-// trailer of a message frame (flagAcks). Types 4 and 6 carried
-// per-fragment acknowledgements; they stay reserved, and a frame of
-// either, like any unknown type, is ignored. Both ends of a conversation
-// run the same build: the message frame was replaced outright when it
-// gained the trailer, with no version negotiation.
+// Frame types exchanged between endpoints, inside transport frames; the
+// layouts are DESIGN.md's frame table. An end-to-end ack travels as a
+// carriedAcks list, in an ack frame or in a message frame's trailer.
+// Types 4, 5 and 6 are retired and, like any unknown type, ignored.
 const (
-	frameHello    uint8 = 1 // sender identifies itself: URN
-	frameMsg      uint8 = 2 // one fragment of an application message
-	frameAck      uint8 = 3 // end-to-end acknowledgement of a message
-	frameAckBatch uint8 = 5 // batched end-to-end acknowledgements
+	frameHello uint8 = 1 // sender identifies itself: URN
+	frameMsg   uint8 = 2 // one fragment of an application message
+	frameAck   uint8 = 3 // end-to-end acknowledgements of messages
 )
 
 // Fragment flag bits carried in msgFrame.Flags. A frame with a bit
@@ -128,22 +122,18 @@ type msgFrame struct {
 	Payload   []byte
 }
 
-// carriedAcks is the trailer of a message frame: end-to-end acks that
-// ride with it, as they lie on the wire behind a uint32 count — one
-// big-endian uint64 sequence number each. An entry acknowledges the
-// message of that number which the frame's Dst sent to the frame's Src,
-// so the trailer repeats neither URN. Decoded, it aliases the frame
-// buffer and is read in place. It is cargo of the frame, not part of the
-// fragment, and travels beside the msgFrame rather than in it: a
-// fragment is cut from its message anew for every send (fragAt), and a
-// striped one never carries a trailer.
+// carriedAcks is a list of end-to-end acks as it lies on the wire: one
+// big-endian uint64 sequence number each, 1 to ackBatchMax of them,
+// running to the end of the frame. An ack frame names the pair the
+// entries belong to; a message frame's trailer names none, as its entries
+// acknowledge messages the frame's Dst sent its Src. Decoded, it aliases
+// the frame buffer and is read in place. A trailer is cargo of the frame,
+// not part of the fragment, and travels beside the msgFrame rather than
+// in it: a fragment is cut from its message anew for every send (fragAt),
+// and a striped one never carries a trailer.
 type carriedAcks []byte
 
-// ackTrailerOverhead is the trailer's count; each ack adds carriedAckSize.
-const (
-	ackTrailerOverhead = 4
-	carriedAckSize     = 8
-)
+const carriedAckSize = 8
 
 func (c carriedAcks) count() int { return len(c) / carriedAckSize }
 
@@ -151,12 +141,15 @@ func (c carriedAcks) seq(i int) uint64 {
 	return binary.BigEndian.Uint64(c[i*carriedAckSize:])
 }
 
-// wireSize is what the trailer adds to its frame.
-func (c carriedAcks) wireSize() int {
-	if len(c) == 0 {
-		return 0
+// decodeCarriedAcks reads the ack list that is the rest of the frame.
+// Its length alone sizes it, and must be whole entries, at least one and
+// at most ackBatchMax.
+func decodeCarriedAcks(d *xdr.Decoder) (carriedAcks, error) {
+	n := d.Remaining()
+	if n == 0 || n%carriedAckSize != 0 || n > ackBatchMax*carriedAckSize {
+		return nil, fmt.Errorf("%w: ack list of %d bytes", ErrBadFrame, n)
 	}
-	return ackTrailerOverhead + len(c)
+	return d.Raw(n)
 }
 
 func encodeHello(urn string) []byte {
@@ -177,7 +170,7 @@ func decodeHello(d *xdr.Decoder) (string, error) {
 const msgFrameOverhead = 34
 
 func encodeMsgFrame(f *msgFrame, acks carriedAcks) []byte {
-	e := xdr.NewEncoder(msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload) + acks.wireSize())
+	e := xdr.NewEncoder(msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload) + len(acks))
 	return encodeMsgFrameInto(e, f, acks)
 }
 
@@ -202,10 +195,7 @@ func encodeMsgFrameInto(e *xdr.Encoder, f *msgFrame, acks carriedAcks) []byte {
 	}
 	e.PutUint8(flags)
 	e.PutBytes(f.Payload)
-	if len(acks) > 0 {
-		e.PutUint32(uint32(acks.count()))
-		e.PutRaw(acks)
-	}
+	e.PutRaw(acks)
 	return e.Bytes()
 }
 
@@ -277,96 +267,25 @@ func decodeMsgFrame(d *xdr.Decoder, names *peerNames) (f msgFrame, acks carriedA
 		}
 		return f, nil, nil
 	}
-	// The trailer is the rest of the frame: the count must say exactly
-	// that, which bounds it before anything is sized by it.
-	rest := d.Remaining()
-	n, err := d.Uint32()
-	if err != nil || n == 0 || n > ackBatchMax || int(n)*carriedAckSize != d.Remaining() {
-		return f, nil, fmt.Errorf("%w: ack trailer of %d bytes, count %d", ErrBadFrame, rest, n)
-	}
-	acks, err = d.Raw(d.Remaining())
+	acks, err = decodeCarriedAcks(d)
 	return f, acks, err
 }
 
-// Acknowledgement frames. The put* forms append one frame to an
-// encoder the caller owns (the ack coalescer's pooled one); the encode*
-// forms build a right-sized frame of their own.
-
-// ackFrameOverhead is an end-to-end ack frame beyond its URNs: frame
-// type, two URN length prefixes, seq.
-const ackFrameOverhead = 17
-
-func putAck(e *xdr.Encoder, src, dst string, seq uint64) {
+// putAck appends an ack frame: the acknowledged messages' sender and
+// destination (the acker), then their sequence numbers.
+func putAck(e *xdr.Encoder, src, dst string, acks carriedAcks) {
 	e.PutUint8(frameAck)
-	e.PutString(src) // original message's sender
-	e.PutString(dst) // original message's destination (the acker)
-	e.PutUint64(seq)
+	e.PutString(src)
+	e.PutString(dst)
+	e.PutRaw(acks)
 }
 
-func encodeAck(src, dst string, seq uint64) []byte {
-	e := xdr.NewEncoder(ackFrameOverhead + len(src) + len(dst))
-	putAck(e, src, dst, seq)
-	return e.Bytes()
-}
-
-func decodeAck(d *xdr.Decoder, names *peerNames) (src, dst string, seq uint64, err error) {
+func decodeAck(d *xdr.Decoder, names *peerNames) (src, dst string, acks carriedAcks, err error) {
 	if src, dst, err = names.decode(d); err != nil {
-		return
+		return "", "", nil, err
 	}
-	seq, err = d.Uint64()
-	return
-}
-
-// ackRef identifies one acknowledged message within a batched
-// acknowledgement frame.
-type ackRef struct {
-	src string // original message's sender
-	dst string // original message's destination (the acker)
-	seq uint64
-}
-
-// putAckBatch appends a batched acknowledgement frame.
-func putAckBatch(e *xdr.Encoder, refs []ackRef) {
-	e.PutUint8(frameAckBatch)
-	e.PutUint32(uint32(len(refs)))
-	for i := range refs {
-		r := &refs[i]
-		e.PutString(r.src)
-		e.PutString(r.dst)
-		e.PutUint64(r.seq)
-	}
-}
-
-// decodeAckBatch reads the entries of a batched acknowledgement frame.
-// The entries go into scratch, the caller's empty slice, unless there
-// are more of them than it holds.
-func decodeAckBatch(d *xdr.Decoder, names *peerNames, scratch []ackRef) ([]ackRef, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	// Each entry costs at least 16 encoded bytes (two string length
-	// prefixes + u64); a count beyond the remaining bytes is hostile —
-	// fail before preallocating.
-	if int64(n)*16 > int64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: ack batch count %d exceeds remaining %d bytes",
-			ErrBadFrame, n, d.Remaining())
-	}
-	refs := scratch[:0]
-	if int(n) > cap(scratch) {
-		refs = make([]ackRef, 0, n)
-	}
-	for i := uint32(0); i < n; i++ {
-		var r ackRef
-		if r.src, r.dst, err = names.decode(d); err != nil {
-			return nil, err
-		}
-		if r.seq, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		refs = append(refs, r)
-	}
-	return refs, nil
+	acks, err = decodeCarriedAcks(d)
+	return src, dst, acks, err
 }
 
 // fragCount is the number of fragments a payload of n bytes takes at

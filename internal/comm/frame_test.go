@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -206,13 +206,20 @@ func TestMsgFrameEncodeDecode(t *testing.T) {
 	}
 }
 
-// seqTrailer builds the trailer a sender would for these acks.
+// seqTrailer builds the ack list a sender would for these acks.
 func seqTrailer(seqs ...uint64) carriedAcks {
 	var c carriedAcks
 	for _, q := range seqs {
 		c = binary.BigEndian.AppendUint64(c, q)
 	}
 	return c
+}
+
+// ackFrame is the ack frame for the messages src sent dst under seqs.
+func ackFrame(src, dst string, seqs ...uint64) []byte {
+	e := xdr.NewEncoder(64)
+	putAck(e, src, dst, seqTrailer(seqs...))
+	return e.Bytes()
 }
 
 // TestMsgFrameWire pins the message frame byte for byte, trailer
@@ -231,15 +238,14 @@ func TestMsgFrameWire(t *testing.T) {
 		0, 0, 0, 1, // fragment count
 		flagReplyExpected | flagAcks,
 		0, 0, 0, 1, 0xee, // payload
-		0, 0, 0, 2, // carried acks: count
-		0, 0, 0, 0, 0, 0, 0, 7,
+		0, 0, 0, 0, 0, 0, 0, 7, // carried acks, to the end of the frame
 		0, 0, 0, 1, 0, 0, 0, 0,
 	}
 	got := encodeMsgFrame(f, acks)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("wire bytes\n got %x\nwant %x", got, want)
 	}
-	if n := msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload) + ackTrailerOverhead + 2*carriedAckSize; len(got) != n {
+	if n := msgFrameOverhead + len(f.Src) + len(f.Dst) + len(f.Payload) + 2*carriedAckSize; len(got) != n {
 		t.Fatalf("frame is %d bytes, the overhead constants say %d", len(got), n)
 	}
 	dec, carried, err := decodeMsgFrame(xdr.NewDecoder(got[1:]), &peerNames{})
@@ -257,8 +263,8 @@ func TestMsgFrameWire(t *testing.T) {
 }
 
 // TestMsgFrameRejectsBadTrailers: the flag and the trailer come together
-// or not at all, the count is the rest of the frame exactly, and a flag
-// bit this build does not know is not guessed at.
+// or not at all, the trailer is whole entries, at least one and at most
+// a batch, and a flag bit this build does not know is not guessed at.
 func TestMsgFrameRejectsBadTrailers(t *testing.T) {
 	f := &msgFrame{Src: "a", Dst: "b", Seq: 1, FragCount: 1, Payload: []byte("xy")}
 	two := seqTrailer(3, 4)
@@ -267,29 +273,21 @@ func TestMsgFrameRejectsBadTrailers(t *testing.T) {
 	// withFlags is the body with its flags byte rewritten.
 	withFlags := func(acks carriedAcks, edit func(flags uint8) uint8) []byte {
 		b := body(acks)
-		at := len(b) - acks.wireSize() - 4 - len(f.Payload) - 1
+		at := len(b) - len(acks) - 4 - len(f.Payload) - 1
 		b[at] = edit(b[at])
 		return b
 	}
-	// withCount is the two-ack body with its count rewritten.
-	withCount := func(n uint32) []byte {
-		b := body(two)
-		binary.BigEndian.PutUint32(b[len(b)-len(two)-4:], n)
-		return b
-	}
+	flagged := withFlags(nil, func(fl uint8) uint8 { return fl | flagAcks })
 	for name, b := range map[string][]byte{
 		"unknown flag bit":         withFlags(nil, func(fl uint8) uint8 { return fl | 1<<3 }),
 		"top flag bit":             withFlags(nil, func(fl uint8) uint8 { return fl | 1<<7 }),
-		"flag without trailer":     withFlags(nil, func(fl uint8) uint8 { return fl | flagAcks }),
+		"flag without trailer":     flagged,
 		"trailer without flag":     withFlags(two, func(fl uint8) uint8 { return fl &^ flagAcks }),
 		"bytes behind the payload": append(body(nil), 0),
-		"count of zero":            append(withFlags(nil, func(fl uint8) uint8 { return fl | flagAcks }), 0, 0, 0, 0),
-		"count above the entries":  withCount(3),
-		"count below the entries":  withCount(1),
-		"hostile count":            withCount(0xffffffff),
-		"count that wraps":         withCount(0x20000002), // times 8 is 16 in 32-bit arithmetic
 		"half an entry":            body(two)[:len(body(two))-4],
-		"count cut short":          body(two)[:len(body(two))-len(two)-2],
+		"an entry and a byte":      append(body(two), 0),
+		"less than an entry":       slices.Concat(flagged, []byte{0, 0, 0, 0}),
+		"the old layout's count":   slices.Concat(flagged, []byte{0, 0, 0, 2}, two),
 		"more than a batch":        body(seqTrailer(make([]uint64, ackBatchMax+1)...)),
 	} {
 		if _, _, err := decodeMsgFrame(xdr.NewDecoder(b), &peerNames{}); err == nil {
@@ -323,8 +321,9 @@ func TestMsgFrameRejectsBadFragments(t *testing.T) {
 }
 
 // TestReservedFrameTypesIgnored: types 4 and 6, which carried
-// per-fragment acks, are reserved; a frame of either, well formed in
-// its old layout, is dropped without retiring anything.
+// per-fragment acks, and 5, which carried a batch of acks each naming its
+// URNs, are reserved; a frame of any of them, well formed in its old
+// layout, is dropped without retiring anything.
 func TestReservedFrameTypesIgnored(t *testing.T) {
 	const src, dst = "urn:reserved-src", "urn:reserved-dst"
 	e := NewEndpoint(src)
@@ -332,16 +331,14 @@ func TestReservedFrameTypesIgnored(t *testing.T) {
 	om := &outMsg{msg: Message{Src: src, Dst: dst, Seq: 1}, acked: make(chan struct{})}
 	e.shardFor(dst).outstanding[outKey{dst, 1}] = om
 	e.buffered.Add(1)
-	body := xdr.NewEncoder(64)
-	body.PutString(src)
-	body.PutString(dst)
-	body.PutUint64(1)
-	body.PutUint32(0) // fragment index
+	ack := ackFrame(src, dst, 1)[1:] // src, dst, seq
+	fragIdx := []byte{0, 0, 0, 0}
 	for _, frame := range [][]byte{
-		append([]byte{4}, body.Bytes()...),
-		append([]byte{6, 0, 0, 0, 1}, body.Bytes()...), // a batch of one
+		slices.Concat([]byte{4}, ack, fragIdx),
+		slices.Concat([]byte{5, 0, 0, 0, 1}, ack),          // a batch of one
+		slices.Concat([]byte{6, 0, 0, 0, 1}, ack, fragIdx), // a batch of one
 	} {
-		if e.handleFrame(nil, nil, &peerNames{}, frame) {
+		if e.handleFrame(nil, &peerNames{}, frame) {
 			t.Fatalf("type %d: frame buffer retained", frame[0])
 		}
 	}
@@ -350,61 +347,56 @@ func TestReservedFrameTypesIgnored(t *testing.T) {
 	}
 }
 
+// TestAckEncodeDecode pins the ack frame byte for byte: one ack is what
+// the single-ack frame of type 3 always was (src, dst, seq), and more
+// follow it to the end of the frame, naming the pair once.
 func TestAckEncodeDecode(t *testing.T) {
-	buf := encodeAck("urn:src", "urn:dst", 77)
-	d := xdr.NewDecoder(buf)
-	ftype, _ := d.Uint8()
-	if ftype != frameAck {
+	one := []byte{
+		frameAck,
+		0, 0, 0, 2, 'a', 'b', // src
+		0, 0, 0, 1, 'c', // dst
+		0, 0, 0, 0, 0, 0, 0, 77, // seq
+	}
+	if got := ackFrame("ab", "c", 77); !bytes.Equal(got, one) {
+		t.Fatalf("one-ack frame\n got %x\nwant %x", got, one)
+	}
+	three := append(slices.Clone(one), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9)
+	if got := ackFrame("ab", "c", 77, 1<<32, 9); !bytes.Equal(got, three) {
+		t.Fatalf("three-ack frame\n got %x\nwant %x", got, three)
+	}
+	d := xdr.NewDecoder(three)
+	if ftype, _ := d.Uint8(); ftype != frameAck {
 		t.Fatalf("frame type %d", ftype)
 	}
-	src, dst, seq, err := decodeAck(d, &peerNames{})
-	if err != nil || src != "urn:src" || dst != "urn:dst" || seq != 77 {
-		t.Fatalf("ack round trip: %s %s %d %v", src, dst, seq, err)
+	src, dst, acks, err := decodeAck(d, &peerNames{})
+	if err != nil || src != "ab" || dst != "c" || acks.count() != 3 ||
+		acks.seq(0) != 77 || acks.seq(1) != 1<<32 || acks.seq(2) != 9 {
+		t.Fatalf("ack round trip: %s %s %x %v", src, dst, []byte(acks), err)
 	}
 }
 
-// ackBatchBody is a batch frame of n entries after its type byte.
-func ackBatchBody(n int) ([]ackRef, []byte) {
-	refs := make([]ackRef, n)
-	for i := range refs {
-		refs[i] = ackRef{src: fmt.Sprintf("urn:s%d", i%3), dst: "urn:d", seq: uint64(i) << 20}
-	}
-	e := xdr.NewEncoder(64)
-	putAckBatch(e, refs)
-	return refs, e.Bytes()[1:]
-}
-
-// TestAckBatchBeyondScratch: a batch longer than the caller's scratch
-// (which no build sends, but the wire allows) still decodes entry for
-// entry, into a slice of its own.
-func TestAckBatchBeyondScratch(t *testing.T) {
-	want, body := ackBatchBody(3*ackBatchMax + 1)
-	var scratch [ackBatchMax]ackRef
-	got, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, scratch[:0])
-	if err != nil || len(got) != len(want) {
-		t.Fatalf("%d of %d entries, %v", len(got), len(want), err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestAckBatchHostileCount: a count the frame's bytes cannot hold fails
-// as a bad frame before anything is sized by it, whether or not it would
-// have fit the scratch.
-func TestAckBatchHostileCount(t *testing.T) {
-	for _, count := range []uint32{2, ackBatchMax + 1, 1000, 0xffffffff} {
-		_, body := ackBatchBody(1)
-		binary.BigEndian.PutUint32(body, count)
+// TestAckFrameRejectsBadLists: an ack frame's list is the rest of the
+// frame and is sized by it alone, so a list that is not whole entries,
+// is empty or is longer than a batch fails as a bad frame, and a refusal
+// allocates nothing.
+func TestAckFrameRejectsBadLists(t *testing.T) {
+	body := ackFrame("urn:s", "urn:d", make([]uint64, 2)...)[1:]
+	for name, b := range map[string][]byte{
+		"no entry":          body[:len(body)-2*carriedAckSize],
+		"half an entry":     body[:len(body)-4],
+		"an entry and more": append(slices.Clone(body), 0),
+		"more than a batch": ackFrame("urn:s", "urn:d", make([]uint64, ackBatchMax+1)...)[1:],
+		"cut in a URN":      body[:6],
+	} {
+		names := peerNames{src: "urn:s", dst: "urn:d"}
 		decode := func() error {
-			var scratch [ackBatchMax]ackRef
-			_, err := decodeAckBatch(xdr.NewDecoder(body), &peerNames{}, scratch[:0])
+			_, _, _, err := decodeAck(xdr.NewDecoder(b), &names)
 			return err
 		}
-		if err := decode(); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("count %d over one entry: %v, want ErrBadFrame", count, err)
+		if err := decode(); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if name != "cut in a URN" && !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: %v, want ErrBadFrame", name, err)
 		}
 		if raceEnabled {
 			continue
@@ -416,7 +408,7 @@ func TestAckBatchHostileCount(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 512 {
-			t.Errorf("count %d: %d bytes allocated per refusal", count, per)
+			t.Errorf("%s: %d bytes allocated per refusal", name, per)
 		}
 	}
 }
@@ -478,7 +470,8 @@ func TestQuickRouteRoundTrip(t *testing.T) {
 // TestEncodeHelpersFitTheirCapacity: every encode* helper sizes its
 // buffer from the frame it is about to build, so building it must be one
 // allocation — a second means the size hint is short and the last Put
-// regrew the buffer (as encodeAck's did, by one byte, on every ack).
+// regrew the buffer (as the ack frame's once did, by one byte, on every
+// ack).
 func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -491,7 +484,6 @@ func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
 			"encodeHello":              func() []byte { return encodeHello(src) },
 			"encodeMsgFrame":           func() []byte { return encodeMsgFrame(frame, nil) },
 			"encodeMsgFrame with acks": func() []byte { return encodeMsgFrame(frame, acks) },
-			"encodeAck":                func() []byte { return encodeAck(src, dst, 7) },
 		} {
 			if got := testing.AllocsPerRun(20, func() { encode() }); got != 1 {
 				t.Errorf("%s with %d-byte URNs: %.0f allocations, want 1", name, len(src), got)
@@ -499,7 +491,7 @@ func TestEncodeHelpersFitTheirCapacity(t *testing.T) {
 		}
 		// And the constants are exact, not merely large enough.
 		for name, carried := range map[string]carriedAcks{"plain": nil, "carrying": acks} {
-			want := msgFrameOverhead + len(src) + len(dst) + len(frame.Payload) + carried.wireSize()
+			want := msgFrameOverhead + len(src) + len(dst) + len(frame.Payload) + len(carried)
 			if b := encodeMsgFrame(frame, carried); len(b) != want || cap(b) != want {
 				t.Errorf("%s frame with %d-byte URNs: len %d cap %d, want %d", name, len(src), len(b), cap(b), want)
 			}

@@ -4,7 +4,6 @@ package comm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"snipe/internal/xdr"
@@ -30,10 +29,8 @@ func FuzzDecodeMsgFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	// A trailer whose count promises more than the frame holds.
-	hostile := encodeMsgFrame(&msgFrame{Src: "a", Dst: "b", Seq: 1, FragCount: 1}, seqTrailer(1))[1:]
-	binary.BigEndian.PutUint32(hostile[len(hostile)-12:], 0xffffffff)
-	f.Add(hostile)
+	// A trailer of half an entry.
+	f.Add(encodeMsgFrame(&msgFrame{Src: "a", Dst: "b", Seq: 1, FragCount: 1}, seqTrailer(1)[:4])[1:])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var names peerNames // shared by both decodes: the second takes the reuse path
 		fr, acks, err := decodeMsgFrame(xdr.NewDecoder(b), &names)
@@ -80,55 +77,32 @@ func FuzzDecodeHello(f *testing.F) {
 }
 
 func FuzzDecodeAck(f *testing.F) {
-	f.Add(encodeAck("urn:snipe:a", "urn:snipe:b", 42)[1:])
-	f.Add(encodeAck("", "", 0)[1:])
+	f.Add(ackFrame("urn:snipe:a", "urn:snipe:b", 42)[1:])
+	f.Add(ackFrame("", "", 0)[1:])
 	f.Add([]byte{0, 0, 0, 9})
+	f.Add(ackFrame("urn:snipe:a", "urn:snipe:b", 1, 2, 1<<40)[1:])
+	f.Add(ackFrame("urn:snipe:a", "urn:snipe:b", make([]uint64, ackBatchMax)...)[1:])
+	f.Add(ackFrame("urn:snipe:a", "urn:snipe:b", make([]uint64, ackBatchMax+1)...)[1:])
+	f.Add(ackFrame("urn:snipe:a", "urn:snipe:b")[1:]) // no entry
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var names peerNames
-		src, dst, seq, err := decodeAck(xdr.NewDecoder(b), &names)
+		var names peerNames // shared by both decodes: the second takes the reuse path
+		src, dst, acks, err := decodeAck(xdr.NewDecoder(b), &names)
 		if err != nil {
 			return
 		}
-		b2 := encodeAck(src, dst, seq)[1:]
-		s2, d2, q2, err := decodeAck(xdr.NewDecoder(b2), &names)
-		if err != nil || s2 != src || d2 != dst || q2 != seq {
-			t.Fatalf("ack round-trip mismatch: %q %q %d err=%v", s2, d2, q2, err)
+		if n := acks.count(); n < 1 || n > ackBatchMax || len(acks) != n*carriedAckSize {
+			t.Fatalf("decodeAck accepted a %d-byte ack list", len(acks))
 		}
-	})
-}
-
-// encodeAckBatchSeed builds a batch frame body (frame-type byte
-// stripped) for fuzz seeding.
-func encodeAckBatchSeed(refs []ackRef) []byte {
-	e := xdr.NewEncoder(64)
-	putAckBatch(e, refs)
-	return e.Bytes()[1:]
-}
-
-func FuzzDecodeAckBatch(f *testing.F) {
-	f.Add(encodeAckBatchSeed([]ackRef{
-		{src: "urn:snipe:a", dst: "urn:snipe:b", seq: 1},
-		{src: "urn:snipe:a", dst: "urn:snipe:b", seq: 2},
-	}))
-	f.Add(encodeAckBatchSeed(nil))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count, no entries
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var names peerNames
-		var scratch, scratch2 [ackBatchMax]ackRef
-		refs, err := decodeAckBatch(xdr.NewDecoder(b), &names, scratch[:0])
-		if err != nil {
-			return
+		// A successful decode consumed the whole frame, so encoding it
+		// again gives the same bytes, and they decode to the same acks.
+		e := xdr.NewEncoder(len(b) + 1)
+		putAck(e, src, dst, acks)
+		if !bytes.Equal(e.Bytes()[1:], b) {
+			t.Fatalf("re-encoding differs:\n got %x\nfrom %x", e.Bytes()[1:], b)
 		}
-		// A successful decode must round-trip entry for entry.
-		b2 := encodeAckBatchSeed(refs)
-		again, err := decodeAckBatch(xdr.NewDecoder(b2), &names, scratch2[:0])
-		if err != nil || len(again) != len(refs) {
-			t.Fatalf("re-decode: %d entries, err=%v (want %d)", len(again), err, len(refs))
-		}
-		for i := range refs {
-			if again[i].src != refs[i].src || again[i].dst != refs[i].dst || again[i].seq != refs[i].seq {
-				t.Fatalf("entry %d mismatch: %+v vs %+v", i, refs[i], again[i])
-			}
+		s2, d2, acks2, err := decodeAck(xdr.NewDecoder(e.Bytes()[1:]), &names)
+		if err != nil || s2 != src || d2 != dst || !bytes.Equal(acks2, acks) {
+			t.Fatalf("ack round-trip mismatch: %q %q %x err=%v", s2, d2, []byte(acks2), err)
 		}
 	})
 }

@@ -1,17 +1,15 @@
 package comm
 
-import "sync"
-
 // Gateways implement §5.1: "other protocols can be used — either via a
 // gateway (for non-IP capable hosts), or between IP-capable hosts that
 // also share a faster communications medium". A process that cannot be
 // reached directly advertises a route of transport "gw" whose address
 // is a gateway endpoint's URN; senders deliver through the gateway,
 // which relays frames to the destination and routes the destination's
-// end-to-end acknowledgements back.
+// end-to-end acknowledgements back, in the frames of DESIGN.md's table.
 //
-// The gateway is stateless apart from the (src, dst, seq) → origin
-// connection table used to return acknowledgements: reliability stays
+// The gateway is stateless apart from the table that maps (src, dst,
+// seq) to the ack coalescer of the origin connection: reliability stays
 // end-to-end (the origin's system buffer retries through the gateway
 // until the destination's ack makes it back), so a gateway crash is
 // just another recoverable path failure.
@@ -26,7 +24,7 @@ const GatewayTransport = "gw"
 func WithGatewayRelay() EndpointOption {
 	return func(e *Endpoint) {
 		e.gateway = true
-		e.relayConns = make(map[relayKey]FrameConn)
+		e.relayAcks = make(map[relayKey]*ackCoalescer)
 		e.relayReasm = make(map[reasmKey]*reassembly)
 	}
 }
@@ -49,21 +47,18 @@ type relayKey struct {
 // retries).
 const relayTableMax = 65536
 
-// relayMu guards the relay tables (kept separate from e.mu: relays
-// re-enter transmit, which takes e.mu).
-var relayMu sync.Mutex
-
 // relayMsgFrame forwards one frame's message toward its destination.
 // Whole messages are reassembled and re-fragmented so the outbound MTU
-// may differ from the inbound one. buf is the pooled receive buffer
-// backing f.Payload; the return value reports whether its ownership
-// was consumed, mirroring handleMsgFrame.
-func (e *Endpoint) relayMsgFrame(conn FrameConn, f *msgFrame, buf []byte) (retained bool) {
+// may differ from the inbound one. ac is the coalescer of the connection
+// the frame arrived on, which takes the message's ack back. buf is the
+// pooled receive buffer backing f.Payload; the return value reports
+// whether its ownership was consumed, mirroring handleMsgFrame.
+func (e *Endpoint) relayMsgFrame(ac *ackCoalescer, f *msgFrame, buf []byte) (retained bool) {
 	key := reasmKey{f.Src, f.Dst, f.Seq}
-	relayMu.Lock()
+	e.relayMu.Lock()
 	payload, parts, retained, err := collect(e.relayReasm, key, f, buf)
 	if err != nil || (payload == nil && parts == nil) {
-		relayMu.Unlock()
+		e.relayMu.Unlock()
 		return retained
 	}
 	if parts != nil {
@@ -71,11 +66,11 @@ func (e *Endpoint) relayMsgFrame(conn FrameConn, f *msgFrame, buf []byte) (retai
 		// of its own, sized to the message.
 		payload = parts.assemble(make([]byte, parts.size))
 	}
-	if len(e.relayConns) >= relayTableMax {
-		e.relayConns = make(map[relayKey]FrameConn)
+	if len(e.relayAcks) >= relayTableMax {
+		e.relayAcks = make(map[relayKey]*ackCoalescer)
 	}
-	e.relayConns[relayKey{f.Src, f.Dst, f.Seq}] = conn
-	relayMu.Unlock()
+	e.relayAcks[relayKey{f.Src, f.Dst, f.Seq}] = ac
+	e.relayMu.Unlock()
 
 	om := &outMsg{
 		msg:   Message{Src: f.Src, Dst: f.Dst, Tag: f.Tag, Seq: f.Seq, Payload: payload},
@@ -87,23 +82,22 @@ func (e *Endpoint) relayMsgFrame(conn FrameConn, f *msgFrame, buf []byte) (retai
 	return retained
 }
 
-// relayAck routes a destination's acknowledgement back to the origin
-// connection, returning true if this ack belonged to a relayed
-// message.
+// relayAck hands a destination's acknowledgement to the coalescer of
+// the origin connection, returning true if this ack belonged to a
+// relayed message.
 func (e *Endpoint) relayAck(src, dst string, seq uint64) bool {
 	if !e.gateway {
 		return false
 	}
 	key := relayKey{src, dst, seq}
-	relayMu.Lock()
-	conn, ok := e.relayConns[key]
+	e.relayMu.Lock()
+	ac, ok := e.relayAcks[key]
 	if ok {
-		delete(e.relayConns, key)
+		delete(e.relayAcks, key)
 	}
-	relayMu.Unlock()
-	if !ok {
-		return false
+	e.relayMu.Unlock()
+	if ok {
+		ac.ack(src, dst, seq)
 	}
-	conn.Send(encodeAck(src, dst, seq))
-	return true
+	return ok
 }

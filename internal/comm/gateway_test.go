@@ -215,9 +215,9 @@ func TestGatewayStreamEchoPiggybacksNothing(t *testing.T) {
 			got[0], calls, got[1], got[2])
 	}
 	waitFor(t, 3*time.Second, func() bool {
-		relayMu.Lock()
-		defer relayMu.Unlock()
-		return len(gateway.relayConns) == 0
+		gateway.relayMu.Lock()
+		defer gateway.relayMu.Unlock()
+		return len(gateway.relayAcks) == 0
 	}, "the gateway still holds ack routes for relayed messages")
 }
 

@@ -17,7 +17,7 @@ import (
 // one value make a decoder take the wrong arm; reusing a retired value
 // makes a new-version frame parse as the old meaning on a peer that
 // has not upgraded, which is exactly the silent mixed-version collision
-// the batched-ack frames were designed to avoid.
+// a format replaced without version negotiation must not meet.
 //
 // Retiring a discriminant: delete the constant, then add its value to
 // the space's retired map below with a note naming what it meant. The
@@ -39,14 +39,18 @@ func taguniqIn(pkgPath, pattern string) func(string, string) bool {
 
 var taguniqTagName = regexp.MustCompile(`^Tag[A-Z]`)
 
-// taguniqSpaces is the registry. No space has retired values yet; the
-// maps are the tombstone mechanism (exercised by the fixture corpus).
+// taguniqSpaces is the registry; the retired maps are the tombstone
+// mechanism (also exercised by the fixture corpus).
 func taguniqSpaces() []*taguniqSpace {
 	return []*taguniqSpace{
 		{
-			name:    "comm frame type",
-			member:  taguniqIn("snipe/internal/comm", `^frame[A-Z]`),
-			retired: map[int64]string{},
+			name:   "comm frame type",
+			member: taguniqIn("snipe/internal/comm", `^frame[A-Z]`),
+			retired: map[int64]string{
+				4: "frameFragAck, one fragment's ack",
+				5: "frameAckBatch, acks each naming src and dst",
+				6: "frameFragAckBatch, fragment acks behind a count",
+			},
 		},
 		{
 			name:    "comm stream frame kind",
