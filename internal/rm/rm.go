@@ -408,9 +408,14 @@ type Client struct {
 	cat naming.Catalog
 	ep  *comm.Endpoint
 
-	mu        sync.Mutex
-	nextReqID uint64
-	timeout   time.Duration
+	mu      sync.Mutex
+	timeout time.Duration
+
+	// reqMu keeps one request in flight, held across its send and its
+	// await: awaitResp drops a reply that is not its own, which would
+	// lose the reply of a second request in flight.
+	reqMu     sync.Mutex
+	nextReqID uint64 // guarded by reqMu
 }
 
 // NewClient builds an RM client over an existing endpoint.
@@ -442,19 +447,19 @@ func (c *Client) request(op uint8, body func(*xdr.Encoder)) (string, error) {
 	c.mu.Lock()
 	timeout := c.timeout
 	c.mu.Unlock()
+	c.reqMu.Lock()
+	defer c.reqMu.Unlock()
 	var lastErr error = ErrNoManagers
 	for _, rmURN := range rms {
-		c.mu.Lock()
 		c.nextReqID++
 		reqID := c.nextReqID
-		c.mu.Unlock()
 		e := xdr.NewEncoder(128)
 		e.PutUint64(reqID)
 		e.PutUint8(op)
 		if body != nil {
 			body(e)
 		}
-		if err := c.ep.Send(rmURN, task.TagRM, e.Bytes()); err != nil {
+		if err := c.ep.Send(rmURN, task.TagRM, e.Bytes()); err != nil { //lint:allow lockedio reqMu is held across the exchange on purpose: one request in flight per client
 			lastErr = err
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,6 +222,39 @@ func TestClientCrashedManagerTimeoutFailover(t *testing.T) {
 		t.Fatalf("timeout failover: %v", err)
 	}
 	_ = urn
+}
+
+// TestClientConcurrentRequests: requests made at once through one client
+// each get their own reply, none is lost to a request it was not for.
+func TestClientConcurrentRequests(t *testing.T) {
+	w := newWorld(t)
+	w.daemon("h1", "go-sim", 512, 2)
+	w.manager("rm1")
+	c := w.client("urn:rmclient")
+	c.SetTimeout(2 * time.Second)
+	const calls = 8
+	errs := make(chan error, calls)
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if i%2 == 0 {
+				_, err = c.SelectHost(task.Requirements{})
+			} else {
+				_, err = c.Allocate(task.Spec{Program: "quick"})
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Errorf("concurrent request: %v", err)
+		}
+	}
 }
 
 func TestClientNoManagers(t *testing.T) {
