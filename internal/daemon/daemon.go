@@ -76,13 +76,14 @@ type GossipOptions struct {
 
 // runningTask tracks one hosted task.
 type runningTask struct {
-	urn   string
-	spec  task.Spec
-	ctx   *task.Context
-	ep    *comm.Endpoint
-	state task.State
-	err   error
-	done  chan struct{}
+	urn    string
+	spec   task.Spec
+	ctx    *task.Context
+	ep     *comm.Endpoint
+	routes []comm.Route // the addresses this host registered for it
+	state  task.State
+	err    error
+	done   chan struct{}
 }
 
 // Daemon is one host's SNIPE daemon.
@@ -429,7 +430,7 @@ func (d *Daemon) spawnAs(urn string, spec task.Spec) (err error) {
 
 	ctx := task.NewContext(urn, d.hostURL, spec, ep)
 	ctx.SetCatalog(d.cfg.Catalog)
-	rt := &runningTask{urn: urn, spec: spec, ctx: ctx, ep: ep, state: task.StateRunning, done: make(chan struct{})}
+	rt := &runningTask{urn: urn, spec: spec, ctx: ctx, ep: ep, routes: routes, state: task.StateRunning, done: make(chan struct{})}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -486,18 +487,20 @@ func (d *Daemon) runTask(rt *runningTask, fn task.Func) {
 	default:
 		to = task.StateFailed
 	}
-	// Withdraw the task's addresses; keep its state metadata (the
-	// paper's daemons record exits for later queries). Both writes land
-	// before rt.done tells Checkpoint the task has stopped: a migration
-	// adopts the task elsewhere as soon as Checkpoint returns, and a
-	// withdrawal after that would remove the new location's addresses.
-	// A crashing daemon (Kill) writes nothing: a real crash would not
-	// get to.
+	// Withdraw the addresses this host registered for the task, and no
+	// others: another host may already have published the task's new
+	// location. Keep its state metadata (the paper's daemons record
+	// exits for later queries). Both writes land before rt.done tells
+	// Checkpoint the task has stopped: a migration adopts the task
+	// elsewhere as soon as Checkpoint returns. A crashing daemon (Kill)
+	// writes nothing: a real crash would not get to.
 	d.mu.Lock()
 	crashed := d.crashed
 	d.mu.Unlock()
 	if !crashed {
-		naming.Unregister(d.cfg.Catalog, rt.urn)
+		for _, route := range rt.routes {
+			naming.WithdrawRoute(d.cfg.Catalog, rt.urn, route)
+		}
 		d.cfg.Catalog.Set(rt.urn, rcds.AttrState, string(to))
 	}
 	d.mu.Lock()

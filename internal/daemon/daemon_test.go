@@ -229,6 +229,36 @@ func TestKillSignal(t *testing.T) {
 	}
 }
 
+// TestTaskExitWithdrawsOnlyItsOwnRoutes: a task's exit withdraws the
+// addresses its host registered for it, not one another host has
+// published for the same URN since (the task's new location).
+func TestTaskExitWithdrawsOnlyItsOwnRoutes(t *testing.T) {
+	w := newWorld(t)
+	reg := task.NewRegistry()
+	reg.Register("loop", func(ctx *task.Context) error {
+		<-ctx.Done()
+		return task.ErrKilled
+	})
+	d := w.newDaemon("h1", reg)
+	urn, err := d.Spawn(task.Spec{Program: "loop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elsewhere := comm.Route{Transport: "tcp", Addr: "192.0.2.7:7000"}
+	if err := naming.Register(w.cat, urn, []comm.Route{elsewhere}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Signal(urn, task.SigKill); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := d.WaitTask(urn, 3*time.Second); st != task.StateExited {
+		t.Fatalf("state = %v", st)
+	}
+	if addrs := w.store.Values(urn, rcds.AttrCommAddr); len(addrs) != 1 || addrs[0] != elsewhere.String() {
+		t.Fatalf("addresses after the exit: %v, want only %s", addrs, elsewhere)
+	}
+}
+
 func TestSuspendResume(t *testing.T) {
 	w := newWorld(t)
 	reg := task.NewRegistry()
