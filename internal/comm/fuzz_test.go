@@ -4,6 +4,7 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"snipe/internal/xdr"
@@ -103,6 +104,29 @@ func FuzzDecodeAck(f *testing.F) {
 		s2, d2, acks2, err := decodeAck(xdr.NewDecoder(e.Bytes()[1:]), &names)
 		if err != nil || s2 != src || d2 != dst || !bytes.Equal(acks2, acks) {
 			t.Fatalf("ack round-trip mismatch: %q %q %x err=%v", s2, d2, []byte(acks2), err)
+		}
+	})
+}
+
+// FuzzDecodeAckBatch feeds the ack list alone, as it ends an ack frame or
+// rides a message frame as its trailer: a list the decoder takes holds
+// whole entries within the bound and is the bytes it was given.
+func FuzzDecodeAckBatch(f *testing.F) {
+	f.Add([]byte(seqTrailer(1, 2)))
+	f.Add([]byte{})                       // a batch of no acks
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // what was a hostile count: half an entry
+	f.Fuzz(func(t *testing.T, b []byte) {
+		acks, err := decodeCarriedAcks(xdr.NewDecoder(b))
+		if err != nil {
+			return
+		}
+		if n := acks.count(); n < 1 || n > ackBatchMax || len(acks) != n*carriedAckSize || !bytes.Equal(acks, b) {
+			t.Fatalf("decodeCarriedAcks took %d bytes as %x", len(b), []byte(acks))
+		}
+		for i := 0; i < acks.count(); i++ {
+			if acks.seq(i) != binary.BigEndian.Uint64(b[i*carriedAckSize:]) {
+				t.Fatalf("entry %d reads %d", i, acks.seq(i))
+			}
 		}
 	})
 }

@@ -136,11 +136,25 @@ func TestRelayChain(t *testing.T) {
 	}
 }
 
+// pendingFor is the number of ops queued on srv's pusher to peer.
+func pendingFor(srv *Server, peer string) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, p := range srv.pushers {
+		if p.peer == peer {
+			return len(p.pending)
+		}
+	}
+	return -1
+}
+
 // TestPushQueueOverflowCounts: while one peer's pusher is held up by a
 // peer it cannot reach, writes keep being accepted; past maxPendingPushOps
 // they are counted as failed pushes and not queued for that peer, the
 // other peer gets every one, and a pull delivers them to the first once
-// it is back.
+// it is back. A first write is taken by the held-up pusher before the
+// rest are made, so exactly maxPendingPushOps of them queue behind it
+// however late the scheduler runs that pusher.
 func TestPushQueueOverflowCounts(t *testing.T) {
 	const extra = 64
 	release := make(chan struct{})
@@ -170,17 +184,27 @@ func TestPushQueueOverflowCounts(t *testing.T) {
 	defer rc0.Close()
 	defer open() // a failed assertion must not leave a pusher in the gate
 
+	c := NewClient([]string{rc0.Addr()}, nil)
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Set(ctx, "urn:first", AttrState, "running"); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, 5*time.Second, func() bool { return pendingFor(rc0, rc1.Addr()) == 0 },
+		"the gated peer's pusher did not take the first write")
+
 	// setN's deadline is the "nothing blocks" check: every Set returns.
 	setN(t, rc0, maxPendingPushOps+extra)
-	if got := rc0.PushFailures(); got == 0 || got > extra {
-		t.Fatalf("%d push failures after %d writes over the bound of %d; want a few short of %d",
+	if got := rc0.PushFailures(); got != extra {
+		t.Fatalf("%d push failures after %d writes over the bound of %d; want %d",
 			got, extra, maxPendingPushOps, extra)
 	}
 	if got := counter(rc1, "remote_ops"); got != 0 {
 		t.Fatalf("%d ops reached the gated peer", got)
 	}
 	testutil.WaitFor(t, 10*time.Second, func() bool {
-		return counter(rc2, "remote_ops") == maxPendingPushOps+extra
+		return counter(rc2, "remote_ops") == 1+maxPendingPushOps+extra
 	}, "the ungated peer did not get every write by push")
 
 	// The gate opens: the queued ops are pushed, and replica 1, now told
