@@ -47,9 +47,9 @@ func taguniqSpaces() []*taguniqSpace {
 			name:   "comm frame type",
 			member: taguniqIn("snipe/internal/comm", `^frame[A-Z]`),
 			retired: map[int64]string{
-				4: "frameFragAck, one fragment's ack",
-				5: "frameAckBatch, acks each naming src and dst",
-				6: "frameFragAckBatch, fragment acks behind a count",
+				4: "per-fragment ack",
+				5: "ack batch, each entry naming src and dst",
+				6: "fragment-ack batch behind a count",
 			},
 		},
 		{

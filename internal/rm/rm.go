@@ -404,6 +404,13 @@ func putResult(e *xdr.Encoder, value string, err error) {
 
 // Client talks to the replicated resource-manager service, failing
 // over between RMs — the redundancy experiment of E6.
+//
+// A Client has one request in flight at a time: concurrent calls queue,
+// each behind the whole exchange of the one before, failover included.
+// While the first RM listed is down, every queued call waits out its
+// timeout on that RM before trying the next, so N concurrent calls take
+// about N timeouts (5 s each by default). Callers that need parallel
+// requests use one Client each.
 type Client struct {
 	cat naming.Catalog
 	ep  *comm.Endpoint
