@@ -23,7 +23,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"snipe/internal/comm"
@@ -35,8 +34,6 @@ import (
 	"snipe/internal/rm"
 	"snipe/internal/task"
 )
-
-var reqIDs atomic.Uint64
 
 type cli struct {
 	cat naming.Catalog
@@ -108,7 +105,7 @@ func (c *cli) run(args []string, timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		urn, err := daemon.SpawnRemote(c.ep, durn, task.Spec{Program: args[2], Args: args[3:]}, reqIDs.Add(1), timeout)
+		urn, err := daemon.SpawnRemote(c.ep, durn, task.Spec{Program: args[2], Args: args[3:]}, timeout)
 		if err != nil {
 			return err
 		}
@@ -123,7 +120,7 @@ func (c *cli) run(args []string, timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		tasks, err := daemon.StatusRemote(c.ep, durn, reqIDs.Add(1), timeout)
+		tasks, err := daemon.StatusRemote(c.ep, durn, timeout)
 		if err != nil {
 			return err
 		}

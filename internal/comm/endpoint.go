@@ -53,8 +53,10 @@ func WithoutBuffering() EndpointOption {
 
 // WithHandler delivers incoming messages to fn instead of the mailbox.
 // If tags are given, only messages with those tags go to the handler;
-// everything else stays in the mailbox for Recv — letting a component
-// serve a protocol and make client calls on one endpoint.
+// everything else stays in the mailbox for Recv. Replies never go to
+// the handler but to the callers awaiting them (see reply.go), which
+// lets a component serve a protocol and make client calls on one
+// endpoint.
 //
 // A handled message is lent to fn: m.Payload is valid until fn returns,
 // and the endpoint may then reuse its buffer for a later message, so fn
@@ -306,7 +308,9 @@ type Endpoint struct {
 	reasm        map[reasmKey]*reassembly
 	mailbox      []*Message
 	handlerQueue msgQueue
-	quiesced     bool // migration: stop accepting (and acking) new messages
+	quiesced     bool                       // migration: stop accepting (and acking) new messages
+	requests     map[uint64]*pendingRequest // request ID → its replies (see reply.go); nil until the first request
+	lastRequest  uint64
 
 	// Gateway relay state (nil unless WithGatewayRelay); guarded by
 	// relayMu, not e.mu: relays re-enter transmit, which takes e.mu.
@@ -1060,7 +1064,7 @@ func (e *Endpoint) handleMsgFrame(ac *ackCoalescer, f *msgFrame, buf []byte) (re
 	}
 	inOrder := f.Seq == e.expected[f.Src]
 	if parts != nil {
-		switch lend := inOrder && e.handles(f.Tag); {
+		switch lend := inOrder && e.handles(f.Tag) && f.Tag != ReplyTag; {
 		case lend && e.handlerQueue.len() == 0:
 			// An idle handler: lend it a pooled buffer now; the
 			// dispatch loop reclaims it when the handler returns.
@@ -1070,7 +1074,8 @@ func (e *Endpoint) handleMsgFrame(ac *ackCoalescer, f *msgFrame, buf []byte) (re
 			// buffers and the dispatch loop assembles them in their
 			// turn, so one lent buffer never queues behind another.
 		default:
-			// The mailbox's, or out of order: the receiver's for good.
+			// A reply's, the mailbox's, or out of order: the receiver's
+			// for good.
 			msg.Payload, parts = parts.assemble(make([]byte, parts.size)), nil
 		}
 	}
@@ -1109,21 +1114,25 @@ func (e *Endpoint) handleMsgFrame(ac *ackCoalescer, f *msgFrame, buf []byte) (re
 	return retained
 }
 
-// handles reports whether messages with tag go to the handler.
+// handles reports whether messages with tag, other than replies, go to
+// the handler.
 func (e *Endpoint) handles(tag uint32) bool {
 	return e.handler != nil && (e.handlerTags == nil || e.handlerTags[tag])
 }
 
-// deliverLocked appends to the mailbox or queues for the handler; parts
-// is an unassembled payload, for the handler only. Caller holds e.mu.
+// deliverLocked queues for a caller awaiting a reply, for the handler, or
+// in the mailbox; parts is an unassembled payload, for the handler only.
+// Caller holds e.mu.
 func (e *Endpoint) deliverLocked(m *Message, parts *reassembly) {
 	e.mReceived.Inc()
-	if e.handles(m.Tag) {
+	switch {
+	case m.Tag == ReplyTag:
+		e.deliverReplyLocked(m)
+	case e.handles(m.Tag):
 		e.handlerQueue.push(m, parts)
-		e.cond.Broadcast()
-		return
+	default:
+		e.mailbox = append(e.mailbox, m)
 	}
-	e.mailbox = append(e.mailbox, m)
 	e.cond.Broadcast()
 }
 

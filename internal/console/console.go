@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"snipe/internal/comm"
@@ -37,8 +36,6 @@ import (
 // AttrHTTPLocation is the assertion name binding a console URN to its
 // current HTTP address.
 const AttrHTTPLocation = "http-location"
-
-var reqIDs atomic.Uint64
 
 // Console is a human-facing SNIPE process with an HTTP interface.
 type Console struct {
@@ -228,7 +225,7 @@ func (c *Console) handleTasks(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "host has no daemon", http.StatusNotFound)
 		return
 	}
-	tasks, err := daemon.StatusRemote(c.ep, durn, reqIDs.Add(1), 5*time.Second)
+	tasks, err := daemon.StatusRemote(c.ep, durn, 5*time.Second)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -280,7 +277,7 @@ func (c *Console) Stats(host string) (stats.Snapshot, error) {
 	if !ok {
 		return stats.Snapshot{}, fmt.Errorf("console: %s has no daemon", host)
 	}
-	return daemon.StatsRemote(c.ep, durn, reqIDs.Add(1), 5*time.Second)
+	return daemon.StatsRemote(c.ep, durn, 5*time.Second)
 }
 
 // RenderStats produces the terminal metrics view for one host — the

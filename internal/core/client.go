@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"snipe/internal/comm"
@@ -16,8 +15,6 @@ import (
 	"snipe/internal/rm"
 	"snipe/internal/task"
 )
-
-var clientReqIDs atomic.Uint64
 
 // Client is the SNIPE client library (paper §3.4): resource location,
 // communications, task management, multicast membership, and access to
@@ -138,7 +135,7 @@ func (c *Client) SpawnOn(host string, spec task.Spec) (string, error) {
 	if err != nil || !ok {
 		return "", fmt.Errorf("core: host %s has no daemon: %w", host, err)
 	}
-	return daemon.SpawnRemote(c.ep, durn, spec, clientReqIDs.Add(1), 10*time.Second)
+	return daemon.SpawnRemote(c.ep, durn, spec, 10*time.Second)
 }
 
 // Signal delivers a signal to a task via its host daemon.

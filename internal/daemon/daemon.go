@@ -4,7 +4,8 @@
 // signals, publishing machine load, and informing interested parties
 // (notify lists) of task status changes. It also answers the remote
 // spawn/signal/status/migrate protocol used by clients, resource
-// managers and the migration machinery.
+// managers and the migration machinery, as requests and replies
+// (DESIGN "Request and reply").
 package daemon
 
 import (

@@ -99,7 +99,7 @@ func TestMalformedProtocolPayloadsIgnored(t *testing.T) {
 		}
 	}
 	// The daemon is still alive and serving.
-	tasks, err := StatusRemote(client, d.URN(), 999, 5*time.Second)
+	tasks, err := StatusRemote(client, d.URN(), 5*time.Second)
 	if err != nil || len(tasks) != 0 {
 		t.Fatalf("daemon wedged: %v %v", tasks, err)
 	}
@@ -139,7 +139,7 @@ func TestCheckpointRemoteErrors(t *testing.T) {
 	w := newWorld(t)
 	d := w.newDaemon("h1", nil)
 	client := w.client("urn:ck")
-	if _, err := CheckpointRemote(client, d.URN(), "urn:none", 7, 2*time.Second); !errors.Is(err, ErrRemote) {
+	if _, err := CheckpointRemote(client, d.URN(), "urn:none", 2*time.Second); !errors.Is(err, ErrRemote) {
 		t.Fatalf("want ErrRemote, got %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestReleaseRemote(t *testing.T) {
 	d := w.newDaemon("h1", reg)
 	client := w.client("urn:rr")
 	urn, _ := d.Spawn(task.Spec{Program: "ckpt"})
-	if _, err := CheckpointRemote(client, d.URN(), urn, 8, 5*time.Second); err != nil {
+	if _, err := CheckpointRemote(client, d.URN(), urn, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := ReleaseRemote(client, d.URN(), urn); err != nil {
@@ -185,7 +185,7 @@ func TestSpecEncodeViaProtocol(t *testing.T) {
 		NotifyList: []string{"urn:watcher"},
 		CodeURL:    "code.sc",
 	}
-	if _, err := SpawnRemote(client, d.URN(), spec, 11, 5*time.Second); err != nil {
+	if _, err := SpawnRemote(client, d.URN(), spec, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	select {

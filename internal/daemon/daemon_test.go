@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -117,7 +118,7 @@ func TestWithdrawRoute(t *testing.T) {
 	}
 	// The daemon remains reachable over the survivor.
 	client := w.client("urn:snipe:process:h-multi:probe")
-	if _, err := StatusRemote(client, d.URN(), 71, 5*time.Second); err != nil {
+	if _, err := StatusRemote(client, d.URN(), 5*time.Second); err != nil {
 		t.Fatalf("status query over surviving route: %v", err)
 	}
 }
@@ -376,11 +377,11 @@ func TestRemoteSpawnAndStatus(t *testing.T) {
 	d := w.newDaemon("h1", reg)
 	client := w.client("urn:client")
 
-	urn, err := SpawnRemote(client, d.URN(), task.Spec{Program: "idle"}, 1, 5*time.Second)
+	urn, err := SpawnRemote(client, d.URN(), task.Spec{Program: "idle"}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := StatusRemote(client, d.URN(), 2, 5*time.Second)
+	tasks, err := StatusRemote(client, d.URN(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +396,28 @@ func TestRemoteSpawnAndStatus(t *testing.T) {
 		t.Fatalf("after remote kill: %v", st)
 	}
 	// Remote spawn failure is reported.
-	if _, err := SpawnRemote(client, d.URN(), task.Spec{Program: "ghost"}, 3, 5*time.Second); !errors.Is(err, ErrRemote) {
+	if _, err := SpawnRemote(client, d.URN(), task.Spec{Program: "ghost"}, 5*time.Second); !errors.Is(err, ErrRemote) {
 		t.Fatalf("want ErrRemote, got %v", err)
 	}
+}
+
+// TestConcurrentStatusRemote: status queries in flight at once through
+// one endpoint to one daemon each get their own reply.
+func TestConcurrentStatusRemote(t *testing.T) {
+	w := newWorld(t)
+	d := w.newDaemon("h1", nil)
+	client := w.client("urn:client")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := StatusRemote(client, d.URN(), 2*time.Second); err != nil {
+				t.Errorf("status query %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCheckpointAndAdopt(t *testing.T) {

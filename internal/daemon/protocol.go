@@ -22,8 +22,9 @@ const (
 )
 
 // handleMessage dispatches the daemon's message protocol: remote spawn,
-// signal delivery, status queries, and migration adoption. Requests
-// carry a caller-chosen request ID echoed in the response.
+// signal delivery, status queries, and migration adoption. A request
+// starts with the caller's request ID, and each answer is a reply to it
+// (DESIGN "Request and reply").
 func (d *Daemon) handleMessage(m *comm.Message) {
 	switch m.Tag {
 	case task.TagSpawnReq:
@@ -48,64 +49,26 @@ func (d *Daemon) handleMessage(m *comm.Message) {
 }
 
 func (d *Daemon) handleStatsReq(m *comm.Message) {
-	dec := xdr.NewDecoder(m.Payload)
-	reqID, err := dec.Uint64()
+	reqID, err := xdr.NewDecoder(m.Payload).Uint64()
 	if err != nil {
 		return
 	}
 	b, err := d.StatsJSON()
-	e := xdr.NewEncoder(len(b) + 32)
-	e.PutUint64(reqID)
-	e.PutBool(err == nil)
-	if err != nil {
-		e.PutString(err.Error())
-	} else {
-		e.PutString("")
-		e.PutBytes(b)
-	}
-	d.ep.Send(m.Src, task.TagStatsResp, e.Bytes())
+	Reply(d.ep, m.Src, reqID, err, func(e *xdr.Encoder) { e.PutBytes(b) })
 }
 
 // StatsRemote fetches a daemon's composed metrics snapshot over the
 // message protocol — what the console's stats command runs on.
-func StatsRemote(ep *comm.Endpoint, daemonURN string, reqID uint64, timeout time.Duration) (stats.Snapshot, error) {
-	e := xdr.NewEncoder(16)
-	e.PutUint64(reqID)
-	if err := ep.Send(daemonURN, task.TagStatsReq, e.Bytes()); err != nil {
+func StatsRemote(ep *comm.Endpoint, daemonURN string, timeout time.Duration) (stats.Snapshot, error) {
+	dec, err := Call(ep, daemonURN, task.TagStatsReq, timeout, ErrRemote, nil)
+	if err != nil {
 		return stats.Snapshot{}, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	for {
-		m, err := ep.RecvMatch(ctx, daemonURN, task.TagStatsResp)
-		if err != nil {
-			return stats.Snapshot{}, err
-		}
-		dec := xdr.NewDecoder(m.Payload)
-		gotID, err := dec.Uint64()
-		if err != nil {
-			return stats.Snapshot{}, err
-		}
-		if gotID != reqID {
-			continue
-		}
-		ok, err := dec.Bool()
-		if err != nil {
-			return stats.Snapshot{}, err
-		}
-		msg, err := dec.StringMax(maxWireString)
-		if err != nil {
-			return stats.Snapshot{}, err
-		}
-		if !ok {
-			return stats.Snapshot{}, fmt.Errorf("%w: %s", ErrRemote, msg)
-		}
-		b, err := dec.BytesCopyMax(maxWireSnapshot)
-		if err != nil {
-			return stats.Snapshot{}, err
-		}
-		return stats.ParseSnapshot(b)
+	b, err := dec.BytesCopyMax(maxWireSnapshot)
+	if err != nil {
+		return stats.Snapshot{}, err
 	}
+	return stats.ParseSnapshot(b)
 }
 
 // ReleaseRemote ends a checkpointed task's tenure on a remote daemon.
@@ -130,57 +93,21 @@ func (d *Daemon) handleCheckpointReq(m *comm.Message) {
 		return
 	}
 	spec, err := d.Checkpoint(urn, time.Duration(timeoutMs)*time.Millisecond)
-	e := xdr.NewEncoder(256)
-	e.PutUint64(reqID)
-	e.PutBool(err == nil)
-	if err != nil {
-		e.PutString(err.Error())
-	} else {
-		e.PutString("")
-		spec.Encode(e)
-	}
-	d.ep.Send(m.Src, task.TagCheckpointResp, e.Bytes())
+	Reply(d.ep, m.Src, reqID, err, spec.Encode)
 }
 
 // CheckpointRemote asks the daemon at daemonURN to checkpoint taskURN,
 // returning the portable spec. The task stays on the old host (in its
 // relay window) until ReleaseRemote/Release.
-func CheckpointRemote(ep *comm.Endpoint, daemonURN, taskURN string, reqID uint64, timeout time.Duration) (task.Spec, error) {
-	e := xdr.NewEncoder(64)
-	e.PutUint64(reqID)
-	e.PutString(taskURN)
-	e.PutUint32(uint32(timeout / time.Millisecond))
-	if err := ep.Send(daemonURN, task.TagCheckpointReq, e.Bytes()); err != nil {
+func CheckpointRemote(ep *comm.Endpoint, daemonURN, taskURN string, timeout time.Duration) (task.Spec, error) {
+	dec, err := Call(ep, daemonURN, task.TagCheckpointReq, timeout+2*time.Second, ErrRemote, func(e *xdr.Encoder) {
+		e.PutString(taskURN)
+		e.PutUint32(uint32(timeout / time.Millisecond))
+	})
+	if err != nil {
 		return task.Spec{}, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout+2*time.Second)
-	defer cancel()
-	for {
-		m, err := ep.RecvMatch(ctx, daemonURN, task.TagCheckpointResp)
-		if err != nil {
-			return task.Spec{}, err
-		}
-		dec := xdr.NewDecoder(m.Payload)
-		gotID, err := dec.Uint64()
-		if err != nil {
-			return task.Spec{}, err
-		}
-		if gotID != reqID {
-			continue
-		}
-		ok, err := dec.Bool()
-		if err != nil {
-			return task.Spec{}, err
-		}
-		msg, err := dec.StringMax(maxWireString)
-		if err != nil {
-			return task.Spec{}, err
-		}
-		if !ok {
-			return task.Spec{}, fmt.Errorf("%w: %s", ErrRemote, msg)
-		}
-		return task.DecodeSpec(dec)
-	}
+	return task.DecodeSpec(dec)
 }
 
 func (d *Daemon) handleSpawnReq(m *comm.Message) {
@@ -194,15 +121,7 @@ func (d *Daemon) handleSpawnReq(m *comm.Message) {
 	if err == nil {
 		urn, err = d.Spawn(spec)
 	}
-	e := xdr.NewEncoder(64)
-	e.PutUint64(reqID)
-	e.PutBool(err == nil)
-	if err == nil {
-		e.PutString(urn)
-	} else {
-		e.PutString(err.Error())
-	}
-	d.ep.Send(m.Src, task.TagSpawnResp, e.Bytes())
+	Reply(d.ep, m.Src, reqID, err, func(e *xdr.Encoder) { e.PutString(urn) })
 }
 
 func (d *Daemon) handleSignal(m *comm.Message) {
@@ -219,20 +138,18 @@ func (d *Daemon) handleSignal(m *comm.Message) {
 }
 
 func (d *Daemon) handleStatusReq(m *comm.Message) {
-	dec := xdr.NewDecoder(m.Payload)
-	reqID, err := dec.Uint64()
+	reqID, err := xdr.NewDecoder(m.Payload).Uint64()
 	if err != nil {
 		return
 	}
 	tasks := d.Tasks()
-	e := xdr.NewEncoder(256)
-	e.PutUint64(reqID)
-	e.PutUint32(uint32(len(tasks)))
-	for urn, st := range tasks {
-		e.PutString(urn)
-		e.PutString(string(st))
-	}
-	d.ep.Send(m.Src, task.TagStatusResp, e.Bytes())
+	Reply(d.ep, m.Src, reqID, nil, func(e *xdr.Encoder) {
+		e.PutUint32(uint32(len(tasks)))
+		for urn, st := range tasks {
+			e.PutString(urn)
+			e.PutString(string(st))
+		}
+	})
 }
 
 func (d *Daemon) handleMigrateReq(m *comm.Message) {
@@ -249,64 +166,80 @@ func (d *Daemon) handleMigrateReq(m *comm.Message) {
 	if err == nil {
 		err = d.Adopt(urn, spec)
 	}
-	e := xdr.NewEncoder(32)
+	Reply(d.ep, m.Src, reqID, err, nil)
+}
+
+// --- Client-side helpers -------------------------------------------
+//
+// These run over any endpoint (a client library's, another daemon's, a
+// resource manager's), any number at once.
+
+// ErrRemote wraps an error string returned by a remote daemon.
+var ErrRemote = errors.New("daemon: remote error")
+
+// Reply answers request reqID from dst in the layout every daemon and
+// resource-manager reply shares: the ID, ok, the error's text or "",
+// then, on success, what body writes (nil: nothing).
+func Reply(ep *comm.Endpoint, dst string, reqID uint64, err error, body func(*xdr.Encoder)) {
+	e := xdr.NewEncoder(256)
 	e.PutUint64(reqID)
 	e.PutBool(err == nil)
 	if err != nil {
 		e.PutString(err.Error())
 	} else {
 		e.PutString("")
+		if body != nil {
+			body(e)
+		}
 	}
-	d.ep.Send(m.Src, task.TagMigrateResp, e.Bytes())
+	ep.Send(dst, comm.ReplyTag, e.Bytes())
 }
 
-// --- Client-side helpers -------------------------------------------
-//
-// These run over any endpoint (a client library's, another daemon's, a
-// resource manager's). They serialise one request/response exchange;
-// concurrent requests from the same endpoint should use distinct
-// request IDs via the reqID counter embedded here.
-
-// ErrRemote wraps an error string returned by a remote daemon.
-var ErrRemote = errors.New("daemon: remote error")
-
-// SpawnRemote asks the daemon at daemonURN to spawn spec, returning
-// the new task's URN.
-func SpawnRemote(ep *comm.Endpoint, daemonURN string, spec task.Spec, reqID uint64, timeout time.Duration) (string, error) {
+// Call sends dst a request under tag, its request ID first and then
+// what body writes (nil: nothing), and waits up to timeout for the
+// reply Reply wrote. A reply that reports failure comes back as remote
+// wrapped with the reply's text; a successful one as a decoder at its
+// body.
+func Call(ep *comm.Endpoint, dst string, tag uint32, timeout time.Duration, remote error, body func(*xdr.Encoder)) (*xdr.Decoder, error) {
+	reqID := ep.NewRequest(dst)
+	defer ep.EndRequest(reqID)
 	e := xdr.NewEncoder(256)
 	e.PutUint64(reqID)
-	spec.Encode(e)
-	if err := ep.Send(daemonURN, task.TagSpawnReq, e.Bytes()); err != nil {
-		return "", err
+	if body != nil {
+		body(e)
+	}
+	if err := ep.Send(dst, tag, e.Bytes()); err != nil {
+		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	for {
-		m, err := ep.RecvMatch(ctx, daemonURN, task.TagSpawnResp)
-		if err != nil {
-			return "", err
-		}
-		dec := xdr.NewDecoder(m.Payload)
-		gotID, err := dec.Uint64()
-		if err != nil {
-			return "", err
-		}
-		if gotID != reqID {
-			continue // response to an earlier, abandoned request
-		}
-		ok, err := dec.Bool()
-		if err != nil {
-			return "", err
-		}
-		s, err := dec.StringMax(maxWireString)
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			return "", fmt.Errorf("%w: %s", ErrRemote, s)
-		}
-		return s, nil
+	m, err := ep.AwaitReply(ctx, reqID)
+	if err != nil {
+		return nil, err
 	}
+	dec := xdr.NewDecoder(m.Payload[8:])
+	ok, err := dec.Bool()
+	if err != nil {
+		return nil, err
+	}
+	msg, err := dec.StringMax(maxWireString)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", remote, msg)
+	}
+	return dec, nil
+}
+
+// SpawnRemote asks the daemon at daemonURN to spawn spec, returning
+// the new task's URN.
+func SpawnRemote(ep *comm.Endpoint, daemonURN string, spec task.Spec, timeout time.Duration) (string, error) {
+	dec, err := Call(ep, daemonURN, task.TagSpawnReq, timeout, ErrRemote, spec.Encode)
+	if err != nil {
+		return "", err
+	}
+	return dec.StringMax(maxWireString)
 }
 
 // SignalRemote delivers a signal to a task via its host daemon.
@@ -318,89 +251,42 @@ func SignalRemote(ep *comm.Endpoint, daemonURN, taskURN string, sig task.Signal)
 }
 
 // StatusRemote queries a daemon's task table.
-func StatusRemote(ep *comm.Endpoint, daemonURN string, reqID uint64, timeout time.Duration) (map[string]task.State, error) {
-	e := xdr.NewEncoder(16)
-	e.PutUint64(reqID)
-	if err := ep.Send(daemonURN, task.TagStatusReq, e.Bytes()); err != nil {
+func StatusRemote(ep *comm.Endpoint, daemonURN string, timeout time.Duration) (map[string]task.State, error) {
+	dec, err := Call(ep, daemonURN, task.TagStatusReq, timeout, ErrRemote, nil)
+	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	for {
-		m, err := ep.RecvMatch(ctx, daemonURN, task.TagStatusResp)
-		if err != nil {
-			return nil, err
-		}
-		dec := xdr.NewDecoder(m.Payload)
-		gotID, err := dec.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		if gotID != reqID {
-			continue
-		}
-		n, err := dec.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		// Each entry costs at least 8 encoded bytes (two string lengths);
-		// fail fast on hostile counts before the map preallocation below.
-		if int64(n)*8 > int64(dec.Remaining()) {
-			return nil, fmt.Errorf("%w: task count %d exceeds remaining %d bytes",
-				ErrRemote, n, dec.Remaining())
-		}
-		out := make(map[string]task.State, min(int(n), 1024))
-		for i := uint32(0); i < n; i++ {
-			urn, err := dec.StringMax(maxWireString)
-			if err != nil {
-				return nil, err
-			}
-			st, err := dec.StringMax(maxWireString)
-			if err != nil {
-				return nil, err
-			}
-			out[urn] = task.State(st)
-		}
-		return out, nil
+	n, err := dec.Uint32()
+	if err != nil {
+		return nil, err
 	}
+	// Each entry costs at least 8 encoded bytes (two string lengths);
+	// fail fast on hostile counts before the map preallocation below.
+	if int64(n)*8 > int64(dec.Remaining()) {
+		return nil, fmt.Errorf("%w: task count %d exceeds remaining %d bytes",
+			ErrRemote, n, dec.Remaining())
+	}
+	out := make(map[string]task.State, min(int(n), 1024))
+	for i := uint32(0); i < n; i++ {
+		urn, err := dec.StringMax(maxWireString)
+		if err != nil {
+			return nil, err
+		}
+		st, err := dec.StringMax(maxWireString)
+		if err != nil {
+			return nil, err
+		}
+		out[urn] = task.State(st)
+	}
+	return out, nil
 }
 
 // MigrateRemote asks the daemon at daemonURN to adopt a checkpointed
 // task under its existing URN.
-func MigrateRemote(ep *comm.Endpoint, daemonURN, taskURN string, spec task.Spec, reqID uint64, timeout time.Duration) error {
-	e := xdr.NewEncoder(256)
-	e.PutUint64(reqID)
-	e.PutString(taskURN)
-	spec.Encode(e)
-	if err := ep.Send(daemonURN, task.TagMigrateReq, e.Bytes()); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	for {
-		m, err := ep.RecvMatch(ctx, daemonURN, task.TagMigrateResp)
-		if err != nil {
-			return err
-		}
-		dec := xdr.NewDecoder(m.Payload)
-		gotID, err := dec.Uint64()
-		if err != nil {
-			return err
-		}
-		if gotID != reqID {
-			continue
-		}
-		ok, err := dec.Bool()
-		if err != nil {
-			return err
-		}
-		msg, err := dec.StringMax(maxWireString)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrRemote, msg)
-		}
-		return nil
-	}
+func MigrateRemote(ep *comm.Endpoint, daemonURN, taskURN string, spec task.Spec, timeout time.Duration) error {
+	_, err := Call(ep, daemonURN, task.TagMigrateReq, timeout, ErrRemote, func(e *xdr.Encoder) {
+		e.PutString(taskURN)
+		spec.Encode(e)
+	})
+	return err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"snipe/internal/comm"
@@ -14,14 +13,12 @@ import (
 	"snipe/internal/task"
 )
 
-var reqIDs atomic.Uint64
-
 // Client gives a SNIPE process file access through its own endpoint.
-// One Client should not be used from multiple goroutines concurrently
-// with other TagFile consumers on the same endpoint.
 type Client struct {
-	cat     naming.Catalog
-	ep      *comm.Endpoint
+	cat naming.Catalog
+	ep  *comm.Endpoint
+
+	mu      sync.Mutex
 	timeout time.Duration
 }
 
@@ -31,7 +28,17 @@ func NewClient(cat naming.Catalog, ep *comm.Endpoint) *Client {
 }
 
 // SetTimeout adjusts the per-request timeout (transfer deadline).
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
+func (c *Client) SetTimeout(d time.Duration) {
+	c.mu.Lock()
+	c.timeout = d
+	c.mu.Unlock()
+}
+
+func (c *Client) requestTimeout() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.timeout
+}
 
 // Servers returns the registered file-server URNs.
 func (c *Client) Servers() ([]string, error) {
@@ -50,32 +57,49 @@ func (c *Client) Store(serverURN, name string, data []byte) error {
 // Fetch retrieves a whole file from a server: a one-shot source
 // streaming back to this client.
 func (c *Client) Fetch(serverURN, name string) ([]byte, error) {
-	reqID := reqIDs.Add(1)
-	req := &fileMsg{Op: opRead, ReqID: reqID, Name: name, Dst: c.ep.URN()}
-	if err := c.ep.Send(serverURN, task.TagFile, req.encode()); err != nil {
+	return fetch(c.ep, serverURN, name, c.requestTimeout())
+}
+
+// fetch streams the named file from server to ep, as the replies to one
+// request.
+func fetch(ep *comm.Endpoint, server, name string, timeout time.Duration) ([]byte, error) {
+	var out []byte
+	err := exchange(ep, server, &fileMsg{Op: opFetch, Name: name}, timeout, func(f *fileMsg) bool {
+		out = append(out, f.Data...)
+		return f.EOF
+	})
+	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+	return out, nil
+}
+
+// exchange sends req to server as a request (DESIGN "Request and reply")
+// and hands its replies to each until each returns true (nil: one reply
+// ends it), all within timeout. A reply that reports failure ends the
+// exchange with ErrRemote.
+func exchange(ep *comm.Endpoint, server string, req *fileMsg, timeout time.Duration, each func(*fileMsg) bool) error {
+	req.ReqID = ep.NewRequest(server)
+	defer ep.EndRequest(req.ReqID)
+	if err := ep.Send(server, task.TagFile, req.encode()); err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	for {
-		m, err := c.ep.RecvMatch(ctx, serverURN, task.TagFile)
+		m, err := ep.AwaitReply(ctx, req.ReqID)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f, err := decodeFileMsg(m.Payload)
 		if err != nil {
-			return nil, err
-		}
-		if f.Op != opData || f.ReqID != reqID {
-			continue // stale reply from an abandoned request
+			return err
 		}
 		if !f.OK {
-			return nil, fmt.Errorf("%w: %s", ErrRemote, f.Err)
+			return fmt.Errorf("%w: %s", ErrRemote, f.Err)
 		}
-		out = append(out, f.Data...)
-		if f.EOF {
-			return out, nil
+		if each == nil || each(f) {
+			return nil
 		}
 	}
 }
@@ -106,17 +130,18 @@ func (c *Client) FetchAny(name string, localNets []string) ([]byte, error) {
 // messages and sends them to a SNIPE address"). The receiver collects
 // it with ReceiveStream.
 func (c *Client) StreamTo(serverURN, name, dstURN string) error {
-	req := &fileMsg{Op: opRead, ReqID: reqIDs.Add(1), Name: name, Dst: dstURN}
+	req := &fileMsg{Op: opRead, Name: name, Dst: dstURN}
 	return c.ep.Send(serverURN, task.TagFile, req.encode())
 }
 
 // ReceiveStream collects one file streamed to ep by a file source,
 // returning its name and contents. It accepts the first stream that
-// arrives from srcServer ("" = any server).
+// arrives from srcServer ("" = any server). A server sends one stream
+// whole before the next, so the chunks from the first chunk's server
+// are that stream's.
 func ReceiveStream(ep *comm.Endpoint, srcServer string, timeout time.Duration) (name string, data []byte, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	var cur *fileMsg
 	for {
 		m, err := ep.RecvMatch(ctx, srcServer, task.TagFile)
 		if err != nil {
@@ -129,11 +154,7 @@ func ReceiveStream(ep *comm.Endpoint, srcServer string, timeout time.Duration) (
 		if !f.OK {
 			return f.Name, nil, fmt.Errorf("%w: %s", ErrRemote, f.Err)
 		}
-		if cur == nil {
-			cur = f
-		} else if f.ReqID != cur.ReqID || f.Name != cur.Name {
-			continue // a different interleaved stream; out of scope here
-		}
+		srcServer = m.Src
 		data = append(data, f.Data...)
 		if f.EOF {
 			return f.Name, data, nil
@@ -143,51 +164,18 @@ func ReceiveStream(ep *comm.Endpoint, srcServer string, timeout time.Duration) (
 
 // List returns the files held by a server.
 func (c *Client) List(serverURN string) ([]string, error) {
-	reqID := reqIDs.Add(1)
-	req := &fileMsg{Op: opList, ReqID: reqID}
-	if err := c.ep.Send(serverURN, task.TagFile, req.encode()); err != nil {
-		return nil, err
-	}
-	f, err := c.awaitOp(serverURN, opListResp, reqID, c.timeout)
-	if err != nil {
-		return nil, err
-	}
-	return f.Names, nil
+	var names []string
+	err := exchange(c.ep, serverURN, &fileMsg{Op: opList}, c.requestTimeout(), func(f *fileMsg) bool {
+		names = f.Names
+		return true
+	})
+	return names, err
 }
 
 // Pull instructs server to replicate the named file from fromServer.
 func (c *Client) Pull(serverURN, name, fromServerURN string) error {
-	reqID := reqIDs.Add(1)
-	req := &fileMsg{Op: opPull, ReqID: reqID, Name: name, Dst: fromServerURN}
-	if err := c.ep.Send(serverURN, task.TagFile, req.encode()); err != nil {
-		return err
-	}
-	f, err := c.awaitOp(serverURN, opAck, reqID, c.timeout)
-	if err != nil {
-		return err
-	}
-	if !f.OK {
-		return fmt.Errorf("%w: %s", ErrRemote, f.Err)
-	}
-	return nil
-}
-
-func (c *Client) awaitOp(src string, op uint8, reqID uint64, timeout time.Duration) (*fileMsg, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	for {
-		m, err := c.ep.RecvMatch(ctx, src, task.TagFile)
-		if err != nil {
-			return nil, err
-		}
-		f, err := decodeFileMsg(m.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if f.Op == op && f.ReqID == reqID {
-			return f, nil
-		}
-	}
+	req := &fileMsg{Op: opPull, Name: name, Dst: fromServerURN}
+	return exchange(c.ep, serverURN, req, c.requestTimeout(), nil)
 }
 
 // Sink is an open-for-writing file: "a file sink process reads SNIPE
@@ -226,19 +214,7 @@ func (s *Sink) Write(data []byte) error {
 // Close commits the file, waits for the server's acknowledgement, and
 // registers the file's location in RC metadata.
 func (s *Sink) Close(timeout time.Duration) error {
-	reqID := reqIDs.Add(1)
-	msg := &fileMsg{Op: opCommit, ReqID: reqID, Name: s.name}
-	if err := s.c.ep.Send(s.server, task.TagFile, msg.encode()); err != nil {
-		return err
-	}
-	f, err := s.c.awaitOp(s.server, opAck, reqID, timeout)
-	if err != nil {
-		return err
-	}
-	if !f.OK {
-		return fmt.Errorf("%w: %s", ErrRemote, f.Err)
-	}
-	return nil
+	return exchange(s.c.ep, s.server, &fileMsg{Op: opCommit, Name: s.name}, timeout, nil)
 }
 
 // ReplicationPolicy configures a replication daemon.

@@ -9,7 +9,9 @@
 // Files are named by LIFNs bound to replica locations in RC metadata,
 // replicated across servers by replication daemons "according to local
 // policy, redundancy requirements, and demand" (§3.2), and exported
-// over HTTP for external programs.
+// over HTTP for external programs. Fetch, List, Pull and a sink's
+// commit are requests answered by replies (DESIGN "Request and reply");
+// a stream to a third party (StreamTo) is pushed under TagFile.
 package fileserv
 
 import (
@@ -19,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"snipe/internal/comm"
 	"snipe/internal/naming"
@@ -27,16 +30,17 @@ import (
 	"snipe/internal/xdr"
 )
 
-// File protocol operations, carried in TagFile messages.
+// File protocol operations, carried in TagFile messages and in replies.
 const (
 	opAppend uint8 = iota + 1 // sink write: append a chunk
-	opCommit                  // sink close: finalize the file
+	opCommit                  // sink close: finalize the file (reply opAck)
 	opRead                    // source open: stream file to an address
 	opData                    // source data chunk (server → reader)
 	opList                    // list files (reply opListResp)
 	opListResp
-	opPull // replicate: fetch file from another server
-	opAck  // generic op acknowledgement with status
+	opPull  // replicate: fetch file from another server (reply opAck)
+	opAck   // generic op acknowledgement with status
+	opFetch // source open: stream file back as replies (opData)
 )
 
 // Errors of the file service.
@@ -50,10 +54,15 @@ var (
 // chunkSize bounds one file transfer message.
 const chunkSize = 256 << 10
 
-// fileMsg is the wire format of TagFile payloads.
+// pullTimeout bounds a server's fetch of a file it was asked to
+// replicate, as a client's default bounds its own fetch.
+const pullTimeout = 10 * time.Second
+
+// fileMsg is the wire format of TagFile payloads and their replies, the
+// request ID first as a reply's must be.
 type fileMsg struct {
-	Op    uint8
 	ReqID uint64
+	Op    uint8
 	Name  string // file name on the server
 	Dst   string // reader URN (opRead), source server URN (opPull)
 	Data  []byte
@@ -65,8 +74,8 @@ type fileMsg struct {
 
 func (f *fileMsg) encode() []byte {
 	e := xdr.NewEncoder(64 + len(f.Data))
-	e.PutUint8(f.Op)
 	e.PutUint64(f.ReqID)
+	e.PutUint8(f.Op)
 	e.PutString(f.Name)
 	e.PutString(f.Dst)
 	e.PutBytes(f.Data)
@@ -89,10 +98,10 @@ func decodeFileMsg(b []byte) (*fileMsg, error) {
 	d := xdr.NewDecoder(b)
 	f := &fileMsg{}
 	var err error
-	if f.Op, err = d.Uint8(); err != nil {
+	if f.ReqID, err = d.Uint64(); err != nil {
 		return nil, err
 	}
-	if f.ReqID, err = d.Uint64(); err != nil {
+	if f.Op, err = d.Uint8(); err != nil {
 		return nil, err
 	}
 	if f.Name, err = d.StringMax(maxWireName); err != nil {
@@ -133,17 +142,8 @@ type Server struct {
 	mu      sync.Mutex
 	files   map[string][]byte
 	partial map[string][]byte // in-progress sink writes, keyed by writer+name
-	pulls   map[uint64]*pullState
-	pullID  uint64
 	closed  bool
-}
-
-// pullState tracks one in-progress server-to-server replica fetch.
-type pullState struct {
-	buf       []byte
-	requester string // who asked for the replication
-	ackID     uint64 // reqID to acknowledge with
-	name      string
+	pulls   sync.WaitGroup // replica fetches in flight
 }
 
 // NewServer creates and registers a file server named name.
@@ -154,7 +154,6 @@ func NewServer(name string, cat naming.Catalog, listens []comm.Route) (*Server, 
 		cat:     cat,
 		files:   make(map[string][]byte),
 		partial: make(map[string][]byte),
-		pulls:   make(map[uint64]*pullState),
 	}
 	s.ep = comm.NewEndpoint(s.urn,
 		comm.WithResolver(naming.NewResolver(cat)),
@@ -195,7 +194,8 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.cat.Remove(naming.ServiceURN(ServiceName), rcds.AttrLocation, s.urn)
-	s.ep.Close()
+	s.ep.Close() // no handler runs after this, and a pull's fetch ends
+	s.pulls.Wait()
 }
 
 // Put stores a file directly (server-side API).
@@ -253,68 +253,49 @@ func (s *Server) handle(m *comm.Message) {
 		s.files[f.Name] = data
 		s.mu.Unlock()
 		s.registerLocation(f.Name)
-		s.reply(m.Src, &fileMsg{Op: opAck, ReqID: f.ReqID, Name: f.Name, OK: true})
+		s.send(m.Src, comm.ReplyTag, &fileMsg{Op: opAck, ReqID: f.ReqID, Name: f.Name, OK: true})
+
+	case opFetch:
+		s.stream(m.Src, comm.ReplyTag, f.ReqID, f.Name)
 
 	case opRead:
-		data, ok := s.Get(f.Name)
-		if !ok {
-			s.reply(f.Dst, &fileMsg{Op: opData, ReqID: f.ReqID, Name: f.Name, OK: false, Err: ErrNotFound.Error(), EOF: true})
-			return
-		}
-		s.streamTo(f.Dst, f.ReqID, f.Name, data)
+		s.stream(f.Dst, task.TagFile, f.ReqID, f.Name)
 
 	case opList:
-		s.reply(m.Src, &fileMsg{Op: opListResp, ReqID: f.ReqID, OK: true, Names: s.Files()})
+		s.send(m.Src, comm.ReplyTag, &fileMsg{Op: opListResp, ReqID: f.ReqID, OK: true, Names: s.Files()})
 
 	case opPull:
-		// Replicate: stream the file from the named peer server into a
-		// pull buffer. The peer's opData replies arrive back through
-		// this handler and rendezvous by pull ID.
-		s.mu.Lock()
-		s.pullID++
-		pid := s.pullID
-		s.pulls[pid] = &pullState{requester: m.Src, ackID: f.ReqID, name: f.Name}
-		s.mu.Unlock()
-		req := &fileMsg{Op: opRead, ReqID: pid, Name: f.Name, Dst: s.urn}
-		if err := s.ep.Send(f.Dst, task.TagFile, req.encode()); err != nil {
-			s.mu.Lock()
-			delete(s.pulls, pid)
-			s.mu.Unlock()
-			s.reply(m.Src, &fileMsg{Op: opAck, ReqID: f.ReqID, Name: f.Name, OK: false, Err: err.Error()})
-		}
-
-	case opData:
-		// A chunk of an in-progress pull.
-		s.mu.Lock()
-		ps, ok := s.pulls[f.ReqID]
-		if !ok {
-			s.mu.Unlock()
-			return
-		}
-		if !f.OK {
-			delete(s.pulls, f.ReqID)
-			s.mu.Unlock()
-			s.reply(ps.requester, &fileMsg{Op: opAck, ReqID: ps.ackID, Name: ps.name, OK: false, Err: f.Err})
-			return
-		}
-		ps.buf = append(ps.buf, f.Data...)
-		if !f.EOF {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.pulls, f.ReqID)
-		data := ps.buf
-		s.mu.Unlock()
-		s.Put(ps.name, data)
-		s.reply(ps.requester, &fileMsg{Op: opAck, ReqID: ps.ackID, Name: ps.name, OK: true})
+		// Replicate: fetch the file from the named peer server. The fetch
+		// runs beside the handler, so a peer replicating from this server
+		// at the same moment is answered, not held behind it.
+		requester := m.Src
+		s.pulls.Add(1)
+		go func() {
+			defer s.pulls.Done()
+			data, err := fetch(s.ep, f.Dst, f.Name, pullTimeout)
+			ack := &fileMsg{Op: opAck, ReqID: f.ReqID, Name: f.Name, OK: err == nil}
+			if err == nil {
+				s.Put(f.Name, data)
+			} else {
+				ack.Err = err.Error()
+			}
+			s.send(requester, comm.ReplyTag, ack)
+		}()
 	}
 }
 
-func (s *Server) reply(dst string, f *fileMsg) {
-	s.ep.Send(dst, task.TagFile, f.encode())
+func (s *Server) send(dst string, tag uint32, f *fileMsg) {
+	s.ep.Send(dst, tag, f.encode())
 }
 
-func (s *Server) streamTo(dst string, reqID uint64, name string, data []byte) {
+// stream sends the named file to dst under tag in chunks, the last
+// marked EOF, or one failed chunk if the server does not hold it.
+func (s *Server) stream(dst string, tag uint32, reqID uint64, name string) {
+	data, ok := s.Get(name)
+	if !ok {
+		s.send(dst, tag, &fileMsg{Op: opData, ReqID: reqID, Name: name, OK: false, Err: ErrNotFound.Error(), EOF: true})
+		return
+	}
 	for off := 0; ; off += chunkSize {
 		end := off + chunkSize
 		last := false
@@ -322,8 +303,7 @@ func (s *Server) streamTo(dst string, reqID uint64, name string, data []byte) {
 			end = len(data)
 			last = true
 		}
-		chunk := &fileMsg{Op: opData, ReqID: reqID, Name: name, Data: data[off:end], EOF: last, OK: true}
-		s.reply(dst, chunk)
+		s.send(dst, tag, &fileMsg{Op: opData, ReqID: reqID, Name: name, Data: data[off:end], EOF: last, OK: true})
 		if last {
 			return
 		}

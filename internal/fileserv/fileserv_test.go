@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,6 +176,37 @@ func TestStreamToThirdParty(t *testing.T) {
 	}
 }
 
+// TestReceiveStreamBesideFetch: a stream and a fetch from one server
+// arrive on one endpoint at once, and each gets its own bytes.
+func TestReceiveStreamBesideFetch(t *testing.T) {
+	w := newWorld(t)
+	s := w.server("fs1")
+	requester := w.client("urn:requester")
+	c := w.client("urn:fc")
+	streamed := bytes.Repeat([]byte("s"), 2*chunkSize+5)
+	fetched := bytes.Repeat([]byte("f"), 2*chunkSize+9)
+	s.Put("streamed.dat", streamed)
+	s.Put("fetched.dat", fetched)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		name, got, err := ReceiveStream(c.ep, s.URN(), 10*time.Second)
+		if err != nil || name != "streamed.dat" || !bytes.Equal(got, streamed) {
+			t.Errorf("stream: %q len=%d err=%v", name, len(got), err)
+		}
+	}()
+	if err := requester.StreamTo(s.URN(), "streamed.dat", "urn:fc"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Fetch(s.URN(), "fetched.dat")
+	if err != nil || !bytes.Equal(got, fetched) {
+		t.Errorf("fetch: len=%d err=%v", len(got), err)
+	}
+	wg.Wait()
+}
+
 func TestStreamToMissingFile(t *testing.T) {
 	w := newWorld(t)
 	s := w.server("fs1")
@@ -198,6 +230,25 @@ func TestList(t *testing.T) {
 	if err != nil || len(files) != 2 || files[0] != "a" {
 		t.Fatalf("List = %v, %v", files, err)
 	}
+}
+
+// TestSetTimeoutBesideList: the timeout may change while calls that
+// read it are in flight.
+func TestSetTimeoutBesideList(t *testing.T) {
+	w := newWorld(t)
+	s := w.server("fs1")
+	c := w.client("urn:fc")
+	s.Put("a", []byte("1"))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := c.List(s.URN()); err != nil {
+			t.Errorf("List: %v", err)
+		}
+	}()
+	c.SetTimeout(5 * time.Second)
+	wg.Wait()
 }
 
 func TestPullReplication(t *testing.T) {

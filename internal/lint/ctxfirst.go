@@ -19,7 +19,7 @@ var ctxfirstAPI = map[string]map[string]bool{
 		"Apply": true, "Wait": true, "Stats": true, "WaitFor": true,
 	},
 	"Endpoint": {
-		"SendWait": true, "Recv": true, "RecvMatch": true,
+		"SendWait": true, "Recv": true, "RecvMatch": true, "AwaitReply": true,
 	},
 }
 

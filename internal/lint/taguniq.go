@@ -60,18 +60,28 @@ func taguniqSpaces() []*taguniqSpace {
 		{
 			// The SNIPE message-tag space: the system tags every daemon
 			// protocol rides (task.Tag*), plus comm's reserved tags
-			// (AnyTag sentinel, StreamTag for the stream mux).
+			// (AnyTag sentinel, StreamTag for the stream mux, ReplyTag
+			// for every reply).
 			name: "message tag",
 			member: func(pkg, name string) bool {
 				if pkg == "snipe/internal/task" {
 					return taguniqTagName.MatchString(name)
 				}
 				if pkg == "snipe/internal/comm" {
-					return name == "AnyTag" || name == "StreamTag"
+					return name == "AnyTag" || name == "StreamTag" || name == "ReplyTag"
 				}
 				return false
 			},
-			retired: map[int64]string{},
+			// One response tag per protocol, each retired when its replies
+			// moved to comm's reply tag.
+			retired: map[int64]string{
+				0xF0000003: "remote-spawn response",
+				0xF0000006: "daemon task-table response",
+				0xF0000009: "migration-adopt response",
+				0xF000000C: "resource-manager response",
+				0xF000000E: "checkpoint response",
+				0xF0000011: "daemon metrics-snapshot response",
+			},
 		},
 		{
 			name:    "rcds response status tag",

@@ -34,7 +34,6 @@ package migrate
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"snipe/internal/comm"
@@ -45,8 +44,6 @@ import (
 	"snipe/internal/rcds"
 	"snipe/internal/task"
 )
-
-var reqIDs atomic.Uint64
 
 // Options tunes a migration.
 type Options struct {
@@ -125,7 +122,7 @@ func Remote(cat naming.Catalog, ep *comm.Endpoint, taskURN, srcDaemonURN, dstDae
 		return 0, err
 	}
 
-	spec, err := daemon.CheckpointRemote(ep, srcDaemonURN, taskURN, reqIDs.Add(1), opts.CheckpointTimeout)
+	spec, err := daemon.CheckpointRemote(ep, srcDaemonURN, taskURN, opts.CheckpointTimeout)
 	if err != nil {
 		return 0, fmt.Errorf("migrate: remote checkpoint: %w", err)
 	}
@@ -135,7 +132,7 @@ func Remote(cat naming.Catalog, ep *comm.Endpoint, taskURN, srcDaemonURN, dstDae
 	if opts.TransferDelay > 0 {
 		time.Sleep(opts.TransferDelay)
 	}
-	if err := daemon.MigrateRemote(ep, dstDaemonURN, taskURN, spec, reqIDs.Add(1), opts.CheckpointTimeout); err != nil {
+	if err := daemon.MigrateRemote(ep, dstDaemonURN, taskURN, spec, opts.CheckpointTimeout); err != nil {
 		return 0, fmt.Errorf("migrate: remote adopt: %w", err)
 	}
 	// End the old location's tenure (best effort: the quiesced endpoint

@@ -15,11 +15,11 @@
 // Any number of RMs may run concurrently; each registers itself under
 // the well-known service URN, and clients fail over between them —
 // removing PVM's single-resource-manager bottleneck and single point
-// of failure (§2.2).
+// of failure (§2.2). Clients and RMs talk in requests and replies
+// (DESIGN "Request and reply").
 package rm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -60,6 +60,8 @@ var (
 	ErrNoHosts = errors.New("rm: no host satisfies request")
 	// ErrNoManagers indicates no resource manager answered.
 	ErrNoManagers = errors.New("rm: no reachable resource manager")
+	// errRemote wraps the error text of an RM's reply as "rm: <text>".
+	errRemote = errors.New("rm")
 )
 
 // hostInfo is an RM's view of one candidate host.
@@ -79,8 +81,7 @@ type Manager struct {
 	ep   *comm.Endpoint
 
 	mu           sync.Mutex
-	reservations map[string]int // host URL → reserved slots
-	nextReqID    uint64
+	reservations map[string]int     // host URL → reserved slots
 	authorizer   *seckey.Authorizer // nil: secure allocation disabled
 	closed       bool
 
@@ -294,11 +295,7 @@ func (m *Manager) Allocate(spec task.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m.mu.Lock()
-	m.nextReqID++
-	reqID := m.nextReqID
-	m.mu.Unlock()
-	return daemon.SpawnRemote(m.ep, daemonURN, spec, reqID, 10*time.Second)
+	return daemon.SpawnRemote(m.ep, daemonURN, spec, 10*time.Second)
 }
 
 // Reserve is passive-mode management: mark one slot on the host as
@@ -356,73 +353,43 @@ func (m *Manager) handle(msg *comm.Message) {
 	if err != nil {
 		return
 	}
-	e := xdr.NewEncoder(64)
-	e.PutUint64(reqID)
+	var value string
 	switch op {
 	case opSelect:
-		spec, err := task.DecodeSpec(d)
-		var hostURL string
-		if err == nil {
-			hostURL, _, err = m.SelectHost(spec.Req)
+		var spec task.Spec
+		if spec, err = task.DecodeSpec(d); err == nil {
+			value, _, err = m.SelectHost(spec.Req)
 		}
-		putResult(e, hostURL, err)
 	case opAllocate:
-		spec, err := task.DecodeSpec(d)
-		var urn string
-		if err == nil {
-			urn, err = m.Allocate(spec)
+		var spec task.Spec
+		if spec, err = task.DecodeSpec(d); err == nil {
+			value, err = m.Allocate(spec)
 		}
-		putResult(e, urn, err)
 	case opReserve:
-		host, err := d.StringMax(maxWireHost)
-		if err == nil {
-			m.Reserve(host)
+		if value, err = d.StringMax(maxWireHost); err == nil {
+			m.Reserve(value)
 		}
-		putResult(e, host, err)
 	case opRelease:
-		host, err := d.StringMax(maxWireHost)
-		if err == nil {
-			m.Release(host)
+		if value, err = d.StringMax(maxWireHost); err == nil {
+			m.Release(value)
 		}
-		putResult(e, host, err)
 	case opSecureAllocate:
-		m.handleSecure(d, e)
+		value, err = m.handleSecure(d)
 	default:
-		putResult(e, "", fmt.Errorf("rm: unknown op %d", op))
+		err = fmt.Errorf("rm: unknown op %d", op)
 	}
-	m.ep.Send(msg.Src, task.TagRMResp, e.Bytes())
-}
-
-func putResult(e *xdr.Encoder, value string, err error) {
-	e.PutBool(err == nil)
-	if err != nil {
-		e.PutString(err.Error())
-	} else {
-		e.PutString(value)
-	}
+	daemon.Reply(m.ep, msg.Src, reqID, err, func(e *xdr.Encoder) { e.PutString(value) })
 }
 
 // Client talks to the replicated resource-manager service, failing
-// over between RMs — the redundancy experiment of E6.
-//
-// A Client has one request in flight at a time: concurrent calls queue,
-// each behind the whole exchange of the one before, failover included.
-// While the first RM listed is down, every queued call waits out its
-// timeout on that RM before trying the next, so N concurrent calls take
-// about N timeouts (5 s each by default). Callers that need parallel
-// requests use one Client each.
+// over between RMs — the redundancy experiment of E6. Any number of
+// calls may run at once.
 type Client struct {
 	cat naming.Catalog
 	ep  *comm.Endpoint
 
 	mu      sync.Mutex
 	timeout time.Duration
-
-	// reqMu keeps one request in flight, held across its send and its
-	// await: awaitResp drops a reply that is not its own, which would
-	// lose the reply of a second request in flight.
-	reqMu     sync.Mutex
-	nextReqID uint64 // guarded by reqMu
 }
 
 // NewClient builds an RM client over an existing endpoint.
@@ -442,7 +409,9 @@ func (c *Client) managers() ([]string, error) {
 	return c.cat.Values(naming.ServiceURN(ServiceName), rcds.AttrLocation)
 }
 
-// request runs one op against the RM service with failover.
+// request runs one op against the RM service with failover: an RM that
+// cannot be reached or does not answer in time passes the op to the
+// next one, and an RM's answer, failure included, ends it.
 func (c *Client) request(op uint8, body func(*xdr.Encoder)) (string, error) {
 	rms, err := c.managers()
 	if err != nil {
@@ -454,63 +423,21 @@ func (c *Client) request(op uint8, body func(*xdr.Encoder)) (string, error) {
 	c.mu.Lock()
 	timeout := c.timeout
 	c.mu.Unlock()
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
 	var lastErr error = ErrNoManagers
 	for _, rmURN := range rms {
-		c.nextReqID++
-		reqID := c.nextReqID
-		e := xdr.NewEncoder(128)
-		e.PutUint64(reqID)
-		e.PutUint8(op)
-		if body != nil {
+		d, err := daemon.Call(c.ep, rmURN, task.TagRM, timeout, errRemote, func(e *xdr.Encoder) {
+			e.PutUint8(op)
 			body(e)
-		}
-		if err := c.ep.Send(rmURN, task.TagRM, e.Bytes()); err != nil { //lint:allow lockedio reqMu is held across the exchange on purpose: one request in flight per client
-			lastErr = err
-			continue
-		}
-		value, err := c.awaitResp(rmURN, reqID, timeout)
+		})
 		if err == nil {
-			return value, nil
+			return d.StringMax(maxWireHost)
 		}
-		lastErr = err
-		if !errors.Is(err, comm.ErrTimeout) {
+		if errors.Is(err, errRemote) {
 			return "", err // a real answer (e.g. ErrNoHosts): do not mask it
 		}
+		lastErr = err
 	}
 	return "", fmt.Errorf("%w (last: %v)", ErrNoManagers, lastErr)
-}
-
-func (c *Client) awaitResp(rmURN string, reqID uint64, timeout time.Duration) (string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	for {
-		m, err := c.ep.RecvMatch(ctx, rmURN, task.TagRMResp)
-		if err != nil {
-			return "", err
-		}
-		d := xdr.NewDecoder(m.Payload)
-		gotID, err := d.Uint64()
-		if err != nil {
-			return "", err
-		}
-		if gotID != reqID {
-			continue
-		}
-		ok, err := d.Bool()
-		if err != nil {
-			return "", err
-		}
-		s, err := d.StringMax(maxWireHost)
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			return "", fmt.Errorf("rm: %s", s)
-		}
-		return s, nil
-	}
 }
 
 // Allocate spawns spec on the best host, via any live RM.

@@ -257,6 +257,39 @@ func TestClientConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestClientConcurrentFailover: while the first RM listed is registered
+// but never answers, calls made at once each wait out one timeout on it
+// and fail over to the live RM side by side, not one after another.
+func TestClientConcurrentFailover(t *testing.T) {
+	w := newWorld(t)
+	w.daemon("h1", "go-sim", 512, 2)
+	w.client("urn:snipe:process:mute:rm") // registered and listening, never answers
+	w.cat.Add(naming.ServiceURN(ServiceName), rcds.AttrLocation, "urn:snipe:process:mute:rm")
+	w.manager("rm2")
+	c := w.client("urn:rmclient")
+	const timeout = 300 * time.Millisecond
+	c.SetTimeout(timeout)
+	if rms, err := c.managers(); err != nil || len(rms) != 2 || rms[0] != "urn:snipe:process:mute:rm" {
+		t.Fatalf("managers = %v, %v; want the mute RM first", rms, err)
+	}
+	const calls = 8
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.SelectHost(task.Requirements{}); err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if took := time.Since(start); took > 2*timeout {
+		t.Fatalf("%d calls took %v, more than 2 timeouts of %v", calls, took, timeout)
+	}
+}
+
 func TestClientNoManagers(t *testing.T) {
 	w := newWorld(t)
 	c := w.client("urn:rmclient")

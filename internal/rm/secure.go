@@ -111,13 +111,12 @@ func (m *Manager) SecureAllocate(req *SecureRequest, now uint64) (string, error)
 }
 
 // handleSecure answers opSecureAllocate (called from handle).
-func (m *Manager) handleSecure(d *xdr.Decoder, e *xdr.Encoder) {
+func (m *Manager) handleSecure(d *xdr.Decoder) (string, error) {
 	req, err := DecodeSecureRequest(d)
-	var urn string
-	if err == nil {
-		urn, err = m.SecureAllocate(req, uint64(time.Now().Unix()))
+	if err != nil {
+		return "", err
 	}
-	putResult(e, urn, err)
+	return m.SecureAllocate(req, uint64(time.Now().Unix()))
 }
 
 // SecureAllocate is the client side: present credentials with the

@@ -50,40 +50,36 @@ const (
 )
 
 // Well-known message tags used by SNIPE system protocols. Application
-// tags should stay below TagSystemBase.
+// tags should stay below TagSystemBase. Requests are answered under
+// comm.ReplyTag (DESIGN "Request and reply"), so no protocol has a
+// response tag of its own.
 const (
 	TagSystemBase uint32 = 0xF0000000
 	// TagNotify carries task state-change notifications (§5.2.3).
 	TagNotify = TagSystemBase + 1
-	// TagSpawnReq and TagSpawnResp implement remote spawn (§5.5).
-	TagSpawnReq  = TagSystemBase + 2
-	TagSpawnResp = TagSystemBase + 3
+	// TagSpawnReq asks for a remote spawn (§5.5).
+	TagSpawnReq = TagSystemBase + 2
 	// TagSignal delivers a signal to a remote task via its daemon.
 	TagSignal = TagSystemBase + 4
-	// TagStatusReq and TagStatusResp query a daemon's task table.
-	TagStatusReq  = TagSystemBase + 5
-	TagStatusResp = TagSystemBase + 6
+	// TagStatusReq queries a daemon's task table.
+	TagStatusReq = TagSystemBase + 5
 	// TagMcast carries multicast group relay traffic.
 	TagMcast = TagSystemBase + 7
 	// TagMigrateReq asks a daemon to adopt a migrating task.
-	TagMigrateReq  = TagSystemBase + 8
-	TagMigrateResp = TagSystemBase + 9
-	// TagFile carries file sink/source data (§5.9).
+	TagMigrateReq = TagSystemBase + 8
+	// TagFile carries file requests and file streams (§5.9).
 	TagFile = TagSystemBase + 10
-	// TagRM carries resource-manager requests and replies.
-	TagRM     = TagSystemBase + 11
-	TagRMResp = TagSystemBase + 12
+	// TagRM carries resource-manager requests.
+	TagRM = TagSystemBase + 11
 	// TagCheckpointReq asks a daemon to checkpoint one of its tasks and
 	// return the portable spec (the first half of a migration).
-	TagCheckpointReq  = TagSystemBase + 13
-	TagCheckpointResp = TagSystemBase + 14
+	TagCheckpointReq = TagSystemBase + 13
 	// TagReleaseReq ends a checkpointed task's tenure on its old host
 	// (the close of the §5.6 relay window).
 	TagReleaseReq = TagSystemBase + 15
-	// TagStatsReq and TagStatsResp fetch a daemon's metrics snapshot —
-	// the console's window into a running host (§3.7).
-	TagStatsReq  = TagSystemBase + 16
-	TagStatsResp = TagSystemBase + 17
+	// TagStatsReq fetches a daemon's metrics snapshot — the console's
+	// window into a running host (§3.7).
+	TagStatsReq = TagSystemBase + 16
 	// TagGossip carries SWIM-style liveness gossip between host daemons
 	// (see internal/gossip): ping/ack probes, indirect ping-req relays
 	// and membership-state pushes.
