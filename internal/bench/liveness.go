@@ -294,7 +294,6 @@ func (w *scaleWorld) close() {
 // startScaleWorld spins up hosts gossip agents in contiguous groups of
 // groupSize over a hub, plus a monitor on the shared store.
 func startScaleWorld(hosts, groupSize int, probe time.Duration) (*scaleWorld, error) {
-	groups := (hosts + groupSize - 1) / groupSize
 	w := &scaleWorld{fabric: netsim.NewFabric()}
 	w.hub = netsim.NewHub(w.fabric)
 	w.cat = naming.StoreCatalog(rcds.NewStore(fmt.Sprintf("bench-liveness-%d", hosts)))
@@ -359,7 +358,6 @@ func startScaleWorld(hosts, groupSize int, probe time.Duration) (*scaleWorld, er
 		ag, err := gossip.NewAgent(gossip.Config{
 			Self:          w.names[i],
 			Group:         g,
-			Groups:        groups,
 			ProbeInterval: probe,
 			AckTimeout:    ackTO,
 			ProbeTimeout:  probeTO,

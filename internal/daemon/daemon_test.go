@@ -502,6 +502,41 @@ func TestCheckpointTimeoutOnUncooperativeTask(t *testing.T) {
 	d.Signal(urn, task.SigKill)
 }
 
+// TestStatusDuringCheckpoint: while a remote checkpoint waits out its 2-s
+// timeout on a task that never checkpoints, the daemon still answers a
+// status query with a 500-ms timeout.
+func TestStatusDuringCheckpoint(t *testing.T) {
+	w := newWorld(t)
+	reg := task.NewRegistry()
+	reg.Register("stubborn", func(ctx *task.Context) error {
+		<-ctx.Done()
+		return task.ErrKilled
+	})
+	d := w.newDaemon("h1", reg)
+	urn, err := d.Spawn(task.Spec{Program: "stubborn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := w.client("urn:client")
+	checkpointed := make(chan error, 1)
+	go func() {
+		_, err := CheckpointRemote(client, d.URN(), urn, 2*time.Second)
+		checkpointed <- err
+	}()
+	testutil.WaitFor(t, 2*time.Second, func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.tasks[urn].ctx.CheckpointRequested()) == 1 // the task never takes it
+	}, "the checkpoint request did not reach the task")
+	if _, err := StatusRemote(client, d.URN(), 500*time.Millisecond); err != nil {
+		t.Errorf("status during a checkpoint: %v", err)
+	}
+	if err := <-checkpointed; !errors.Is(err, ErrRemote) {
+		t.Errorf("checkpoint of a task that never checkpoints: %v", err)
+	}
+	d.Signal(urn, task.SigKill)
+}
+
 func TestLoadPublishing(t *testing.T) {
 	w := newWorld(t)
 	reg := task.NewRegistry()

@@ -34,7 +34,6 @@ func (d *Daemon) startGossip() error {
 	ag, err := gossip.NewAgent(gossip.Config{
 		Self:          d.hostURL,
 		Group:         group,
-		Groups:        groups,
 		ProbeInterval: d.cfg.HeartbeatInterval,
 		Transport:     gossip.TransportFunc(d.sendGossip),
 		Peers:         func() ([]string, error) { return d.gossipPeers(group, groups) },

@@ -92,8 +92,19 @@ func (d *Daemon) handleCheckpointReq(m *comm.Message) {
 	if err != nil {
 		return
 	}
-	spec, err := d.Checkpoint(urn, time.Duration(timeoutMs)*time.Millisecond)
-	Reply(d.ep, m.Src, reqID, err, spec.Encode)
+	// A checkpoint waits up to its timeout on the task, so it runs beside
+	// the handler, which goes on answering; Close and Kill wait for it.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
+	d.wg.Add(1)
+	go func(src string) {
+		defer d.wg.Done()
+		spec, err := d.Checkpoint(urn, time.Duration(timeoutMs)*time.Millisecond)
+		Reply(d.ep, src, reqID, err, spec.Encode)
+	}(m.Src)
 }
 
 // CheckpointRemote asks the daemon at daemonURN to checkpoint taskURN,

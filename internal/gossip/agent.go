@@ -29,9 +29,8 @@ func (f TransportFunc) Send(to string, m *Message) error { return f(to, m) }
 // Config tunes an Agent. Self and Transport are required; zero values
 // elsewhere take the defaults noted.
 type Config struct {
-	Self   string // this host's URL (the liveness key monitors track)
-	Group  int    // this host's gossip group index
-	Groups int    // cluster-wide group count (informational, default 1)
+	Self  string // this host's URL (the liveness key monitors track)
+	Group int    // this host's gossip group index
 
 	// ProbeInterval is the cadence of the SWIM probe round (default
 	// 100ms). Every derived timeout scales from it.
@@ -51,24 +50,11 @@ type Config struct {
 	// changes trigger an immediate write, rate-limited to a quarter
 	// interval.
 	DigestInterval time.Duration
-	// PeerRefresh is how often the Peers callback is re-consulted for
-	// new group members (default 10 × ProbeInterval).
-	PeerRefresh time.Duration
-	// Retention is how long dead and left members stay in the table —
-	// and so in digests, where monitors learn of the verdict — before
-	// being dropped (default 20 × DigestInterval).
-	Retention time.Duration
-	// IndirectProbes is the SWIM k: how many helpers receive a ping-req
-	// when a direct probe times out (default 2).
-	IndirectProbes int
-	// PushFanout is how many random alive peers receive an immediate
-	// push when a member changes state (default 3).
-	PushFanout int
 
 	// Transport carries messages to peers (required).
 	Transport Transport
 	// Peers lists the host URLs of this agent's group (self included or
-	// not, either works); consulted at Start and every PeerRefresh.
+	// not, either works); consulted at Start and every peerRefresh.
 	// Optional: members are also learned from incoming gossip.
 	Peers func() ([]string, error)
 	// WriteDigest publishes a group digest to the catalog. Optional: an
@@ -83,10 +69,23 @@ type Config struct {
 	Load func() float64
 }
 
+// The SWIM k, how many helpers receive a ping-req when a direct probe
+// times out, and how many random alive peers receive an immediate push
+// when a member changes state.
+const (
+	indirectProbes = 2
+	pushFanout     = 3
+)
+
+// peerRefresh is how often the Peers callback is consulted again for new
+// group members.
+func (c *Config) peerRefresh() time.Duration { return 10 * c.ProbeInterval }
+
+// retention is how long dead and left members stay in the table — and so
+// in digests, where monitors learn of the verdict — before being dropped.
+func (c *Config) retention() time.Duration { return 20 * c.DigestInterval }
+
 func (c *Config) fill() {
-	if c.Groups <= 0 {
-		c.Groups = 1
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Millisecond
 	}
@@ -102,23 +101,11 @@ func (c *Config) fill() {
 	if c.DigestInterval <= 0 {
 		c.DigestInterval = c.ProbeInterval
 	}
-	if c.PeerRefresh <= 0 {
-		c.PeerRefresh = 10 * c.ProbeInterval
-	}
-	if c.Retention <= 0 {
-		c.Retention = 20 * c.DigestInterval
-	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = 2
-	}
-	if c.PushFanout <= 0 {
-		c.PushFanout = 3
-	}
 }
 
 // bootInc derives an agent's starting incarnation from the boot clock.
 // A host that crashes and restarts after its peers expunged the dead
-// record (Retention) rejoins a table that remembers nothing to refute:
+// record (retention) rejoins a table that remembers nothing to refute:
 // were the incarnation a constant, the reborn agent would never hear
 // the old death verdict, and any monitor still holding the frozen
 // verdict would keep it Dead for roughly its previous uptime (seq
@@ -381,7 +368,7 @@ func (a *Agent) run() {
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
 	phase := 0
-	nextRefresh := time.Now().Add(a.cfg.PeerRefresh)
+	nextRefresh := time.Now().Add(a.cfg.peerRefresh())
 	for {
 		select {
 		case <-a.done:
@@ -400,7 +387,7 @@ func (a *Agent) run() {
 			a.digestTick(now)
 			if a.cfg.Peers != nil && now.After(nextRefresh) {
 				a.refreshPeers()
-				nextRefresh = now.Add(a.cfg.PeerRefresh)
+				nextRefresh = now.Add(a.cfg.peerRefresh())
 			}
 		}
 	}
@@ -504,7 +491,7 @@ func (a *Agent) timeoutsLocked(now time.Time, out *[]send) {
 				a.applyLocked(Update{Host: host, Inc: m.Inc, Seq: m.Seq, State: StateDead, Load: m.Load, NoCat: m.NoCat}, now, out)
 			}
 		case StateDead, StateLeft:
-			if host != a.cfg.Self && now.Sub(m.changedAt) > a.cfg.Retention {
+			if host != a.cfg.Self && now.Sub(m.changedAt) > a.cfg.retention() {
 				delete(a.members, host)
 			}
 		}
@@ -516,7 +503,7 @@ func (a *Agent) timeoutsLocked(now time.Time, out *[]send) {
 	}
 }
 
-// helpersLocked picks up to IndirectProbes random alive members,
+// helpersLocked picks up to indirectProbes random alive members,
 // excluding self and the probe target.
 func (a *Agent) helpersLocked(target string) []string {
 	candidates := make([]string, 0, len(a.members))
@@ -527,8 +514,8 @@ func (a *Agent) helpersLocked(target string) []string {
 	}
 	sort.Strings(candidates)
 	a.rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
-	if len(candidates) > a.cfg.IndirectProbes {
-		candidates = candidates[:a.cfg.IndirectProbes]
+	if len(candidates) > indirectProbes {
+		candidates = candidates[:indirectProbes]
 	}
 	return candidates
 }
@@ -598,7 +585,7 @@ func (a *Agent) countTransitionLocked(state uint8) {
 }
 
 // pushPlanLocked plans an immediate dissemination of u to up to
-// PushFanout random alive peers, plus — always — the group's elected
+// pushFanout random alive peers, plus — always — the group's elected
 // reporter: the reporter owns the digest write that carries this
 // change to the catalog tier, so routing the push straight to it makes
 // detection latency probe + timeout + one write rather than waiting on
@@ -612,8 +599,8 @@ func (a *Agent) pushPlanLocked(u Update) []send {
 	}
 	sort.Strings(peers)
 	a.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if len(peers) > a.cfg.PushFanout {
-		peers = peers[:a.cfg.PushFanout]
+	if len(peers) > pushFanout {
+		peers = peers[:pushFanout]
 	}
 	if rep := a.reporterLocked(); rep != "" && rep != a.cfg.Self && rep != u.Host {
 		repIn := false

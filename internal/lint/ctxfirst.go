@@ -6,17 +6,17 @@ import (
 	"strings"
 )
 
-// ctxfirstAPI lists the consolidated context-first method sets by
-// receiver type name. PR 7 deleted the timeout-signature wrappers and
-// renamed the *Context variants to these bare names; the analyzer keeps
-// both regressions out: reintroducing a `<Name>Context` sibling, or
-// declaring one of these names without a leading context.Context.
+// ctxfirstAPI lists the context-first method sets by receiver type name:
+// every request method of rcds.Client and comm.Endpoint. The analyzer
+// flags a `<Name>Context` sibling of one, and one declared without a
+// leading context.Context.
 var ctxfirstAPI = map[string]map[string]bool{
 	"Client": {
 		"Ping": true, "Set": true, "Add": true, "AddSigned": true,
 		"Remove": true, "RemoveAll": true, "Get": true, "Values": true,
-		"FirstValue": true, "URIs": true, "Vector": true, "OpsSince": true,
-		"Apply": true, "Wait": true, "Stats": true, "WaitFor": true,
+		"FirstValue": true, "URIs": true, "Wait": true, "WaitURI": true,
+		"Stats": true, "WaitFor": true, "Catchup": true, "SnapshotPage": true,
+		"AddSignedBy": true, "PublishKey": true, "VerifiedValues": true,
 	},
 	"Endpoint": {
 		"SendWait": true, "Recv": true, "RecvMatch": true, "AwaitReply": true,

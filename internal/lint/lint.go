@@ -5,14 +5,21 @@
 //
 // The suite encodes invariants generic vet/staticcheck cannot see:
 //
-//   - ctxfirst: no production code may call the deprecated
-//     timeout-signature wrappers (Endpoint.SendWait/Recv/RecvMatch,
-//     the non-Context rcds.Client operations, Endpoint.Stats).
+//   - ctxfirst: the rcds.Client and comm.Endpoint request methods take
+//     a context.Context first, and none has a *Context sibling.
+//   - ctxleak: every cancel function a context constructor returns is
+//     called on every path.
+//   - goroutinelife: a library goroutine that can block forever has a
+//     ctx, done-channel or close escape.
 //   - lockedio: no network I/O while a sync.Mutex/RWMutex is held.
-//   - xdrbound: every length-prefixed xdr decode must state a
-//     caller-side cap (the *Max variants).
+//   - lockorder: the program-wide mutex acquisition graph is acyclic
+//     and follows the declared order.
 //   - statskey: metric-name literals must follow the naming convention
 //     and must not be near-duplicates of each other.
+//   - taguniq: wire discriminants are unique within their space and
+//     never reuse a retired value.
+//   - xdrbound: every length-prefixed xdr decode must state a
+//     caller-side cap (the *Max variants).
 //
 // A finding is suppressed by a comment on the flagged line or the line
 // above it:

@@ -18,23 +18,24 @@ var lockedioMethods = map[string]bool{
 	"snipe/internal/comm.FrameConn.Send":     true,
 	"snipe/internal/comm.FrameConn.Recv":     true,
 
-	"snipe/internal/rcds.Client.Ping":       true,
-	"snipe/internal/rcds.Client.Set":        true,
-	"snipe/internal/rcds.Client.Add":        true,
-	"snipe/internal/rcds.Client.AddSigned":  true,
-	"snipe/internal/rcds.Client.Remove":     true,
-	"snipe/internal/rcds.Client.RemoveAll":  true,
-	"snipe/internal/rcds.Client.Get":        true,
-	"snipe/internal/rcds.Client.Values":     true,
-	"snipe/internal/rcds.Client.FirstValue": true,
-	"snipe/internal/rcds.Client.URIs":       true,
-	"snipe/internal/rcds.Client.Vector":     true,
-	"snipe/internal/rcds.Client.OpsSince":   true,
-	"snipe/internal/rcds.Client.Apply":      true,
-	"snipe/internal/rcds.Client.Wait":       true,
-	"snipe/internal/rcds.Client.Stats":      true,
-	"snipe/internal/rcds.Client.WaitFor":    true,
-	"snipe/internal/rcds.Client.roundTrip":  true,
+	"snipe/internal/rcds.Client.Ping":         true,
+	"snipe/internal/rcds.Client.Set":          true,
+	"snipe/internal/rcds.Client.Add":          true,
+	"snipe/internal/rcds.Client.AddSigned":    true,
+	"snipe/internal/rcds.Client.Remove":       true,
+	"snipe/internal/rcds.Client.RemoveAll":    true,
+	"snipe/internal/rcds.Client.Get":          true,
+	"snipe/internal/rcds.Client.Values":       true,
+	"snipe/internal/rcds.Client.FirstValue":   true,
+	"snipe/internal/rcds.Client.URIs":         true,
+	"snipe/internal/rcds.Client.post":         true,
+	"snipe/internal/rcds.Client.Wait":         true,
+	"snipe/internal/rcds.Client.WaitURI":      true,
+	"snipe/internal/rcds.Client.Stats":        true,
+	"snipe/internal/rcds.Client.WaitFor":      true,
+	"snipe/internal/rcds.Client.Catchup":      true,
+	"snipe/internal/rcds.Client.SnapshotPage": true,
+	"snipe/internal/rcds.Client.roundTrip":    true,
 
 	// The one length-prefixed frame reader and writer, under every comm
 	// stream transport and every rcds connection.

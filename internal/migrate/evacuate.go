@@ -34,12 +34,6 @@ type EvacuatorConfig struct {
 	Options Options
 	// OnResult, if non-nil, observes every attempted evacuation.
 	OnResult func(EvacuationResult)
-	// DrainHook, if non-nil, runs before task evacuation whenever a host
-	// enters Suspect — typically a service replica's Drain, so the
-	// replica stops accepting new streams and withdraws its catalog
-	// registration while its in-flight work (and then its tasks) are
-	// moved off the host.
-	DrainHook func(hostURL string)
 }
 
 // Evacuator watches a liveness monitor and migrates tasks off any host
@@ -77,9 +71,6 @@ func NewEvacuator(cfg EvacuatorConfig) (*Evacuator, error) {
 					return
 				}
 				if e.To == liveness.Suspect {
-					if cfg.DrainHook != nil {
-						cfg.DrainHook(e.Host)
-					}
 					ev.evacuate(e.Host)
 				}
 			}

@@ -114,6 +114,7 @@ type clientConn struct {
 	pending map[uint64]*call
 	broken  bool
 	err     error
+	done    chan struct{} // closed when the connection breaks
 }
 
 // register records cl as the pending call for id.
@@ -148,6 +149,7 @@ func (cc *clientConn) fail(err error) {
 	}
 	cc.broken = true
 	cc.err = err
+	close(cc.done)
 	pending := cc.pending
 	cc.pending = make(map[uint64]*call)
 	cc.mu.Unlock()
@@ -594,7 +596,7 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 		conn.Close()
 		return g.conn, nil
 	}
-	cc := &clientConn{c: conn, secret: c.secret, pending: make(map[uint64]*call),
+	cc := &clientConn{c: conn, secret: c.secret, pending: make(map[uint64]*call), done: make(chan struct{}),
 		fr: xdr.NewFrameReader(conn), mWrites: c.mWrites, mFrames: c.mFrames}
 	cc.wrote.L = &cc.writeMu
 	g.conn = cc
@@ -1008,17 +1010,13 @@ func (c *Client) urisFrom(ctx context.Context, g *replicaGroup, prefix string) (
 	return cl.dec.StringSliceMax(maxWireItems, maxWireValue)
 }
 
-// Apply posts replication ops to the server (peer-to-peer path): one
-// frame under request ID 0, which asks for no answer, so a nil error
-// means the kernel took the frame, not that the peer applied it; a
-// connection's frames are applied in the order posted. from is the
-// pushing replica's origin, which the receiver's relay leaves out. A
-// failed write breaks the connection and is not retried; ctx bounds a dial.
-func (c *Client) Apply(ctx context.Context, from string, ops []Assertion) error {
-	cc, err := c.getConn(ctx, c.seed)
-	if err != nil {
-		return err
-	}
+// post posts replication ops on cc, a connection of the seed group (the
+// push path): one frame under request ID 0, which asks for no answer, so a
+// nil error means the kernel took the frame, not that the peer applied it;
+// a connection's frames are applied in the order posted. from is the
+// pushing replica's origin, which the receiver logs as the ops' source. A
+// failed write breaks the connection and is not retried.
+func (c *Client) post(cc *clientConn, from string, ops []Assertion) error {
 	cl := newCall(cmdApply) // for its encoder: nothing is registered, nothing comes back
 	defer cl.release()
 	cl.req.PutString(from)

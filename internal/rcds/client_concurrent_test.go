@@ -529,7 +529,9 @@ func TestGatheredWriteFailure(t *testing.T) {
 			from := fmt.Sprintf("poster%d", p)
 			for seq := uint64(1); seq <= posts; seq++ {
 				op := Assertion{URI: "urn:posted", Name: AttrState, Value: "running", Origin: from, Seq: seq, Clock: seq}
-				_ = c.Apply(ctx, from, []Assertion{op}) // a frame on a killed connection is lost, not reordered
+				if cc, err := c.getConn(ctx, c.seed); err == nil {
+					_ = c.post(cc, from, []Assertion{op}) // a frame on a killed connection is lost, not reordered
+				}
 			}
 		}()
 	}

@@ -14,9 +14,10 @@
 // carries a Lamport clock and the origin server's identity; concurrent
 // updates are resolved by (clock, origin) ordering, a Remove leaves a
 // tombstone, a Set is one op that replaces the attribute's register and
-// clears every element and tombstone stamped before it, and a pull that
-// repairs a lost push compares per-origin version vectors over each
-// server's op log. This gives the
+// clears every element and tombstone stamped before it, and each server's
+// per-origin op log is what it pushes from — each peer the ops above that
+// peer's mark — and what a pull, which compares version vectors, is
+// served from. This gives the
 // paper's availability-over-atomicity consistency ("a consistency model
 // which sacrifices strict atomicity and serializability", §2.1) with
 // convergence guaranteed by commutative, idempotent merges.
@@ -35,9 +36,9 @@
 //   - Server (server.go, wire.go) puts a Store on the wire: a
 //     multiplexed length-prefixed binary protocol with optional HMAC
 //     authentication, a connection's requests served in arrival order
-//     by its read loop, push replication to peers as one-way frames,
-//     pulls on evidence over the same link (SyncFromPeer) that repair
-//     what a push lost, and optional shard enforcement plus compaction.
+//     by its read loop, push replication to peers as one-way frames read
+//     from the op log, a pull over the same link (SyncFromPeer) whenever
+//     a push link opens, and optional shard enforcement plus compaction.
 //   - Client (client.go, cache.go, shard.go, sync.go) is what the rest
 //     of SNIPE holds: failover across a replica group, request
 //     multiplexing, the watch-coherent read cache, and routing of

@@ -215,8 +215,9 @@ func startFakePeer(t *testing.T, origin string) *fakePeer {
 // push RPC would have spent that long on the first — every one in a
 // frame under request ID 0, none counted as a failure, and none held up by
 // the pull that asked the peer for a Catchup on start and waits for its
-// answer. Beside the Pings, the link carries nothing but the Applies and
-// the Catchups of the server's pulls.
+// answer. Beside the Pings, the link carries nothing but the Applies, the
+// empty one it opened with among them, and the Catchups of the server's
+// pulls.
 func TestPushAsksForNoAnswer(t *testing.T) {
 	const n = 200
 	peer := startFakePeer(t, "mute")
@@ -225,12 +226,13 @@ func TestPushAsksForNoAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc0.Close()
+	testutil.WaitFor(t, pushTimeout/2, func() bool { return peer.frames.Load() == 1 }, "the push link did not open")
 
 	setN(t, rc0, n)
 	testutil.WaitFor(t, pushTimeout/2, func() bool { return peer.ops() == n },
 		"the mute peer did not receive every op")
-	if got, want := counter(rc0, "applies_sent"), uint64(peer.frames.Load()); got != want {
-		t.Errorf("applies_sent = %d, the peer read %d frames", got, want)
+	if got, want := counter(rc0, "applies_sent"), uint64(peer.frames.Load())-1; got != want {
+		t.Errorf("applies_sent = %d, the peer read %d frames beside the empty one", got, want)
 	}
 	if got := counter(rc0, "apply_ops_sent"); got != n {
 		t.Errorf("apply_ops_sent = %d, want %d", got, n)
@@ -251,7 +253,9 @@ func TestPushAsksForNoAnswer(t *testing.T) {
 // TestPushLinkCarriesNothingBack: between two real replicas the link's
 // peer → pusher direction carries the Ping reply that named the peer and
 // one answer to each Catchup of the pusher's server's pulls, and nothing
-// else, however many writes cross the other way.
+// else, however many writes cross the other way. The other way carries
+// the Ping, the empty Apply the link opens with, the Applies and the
+// Catchups.
 func TestPushLinkCarriesNothingBack(t *testing.T) {
 	const n = 100
 	rc := startChain(t, [][]int{{}, {}})
@@ -276,7 +280,7 @@ func TestPushLinkCarriesNothingBack(t *testing.T) {
 	var pulls uint64
 	testutil.WaitFor(t, 5*time.Second, func() bool {
 		pulls = counter(rc[0], "pulls")
-		return uint64(relay.down.frames.Load()) == 1+pulls && uint64(relay.up.frames.Load()) == sent+1+pulls
+		return uint64(relay.down.frames.Load()) == 1+pulls && uint64(relay.up.frames.Load()) == 2+sent+pulls
 	}, "the link did not settle at the Ping, the Applies and one Catchup each way per pull")
 	if want := int64(4+len(pong)) + int64(pulls)*int64(4+len(tail)); relay.down.bytes.Load() != want {
 		t.Errorf("peer → pusher carried %d bytes, want the Ping reply and %d empty tails (%d bytes)", relay.down.bytes.Load(), pulls, want)

@@ -39,9 +39,9 @@ func (rc *rawConn) exchange(t *testing.T, id uint64, req []byte) *xdr.Decoder {
 // TestServedFrameIsNotKept: a Set is decoded where its frame lies, and
 // the next frame is read over it. A's URI, value and origin must survive
 // a same-length Set B and a 1 KiB Get on the same connection everywhere A
-// went: the catalog, the op log, the push queue (held here until both
-// have overwritten the buffer) and, by the same rule one hop on, the
-// peer.
+// went: the catalog, the op log (which the pusher, held here until both
+// have overwritten the buffer, then reads) and, by the same rule one hop
+// on, the peer.
 func TestServedFrameIsNotKept(t *testing.T) {
 	release := make(chan struct{})
 	rc1 := NewServer(NewStore("rc1"))
@@ -173,10 +173,8 @@ func TestAbandonedCallIsNotRecycled(t *testing.T) {
 // was.
 func TestLargeFrameIsNotPinned(t *testing.T) {
 	// maxKeptOps counts ops of the size it was derived from.
-	for _, typ := range []reflect.Type{reflect.TypeOf(Assertion{}), reflect.TypeOf(queuedOp{})} {
-		if kept := maxKeptOps * int(typ.Size()); kept > maxKeptBuffer {
-			t.Errorf("a reused []%s keeps up to %d bytes, want ≤ %d", typ.Name(), kept, maxKeptBuffer)
-		}
+	if kept := maxKeptOps * int(reflect.TypeOf(Assertion{}).Size()); kept > maxKeptBuffer {
+		t.Errorf("a reused []Assertion keeps up to %d bytes, want ≤ %d", kept, maxKeptBuffer)
 	}
 	rc := startChain(t, [][]int{{1}, {}})
 	c := NewClient([]string{rc[0].Addr()}, nil)

@@ -17,8 +17,8 @@ import (
 // sequence counters, and whatever op-log tail compaction has left. The
 // catalog is saved as it stands, not replayed from the log, so a
 // compacted replica (-data with -compact-keep) restarts whole; it then
-// pulls from its peers as soon as it starts (DESIGN.md "Replication
-// repair"), catching up on whatever it missed while down.
+// pulls from its peers as soon as its push links open (DESIGN.md
+// "Replication repair"), catching up on whatever it missed while down.
 //
 // File format, every field in the xdr encoding of the wire protocol:
 //
@@ -135,14 +135,12 @@ func LoadStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The vector was saved, so the log goes back as it was, holes and
-	// all; recountLocked counts what lies above the marks.
+	// The vector was saved, so the log goes back as it was, holes and all.
 	for i := range logged {
 		a := &logged[i]
 		o := originLocked(s, a.Origin)
 		s.logs[o].put(a.Seq, logOp{heldLocked(s, a.URI).uri, newEntry(a, o)})
 	}
-	s.recountLocked()
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +16,9 @@ import (
 )
 
 // startChain launches one RC server per entry of links: links[i] lists
-// the servers that server i pushes to, and pulls from when a peer is new,
-// a hole opens or its pull is due. It returns once the pulls from the new
-// peers are served, so that a test which counts what crosses a link and
-// ends before the next pull falls due (pullPeriod) sees pushes alone.
+// the servers that server i pushes to, and pulls from when a push link
+// opens. It returns once the pulls the opening links started are served,
+// so that a test which counts what crosses a link sees pushes alone.
 func startChain(t *testing.T, links [][]int) []*Server {
 	t.Helper()
 	servers := make([]*Server, len(links))
@@ -40,17 +40,31 @@ func startChain(t *testing.T, links [][]int) []*Server {
 			s.Close()
 		}
 	})
+	pullsSettle(t, servers, func(i int) int { return len(links[i]) })
+	return servers
+}
+
+// pullsSettle waits until each of servers, which pull from none but each
+// other, has made at least least(i) pulls, every pull made is served, and
+// no pull has begun for 100 ms: the pulls that opening links start come
+// in passes, one after another, as the links open.
+func pullsSettle(t *testing.T, servers []*Server, least func(i int) int) {
+	t.Helper()
+	var last uint64
+	var since time.Time
 	testutil.WaitFor(t, 5*time.Second, func() bool {
 		var pulls, served uint64
+		done := true
 		for i, s := range servers {
-			if counter(s, "pulls") < uint64(len(links[i])) {
-				return false
-			}
+			done = done && counter(s, "pulls") >= uint64(least(i))
 			pulls, served = pulls+counter(s, "pulls"), served+counter(s, "tail_pulls_served")
 		}
-		return served == pulls
+		if !done || served != pulls || pulls != last {
+			last, since = pulls, time.Now()
+			return false
+		}
+		return time.Since(since) >= 100*time.Millisecond
 	}, "the servers did not pull from their new peers")
-	return servers
 }
 
 func counter(s *Server, name string) uint64 {
@@ -136,85 +150,101 @@ func TestRelayChain(t *testing.T) {
 	}
 }
 
-// pendingFor is the number of ops queued on srv's pusher to peer.
-func pendingFor(srv *Server, peer string) int {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	for _, p := range srv.pushers {
-		if p.peer == peer {
-			return len(p.pending)
-		}
-	}
-	return -1
-}
-
-// TestPushQueueOverflowCounts: while one peer's pusher is held up by a
-// peer it cannot reach, writes keep being accepted; past maxPendingPushOps
-// they are counted as failed pushes and not queued for that peer, the
-// other peer gets every one, and a pull delivers them to the first once
-// it is back. A first write is taken by the held-up pusher before the
-// rest are made, so exactly maxPendingPushOps of them queue behind it
-// however late the scheduler runs that pusher.
-func TestPushQueueOverflowCounts(t *testing.T) {
-	const extra = 64
+// TestPusherBelowFloorReopens: one peer's pusher is held up while 4,096 +
+// 64 writes go past it and the log is compacted under its mark. Writes
+// keep being accepted, the other peer gets every one by push, and once the
+// held pusher goes on it finds its mark under the floor and opens its link
+// anew; the peer, seeing the new link, pulls, and one snapshot transfer
+// brings it level. Nothing counts as a failed push.
+func TestPusherBelowFloorReopens(t *testing.T) {
+	const writes = 4096 + 64
+	var hold atomic.Bool
+	held := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var once sync.Once
 	open := func() { once.Do(func() { close(release) }) }
 
-	rc1 := NewServer(NewStore("rc1"))
-	if err := rc1.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+	start := func(s *Server) *Server {
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
 	}
-	defer rc1.Close()
-	rc2 := NewServer(NewStore("rc2"))
-	if err := rc2.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer rc2.Close()
+	rc1 := start(NewServer(NewStore("rc1")))
+	rc2 := start(NewServer(NewStore("rc2")))
 	rc0 := NewServer(NewStore("rc0"), WithPeers(rc1.Addr(), rc2.Addr()))
 	rc0.peerGate = func(peer string) error {
-		if peer == rc1.Addr() {
+		if peer == rc1.Addr() && hold.Load() {
+			signal(held)
 			<-release
 		}
 		return nil
 	}
-	if err := rc0.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer rc0.Close()
+	start(rc0)
 	defer open() // a failed assertion must not leave a pusher in the gate
+	rc1.SetPeers(rc0.Addr())
+	servers := []*Server{rc0, rc1, rc2}
+	pullsSettle(t, servers, func(i int) int { return []int{2, 1, 0}[i] })
 
+	hold.Store(true)
 	c := NewClient([]string{rc0.Addr()}, nil)
 	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.Set(ctx, "urn:first", AttrState, "running"); err != nil {
+	if err := c.Set(ctxTimeout(t, "5s"), "urn:first", AttrState, "running"); err != nil {
 		t.Fatal(err)
 	}
-	testutil.WaitFor(t, 5*time.Second, func() bool { return pendingFor(rc0, rc1.Addr()) == 0 },
-		"the gated peer's pusher did not take the first write")
-
+	<-held // the push of the first write waits in the gate
 	// setN's deadline is the "nothing blocks" check: every Set returns.
-	setN(t, rc0, maxPendingPushOps+extra)
-	if got := rc0.PushFailures(); got != extra {
-		t.Fatalf("%d push failures after %d writes over the bound of %d; want %d",
-			got, extra, maxPendingPushOps, extra)
-	}
+	setN(t, rc0, writes)
+	testutil.WaitFor(t, 10*time.Second, func() bool { return counter(rc2, "remote_ops") == 1+writes },
+		"the other peer did not get every write by push")
 	if got := counter(rc1, "remote_ops"); got != 0 {
-		t.Fatalf("%d ops reached the gated peer", got)
+		t.Fatalf("%d ops reached the held-up peer", got)
 	}
-	testutil.WaitFor(t, 10*time.Second, func() bool {
-		return counter(rc2, "remote_ops") == 1+maxPendingPushOps+extra
-	}, "the ungated peer did not get every write by push")
+	rc0.Store().Compact(0)
+	pages := counter(rc0, "snapshot_pages_served")
 
-	// The gate opens: the queued ops are pushed, and replica 1, now told
-	// of its peer, pulls the ones that were never queued.
 	open()
-	rc1.SetPeers(rc0.Addr())
-	testutil.WaitFor(t, 10*time.Second, func() bool {
-		return rc1.Store().Vector().Dominates(rc0.Store().Vector()) &&
-			rc1.Store().ContentHash() == rc0.Store().ContentHash()
-	}, "replica 1 never caught up")
+	testutil.WaitFor(t, 10*time.Second, func() bool { return converged(rc1, rc0) },
+		"the held-up peer never caught up")
+	pullsSettle(t, servers, func(int) int { return 0 })
+	if got := counter(rc0, "snapshot_pages_served") - pages; got != 1 {
+		t.Errorf("the held-up peer was served %d snapshot pages, want one transfer of one page", got)
+	}
+	if got := counter(rc1, "remote_ops"); got > 1 {
+		t.Errorf("%d ops pushed or tail-pulled to the held-up peer, want the first write alone", got)
+	}
+	if f := rc0.PushFailures(); f != 0 {
+		t.Errorf("%d push failures", f)
+	}
+}
+
+// TestOwedCapsOneApply: a pusher's batch stops once its op strings pass
+// maxApplyBytes, and the next one starts where it stopped: 25 writes of
+// 100 KiB go out as 11, 11 and 3 ops, in seq order, none left out.
+func TestOwedCapsOneApply(t *testing.T) {
+	st := NewStore("rc0")
+	value := strings.Repeat("v", 100<<10)
+	for i := 0; i < 25; i++ {
+		st.Set(fmt.Sprintf("urn:big%02d", i), AttrState, value)
+	}
+	b := pushBatch{mark: []uint64{0}}
+	var sizes []int
+	next := uint64(1)
+	for more := true; more; more = b.more {
+		st.owed(&b, "")
+		for _, op := range b.ops {
+			if op.Seq != next {
+				t.Fatalf("batch %d holds seq %d, want %d", len(sizes), op.Seq, next)
+			}
+			next++
+		}
+		sizes = append(sizes, len(b.ops))
+		b.mark, b.next = b.next, b.mark
+	}
+	if !slices.Equal(sizes, []int{11, 11, 3}) {
+		t.Errorf("batches of %v ops, want [11 11 3]", sizes)
+	}
 }
 
 // pushers counts the goroutines pushing to a peer, of every server in the
@@ -231,10 +261,11 @@ func pushers() int {
 }
 
 // TestSlowPeerHoldsUpOnlyItself: a replica pushes to two peers, and one
-// stops reading for 3 s. Pushes to the other keep becoming visible there
-// as fast as before. The stalled peer's list fills, what overflows it
-// counts in PushFailures, and a pull brings that peer level once it
-// reads again. Dropping it from the peer set stops its pusher.
+// stops reading for 3 s and more. Pushes to the other keep becoming
+// visible there as fast as before. The push to the stalled peer fails
+// when its write times out, and counts in PushFailures; once the peer
+// reads again it is brought level. Dropping it from the peer set stops
+// its pusher.
 func TestSlowPeerHoldsUpOnlyItself(t *testing.T) {
 	start := func(origin string) *Server {
 		s := NewServer(NewStore(origin))
@@ -255,12 +286,14 @@ func TestSlowPeerHoldsUpOnlyItself(t *testing.T) {
 	rounds := 0
 	round := func() time.Duration {
 		for j := 0; j < 63; j++ {
-			src.enqueuePush([]Assertion{src.Store().Set(fmt.Sprintf("urn:bulk%02d", j), AttrState, value)}, "")
+			src.Store().Set(fmt.Sprintf("urn:bulk%02d", j), AttrState, value)
+			src.wakePushers()
 		}
 		rounds++
 		marker := strconv.Itoa(rounds)
 		begin := time.Now()
-		src.enqueuePush([]Assertion{src.Store().Set("urn:marker", AttrState, marker)}, "")
+		src.Store().Set("urn:marker", AttrState, marker)
+		src.wakePushers()
 		for {
 			if v, _ := fast.Store().FirstValue("urn:marker", AttrState); v == marker {
 				return time.Since(begin)

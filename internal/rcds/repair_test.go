@@ -3,6 +3,7 @@ package rcds
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,10 +11,10 @@ import (
 	"snipe/internal/testutil"
 )
 
-// Replication repair (DESIGN.md "Replication repair"): a server pulls from
-// its peers at once when one is new or an Apply leaves a hole, and
-// otherwise on a timer. These tests hold each trigger to its figure, and
-// an idle group to the few pulls its timer makes.
+// Replication repair (DESIGN.md "Replication repair"): a push that fails
+// is sent again by its own pusher, from its mark; a server pulls only when
+// a push link opens. These tests hold each path to its figure, and an
+// idle group to no pulls at all.
 
 // converged reports whether a holds every op b holds, and b's catalog.
 func converged(a, b *Server) bool {
@@ -64,80 +65,114 @@ func startRepairPair(t *testing.T, gate func(string) error) (rc0, rc1 *Server, c
 }
 
 // TestIdleGroupBarelyPulls: a converged two-replica group that nobody
-// writes to pulls only when its timer is due, every pullPeriod: at most 6
-// Catchups served between the two in 4 s. A pull every 250 ms, whatever
-// happened, made 32.
+// writes to has nothing to send and no link opening: in 4 s it serves no
+// Catchup and applies no Apply frame.
 func TestIdleGroupBarelyPulls(t *testing.T) {
 	rc := startReplicaGroup(t, 2, nil)
 	c := NewClient([]string{rc[0].Addr()}, nil)
 	defer c.Close()
 	setOne(t, c, "urn:idle")
-	testutil.WaitFor(t, 5*time.Second, func() bool {
-		return converged(rc[1], rc[0]) && counter(rc[0], "pulls") > 0 && counter(rc[1], "pulls") > 0
-	}, "the group did not converge and pull from its new peers")
-	served := func() uint64 { return counter(rc[0], "tail_pulls_served") + counter(rc[1], "tail_pulls_served") }
-	before := served()
+	testutil.WaitFor(t, 5*time.Second, func() bool { return converged(rc[1], rc[0]) }, "the group did not converge")
+	pullsSettle(t, rc, func(int) int { return 1 })
+	both := func(name string) uint64 { return counter(rc[0], name) + counter(rc[1], name) }
+	served, applied := both("tail_pulls_served"), both("applies_received")
 	time.Sleep(4 * time.Second)
-	if got := served() - before; got > 6 {
-		t.Errorf("an idle group served %d Catchups in 4 s, want ≤ 6", got)
-	} else {
-		t.Logf("an idle group served %d Catchups in 4 s", got)
+	if got := both("tail_pulls_served") - served; got != 0 {
+		t.Errorf("an idle group served %d Catchups in 4 s, want 0", got)
 	}
-	if got := counter(rc[0], "hole_pulls") + counter(rc[1], "hole_pulls"); got != 0 {
-		t.Errorf("%d pulls started by a hole in a group whose every push arrived", got)
+	if got := both("applies_received") - applied; got != 0 {
+		t.Errorf("an idle group applied %d Apply frames in 4 s, want 0", got)
 	}
 }
 
-// TestHoleIsPulledAtOnce: replica 0's push of one write is lost, and its
-// next write reaches replica 1 above the hole that left. Replica 1 pulls
-// at once rather than when its timer is due: it holds both writes within
-// 500 ms of the second.
-func TestHoleIsPulledAtOnce(t *testing.T) {
-	gate, arm := dropOne()
-	rc0, rc1, c := startRepairPair(t, gate)
-	// A timed pull may fetch the lost write before the next one shows the
-	// hole; then lose another.
-	for lost := 1; ; lost++ {
-		arm()
-		uri := fmt.Sprintf("urn:repair:lost%d", lost)
-		setOne(t, c, uri)
-		testutil.WaitFor(t, 5*time.Second, func() bool { return rc0.PushFailures() == lost }, "the push was not dropped")
-		if _, held := rc1.Store().FirstValue(uri, AttrState); !held {
-			break
-		}
-		if lost == 3 {
-			t.Fatal("replica 1's timer fetched every lost write before the next one")
-		}
-	}
-	start := time.Now()
-	setOne(t, c, "urn:repair:next")
-	testutil.WaitFor(t, 500*time.Millisecond, func() bool { return converged(rc1, rc0) },
-		"replica 1 did not fetch the lost write when the next one showed the hole")
-	t.Logf("converged %v after the write above the hole", time.Since(start))
-	if got := counter(rc1, "hole_pulls"); got == 0 {
-		t.Error("replica 1 counted no pull started by a hole")
-	}
-}
+// resentWithin is how soon a gated push must reach its peer: one
+// redialBackoff, and a margin for the scheduler.
+const resentWithin = redialBackoff + 250*time.Millisecond
 
-// TestLostLastPushIsPulledOnTime: replica 0's push of its last write is
-// lost, and no write follows to show a hole. Replica 1's timed pull fetches
-// it within pullPeriod and a margin: 2.5 s.
-func TestLostLastPushIsPulledOnTime(t *testing.T) {
+// TestGatedPushIsResent: replica 0's push of its last write is gated, and
+// no write follows. Its own pusher sends it again one redialBackoff later,
+// on the link it has: replica 1 holds it within resentWithin, one push
+// counts as failed, and nobody pulls.
+func TestGatedPushIsResent(t *testing.T) {
 	gate, arm := dropOne()
 	rc0, rc1, c := startRepairPair(t, gate)
-	pulls := counter(rc1, "pulls")
+	rc := []*Server{rc0, rc1}
+	pullsSettle(t, rc, func(int) int { return 1 })
+	pulls := counter(rc0, "pulls") + counter(rc1, "pulls")
 	arm()
 	start := time.Now()
 	setOne(t, c, "urn:repair:last")
-	testutil.WaitFor(t, 2500*time.Millisecond-time.Since(start), func() bool { return converged(rc1, rc0) },
-		"replica 1 did not fetch the lost last write on time")
-	t.Logf("converged %v after the lost write", time.Since(start))
+	testutil.WaitFor(t, resentWithin-time.Since(start), func() bool { return converged(rc1, rc0) },
+		"replica 0 did not send the gated write again within one backoff")
+	t.Logf("converged %v after the gated write", time.Since(start))
 	if got := rc0.PushFailures(); got != 1 {
-		t.Errorf("%d push failures, want the one dropped", got)
+		t.Errorf("%d push failures, want the one gated", got)
 	}
-	if counter(rc1, "pulls") == pulls || counter(rc1, "hole_pulls") != 0 {
-		t.Errorf("replica 1 made %d pulls, %d of them for a hole; want a timed one",
-			counter(rc1, "pulls")-pulls, counter(rc1, "hole_pulls"))
+	if got := counter(rc0, "pulls") + counter(rc1, "pulls") - pulls; got != 0 {
+		t.Errorf("%d pulls, want none: the gated push is its pusher's to send again", got)
+	}
+}
+
+// TestGatedPushKeepsOrder: replica 0's push of one write is gated, and a
+// second write follows at once. The pusher sends nothing while it waits
+// out its backoff, and then both writes in one Apply, in order: replica
+// 1 never holds the second above a hole, and nobody pulls.
+func TestGatedPushKeepsOrder(t *testing.T) {
+	gate, arm := dropOne()
+	rc0, rc1, c := startRepairPair(t, gate)
+	rc := []*Server{rc0, rc1}
+	pullsSettle(t, rc, func(int) int { return 1 })
+	pulls := counter(rc0, "pulls") + counter(rc1, "pulls")
+	sent, opsSent := counter(rc0, "applies_sent"), counter(rc0, "apply_ops_sent")
+	arm()
+	start := time.Now()
+	setOne(t, c, "urn:repair:lost")
+	testutil.WaitFor(t, 5*time.Second, func() bool { return rc0.PushFailures() == 1 }, "the push was not gated")
+	setOne(t, c, "urn:repair:next")
+	testutil.WaitFor(t, resentWithin-time.Since(start), func() bool {
+		if n := aboveMarks(rc1.Store()); n != 0 {
+			t.Fatalf("replica 1 holds %d ops above a hole", n)
+		}
+		return converged(rc1, rc0)
+	}, "replica 0 did not send both writes within one backoff")
+	t.Logf("converged %v after the gated write", time.Since(start))
+	if got, ops := counter(rc0, "applies_sent")-sent, counter(rc0, "apply_ops_sent")-opsSent; got != 1 || ops != 2 {
+		t.Errorf("replica 0 sent %d ops in %d Apply frames, want both in one", ops, got)
+	}
+	if got := counter(rc0, "pulls") + counter(rc1, "pulls") - pulls; got != 0 {
+		t.Errorf("%d pulls, want none", got)
+	}
+}
+
+// TestDroppedLinkIsReopened: every connection into an idle replica drops,
+// its peer's push link among them. The peer opens its link again at once,
+// with nothing to send, and the new link starts a pull at both ends, as
+// any link opening does: within 1 s, and with no new write.
+func TestDroppedLinkIsReopened(t *testing.T) {
+	rc0, rc1, _ := startRepairPair(t, nil)
+	rc := []*Server{rc0, rc1}
+	pullsSettle(t, rc, func(int) int { return 1 })
+	pulls0, pulls1, writes := counter(rc0, "pulls"), counter(rc1, "pulls"), counter(rc0, "local_ops")
+	rc1.mu.Lock()
+	var conns []net.Conn
+	for conn := range rc1.conns {
+		conns = append(conns, conn)
+	}
+	rc1.mu.Unlock()
+	for _, conn := range conns {
+		conn.Close()
+	}
+	start := time.Now()
+	testutil.WaitFor(t, time.Second, func() bool {
+		return counter(rc0, "pulls") > pulls0 && counter(rc1, "pulls") > pulls1
+	}, "the dropped link did not open again and start a pull at both ends")
+	t.Logf("pulled again %v after the drop", time.Since(start))
+	pullsSettle(t, rc, func(int) int { return 1 })
+	if got := counter(rc0, "local_ops"); got != writes {
+		t.Errorf("%d writes during the test, want none", got-writes)
+	}
+	if f := rc0.PushFailures() + rc1.PushFailures(); f != 0 {
+		t.Errorf("%d push failures", f)
 	}
 }
 
@@ -174,9 +209,13 @@ func TestRejoinPullsOneSnapshot(t *testing.T) {
 	}
 	defer rejoined.Close()
 	// A third pull begins only once the pass that made the first two is
-	// over, the one from each peer.
-	testutil.WaitFor(t, 10*time.Second, func() bool { return converged(rejoined, rc[0]) && counter(rejoined, "pulls") >= pulls+3 },
-		"the rejoined replica did not converge and pull again")
+	// over, the one from each peer: one more pass is asked for once both
+	// have begun.
+	testutil.WaitFor(t, 10*time.Second, func() bool { return converged(rejoined, rc[0]) && counter(rejoined, "pulls") >= pulls+2 },
+		"the rejoined replica did not converge")
+	signal(rejoined.linkUp)
+	testutil.WaitFor(t, 10*time.Second, func() bool { return counter(rejoined, "pulls") >= pulls+3 },
+		"the rejoined replica did not pull again")
 	if got := pages() - before; got != 1 {
 		t.Errorf("the rejoin was served %d snapshot pages, want one transfer of one page", got)
 	}

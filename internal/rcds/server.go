@@ -19,26 +19,17 @@ import (
 // Catchup or SnapshotPage; a push is only a write — and one response's write.
 const pushTimeout = 5 * time.Second
 
-// maxPendingPushOps bounds the ops queued for one peer while its pusher
-// is busy with it. Ops beyond it are not queued for that peer: they count
-// as a failed push, and the peer's next timed pull fetches them.
-const maxPendingPushOps = 4096
-
-// A server's next timed pull (DESIGN.md "Replication repair"): pullPeriod
-// after a pass whose pulls all succeeded, pullRetry after one with a pull
-// failed or gated, so that a healed partition or a returned peer is seen.
-// WithLogCompaction's loop compacts every compactPeriod.
+// A pusher tries its link again redialBackoff after a failed or gated
+// push (DESIGN.md "Replication repair"). WithLogCompaction's loop compacts
+// every compactPeriod.
 const (
-	pullPeriod    = 2 * time.Second
-	pullRetry     = 250 * time.Millisecond
+	redialBackoff = 250 * time.Millisecond
 	compactPeriod = 2 * time.Second
 )
 
-// maxKeptOps is maxKeptBuffer for a reused slice of ops, counted in the
-// largest of its element types: a connection's decoded Apply holds
-// 136-byte Assertions, the push queue 152-byte queuedOps, so neither
-// keeps more than maxKeptBuffer.
-const maxKeptOps = maxKeptBuffer / 152
+// maxKeptOps is maxKeptBuffer for a reused slice of 136-byte Assertions:
+// a connection's decoded Apply, a pusher's batch.
+const maxKeptOps = maxKeptBuffer / 136
 
 // keptOps clears ops, which keep strings alive, and returns the storage
 // for reuse, or nil if it grew past maxKeptOps.
@@ -48,13 +39,6 @@ func keptOps[T any](ops []T) []T {
 	}
 	clear(ops)
 	return ops[:0]
-}
-
-// queuedOp is an op awaiting push: the queue's own copy, so that what a
-// connection decoded it into can be reused.
-type queuedOp struct {
-	op   Assertion
-	from string // origin of the replica that pushed op here; "" = written here
 }
 
 // ServerOption configures a Server.
@@ -95,9 +79,9 @@ type shardConfig struct {
 }
 
 // Server is one RC/metadata server replica: it serves the catalog
-// protocol on a TCP listener, pushes writes to its peers, and pulls from
-// them what evidence says a push lost, so that replicas converge — the
-// master–master model of §7.
+// protocol on a TCP listener, pushes its op log's tail to each peer, and
+// pulls from its peers when a push link opens, so that replicas converge —
+// the master–master model of §7.
 type Server struct {
 	store       *Store
 	secret      []byte
@@ -108,18 +92,17 @@ type Server struct {
 	// it returns an error the exchange is skipped, modelling a severed
 	// replication link.
 	peerGate func(peer string) error
-	newPeer  chan struct{} // one token: a pusher started, so pull at once
-	hole     chan struct{} // one token: an Apply left a hole, so pull at once if it stays
+	linkUp   chan struct{} // one token: a push link opened, from here or to here, so pull at once
+	pushFail atomic.Int64  // push attempts that failed or were gated; each is tried again
 
-	mu       sync.Mutex
-	shard    *shardConfig // nil = unsharded
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	stop     context.CancelFunc // ends the pull and compaction loops; nil until Start
-	wg       sync.WaitGroup
-	stopped  bool
-	pushFail int       // push attempts that failed (peer down); a pull repairs them
-	pushers  []*pusher // one per peer address while the server runs
+	mu      sync.Mutex
+	shard   *shardConfig // nil = unsharded
+	ln      net.Listener
+	conns   map[net.Conn]struct{}
+	stop    context.CancelFunc // ends the pull and compaction loops; nil until Start
+	wg      sync.WaitGroup
+	stopped bool
+	pushers []*pusher // one per peer address while the server runs
 
 	mShardReject *stats.Counter // ops redirected to their owning group
 	mSnapPages   *stats.Counter // snapshot pages served to rejoiners
@@ -132,16 +115,14 @@ type Server struct {
 	mConnFrames  *stats.Counter // frames they were served
 	mConnWrites  *stats.Counter // write calls they answered those frames in
 	mPulls       *stats.Counter // SyncFromPeer runs this server started
-	mHolePulls   *stats.Counter // pull passes a hole started
 }
 
 // NewServer creates a server over store. Call Start to begin serving.
 func NewServer(store *Store, opts ...ServerOption) *Server {
 	s := &Server{
-		store:   store,
-		newPeer: make(chan struct{}, 1),
-		hole:    make(chan struct{}, 1),
-		conns:   make(map[net.Conn]struct{}),
+		store:  store,
+		linkUp: make(chan struct{}, 1),
+		conns:  make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -157,7 +138,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	s.mConnFrames = store.Metrics().Counter("conn_frames")
 	s.mConnWrites = store.Metrics().Counter("conn_writes")
 	s.mPulls = store.Metrics().Counter("pulls")
-	s.mHolePulls = store.Metrics().Counter("hole_pulls")
 	return s
 }
 
@@ -271,8 +251,9 @@ func (s *Server) SetPeers(addrs ...string) {
 }
 
 // setPushersLocked makes the pushers match s.peers: one per address, the
-// running ones kept with what they hold; a new one wakes the pull loop. A
-// server that has not started, or has stopped, runs none. Caller holds s.mu.
+// running ones kept with their marks; a new one starts at the store's
+// marks. A server that has not started, or has stopped, runs none. Caller
+// holds s.mu.
 func (s *Server) setPushersLocked() {
 	if s.ln == nil || s.stopped {
 		return
@@ -287,12 +268,13 @@ func (s *Server) setPushersLocked() {
 	for _, peer := range s.peers {
 		if !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.peer == peer }) {
 			p := &pusher{peer: peer, c: NewClient([]string{peer}, s.secret), wake: make(chan struct{}, 1)}
+			s.store.owed(&p.batch, "") // no mark yet: it starts at the store's
+			s.advance(p)
 			var ctx context.Context
 			ctx, p.stop = context.WithCancel(context.Background())
 			s.pushers = append(s.pushers, p)
 			s.wg.Add(1)
 			go s.push(ctx, p)
-			signal(s.newPeer)
 		}
 	}
 }
@@ -305,13 +287,9 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// PushFailures reports how many peer pushes failed and were left to a
-// pull to repair.
-func (s *Server) PushFailures() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushFail
-}
+// PushFailures reports how many push attempts failed or were gated, each
+// tried again by its pusher.
+func (s *Server) PushFailures() int { return int(s.pushFail.Load()) }
 
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
@@ -343,9 +321,9 @@ const maxParkedWaits = 1024
 // only what the store keeps of it; each holds what the connection's frames
 // have needed, up to maxKeptBuffer, and nothing ahead of the first.
 type served struct {
-	resp xdr.Encoder // the responses to the frames of one read, framed one after another, until they are written
-	ops  []Assertion // a posted Apply's ops, until they are merged and queued (by copy) for relay
-	from string      // the sender origin the last Apply named; a push link names one
+	resp   xdr.Encoder // the responses to the frames of one read, framed one after another, until they are written
+	ops    []Assertion // a posted Apply's ops, until they are merged
+	linked bool        // an Apply has arrived: the connection is a peer's push link
 }
 
 // serveConn serves one client connection from its read loop, the frame
@@ -462,11 +440,11 @@ func (s *Server) serve(sc *served, frame []byte, park <-chan struct{}) ([]byte, 
 	return sc.resp.Bytes()[at:], nil
 }
 
-// applyPosted applies one posted Apply and, if any op was news here,
-// queues it for relay (less the sender), so partially connected groups
-// converge quickly. An Apply that leaves an op above its origin's
-// contiguous mark wakes the pull loop. An Apply that names no sender is
-// refused unread.
+// applyPosted applies one posted Apply, logging its ops as arrived from
+// the sender it names, and wakes the pushers to relay them, so partially
+// connected groups converge quickly. The first Apply on a connection, which
+// opens a peer's push link and may carry nothing, wakes the pull loop. An
+// Apply that names no sender is refused unread.
 func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	from, err := d.BytesMax(maxWireURI)
 	if err == nil && len(from) == 0 {
@@ -475,20 +453,18 @@ func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	if err != nil {
 		return err
 	}
-	ops, changed, err := s.store.applyEncoded(d, sc.ops)
+	ops, err := s.store.applyEncoded(d, from, sc.ops)
 	if err != nil {
 		return err
 	}
 	sc.ops = ops
-	s.mAppliesRecv.Inc()
-	if s.store.above.Load() > 0 {
-		signal(s.hole)
+	if !sc.linked {
+		sc.linked = true
+		signal(s.linkUp)
 	}
-	if changed > 0 {
-		if sc.from != string(from) {
-			sc.from = string(from)
-		}
-		s.enqueuePush(ops, sc.from)
+	if len(ops) > 0 {
+		s.mAppliesRecv.Inc()
+		s.wakePushers()
 	}
 	return nil
 }
@@ -645,172 +621,153 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 			ops[0] = s.store.AddSigned(uri, name, value, signer, sig)
 		}
 	}
-	s.enqueuePush(ops, "")
+	s.wakePushers()
 	respond(e, id, statusOK)
 	return nil
 }
 
-// enqueuePush queues copies of ops for asynchronous push replication, on
-// every peer's pusher; from is the origin of the replica that pushed them
-// here, "" for a write accepted here. It never blocks: past
-// maxPendingPushOps the ops are left to that peer's pulls alone.
-func (s *Server) enqueuePush(ops []Assertion, from string) {
-	if len(ops) == 0 {
-		return
-	}
+// wakePushers tells every pusher that the log may hold ops due to its peer.
+func (s *Server) wakePushers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range s.pushers {
-		if len(p.pending)+len(ops) > maxPendingPushOps {
-			s.pushFail++
-			continue
-		}
-		for i := range ops {
-			p.pending = append(p.pending, queuedOp{ops[i], from})
-		}
 		signal(p.wake)
 	}
 }
 
-// countPushFail records one push left to a pull.
-func (s *Server) countPushFail() {
-	s.mu.Lock()
-	s.pushFail++
-	s.mu.Unlock()
-}
-
 // pusher is one peer's replication link: the client that pushes go out on
-// and pulls ask through, the ops queued for it, the token that wakes its
-// goroutine (push), and how to stop it. An idle pusher holds no ops.
+// and pulls ask through, the token that wakes its goroutine (push), and
+// how to stop it. The rest is push's alone.
 type pusher struct {
-	peer    string
-	c       *Client       // closed when push returns
-	origin  string        // the peer's, "" until a Ping tells and after a failed push; push's alone
-	pending []queuedOp    // guarded by Server.mu; at most maxPendingPushOps
-	wake    chan struct{} // one token: pending is non-empty
-	stop    context.CancelFunc
+	peer string
+	c    *Client       // closed when push returns
+	wake chan struct{} // one token: the log may hold ops due
+	stop context.CancelFunc
+
+	batch  pushBatch   // its place in the log, moved only by a push that went out
+	link   *clientConn // the connection the last Apply went out on
+	origin string      // the peer's, asked on each new link; "" if its Ping failed
 }
 
-// push forwards p's queued ops to its peer until ctx ends: each time it
-// wakes it takes the whole pending list and posts one Apply with the ops
-// that are news there — a write, not a round trip, and a link's frames
-// are applied in the order queued. Every peer has its own pusher, so a
-// peer whose socket buffer is full holds up only its own pushes; its list
-// fills to maxPendingPushOps and the rest is its pulls'. A batch is not
-// sent back to the replica it came from, nor an op to the replica that
-// minted it: on a two-replica group a relayed write goes nowhere, on a
-// chain it only travels away from its source. A peer whose origin is not
-// yet known (its Ping failed) is sent everything: an echo, and nothing
-// lost.
+// push keeps p's peer level with the store's log until ctx ends (DESIGN.md
+// "Replication repair"), each wake one pushDue: a peer whose socket buffer
+// is full holds up only its own pusher. A failed or gated push is tried
+// again redialBackoff later; a link that ends idle is opened again at once.
 func (s *Server) push(ctx context.Context, p *pusher) {
 	defer s.wg.Done()
 	defer p.c.Close()
-	var queued []queuedOp // the list taken; its storage goes back as the next
-	var ops []Assertion   // the peer's share of it
+	signal(p.wake) // the first link opens at once
 	for {
+		var ended <-chan struct{}
+		if p.link != nil {
+			ended = p.link.done
+		}
 		select {
 		case <-ctx.Done():
 			return
 		case <-p.wake:
+		case <-ended:
+			p.link = nil
 		}
-		s.mu.Lock()
-		queued, p.pending = p.pending, queued
-		s.mu.Unlock()
-		ops = s.pushTo(ctx, p, queued, ops)
-		queued, ops = keptOps(queued), keptOps(ops) // the storage is reused; the ops are not kept
+		if err := s.pushDue(ctx, p); err != nil && ctx.Err() == nil {
+			s.pushFail.Add(1)
+			select { // the retry takes whatever fell due meanwhile
+			case <-ctx.Done():
+				return
+			case <-time.After(redialBackoff):
+				signal(p.wake)
+			}
+		}
 	}
 }
 
-// pushTo posts p's peer its share of queued, gathered in ops' storage
-// (which it returns), in one Apply. Ops written into a connection that then
-// dies count as sent; the next Apply the peer gets shows it the hole, or
-// its next timed pull fetches them.
-func (s *Server) pushTo(ctx context.Context, p *pusher, queued []queuedOp, ops []Assertion) []Assertion {
-	if s.peerGate != nil && s.peerGate(p.peer) != nil {
-		// Link severed (netsim partition): count it as a lost push and
-		// leave repair to the pulls after healing.
-		s.countPushFail()
-		return ops
+// pushDue posts p's peer the ops it is owed (Store.owed) in one Apply —
+// a write, not a round trip — and then moves p's mark past them. A link
+// that is down is opened: it asks the peer's origin, opens with an Apply,
+// empty if nothing is due, and wakes the pull loop. A mark under the
+// compaction floor is reset to the store's marks on a new link, whose
+// peer pulls what the log lacks. An error leaves the mark where it was.
+func (s *Server) pushDue(ctx context.Context, p *pusher) error {
+	b := &p.batch
+	open := p.link == nil
+	if !open {
+		s.store.owed(b, p.origin)
+		switch {
+		case b.below:
+			p.link.fail(errors.New("rcds: push mark under the compaction floor"))
+			p.link, open = nil, true
+		case len(b.ops) == 0:
+			s.advance(p)
+			return nil
+		}
 	}
-	if p.origin == "" {
+	if s.peerGate != nil {
+		if err := s.peerGate(p.peer); err != nil {
+			return err // link severed (netsim partition)
+		}
+	}
+	cc := p.link
+	if open {
+		var err error
+		if cc, err = p.c.getConn(ctx, p.c.seed); err != nil {
+			return err
+		}
 		pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
-		p.origin, _ = p.c.Ping(pingCtx) // on error it stays unknown and nothing is filtered
+		p.origin, _ = p.c.Ping(pingCtx) // on error it is unknown, and nothing is left out
 		cancel()
+		s.store.owed(b, p.origin)
 	}
-	ops = opsFor(ops, queued, p.origin)
-	s.mRelaySkip.Add(uint64(len(queued) - len(ops)))
-	if len(ops) == 0 {
-		return ops
+	if err := p.c.post(cc, s.store.Origin(), b.ops); err != nil {
+		p.link = nil
+		return err
 	}
-	if err := p.c.Apply(ctx, s.store.Origin(), ops); err != nil {
-		p.origin = "" // whoever answers next is asked again
-		s.countPushFail()
-		return ops
+	if p.link = cc; len(b.ops) > 0 {
+		s.mAppliesSent.Inc()
+		s.mOpsSent.Add(uint64(len(b.ops)))
 	}
-	s.mAppliesSent.Inc()
-	s.mOpsSent.Add(uint64(len(ops)))
-	return ops
+	if open {
+		signal(s.linkUp)
+	}
+	s.advance(p)
+	return nil
 }
 
-// opsFor appends to ops, and returns, the queued ops that are news to the
-// peer with the given origin: all but those the peer itself pushed here
-// and those it minted. An unknown origin ("") leaves out none.
-func opsFor(ops []Assertion, queued []queuedOp, origin string) []Assertion {
-	for i := range queued {
-		if q := &queued[i]; origin == "" || (q.from != origin && q.op.Origin != origin) {
-			ops = append(ops, q.op)
-		}
+// advance moves p's mark to where its batch reached, and wakes p again if
+// the cap left ops due.
+func (s *Server) advance(p *pusher) {
+	b := &p.batch
+	b.mark, b.next = b.next, b.mark
+	s.mRelaySkip.Add(uint64(b.skipped))
+	if b.more {
+		signal(p.wake)
 	}
-	return ops
 }
 
-// pullLoop is the server's one pull (DESIGN.md "Replication repair"). A
-// pass runs at once when a pusher starts or an Apply leaves a hole the
-// store still reports, else when the timer is due. It has no deadline — a
-// rejoin snapshot at catalog scale is many page round trips, which a cut
-// would discard before MergeVector banked them — but each RPC in it is
-// bounded by pushTimeout, and Close ends it through ctx.
+// pullLoop is the server's one pull (DESIGN.md "Replication repair"): each
+// time a push link opens, here or at a peer, it runs SyncFromPeer through
+// each pusher's client in turn and wakes the pushers for what it brought.
+// A pass has no deadline — a catalog-scale rejoin snapshot is many page
+// round trips, which a cut would discard before MergeVector banked them —
+// but each RPC in it is bounded by pushTimeout, and Close ends it via ctx.
 func (s *Server) pullLoop(ctx context.Context) {
 	defer s.wg.Done()
-	due := time.NewTimer(pullPeriod)
-	defer func() { due.Stop() }()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-s.newPeer:
-		case <-s.hole:
-			if s.store.above.Load() == 0 {
-				continue // a relayed op arrived ahead of its predecessor, which followed
+		case <-s.linkUp:
+		}
+		s.mu.Lock()
+		links := slices.Clone(s.pushers)
+		s.mu.Unlock()
+		for _, p := range links {
+			if s.peerGate == nil || s.peerGate(p.peer) == nil { // else the link is severed
+				s.mPulls.Inc()
+				_, _ = SyncFromPeer(ctx, s.store, p.c, 0) // peer down, its pusher stopped, or Close
 			}
-			s.mHolePulls.Inc()
-		case <-due.C:
 		}
-		next := s.pullPass(ctx)
-		due.Stop() // a tick it made during the pass goes with it
-		due = time.NewTimer(next)
+		s.wakePushers()
 	}
-}
-
-// pullPass runs SyncFromPeer through each pusher's client in turn and
-// returns when the next timed pass is due: sooner if a pull failed or the
-// gate skipped it.
-func (s *Server) pullPass(ctx context.Context) time.Duration {
-	s.mu.Lock()
-	links := slices.Clone(s.pushers)
-	s.mu.Unlock()
-	next := pullPeriod
-	for _, p := range links {
-		if s.peerGate != nil && s.peerGate(p.peer) != nil {
-			next = pullRetry // link severed
-			continue
-		}
-		s.mPulls.Inc()
-		if _, err := SyncFromPeer(ctx, s.store, p.c, 0); err != nil {
-			next = pullRetry // peer down, its pusher stopped, or Close
-		}
-	}
-	return next
 }
 
 // compactLoop every compactPeriod drops op-log entries more than

@@ -3,11 +3,11 @@ package rcds
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"snipe/internal/stats"
@@ -21,10 +21,10 @@ type Event struct {
 
 // Store is one replica's catalog state: per URI the merged entries
 // (elements, Remove tombstones and one register per Set attribute), the
-// per-origin op logs that pulls are served from, and the version vector
-// summarising them. The entries are a function of the set of ops
-// received, whatever their order or repetition. All methods are safe for
-// concurrent use.
+// per-origin op logs that pushes and pulls are served from, and the
+// version vector summarising them. The entries are a function of the set
+// of ops received, whatever their order or repetition. All methods are
+// safe for concurrent use.
 //
 // A URI's entries are one slice sorted by slot (see search): by name, an
 // attribute's register before its elements, the elements by value, so an
@@ -44,7 +44,6 @@ type Store struct {
 	origins  []string          // every origin seen (a handful), this replica's first: an entry's origin indexes it
 	logs     []opLog           // by origin index: each origin's ops by seq (may have holes)
 	vv       VersionVector     // contiguous high-water marks
-	above    atomic.Int64      // ops filed above their origin's mark, each over a hole a pull fetches; written under mu
 	floor    map[string]uint64 // origin → first log seq still servable (0 = from the start)
 	decoded  []uint32          // applyEncoded's origin index per op, reused
 
@@ -77,7 +76,9 @@ type held struct {
 
 // entry is what a Store keeps of an op: the Assertion less its URI, the
 // origin an index into Store.origins, the signature behind a pointer that
-// almost every entry leaves nil.
+// almost every entry leaves nil. In the log, from is the origin index of
+// the replica that pushed the op here, which the push leaves it out for
+// (Store.owed): 0, this replica's own, if none did or past 65,535 origins.
 type entry struct {
 	name, value string
 	clock, seq  uint64
@@ -86,6 +87,7 @@ type entry struct {
 	origin      uint32
 	deleted     bool
 	sole        bool
+	from        uint16
 }
 
 // signature is an entry's detached signature and its signer.
@@ -370,13 +372,14 @@ func (s *Store) key(uri []byte) string {
 	return heldLocked(s, uri).uri
 }
 
-// mergeLocked files a, whose origin is s.origins[o], in that origin's log
-// and merges it into the catalog, reporting whether the catalog visibly
-// changed. Both keep the URI as heldLocked keys it. Caller holds s.mu.
-func (s *Store) mergeLocked(a *Assertion, o uint32) bool {
+// mergeLocked files a, whose origin is s.origins[o] and which s.origins[from]
+// pushed here, in that origin's log and merges it into the catalog,
+// reporting whether the catalog visibly changed. Both keep the URI as
+// heldLocked keys it. Caller holds s.mu.
+func (s *Store) mergeLocked(a *Assertion, o, from uint32) bool {
 	h := heldLocked(s, a.URI)
 	e := newEntry(a, o)
-	s.recordLocked(h.uri, &e)
+	s.recordLocked(h.uri, e, from)
 	return s.applyLocked(h.uri, h.entries, e)
 }
 
@@ -434,41 +437,21 @@ func (s *Store) applyLocked(uri string, cat []entry, a entry) bool {
 	return true
 }
 
-// recordLocked files e, an op on uri, in its origin's log and advances the
-// contiguous version vector, draining any pending ops that become
-// contiguous. Caller holds s.mu.
-func (s *Store) recordLocked(uri string, e *entry) {
+// recordLocked files e, an op on uri that s.origins[from] pushed here, in
+// its origin's log and advances the contiguous version vector over it and
+// any ops filed right above it. Caller holds s.mu.
+func (s *Store) recordLocked(uri string, e entry, from uint32) {
+	if from <= math.MaxUint16 {
+		e.from = uint16(from)
+	}
 	l := &s.logs[e.origin]
-	if !l.put(e.seq, logOp{uri, *e}) {
+	if !l.put(e.seq, logOp{uri, e}) {
 		return
 	}
 	origin := s.origins[e.origin]
-	if e.seq > s.vv[origin] {
-		s.above.Add(1)
-	}
 	for l.at(s.vv[origin]+1) != nil {
 		s.vv[origin]++
-		s.above.Add(-1)
 	}
-}
-
-// recountLocked raises every origin's mark over the ops filed right above
-// it and counts the ops still above. Caller holds s.mu.
-func (s *Store) recountLocked() {
-	var n int64
-	for o, origin := range s.origins {
-		for s.logs[o].at(s.vv[origin]+1) != nil {
-			s.vv[origin]++
-		}
-		for k, c := range s.logs[o].chunks {
-			for i := range uint64(logChunk) {
-				if c.have&(1<<i) != 0 && k*logChunk+i > s.vv[origin] {
-					n++
-				}
-			}
-		}
-	}
-	s.above.Store(n)
 }
 
 func (s *Store) notifyLocked(uri string, e *entry) {
@@ -495,7 +478,7 @@ func (s *Store) Set(uri, name, value string) Assertion {
 	defer s.mu.Unlock()
 	op := s.newLocalOp(uri, name, value, false)
 	op.Sole = true
-	s.mergeLocked(&op, 0)
+	s.mergeLocked(&op, 0, 0)
 	return op
 }
 
@@ -506,7 +489,7 @@ func (s *Store) Add(uri, name, value string) Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	op := s.newLocalOp(uri, name, value, false)
-	s.mergeLocked(&op, 0)
+	s.mergeLocked(&op, 0, 0)
 	return op
 }
 
@@ -518,7 +501,7 @@ func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) As
 	op := s.newLocalOp(uri, name, value, false)
 	op.Signer = signer
 	op.Signature = sig
-	s.mergeLocked(&op, 0)
+	s.mergeLocked(&op, 0, 0)
 	return op
 }
 
@@ -531,7 +514,7 @@ func (s *Store) Remove(uri, name, value string) (Assertion, bool) {
 		return Assertion{}, false
 	}
 	op := s.newLocalOp(uri, name, value, true)
-	s.mergeLocked(&op, 0)
+	s.mergeLocked(&op, 0, 0)
 	return op, true
 }
 
@@ -544,28 +527,29 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 		ops = append(ops, s.newLocalOp(uri, name, cur.value, true))
 	})
 	for i := range ops {
-		s.mergeLocked(&ops[i], 0)
+		s.mergeLocked(&ops[i], 0, 0)
 	}
 	return ops
 }
 
-// ApplyRemote merges ops received from a peer (push or pull),
-// returning the number that changed the catalog.
+// ApplyRemote merges ops a pull brought from a peer, returning the
+// number that changed the catalog.
 func (s *Store) ApplyRemote(ops []Assertion) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyRemoteLocked(ops, func(i int) uint32 { return originLocked(s, ops[i].Origin) })
+	return s.applyRemoteLocked(ops, func(i int) uint32 { return originLocked(s, ops[i].Origin) }, 0)
 }
 
-// applyEncoded is ApplyRemote for a list of ops still in the frame it
-// arrived in. They are decoded into ops' storage against the store's own
-// URI keys and origins, each origin resolved there to the index the merge
-// files it under — of an op on a URI the replica holds only the value is
-// allocated — and returned, aliasing nothing of the frame. Nothing is
-// merged unless every op decodes.
-func (s *Store) applyEncoded(d *xdr.Decoder, ops []Assertion) ([]Assertion, int, error) {
+// applyEncoded merges the list of ops a peer with origin from pushed, still
+// in the frame it arrived in. They are decoded into ops' storage against
+// the store's own URI keys and origins, each origin resolved there to the
+// index the merge files it under — of an op on a URI the replica holds
+// only the value is allocated — and returned, aliasing nothing of the
+// frame. Nothing is merged unless every op decodes.
+func (s *Store) applyEncoded(d *xdr.Decoder, from []byte, ops []Assertion) ([]Assertion, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	via := originLocked(s, from)
 	origins := s.decoded[:0]
 	ops, err := decodeAssertions(d, ops, func(v assertionView) Assertion {
 		o := originLocked(s, v.origin)
@@ -574,13 +558,15 @@ func (s *Store) applyEncoded(d *xdr.Decoder, ops []Assertion) ([]Assertion, int,
 	})
 	defer func() { s.decoded = keptOps(origins) }()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return ops, s.applyRemoteLocked(ops, func(i int) uint32 { return origins[i] }), nil
+	s.applyRemoteLocked(ops, func(i int) uint32 { return origins[i] }, via)
+	return ops, nil
 }
 
-// applyRemoteLocked merges ops, origin(i) the index of ops[i]'s origin.
-func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32) int {
+// applyRemoteLocked merges ops, origin(i) the index of ops[i]'s origin,
+// which the replica at origin index from pushed here.
+func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32, from uint32) int {
 	changed := 0
 	for i := range ops {
 		op := &ops[i]
@@ -588,7 +574,7 @@ func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32) in
 			continue // our own ops echoed back
 		}
 		s.mRemoteOps.Inc()
-		if s.mergeLocked(op, origin(i)) {
+		if s.mergeLocked(op, origin(i), from) {
 			changed++
 			s.mRemoteApplied.Inc()
 			// Replication lag: origin's mint time to our apply time. The
@@ -706,6 +692,54 @@ func (s *Store) OpsSince(theirs VersionVector, max int) []Assertion {
 		}
 	}
 	return out
+}
+
+// maxApplyBytes caps what one push takes from the log: past its first op,
+// ops whose strings and fixed fields add up to this much.
+const maxApplyBytes = 1 << 20
+
+// pushBatch is a pusher's place in the log and what Store.owed hands it.
+type pushBatch struct {
+	mark, next []uint64    // by origin index: the seqs sent or left out, and those the ops reach
+	ops        []Assertion // the ops due, by origin, then seq
+	skipped    int         // ops left out under the relay rule
+	more       bool        // the cap cut the batch short
+	below      bool        // a mark lies under its origin's floor, or there is none: next is the store's marks
+}
+
+// owed fills b with the ops above b.mark (an origin met since, from 0) up
+// to each origin's contiguous mark that the replica whose origin is peer
+// ("" if unknown) neither minted nor pushed here. If b.mark is nil, or
+// under a compaction floor, where the log lacks what is due, it sets below.
+func (s *Store) owed(b *pushBatch, peer string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b.ops, b.skipped, b.more, b.below = keptOps(b.ops), 0, false, b.mark == nil
+	b.next = append(b.next[:0], b.mark...)
+	for o, origin := range s.origins {
+		if o == len(b.next) {
+			b.next = append(b.next, 0)
+		}
+		b.below = b.below || b.next[o] < s.vv[origin] && b.next[o]+1 < s.floor[origin]
+	}
+	skip, size := slices.Index(s.origins, peer), 0 // -1: no op here is the peer's
+	for o, origin := range s.origins {
+		if b.below {
+			b.next[o] = s.vv[origin]
+			continue
+		}
+		for ; b.next[o] < s.vv[origin] && !b.more; b.next[o]++ {
+			op := s.logs[o].at(b.next[o] + 1) // above the floor, every seq is filed
+			if int(op.e.origin) == skip || int(op.e.from) == skip {
+				b.skipped++
+				continue
+			}
+			a := s.assertion(op.uri, &op.e)
+			b.ops = append(b.ops, a)
+			size += len(a.URI) + len(a.Name) + len(a.Value) + len(a.Signer) + len(a.Signature) + 64
+			b.more = size >= maxApplyBytes
+		}
+	}
 }
 
 // Version returns the store's change counter.
@@ -880,7 +914,7 @@ func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 			continue // our own ops: already in our log
 		}
 		s.mSnapInstall.Inc()
-		if s.mergeLocked(op, originLocked(s, op.Origin)) {
+		if s.mergeLocked(op, originLocked(s, op.Origin), 0) {
 			changed++
 		}
 	}
@@ -905,7 +939,11 @@ func (s *Store) MergeVector(vv VersionVector) {
 			}
 		}
 	}
-	s.recountLocked()
+	for o, origin := range s.origins {
+		for s.logs[o].at(s.vv[origin]+1) != nil {
+			s.vv[origin]++
+		}
+	}
 }
 
 // CanServeTail reports whether the log can serve every op a replica at

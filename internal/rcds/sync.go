@@ -75,9 +75,9 @@ type SyncResult struct {
 // compacted snapshot plus the tail since its base vector when it does
 // not. This is the rejoin path — a replica that was down (or a fresh
 // one joining the group) converges in O(catalog) transfers instead of
-// replaying the full write history — and every pull a server makes to
-// repair a lost push (DESIGN.md "Replication repair"), which in the
-// steady state takes the tail branch with a near-empty gap.
+// replaying the full write history — and every pull a server makes when
+// a push link opens (DESIGN.md "Replication repair"), which between
+// replicas that stayed up takes the tail branch with an empty gap.
 //
 // Each RPC is individually bounded by pushTimeout so a stalled peer
 // fails the sync promptly, but the exchange as a whole runs as long as

@@ -22,7 +22,8 @@ import (
 // parks beside the loop, so it never blocks a concurrent Get. Request ID
 // 0 marks a frame that asks for no answer, which is how, and the only
 // way, cmdApply travels: replication is a one-way, in-order stream per
-// connection, and a lost push is a pull's to repair. ID 0 on another
+// connection, and what a connection lost is pulled when its pusher opens
+// the next (DESIGN.md "Replication repair"). ID 0 on another
 // command, or cmdApply under another ID, ends the connection.
 const (
 	cmdPing uint8 = iota + 1

@@ -405,22 +405,6 @@ func (c *Client) observe(urn string, d time.Duration, failed bool) {
 	r.lat = 0.7*cur + 0.3*d.Seconds()
 }
 
-// Open picks the best live replica and opens a raw stream to it, for
-// callers that want streaming semantics beyond one request/response.
-// Returns the chosen replica's URN. No retries: the caller owns the
-// stream's failure handling.
-func (c *Client) Open(ctx context.Context, method string) (*comm.Stream, string, error) {
-	urn, err := c.pickFresh(nil, false)
-	if err != nil {
-		return nil, "", err
-	}
-	st, err := c.mux.Open(ctx, urn, method)
-	if err != nil {
-		return nil, "", err
-	}
-	return st, urn, nil
-}
-
 // Call performs one request/response exchange: write req, half-close,
 // read the response to EOF. The replica comes from the table, and a call
 // that succeeds at its first attempt reads no catalog. A failed attempt

@@ -27,8 +27,8 @@ type ServerConfig struct {
 	Catalog  naming.Catalog
 	Endpoint *comm.Endpoint
 	// Monitor and HostURL, when both set, arm self-draining: the
-	// replica drains as soon as its own host enters Suspect, without
-	// waiting for an external Evacuator to tell it to.
+	// replica drains as soon as its own host enters Suspect, while the
+	// Evacuator moves the host's tasks.
 	Monitor *liveness.Monitor
 	HostURL string
 }
@@ -150,7 +150,7 @@ func (s *Server) watchOwnHost(events <-chan liveness.Event) {
 				return
 			}
 			if e.Host == s.cfg.HostURL && (e.To == liveness.Suspect || e.To == liveness.Dead) {
-				go s.DrainFor(s.cfg.HostURL)
+				go s.Drain(context.Background())
 				return
 			}
 		}
@@ -198,15 +198,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// DrainFor adapts Drain to the migrate.EvacuatorConfig.DrainHook
-// shape: it drains only when the suspect host is this replica's own.
-func (s *Server) DrainFor(hostURL string) {
-	if s.cfg.HostURL != "" && hostURL != s.cfg.HostURL {
-		return
-	}
-	s.Drain(context.Background())
 }
 
 // Close withdraws the registration and stops the replica. In-flight

@@ -33,8 +33,8 @@
 // Graceful drain mirrors the migration layer's philosophy: a draining
 // replica withdraws its catalog registration, refuses new streams
 // (peers get ErrDraining and retry elsewhere) and finishes in-flight
-// ones. Wiring Server.DrainFor as a migrate.Evacuator DrainHook makes
-// suspicion trigger the same sequence automatically.
+// ones. A replica given its host's liveness monitor (ServerConfig.Monitor
+// and HostURL) drains itself when that host turns suspect.
 package service
 
 import (
