@@ -43,12 +43,14 @@ func dropOne() (gate func(string) error, arm func()) {
 }
 
 // startRepairPair starts two replicas that push to each other, replica 0
-// through gate, and has them converge on one write made through the
-// client it returns, which writes to replica 0.
+// through gate if it is not nil, and has them converge on one write made
+// through the client it returns, which writes to replica 0.
 func startRepairPair(t *testing.T, gate func(string) error) (rc0, rc1 *Server, c *Client) {
 	t.Helper()
 	rc0, rc1 = NewServer(NewStore("rc0")), NewServer(NewStore("rc1"))
-	rc0.peerGate = gate
+	if gate != nil {
+		rc0.peerGate = gate
+	}
 	for _, s := range []*Server{rc0, rc1} {
 		if err := s.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
@@ -172,6 +174,43 @@ func TestDroppedLinkIsReopened(t *testing.T) {
 		t.Errorf("%d writes during the test, want none", got-writes)
 	}
 	if f := rc0.PushFailures() + rc1.PushFailures(); f != 0 {
+		t.Errorf("%d push failures", f)
+	}
+}
+
+// TestFailedPullIsRetried: replica 1 holds a write that only a pull
+// brings to replica 0, whose link to it runs through a relay. With the
+// relay stalled behind a push, replica 0's pull times out (pushTimeout)
+// and its link stays up. Replica 0 breaks the link, opens it again one redialBackoff
+// later and pulls again: once the relay reads again the pair converges,
+// with no push failing.
+func TestFailedPullIsRetried(t *testing.T) {
+	rc0, rc1 := NewServer(NewStore("rc0")), NewServer(NewStore("rc1"))
+	for _, s := range []*Server{rc0, rc1} {
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+	}
+	relay := startFrameRelay(t, rc1.Addr())
+	rc0.SetPeers(relay.Addr()) // replica 1 pushes nowhere
+	pullsSettle(t, []*Server{rc0, rc1}, func(i int) int { return 1 - i })
+	rc1.Store().Set("urn:repair:unpushed", AttrState, "running")
+	relay.pause()
+	// The relay reads one more time, and stops: a push goes through first.
+	rc0.Store().Set("urn:repair:pushed", AttrState, "running")
+	rc0.wakePushers()
+	testutil.WaitFor(t, time.Second, func() bool { return counter(rc1, "remote_ops") == 1 }, "the push did not go through")
+	pulls := counter(rc0, "pulls")
+	signal(rc0.linkUp) // as a link opening does
+	testutil.WaitFor(t, time.Second, func() bool { return counter(rc0, "pulls") > pulls }, "replica 0 did not pull")
+	time.Sleep(pushTimeout + 100*time.Millisecond) // the pull's Catchup has timed out
+	relay.unpause()
+	start := time.Now()
+	testutil.WaitFor(t, 2*time.Second, func() bool { return converged(rc0, rc1) },
+		"replica 0 did not pull again after its pull failed")
+	t.Logf("converged %v after the relay read again", time.Since(start))
+	if f := rc0.PushFailures(); f != 0 {
 		t.Errorf("%d push failures", f)
 	}
 }

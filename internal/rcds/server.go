@@ -19,9 +19,9 @@ import (
 // Catchup or SnapshotPage; a push is only a write — and one response's write.
 const pushTimeout = 5 * time.Second
 
-// A pusher tries its link again redialBackoff after a failed or gated
-// push (DESIGN.md "Replication repair"). WithLogCompaction's loop compacts
-// every compactPeriod.
+// A pusher tries again redialBackoff after a failed or gated push or a link
+// it broke (DESIGN.md "Replication repair"). WithLogCompaction's loop
+// compacts every compactPeriod.
 const (
 	redialBackoff = 250 * time.Millisecond
 	compactPeriod = 2 * time.Second
@@ -87,10 +87,10 @@ type Server struct {
 	secret      []byte
 	peers       []string
 	compactKeep int // >0: background log compaction keeps this much tail
-	// peerGate, when the package's partition tests set it before Start,
-	// is consulted before every push or pull exchange with a peer: while
-	// it returns an error the exchange is skipped, modelling a severed
-	// replication link.
+	// peerGate is consulted before every push or pull exchange with a
+	// peer: while it returns an error the exchange is skipped, modelling a
+	// severed replication link. It passes all unless the package's
+	// partition tests set it before Start.
 	peerGate func(peer string) error
 	linkUp   chan struct{} // one token: a push link opened, from here or to here, so pull at once
 	pushFail atomic.Int64  // push attempts that failed or were gated; each is tried again
@@ -120,9 +120,10 @@ type Server struct {
 // NewServer creates a server over store. Call Start to begin serving.
 func NewServer(store *Store, opts ...ServerOption) *Server {
 	s := &Server{
-		store:  store,
-		linkUp: make(chan struct{}, 1),
-		conns:  make(map[net.Conn]struct{}),
+		store:    store,
+		peerGate: func(string) error { return nil },
+		linkUp:   make(chan struct{}, 1),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -267,11 +268,9 @@ func (s *Server) setPushersLocked() {
 	})
 	for _, peer := range s.peers {
 		if !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.peer == peer }) {
-			p := &pusher{peer: peer, c: NewClient([]string{peer}, s.secret), wake: make(chan struct{}, 1)}
-			s.store.owed(&p.batch, "") // no mark yet: it starts at the store's
-			s.advance(p)
-			var ctx context.Context
-			ctx, p.stop = context.WithCancel(context.Background())
+			ctx, stop := context.WithCancel(context.Background())
+			p := &pusher{peer: peer, c: NewClient([]string{peer}, s.secret), wake: make(chan struct{}, 1), stop: stop,
+				batch: pushBatch{mark: s.store.marks()}}
 			s.pushers = append(s.pushers, p)
 			s.wg.Add(1)
 			go s.push(ctx, p)
@@ -453,16 +452,14 @@ func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	if err != nil {
 		return err
 	}
-	ops, err := s.store.applyEncoded(d, from, sc.ops)
-	if err != nil {
+	if sc.ops, err = s.store.applyEncoded(d, from, sc.ops); err != nil {
 		return err
 	}
-	sc.ops = ops
 	if !sc.linked {
 		sc.linked = true
 		signal(s.linkUp)
 	}
-	if len(ops) > 0 {
+	if len(sc.ops) > 0 {
 		s.mAppliesRecv.Inc()
 		s.wakePushers()
 	}
@@ -635,14 +632,18 @@ func (s *Server) wakePushers() {
 	}
 }
 
+// errRelink reports a link pushDue broke, for the next link's pulls.
+var errRelink = errors.New("rcds: push link to be opened anew")
+
 // pusher is one peer's replication link: the client that pushes go out on
-// and pulls ask through, the token that wakes its goroutine (push), and
-// how to stop it. The rest is push's alone.
+// and pulls ask through, the token that wakes its goroutine (push), the
+// pull loop's word on its link, and how to stop it. The rest is push's.
 type pusher struct {
-	peer string
-	c    *Client       // closed when push returns
-	wake chan struct{} // one token: the log may hold ops due
-	stop context.CancelFunc
+	peer   string
+	c      *Client       // closed when push returns
+	wake   chan struct{} // one token: the log may hold ops due
+	relink atomic.Bool   // the last pull through c failed
+	stop   context.CancelFunc
 
 	batch  pushBatch   // its place in the log, moved only by a push that went out
 	link   *clientConn // the connection the last Apply went out on
@@ -651,8 +652,8 @@ type pusher struct {
 
 // push keeps p's peer level with the store's log until ctx ends (DESIGN.md
 // "Replication repair"), each wake one pushDue: a peer whose socket buffer
-// is full holds up only its own pusher. A failed or gated push is tried
-// again redialBackoff later; a link that ends idle is opened again at once.
+// is full holds up only its own pusher. A failed or gated push, or a link
+// it broke, is tried again redialBackoff later; one that ends idle at once.
 func (s *Server) push(ctx context.Context, p *pusher) {
 	defer s.wg.Done()
 	defer p.c.Close()
@@ -670,7 +671,9 @@ func (s *Server) push(ctx context.Context, p *pusher) {
 			p.link = nil
 		}
 		if err := s.pushDue(ctx, p); err != nil && ctx.Err() == nil {
-			s.pushFail.Add(1)
+			if err != errRelink {
+				s.pushFail.Add(1)
+			}
 			select { // the retry takes whatever fell due meanwhile
 			case <-ctx.Done():
 				return
@@ -684,63 +687,52 @@ func (s *Server) push(ctx context.Context, p *pusher) {
 // pushDue posts p's peer the ops it is owed (Store.owed) in one Apply —
 // a write, not a round trip — and then moves p's mark past them. A link
 // that is down is opened: it asks the peer's origin, opens with an Apply,
-// empty if nothing is due, and wakes the pull loop. A mark under the
-// compaction floor is reset to the store's marks on a new link, whose
-// peer pulls what the log lacks. An error leaves the mark where it was.
+// empty if nothing is due, and wakes the pull loop. A link whose mark lies
+// under the compaction floor (reset on the next link) or whose last pull
+// failed is broken, for the next link's pulls. An error keeps the mark.
 func (s *Server) pushDue(ctx context.Context, p *pusher) error {
-	b := &p.batch
-	open := p.link == nil
-	if !open {
-		s.store.owed(b, p.origin)
-		switch {
-		case b.below:
-			p.link.fail(errors.New("rcds: push mark under the compaction floor"))
-			p.link, open = nil, true
-		case len(b.ops) == 0:
-			s.advance(p)
-			return nil
+	b, cc := &p.batch, p.link
+	if cc != nil {
+		if s.store.owed(b, p.origin); b.below || p.relink.Swap(false) {
+			cc.fail(errRelink)
+			p.link = nil
+			return errRelink
 		}
 	}
-	if s.peerGate != nil {
+	if cc == nil || len(b.ops) > 0 {
 		if err := s.peerGate(p.peer); err != nil {
 			return err // link severed (netsim partition)
 		}
-	}
-	cc := p.link
-	if open {
-		var err error
-		if cc, err = p.c.getConn(ctx, p.c.seed); err != nil {
+		if cc == nil {
+			var err error
+			if cc, err = p.c.getConn(ctx, p.c.seed); err != nil {
+				return err
+			}
+			p.relink.Store(false) // this link's pulls are the retry
+			pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
+			p.origin, _ = p.c.Ping(pingCtx) // on error it is unknown, and nothing is left out
+			cancel()
+			s.store.owed(b, p.origin)
+		}
+		if err := p.c.post(cc, s.store.Origin(), b.ops); err != nil {
+			p.link = nil
 			return err
 		}
-		pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
-		p.origin, _ = p.c.Ping(pingCtx) // on error it is unknown, and nothing is left out
-		cancel()
-		s.store.owed(b, p.origin)
+		if len(b.ops) > 0 {
+			s.mAppliesSent.Inc()
+			s.mOpsSent.Add(uint64(len(b.ops)))
+		}
+		if p.link == nil {
+			p.link = cc
+			signal(s.linkUp)
+		}
 	}
-	if err := p.c.post(cc, s.store.Origin(), b.ops); err != nil {
-		p.link = nil
-		return err
-	}
-	if p.link = cc; len(b.ops) > 0 {
-		s.mAppliesSent.Inc()
-		s.mOpsSent.Add(uint64(len(b.ops)))
-	}
-	if open {
-		signal(s.linkUp)
-	}
-	s.advance(p)
-	return nil
-}
-
-// advance moves p's mark to where its batch reached, and wakes p again if
-// the cap left ops due.
-func (s *Server) advance(p *pusher) {
-	b := &p.batch
 	b.mark, b.next = b.next, b.mark
 	s.mRelaySkip.Add(uint64(b.skipped))
 	if b.more {
-		signal(p.wake)
+		signal(p.wake) // the cap left ops due
 	}
+	return nil
 }
 
 // pullLoop is the server's one pull (DESIGN.md "Replication repair"): each
@@ -748,7 +740,8 @@ func (s *Server) advance(p *pusher) {
 // each pusher's client in turn and wakes the pushers for what it brought.
 // A pass has no deadline — a catalog-scale rejoin snapshot is many page
 // round trips, which a cut would discard before MergeVector banked them —
-// but each RPC in it is bounded by pushTimeout, and Close ends it via ctx.
+// but each RPC in it is bounded by pushTimeout, and Close ends it via ctx;
+// a pull that fails has its pusher open its link anew, to pull again.
 func (s *Server) pullLoop(ctx context.Context) {
 	defer s.wg.Done()
 	for {
@@ -761,9 +754,10 @@ func (s *Server) pullLoop(ctx context.Context) {
 		links := slices.Clone(s.pushers)
 		s.mu.Unlock()
 		for _, p := range links {
-			if s.peerGate == nil || s.peerGate(p.peer) == nil { // else the link is severed
+			if s.peerGate(p.peer) == nil { // else the link is severed
 				s.mPulls.Inc()
-				_, _ = SyncFromPeer(ctx, s.store, p.c, 0) // peer down, its pusher stopped, or Close
+				_, err := SyncFromPeer(ctx, s.store, p.c, 0)
+				p.relink.Store(err != nil) // peer down or stalled, or outrun by compaction
 			}
 		}
 		s.wakePushers()

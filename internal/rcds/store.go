@@ -704,17 +704,28 @@ type pushBatch struct {
 	ops        []Assertion // the ops due, by origin, then seq
 	skipped    int         // ops left out under the relay rule
 	more       bool        // the cap cut the batch short
-	below      bool        // a mark lies under its origin's floor, or there is none: next is the store's marks
+	below      bool        // a mark lies under its origin's floor: next is the store's marks
+}
+
+// marks returns the contiguous marks by origin index, a new pusher's mark.
+func (s *Store) marks() []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := make([]uint64, len(s.origins))
+	for o, origin := range s.origins {
+		m[o] = s.vv[origin]
+	}
+	return m
 }
 
 // owed fills b with the ops above b.mark (an origin met since, from 0) up
 // to each origin's contiguous mark that the replica whose origin is peer
-// ("" if unknown) neither minted nor pushed here. If b.mark is nil, or
-// under a compaction floor, where the log lacks what is due, it sets below.
+// ("" if unknown) neither minted nor pushed here. If b.mark lies under a
+// compaction floor, where the log lacks what is due, it sets below.
 func (s *Store) owed(b *pushBatch, peer string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b.ops, b.skipped, b.more, b.below = keptOps(b.ops), 0, false, b.mark == nil
+	b.ops, b.skipped, b.more, b.below = keptOps(b.ops), 0, false, false
 	b.next = append(b.next[:0], b.mark...)
 	for o, origin := range s.origins {
 		if o == len(b.next) {
