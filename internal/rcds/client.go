@@ -551,7 +551,8 @@ func PublishShardMap(ctx context.Context, m *ShardMap, secret []byte) error {
 }
 
 // getConn returns g's live multiplexed connection, dialing the current
-// replica if none is up. A dial failure advances to the next replica.
+// replica if none is up. A dial failure advances to the next replica,
+// unless another failure has moved the cursor off it meanwhile.
 func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, error) {
 	c.mu.Lock()
 	closed := c.closed
@@ -575,7 +576,8 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 		}
 		g.conn = nil
 	}
-	addr := g.addrs[g.current%len(g.addrs)]
+	at := g.current
+	addr := g.addrs[at%len(g.addrs)]
 	g.mu.Unlock()
 
 	d := net.Dialer{Timeout: c.timeout}
@@ -584,7 +586,9 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err != nil {
-		g.current++ // the next dial tries the next replica
+		if g.current == at {
+			g.current++ // the next dial tries the next replica
+		}
 		return nil, err
 	}
 	if g.closed {

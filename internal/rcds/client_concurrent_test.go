@@ -190,6 +190,61 @@ func TestFailoverMidStream(t *testing.T) {
 	}
 }
 
+// TestFailoverCursorMovesOnce: the connection to the first of two
+// replicas dies, the replica with it, and a connFailed races three
+// callers that find the connection broken and dial. However they
+// interleave, the failure moves the group's cursor once, onto the live
+// replica: two dial failures that each moved it would bring it back to
+// the dead one.
+func TestFailoverCursorMovesOnce(t *testing.T) {
+	live := startTestServer(t, "live")
+	ctx := ctxTimeout(t, "10s")
+	for round := 0; round < 50; round++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient([]string{ln.Addr().String(), live.Addr()}, nil)
+		g := c.seed
+		cc, err := c.getConn(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.Close() // the replica is gone: a dial to it is refused
+		conn.Close()
+		<-cc.done
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(4)
+		go func() {
+			defer wg.Done()
+			<-start
+			c.connFailed(g, cc)
+		}()
+		for i := 0; i < 3; i++ {
+			go func() {
+				defer wg.Done()
+				<-start
+				c.getConn(ctx, g) // a dial to the dead replica fails, to the live one succeeds
+			}()
+		}
+		close(start)
+		wg.Wait()
+		g.mu.Lock()
+		at := g.current % len(g.addrs)
+		g.mu.Unlock()
+		c.Close()
+		if at != 1 {
+			t.Fatalf("round %d: the cursor is back on the dead replica", round)
+		}
+	}
+}
+
 // TestReadCacheCoherence checks the coherence rule: after a remote
 // write is observed via the Wait sequence, the next FirstValue returns
 // the new value; between writes, reads are served from cache.
