@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
 
@@ -227,6 +228,71 @@ func TestRestartedReplicaCatchesUp(t *testing.T) {
 	// And it kept the pre-crash state.
 	if v, ok, _ := c1b.FirstValue(context.Background(), "urn:a", "k"); !ok || v != "before" {
 		t.Fatalf("pre-crash state: %q %v", v, ok)
+	}
+}
+
+// TestRestartFromOlderFileKeepsOwnOps: a replica writes a, saves its
+// file, writes b, which reaches its peer, and restarts from the file. Its
+// pull on start brings b back, and it adopts it: its next write, c, is
+// minted past b, so the peer files c too, and a replica that joins later
+// learns a, b and c. All three hold one catalog.
+func TestRestartFromOlderFileKeepsOwnOps(t *testing.T) {
+	start := func(st *Store, peers ...string) *Server {
+		s := NewServer(st, WithPeers(peers...))
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	set := func(s *Server, uri string) {
+		t.Helper()
+		c := NewClient([]string{s.Addr()}, nil)
+		defer c.Close()
+		if err := c.Set(ctxTimeout(t, "5s"), uri, AttrState, "running"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holds := func(s *Server, uri string) func() bool {
+		return func() bool { _, ok := s.Store().FirstValue(uri, AttrState); return ok }
+	}
+	rc0 := start(NewStore("rc0"))
+	rc1 := start(NewStore("rc1"), rc0.Addr())
+	set(rc1, "urn:a")
+	var file bytes.Buffer
+	if err := rc1.Store().SaveTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	set(rc1, "urn:b")
+	testutil.WaitFor(t, 5*time.Second, holds(rc0, "urn:b"), "b did not reach replica 0")
+	rc1.Close()
+
+	restored, err := LoadStore(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc1b := start(restored, rc0.Addr())
+	rc0.SetPeers(rc1b.Addr())
+	testutil.WaitFor(t, 5*time.Second, holds(rc1b, "urn:b"), "the restarted replica did not get its own write b back")
+	set(rc1b, "urn:c")
+	testutil.WaitFor(t, 5*time.Second, func() bool { return converged(rc0, rc1b) }, "replica 0 did not converge with the restarted replica")
+
+	rc2 := NewStore("rc2")
+	c := NewClient([]string{rc0.Addr()}, nil)
+	defer c.Close()
+	if _, err := SyncFromPeer(ctxTimeout(t, "5s"), rc2, c, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, uri := range []string{"urn:a", "urn:b", "urn:c"} {
+		if _, ok := rc2.FirstValue(uri, AttrState); !ok {
+			t.Errorf("a replica that joined later lacks %s", uri)
+		}
+	}
+	if h := rc2.ContentHash(); h != rc0.Store().ContentHash() || h != rc1b.Store().ContentHash() {
+		t.Error("the three replicas hold different catalogs")
+	}
+	if got := rc1b.Store().Vector()["rc1"]; got != 3 {
+		t.Errorf("the restarted replica's own mark is %d, want 3", got)
 	}
 }
 

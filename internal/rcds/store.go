@@ -570,8 +570,8 @@ func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32, fr
 	changed := 0
 	for i := range ops {
 		op := &ops[i]
-		if op.Origin == s.origin {
-			continue // our own ops echoed back
+		if s.ownLocked(op) {
+			continue
 		}
 		s.mRemoteOps.Inc()
 		if s.mergeLocked(op, origin(i), from) {
@@ -588,6 +588,23 @@ func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32, fr
 		}
 	}
 	return changed
+}
+
+// ownLocked reports whether op is one of this replica's own that it holds
+// already — an echo — and is to be skipped: one at or below its own mark,
+// or filed above it. Any other op of its own is one that a restart from an
+// older file lost, which a peer brings back; it is adopted, and the
+// sequence and clock move past it, so that no later write reuses its seq.
+// Caller holds s.mu.
+func (s *Store) ownLocked(op *Assertion) bool {
+	if op.Origin != s.origin {
+		return false
+	}
+	if op.Seq <= s.vv[s.origin] || s.logs[0].at(op.Seq) != nil {
+		return true
+	}
+	s.seq, s.lamport = max(s.seq, op.Seq), max(s.lamport, op.Clock)
+	return false
 }
 
 // observeLookup records one catalog read for the lookup metrics.
@@ -921,8 +938,8 @@ func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 	changed := 0
 	for i := range ops {
 		op := &ops[i]
-		if op.Origin == s.origin {
-			continue // our own ops: already in our log
+		if s.ownLocked(op) {
+			continue
 		}
 		s.mSnapInstall.Inc()
 		if s.mergeLocked(op, originLocked(s, op.Origin), 0) {
@@ -955,6 +972,7 @@ func (s *Store) MergeVector(vv VersionVector) {
 			s.vv[origin]++
 		}
 	}
+	s.seq = max(s.seq, s.vv[s.origin]) // a snapshot base may hold ops of ours a restart lost
 }
 
 // CanServeTail reports whether the log can serve every op a replica at
