@@ -1,6 +1,7 @@
 package rcds
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -67,10 +68,10 @@ func TestStoreCompactionFloor(t *testing.T) {
 	if !s.CanServeTail(VersionVector{}) {
 		t.Fatal("uncompacted log must serve any tail")
 	}
-	before := s.LogLen()
+	before := logLen(s)
 	dropped := s.Compact(10)
-	if dropped == 0 || s.LogLen() >= before {
-		t.Fatalf("Compact dropped %d (log %d -> %d)", dropped, before, s.LogLen())
+	if dropped == 0 || logLen(s) >= before {
+		t.Fatalf("Compact dropped %d (log %d -> %d)", dropped, before, logLen(s))
 	}
 	if s.CanServeTail(VersionVector{}) {
 		t.Fatal("empty vector is below the floor after compaction")
@@ -103,15 +104,15 @@ func TestSyncFromPeerTailPath(t *testing.T) {
 	dst := NewStore("rcX")
 	c := NewClient(groupAddrs(servers), nil)
 	defer c.Close()
-	res, err := SyncFromPeer(context.Background(), dst, c, 7) // force paging
-	if err != nil {
+	if err := SyncFromPeer(context.Background(), dst, c, 7); err != nil { // force paging
 		t.Fatal(err)
 	}
-	if res.UsedSnapshot || res.Snapshots != 0 {
-		t.Fatalf("tail-servable gap used snapshot: %+v", res)
+	got := dst.Metrics().Snapshot().Counters
+	if n := got["snapshot_ops_installed"]; n != 0 {
+		t.Fatalf("tail-servable gap used snapshot: %d ops installed", n)
 	}
-	if res.TailOps == 0 || dst.ContentHash() != src.ContentHash() {
-		t.Fatalf("tail sync did not converge: %+v", res)
+	if got["remote_ops"] != 50 || dst.ContentHash() != src.ContentHash() {
+		t.Fatalf("tail sync did not converge: %d ops pulled", got["remote_ops"])
 	}
 }
 
@@ -136,18 +137,18 @@ func TestSyncFromPeerSnapshotPath(t *testing.T) {
 	dst := NewStore("rcY")
 	c := NewClient(groupAddrs(servers), nil)
 	defer c.Close()
-	res, err := SyncFromPeer(context.Background(), dst, c, 64)
-	if err != nil {
+	if err := SyncFromPeer(context.Background(), dst, c, 64); err != nil {
 		t.Fatal(err)
 	}
-	if !res.UsedSnapshot {
-		t.Fatalf("stale replica bypassed the snapshot: %+v", res)
+	got := dst.Metrics().Snapshot().Counters
+	if got["snapshot_ops_installed"] == 0 {
+		t.Fatal("stale replica bypassed the snapshot")
 	}
 	if dst.ContentHash() != src.ContentHash() {
 		t.Fatal("snapshot sync did not converge byte-identically")
 	}
 	// The point of the snapshot: transfer is O(catalog), not O(history).
-	if total := res.SnapshotOps + res.TailOps; total >= history/2 {
+	if total := got["snapshot_ops_installed"] + got["remote_ops"]; total >= uint64(history/2) {
 		t.Fatalf("rejoin transferred %d ops against %d history ops", total, history)
 	}
 	snap := src.Metrics().Snapshot()
@@ -283,5 +284,50 @@ func TestPartitionRejoinViaSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(fmt.Sprint(stores[1].Vector()), "rc0") {
 		t.Fatal("rejoiner never learned the survivor's origin")
+	}
+}
+
+// TestPullAsksForNoOwnOps: a peer holds three ops minted under the
+// puller's origin that the puller lacks. A pull asks with that origin
+// marked all held and is sent none of them; a store loaded from a file
+// asks with its real mark until one pull succeeds, so it is sent the three
+// and adopts them, and its next write is minted past them.
+func TestPullAsksForNoOwnOps(t *testing.T) {
+	servers := startReplicaGroup(t, 1, nil)
+	lost := NewStore("rc9")
+	var file bytes.Buffer
+	if err := lost.SaveTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		servers[0].Store().ApplyRemote([]Assertion{lost.Set(fmt.Sprintf("urn:own%d", i), "k", "v")})
+	}
+	c := NewClient(groupAddrs(servers), nil)
+	defer c.Close()
+
+	fresh := NewStore("rc9")
+	if err := SyncFromPeer(context.Background(), fresh, c, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Vector()["rc9"]; got != 0 {
+		t.Errorf("a pull brought the puller %d ops of its own", got)
+	}
+	restored, err := LoadStore(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pull := 0; pull < 2; pull++ {
+		if err := SyncFromPeer(context.Background(), restored, c, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := restored.Vector()["rc9"]; got != 3 {
+		t.Errorf("the restored store's first pull left its own mark at %d, want 3", got)
+	}
+	if op := restored.Set("urn:next", "k", "v"); op.Seq != 4 {
+		t.Errorf("the restored store minted seq %d next, want 4", op.Seq)
+	}
+	if got := servers[0].Store().Metrics().Counter("tail_pulls_served").Value(); got != 3 {
+		t.Errorf("%d pulls served, want 3", got)
 	}
 }

@@ -1112,39 +1112,3 @@ func (c *Client) statsFrom(ctx context.Context, g *replicaGroup) (uris, elems, t
 	}
 	return int(u), int(el), int(tb), nil
 }
-
-// WaitFor polls until (uri, name) has a live value or ctx ends —
-// the client-side rendezvous primitive SNIPE components use to wait for
-// each other's metadata to appear. The long-poll rides the version
-// stream of the group owning uri, so it works unchanged under sharding.
-func (c *Client) WaitFor(ctx context.Context, uri, name string) (string, error) {
-	var version uint64
-	for {
-		v, ok, err := c.FirstValue(ctx, uri, name)
-		if err == nil && ok {
-			return v, nil
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			if err != nil {
-				return "", fmt.Errorf("rcds: waiting for %s %s: %w", uri, name, err)
-			}
-			return "", fmt.Errorf("rcds: timeout waiting for %s %s", uri, name)
-		}
-		pollWait := 200 * time.Millisecond
-		if deadline, ok := ctx.Deadline(); ok {
-			if remaining := time.Until(deadline); remaining < pollWait {
-				pollWait = remaining
-			}
-		}
-		if pollWait <= 0 {
-			continue
-		}
-		// Use the long-poll to avoid busy-waiting; ignore errors, the
-		// next FirstValue will fail over.
-		if nv, err := c.WaitURI(ctx, uri, version, pollWait); err == nil {
-			version = nv
-		} else if ctx.Err() == nil {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-}

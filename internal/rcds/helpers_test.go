@@ -2,9 +2,13 @@ package rcds
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"testing"
+	"time"
 
 	"snipe/internal/seckey"
+	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
 
@@ -80,4 +84,26 @@ func wrongShardResponse(group int, epoch uint64) []byte {
 func parseBody(body []byte) (*xdr.Decoder, error) {
 	d := xdr.NewDecoder(body)
 	return d, parseResponse(d)
+}
+
+// logLen returns how many ops st's log holds, across origins.
+func logLen(st *Store) (n int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, l := range st.logs {
+		n += l.n
+	}
+	return n
+}
+
+// waitValue waits up to d for (uri, name) to have a live value at the
+// replicas c talks to, and returns it.
+func waitValue(t *testing.T, c *Client, uri, name string, d time.Duration) (v string) {
+	t.Helper()
+	testutil.WaitFor(t, d, func() bool {
+		var ok bool
+		v, ok, _ = c.FirstValue(context.Background(), uri, name)
+		return ok
+	}, uri+" "+name+" never got a value")
+	return v
 }

@@ -296,6 +296,75 @@ func TestPushLinkCarriesNothingBack(t *testing.T) {
 	}
 }
 
+// TestPullCarriesNoOwnOps: a replica pulls from its peer again and again
+// while it writes a burst that its pusher sends ahead of each Catchup on
+// the same link. Each pull asks with its own origin marked all held, so
+// the peer answers every one with an empty tail: the link's peer → pusher
+// direction carries the Ping reply and one empty tail per pull, and not
+// one of the puller's ops.
+func TestPullCarriesNoOwnOps(t *testing.T) {
+	const n = 20000
+	rc := startChain(t, [][]int{{}, {}})
+	relay := startFrameRelay(t, rc[1].Addr())
+	rc[0].SetPeers(relay.Addr())
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return counter(rc[0], "pulls") == 1 && counter(rc[1], "tail_pulls_served") == 1
+	}, "replica 0 did not pull from its new peer")
+	wrote := make(chan struct{})
+	var writers sync.WaitGroup
+	c := NewClient([]string{rc[0].Addr()}, nil)
+	defer c.Close()
+	ctx := ctxTimeout(t, "30s")
+	for w := 0; w < 16; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := w; i < n; i += 16 {
+				if err := c.Set(ctx, fmt.Sprintf("urn:k%04d", i), AttrState, "running"); err != nil {
+					t.Errorf("Set %d: %v", i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	go func() {
+		writers.Wait()
+		close(wrote)
+	}()
+	for burst := true; burst; {
+		select {
+		case <-wrote:
+			burst = false
+		default:
+			pulls := counter(rc[0], "pulls")
+			signal(rc[0].linkUp) // as a link opening does
+			testutil.WaitFor(t, 5*time.Second, func() bool { return counter(rc[1], "tail_pulls_served") > pulls },
+				"replica 0 did not pull")
+		}
+	}
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return rc[1].Store().Vector().Dominates(rc[0].Store().Vector())
+	}, "replica 1 never caught up by push alone")
+
+	pong := okResponse(func(e *xdr.Encoder) { e.PutString("rc1") })
+	tail := okResponse(func(e *xdr.Encoder) { e.PutUint8(catchupModeTail); e.PutUint32(0) })
+	var pulls uint64
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		pulls = counter(rc[0], "pulls")
+		return uint64(relay.down.frames.Load()) == 1+pulls && counter(rc[1], "tail_pulls_served") == pulls
+	}, "the link did not settle at the Ping reply and one answer per pull")
+	t.Logf("%d pulls during %d writes", pulls, n)
+	if pulls < 10 {
+		t.Errorf("only %d pulls during the burst", pulls)
+	}
+	if want := int64(4+len(pong)) + int64(pulls)*int64(4+len(tail)); relay.down.bytes.Load() != want {
+		t.Errorf("peer → pusher carried %d bytes, want the Ping reply and %d empty tails (%d bytes)", relay.down.bytes.Load(), pulls, want)
+	}
+	if got := counter(rc[0], "remote_ops"); got != 0 {
+		t.Errorf("replica 0 took %d ops from its peer, which wrote none", got)
+	}
+}
+
 // TestPushKeepsWriteOrder: writes pipelined on one connection are minted,
 // queued and pushed by that connection's read loop alone, and a link's
 // frames are applied in the order written — so replica 1 learns replica

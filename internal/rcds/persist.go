@@ -18,7 +18,8 @@ import (
 // catalog is saved as it stands, not replayed from the log, so a
 // compacted replica (-data with -compact-keep) restarts whole; it then
 // pulls from its peers as soon as its push links open (DESIGN.md
-// "Replication repair"), catching up on whatever it missed while down.
+// "Replication repair"), catching up on whatever it missed while down, its
+// own writes made after the file was saved among them (ownLocked).
 //
 // File format, every field in the xdr encoding of the wire protocol:
 //
@@ -108,6 +109,7 @@ func LoadStore(r io.Reader) (*Store, error) {
 	s := NewStore(origin)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.restored = true
 	if s.lamport, err = d.Uint64(); err != nil {
 		return nil, err
 	}

@@ -115,8 +115,8 @@ func TestSnapshotKeepsCompactedCatalog(t *testing.T) {
 	s.Remove("urn:h0", AttrLoad, "0.5") // a register under a tombstone
 	other := NewStore("rc2")
 	s.ApplyRemote([]Assertion{other.Set("urn:h2", AttrArch, "sparc")})
-	if s.Compact(0) == 0 || s.LogLen() != 0 {
-		t.Fatalf("Compact(0) left %d log entries", s.LogLen())
+	if s.Compact(0) == 0 || logLen(s) != 0 {
+		t.Fatalf("Compact(0) left %d log entries", logLen(s))
 	}
 
 	var buf bytes.Buffer
@@ -193,11 +193,7 @@ func TestRestartedReplicaCatchesUp(t *testing.T) {
 
 	// Replica 1 receives the write, snapshots, and dies.
 	c1 := NewClient([]string{s1.Addr()}, nil)
-	wctx, wcancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer wcancel()
-	if _, err := c1.WaitFor(wctx, "urn:a", "k"); err != nil {
-		t.Fatal(err)
-	}
+	waitValue(t, c1, "urn:a", "k", 3*time.Second)
 	c1.Close()
 	var snap bytes.Buffer
 	if err := s1.Store().SaveTo(&snap); err != nil {
@@ -220,10 +216,8 @@ func TestRestartedReplicaCatchesUp(t *testing.T) {
 	defer s1b.Close()
 	c1b := NewClient([]string{s1b.Addr()}, nil)
 	defer c1b.Close()
-	wctx2, wcancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer wcancel2()
-	if v, err := c1b.WaitFor(wctx2, "urn:a", "k2"); err != nil || v != "while-down" {
-		t.Fatalf("catch-up: %q %v", v, err)
+	if v := waitValue(t, c1b, "urn:a", "k2", 5*time.Second); v != "while-down" {
+		t.Fatalf("catch-up: %q", v)
 	}
 	// And it kept the pre-crash state.
 	if v, ok, _ := c1b.FirstValue(context.Background(), "urn:a", "k"); !ok || v != "before" {
@@ -280,7 +274,7 @@ func TestRestartFromOlderFileKeepsOwnOps(t *testing.T) {
 	rc2 := NewStore("rc2")
 	c := NewClient([]string{rc0.Addr()}, nil)
 	defer c.Close()
-	if _, err := SyncFromPeer(ctxTimeout(t, "5s"), rc2, c, 0); err != nil {
+	if err := SyncFromPeer(ctxTimeout(t, "5s"), rc2, c, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, uri := range []string{"urn:a", "urn:b", "urn:c"} {
@@ -306,8 +300,8 @@ func goldenStore() *Store {
 	now := int64(1_700_000_000_000_000_000)
 	clock := func() int64 { now += 1000; return now }
 	st, peer := NewStore("rc1"), NewStore("rc2")
-	st.SetNowFunc(clock)
-	peer.SetNowFunc(clock)
+	st.nowFn = clock
+	peer.nowFn = clock
 	st.Set("urn:snipe:host:alpha", AttrArch, "linux-amd64")
 	st.Set("urn:snipe:host:alpha", AttrLoad, "0.25")
 	st.Set("urn:snipe:host:alpha", AttrLoad, "0.50")
@@ -377,7 +371,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		if got, w := c.st.Vector(), want.Vector(); !got.Dominates(w) || !w.Dominates(got) {
 			t.Errorf("%s: Vector %v, want %v", c.name, got, w)
 		}
-		if got, w := c.st.LogLen(), want.LogLen(); got != w {
+		if got, w := logLen(c.st), logLen(want); got != w {
 			t.Errorf("%s: LogLen %d, want %d", c.name, got, w)
 		}
 		for _, vv := range vectors {
@@ -393,8 +387,8 @@ func TestGoldenSnapshot(t *testing.T) {
 	if u, e, tb := want.Stats(); u != 5 || e != 9 || tb != 2 {
 		t.Errorf("the golden store's Stats are %d %d %d, want 5 9 2", u, e, tb)
 	}
-	if vv := want.Vector(); len(vv) != 2 || vv["rc1"] != 10 || vv["rc2"] != 2 || want.LogLen() != 10 {
-		t.Errorf("the golden store's vector is %v with %d ops logged, want rc1:10 rc2:2 and 10", vv, want.LogLen())
+	if vv := want.Vector(); len(vv) != 2 || vv["rc1"] != 10 || vv["rc2"] != 2 || logLen(want) != 10 {
+		t.Errorf("the golden store's vector is %v with %d ops logged, want rc1:10 rc2:2 and 10", vv, logLen(want))
 	}
 	if n := len(want.OpsSince(VersionVector{"rc1": 4}, 0)); n != 8 {
 		t.Errorf("the golden store serves %d ops above rc1's floor, want 6 of rc1 and 2 of rc2", n)

@@ -92,11 +92,11 @@ func TestPushIsNotEchoed(t *testing.T) {
 	const n = 40
 	rc := startChain(t, [][]int{{1}, {0}})
 	setN(t, rc[0], n)
-	// Every op reaches replica 1, its relay decides on every one, and
-	// replica 0 has counted the last Apply frame it wrote.
+	// Every op reaches replica 1, and replica 0 has counted the last
+	// Apply frame it wrote.
 	testutil.WaitFor(t, 5*time.Second, func() bool {
-		return counter(rc[1], "relay_skipped") == n && counter(rc[0], "apply_ops_sent") == n
-	}, "replica 1 did not leave every relayed op out of its push to replica 0")
+		return rc[1].Store().Vector().Dominates(rc[0].Store().Vector()) && counter(rc[0], "apply_ops_sent") == n
+	}, "replica 1 did not get every write")
 	if got := counter(rc[1], "remote_ops"); got != n {
 		t.Errorf("%d ops arrived at replica 1 for %d Sets, want one each", got, n)
 	}
@@ -128,9 +128,8 @@ func TestRelayChain(t *testing.T) {
 	a, b, c := rc[0], rc[1], rc[2]
 	setN(t, a, n)
 	testutil.WaitFor(t, 5*time.Second, func() bool {
-		return counter(b, "relay_skipped") == n && counter(c, "relay_skipped") == n &&
-			counter(b, "apply_ops_sent") == n
-	}, "B and C did not each leave every op out of the push towards its source")
+		return c.Store().Vector().Dominates(a.Store().Vector()) && counter(b, "apply_ops_sent") == n
+	}, "C did not get every write through B")
 	if c.Store().ContentHash() != a.Store().ContentHash() {
 		t.Error("C does not hold what A wrote")
 	}
@@ -147,6 +146,129 @@ func TestRelayChain(t *testing.T) {
 	}
 	if got := counter(b, "apply_ops_sent"); got != n {
 		t.Errorf("B relayed %d ops, want %d (to C alone)", got, n)
+	}
+	for _, srv := range []*Server{b, c} {
+		if got := counter(srv, "relay_skipped"); got != 0 {
+			t.Errorf("%s's pusher towards the source read %d ops to leave them out; it was woken for them", srv.Store().Origin(), got)
+		}
+	}
+}
+
+// TestApplyWakesNoPusherBack: on a two-replica group, n Sets at replica 0
+// arrive at replica 1 in Apply frames from replica 0, which wake none of
+// replica 1's pushers: its one pusher, back to replica 0, is owed none of
+// them. It never reads the log for them — no Store.owed run passes over
+// one (relay_skipped) — and its mark stays where the link opened it.
+func TestApplyWakesNoPusherBack(t *testing.T) {
+	const n = 200
+	rc := startChain(t, [][]int{{1}, {0}})
+	rc[1].mu.Lock()
+	back := rc[1].pushers[0]
+	rc[1].mu.Unlock()
+	setN(t, rc[0], n)
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return rc[1].Store().Vector().Dominates(rc[0].Store().Vector())
+	}, "replica 1 did not get every write")
+	if got := counter(rc[1], "relay_skipped"); got != 0 {
+		t.Errorf("replica 1's pusher back to replica 0 passed over %d of its ops", got)
+	}
+	o := slices.Index(rc[1].Store().origins, "rc0")
+	rc[1].Close() // the pusher has returned: its batch is the test's to read
+	if mark := back.batch.mark; o < len(mark) && mark[o] != 0 {
+		t.Errorf("replica 1's pusher back to replica 0 moved its mark to seq %d of replica 0's", mark[o])
+	}
+}
+
+// TestWriteCompactsLog: a replica of a two-replica group that compacts to
+// a tail of 4,096 takes a burst of 50,000 Sets from 16 writers, with no
+// Compact call and no pause. Each write that grows a log past the bound
+// compacts it: whenever looked at, no origin's log holds more than 4,096
+// + 64 ops at either replica. The peer keeps up by push alone: no snapshot
+// page is served and no push fails. Then a write at the peer wakes its
+// pusher back, whose mark for the burst lies far under its floor there:
+// those ops are the replica's own, owed none, so the write goes out on the
+// link as it stands — no link is opened anew, and nobody pulls.
+func TestWriteCompactsLog(t *testing.T) {
+	const keep, writes, writers = 4096, 50_000, 16
+	var rc [2]*Server
+	for i := range rc {
+		rc[i] = NewServer(NewStore(fmt.Sprintf("rc%d", i)), WithLogCompaction(keep))
+		if err := rc[i].Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rc[i].Close)
+	}
+	rc[0].SetPeers(rc[1].Addr())
+	rc[1].SetPeers(rc[0].Addr())
+	pullsSettle(t, rc[:], func(int) int { return 1 })
+
+	// longest is the most ops any one origin's log holds at either replica.
+	longest := func() (n int) {
+		for _, s := range rc {
+			st := s.Store()
+			st.mu.Lock()
+			for _, l := range st.logs {
+				n = max(n, l.n)
+			}
+			st.mu.Unlock()
+		}
+		return n
+	}
+	done := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-done:
+				peak <- max(most, longest())
+				return
+			default:
+				most = max(most, longest())
+				runtime.Gosched()
+			}
+		}
+	}()
+	c := NewClient([]string{rc[0].Addr()}, nil)
+	defer c.Close()
+	ctx := ctxTimeout(t, "120s")
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < writes; i += writers {
+				if err := c.Set(ctx, fmt.Sprintf("urn:k%05d", i), AttrState, "running"); err != nil {
+					t.Errorf("Set %d: %v", i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	testutil.WaitFor(t, 10*time.Second, func() bool { return converged(rc[1], rc[0]) }, "replica 1 did not get every write")
+	close(done)
+	if got := <-peak; got > keep+logChunk {
+		t.Errorf("an origin's log held %d ops, want at most %d", got, keep+logChunk)
+	}
+	if got := counter(rc[0], "log_compacted_ops"); got < writes-keep-logChunk {
+		t.Errorf("replica 0 compacted %d ops of %d written", got, writes)
+	}
+	if got := counter(rc[0], "snapshot_pages_served") + counter(rc[1], "snapshot_pages_served"); got != 0 {
+		t.Errorf("%d snapshot pages served", got)
+	}
+	if f := rc[0].PushFailures() + rc[1].PushFailures(); f != 0 {
+		t.Errorf("%d push failures", f)
+	}
+
+	pulls := counter(rc[0], "pulls") + counter(rc[1], "pulls")
+	c1 := NewClient([]string{rc[1].Addr()}, nil)
+	defer c1.Close()
+	setOne(t, c1, "urn:back")
+	testutil.WaitFor(t, 5*time.Second, func() bool { return converged(rc[0], rc[1]) }, "the write at replica 1 did not reach replica 0")
+	time.Sleep(redialBackoff + 100*time.Millisecond) // a relinked pusher would have pulled by now
+	if got := counter(rc[0], "pulls") + counter(rc[1], "pulls") - pulls; got != 0 {
+		t.Errorf("%d pulls after the write at replica 1, want none", got)
 	}
 }
 
@@ -287,13 +409,13 @@ func TestSlowPeerHoldsUpOnlyItself(t *testing.T) {
 	round := func() time.Duration {
 		for j := 0; j < 63; j++ {
 			src.Store().Set(fmt.Sprintf("urn:bulk%02d", j), AttrState, value)
-			src.wakePushers()
+			src.wakePushers(nil)
 		}
 		rounds++
 		marker := strconv.Itoa(rounds)
 		begin := time.Now()
 		src.Store().Set("urn:marker", AttrState, marker)
-		src.wakePushers()
+		src.wakePushers(nil)
 		for {
 			if v, _ := fast.Store().FirstValue("urn:marker", AttrState); v == marker {
 				return time.Since(begin)

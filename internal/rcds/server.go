@@ -20,12 +20,8 @@ import (
 const pushTimeout = 5 * time.Second
 
 // A pusher tries again redialBackoff after a failed or gated push or a link
-// it broke (DESIGN.md "Replication repair"). WithLogCompaction's loop
-// compacts every compactPeriod.
-const (
-	redialBackoff = 250 * time.Millisecond
-	compactPeriod = 2 * time.Second
-)
+// it broke (DESIGN.md "Replication repair"): the one timer of replication.
+const redialBackoff = 250 * time.Millisecond
 
 // maxKeptOps is maxKeptBuffer for a reused slice of 136-byte Assertions:
 // a connection's decoded Apply, a pusher's batch.
@@ -64,10 +60,10 @@ func WithShard(self int, m *ShardMap) ServerOption {
 	return func(s *Server) { s.shard = &shardConfig{self: self, m: m} }
 }
 
-// WithLogCompaction bounds the op log: every compactPeriod a background
-// loop drops entries more than keepTail sequence numbers below each
-// origin's contiguous mark. Replicas that fall below the resulting floor catch
-// up via snapshot (SyncFromPeer) instead of history replay.
+// WithLogCompaction bounds each origin's op log to keepTail + 64 ops: the
+// write that takes it past that drops the whole 64-seq chunks below
+// mark − keepTail. Replicas that fall below the resulting floor catch up
+// via snapshot (SyncFromPeer) instead of history replay.
 func WithLogCompaction(keepTail int) ServerOption {
 	return func(s *Server) { s.compactKeep = keepTail }
 }
@@ -86,7 +82,7 @@ type Server struct {
 	store       *Store
 	secret      []byte
 	peers       []string
-	compactKeep int // >0: background log compaction keeps this much tail
+	compactKeep int // >0: each write compacts its origin's log to this tail
 	// peerGate is consulted before every push or pull exchange with a
 	// peer: while it returns an error the exchange is skipped, modelling a
 	// severed replication link. It passes all unless the package's
@@ -99,7 +95,7 @@ type Server struct {
 	shard   *shardConfig // nil = unsharded
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
-	stop    context.CancelFunc // ends the pull and compaction loops; nil until Start
+	stop    context.CancelFunc // ends the pull loop; nil until Start
 	wg      sync.WaitGroup
 	stopped bool
 	pushers []*pusher // one per peer address while the server runs
@@ -184,6 +180,7 @@ func (s *Server) Start(addr string) error {
 	if err != nil {
 		return fmt.Errorf("rcds: listen %s: %w", addr, err)
 	}
+	s.store.compactTo(s.compactKeep)
 	ctx, stop := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.ln = ln
@@ -195,10 +192,6 @@ func (s *Server) Start(addr string) error {
 	// The loop starts even with no peers: they may arrive later via
 	// SetPeers (the common bootstrap order), and wake it.
 	go s.pullLoop(ctx)
-	if s.compactKeep > 0 {
-		s.wg.Add(1)
-		go s.compactLoop(ctx)
-	}
 	return nil
 }
 
@@ -441,9 +434,10 @@ func (s *Server) serve(sc *served, frame []byte, park <-chan struct{}) ([]byte, 
 
 // applyPosted applies one posted Apply, logging its ops as arrived from
 // the sender it names, and wakes the pushers to relay them, so partially
-// connected groups converge quickly. The first Apply on a connection, which
-// opens a peer's push link and may carry nothing, wakes the pull loop. An
-// Apply that names no sender is refused unread.
+// connected groups converge quickly — all but the pusher back to the
+// sender, which is owed none of them. The first Apply on a connection,
+// which opens a peer's push link and may carry nothing, wakes the pull
+// loop. An Apply that names no sender is refused unread.
 func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	from, err := d.BytesMax(maxWireURI)
 	if err == nil && len(from) == 0 {
@@ -461,7 +455,7 @@ func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	}
 	if len(sc.ops) > 0 {
 		s.mAppliesRecv.Inc()
-		s.wakePushers()
+		s.wakePushers(from)
 	}
 	return nil
 }
@@ -618,17 +612,21 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 			ops[0] = s.store.AddSigned(uri, name, value, signer, sig)
 		}
 	}
-	s.wakePushers()
+	s.wakePushers(nil)
 	respond(e, id, statusOK)
 	return nil
 }
 
-// wakePushers tells every pusher that the log may hold ops due to its peer.
-func (s *Server) wakePushers() {
+// wakePushers tells every pusher that the log may hold ops due to its peer
+// but the one to from, if named, which pushed them and is owed none back;
+// a pusher whose peer's origin is not yet known is woken.
+func (s *Server) wakePushers(from []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range s.pushers {
-		signal(p.wake)
+		if len(from) == 0 || p.origin != string(from) {
+			signal(p.wake)
+		}
 	}
 }
 
@@ -647,7 +645,7 @@ type pusher struct {
 
 	batch  pushBatch   // its place in the log, moved only by a push that went out
 	link   *clientConn // the connection the last Apply went out on
-	origin string      // the peer's, asked on each new link; "" if its Ping failed
+	origin string      // the peer's, asked on each new link; "" if its Ping failed; written under Server.mu
 }
 
 // push keeps p's peer level with the store's log until ctx ends (DESIGN.md
@@ -710,8 +708,11 @@ func (s *Server) pushDue(ctx context.Context, p *pusher) error {
 			}
 			p.relink.Store(false) // this link's pulls are the retry
 			pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
-			p.origin, _ = p.c.Ping(pingCtx) // on error it is unknown, and nothing is left out
+			origin, _ := p.c.Ping(pingCtx) // on error it is unknown, and nothing is left out
 			cancel()
+			s.mu.Lock()
+			p.origin = origin
+			s.mu.Unlock()
 			s.store.owed(b, p.origin)
 		}
 		if err := p.c.post(cc, s.store.Origin(), b.ops); err != nil {
@@ -756,28 +757,10 @@ func (s *Server) pullLoop(ctx context.Context) {
 		for _, p := range links {
 			if s.peerGate(p.peer) == nil { // else the link is severed
 				s.mPulls.Inc()
-				_, err := SyncFromPeer(ctx, s.store, p.c, 0)
+				err := SyncFromPeer(ctx, s.store, p.c, 0)
 				p.relink.Store(err != nil) // peer down or stalled, or outrun by compaction
 			}
 		}
-		s.wakePushers()
-	}
-}
-
-// compactLoop every compactPeriod drops op-log entries more than
-// compactKeep below each origin's contiguous mark. Bounding the log is
-// what makes 1M+-URI catalogs viable: without it every write ever made
-// stays resident and every rejoin replays it.
-func (s *Server) compactLoop(ctx context.Context) {
-	defer s.wg.Done()
-	ticker := time.NewTicker(compactPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			s.store.Compact(s.compactKeep)
-		}
+		s.wakePushers(nil)
 	}
 }

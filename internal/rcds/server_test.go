@@ -123,9 +123,7 @@ func TestReplicationPushPropagates(t *testing.T) {
 	// The write lands on replica 0 and should propagate to 1 and 2.
 	for i := 1; i < 3; i++ {
 		ci := NewClient([]string{servers[i].Addr()}, nil)
-		if _, err := ci.WaitFor(ctxTimeout(t, "3s"), "urn:x", "n"); err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
+		waitValue(t, ci, "urn:x", "n", 3*time.Second)
 		ci.Close()
 	}
 }
@@ -148,9 +146,7 @@ func TestAntiEntropyHealsPartition(t *testing.T) {
 	defer revived.Close()
 	c1 := NewClient([]string{revived.Addr()}, nil)
 	defer c1.Close()
-	if _, err := c1.WaitFor(ctxTimeout(t, "3s"), "urn:healed", "n"); err != nil {
-		t.Fatalf("the pull on start did not heal: %v", err)
-	}
+	waitValue(t, c1, "urn:healed", "n", 3*time.Second) // the pull on start heals
 }
 
 func TestClientFailover(t *testing.T) {
@@ -207,9 +203,7 @@ func TestHMACAuthentication(t *testing.T) {
 	// Replication still works between authenticated peers.
 	c1 := NewClient([]string{servers[1].Addr()}, secret)
 	defer c1.Close()
-	if _, err := c1.WaitFor(ctxTimeout(t, "3s"), "urn:s", "n"); err != nil {
-		t.Fatalf("authenticated replication: %v", err)
-	}
+	waitValue(t, c1, "urn:s", "n", 3*time.Second)
 }
 
 func TestWaitLongPoll(t *testing.T) {

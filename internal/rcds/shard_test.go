@@ -311,9 +311,17 @@ func TestWaitURIWatchesOwningGroup(t *testing.T) {
 	// Pick a URI owned by group 1: the seed group's version stream
 	// never advances for it, so only a routed wait can see the write.
 	uri := uriOwnedBy(m, 1, "w")
+	ctx := ctxTimeout(t, "10s")
+	since, err := w.WaitURI(ctx, uri, 0, 0) // the owning group's version now
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := w.WaitFor(context.Background(), uri, AttrArch)
+		v, err := w.WaitURI(ctx, uri, since, 5*time.Second)
+		if err == nil && v <= since {
+			err = fmt.Errorf("the wait returned version %d, not past %d", v, since)
+		}
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -324,13 +332,13 @@ func TestWaitURIWatchesOwningGroup(t *testing.T) {
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("WaitFor: %v", err)
+				t.Fatalf("WaitURI: %v", err)
 			}
 			return true
 		default:
 			return false
 		}
-	}, "routed WaitFor never woke")
+	}, "routed WaitURI never woke")
 }
 
 func TestShardedReadCacheCoherence(t *testing.T) {

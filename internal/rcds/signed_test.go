@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"snipe/internal/seckey"
 )
@@ -84,9 +85,7 @@ func TestSignedAssertionSurvivesReplication(t *testing.T) {
 	// Read through the other replica: the signature replicated intact.
 	c1 := NewClient([]string{servers[1].Addr()}, nil)
 	defer c1.Close()
-	if _, err := c1.WaitFor(ctxTimeout(t, "5s"), "urn:doc", "hash"); err != nil {
-		t.Fatal(err)
-	}
+	waitValue(t, c1, "urn:doc", "hash", 5*time.Second)
 	values, _, err := c1.VerifiedValues(context.Background(), "urn:doc", "hash")
 	if err != nil || len(values) != 1 || values[0] != "abc123" {
 		t.Fatalf("replicated signed value: %v %v", values, err)

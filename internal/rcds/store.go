@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -45,6 +46,8 @@ type Store struct {
 	logs     []opLog           // by origin index: each origin's ops by seq (may have holes)
 	vv       VersionVector     // contiguous high-water marks
 	floor    map[string]uint64 // origin → first log seq still servable (0 = from the start)
+	keep     uint64            // >0: a write compacts its origin's log to this tail (compactLocked)
+	restored bool              // loaded from a file, not yet pulled: a pull asks with the real own mark
 	decoded  []uint32          // applyEncoded's origin index per op, reused
 
 	version uint64 // bumped on every visible change
@@ -148,6 +151,7 @@ type opChunk struct {
 // arrive: ops in order cost one allocation per logChunk, a stray seq one chunk.
 type opLog struct {
 	chunks map[uint64]*opChunk // seq / logChunk → chunk; nil until the origin's first op
+	low    uint64              // no chunk lies below this one
 	n      int                 // ops held
 }
 
@@ -166,6 +170,9 @@ func (l *opLog) put(seq uint64, op logOp) bool {
 	}
 	c := l.chunks[seq/logChunk]
 	if c == nil {
+		if len(l.chunks) == 0 || seq/logChunk < l.low {
+			l.low = seq / logChunk
+		}
 		c = new(opChunk)
 		l.chunks[seq/logChunk] = c
 	} else if c.have&(1<<(seq%logChunk)) != 0 {
@@ -177,19 +184,40 @@ func (l *opLog) put(seq uint64, op logOp) bool {
 	return true
 }
 
-// drop removes every op at or below seq horizon, zeroed so that none pins
-// a string, and the chunks it empties, returning how many ops it removed.
-func (l *opLog) drop(horizon uint64) (n int) {
-	for k, c := range l.chunks {
-		for i := range c.ops {
-			if c.have&(1<<i) != 0 && k*logChunk+uint64(i) <= horizon {
+// drop removes every op below seq below, returning how many it removed.
+// It gives back the chunks wholly below it, visiting those keys or, if the
+// log holds fewer chunks, every chunk, and zeroes the dropped ops of the
+// chunk it cuts, so that none pins a string.
+func (l *opLog) drop(below uint64) (n int) {
+	top := below / logChunk // the first chunk kept, perhaps cut
+	free := func(k uint64) {
+		if c := l.chunks[k]; c != nil {
+			n += bits.OnesCount64(c.have)
+			delete(l.chunks, k)
+		}
+	}
+	if l.low < top && top-l.low <= uint64(len(l.chunks)) {
+		for k := l.low; k < top; k++ {
+			free(k)
+		}
+	} else if l.low < top {
+		for k := range l.chunks {
+			if k < top {
+				free(k)
+			}
+		}
+	}
+	l.low = max(l.low, top)
+	if c := l.chunks[top]; c != nil {
+		for i := range below % logChunk {
+			if c.have&(1<<i) != 0 {
 				c.have &^= 1 << i
 				c.ops[i] = logOp{}
 				n++
 			}
 		}
 		if c.have == 0 {
-			delete(l.chunks, k)
+			delete(l.chunks, top)
 		}
 	}
 	l.n -= n
@@ -439,7 +467,11 @@ func (s *Store) applyLocked(uri string, cat []entry, a entry) bool {
 
 // recordLocked files e, an op on uri that s.origins[from] pushed here, in
 // its origin's log and advances the contiguous version vector over it and
-// any ops filed right above it. Caller holds s.mu.
+// any ops filed right above it. With compaction on, the write that takes
+// the log keep + logChunk seqs past its floor compacts it: the whole
+// chunks below mark − keep go, so the log holds at most keep + logChunk
+// ops at its mark, and one write in logChunk pays for the chunks it frees.
+// Caller holds s.mu.
 func (s *Store) recordLocked(uri string, e entry, from uint32) {
 	if from <= math.MaxUint16 {
 		e.from = uint16(from)
@@ -452,6 +484,19 @@ func (s *Store) recordLocked(uri string, e entry, from uint32) {
 	for l.at(s.vv[origin]+1) != nil {
 		s.vv[origin]++
 	}
+	if mark := s.vv[origin]; s.keep > 0 && mark+1 >= max(s.floor[origin], 1)+s.keep+logChunk {
+		s.trimLocked(e.origin, origin, (mark+1-s.keep)/logChunk*logChunk)
+	}
+}
+
+// trimLocked raises the floor of s.origins[o] to seq floor, if that is
+// higher, and drops its log below floor, returning how many ops it
+// dropped. Caller holds s.mu.
+func (s *Store) trimLocked(o uint32, origin string, floor uint64) int {
+	s.floor[origin] = max(s.floor[origin], floor)
+	n := s.logs[o].drop(floor)
+	s.mCompacted.Add(uint64(n))
+	return n
 }
 
 func (s *Store) notifyLocked(uri string, e *entry) {
@@ -537,7 +582,7 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 func (s *Store) ApplyRemote(ops []Assertion) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyRemoteLocked(ops, func(i int) uint32 { return originLocked(s, ops[i].Origin) }, 0)
+	return s.applyRemoteLocked(ops, func(i int) uint32 { return originLocked(s, ops[i].Origin) }, 0, false)
 }
 
 // applyEncoded merges the list of ops a peer with origin from pushed, still
@@ -560,30 +605,36 @@ func (s *Store) applyEncoded(d *xdr.Decoder, from []byte, ops []Assertion) ([]As
 	if err != nil {
 		return nil, err
 	}
-	s.applyRemoteLocked(ops, func(i int) uint32 { return origins[i] }, via)
+	s.applyRemoteLocked(ops, func(i int) uint32 { return origins[i] }, via, false)
 	return ops, nil
 }
 
 // applyRemoteLocked merges ops, origin(i) the index of ops[i]'s origin,
-// which the replica at origin index from pushed here.
-func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32, from uint32) int {
+// which the replica at origin index from pushed here, or which a snapshot
+// page brought if snap, and returns how many changed the catalog.
+func (s *Store) applyRemoteLocked(ops []Assertion, origin func(i int) uint32, from uint32, snap bool) int {
 	changed := 0
 	for i := range ops {
 		op := &ops[i]
 		if s.ownLocked(op) {
 			continue
 		}
-		s.mRemoteOps.Inc()
-		if s.mergeLocked(op, origin(i), from) {
-			changed++
+		if snap {
+			s.mSnapInstall.Inc()
+		} else {
+			s.mRemoteOps.Inc()
+		}
+		if !s.mergeLocked(op, origin(i), from) {
+			continue
+		}
+		changed++
+		if !snap {
 			s.mRemoteApplied.Inc()
 			// Replication lag: origin's mint time to our apply time. The
 			// clocks are different hosts', so skew can swallow small lags;
 			// only positive samples are meaningful.
-			if op.ServerTime > 0 {
-				if lag := s.nowFn() - op.ServerTime; lag > 0 {
-					s.hReplLagUs.Observe(float64(lag) / 1e3)
-				}
+			if lag := s.nowFn() - op.ServerTime; op.ServerTime > 0 && lag > 0 {
+				s.hReplLagUs.Observe(float64(lag) / 1e3)
 			}
 		}
 	}
@@ -686,6 +737,35 @@ func (s *Store) Vector() VersionVector {
 	return s.vv.Copy()
 }
 
+// pullVector is the vector a pull asks with: the replica's own, with its
+// own origin marked all held, so that no peer answers with the puller's
+// ops. A store loaded from a file asks with its real own mark until a pull
+// succeeds (pulled): that pull brings back what the file lacked of its own.
+func (s *Store) pullVector() VersionVector {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vv := s.vv.Copy()
+	if !s.restored {
+		vv[s.origin] = math.MaxUint64
+	}
+	return vv
+}
+
+// pulled records a pull that succeeded.
+func (s *Store) pulled() {
+	s.mu.Lock()
+	s.restored = false
+	s.mu.Unlock()
+}
+
+// compactTo has every write compact its origin's log to keepTail ops
+// (recordLocked); 0 or less, never.
+func (s *Store) compactTo(keepTail int) {
+	s.mu.Lock()
+	s.keep = uint64(max(keepTail, 0))
+	s.mu.Unlock()
+}
+
 // OpsSince returns up to max ops that remote (with version vector
 // theirs) has not seen, in per-origin sequence order. max <= 0 means
 // unlimited.
@@ -696,6 +776,9 @@ func (s *Store) OpsSince(theirs VersionVector, max int) []Assertion {
 	names := slices.Clone(s.origins)
 	slices.Sort(names)
 	for _, origin := range names {
+		if theirs[origin] >= s.vv[origin] {
+			continue // nothing of origin is owed
+		}
 		o := slices.Index(s.origins, origin)
 		for seq := theirs[origin] + 1; seq <= s.vv[origin]; seq++ {
 			op := s.logs[o].at(seq)
@@ -737,22 +820,26 @@ func (s *Store) marks() []uint64 {
 
 // owed fills b with the ops above b.mark (an origin met since, from 0) up
 // to each origin's contiguous mark that the replica whose origin is peer
-// ("" if unknown) neither minted nor pushed here. If b.mark lies under a
-// compaction floor, where the log lacks what is due, it sets below.
+// ("" if unknown) neither minted nor pushed here; the peer's own ops are
+// passed over unread. If b.mark lies under a compaction floor of another
+// origin, where the log lacks what may be due, it sets below.
 func (s *Store) owed(b *pushBatch, peer string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b.ops, b.skipped, b.more, b.below = keptOps(b.ops), 0, false, false
 	b.next = append(b.next[:0], b.mark...)
+	skip, size := slices.Index(s.origins, peer), 0 // -1: no op here is the peer's
 	for o, origin := range s.origins {
 		if o == len(b.next) {
 			b.next = append(b.next, 0)
 		}
-		b.below = b.below || b.next[o] < s.vv[origin] && b.next[o]+1 < s.floor[origin]
+		b.below = b.below || o != skip && b.next[o] < s.vv[origin] && b.next[o]+1 < s.floor[origin]
 	}
-	skip, size := slices.Index(s.origins, peer), 0 // -1: no op here is the peer's
 	for o, origin := range s.origins {
-		if b.below {
+		if o == skip && !b.below {
+			b.skipped += int(s.vv[origin] - b.next[o])
+		}
+		if b.below || o == skip {
 			b.next[o] = s.vv[origin]
 			continue
 		}
@@ -777,16 +864,10 @@ func (s *Store) Version() uint64 {
 	return s.version
 }
 
-// WaitVersion blocks until the store's version exceeds since or the
-// timeout elapses, returning the current version. It is the long-poll
-// primitive behind metadata change notification.
-func (s *Store) WaitVersion(since uint64, timeout time.Duration) uint64 {
-	return s.WaitVersionCancel(since, timeout, nil)
-}
-
-// WaitVersionCancel is WaitVersion with a cancellation channel
-// (typically a server's shutdown signal): when cancel closes, the wait
-// returns early with the current version. A nil cancel never fires.
+// WaitVersionCancel blocks until the store's version exceeds since, the
+// timeout elapses or cancel (typically a server's shutdown signal)
+// closes, returning the current version. It is the long-poll primitive
+// behind metadata change notification. A nil cancel never fires.
 func (s *Store) WaitVersionCancel(since uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
 	deadline := time.Now().Add(timeout)
 	canceled := func() bool {
@@ -881,14 +962,6 @@ func (s *Store) MetricsSnapshot() stats.Snapshot {
 	return s.metrics.Snapshot()
 }
 
-// SetNowFunc overrides the wall clock used for server timestamps; for
-// tests.
-func (s *Store) SetNowFunc(f func() int64) {
-	s.mu.Lock()
-	s.nowFn = f
-	s.mu.Unlock()
-}
-
 // Snapshot + incremental catch-up (DESIGN.md "Sharded catalog"): a
 // replica rejoining its group pulls the peer's compacted catalog state
 // — one assertion per entry: elements, tombstones and registers, NOT
@@ -935,18 +1008,7 @@ func (s *Store) SnapshotPage(afterURI string, maxOps int) (ops []Assertion, next
 func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	changed := 0
-	for i := range ops {
-		op := &ops[i]
-		if s.ownLocked(op) {
-			continue
-		}
-		s.mSnapInstall.Inc()
-		if s.mergeLocked(op, originLocked(s, op.Origin), 0) {
-			changed++
-		}
-	}
-	return changed
+	return s.applyRemoteLocked(ops, func(i int) uint32 { return originLocked(s, ops[i].Origin) }, 0, true)
 }
 
 // MergeVector raises the store's contiguous version vector to cover vv
@@ -977,14 +1039,13 @@ func (s *Store) MergeVector(vv VersionVector) {
 
 // CanServeTail reports whether the log can serve every op a replica at
 // vector theirs is missing — i.e. theirs is at or above the compaction
-// floor for every origin this store has advanced past it on.
+// floor for every origin of which something is owed.
 func (s *Store) CanServeTail(theirs VersionVector) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for origin, seq := range s.vv {
-		have := theirs[origin]
-		if seq > have && have+1 < s.floor[origin] {
-			return false
+		if have := theirs[origin]; have < seq && have+1 < s.floor[origin] {
+			return false // owed, and compacted away
 		}
 	}
 	return true
@@ -1004,31 +1065,11 @@ func (s *Store) Compact(keepTail int) int {
 	defer s.mu.Unlock()
 	dropped := 0
 	for o, origin := range s.origins {
-		mark := s.vv[origin]
-		if mark <= uint64(keepTail) {
-			continue
+		if mark := s.vv[origin]; mark > uint64(keepTail) {
+			dropped += s.trimLocked(uint32(o), origin, mark-uint64(keepTail)+1)
 		}
-		horizon := mark - uint64(keepTail) // drop seqs <= horizon
-		if horizon+1 > s.floor[origin] {
-			s.floor[origin] = horizon + 1
-		}
-		dropped += s.logs[o].drop(horizon)
-	}
-	if dropped > 0 {
-		s.mCompacted.Add(uint64(dropped))
 	}
 	return dropped
-}
-
-// LogLen returns the number of retained op-log entries across origins.
-func (s *Store) LogLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, l := range s.logs {
-		n += l.n
-	}
-	return n
 }
 
 // ContentHash returns a digest over the full catalog content — every

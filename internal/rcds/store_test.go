@@ -109,7 +109,7 @@ func TestURIs(t *testing.T) {
 func TestServerTimeStamping(t *testing.T) {
 	s := NewStore("s1")
 	var fake int64 = 12345
-	s.SetNowFunc(func() int64 { return fake })
+	s.nowFn = func() int64 { return fake }
 	if op := s.Add("u", "n", "v"); op.ServerTime != 12345 {
 		t.Fatalf("ServerTime = %d", op.ServerTime)
 	}
@@ -220,7 +220,7 @@ func TestWaitVersion(t *testing.T) {
 	s := NewStore("s1")
 	v0 := s.Version()
 	done := make(chan uint64, 1)
-	go func() { done <- s.WaitVersion(v0, 2*time.Second) }()
+	go func() { done <- s.WaitVersionCancel(v0, 2*time.Second, nil) }()
 	time.Sleep(20 * time.Millisecond)
 	s.Add("u", "n", "v")
 	select {
@@ -229,13 +229,13 @@ func TestWaitVersion(t *testing.T) {
 			t.Fatalf("version did not advance: %d", v)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("WaitVersion did not wake")
+		t.Fatal("WaitVersionCancel did not wake")
 	}
 	// Timeout path.
 	start := time.Now()
-	v := s.WaitVersion(s.Version(), 50*time.Millisecond)
+	v := s.WaitVersionCancel(s.Version(), 50*time.Millisecond, nil)
 	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("WaitVersion returned too early")
+		t.Fatal("WaitVersionCancel returned too early")
 	}
 	if v != s.Version() {
 		t.Fatalf("version mismatch: %d", v)
@@ -607,6 +607,7 @@ type refStore struct {
 	log    map[string]map[uint64]*Assertion
 	vv     VersionVector
 	floor  map[string]uint64
+	keep   uint64 // >0: each op filed compacts its origin's log to this tail
 }
 
 type refKey struct {
@@ -968,8 +969,26 @@ func (r *refStore) merge(a Assertion) {
 		for l[r.vv[a.Origin]+1] != nil {
 			r.vv[a.Origin]++
 		}
+		r.compactInline(a.Origin)
 	}
 	r.apply([]Assertion{a})
+}
+
+// compactInline is the compaction an op filed runs (Store.compactLocked):
+// once origin's log spans keep + logChunk seqs from its floor to its
+// mark, every seq below the chunk that holds mark − keep + 1 goes, and the
+// floor moves up to it.
+func (r *refStore) compactInline(origin string) {
+	mark, floor := r.vv[origin], max(r.floor[origin], 1)
+	if r.keep == 0 || mark-floor+1 < r.keep+logChunk {
+		return
+	}
+	r.floor[origin] = (mark - r.keep + 1) / logChunk * logChunk
+	for seq := range r.log[origin] {
+		if seq < r.floor[origin] {
+			delete(r.log[origin], seq)
+		}
+	}
 }
 
 // applyRemote is ApplyRemote and InstallSnapshotOps, which differ only in
@@ -1123,7 +1142,7 @@ func (r *refStore) diffLog(st *Store, theirs []VersionVector) string {
 	if got := st.Vector(); !got.Dominates(r.vv) || !r.vv.Dominates(got) {
 		return fmt.Sprintf("Vector = %v, reference %v", got, r.vv)
 	}
-	if got, want := st.LogLen(), r.logLen(); got != want {
+	if got, want := logLen(st), r.logLen(); got != want {
 		return fmt.Sprintf("LogLen = %d, reference %d", got, want)
 	}
 	if got, want := aboveMarks(st), r.holes(); got != want {
@@ -1154,13 +1173,15 @@ func (r *refStore) diffLog(st *Store, theirs []VersionVector) string {
 // TestLogMatchesReference drives the chunked log and the map log it
 // replaced with the same ops: local writes, pushes of other writers' ops
 // picked at random, reordered and duplicated (the store's own among them,
-// echoed back), forged ops up to 10⁹ seqs ahead of their origin, vector
-// merges that leave holes below the mark, snapshot pages installed,
-// Compact at random depths, and restarts from a snapshot file (which the
-// map log survived as it was). After every step the two must serve the same
-// ops under several vectors and limits, hold as many, drop as many, hold
-// as many above the mark, and agree
-// on the vector, the servable tails and the catalog.
+// echoed back), bursts of a hundred or so ops pushed in order, forged ops
+// up to 10⁹ seqs ahead of their origin, vector merges that leave holes
+// below the mark, snapshot pages installed, Compact at random depths, and
+// restarts from a snapshot file (which the map log survived as it was).
+// Every other seed the store also compacts inside each write, to a tail of
+// 1 to 8 ops. After every step the two must serve the same ops under
+// several vectors and limits, hold as many, drop as many, hold as many
+// above the mark, and agree on the vector, the servable tails and the
+// catalog.
 func TestLogMatchesReference(t *testing.T) {
 	const seeds = 1500
 	for seed := int64(0); seed < seeds; seed++ {
@@ -1172,6 +1193,12 @@ func TestLogMatchesReference(t *testing.T) {
 
 func matchLogOnce(rng *rand.Rand) string {
 	st, ref := NewStore("t"), newRefStore("t")
+	keep := 0
+	if rng.Intn(2) == 0 {
+		keep = 1 + rng.Intn(8)
+	}
+	st.compactTo(keep)
+	ref.keep = uint64(keep)
 	writers := []*Store{NewStore("w0"), NewStore("w1")}
 	origins := []string{"t", "w0", "w1", "far"}
 	var pool []Assertion // every op minted, the store's own included
@@ -1184,7 +1211,7 @@ func matchLogOnce(rng *rand.Rand) string {
 	}
 	for step, steps := 0, 20+rng.Intn(40); step < steps; step++ {
 		what := ""
-		switch rng.Intn(9) {
+		switch rng.Intn(10) {
 		case 0:
 			what = "a local write"
 			op := write(st)
@@ -1237,6 +1264,23 @@ func matchLogOnce(rng *rand.Rand) string {
 			if st, err = LoadStore(&file); err != nil {
 				return err.Error()
 			}
+			st.compactTo(keep) // as the restarted server's Start does
+		case 9:
+			w := append(writers, st)[rng.Intn(len(writers)+1)]
+			what = "a burst at " + w.Origin()
+			batch := make([]Assertion, 60+rng.Intn(100))
+			for i := range batch {
+				batch[i] = write(w)
+			}
+			if w == st {
+				for _, op := range batch {
+					ref.merge(op)
+				}
+			} else {
+				st.ApplyRemote(batch)
+				ref.applyRemote(batch)
+			}
+			pool = append(pool, batch...)
 		}
 		theirs := []VersionVector{nil, st.Vector(), {"t": 1}}
 		random := make(VersionVector)
@@ -1271,8 +1315,8 @@ func TestSparseLogSeqs(t *testing.T) {
 	st := NewStore("rc0")
 	st.ApplyRemote(batch)
 	held := int64(settledHeap()) - before
-	if st.LogLen() != ops {
-		t.Fatalf("the log holds %d ops, want %d", st.LogLen(), ops)
+	if logLen(st) != ops {
+		t.Fatalf("the log holds %d ops, want %d", logLen(st), ops)
 	}
 	if held > maxSparseLogBytes && !testutil.RaceEnabled {
 		t.Errorf("%d ops %d seqs apart cost %d B, want ≤ %d", ops, gap, held, maxSparseLogBytes)
@@ -1283,8 +1327,8 @@ func TestSparseLogSeqs(t *testing.T) {
 		t.Fatalf("OpsSince served %d ops past a hole at seq 1", len(ops))
 	}
 	st.MergeVector(VersionVector{"far": ops * gap})
-	if got := st.Compact(0); got != ops || st.LogLen() != 0 {
-		t.Fatalf("Compact(0) dropped %d of %d ops, %d left", got, ops, st.LogLen())
+	if got := st.Compact(0); got != ops || logLen(st) != 0 {
+		t.Fatalf("Compact(0) dropped %d of %d ops, %d left", got, ops, logLen(st))
 	}
 	if left := int64(settledHeap()) - before; left > held/8 && !testutil.RaceEnabled {
 		t.Errorf("after the compaction the store still holds %d B of the %d its log took", left, held)

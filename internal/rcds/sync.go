@@ -62,14 +62,6 @@ func (c *Client) SnapshotPage(ctx context.Context, afterURI string, maxOps int) 
 	return ops, next, vv, err
 }
 
-// SyncResult summarises one SyncFromPeer run.
-type SyncResult struct {
-	TailOps      int  // ops applied via incremental tails
-	SnapshotOps  int  // elements installed via snapshot pages
-	Snapshots    int  // snapshot transfers performed (0 = pure tail)
-	UsedSnapshot bool // at least one round went through the snapshot path
-}
-
 // SyncFromPeer brings store up to date from the replica behind peer:
 // incremental op tails when the peer's log covers the gap, a paged
 // compacted snapshot plus the tail since its base vector when it does
@@ -77,36 +69,33 @@ type SyncResult struct {
 // one joining the group) converges in O(catalog) transfers instead of
 // replaying the full write history — and every pull a server makes when
 // a push link opens (DESIGN.md "Replication repair"), which between
-// replicas that stayed up takes the tail branch with an empty gap.
+// replicas that stayed up takes the tail branch with an empty gap. It asks
+// with pullVector: for none of the store's own ops, bar a restored store's.
 //
 // Each RPC is individually bounded by pushTimeout so a stalled peer
 // fails the sync promptly, but the exchange as a whole runs as long as
 // pages keep arriving: a catalog-scale snapshot is many round trips,
 // and an overall deadline would abandon the transfer before MergeVector
 // could bank it (the next round would restart from page one, forever).
-func SyncFromPeer(ctx context.Context, store *Store, peer *Client, pageSize int) (SyncResult, error) {
+func SyncFromPeer(ctx context.Context, store *Store, peer *Client, pageSize int) error {
 	if pageSize <= 0 {
 		pageSize = defaultSyncPage
 	}
-	var res SyncResult
 	// A snapshot round strictly raises our vector to the peer's base,
 	// so two rounds only happen when compaction advances the peer's
 	// floor mid-sync; more than a few means we are being outrun.
 	for snapshots := 0; ; {
 		rctx, rcancel := context.WithTimeout(ctx, pushTimeout)
-		mode, ops, err := peer.Catchup(rctx, store.Vector(), pageSize)
+		mode, ops, err := peer.Catchup(rctx, store.pullVector(), pageSize)
 		rcancel()
 		if err != nil {
-			return res, err
+			return err
 		}
 		if mode == catchupModeTail {
-			if len(ops) == 0 {
-				return res, nil // converged
-			}
 			store.ApplyRemote(ops)
-			res.TailOps += len(ops)
 			if len(ops) < pageSize {
-				return res, nil
+				store.pulled()
+				return nil // converged
 			}
 			continue
 		}
@@ -115,10 +104,8 @@ func SyncFromPeer(ctx context.Context, store *Store, peer *Client, pageSize int)
 		// since the first page.
 		snapshots++
 		if snapshots > 3 {
-			return res, fmt.Errorf("rcds: sync with %v: compaction outran %d snapshot rounds", peer.Servers(), snapshots-1)
+			return fmt.Errorf("rcds: sync with %v: compaction outran %d snapshot rounds", peer.Servers(), snapshots-1)
 		}
-		res.Snapshots++
-		res.UsedSnapshot = true
 		var base VersionVector
 		after := ""
 		for {
@@ -126,7 +113,7 @@ func SyncFromPeer(ctx context.Context, store *Store, peer *Client, pageSize int)
 			page, next, vv, err := peer.SnapshotPage(rctx, after, pageSize)
 			rcancel()
 			if err != nil {
-				return res, err
+				return err
 			}
 			if base == nil {
 				// The first page's vector is the base: anything written
@@ -135,7 +122,6 @@ func SyncFromPeer(ctx context.Context, store *Store, peer *Client, pageSize int)
 				base = vv
 			}
 			store.InstallSnapshotOps(page)
-			res.SnapshotOps += len(page)
 			if next == "" {
 				break
 			}
