@@ -94,6 +94,7 @@ func (cl *call) release() {
 // demultiplexes responses to pending calls by request ID.
 type clientConn struct {
 	c      net.Conn
+	at     int // the group's failover cursor when it was dialled
 	secret []byte
 	fr     *xdr.FrameReader // used by readLoop alone
 	calls  atomic.Int32     // ordinary calls in flight: registered, not yet answered; a Wait is none
@@ -551,8 +552,7 @@ func PublishShardMap(ctx context.Context, m *ShardMap, secret []byte) error {
 }
 
 // getConn returns g's live multiplexed connection, dialing the current
-// replica if none is up. A dial failure advances to the next replica,
-// unless another failure has moved the cursor off it meanwhile.
+// replica if none is up. A dial failure moves to the next (moveOnLocked).
 func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, error) {
 	c.mu.Lock()
 	closed := c.closed
@@ -586,9 +586,7 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err != nil {
-		if g.current == at {
-			g.current++ // the next dial tries the next replica
-		}
+		c.moveOnLocked(g, at)
 		return nil, err
 	}
 	if g.closed {
@@ -600,7 +598,7 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 		conn.Close()
 		return g.conn, nil
 	}
-	cc := &clientConn{c: conn, secret: c.secret, pending: make(map[uint64]*call), done: make(chan struct{}),
+	cc := &clientConn{c: conn, at: at, secret: c.secret, pending: make(map[uint64]*call), done: make(chan struct{}),
 		fr: xdr.NewFrameReader(conn), mWrites: c.mWrites, mFrames: c.mFrames}
 	cc.wrote.L = &cc.writeMu
 	g.conn = cc
@@ -608,17 +606,27 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 	return cc, nil
 }
 
-// connFailed retires a dead connection and advances to the group's next
-// replica. Only the first caller to notice the failure advances the
-// cursor; the group's cached reads are flushed because the next
-// replica's Wait sequence numbering is not comparable to the old one's.
+// moveOnLocked advances g's failover cursor to the next replica if it
+// still reads at, its value when the replica that failed was dialled: a
+// failure moves it once, however many callers see it, by a dial or by a
+// connection. Caller holds g.mu.
+func (c *Client) moveOnLocked(g *replicaGroup, at int) {
+	if g.current == at {
+		g.current++
+		c.mFailovers.Inc()
+	}
+}
+
+// connFailed retires a dead connection and moves the group's cursor past
+// its replica (moveOnLocked). The group's cached reads are flushed because
+// the next replica's Wait sequence numbering is not comparable to the old
+// one's.
 func (c *Client) connFailed(g *replicaGroup, cc *clientConn) {
 	g.mu.Lock()
 	if g.conn == cc {
 		g.conn = nil
-		g.current++
-		c.mFailovers.Inc()
 	}
+	c.moveOnLocked(g, cc.at)
 	g.mu.Unlock()
 	if g.cache != nil {
 		g.cache.invalidateAll()
