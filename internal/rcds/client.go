@@ -535,22 +535,6 @@ func (c *Client) installShardMap(m *ShardMap) {
 	}
 }
 
-// PublishShardMap writes m to the config namespace of every group it
-// names, so that any group's replicas can bootstrap a client.
-// Config entries replicate within a group but not across groups, hence
-// the fan-out here; resharding publishes a higher epoch the same way.
-func PublishShardMap(ctx context.Context, m *ShardMap, secret []byte) error {
-	for i, addrs := range m.Groups {
-		cl := NewClient(addrs, secret)
-		err := cl.Set(ctx, ShardMapURI, AttrShardMap, m.Format())
-		cl.Close()
-		if err != nil {
-			return fmt.Errorf("rcds: publish shard map to group %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // getConn returns g's live multiplexed connection, dialing the current
 // replica if none is up. A dial failure moves to the next (moveOnLocked).
 func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, error) {

@@ -38,7 +38,8 @@
 //     authentication, a connection's requests served in arrival order
 //     by its read loop, push replication to peers as one-way frames read
 //     from the op log, a pull over the same link (SyncFromPeer) whenever
-//     a push link opens, and optional shard enforcement plus compaction.
+//     a push link opens, and optional shard enforcement and log
+//     compaction, which each write that grows the log does itself.
 //   - Client (client.go, cache.go, shard.go, sync.go) is what the rest
 //     of SNIPE holds: failover across a replica group, request
 //     multiplexing, the watch-coherent read cache, and routing of

@@ -40,8 +40,24 @@ func startChain(t *testing.T, links [][]int) []*Server {
 			s.Close()
 		}
 	})
+	testutil.WaitFor(t, 5*time.Second, func() bool { return linksOpen(servers) }, "the push links did not open")
 	pullsSettle(t, servers, func(i int) int { return len(links[i]) })
 	return servers
+}
+
+// linksOpen reports whether every pusher of servers has opened its link
+// and learnt its peer's origin, which it does before it starts the pulls
+// of a new link.
+func linksOpen(servers []*Server) bool {
+	for _, s := range servers {
+		s.mu.Lock()
+		open := !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.origin == "" })
+		s.mu.Unlock()
+		if !open {
+			return false
+		}
+	}
+	return true
 }
 
 // pullsSettle waits until each of servers, which pull from none but each

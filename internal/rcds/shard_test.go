@@ -127,8 +127,9 @@ func TestIsConfigURIExemption(t *testing.T) {
 }
 
 // startShardedCatalog launches groups of nReplicas servers each, all
-// shard-enforcing under one map, publishes the map to every group's
-// config namespace, and returns the map plus all servers (group-major).
+// shard-enforcing under one map, which each writes into its config
+// namespace as a deployment's replicas do, and returns the map plus all
+// servers (group-major).
 func startShardedCatalog(t *testing.T, groups, nReplicas int) (*ShardMap, [][]*Server) {
 	t.Helper()
 	m := &ShardMap{Epoch: 1}
@@ -140,10 +141,8 @@ func startShardedCatalog(t *testing.T, groups, nReplicas int) (*ShardMap, [][]*S
 	for g := range all {
 		for _, s := range all[g] {
 			s.SetShard(g, m)
+			s.Store().Set(ShardMapURI, AttrShardMap, m.Format())
 		}
-	}
-	if err := PublishShardMap(context.Background(), m, nil); err != nil {
-		t.Fatal(err)
 	}
 	return m, all
 }
@@ -266,14 +265,11 @@ func TestRoutingClientRecoversFromStaleMap(t *testing.T) {
 	// epoch 1.
 	extra := startReplicaGroup(t, 1, nil)
 	m2 := &ShardMap{Epoch: 2, Groups: append(append([][]string{}, m.Groups...), groupAddrs(extra))}
-	for g, servers := range all {
+	for g, servers := range append(all, extra) {
 		for _, s := range servers {
 			s.SetShard(g, m2)
+			s.Store().Set(ShardMapURI, AttrShardMap, m2.Format())
 		}
-	}
-	extra[0].SetShard(2, m2)
-	if err := PublishShardMap(context.Background(), m2, nil); err != nil {
-		t.Fatal(err)
 	}
 
 	// Find a URI the new map moves to the new group; the client's stale
@@ -506,10 +502,9 @@ func TestUnshardedClientResolvesMapOnce(t *testing.T) {
 	// The deployment shards: a second group appears and both enforce.
 	s1 := startTestServer(t, "late-g1")
 	m := &ShardMap{Epoch: 1, Groups: [][]string{{s0.Addr()}, {s1.Addr()}}}
-	s0.SetShard(0, m)
-	s1.SetShard(1, m)
-	if err := PublishShardMap(ctx, m, nil); err != nil {
-		t.Fatal(err)
+	for g, s := range []*Server{s0, s1} {
+		s.SetShard(g, m)
+		s.Store().Set(ShardMapURI, AttrShardMap, m.Format())
 	}
 	moved := uriOwnedBy(m, 1, "late")
 	if err := c.Set(ctx, moved, AttrArch, "relocated"); err != nil {

@@ -46,7 +46,7 @@ type Store struct {
 	logs     []opLog           // by origin index: each origin's ops by seq (may have holes)
 	vv       VersionVector     // contiguous high-water marks
 	floor    map[string]uint64 // origin → first log seq still servable (0 = from the start)
-	keep     uint64            // >0: a write compacts its origin's log to this tail (compactLocked)
+	keep     uint64            // >0: a write compacts its origin's log to this tail (recordLocked)
 	restored bool              // loaded from a file, not yet pulled: a pull asks with the real own mark
 	decoded  []uint32          // applyEncoded's origin index per op, reused
 
@@ -845,7 +845,7 @@ func (s *Store) owed(b *pushBatch, peer string) {
 		}
 		for ; b.next[o] < s.vv[origin] && !b.more; b.next[o]++ {
 			op := s.logs[o].at(b.next[o] + 1) // above the floor, every seq is filed
-			if int(op.e.origin) == skip || int(op.e.from) == skip {
+			if int(op.e.from) == skip {
 				b.skipped++
 				continue
 			}

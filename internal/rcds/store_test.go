@@ -974,7 +974,7 @@ func (r *refStore) merge(a Assertion) {
 	r.apply([]Assertion{a})
 }
 
-// compactInline is the compaction an op filed runs (Store.compactLocked):
+// compactInline is the compaction an op filed runs (Store.recordLocked):
 // once origin's log spans keep + logChunk seqs from its floor to its
 // mark, every seq below the chunk that holds mark − keep + 1 goes, and the
 // floor moves up to it.

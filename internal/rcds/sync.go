@@ -127,8 +127,6 @@ func SyncFromPeer(ctx context.Context, store *Store, peer *Client, pageSize int)
 			}
 			after = next
 		}
-		if base != nil {
-			store.MergeVector(base)
-		}
+		store.MergeVector(base)
 	}
 }

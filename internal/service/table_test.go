@@ -384,9 +384,7 @@ func TestTableFollowsServiceURNInAnotherShard(t *testing.T) {
 	}
 	for g, srv := range servers {
 		srv.SetShard(g, m)
-	}
-	if err := rcds.PublishShardMap(context.Background(), m, nil); err != nil {
-		t.Fatal(err)
+		srv.Store().Set(rcds.ShardMapURI, rcds.AttrShardMap, m.Format())
 	}
 	rc := rcds.NewClient(m.Groups[0], nil, rcds.WithReadCache())
 	t.Cleanup(rc.Close)
