@@ -158,21 +158,26 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 			groups[g] = append(groups[g], s)
 			addrs[i] = s.Addr()
 		}
-		for i, s := range groups[g] {
+		m.Groups = append(m.Groups, addrs)
+	}
+	// The map is seeded before the replicas peer, so that the pulls of the
+	// new push links carry it: a write made on a running server's store
+	// waits for its pushers' next wake.
+	for g, srvs := range groups {
+		for _, s := range srvs {
+			s.SetShard(g, m)
+			s.Store().Set(rcds.ShardMapURI, rcds.AttrShardMap, m.Format())
+		}
+	}
+	for g, srvs := range groups {
+		for i, s := range srvs {
 			var peers []string
-			for j, p := range addrs {
+			for j, p := range m.Groups[g] {
 				if i != j {
 					peers = append(peers, p)
 				}
 			}
 			s.SetPeers(peers...)
-		}
-		m.Groups = append(m.Groups, addrs)
-	}
-	for g, srvs := range groups {
-		for _, s := range srvs {
-			s.SetShard(g, m)
-			s.Store().Set(rcds.ShardMapURI, rcds.AttrShardMap, m.Format())
 		}
 	}
 	client := rcds.NewClient(m.Groups[0], nil, rcds.WithTimeout(15*time.Second))

@@ -134,17 +134,6 @@ func New(cfg Config) (*Universe, error) {
 				u.groups[g] = append(u.groups[g], s)
 				u.servers = append(u.servers, s)
 			}
-			// Replication is per group: peers mesh within the group only,
-			// so write fan-out stays constant as groups are added.
-			for i, s := range u.groups[g] {
-				var peers []string
-				for j, p := range u.groups[g] {
-					if i != j {
-						peers = append(peers, p.Addr())
-					}
-				}
-				s.SetPeers(peers...)
-			}
 		}
 		if nGroups > 1 {
 			m := &rcds.ShardMap{Epoch: 1}
@@ -158,7 +147,10 @@ func New(cfg Config) (*Universe, error) {
 			// Enforce ownership and seed the map into every replica's
 			// config namespace directly, so the very first client
 			// resolution succeeds against any replica (the concurrent
-			// same-value writes converge under LWW).
+			// same-value writes converge under LWW). The seeding comes
+			// before the replicas peer: a write made on a store behind
+			// the server waits for its pushers' next wake, and the pulls
+			// of a new push link carry what is already there.
 			for g, srvs := range u.groups {
 				for _, s := range srvs {
 					s.SetShard(g, m)
@@ -166,6 +158,19 @@ func New(cfg Config) (*Universe, error) {
 				}
 			}
 			u.shardMap = m
+		}
+		// Replication is per group: peers mesh within the group only,
+		// so write fan-out stays constant as groups are added.
+		for _, srvs := range u.groups {
+			for i, s := range srvs {
+				var peers []string
+				for j, p := range srvs {
+					if i != j {
+						peers = append(peers, p.Addr())
+					}
+				}
+				s.SetPeers(peers...)
+			}
 		}
 		// The universe's shared catalog client caches reads, invalidated
 		// by the RC servers' Wait sequence numbers: every resolver in

@@ -170,7 +170,8 @@ func (s *Server) wrongShard(e *xdr.Encoder, id uint64, uri string) bool {
 	return true
 }
 
-// Store returns the server's underlying replica store.
+// Store returns the server's underlying replica store. A write made on it
+// directly is pushed at the pushers' next wake, or pulled when a link opens.
 func (s *Server) Store() *Store { return s.store }
 
 // Start listens on addr (host:port; port 0 picks a free port) and

@@ -1173,12 +1173,12 @@ func (r *refStore) diffLog(st *Store, theirs []VersionVector) string {
 // TestLogMatchesReference drives the chunked log and the map log it
 // replaced with the same ops: local writes, pushes of other writers' ops
 // picked at random, reordered and duplicated (the store's own among them,
-// echoed back), bursts of a hundred or so ops pushed in order, forged ops
-// up to 10⁹ seqs ahead of their origin, vector merges that leave holes
-// below the mark, snapshot pages installed, Compact at random depths, and
-// restarts from a snapshot file (which the map log survived as it was).
-// Every other seed the store also compacts inside each write, to a tail of
-// 1 to 8 ops. After every step the two must serve the same ops under
+// echoed back), forged ops up to 10⁹ seqs ahead of their origin, vector
+// merges that leave holes below the mark, snapshot pages installed,
+// Compact at random depths, and restarts from a snapshot file (which the
+// map log survived as it was). Every other seed the store also compacts
+// inside each write, to a tail of 1 to 8 ops, and takes bursts of 64 to 95
+// ops pushed in order. After every step the two must serve the same ops under
 // several vectors and limits, hold as many, drop as many, hold as many
 // above the mark, and agree on the vector, the servable tails and the
 // catalog.
@@ -1211,7 +1211,7 @@ func matchLogOnce(rng *rand.Rand) string {
 	}
 	for step, steps := 0, 20+rng.Intn(40); step < steps; step++ {
 		what := ""
-		switch rng.Intn(10) {
+		switch rng.Intn(9 + min(keep, 1)) { // a burst only where it compacts
 		case 0:
 			what = "a local write"
 			op := write(st)
@@ -1268,7 +1268,7 @@ func matchLogOnce(rng *rand.Rand) string {
 		case 9:
 			w := append(writers, st)[rng.Intn(len(writers)+1)]
 			what = "a burst at " + w.Origin()
-			batch := make([]Assertion, 60+rng.Intn(100))
+			batch := make([]Assertion, logChunk+rng.Intn(32))
 			for i := range batch {
 				batch[i] = write(w)
 			}
