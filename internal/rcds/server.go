@@ -60,12 +60,12 @@ func WithShard(self int, m *ShardMap) ServerOption {
 	return func(s *Server) { s.shard = &shardConfig{self: self, m: m} }
 }
 
-// WithLogCompaction bounds each origin's op log to keepTail + 64 ops: the
-// write that takes it past that drops the whole 64-seq chunks below
-// mark − keepTail. Replicas that fall below the resulting floor catch up
-// via snapshot (SyncFromPeer) instead of history replay.
+// WithLogCompaction bounds each origin's op log in the store to keepTail +
+// 64 ops: the write that takes it past that drops the whole 64-seq chunks
+// below mark − keepTail. Replicas that fall below the resulting floor
+// catch up via snapshot (SyncFromPeer) instead of history replay.
 func WithLogCompaction(keepTail int) ServerOption {
-	return func(s *Server) { s.compactKeep = keepTail }
+	return func(s *Server) { s.store.compactTo(keepTail) }
 }
 
 // shardConfig is a server's sharding stance: its own group and the map.
@@ -79,10 +79,9 @@ type shardConfig struct {
 // pulls from its peers when a push link opens, so that replicas converge —
 // the master–master model of §7.
 type Server struct {
-	store       *Store
-	secret      []byte
-	peers       []string
-	compactKeep int // >0: each write compacts its origin's log to this tail
+	store  *Store
+	secret []byte
+	peers  []string
 	// peerGate is consulted before every push or pull exchange with a
 	// peer: while it returns an error the exchange is skipped, modelling a
 	// severed replication link. It passes all unless the package's
@@ -181,7 +180,6 @@ func (s *Server) Start(addr string) error {
 	if err != nil {
 		return fmt.Errorf("rcds: listen %s: %w", addr, err)
 	}
-	s.store.compactTo(s.compactKeep)
 	ctx, stop := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.ln = ln

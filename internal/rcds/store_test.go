@@ -1264,7 +1264,7 @@ func matchLogOnce(rng *rand.Rand) string {
 			if st, err = LoadStore(&file); err != nil {
 				return err.Error()
 			}
-			st.compactTo(keep) // as the restarted server's Start does
+			st.compactTo(keep) // as the restarted server's WithLogCompaction does
 		case 9:
 			w := append(writers, st)[rng.Intn(len(writers)+1)]
 			what = "a burst at " + w.Origin()
