@@ -290,8 +290,9 @@ func TestPartitionRejoinViaSnapshot(t *testing.T) {
 // TestPullAsksForNoOwnOps: a peer holds three ops minted under the
 // puller's origin that the puller lacks. A pull asks with that origin
 // marked all held and is sent none of them; a store loaded from a file
-// asks with its real mark until one pull succeeds, so it is sent the three
-// and adopts them, and its next write is minted past them.
+// asks with its real mark until a server's pull pass reaches every peer,
+// so it is sent the three and adopts them, and its next write is minted
+// past them.
 func TestPullAsksForNoOwnOps(t *testing.T) {
 	servers := startReplicaGroup(t, 1, nil)
 	lost := NewStore("rc9")

@@ -226,11 +226,18 @@ func TestRestartedReplicaCatchesUp(t *testing.T) {
 }
 
 // TestRestartFromOlderFileKeepsOwnOps: a replica writes a, saves its
-// file, writes b, which reaches its peer, and restarts from the file. Its
-// pull on start brings b back, and it adopts it: its next write, c, is
-// minted past b, so the peer files c too, and a replica that joins later
-// learns a, b and c. All three hold one catalog.
+// file, writes b, which reaches one peer, and restarts from the file. Its
+// pulls on start bring b back — also when b is held only by the second of
+// two peers, pulled after the first — and it adopts it: its next write, c,
+// is minted past b, so every peer files c too, and a replica that joins
+// later learns a, b and c. All hold one catalog.
 func TestRestartFromOlderFileKeepsOwnOps(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("peers=%d", n), func(t *testing.T) { restartFromOlderFile(t, n) })
+	}
+}
+
+func restartFromOlderFile(t *testing.T, n int) {
 	start := func(st *Store, peers ...string) *Server {
 		s := NewServer(st, WithPeers(peers...))
 		if err := s.Start("127.0.0.1:0"); err != nil {
@@ -250,29 +257,43 @@ func TestRestartFromOlderFileKeepsOwnOps(t *testing.T) {
 	holds := func(s *Server, uri string) func() bool {
 		return func() bool { _, ok := s.Store().FirstValue(uri, AttrState); return ok }
 	}
-	rc0 := start(NewStore("rc0"))
-	rc1 := start(NewStore("rc1"), rc0.Addr())
+	var peers []*Server
+	var addrs []string
+	for i := 0; i < n; i++ {
+		peers = append(peers, start(NewStore(fmt.Sprintf("peer%d", i))))
+		addrs = append(addrs, peers[i].Addr())
+	}
+	last := peers[n-1]
+	rc1 := start(NewStore("rc1"), addrs...)
 	set(rc1, "urn:a")
+	for _, p := range peers {
+		testutil.WaitFor(t, 5*time.Second, holds(p, "urn:a"), "a did not reach a peer")
+	}
 	var file bytes.Buffer
 	if err := rc1.Store().SaveTo(&file); err != nil {
 		t.Fatal(err)
 	}
+	rc1.SetPeers(last.Addr()) // b reaches the last peer alone
 	set(rc1, "urn:b")
-	testutil.WaitFor(t, 5*time.Second, holds(rc0, "urn:b"), "b did not reach replica 0")
+	testutil.WaitFor(t, 5*time.Second, holds(last, "urn:b"), "b did not reach the last peer")
 	rc1.Close()
 
 	restored, err := LoadStore(&file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc1b := start(restored, rc0.Addr())
-	rc0.SetPeers(rc1b.Addr())
+	rc1b := start(restored, addrs...)
+	for _, p := range peers {
+		p.SetPeers(rc1b.Addr())
+	}
 	testutil.WaitFor(t, 5*time.Second, holds(rc1b, "urn:b"), "the restarted replica did not get its own write b back")
 	set(rc1b, "urn:c")
-	testutil.WaitFor(t, 5*time.Second, func() bool { return converged(rc0, rc1b) }, "replica 0 did not converge with the restarted replica")
+	for _, p := range peers {
+		testutil.WaitFor(t, 5*time.Second, func() bool { return converged(p, rc1b) }, "a peer did not converge with the restarted replica")
+	}
 
 	rc2 := NewStore("rc2")
-	c := NewClient([]string{rc0.Addr()}, nil)
+	c := NewClient([]string{peers[0].Addr()}, nil)
 	defer c.Close()
 	if err := SyncFromPeer(ctxTimeout(t, "5s"), rc2, c, 0); err != nil {
 		t.Fatal(err)
@@ -282,8 +303,10 @@ func TestRestartFromOlderFileKeepsOwnOps(t *testing.T) {
 			t.Errorf("a replica that joined later lacks %s", uri)
 		}
 	}
-	if h := rc2.ContentHash(); h != rc0.Store().ContentHash() || h != rc1b.Store().ContentHash() {
-		t.Error("the three replicas hold different catalogs")
+	for _, s := range append(peers, rc1b) {
+		if rc2.ContentHash() != s.Store().ContentHash() {
+			t.Errorf("%s holds another catalog than the replica that joined later", s.Store().Origin())
+		}
 	}
 	if got := rc1b.Store().Vector()["rc1"]; got != 3 {
 		t.Errorf("the restarted replica's own mark is %d, want 3", got)

@@ -753,12 +753,18 @@ func (s *Server) pullLoop(ctx context.Context) {
 		s.mu.Lock()
 		links := slices.Clone(s.pushers)
 		s.mu.Unlock()
+		whole := len(links) > 0 // every peer pulled: a restored store's own ops may be at any
 		for _, p := range links {
-			if s.peerGate(p.peer) == nil { // else the link is severed
+			err := s.peerGate(p.peer) // non-nil: the link is severed
+			if err == nil {
 				s.mPulls.Inc()
-				err := SyncFromPeer(ctx, s.store, p.c, 0)
+				err = SyncFromPeer(ctx, s.store, p.c, 0)
 				p.relink.Store(err != nil) // peer down or stalled, or outrun by compaction
 			}
+			whole = whole && err == nil
+		}
+		if whole {
+			s.store.pulled()
 		}
 		s.wakePushers(nil)
 	}

@@ -740,7 +740,8 @@ func (s *Store) Vector() VersionVector {
 // pullVector is the vector a pull asks with: the replica's own, with its
 // own origin marked all held, so that no peer answers with the puller's
 // ops. A store loaded from a file asks with its real own mark until a pull
-// succeeds (pulled): that pull brings back what the file lacked of its own.
+// from every peer succeeds (pulled): that brings back what the file lacked
+// of its own, wherever it is held.
 func (s *Store) pullVector() VersionVector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -751,7 +752,7 @@ func (s *Store) pullVector() VersionVector {
 	return vv
 }
 
-// pulled records a pull that succeeded.
+// pulled records a pull pass that succeeded with every peer.
 func (s *Store) pulled() {
 	s.mu.Lock()
 	s.restored = false

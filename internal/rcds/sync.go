@@ -94,7 +94,6 @@ func SyncFromPeer(ctx context.Context, store *Store, peer *Client, pageSize int)
 		if mode == catchupModeTail {
 			store.ApplyRemote(ops)
 			if len(ops) < pageSize {
-				store.pulled()
 				return nil // converged
 			}
 			continue
