@@ -172,33 +172,19 @@ func TestFailoverMidStream(t *testing.T) {
 			}
 		}()
 	}
-	// In flight: every poll registered on the one connection, which the
-	// first replica serves, so that none is still dialling when it dies.
-	testutil.WaitFor(t, 5*time.Second, func() bool {
-		c.seed.mu.Lock()
-		cc := c.seed.conn
-		c.seed.mu.Unlock()
-		if cc == nil {
-			return false
-		}
-		cc.mu.Lock()
-		polls := len(cc.pending)
-		cc.mu.Unlock()
-		s0.mu.Lock()
-		defer s0.mu.Unlock()
-		for conn := range s0.conns {
-			if conn.RemoteAddr().String() == cc.c.LocalAddr().String() {
-				return polls == callers
-			}
-		}
-		return false
-	}, "the polls never got in flight")
-	s0.mu.Lock() // kill the replica mid-stream
+	testutil.WaitFor(t, 5*time.Second, func() bool { return c.inflight.Load() == callers },
+		"the polls never got in flight")
+	// Kill the replica mid-stream. Marked stopped in the same hold, it
+	// closes a connection accepted after the kill at once, as a dead
+	// host's would fail; Close, which now returns at once, is done last.
+	s0.mu.Lock()
+	s0.stopped = true
 	s0.ln.Close()
 	for conn := range s0.conns {
 		conn.Close()
 	}
 	s0.mu.Unlock()
+	t.Cleanup(func() { s0.stop(); s0.wg.Wait() })
 	wg.Wait()
 	close(errs)
 	for err := range errs {
