@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"snipe/internal/rcds"
+	"snipe/internal/stats"
 )
 
 // Catalog-at-scale experiment (DESIGN.md "Sharded catalog"): a
@@ -109,16 +109,6 @@ func waitUntil(timeout, poll time.Duration, cond func() bool) bool {
 	return true
 }
 
-// settledHeap returns the live heap after two collections (the second
-// frees what the first one's sweep let go).
-func settledHeap() float64 {
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return float64(m.HeapAlloc)
-}
-
 func vecSum(v rcds.VersionVector) uint64 {
 	var sum uint64
 	for _, seq := range v {
@@ -133,7 +123,7 @@ func vecSum(v rcds.VersionVector) uint64 {
 func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 	res := CatalogResult{Groups: cfg.Groups, Replicas: cfg.Replicas, URIs: cfg.URIs, Writers: cfg.Writers}
 	ctx := context.Background()
-	heapBefore := settledHeap()
+	heapBefore := float64(stats.SettledHeap())
 
 	// Replica groups: each an independent master–master mesh; the shard
 	// map is enforced and seeded on every replica before traffic, as
@@ -160,9 +150,6 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 		}
 		m.Groups = append(m.Groups, addrs)
 	}
-	// The map is seeded before the replicas peer, so that the pulls of the
-	// new push links carry it: a write made on a running server's store
-	// waits for its pushers' next wake.
 	for g, srvs := range groups {
 		for _, s := range srvs {
 			s.SetShard(g, m)
@@ -244,7 +231,7 @@ func MeasureCatalog(cfg CatalogConfig) (CatalogResult, error) {
 			s.Store().Compact(cfg.CompactKeep)
 		}
 	}
-	res.HeapBytesPerURI = (settledHeap() - heapBefore) / float64(cfg.URIs*cfg.Replicas)
+	res.HeapBytesPerURI = (float64(stats.SettledHeap()) - heapBefore) / float64(cfg.URIs*cfg.Replicas)
 
 	// Phase 2: placement verification. Per-group population, a sampled
 	// cross-check that no URI is present on a non-owning group, vector

@@ -147,10 +147,7 @@ func New(cfg Config) (*Universe, error) {
 			// Enforce ownership and seed the map into every replica's
 			// config namespace directly, so the very first client
 			// resolution succeeds against any replica (the concurrent
-			// same-value writes converge under LWW). The seeding comes
-			// before the replicas peer: a write made on a store behind
-			// the server waits for its pushers' next wake, and the pulls
-			// of a new push link carry what is already there.
+			// same-value writes converge under LWW).
 			for g, srvs := range u.groups {
 				for _, s := range srvs {
 					s.SetShard(g, m)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"snipe/internal/stats"
 	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
@@ -168,16 +169,6 @@ func TestReplicatedSetCost(t *testing.T) {
 	}
 }
 
-// settledHeap returns the live heap after two collections: the second
-// frees what the first one's finalizers and sweep let go.
-func settledHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
-}
-
 // maxBytesPerURI bounds what a replica keeps per once-overwritten
 // single-attribute URN, log compacted away: the map slot, the key's
 // bytes, one 72-byte entry and its value. Measured: 250 every way; with
@@ -190,7 +181,7 @@ const maxBytesPerURI = 260
 func checkBytesPerURI(t *testing.T, what string, st *Store, before uint64, uris int) {
 	t.Helper()
 	st.Compact(0)
-	per := float64(settledHeap()-before) / float64(uris)
+	per := float64(stats.SettledHeap()-before) / float64(uris)
 	runtime.KeepAlive(st)
 	if got, _, _ := st.Stats(); got != uris {
 		t.Fatalf("%s holds %d URIs, want %d", what, got, uris)
@@ -219,7 +210,7 @@ func TestStoreBytesPerURI(t *testing.T) {
 	req := xdr.NewEncoder(256)
 	pushes := xdr.NewEncoder(2 * uris * 128) // every op as pushed, allocated before the first reading
 
-	before := settledHeap()
+	before := stats.SettledHeap()
 	local := NewStore("rc0")
 	for _, state := range []string{"running", "blocked"} {
 		for k := 0; k < uris; k++ {
@@ -240,7 +231,7 @@ func TestStoreBytesPerURI(t *testing.T) {
 	}
 	checkBytesPerURI(t, "Set", local, before, uris)
 
-	before = settledHeap()
+	before = stats.SettledHeap()
 	remote := NewStore("rc1")
 	for d := xdr.NewDecoder(pushes.Bytes()); d.Remaining() > 0; {
 		op, err := DecodeAssertion(d)
@@ -251,7 +242,7 @@ func TestStoreBytesPerURI(t *testing.T) {
 	}
 	checkBytesPerURI(t, "ApplyRemote", remote, before, uris)
 
-	before = settledHeap()
+	before = stats.SettledHeap()
 	loaded := func() *Store {
 		var file bytes.Buffer
 		if err := local.SaveTo(&file); err != nil {

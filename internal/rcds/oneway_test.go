@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -531,6 +532,40 @@ func TestParkedWaitsAreBounded(t *testing.T) {
 			t.Fatalf("woken long-poll: ID %d, version %d (since %d), already seen %v", id, v, version, woken[id])
 		}
 		woken[id] = true
+	}
+}
+
+// TestParkedWaitHoldsOneGoroutine: 256 long-polls parked on one
+// connection hold 256 goroutines, one each, and nothing beside them.
+func TestParkedWaitHoldsOneGoroutine(t *testing.T) {
+	const waits = 256
+	s := startTestServer(t, "held")
+	rc := dialRaw(t, s.Addr())
+	var wire bytes.Buffer
+	appendRequest(&wire, 1, request(cmdPing, nil))
+	if _, err := rc.Write(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	rc.next(t) // the connection's read loop runs
+	base := runtime.NumGoroutine()
+
+	wire.Reset()
+	for i := 2; i < 2+waits; i++ {
+		appendRequest(&wire, uint64(i), request(cmdWait, func(e *xdr.Encoder) {
+			e.PutUint64(s.Store().Version())
+			e.PutUint32(60_000)
+		}))
+	}
+	if _, err := rc.Write(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		s.store.mu.Lock()
+		defer s.store.mu.Unlock()
+		return len(s.store.waiters) == waits
+	}, "the long-polls did not park")
+	if got := runtime.NumGoroutine() - base; got > waits {
+		t.Errorf("%d parked long-polls hold %d goroutines, want one each", waits, got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"snipe/internal/stats"
 	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
@@ -196,7 +197,7 @@ func TestLargeFrameIsNotPinned(t *testing.T) {
 	}
 	roundTrip("small")
 	replicated(1)
-	before := settledHeap()
+	before := stats.SettledHeap()
 
 	roundTrip(strings.Repeat("0123456789abcdef", maxWireValue/16))
 	replicated(2)
@@ -222,7 +223,7 @@ func TestLargeFrameIsNotPinned(t *testing.T) {
 	replicated(3)
 	rc[0].Store().Compact(0)
 	rc[1].Store().Compact(0)
-	if grown := int64(settledHeap()) - int64(before); grown > maxWireValue/2 {
+	if grown := int64(stats.SettledHeap()) - int64(before); grown > maxWireValue/2 {
 		t.Errorf("after a 1 MiB value came and went the heap holds %d bytes more than before it", grown)
 	}
 }

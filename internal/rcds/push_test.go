@@ -51,7 +51,9 @@ func startChain(t *testing.T, links [][]int) []*Server {
 func linksOpen(servers []*Server) bool {
 	for _, s := range servers {
 		s.mu.Lock()
-		open := !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.origin == "" })
+		s.store.mu.Lock()
+		open := !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.w.peer == "" })
+		s.store.mu.Unlock()
 		s.mu.Unlock()
 		if !open {
 			return false
@@ -192,6 +194,21 @@ func TestApplyWakesNoPusherBack(t *testing.T) {
 	rc[1].Close() // the pusher has returned: its batch is the test's to read
 	if mark := back.batch.mark; o < len(mark) && mark[o] != 0 {
 		t.Errorf("replica 1's pusher back to replica 0 moved its mark to seq %d of replica 0's", mark[o])
+	}
+}
+
+// TestDirectStoreWriteIsPushed: a write made on a running server's Store,
+// with no write behind it, reaches the peer by push within a second.
+func TestDirectStoreWriteIsPushed(t *testing.T) {
+	rc := startChain(t, [][]int{{1}, {0}})
+	pulls := counter(rc[1], "pulls")
+	rc[0].Store().Set("urn:direct", AttrState, "running")
+	testutil.WaitFor(t, time.Second, func() bool {
+		v, _ := rc[1].Store().FirstValue("urn:direct", AttrState)
+		return v == "running"
+	}, "a write made on the store directly was not pushed")
+	if got := counter(rc[1], "pulls") - pulls; got != 0 {
+		t.Errorf("replica 1 pulled %d times, want the push alone", got)
 	}
 }
 
@@ -370,7 +387,7 @@ func TestOwedCapsOneApply(t *testing.T) {
 	var sizes []int
 	next := uint64(1)
 	for more := true; more; more = b.more {
-		st.owed(&b, "")
+		st.owed(&b, &waiter{})
 		for _, op := range b.ops {
 			if op.Seq != next {
 				t.Fatalf("batch %d holds seq %d, want %d", len(sizes), op.Seq, next)
@@ -425,13 +442,11 @@ func TestSlowPeerHoldsUpOnlyItself(t *testing.T) {
 	round := func() time.Duration {
 		for j := 0; j < 63; j++ {
 			src.Store().Set(fmt.Sprintf("urn:bulk%02d", j), AttrState, value)
-			src.wakePushers(nil)
 		}
 		rounds++
 		marker := strconv.Itoa(rounds)
 		begin := time.Now()
 		src.Store().Set("urn:marker", AttrState, marker)
-		src.wakePushers(nil)
 		for {
 			if v, _ := fast.Store().FirstValue("urn:marker", AttrState); v == marker {
 				return time.Since(begin)

@@ -199,7 +199,6 @@ func TestFailedPullIsRetried(t *testing.T) {
 	relay.pause()
 	// The relay reads one more time, and stops: a push goes through first.
 	rc0.Store().Set("urn:repair:pushed", AttrState, "running")
-	rc0.wakePushers(nil)
 	testutil.WaitFor(t, time.Second, func() bool { return counter(rc1, "remote_ops") == 1 }, "the push did not go through")
 	pulls := counter(rc0, "pulls")
 	signal(rc0.linkUp) // as a link opening does

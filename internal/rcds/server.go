@@ -170,7 +170,7 @@ func (s *Server) wrongShard(e *xdr.Encoder, id uint64, uri string) bool {
 }
 
 // Store returns the server's underlying replica store. A write made on it
-// directly is pushed at the pushers' next wake, or pulled when a link opens.
+// directly is pushed as one made through the server is.
 func (s *Server) Store() *Store { return s.store }
 
 // Start listens on addr (host:port; port 0 picks a free port) and
@@ -261,20 +261,12 @@ func (s *Server) setPushersLocked() {
 	for _, peer := range s.peers {
 		if !slices.ContainsFunc(s.pushers, func(p *pusher) bool { return p.peer == peer }) {
 			ctx, stop := context.WithCancel(context.Background())
-			p := &pusher{peer: peer, c: NewClient([]string{peer}, s.secret), wake: make(chan struct{}, 1), stop: stop,
-				batch: pushBatch{mark: s.store.marks()}}
+			p := &pusher{peer: peer, c: NewClient([]string{peer}, s.secret), stop: stop,
+				batch: pushBatch{mark: s.store.marks()}, w: &waiter{pusher: true, wake: make(chan struct{}, 1)}}
 			s.pushers = append(s.pushers, p)
 			s.wg.Add(1)
 			go s.push(ctx, p)
 		}
-	}
-}
-
-// signal puts the one token ch holds, unless it holds it already.
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default: // a wake-up is already coming
 	}
 }
 
@@ -303,8 +295,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // maxParkedWaits bounds the long-polls one connection may have parked,
-// the only goroutines it can hold. A Wait past the bound is answered at
-// once with the current version, which is a legal long-poll answer.
+// the only goroutines it can hold, one each. A Wait past the bound is
+// answered at once with the current version, a legal long-poll answer.
 const maxParkedWaits = 1024
 
 // served is what a connection's read loop owns and reuses from frame to
@@ -432,11 +424,10 @@ func (s *Server) serve(sc *served, frame []byte, park <-chan struct{}) ([]byte, 
 }
 
 // applyPosted applies one posted Apply, logging its ops as arrived from
-// the sender it names, and wakes the pushers to relay them, so partially
-// connected groups converge quickly — all but the pusher back to the
-// sender, which is owed none of them. The first Apply on a connection,
-// which opens a peer's push link and may carry nothing, wakes the pull
-// loop. An Apply that names no sender is refused unread.
+// the sender it names, whose merge wakes the pushers owed them (Store
+// waiters). The first Apply on a connection, which opens a peer's push
+// link and may carry nothing, wakes the pull loop. An Apply that names no
+// sender is refused unread.
 func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	from, err := d.BytesMax(maxWireURI)
 	if err == nil && len(from) == 0 {
@@ -454,7 +445,6 @@ func (s *Server) applyPosted(sc *served, d *xdr.Decoder) error {
 	}
 	if len(sc.ops) > 0 {
 		s.mAppliesRecv.Inc()
-		s.wakePushers(from)
 	}
 	return nil
 }
@@ -514,7 +504,7 @@ func (s *Server) dispatch(e *xdr.Encoder, id uint64, d *xdr.Decoder, park <-chan
 		}
 		v := s.store.Version()
 		if park != nil {
-			v = s.store.WaitVersionCancel(since, time.Duration(timeoutMs)*time.Millisecond, park)
+			v = s.store.waitVersion(since, time.Duration(timeoutMs)*time.Millisecond, park)
 		}
 		respond(e, id, statusOK)
 		e.PutUint64(v)
@@ -569,7 +559,6 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 	if err != nil {
 		return err
 	}
-	ops := make([]Assertion, 1) // the op a write makes, on this stack, or RemoveAll's
 	switch cmd {
 	case cmdValues:
 		respond(e, id, statusOK)
@@ -582,7 +571,7 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 		e.PutString(v)
 		return nil
 	case cmdRemoveAll:
-		ops = s.store.RemoveAll(uri, name)
+		s.store.RemoveAll(uri, name)
 	default:
 		value, err := d.StringMax(maxWireValue)
 		if err != nil {
@@ -590,15 +579,11 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 		}
 		switch cmd {
 		case cmdSet:
-			ops[0] = s.store.Set(uri, name, value)
+			s.store.Set(uri, name, value)
 		case cmdAdd:
-			ops[0] = s.store.Add(uri, name, value)
+			s.store.Add(uri, name, value)
 		case cmdRemove:
-			if op, made := s.store.Remove(uri, name, value); made {
-				ops[0] = op
-			} else {
-				ops = nil
-			}
+			s.store.Remove(uri, name, value)
 		case cmdAddSigned:
 			signer, err := d.StringMax(maxWireURI)
 			if err != nil {
@@ -608,43 +593,28 @@ func (s *Server) dispatchURI(e *xdr.Encoder, id uint64, cmd uint8, d *xdr.Decode
 			if err != nil {
 				return err
 			}
-			ops[0] = s.store.AddSigned(uri, name, value, signer, sig)
+			s.store.AddSigned(uri, name, value, signer, sig)
 		}
 	}
-	s.wakePushers(nil)
 	respond(e, id, statusOK)
 	return nil
-}
-
-// wakePushers tells every pusher that the log may hold ops due to its peer
-// but the one to from, if named, which pushed them and is owed none back;
-// a pusher whose peer's origin is not yet known is woken.
-func (s *Server) wakePushers(from []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range s.pushers {
-		if len(from) == 0 || p.origin != string(from) {
-			signal(p.wake)
-		}
-	}
 }
 
 // errRelink reports a link pushDue broke, for the next link's pulls.
 var errRelink = errors.New("rcds: push link to be opened anew")
 
 // pusher is one peer's replication link: the client that pushes go out on
-// and pulls ask through, the token that wakes its goroutine (push), the
-// pull loop's word on its link, and how to stop it. The rest is push's.
+// and pulls ask through, the store waiter that wakes its goroutine (push),
+// the pull loop's word on its link, and how to stop it. The rest is push's.
 type pusher struct {
 	peer   string
-	c      *Client       // closed when push returns
-	wake   chan struct{} // one token: the log may hold ops due
-	relink atomic.Bool   // the last pull through c failed
+	c      *Client     // closed when push returns
+	w      *waiter     // a token when the log may hold ops due; its peer's origin, asked on each new link
+	relink atomic.Bool // the last pull through c failed
 	stop   context.CancelFunc
 
-	batch  pushBatch   // its place in the log, moved only by a push that went out
-	link   *clientConn // the connection the last Apply went out on
-	origin string      // the peer's, asked on each new link; "" if its Ping failed; written under Server.mu
+	batch pushBatch   // its place in the log, moved only by a push that went out
+	link  *clientConn // the connection the last Apply went out on
 }
 
 // push keeps p's peer level with the store's log until ctx ends (DESIGN.md
@@ -654,7 +624,8 @@ type pusher struct {
 func (s *Server) push(ctx context.Context, p *pusher) {
 	defer s.wg.Done()
 	defer p.c.Close()
-	signal(p.wake) // the first link opens at once
+	defer s.store.Unsubscribe(s.store.wait(p.w))
+	signal(p.w.wake) // the first link opens at once
 	for {
 		var ended <-chan struct{}
 		if p.link != nil {
@@ -663,7 +634,7 @@ func (s *Server) push(ctx context.Context, p *pusher) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-p.wake:
+		case <-p.w.wake:
 		case <-ended:
 			p.link = nil
 		}
@@ -675,7 +646,7 @@ func (s *Server) push(ctx context.Context, p *pusher) {
 			case <-ctx.Done():
 				return
 			case <-time.After(redialBackoff):
-				signal(p.wake)
+				signal(p.w.wake)
 			}
 		}
 	}
@@ -690,7 +661,7 @@ func (s *Server) push(ctx context.Context, p *pusher) {
 func (s *Server) pushDue(ctx context.Context, p *pusher) error {
 	b, cc := &p.batch, p.link
 	if cc != nil {
-		if s.store.owed(b, p.origin); b.below || p.relink.Swap(false) {
+		if s.store.owed(b, p.w); b.below || p.relink.Swap(false) {
 			cc.fail(errRelink)
 			p.link = nil
 			return errRelink
@@ -709,10 +680,8 @@ func (s *Server) pushDue(ctx context.Context, p *pusher) error {
 			pingCtx, cancel := context.WithTimeout(ctx, pushTimeout)
 			origin, _ := p.c.Ping(pingCtx) // on error it is unknown, and nothing is left out
 			cancel()
-			s.mu.Lock()
-			p.origin = origin
-			s.mu.Unlock()
-			s.store.owed(b, p.origin)
+			s.store.setPeer(p.w, origin)
+			s.store.owed(b, p.w)
 		}
 		if err := p.c.post(cc, s.store.Origin(), b.ops); err != nil {
 			p.link = nil
@@ -730,14 +699,15 @@ func (s *Server) pushDue(ctx context.Context, p *pusher) error {
 	b.mark, b.next = b.next, b.mark
 	s.mRelaySkip.Add(uint64(b.skipped))
 	if b.more {
-		signal(p.wake) // the cap left ops due
+		signal(p.w.wake) // the cap left ops due
 	}
 	return nil
 }
 
 // pullLoop is the server's one pull (DESIGN.md "Replication repair"): each
 // time a push link opens, here or at a peer, it runs SyncFromPeer through
-// each pusher's client in turn and wakes the pushers for what it brought.
+// each pusher's client in turn; the store wakes the pushers owed what it
+// brought.
 // A pass has no deadline — a catalog-scale rejoin snapshot is many page
 // round trips, which a cut would discard before MergeVector banked them —
 // but each RPC in it is bounded by pushTimeout, and Close ends it via ctx;
@@ -759,13 +729,14 @@ func (s *Server) pullLoop(ctx context.Context) {
 			if err == nil {
 				s.mPulls.Inc()
 				err = SyncFromPeer(ctx, s.store, p.c, 0)
-				p.relink.Store(err != nil) // peer down or stalled, or outrun by compaction
+				if p.relink.Store(err != nil); err != nil { // peer down or stalled, or outrun by compaction
+					signal(p.w.wake) // to open the link anew
+				}
 			}
 			whole = whole && err == nil
 		}
 		if whole {
 			s.store.pulled()
 		}
-		s.wakePushers(nil)
 	}
 }

@@ -50,11 +50,9 @@ type Store struct {
 	restored bool              // loaded from a file, not yet pulled: a pull asks with the real own mark
 	decoded  []uint32          // applyEncoded's origin index per op, reused
 
-	version uint64 // bumped on every visible change
-	cond    *sync.Cond
-
-	subs   map[int]*subscription
-	nextID int
+	version uint64    // bumped on every visible change
+	waiters []*waiter // woken in the lock hold that made a change
+	nextID  int
 
 	nowFn func() int64 // injectable wall clock for tests
 
@@ -224,9 +222,26 @@ func (l *opLog) drop(below uint64) (n int) {
 	return n
 }
 
-type subscription struct {
-	prefix string
-	ch     chan Event
+// A waiter is one party the store wakes inside the lock hold that made a
+// change. A pusher's takes a token when an origin's contiguous mark moves,
+// unless the one op it moved over was minted or pushed here by peer, the
+// origin of the replica it pushes to ("" until known). A long-poll's takes
+// a token, and a subscription's events the change, when a change under
+// prefix becomes visible; an event that finds events full is dropped.
+type waiter struct {
+	id           int
+	pusher       bool
+	peer, prefix string
+	wake         chan struct{}
+	events       chan Event
+}
+
+// signal puts the one token ch holds, unless it holds it already.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default: // a wake-up is already coming
+	}
 }
 
 // NewStore returns an empty replica identified by origin.
@@ -238,11 +253,9 @@ func NewStore(origin string) *Store {
 		logs:     make([]opLog, 1),
 		vv:       make(VersionVector),
 		floor:    make(map[string]uint64),
-		subs:     make(map[int]*subscription),
 		nowFn:    func() int64 { return time.Now().UnixNano() },
 		metrics:  stats.NewRegistry(),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.mLocalOps = s.metrics.Counter("local_ops")
 	s.mRemoteOps = s.metrics.Counter("remote_ops")
 	s.mRemoteApplied = s.metrics.Counter("remote_ops_applied")
@@ -402,13 +415,31 @@ func (s *Store) key(uri []byte) string {
 
 // mergeLocked files a, whose origin is s.origins[o] and which s.origins[from]
 // pushed here, in that origin's log and merges it into the catalog,
-// reporting whether the catalog visibly changed. Both keep the URI as
-// heldLocked keys it. Caller holds s.mu.
+// reporting whether the catalog visibly changed, and wakes the waiters the
+// change is news to. Both keep the URI as heldLocked keys it. Caller holds
+// s.mu.
 func (s *Store) mergeLocked(a *Assertion, o, from uint32) bool {
 	h := heldLocked(s, a.URI)
 	e := newEntry(a, o)
-	s.recordLocked(h.uri, e, from)
-	return s.applyLocked(h.uri, h.entries, e)
+	moved := s.recordLocked(h.uri, e, from)
+	changed := s.applyLocked(h.uri, h.entries, e)
+	for _, w := range s.waiters {
+		switch {
+		case w.pusher:
+			if moved > 1 || moved == 1 && w.peer != s.origins[o] && w.peer != s.origins[from] {
+				signal(w.wake)
+			}
+		case !changed || !strings.HasPrefix(h.uri, w.prefix):
+		case w.events == nil:
+			signal(w.wake)
+		default:
+			select {
+			case w.events <- Event{Assertion: s.assertion(h.uri, &e)}:
+			default: // slow subscriber: drop rather than block the store
+			}
+		}
+	}
+	return changed
 }
 
 // applyLocked merges one entry into cat, the entries held for uri. An
@@ -460,33 +491,33 @@ func (s *Store) applyLocked(uri string, cat []entry, a entry) bool {
 		s.lamport = a.clock
 	}
 	s.version++
-	s.notifyLocked(uri, &a)
-	s.cond.Broadcast()
 	return true
 }
 
 // recordLocked files e, an op on uri that s.origins[from] pushed here, in
 // its origin's log and advances the contiguous version vector over it and
-// any ops filed right above it. With compaction on, the write that takes
-// the log keep + logChunk seqs past its floor compacts it: the whole
-// chunks below mark − keep go, so the log holds at most keep + logChunk
-// ops at its mark, and one write in logChunk pays for the chunks it frees.
-// Caller holds s.mu.
-func (s *Store) recordLocked(uri string, e entry, from uint32) {
+// any ops filed right above it, returning how many seqs the mark moved.
+// With compaction on, the write that takes the log keep + logChunk seqs
+// past its floor compacts it: the whole chunks below mark − keep go, so
+// the log holds at most keep + logChunk ops at its mark, and one write in
+// logChunk pays for the chunks it frees. Caller holds s.mu.
+func (s *Store) recordLocked(uri string, e entry, from uint32) uint64 {
 	if from <= math.MaxUint16 {
 		e.from = uint16(from)
 	}
 	l := &s.logs[e.origin]
 	if !l.put(e.seq, logOp{uri, e}) {
-		return
+		return 0
 	}
 	origin := s.origins[e.origin]
+	was := s.vv[origin]
 	for l.at(s.vv[origin]+1) != nil {
 		s.vv[origin]++
 	}
 	if mark := s.vv[origin]; s.keep > 0 && mark+1 >= max(s.floor[origin], 1)+s.keep+logChunk {
 		s.trimLocked(e.origin, origin, (mark+1-s.keep)/logChunk*logChunk)
 	}
+	return s.vv[origin] - was
 }
 
 // trimLocked raises the floor of s.origins[o] to seq floor, if that is
@@ -497,17 +528,6 @@ func (s *Store) trimLocked(o uint32, origin string, floor uint64) int {
 	n := s.logs[o].drop(floor)
 	s.mCompacted.Add(uint64(n))
 	return n
-}
-
-func (s *Store) notifyLocked(uri string, e *entry) {
-	for _, sub := range s.subs {
-		if strings.HasPrefix(uri, sub.prefix) {
-			select {
-			case sub.ch <- Event{Assertion: s.assertion(uri, e)}:
-			default: // slow subscriber: drop rather than block the store
-			}
-		}
-	}
 }
 
 // Set makes value the sole live value for (uri, name) with one
@@ -820,16 +840,16 @@ func (s *Store) marks() []uint64 {
 }
 
 // owed fills b with the ops above b.mark (an origin met since, from 0) up
-// to each origin's contiguous mark that the replica whose origin is peer
-// ("" if unknown) neither minted nor pushed here; the peer's own ops are
-// passed over unread. If b.mark lies under a compaction floor of another
-// origin, where the log lacks what may be due, it sets below.
-func (s *Store) owed(b *pushBatch, peer string) {
+// to each origin's contiguous mark that the replica whose origin is w.peer
+// neither minted nor pushed here; the peer's own ops are passed over
+// unread. If b.mark lies under a compaction floor of another origin, where
+// the log lacks what may be due, it sets below.
+func (s *Store) owed(b *pushBatch, w *waiter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b.ops, b.skipped, b.more, b.below = keptOps(b.ops), 0, false, false
 	b.next = append(b.next[:0], b.mark...)
-	skip, size := slices.Index(s.origins, peer), 0 // -1: no op here is the peer's
+	skip, size := slices.Index(s.origins, w.peer), 0 // -1: no op here is the peer's
 	for o, origin := range s.origins {
 		if o == len(b.next) {
 			b.next = append(b.next, 0)
@@ -865,49 +885,56 @@ func (s *Store) Version() uint64 {
 	return s.version
 }
 
-// WaitVersionCancel blocks until the store's version exceeds since, the
-// timeout elapses or cancel (typically a server's shutdown signal)
-// closes, returning the current version. It is the long-poll primitive
-// behind metadata change notification. A nil cancel never fires.
-func (s *Store) WaitVersionCancel(since uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
-	deadline := time.Now().Add(timeout)
-	canceled := func() bool {
+// waitVersion blocks until the store's version exceeds since, the timeout
+// elapses or cancel (a connection's end) closes, and returns the version:
+// a cmdWait long-poll. Only a version not past since yet makes it park, on
+// a waiter's token, one timer and cancel.
+func (s *Store) waitVersion(since uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
+	s.mu.Lock()
+	if v := s.version; v > since {
+		s.mu.Unlock()
+		return v
+	}
+	w := &waiter{wake: make(chan struct{}, 1)}
+	id := s.waitLocked(w)
+	s.mu.Unlock()
+	defer s.Unsubscribe(id)
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	for {
 		select {
+		case <-w.wake:
+		case <-t.C:
+			return s.Version()
 		case <-cancel:
-			return true
-		default:
-			return false
+			return s.Version()
+		}
+		if v := s.Version(); v > since {
+			return v
 		}
 	}
-	if cancel != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-cancel:
-				s.mu.Lock()
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
+}
+
+// wait adds w to the waiters and returns the id Unsubscribe removes it by.
+func (s *Store) wait(w *waiter) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.version <= since && !canceled() {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		t := time.AfterFunc(remaining, func() {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-		s.cond.Wait()
-		t.Stop()
-	}
-	return s.version
+	return s.waitLocked(w)
+}
+
+// waitLocked is wait for a caller that holds s.mu.
+func (s *Store) waitLocked(w *waiter) int {
+	s.nextID++
+	w.id = s.nextID
+	s.waiters = append(s.waiters, w)
+	return w.id
+}
+
+// setPeer names the origin of the replica whose pusher waits on w.
+func (s *Store) setPeer(w *waiter, origin string) {
+	s.mu.Lock()
+	w.peer = origin
+	s.mu.Unlock()
 }
 
 // Subscribe delivers every catalog change whose URI has the given
@@ -915,19 +942,14 @@ func (s *Store) WaitVersionCancel(since uint64, timeout time.Duration, cancel <-
 // blocking the store if ch is full; subscribers needing completeness
 // should re-read the catalog on wakeup.
 func (s *Store) Subscribe(prefix string, ch chan Event) (id int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id = s.nextID
-	s.nextID++
-	s.subs[id] = &subscription{prefix: prefix, ch: ch}
-	return id
+	return s.wait(&waiter{prefix: prefix, events: ch})
 }
 
-// Unsubscribe removes a subscription.
+// Unsubscribe removes a subscription, or any waiter by the id wait gave.
 func (s *Store) Unsubscribe(id int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.subs, id)
+	s.waiters = slices.DeleteFunc(s.waiters, func(w *waiter) bool { return w.id == id })
 }
 
 // Stats reports catalog sizes for monitoring: URIs held (one whose
@@ -1018,13 +1040,15 @@ func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 // arrive, so the log may now have holes under the vector. The serving
 // floor moves up to the new marks for every origin that advanced — this
 // replica can serve tails only from the snapshot base onward; peers that
-// are further behind must themselves catch up by snapshot.
+// are further behind must themselves catch up by snapshot. A mark that
+// moves wakes every pusher.
 func (s *Store) MergeVector(vv VersionVector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	moved := false
 	for origin, seq := range vv {
 		if seq > s.vv[origin] {
-			s.vv[origin] = seq
+			s.vv[origin], moved = seq, true
 			if seq+1 > s.floor[origin] {
 				s.floor[origin] = seq + 1
 			}
@@ -1036,6 +1060,11 @@ func (s *Store) MergeVector(vv VersionVector) {
 		}
 	}
 	s.seq = max(s.seq, s.vv[s.origin]) // a snapshot base may hold ops of ours a restart lost
+	for _, w := range s.waiters {
+		if moved && w.pusher {
+			signal(w.wake)
+		}
+	}
 }
 
 // CanServeTail reports whether the log can serve every op a replica at

@@ -13,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"snipe/internal/stats"
 	"snipe/internal/testutil"
 	"snipe/internal/xdr"
 )
@@ -220,7 +221,7 @@ func TestWaitVersion(t *testing.T) {
 	s := NewStore("s1")
 	v0 := s.Version()
 	done := make(chan uint64, 1)
-	go func() { done <- s.WaitVersionCancel(v0, 2*time.Second, nil) }()
+	go func() { done <- s.waitVersion(v0, 2*time.Second, nil) }()
 	time.Sleep(20 * time.Millisecond)
 	s.Add("u", "n", "v")
 	select {
@@ -229,13 +230,13 @@ func TestWaitVersion(t *testing.T) {
 			t.Fatalf("version did not advance: %d", v)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("WaitVersionCancel did not wake")
+		t.Fatal("waitVersion did not wake")
 	}
 	// Timeout path.
 	start := time.Now()
-	v := s.WaitVersionCancel(s.Version(), 50*time.Millisecond, nil)
+	v := s.waitVersion(s.Version(), 50*time.Millisecond, nil)
 	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("WaitVersionCancel returned too early")
+		t.Fatal("waitVersion returned too early")
 	}
 	if v != s.Version() {
 		t.Fatalf("version mismatch: %d", v)
@@ -1311,10 +1312,10 @@ func TestSparseLogSeqs(t *testing.T) {
 	for i := range batch {
 		batch[i] = Assertion{URI: "urn:sparse", Name: "n", Value: strconv.Itoa(i), Clock: 1, Origin: "far", Seq: uint64(i+1) * gap}
 	}
-	before := int64(settledHeap())
+	before := int64(stats.SettledHeap())
 	st := NewStore("rc0")
 	st.ApplyRemote(batch)
-	held := int64(settledHeap()) - before
+	held := int64(stats.SettledHeap()) - before
 	if logLen(st) != ops {
 		t.Fatalf("the log holds %d ops, want %d", logLen(st), ops)
 	}
@@ -1330,7 +1331,7 @@ func TestSparseLogSeqs(t *testing.T) {
 	if got := st.Compact(0); got != ops || logLen(st) != 0 {
 		t.Fatalf("Compact(0) dropped %d of %d ops, %d left", got, ops, logLen(st))
 	}
-	if left := int64(settledHeap()) - before; left > held/8 && !testutil.RaceEnabled {
+	if left := int64(stats.SettledHeap()) - before; left > held/8 && !testutil.RaceEnabled {
 		t.Errorf("after the compaction the store still holds %d B of the %d its log took", left, held)
 	}
 	runtime.KeepAlive(st)

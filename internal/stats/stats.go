@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -368,4 +369,14 @@ func (s Snapshot) Render() string {
 		fmt.Fprintf(&b, "%-44s %s\n", k, s.Histograms[k].Summary())
 	}
 	return b.String()
+}
+
+// SettledHeap returns the live heap in bytes after two collections: the
+// second frees what the first one's finalizers and sweep let go.
+func SettledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
