@@ -159,13 +159,17 @@ func TestE6HostJoin(t *testing.T) {
 }
 
 func TestE6SpawnRedundancy(t *testing.T) {
-	// With two RMs, killing one mid-run must not fail spawns.
+	// With two RMs, killing one mid-run must not fail spawns, and costs
+	// the client one timeout, not one per spawn after the kill (10).
 	r, err := MeasureSpawnRedundantRMs(2, 2, 20, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Failures != 0 {
 		t.Fatalf("redundant RMs failed %d spawns", r.Failures)
+	}
+	if took := time.Duration(float64(r.Spawns) / r.SpawnsPerSec * float64(time.Second)); took > 3*e6Timeout {
+		t.Fatalf("%d spawns took %v, more than 3 timeouts of %v", r.Spawns, took, e6Timeout)
 	}
 	// With a single RM, killing it fails the rest.
 	r1, err := MeasureSpawnRedundantRMs(1, 2, 10, true)

@@ -509,8 +509,13 @@ type E6SpawnResult struct {
 	RMKilledAtMid bool
 }
 
+// e6Timeout is E6's per-RM request timeout: what a spawn waits on a
+// crashed RM before its client moves on.
+const e6Timeout = 500 * time.Millisecond
+
 // MeasureSpawnRedundantRMs runs spawns through the RM service with the
-// given redundancy, killing RM 0 halfway when killOne is set.
+// given redundancy, crashing RM 0 halfway when killOne is set: it stops
+// and stays registered, so clients meet it dead.
 func MeasureSpawnRedundantRMs(rms, hosts, spawns int, killOne bool) (E6SpawnResult, error) {
 	res := E6SpawnResult{RMs: rms, Spawns: spawns, RMKilledAtMid: killOne}
 	store := rcds.NewStore("bench-rm")
@@ -541,12 +546,12 @@ func MeasureSpawnRedundantRMs(rms, hosts, spawns int, killOne bool) (E6SpawnResu
 	}
 	naming.Register(cat, "urn:e6:client", []comm.Route{route})
 	client := rm.NewClient(cat, ep)
-	client.SetTimeout(2 * time.Second)
+	client.SetTimeout(e6Timeout)
 
 	start := time.Now()
 	for i := 0; i < spawns; i++ {
 		if killOne && i == spawns/2 {
-			managers[0].Close()
+			managers[0].Kill()
 		}
 		if _, err := client.Allocate(task.Spec{Program: "quick"}); err != nil {
 			res.Failures++

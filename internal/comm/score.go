@@ -2,7 +2,6 @@ package comm
 
 import (
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -24,14 +23,13 @@ const scoreMinSamples = 3
 // weight recent observations more heavily.
 const scoreAlpha = 0.2
 
-// routeEWMA is the per-route moving state behind RouteScores. All
+// routeEWMA is the per-route moving state behind rankRoutes. All
 // fields are guarded by Endpoint.scoreMu.
 type routeEWMA struct {
 	rttUs      float64 // EWMA of observed ack RTT, µs
 	goodputBps float64 // EWMA of observed goodput, bytes/sec
 	errRate    float64 // EWMA of attempt failure rate, 0..1
 	samples    uint64  // successful observations folded in
-	errors     uint64  // cumulative send failures on this route
 }
 
 // observeRouteAck folds one successful acknowledgement into the
@@ -68,7 +66,6 @@ func (e *Endpoint) observeRouteError(routeKey string) {
 	e.scoreMu.Lock()
 	s := e.scoreFor(routeKey)
 	s.errRate += scoreAlpha * (1 - s.errRate)
-	s.errors++
 	e.scoreMu.Unlock()
 }
 
@@ -153,22 +150,9 @@ func (e *Endpoint) rankRoutes(local []Route, rs routeSet, out []rankedRoute) []r
 	return out
 }
 
-// RouteScore is one route's adaptive-scoring state, as exported by
-// RouteScores.
-type RouteScore struct {
-	Route      string  `json:"route"`       // route key (Route.String form)
-	Score      float64 `json:"score"`       // scalar preference, higher is better
-	RTTUs      float64 `json:"rtt_us"`      // EWMA ack round-trip time, µs
-	GoodputBps float64 `json:"goodput_bps"` // EWMA observed goodput, bytes/sec
-	ErrRate    float64 `json:"err_rate"`    // EWMA failure rate, 0..1
-	Samples    uint64  `json:"samples"`     // acks folded into the EWMAs
-	Errors     uint64  `json:"errors"`      // cumulative send failures
-}
-
 // RouteHistory reports what the endpoint has observed on one route, by
 // route key: the RTT and error-rate EWMAs and the number of acks behind
-// them (0: never used). It is RouteScores for a caller that already
-// holds the keys it cares about, and allocates nothing.
+// them (0: never used). It allocates nothing.
 func (e *Endpoint) RouteHistory(routeKey string) (rttUs, errRate float64, samples uint64) {
 	e.scoreMu.Lock()
 	defer e.scoreMu.Unlock()
@@ -176,31 +160,4 @@ func (e *Endpoint) RouteHistory(routeKey string) (rttUs, errRate float64, sample
 		return s.rttUs, s.errRate, s.samples
 	}
 	return 0, 0, 0
-}
-
-// RouteScores reports the endpoint's per-route adaptive-scoring state,
-// sorted by route key. The scalar Score column is computed with no
-// advertised-profile prior (routes the endpoint has never used score
-// from defaults), so it is primarily useful for routes with Samples>0.
-func (e *Endpoint) RouteScores() []RouteScore {
-	e.scoreMu.Lock()
-	out := make([]RouteScore, 0, len(e.scores))
-	for key, s := range e.scores {
-		r, err := ParseRoute(key)
-		if err != nil {
-			r = Route{}
-		}
-		out = append(out, RouteScore{
-			Route:      key,
-			Score:      e.routeScoreLocked(r, key),
-			RTTUs:      s.rttUs,
-			GoodputBps: s.goodputBps,
-			ErrRate:    s.errRate,
-			Samples:    s.samples,
-			Errors:     s.errors,
-		})
-	}
-	e.scoreMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Route < out[j].Route })
-	return out
 }

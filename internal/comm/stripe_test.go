@@ -325,13 +325,9 @@ func TestOrderRoutesAdaptive(t *testing.T) {
 	if got[0] != slow {
 		t.Fatalf("prior should follow advertised rate: %+v", got)
 	}
-	scores := e.RouteScores()
-	if len(scores) != 2 {
-		t.Fatalf("RouteScores: want 2 entries, got %+v", scores)
-	}
-	for _, rs := range scores {
-		if rs.Samples == 0 {
-			t.Fatalf("route %s has no samples folded in", rs.Route)
+	for _, r := range []Route{fast, slow} {
+		if _, _, samples := e.RouteHistory(r.String()); samples == 0 {
+			t.Fatalf("route %s has no samples folded in", r)
 		}
 	}
 }

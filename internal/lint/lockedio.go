@@ -29,7 +29,7 @@ var lockedioMethods = map[string]bool{
 	"snipe/internal/rcds.Client.FirstValue":   true,
 	"snipe/internal/rcds.Client.URIs":         true,
 	"snipe/internal/rcds.Client.post":         true,
-	"snipe/internal/rcds.Client.Wait":         true,
+	"snipe/internal/rcds.Client.waitOn":       true,
 	"snipe/internal/rcds.Client.WaitURI":      true,
 	"snipe/internal/rcds.Client.Stats":        true,
 	"snipe/internal/rcds.Client.WaitFor":      true,

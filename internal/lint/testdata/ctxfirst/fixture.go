@@ -42,8 +42,8 @@ func (c *Client) Get(uri string) ([]string, error) { // want `must take a contex
 	return nil, nil
 }
 
-// Wait keeps the context-first shape: clean.
-func (c *Client) Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error) {
+// WaitURI keeps the context-first shape: clean.
+func (c *Client) WaitURI(ctx context.Context, uri string, since uint64, timeout time.Duration) (uint64, error) {
 	return since, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snipe/internal/replica"
 	"snipe/internal/stats"
 	"snipe/internal/xdr"
 )
@@ -94,7 +95,8 @@ func (cl *call) release() {
 // demultiplexes responses to pending calls by request ID.
 type clientConn struct {
 	c      net.Conn
-	at     int // the group's failover cursor when it was dialled
+	addr   string        // the replica dialled
+	tok    replica.Token // the group set's token at the dial
 	secret []byte
 	fr     *xdr.FrameReader // used by readLoop alone
 	calls  atomic.Int32     // ordinary calls in flight: registered, not yet answered; a Wait is none
@@ -276,17 +278,17 @@ func (cc *clientConn) exchange(ctx context.Context, cl *call, id uint64, deadlin
 }
 
 // replicaGroup is the client's connection state for one replica group:
-// the addresses, the live multiplexed connection with its failover
-// cursor, and (when caching is on) the group's own watch-coherent read
-// cache. Against an unsharded catalog the client has exactly one of
+// the addresses, the replica in use (set), the live multiplexed
+// connection, and (when caching is on) the group's own watch-coherent
+// read cache. Against an unsharded catalog the client has exactly one of
 // these — the seed group; a published shard map adds one per group.
 type replicaGroup struct {
 	addrs []string
+	set   replica.Set // over addrs
 
-	mu      sync.Mutex
-	conn    *clientConn
-	current int  // index into addrs of the (next) server
-	closed  bool // retired (map superseded) or client closed
+	mu     sync.Mutex
+	conn   *clientConn
+	closed bool // retired (map superseded) or client closed
 
 	cache     *readCache // nil = caching disabled
 	watchStop context.CancelFunc
@@ -374,6 +376,9 @@ func NewClient(addrs []string, secret []byte, opts ...ClientOption) *Client {
 // client caches reads.
 func (c *Client) newGroup(addrs []string) *replicaGroup {
 	g := &replicaGroup{addrs: append([]string(nil), addrs...)}
+	if len(addrs) > 0 { // else roundTrip refuses every call
+		g.set.Reset(g.addrs)
+	}
 	if c.cacheOn {
 		g.cache = newReadCache(&c.epochs)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -535,8 +540,8 @@ func (c *Client) installShardMap(m *ShardMap) {
 	}
 }
 
-// getConn returns g's live multiplexed connection, dialing the current
-// replica if none is up. A dial failure moves to the next (moveOnLocked).
+// getConn returns g's live multiplexed connection, dialing the replica
+// in use if none is up. A dial failure moves g's set past it.
 func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, error) {
 	c.mu.Lock()
 	closed := c.closed
@@ -560,8 +565,7 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 		}
 		g.conn = nil
 	}
-	at := g.current
-	addr := g.addrs[at%len(g.addrs)]
+	addr, tok := g.set.Current()
 	g.mu.Unlock()
 
 	d := net.Dialer{Timeout: c.timeout}
@@ -570,7 +574,9 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err != nil {
-		c.moveOnLocked(g, at)
+		if g.set.Failed(addr, tok) {
+			c.mFailovers.Inc()
+		}
 		return nil, err
 	}
 	if g.closed {
@@ -582,7 +588,7 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 		conn.Close()
 		return g.conn, nil
 	}
-	cc := &clientConn{c: conn, at: at, secret: c.secret, pending: make(map[uint64]*call), done: make(chan struct{}),
+	cc := &clientConn{c: conn, addr: addr, tok: tok, secret: c.secret, pending: make(map[uint64]*call), done: make(chan struct{}),
 		fr: xdr.NewFrameReader(conn), mWrites: c.mWrites, mFrames: c.mFrames}
 	cc.wrote.L = &cc.writeMu
 	g.conn = cc
@@ -590,28 +596,19 @@ func (c *Client) getConn(ctx context.Context, g *replicaGroup) (*clientConn, err
 	return cc, nil
 }
 
-// moveOnLocked advances g's failover cursor to the next replica if it
-// still reads at, its value when the replica that failed was dialled: a
-// failure moves it once, however many callers see it, by a dial or by a
-// connection. Caller holds g.mu.
-func (c *Client) moveOnLocked(g *replicaGroup, at int) {
-	if g.current == at {
-		g.current++
-		c.mFailovers.Inc()
-	}
-}
-
-// connFailed retires a dead connection and moves the group's cursor past
-// its replica (moveOnLocked). The group's cached reads are flushed because
-// the next replica's Wait sequence numbering is not comparable to the old
-// one's.
+// connFailed retires a dead connection and moves the group's set past
+// its replica, unless a report of the same failure already has. The
+// group's cached reads are flushed because the next replica's Wait
+// sequence numbering is not comparable to the old one's.
 func (c *Client) connFailed(g *replicaGroup, cc *clientConn) {
 	g.mu.Lock()
 	if g.conn == cc {
 		g.conn = nil
 	}
-	c.moveOnLocked(g, cc.at)
 	g.mu.Unlock()
+	if g.set.Failed(cc.addr, cc.tok) {
+		c.mFailovers.Inc()
+	}
 	if g.cache != nil {
 		g.cache.invalidateAll()
 	}
@@ -1027,15 +1024,6 @@ func (c *Client) post(cc *clientConn, from string, ops []Assertion) error {
 	return nil
 }
 
-// Wait long-polls until the seed group's catalog version exceeds
-// since or the server-side timeout elapses, returning the current
-// version. ctx must outlive the server-side timeout for the poll to
-// complete normally. A version stream covers one group only — use
-// WaitURI to watch the group owning a specific URI.
-func (c *Client) Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error) {
-	return c.waitOn(ctx, c.seed, since, timeout)
-}
-
 // WaitURI long-polls the catalog version of the replica group owning
 // uri — the shard-aware watch primitive: a write to uri lands in that
 // group, so its version stream is the one that advances.
@@ -1047,6 +1035,7 @@ func (c *Client) WaitURI(ctx context.Context, uri string, since uint64, timeout 
 	return c.waitOn(ctx, g, since, timeout)
 }
 
+// waitOn long-polls group g's catalog version past since, as WaitURI.
 func (c *Client) waitOn(ctx context.Context, g *replicaGroup, since uint64, timeout time.Duration) (uint64, error) {
 	cl := newCall(cmdWait)
 	defer cl.release()

@@ -50,7 +50,7 @@ func TestRequestOverlap(t *testing.T) {
 	if err := c.Set(context.Background(), "urn:x", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	ver, err := c.Wait(context.Background(), 0, 0)
+	ver, err := c.waitOn(context.Background(), c.seed, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRequestOverlap(t *testing.T) {
 	go func() {
 		// Long-poll that cannot complete until its server-side timeout:
 		// nothing writes while it is pending.
-		_, err := c.Wait(context.Background(), ver, 1500*time.Millisecond)
+		_, err := c.waitOn(context.Background(), c.seed, ver, 1500*time.Millisecond)
 		waitDone <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // let the long-poll reach the server
@@ -167,7 +167,7 @@ func TestFailoverMidStream(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			if v, err := c.Wait(ctx, since, 10*time.Second); err != nil || v != want {
+			if v, err := c.waitOn(ctx, c.seed, since, 10*time.Second); err != nil || v != want {
 				errs <- fmt.Errorf("wait = %d %v, want version %d", v, err, want)
 			}
 		}()
@@ -198,7 +198,7 @@ func TestFailoverMidStream(t *testing.T) {
 // TestFailoverCursorMovesOnce: the connection to the first of two
 // replicas dies, the replica with it, and a connFailed races three
 // callers that find the connection broken and dial. However they
-// interleave, the failure moves the group's cursor once, onto the live
+// interleave, the failure moves the group's set once, onto the live
 // replica: two dial failures that each moved it would bring it back to
 // the dead one.
 func TestFailoverCursorMovesOnce(t *testing.T) {
@@ -240,11 +240,9 @@ func TestFailoverCursorMovesOnce(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		g.mu.Lock()
-		at := g.current % len(g.addrs)
-		g.mu.Unlock()
+		at, _ := g.set.Current()
 		c.Close()
-		if at != 1 {
+		if at != live.Addr() {
 			t.Fatalf("round %d: the cursor is back on the dead replica", round)
 		}
 	}
@@ -439,7 +437,7 @@ func TestMuxThroughputSpeedup(t *testing.T) {
 	mux := NewClient([]string{s.Addr()}, nil)
 	defer mux.Close()
 	muxTime := runLookups(t, callers, iters, func() error {
-		_, err := mux.Wait(context.Background(), since, hold)
+		_, err := mux.waitOn(context.Background(), mux.seed, since, hold)
 		return err
 	})
 

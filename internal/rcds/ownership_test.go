@@ -124,7 +124,7 @@ func TestAbandonedCallIsNotRecycled(t *testing.T) {
 	}
 	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
-	cl := newCall(cmdWait) // as Client.Wait makes it
+	cl := newCall(cmdWait) // as waitOn makes it
 	cl.req.PutUint64(s.Store().Version())
 	cl.req.PutUint32(60_000)
 	if err := c.roundTrip(short, c.seed, cl); err != context.DeadlineExceeded {

@@ -100,7 +100,7 @@ func TestRefusedResponseReleasesPendingCalls(t *testing.T) {
 			errs := make(chan error, calls)
 			for i := 0; i < calls; i++ {
 				go func() {
-					_, err := c.Wait(ctx, 0, 30*time.Second)
+					_, err := c.waitOn(ctx, c.seed, 0, 30*time.Second)
 					errs <- err
 				}()
 			}
@@ -323,7 +323,7 @@ func TestClientCloseWhileReaderParked(t *testing.T) {
 	}
 	waited := make(chan error, 1)
 	go func() {
-		_, err := c.Wait(ctx, srv.Store().Version(), 30*time.Second)
+		_, err := c.waitOn(ctx, c.seed, srv.Store().Version(), 30*time.Second)
 		waited <- err
 	}()
 	testutil.WaitFor(t, 5*time.Second, func() bool {

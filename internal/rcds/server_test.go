@@ -210,13 +210,13 @@ func TestWaitLongPoll(t *testing.T) {
 	servers := startReplicaGroup(t, 1, nil)
 	c := NewClient(groupAddrs(servers), nil)
 	defer c.Close()
-	v0, err := c.Wait(context.Background(), 0, 10*time.Millisecond) // immediate: version 0 exceeded? version starts at 0
+	v0, err := c.waitOn(context.Background(), c.seed, 0, 10*time.Millisecond) // immediate: version 0 exceeded? version starts at 0
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan uint64, 1)
 	go func() {
-		v, err := c.Wait(context.Background(), v0, 5*time.Second)
+		v, err := c.waitOn(context.Background(), c.seed, v0, 5*time.Second)
 		if err != nil {
 			t.Errorf("Wait: %v", err)
 		}

@@ -15,8 +15,10 @@
 // Any number of RMs may run concurrently; each registers itself under
 // the well-known service URN, and clients fail over between them —
 // removing PVM's single-resource-manager bottleneck and single point
-// of failure (§2.2). Clients and RMs talk in requests and replies
-// (DESIGN "Request and reply").
+// of failure (§2.2). A client stays on one RM until it fails, as
+// internal/replica decides for every replica-set client: passive
+// reservations live in one manager's memory. Clients and RMs talk in
+// requests and replies (DESIGN "Request and reply").
 package rm
 
 import (
@@ -32,6 +34,7 @@ import (
 	"snipe/internal/liveness"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
+	"snipe/internal/replica"
 	"snipe/internal/seckey"
 	"snipe/internal/task"
 	"snipe/internal/xdr"
@@ -187,7 +190,14 @@ func (m *Manager) reportDeadHost(hostURL string) {
 }
 
 // Close deregisters and stops the manager.
-func (m *Manager) Close() {
+func (m *Manager) Close() { m.shutdown(false) }
+
+// Kill simulates a crash for failure-injection tests and benches: the
+// manager stops and its service registration stays behind, as a power
+// failure would leave it, for clients to find dead.
+func (m *Manager) Kill() { m.shutdown(true) }
+
+func (m *Manager) shutdown(crash bool) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -200,7 +210,9 @@ func (m *Manager) Close() {
 		cancelWatch()
 		m.watchWG.Wait()
 	}
-	m.cat.Remove(naming.ServiceURN(ServiceName), rcds.AttrLocation, m.urn)
+	if !crash {
+		m.cat.Remove(naming.ServiceURN(ServiceName), rcds.AttrLocation, m.urn)
+	}
 	m.ep.Close()
 }
 
@@ -382,11 +394,13 @@ func (m *Manager) handle(msg *comm.Message) {
 }
 
 // Client talks to the replicated resource-manager service, failing
-// over between RMs — the redundancy experiment of E6. Any number of
-// calls may run at once.
+// over between RMs — the redundancy experiment of E6. Its calls go to
+// the RM in use (rms), and a crashed RM costs one timeout, not one per
+// call. Any number of calls may run at once.
 type Client struct {
 	cat naming.Catalog
 	ep  *comm.Endpoint
+	rms replica.Set
 
 	mu      sync.Mutex
 	timeout time.Duration
@@ -409,9 +423,11 @@ func (c *Client) managers() ([]string, error) {
 	return c.cat.Values(naming.ServiceURN(ServiceName), rcds.AttrLocation)
 }
 
-// request runs one op against the RM service with failover: an RM that
-// cannot be reached or does not answer in time passes the op to the
-// next one, and an RM's answer, failure included, ends it.
+// request runs one op against the RM service with failover. The set is
+// reset from the RMs registered now, so one that deregisters drops out at
+// once. An RM that cannot be reached or does not answer in time is
+// reported failed and the op passes to the set's next RM; an RM's
+// answer, failure included, ends it.
 func (c *Client) request(op uint8, body func(*xdr.Encoder)) (string, error) {
 	rms, err := c.managers()
 	if err != nil {
@@ -420,11 +436,13 @@ func (c *Client) request(op uint8, body func(*xdr.Encoder)) (string, error) {
 	if len(rms) == 0 {
 		return "", ErrNoManagers
 	}
+	c.rms.Reset(rms)
 	c.mu.Lock()
 	timeout := c.timeout
 	c.mu.Unlock()
 	var lastErr error = ErrNoManagers
-	for _, rmURN := range rms {
+	for range rms {
+		rmURN, tok := c.rms.Current()
 		d, err := daemon.Call(c.ep, rmURN, task.TagRM, timeout, errRemote, func(e *xdr.Encoder) {
 			e.PutUint8(op)
 			body(e)
@@ -435,6 +453,7 @@ func (c *Client) request(op uint8, body func(*xdr.Encoder)) (string, error) {
 		if errors.Is(err, errRemote) {
 			return "", err // a real answer (e.g. ErrNoHosts): do not mask it
 		}
+		c.rms.Failed(rmURN, tok)
 		lastErr = err
 	}
 	return "", fmt.Errorf("%w (last: %v)", ErrNoManagers, lastErr)

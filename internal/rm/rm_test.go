@@ -195,9 +195,9 @@ func TestClientFailoverBetweenManagers(t *testing.T) {
 	c := w.client("urn:rmclient")
 	c.SetTimeout(time.Second)
 
-	// Kill rm1; allocations must still succeed via rm2. Closing the
-	// manager also removes its service registration, but we simulate a
-	// crash (no deregistration) to exercise timeout failover too.
+	// Close rm1; allocations must still succeed via rm2. Closing the
+	// manager also removes its service registration; the crash (no
+	// deregistration) is TestClientCrashedManagerTimeoutFailover's.
 	m1.Close()
 	urn, err := c.Allocate(task.Spec{Program: "quick"})
 	if err != nil {
@@ -285,6 +285,33 @@ func TestClientConcurrentFailover(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if took := time.Since(start); took > 2*timeout {
+		t.Fatalf("%d calls took %v, more than 2 timeouts of %v", calls, took, timeout)
+	}
+}
+
+// TestClientSequentialFailover: with the first RM listed registered but
+// mute, calls made one after another wait out one timeout on it between
+// them, not one each: later calls stay on the RM that answered.
+func TestClientSequentialFailover(t *testing.T) {
+	w := newWorld(t)
+	w.daemon("h1", "go-sim", 512, 2)
+	w.client("urn:snipe:process:mute:rm") // registered and listening, never answers
+	w.cat.Add(naming.ServiceURN(ServiceName), rcds.AttrLocation, "urn:snipe:process:mute:rm")
+	w.manager("rm2")
+	c := w.client("urn:rmclient")
+	const timeout = 200 * time.Millisecond
+	c.SetTimeout(timeout)
+	if rms, err := c.managers(); err != nil || len(rms) != 2 || rms[0] != "urn:snipe:process:mute:rm" {
+		t.Fatalf("managers = %v, %v; want the mute RM first", rms, err)
+	}
+	const calls = 20
+	start := time.Now()
+	for i := 0; i < calls; i++ {
+		if _, err := c.SelectHost(task.Requirements{}); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
 	if took := time.Since(start); took > 2*timeout {
 		t.Fatalf("%d calls took %v, more than 2 timeouts of %v", calls, took, timeout)
 	}
