@@ -5,7 +5,7 @@
 //
 // Act two exercises the service layer: the forecast is published as a
 // replicated service group ("forecast", three replicas), a swarm of
-// consumers queries it over streaming RPC, and one replica is killed
+// consumers queries it with request–reply calls, and one replica is killed
 // mid-swarm — every query still answers, because the group's client
 // retries on the surviving replicas.
 package main
@@ -156,6 +156,7 @@ func main() {
 		float64(sum)/float64(count), minReading, minStation)
 
 	var replicas []*service.Server
+	var replicaEPs []*comm.Endpoint
 	for i := 1; i <= 3; i++ {
 		rep, err := u.NewClient(fmt.Sprintf("forecast-r%d", i))
 		if err != nil {
@@ -182,6 +183,7 @@ func main() {
 			return st.Write(ctx, []byte(forecast))
 		})
 		replicas = append(replicas, srv)
+		replicaEPs = append(replicaEPs, rep.Endpoint())
 	}
 
 	consumer, err := u.NewClient("consumer")
@@ -212,7 +214,7 @@ func main() {
 		}
 		if q == 2*queries/3 {
 			// ...and a second one is killed cold.
-			replicas[1].Mux().Endpoint().Close()
+			replicaEPs[1].Close()
 			fmt.Println("!! forecast replica 2 crashed; queries continue")
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -20,12 +20,11 @@ import (
 // --- Service groups: replicated RPC under a mid-run host kill ------------
 //
 // N echo replicas register under one service URN; a swarm of client
-// workers issues streaming calls continuously. Mid-run one replica's
-// host is killed cold — heartbeats stop, endpoint dies, no drain. The
-// claim under test is the tentpole invariant: between per-attempt
-// retry and the liveness-fed balancer, NOT ONE client call fails, and
-// throughput recovers to the pre-kill level once detection narrows the
-// rotation.
+// workers calls continuously. Mid-run one replica's host is killed
+// cold — heartbeats stop, endpoint dies, no drain. The claim under test
+// is the tentpole invariant: between per-attempt retry and the
+// liveness-fed balancer, NOT ONE client call fails, and throughput
+// recovers to the pre-kill level once detection narrows the rotation.
 
 // ServicePhasePoint summarises one phase of the run relative to the
 // kill: "before" (start → kill), "during" (kill → the balancer drops
@@ -304,6 +303,7 @@ type ServiceArtifact struct {
 	GeneratedAt string        `json:"generated_at"`
 	Quick       bool          `json:"quick"`
 	Result      ServiceResult `json:"result"`
+	Env         RunEnv        `json:"env"`
 }
 
 // WriteServiceArtifact writes the run's artifact as indented JSON.
@@ -313,6 +313,7 @@ func WriteServiceArtifact(path string, result ServiceResult, quick bool) error {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Quick:       quick,
 		Result:      result,
+		Env:         currentEnv(),
 	}
 	b, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {

@@ -146,13 +146,12 @@ func TestAckBatchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestUnaryEchoAllocs is the guard on the stream layer's share of a
+// TestUnaryEchoAllocs is the guard on the call layer's share of a
 // service call: 1,000 warmed unary echoes (256 B → 4 KiB) between two
-// muxes over TCP loopback at one P start no flusher beyond the first per
-// peer, and each costs at most 22 allocations, both ends counted and the
-// test's own handler goroutine with them (21 measured; 29 when every
-// burst of frames started a flusher and every receive-loop wait
-// registered a context watcher).
+// muxes over TCP loopback at one P each cost at most 16 allocations, both
+// ends counted and the test's own handler goroutine with them (15
+// measured; 21 when a call was a stream of frames sent by a flusher per
+// peer and read through a receive loop).
 func TestUnaryEchoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are counted as the program's")
@@ -174,18 +173,13 @@ func TestUnaryEchoAllocs(t *testing.T) {
 			t.Fatalf("call: %d bytes, %v", len(got), err)
 		}
 	}
-	for i := 0; i < 200; i++ { // dial, hello, pools, the flushers
+	for i := 0; i < 200; i++ { // dial, hello, pools
 		op()
 	}
-	if got := testing.AllocsPerRun(1000, op); got > 22 {
-		t.Errorf("unary echo costs %.1f allocations, want ≤ 22", got)
+	if got := testing.AllocsPerRun(1000, op); got > 16 {
+		t.Errorf("unary echo costs %.1f allocations, want ≤ 16", got)
 	} else {
 		t.Logf("unary echo: %.1f allocations", got)
-	}
-	for _, m := range []*StreamMux{ma, mb} {
-		if n := m.mFlusherStarts.Value(); n > 1 {
-			t.Errorf("%s started %d flushers for its one peer, want 1", m.Endpoint().URN(), n)
-		}
 	}
 }
 

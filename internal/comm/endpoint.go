@@ -574,7 +574,7 @@ func ctxErr(ctx context.Context) error {
 }
 
 // send is Send with the flags the message's frames carry
-// (flagReplyExpected from the stream layer, 0 from everyone else), and
+// (flagReplyExpected from SendRequest, 0 from everyone else), and
 // returns the buffered message.
 func (e *Endpoint) send(dst string, tag uint32, payload []byte, flags uint8) (*outMsg, error) {
 	if len(payload) > MaxMessageSize {
@@ -1127,7 +1127,8 @@ func (e *Endpoint) deliverLocked(m *Message, parts *reassembly) {
 	e.mReceived.Inc()
 	switch {
 	case m.Tag == ReplyTag:
-		e.deliverReplyLocked(m)
+		e.deliverReplyLocked(m) // wakes its caller alone
+		return
 	case e.handles(m.Tag):
 		e.handlerQueue.push(m, parts)
 	default:
@@ -1143,12 +1144,11 @@ func (e *Endpoint) Recv(ctx context.Context) (*Message, error) {
 }
 
 // ctxWaiter parks a caller on a sync.Cond so that the end of its context
-// wakes it too (RecvMatch, Stream.Read, Stream.Write). The watcher that
-// does that is registered only when the caller is about to wait for the
-// first time: most calls find their message, data or credit already there
-// and never pay for one. A loop that waits on one cond under one context
-// for its whole life (StreamMux.run) keeps one waiter across its waits and
-// registers once.
+// wakes it too (RecvMatch). The watcher that does that is registered only
+// when the caller is about to wait for the first time: most calls find
+// their message already there and never pay for one. A loop that waits on
+// one cond under one context for its whole life (StreamMux.run) keeps one
+// waiter across its waits and registers once.
 type ctxWaiter struct {
 	stop func() bool
 }

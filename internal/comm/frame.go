@@ -54,7 +54,7 @@ const (
 	// to send it a message of its own (the answer to a request). The
 	// receiver may then hold the end-to-end ack for up to
 	// Endpoint.ackFlush so that it rides in that message (see ack.go)
-	// instead of a frame of its own. Only the stream layer sets it.
+	// instead of a frame of its own. Only SendRequest sets it.
 	flagReplyExpected uint8 = 1 << 1
 	// flagAcks says the frame ends in a trailer of end-to-end acks: see
 	// carriedAcks. It is set exactly when the trailer is there.

@@ -23,7 +23,7 @@ func FuzzDecodeMsgFrame(f *testing.F) {
 		{fr: msgFrame{Src: "urn:snipe:x", Dst: "urn:snipe:y", Tag: AnyTag, Seq: 1 << 40, FragIdx: 9, FragCount: 10, Payload: bytes.Repeat([]byte{0xab}, 100)}},
 		{fr: msgFrame{Src: "urn:snipe:s", Dst: "urn:snipe:d", Tag: 3, Seq: 8, FragIdx: 1, FragCount: 4, Payload: []byte("middle")}},
 		{fr: msgFrame{Src: "urn:snipe:c", Dst: "urn:snipe:r", Tag: StreamTag, Seq: 9, FragCount: 1, Flags: flagReplyExpected, Payload: []byte("request")}},
-		{fr: msgFrame{Src: "urn:snipe:r", Dst: "urn:snipe:c", Tag: StreamTag, Seq: 4, FragCount: 1, Payload: []byte("response")}, acks: seqTrailer(9)},
+		{fr: msgFrame{Src: "urn:snipe:r", Dst: "urn:snipe:c", Tag: ReplyTag, Seq: 4, FragCount: 1, Payload: []byte("response")}, acks: seqTrailer(9)},
 		{fr: msgFrame{Src: "urn:snipe:r", Dst: "urn:snipe:c", Tag: 1, Seq: 5, FragCount: 2, Flags: flagReplyExpected}, acks: seqTrailer(make([]uint64, ackBatchMax)...)},
 	} {
 		f.Add(encodeMsgFrame(&seed.fr, seed.acks)[1:]) // strip the frame-type byte, as the dispatcher does
@@ -177,55 +177,48 @@ func FuzzDecodeSequenceState(f *testing.F) {
 	})
 }
 
+// FuzzDecodeStreamFrames fuzzes the two messages of a call (stream.go):
+// every input is read both as a request and as a reply.
 func FuzzDecodeStreamFrames(f *testing.F) {
-	seq := func(frames ...streamFrame) []byte {
+	request := func(id uint64, method, body string) []byte {
 		e := xdr.NewEncoder(64)
-		for i := range frames {
-			frames[i].encode(e)
-		}
+		e.PutUint64(id)
+		e.PutString(method)
+		e.PutRaw([]byte(body))
 		return e.Bytes()
 	}
-	open := streamFrame{kind: streamOpen, id: 1, orig: true, method: "echo", delta: 1 << 20}
-	data := streamFrame{kind: streamData, id: 1, orig: true, data: []byte("request")}
-	closeF := streamFrame{kind: streamClose, id: 1, orig: true}
-	// Each kind alone, a unary call's batch, a cut tail, garbage after a
-	// valid frame, a length prefix far past the payload.
-	f.Add(seq(open))
-	f.Add(seq(data))
-	f.Add(seq(closeF))
-	f.Add(seq(streamFrame{kind: streamReset, id: 2, reason: drainReason}))
-	f.Add(seq(streamFrame{kind: streamWindow, id: 2, delta: 4096}))
-	call := seq(open, data, closeF)
+	// A request with and without a body, a cut method, a method length
+	// far past the payload, replies of each status and an unknown one, a
+	// reply with no status, nothing.
+	call := request(1, "echo", "request")
 	f.Add(call)
-	f.Add(call[:len(call)-13])
-	f.Add(append(seq(closeF), 0xff, 0xff, 0xff, 0xff))
-	f.Add(append(seq(closeF), streamData, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0xff, 0xff, 0xff, 0xff))
+	f.Add(request(1<<40, "m", ""))
+	f.Add(call[:13])
+	f.Add(append(binary.BigEndian.AppendUint64(nil, 2), 0xff, 0xff, 0xff, 0xff))
+	f.Add(callReply(1, callOK, "response"))
+	f.Add(callReply(2, callFailed, "unknown method echo"))
+	f.Add(callReply(3, callDraining, ""))
+	f.Add(callReply(4, 0xff, "?"))
+	f.Add(binary.BigEndian.AppendUint64(nil, 5))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var frames []streamFrame
-		err := forEachStreamFrame(b, func(fr streamFrame) { frames = append(frames, fr) })
-		// What was applied is exactly a frame sequence: re-encoded, it
-		// has the size wireSize promises and decodes whole to the same
-		// frames. An undamaged payload is used up by its frames.
-		e := xdr.NewEncoder(len(b))
-		for i := range frames {
-			before := e.Len()
-			frames[i].encode(e)
-			if n := e.Len() - before; n != frames[i].wireSize() {
-				t.Fatalf("frame %d: wireSize %d, encoded %d", i, frames[i].wireSize(), n)
+		// A request that decodes is exactly its parts, re-encoded.
+		if id, method, body, err := decodeRequest(b); err == nil {
+			if cap(body) != len(body) {
+				t.Fatalf("body has capacity %d past its length %d", cap(body), len(body))
+			}
+			if again := request(id, method, string(body)); !bytes.Equal(again, b) {
+				t.Fatalf("request %d %q %q re-encodes to %x, not %x", id, method, body, again, b)
 			}
 		}
-		if e.Len() > len(b) || (err == nil && e.Len() != len(b)) {
-			t.Fatalf("%d applied frames re-encode to %d bytes of a %d-byte payload (err %v)", len(frames), e.Len(), len(b), err)
+		// A reply always reads as a known status; a well-formed one is its
+		// status byte and the rest.
+		status, body := decodeReply(b)
+		if status > callOverloaded {
+			t.Fatalf("reply read with unknown status %d", status)
 		}
-		i := 0
-		if err := forEachStreamFrame(e.Bytes(), func(fr streamFrame) {
-			if !sameStreamFrame(fr, frames[i]) {
-				t.Fatalf("frame %d round-trip mismatch: %+v vs %+v", i, fr, frames[i])
-			}
-			i++
-		}); err != nil || i != len(frames) {
-			t.Fatalf("re-decode applied %d of %d frames: %v", i, len(frames), err)
+		if len(b) >= replyHeaderSize && b[8] <= callOverloaded && (status != b[8] || !bytes.Equal(body, b[replyHeaderSize:])) {
+			t.Fatalf("reply %x read as status %d body %x", b, status, body)
 		}
 	})
 }

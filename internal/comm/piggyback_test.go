@@ -84,9 +84,8 @@ func TestUnaryEchoFrameCounts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("which frame an ack leaves in depends on the scheduling the detector changes")
 	}
-	// One P, as the ledger runs: a request's three frames are queued
-	// before the flusher the first of them woke (or started) gets to run,
-	// so a call is one message each way and the counts below are exact.
+	// One P, as the ledger runs, so that the handler answers before the
+	// ack timer can fire and the counts below are exact.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const calls = 200
 	names := []string{"fragments", "ack_frames", "ack_batches", "acks_deferred", "acks_piggybacked", "retried", "duplicates"}

@@ -3,8 +3,10 @@ package comm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,23 +14,43 @@ import (
 	"snipe/internal/xdr"
 )
 
-// streamPair wires two endpoints with default muxes over loopback TCP.
+// streamPair wires two endpoints with muxes over loopback TCP.
 func streamPair(t *testing.T) (*StreamMux, *StreamMux) {
-	return streamPairSized(t, defaultStreamWindow, defaultStreamChunk)
-}
-
-// streamPairSized is streamPair with the flow-control window and chunk
-// (at most half the window) set.
-func streamPairSized(t *testing.T, window, chunk int) (*StreamMux, *StreamMux) {
 	t.Helper()
 	res := newTestResolver()
-	a := newTestEndpoint(t, "urn:stream:a", res)
-	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := newStreamMux(a, window, chunk, streamFlushIdle)
-	mb := newStreamMux(b, window, chunk, streamFlushIdle)
+	ma := NewStreamMux(newTestEndpoint(t, "urn:stream:a", res))
+	mb := NewStreamMux(newTestEndpoint(t, "urn:stream:b", res))
 	t.Cleanup(ma.Close)
 	t.Cleanup(mb.Close)
 	return ma, mb
+}
+
+// callReply is a reply payload: the request's ID, a status, the body.
+func callReply(id uint64, status uint8, body string) []byte {
+	return append(binary.BigEndian.AppendUint64(nil, id), append([]byte{status}, body...)...)
+}
+
+// sent opens a call to dst and sends its request with body req.
+func sent(t *testing.T, ctx context.Context, m *StreamMux, dst, method, req string) *Stream {
+	t.Helper()
+	s, err := m.Open(ctx, dst, method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(ctx, []byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// registered counts the requests e holds for replies.
+func registered(e *Endpoint) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.requests)
 }
 
 func TestStreamRoundTrip(t *testing.T) {
@@ -36,40 +58,17 @@ func TestStreamRoundTrip(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	s, err := ma.Open(ctx, "urn:stream:b", "echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, []byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-
+	s := sent(t, ctx, ma, "urn:stream:b", "echo", "ping")
 	srv, err := mb.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Method() != "echo" {
-		t.Fatalf("method = %q", srv.Method())
+	if srv.Method() != "echo" || srv.Peer() != "urn:stream:a" {
+		t.Fatalf("accepted %q from %q", srv.Method(), srv.Peer())
 	}
-	if srv.Peer() != "urn:stream:a" {
-		t.Fatalf("peer = %q", srv.Peer())
-	}
-	var req []byte
-	for {
-		chunk, err := srv.Read(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		req = append(req, chunk...)
-	}
-	if string(req) != "ping" {
-		t.Fatalf("request = %q", req)
+	req, err := readAll(ctx, srv)
+	if err != nil || string(req) != "ping" {
+		t.Fatalf("request = %q, %v", req, err)
 	}
 	if err := srv.Write(ctx, []byte("pong")); err != nil {
 		t.Fatal(err)
@@ -78,127 +77,71 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := s.Read(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "pong" {
-		t.Fatalf("response = %q", resp)
+	if err != nil || string(resp) != "pong" {
+		t.Fatalf("response = %q, %v", resp, err)
 	}
 	if _, err := s.Read(ctx); err != io.EOF {
-		t.Fatalf("after close: %v", err)
+		t.Fatalf("after the reply: %v", err)
 	}
-	// Both directions closed on both sides: the muxes reap the streams.
-	waitFor(t, 3*time.Second, func() bool {
-		return ma.ActiveStreams() == 0 && mb.ActiveStreams() == 0
-	}, "streams not reaped after close")
+	// The reply ended the call's registration.
+	if n := registered(ma.Endpoint()); n != 0 {
+		t.Fatalf("%d requests still registered after the reply", n)
+	}
 }
 
 func TestStreamLargePayloadChunks(t *testing.T) {
-	// A payload much larger than the chunk size arrives intact and in
-	// order, as multiple DATA messages.
-	ma, mb := streamPairSized(t, 64<<10, 8<<10)
+	// A request and a reply above the stripe threshold arrive intact.
+	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	payload := make([]byte, 100<<10)
+	payload := make([]byte, 300<<10)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	s, err := ma.Open(ctx, "urn:stream:b", "bulk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeDone := make(chan error, 1)
+	served := make(chan error, 1)
 	go func() {
-		if err := s.Write(ctx, payload); err != nil {
-			writeDone <- err
+		srv, err := mb.Accept(ctx)
+		if err != nil {
+			served <- err
 			return
 		}
-		writeDone <- s.CloseWrite()
+		req, err := readAll(ctx, srv)
+		if err == nil && !bytes.Equal(req, payload) {
+			err = errors.New("request corrupted")
+		}
+		if err == nil {
+			err = srv.Write(ctx, req)
+		}
+		if err == nil {
+			err = srv.CloseWrite()
+		}
+		served <- err
 	}()
-
-	srv, err := mb.Accept(ctx)
+	s := sent(t, ctx, ma, "urn:stream:b", "bulk", string(payload))
+	got, err := readAll(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []byte
-	for {
-		chunk, err := srv.Read(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, chunk...)
-	}
-	if err := <-writeDone; err != nil {
+	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload corrupted: got %d bytes, want %d", len(got), len(payload))
-	}
-}
-
-func TestStreamWindowExhaustion(t *testing.T) {
-	// With a window of two chunks (the mux allows no fewer), the writer
-	// cannot run ahead of the reader: the third chunk blocks until the
-	// first is consumed.
-	ma, mb := streamPairSized(t, 2<<10, 1<<10)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	s, err := ma.Open(ctx, "urn:stream:b", "slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunk := make([]byte, 1<<10)
-	if err := s.Write(ctx, make([]byte, 2<<10)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The window is now exhausted; a bounded write must time out.
-	shortCtx, shortCancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	err = s.Write(shortCtx, chunk)
-	shortCancel()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("write beyond window: %v, want ErrTimeout", err)
-	}
-
-	// Consuming on the reader side grants credit and unblocks.
-	srv, err := mb.Accept(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Read(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, chunk); err != nil {
-		t.Fatalf("write after credit grant: %v", err)
+		t.Fatalf("reply corrupted: got %d bytes, want %d", len(got), len(payload))
 	}
 }
 
 func TestStreamHalfClose(t *testing.T) {
-	// After CloseWrite the closer can still read: the classic
-	// request/response shape with a streamed response.
+	// CloseWrite sends the request; the opener writes nothing after it,
+	// and reads the answer the acceptor wrote in parts.
 	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	s, err := ma.Open(ctx, "urn:stream:b", "half")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, []byte("req")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
+	s := sent(t, ctx, ma, "urn:stream:b", "half", "req")
 	if err := s.Write(ctx, []byte("more")); !errors.Is(err, ErrStreamReset) {
 		t.Fatalf("write after CloseWrite: %v", err)
 	}
-
 	srv, err := mb.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +150,8 @@ func TestStreamHalfClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := srv.Read(ctx); err != io.EOF {
-		t.Fatalf("read after peer half-close: %v", err)
+		t.Fatalf("read after the request: %v", err)
 	}
-	// The server side still writes freely.
 	for i := 0; i < 3; i++ {
 		if err := srv.Write(ctx, []byte("part")); err != nil {
 			t.Fatal(err)
@@ -218,70 +160,61 @@ func TestStreamHalfClose(t *testing.T) {
 	if err := srv.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	for {
-		chunk, err := s.Read(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += len(chunk)
+	if err := srv.Write(ctx, []byte("late")); !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("acceptor's write after CloseWrite: %v", err)
 	}
-	if n != 12 {
-		t.Fatalf("streamed response bytes = %d, want 12", n)
+	got, err := readAll(ctx, s)
+	if err != nil || string(got) != "partpartpart" {
+		t.Fatalf("response = %q, %v", got, err)
 	}
 }
 
 func TestStreamCancelMidStream(t *testing.T) {
-	// A canceled reader context aborts the pending Read without killing
-	// the stream; an explicit Reset then kills it for both sides.
+	// A cancelled Read leaves the call standing: a later Read gets the
+	// reply. A Reset abandons the call: its reply, when it comes, is
+	// dropped.
 	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	a := ma.Endpoint()
 
-	s, err := ma.Open(ctx, "urn:stream:b", "cancel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	s := sent(t, ctx, ma, "urn:stream:b", "cancel", "x")
 	srv, err := mb.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Read(ctx); err != nil {
+	ended, end := context.WithCancel(context.Background())
+	end()
+	if _, err := s.Read(ended); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read: %v", err)
+	}
+	if err := srv.Write(ctx, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-
-	readCtx, readCancel := context.WithCancel(context.Background())
-	readErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Read(readCtx)
-		readErr <- err
-	}()
-	readCancel()
-	if err := <-readErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled read: %v", err)
-	}
-
-	// The stream survives the canceled call...
-	if err := s.Write(ctx, []byte("y")); err != nil {
+	if err := srv.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Read(ctx); err != nil {
-		t.Fatalf("stream dead after canceled read: %v", err)
+	if got, err := s.Read(ctx); err != nil || string(got) != "y" {
+		t.Fatalf("read after a cancelled one: %q, %v", got, err)
 	}
 
-	// ...until the client resets it; the server's next read fails.
+	s = sent(t, ctx, ma, "urn:stream:b", "cancel", "z")
+	if srv, err = mb.Accept(ctx); err != nil {
+		t.Fatal(err)
+	}
 	s.Reset("client gave up")
-	if _, err := srv.Read(ctx); !errors.Is(err, ErrStreamReset) {
+	if _, err := s.Read(ctx); !errors.Is(err, ErrStreamReset) {
 		t.Fatalf("read after reset: %v", err)
 	}
-	if _, err := s.Read(ctx); !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("local read after reset: %v", err)
+	received := a.mReceived.Value()
+	if err := srv.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, func() bool { return a.mReceived.Value() > received }, "the late reply never arrived")
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.requests) != 0 || len(a.mailbox) != 0 {
+		t.Fatalf("late reply kept: %d requests registered, %d messages in the mailbox", len(a.requests), len(a.mailbox))
 	}
 }
 
@@ -290,42 +223,54 @@ func TestStreamDrainRejectsNewStreams(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	// An established stream keeps flowing through a drain.
-	s, err := ma.Open(ctx, "urn:stream:b", "old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := mb.Accept(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// A call taken before the drain is answered through it.
+	s := sent(t, ctx, ma, "urn:stream:b", "old", "before")
+	waitFor(t, 3*time.Second, func() bool { return len(mb.accepts) == 1 }, "the request never arrived")
 	mb.Drain()
 	if !mb.Draining() {
 		t.Fatal("Draining() = false after Drain")
 	}
 
-	// New opens are reset with the drain marker.
-	s2, err := ma.Open(ctx, "urn:stream:b", "new")
+	// New calls are refused with the drain marker.
+	s2 := sent(t, ctx, ma, "urn:stream:b", "new", "")
+	if _, err := s2.Read(ctx); !errors.Is(err, ErrDraining) {
+		t.Fatalf("call to a draining mux: %v", err)
+	}
+
+	// Accept hands out the call taken before the drain, then stops.
+	srv, err := mb.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Read(ctx); !errors.Is(err, ErrDraining) {
-		t.Fatalf("open against draining mux: %v", err)
-	}
-
-	// The pre-drain stream still works both ways.
-	if _, err := srv.Read(ctx); err != nil {
-		t.Fatal(err)
+	if _, err := mb.Accept(ctx); !errors.Is(err, ErrDraining) {
+		t.Fatalf("accept with the backlog empty and the mux draining: %v", err)
 	}
 	if err := srv.Write(ctx, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Read(ctx); err != nil {
+	if err := srv.CloseWrite(); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := s.Read(ctx); err != nil || string(got) != "after" {
+		t.Fatalf("call taken before the drain: %q, %v", got, err)
+	}
+}
+
+func TestStreamFullBacklogAnswersOverloaded(t *testing.T) {
+	// Nobody accepts: the first streamAcceptBacklog calls wait, and the
+	// next is answered at once.
+	ma, mb := streamPair(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i := 0; i < streamAcceptBacklog; i++ {
+		sent(t, ctx, ma, "urn:stream:b", "wait", "")
+	}
+	s := sent(t, ctx, ma, "urn:stream:b", "one too many", "")
+	if _, err := s.Read(ctx); !errors.Is(err, ErrStreamReset) || !strings.Contains(err.Error(), "accept backlog full") {
+		t.Fatalf("call beyond the backlog: %v, want ErrStreamReset for a full backlog", err)
+	}
+	if n := len(mb.accepts); n != streamAcceptBacklog {
+		t.Fatalf("%d calls waiting, want %d", n, streamAcceptBacklog)
 	}
 }
 
@@ -334,27 +279,38 @@ func TestStreamMuxCloseFailsStreams(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	s, err := ma.Open(ctx, "urn:stream:b", "m")
+	s := sent(t, ctx, ma, "urn:stream:b", "m", "x")
+	unsent, err := ma.Open(ctx, "urn:stream:b", "m")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mb.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
+	readErr := make(chan error, 1)
+	go func() {
+		_, err := s.Read(ctx)
+		readErr <- err
+	}()
 	ma.Close()
-	if _, err := s.Read(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("read after mux close: %v", err)
+	if err := <-readErr; !errors.Is(err, ErrClosed) {
+		t.Fatalf("read across mux close: %v", err)
 	}
-	if err := s.Write(ctx, []byte("y")); !errors.Is(err, ErrClosed) {
+	if err := unsent.Write(ctx, []byte("y")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after mux close: %v", err)
+	}
+	if _, err := unsent.Read(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send after mux close: %v", err)
+	}
+	if _, err := ma.Open(ctx, "urn:stream:b", "m"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("open after mux close: %v", err)
+	}
+	if n := registered(ma.Endpoint()); n != 0 {
+		t.Fatalf("%d requests still registered after the close", n)
 	}
 }
 
-// echoOnce accepts one stream on m, reads the request to EOF and answers
-// resp, half-closing after it.
+// echoOnce accepts one call on m, reads the request and answers resp.
 func echoOnce(ctx context.Context, m *StreamMux, resp []byte) error {
 	srv, err := m.Accept(ctx)
 	if err != nil {
@@ -369,13 +325,7 @@ func echoOnce(ctx context.Context, m *StreamMux, resp []byte) error {
 	return srv.CloseWrite()
 }
 
-// sameStreamFrame compares two frames field by field.
-func sameStreamFrame(a, b streamFrame) bool {
-	return a.kind == b.kind && a.id == b.id && a.orig == b.orig && a.method == b.method &&
-		a.delta == b.delta && bytes.Equal(a.data, b.data) && a.reason == b.reason
-}
-
-// readAll drains s to EOF.
+// readAll reads s to EOF.
 func readAll(ctx context.Context, s *Stream) ([]byte, error) {
 	var out []byte
 	for {
@@ -391,63 +341,41 @@ func readAll(ctx context.Context, s *Stream) ([]byte, error) {
 }
 
 func TestStreamDataForDroppedStreamResetsWriter(t *testing.T) {
-	// An acceptor that no longer holds the stream (it restarted, or the
-	// task migrated) answers DATA with a RESET the opener can match: the
-	// opener's Read fails with ErrStreamReset instead of waiting out ctx.
+	// An acceptor that drops the call answers with the reason, so the
+	// opener's Read fails at once instead of waiting out ctx.
 	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	s, err := ma.Open(ctx, "urn:stream:b", "lost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	s := sent(t, ctx, ma, "urn:stream:b", "lost", "x")
 	srv, err := mb.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Read(ctx); err != nil {
-		t.Fatal(err)
-	}
-	mb.mu.Lock()
-	delete(mb.streams, streamKey{srv.peer, srv.id, false})
-	mb.mu.Unlock()
-
-	if err := s.Write(ctx, []byte("y")); err != nil {
-		t.Fatal(err)
+	srv.Reset("no such task")
+	if err := srv.Write(ctx, []byte("y")); !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("write after the acceptor's reset: %v", err)
 	}
 	readCtx, readCancel := context.WithTimeout(ctx, 2*time.Second)
 	defer readCancel()
-	if _, err := s.Read(readCtx); !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("read after the acceptor dropped the stream: %v, want ErrStreamReset", err)
+	if _, err := s.Read(readCtx); !errors.Is(err, ErrStreamReset) || !strings.Contains(err.Error(), "no such task") {
+		t.Fatalf("read after the acceptor dropped the call: %v, want ErrStreamReset with its reason", err)
 	}
-	if n := mb.mResetsOut.Value(); n != 1 {
-		t.Fatalf("acceptor sent %d RESET frames, want 1", n)
+	srv.CloseWrite() // the answer has left: nothing more is sent
+	if n := mb.Endpoint().mSent.Value(); n != 1 {
+		t.Fatalf("acceptor sent %d messages, want the one reply", n)
 	}
 }
 
 func TestStreamUnaryEchoCounters(t *testing.T) {
-	// A unary exchange far below a quarter window costs no WINDOW frame,
-	// and its frames share messages: never more messages than frames.
+	// A unary call is one message each way, and leaves nothing behind.
 	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
 	served := make(chan error, 1)
 	go func() { served <- echoOnce(ctx, mb, make([]byte, 4<<10)) }()
-	s, err := ma.Open(ctx, "urn:stream:b", "echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, make([]byte, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
+	s := sent(t, ctx, ma, "urn:stream:b", "echo", string(make([]byte, 256)))
 	resp, err := readAll(ctx, s)
 	if err != nil || len(resp) != 4<<10 {
 		t.Fatalf("response: %d bytes, %v", len(resp), err)
@@ -455,43 +383,33 @@ func TestStreamUnaryEchoCounters(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	// A stream leaves the table once its last frame is with the endpoint,
-	// after which the counters are final.
-	waitFor(t, 3*time.Second, func() bool {
-		return ma.ActiveStreams() == 0 && mb.ActiveStreams() == 0
-	}, "streams not reaped after the exchange")
-	for _, c := range []struct {
-		name   string
-		m      *StreamMux
-		frames uint64
-	}{{"opener", ma, 3}, {"acceptor", mb, 2}} {
-		frames, msgs := c.m.mFramesOut.Value(), c.m.mMsgsOut.Value()
-		if frames != c.frames || msgs == 0 || msgs > frames {
-			t.Errorf("%s: %d frames in %d messages, want %d frames in 1..%d", c.name, frames, msgs, c.frames, c.frames)
-		}
-		if w, r, f := c.m.mWindowsOut.Value(), c.m.mResetsOut.Value(), c.m.mSendFailures.Value(); w+r+f != 0 {
-			t.Errorf("%s: %d window updates, %d resets, %d send failures, want none", c.name, w, r, f)
+	for _, m := range []*StreamMux{ma, mb} {
+		c := counters(m.Endpoint(), "sent", "stream_send_failures")
+		if c[0] != 1 || c[1] != 0 {
+			t.Errorf("%s: %d messages sent, %d refused; want 1 and 0", m.Endpoint().URN(), c[0], c[1])
 		}
 	}
-	if got := ma.ep.Metrics().Snapshot().Counters["stream_frames_out"]; got != 3 {
-		t.Errorf("stream_frames_out in the endpoint's registry = %d, want 3", got)
+	if n := registered(ma.Endpoint()); n != 0 {
+		t.Errorf("%d requests still registered after the call", n)
 	}
 }
 
 func TestStreamSendFailureSurfacesOnRead(t *testing.T) {
-	// Open and Write return once their frames are queued. When the
-	// endpoint then refuses the message, the stream fails with the cause.
+	// A request the endpoint refuses fails the call: its first Read
+	// returns the cause, no registration is left behind, and the next
+	// call to the same peer goes through.
 	res := newTestResolver()
 	a := newRefusingEndpoint(t, "urn:stream:a", res, 1)
-	newTestEndpoint(t, "urn:stream:b", res)
 	ma := NewStreamMux(a)
+	mb := NewStreamMux(newTestEndpoint(t, "urn:stream:b", res))
 	t.Cleanup(ma.Close)
+	t.Cleanup(mb.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
 	s, err := ma.Open(ctx, "urn:stream:b", "refused")
 	if err != nil {
-		t.Fatalf("open: %v, want it queued", err)
+		t.Fatalf("open: %v", err)
 	}
 	_, err = s.Read(ctx)
 	if !errors.Is(err, errRefused) || !errors.Is(err, ErrStreamReset) {
@@ -500,20 +418,77 @@ func TestStreamSendFailureSurfacesOnRead(t *testing.T) {
 	if err := s.Write(ctx, []byte("x")); !errors.Is(err, errRefused) {
 		t.Fatalf("write after a refused send: %v, want the refusal", err)
 	}
-	// The refused OPEN, and perhaps already the RESET queued after it.
-	if n := ma.mSendFailures.Value(); n < 1 || n > 2 {
-		t.Fatalf("stream_send_failures = %d, want 1 or 2", n)
+	if n := ma.mSendFailures.Value(); n != 1 {
+		t.Fatalf("stream_send_failures = %d, want 1", n)
 	}
-	if n := ma.ActiveStreams(); n != 0 {
-		t.Fatalf("%d streams active after the failure, want 0", n)
+	if n := registered(a); n != 0 {
+		t.Fatalf("%d requests registered after the failure, want 0", n)
+	}
+	served := make(chan error, 1)
+	go func() { served <- echoOnce(ctx, mb, []byte("ok")) }()
+	if got, err := readAll(ctx, sent(t, ctx, ma, "urn:stream:b", "after", "")); err != nil || string(got) != "ok" {
+		t.Fatalf("call after the refused one: %q, %v", got, err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestStreamQueueBoundRefusesOneStream(t *testing.T) {
+	// The endpoint's send buffer bounds the calls in flight: with room
+	// for one message, a second call while the first request is unacked
+	// is refused with ErrBufferFull, and the first call, and a call made
+	// once its ack is back, go through.
+	res := newTestResolver()
+	a := newTestEndpoint(t, "urn:stream:a", res, WithBufferLimit(1))
+	b := newTestEndpoint(t, "urn:stream:b", res, withAckFlush(time.Hour)) // the ack waits for the reply
+	ma := NewStreamMux(a)
+	t.Cleanup(ma.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	answer := func() {
+		t.Helper()
+		m, err := b.RecvMatch(ctx, "urn:stream:a", StreamTag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Send("urn:stream:a", ReplyTag, callReply(binary.BigEndian.Uint64(m.Payload), callOK, "ok")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := sent(t, ctx, ma, "urn:stream:b", "m", "1")
+	second, err := ma.Open(ctx, "urn:stream:b", "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.CloseWrite(); !errors.Is(err, ErrBufferFull) {
+		t.Fatalf("second call with the buffer full: %v, want ErrBufferFull", err)
+	}
+	if _, err := second.Read(ctx); !errors.Is(err, ErrBufferFull) {
+		t.Fatalf("second call's read: %v, want ErrBufferFull", err)
+	}
+	answer()
+	if got, err := first.Read(ctx); err != nil || string(got) != "ok" {
+		t.Fatalf("first call: %q, %v", got, err)
+	}
+	waitFor(t, 3*time.Second, func() bool { return a.Pending() == 0 }, "the first request was never acked")
+	third := sent(t, ctx, ma, "urn:stream:b", "m", "3")
+	answer()
+	if got, err := third.Read(ctx); err != nil || string(got) != "ok" {
+		t.Fatalf("call after the ack: %q, %v", got, err)
 	}
 }
 
 func TestStreamWriteIsSentWithoutAnotherCall(t *testing.T) {
-	// A handler that writes a chunk and then waits on something that is
-	// not the stream still has the chunk delivered: the flusher does not
-	// need a later Write, Read or CloseWrite to push it out.
-	ma, mb := streamPair(t)
+	// CloseWrite puts the request on the wire by itself: a bare endpoint
+	// receives it, whole, while the opener makes no further call; and
+	// the requests of calls to one peer arrive in the order sent.
+	res := newTestResolver()
+	a := newTestEndpoint(t, "urn:stream:a", res)
+	b := newTestEndpoint(t, "urn:stream:b", res)
+	ma := NewStreamMux(a)
+	t.Cleanup(ma.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -521,76 +496,40 @@ func TestStreamWriteIsSentWithoutAnotherCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	served := make(chan error, 1)
-	go func() {
-		srv, err := mb.Accept(ctx)
-		if err == nil {
-			err = srv.Write(ctx, []byte("tick"))
+	for _, part := range []string{"ti", "ck"} {
+		if err := s.Write(ctx, []byte(part)); err != nil {
+			t.Fatal(err)
 		}
-		<-release
-		served <- err
-	}()
-	readCtx, readCancel := context.WithTimeout(ctx, 2*time.Second)
-	defer readCancel()
-	chunk, err := s.Read(readCtx)
-	close(release)
-	if err != nil || string(chunk) != "tick" {
-		t.Fatalf("read while the writer is parked: %q, %v", chunk, err)
 	}
-	if err := <-served; err != nil {
+	if err := s.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestStreamSmallWindowTransfer(t *testing.T) {
-	// Eight windows of data through a 64 KiB window, in chunks of half
-	// of it — the largest the mux admits, so the quarter window of credit
-	// a reader may withhold never starves the writer; and credit comes
-	// back in quarter windows, not chunk by chunk.
-	const window = 64 << 10
-	ma, mb := streamPairSized(t, window, window/2)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	payload := make([]byte, 8*window)
-	for i := range payload {
-		payload[i] = byte(i * 131)
-	}
-	s, err := ma.Open(ctx, "urn:stream:b", "bulk")
+	m, err := b.RecvMatch(ctx, "urn:stream:a", StreamTag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeDone := make(chan error, 1)
-	go func() {
-		err := s.Write(ctx, payload)
-		if err == nil {
-			err = s.CloseWrite()
+	id, method, body, err := decodeRequest(m.Payload)
+	if err != nil || id != s.id || method != "ticker" || string(body) != "tick" {
+		t.Fatalf("request: id %d method %q body %q, %v; want id %d, ticker, tick", id, method, body, err, s.id)
+	}
+	var ids []uint64
+	for i := 0; i < 3; i++ {
+		ids = append(ids, sent(t, ctx, ma, "urn:stream:b", "seq", "").id)
+	}
+	for _, want := range ids {
+		m, err := b.RecvMatch(ctx, "urn:stream:a", StreamTag)
+		if err != nil {
+			t.Fatal(err)
 		}
-		writeDone <- err
-	}()
-	srv, err := mb.Accept(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(ctx, srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-writeDone; err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload corrupted: got %d bytes, want %d", len(got), len(payload))
-	}
-	if n := mb.mWindowsOut.Value(); n == 0 || n > 40 {
-		t.Fatalf("reader sent %d WINDOW frames for 8 windows of data, want 1..40", n)
+		if id, _, _, _ := decodeRequest(m.Payload); id != want {
+			t.Fatalf("request %d arrived where %d was sent", id, want)
+		}
 	}
 }
 
 func TestStreamMuxCloseSendsQueuedFrames(t *testing.T) {
-	// Close hands what is queued to the endpoint before it stops the mux:
-	// a response written just before Close still reaches the peer whole.
+	// An answer is with the endpoint when CloseWrite returns: a Close of
+	// the acceptor's mux right behind it does not cut it short.
 	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -602,13 +541,7 @@ func TestStreamMuxCloseSendsQueuedFrames(t *testing.T) {
 		mb.Close()
 		served <- err
 	}()
-	s, err := ma.Open(ctx, "urn:stream:b", "last")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
+	s := sent(t, ctx, ma, "urn:stream:b", "last", "")
 	got, err := readAll(ctx, s)
 	if err != nil {
 		t.Fatalf("response cut short after %d bytes: %v", len(got), err)
@@ -621,112 +554,92 @@ func TestStreamMuxCloseSendsQueuedFrames(t *testing.T) {
 	}
 }
 
+func TestStreamOpenToClosingMuxIsReset(t *testing.T) {
+	// A call the mux took but nobody accepted before Close is answered
+	// as failed, so its opener fails over at once instead of waiting out
+	// its timeout.
+	ma, mb := streamPair(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	s := sent(t, ctx, ma, "urn:stream:b", "late", "")
+	waitFor(t, 3*time.Second, func() bool { return len(mb.accepts) == 1 }, "the request never arrived")
+	mb.Close()
+	readCtx, readCancel := context.WithTimeout(ctx, 2*time.Second)
+	defer readCancel()
+	if _, err := s.Read(readCtx); !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("read from a closing mux: %v, want ErrStreamReset", err)
+	}
+}
+
 func TestStreamFrameSequence(t *testing.T) {
-	// The payload of a message is a frame sequence. Damage ends it: the
-	// frames before it are applied, nothing after.
-	frames := []streamFrame{
-		{kind: streamOpen, id: 7, orig: true, method: "echo", delta: 1 << 20},
-		{kind: streamData, id: 7, orig: true, data: []byte("payload")},
-		{kind: streamClose, id: 7, orig: true},
-		{kind: streamWindow, id: 9, delta: 4096},
-		{kind: streamReset, id: 9, reason: "gone"},
-	}
+	// A request is its ID, its method and the rest; a reply its ID, a
+	// status and the rest. What does not decode is dropped (a request)
+	// or read as a failure (a reply).
 	e := xdr.NewEncoder(0)
-	var ends []int // encoded length after each frame
-	for i := range frames {
-		frames[i].encode(e)
-		ends = append(ends, e.Len())
-	}
+	e.PutUint64(7)
+	e.PutString("echo")
+	e.PutRaw([]byte("payload"))
 	whole := e.Bytes()
 	for _, c := range []struct {
 		name    string
 		payload []byte
-		want    int // frames applied
-		damaged bool
+		body    string
+		ok      bool
 	}{
-		{"whole sequence", whole, 5, false},
-		{"empty payload", nil, 0, false},
-		{"tail cut inside the DATA frame", whole[:ends[1]-3], 1, true},
-		{"tail cut inside a header", whole[:ends[2]+4], 3, true},
-		{"garbage after a valid frame", append(append([]byte{}, whole[:ends[0]]...), 0xff, 0xff, 0xff), 1, true},
-		{"unknown kind between frames", append(append(append([]byte{}, whole[:ends[0]]...), make([]byte, streamHeaderSize)...), whole[ends[0]:]...), 1, true},
+		{"whole request", whole, "payload", true},
+		{"empty body", whole[:16], "", true},
+		{"cut inside the method", whole[:14], "", false},
+		{"cut inside the ID", whole[:5], "", false},
+		{"method longer than a URN", append(binary.BigEndian.AppendUint64(nil, 7), 0xff, 0xff, 0xff, 0xff), "", false},
 	} {
-		var got []streamFrame
-		err := forEachStreamFrame(c.payload, func(f streamFrame) { got = append(got, f) })
-		if (err != nil) != c.damaged || len(got) != c.want {
-			t.Errorf("%s: %d frames applied, err %v; want %d frames, damaged=%v", c.name, len(got), err, c.want, c.damaged)
-			continue
+		id, method, body, err := decodeRequest(c.payload)
+		if (err == nil) != c.ok || (c.ok && (id != 7 || method != "echo" || string(body) != c.body)) {
+			t.Errorf("%s: id %d method %q body %q err %v", c.name, id, method, body, err)
 		}
-		for i, f := range got {
-			if !sameStreamFrame(f, frames[i]) {
-				t.Errorf("%s: frame %d = %+v, want %+v", c.name, i, f, frames[i])
-			}
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		status  uint8
+		body    string
+	}{
+		{"answer", callReply(7, callOK, "pong"), callOK, "pong"},
+		{"failure", callReply(7, callFailed, "boom"), callFailed, "boom"},
+		{"draining", callReply(7, callDraining, ""), callDraining, ""},
+		{"no status", binary.BigEndian.AppendUint64(nil, 7), callFailed, "malformed reply"},
+		{"unknown status", callReply(7, 9, "?"), callFailed, "reply status 9"},
+	} {
+		status, body := decodeReply(c.payload)
+		if status != c.status || string(body) != c.body {
+			t.Errorf("%s: status %d body %q, want %d %q", c.name, status, body, c.status, c.body)
 		}
 	}
 }
 
-func TestStreamBatchesKeepOrderAndSize(t *testing.T) {
-	// Seen from a bare endpoint: every StreamTag message is a frame
-	// sequence no longer than a chunk and a few small frames, and the
-	// frames of a stream arrive in the order they were queued however they
-	// were batched.
-	const chunk, window = 1 << 10, 64 << 10
-	res := newTestResolver()
-	a := newTestEndpoint(t, "urn:stream:a", res)
-	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := newStreamMux(a, window, chunk, streamFlushIdle)
-	t.Cleanup(ma.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	payload := make([]byte, window)
-	for i := range payload {
-		payload[i] = byte(i * 17)
-	}
-	s, err := ma.Open(ctx, "urn:stream:b", "raw")
+func TestStreamChunkCannotReachNextFrame(t *testing.T) {
+	// A body aliases the message it arrived in, capped at its length, so
+	// a caller appending to it gets a copy and leaves the message alone.
+	e := xdr.NewEncoder(64)
+	e.PutUint64(1)
+	e.PutString("m")
+	e.PutRaw([]byte("aaaa"))
+	p := append(e.Bytes(), "tail"...)[:e.Len()]
+	_, _, body, err := decodeRequest(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Writes of mixed sizes, so batches fill unevenly.
-	for rest := payload; len(rest) > 0; {
-		n := min(len(rest), 100+len(rest)%(3*chunk))
-		if err := s.Write(ctx, rest[:n]); err != nil {
-			t.Fatal(err)
-		}
-		rest = rest[n:]
+	if cap(body) != len(body) {
+		t.Fatalf("body has capacity %d past its length %d", cap(body), len(body))
 	}
-	if err := s.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-
-	var kinds []uint8
-	var got []byte
-	for len(kinds) == 0 || kinds[len(kinds)-1] != streamClose {
-		msg, err := b.RecvMatch(ctx, "urn:stream:a", StreamTag)
-		if err != nil {
-			t.Fatalf("after %d frames: %v", len(kinds), err)
-		}
-		if len(msg.Payload) > chunk+streamBatchSlack {
-			t.Fatalf("message of %d bytes, want at most %d", len(msg.Payload), chunk+streamBatchSlack)
-		}
-		if err := forEachStreamFrame(msg.Payload, func(f streamFrame) {
-			kinds = append(kinds, f.kind)
-			got = append(got, f.data...)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if kinds[0] != streamOpen || !bytes.Equal(got, payload) {
-		t.Fatalf("first frame kind %d, %d data bytes in order; want OPEN first and %d bytes", kinds[0], len(got), len(payload))
-	}
-	if msgs := ma.mMsgsOut.Value(); msgs >= uint64(len(kinds)) {
-		t.Fatalf("%d frames took %d messages: nothing was batched", len(kinds), msgs)
+	_ = append(body, "XXXX"...)
+	if got := string(p[:cap(p)][len(p):][:4]); got != "tail" {
+		t.Fatalf("appending to the body wrote %q behind it", got)
 	}
 }
 
-func TestStreamConcurrentCallsShareBatches(t *testing.T) {
-	// Many goroutines, one peer: their frames interleave in shared
-	// batches, and every call still gets its own answer.
+func TestStreamConcurrentCalls(t *testing.T) {
+	// Many goroutines, one peer: every call gets its own answer.
 	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -766,9 +679,6 @@ func TestStreamConcurrentCallsShareBatches(t *testing.T) {
 			if err == nil {
 				err = s.Write(ctx, req)
 			}
-			if err == nil {
-				err = s.CloseWrite()
-			}
 			var resp []byte
 			if err == nil {
 				resp, err = readAll(ctx, s)
@@ -788,9 +698,9 @@ func TestStreamConcurrentCallsShareBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers.Wait()
-	waitFor(t, 3*time.Second, func() bool {
-		return ma.ActiveStreams() == 0 && mb.ActiveStreams() == 0
-	}, "streams not reaped after the calls")
+	if n := registered(ma.Endpoint()); n != 0 {
+		t.Errorf("%d requests still registered after the calls", n)
+	}
 }
 
 // errRefused is the resolver failure a refusing endpoint's nth send meets.
@@ -824,115 +734,8 @@ func newRefusingEndpoint(t testing.TB, urn string, res *testResolver, n int) *En
 		WithoutBuffering())
 }
 
-func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
-	// A three-chunk Write plus CloseWrite is three batches. The endpoint
-	// refuses the middle one and would take the last: the peer must not
-	// be handed chunks 1 and 3 and a CLOSE as if that were the stream.
-	const chunk = 1 << 10
-	res := newTestResolver()
-	a := newRefusingEndpoint(t, "urn:stream:a", res, 2)
-	b := newTestEndpoint(t, "urn:stream:b", res)
-	ma := newStreamMux(a, defaultStreamWindow, chunk, streamFlushIdle)
-	mb := newStreamMux(b, defaultStreamWindow, chunk, streamFlushIdle)
-	t.Cleanup(ma.Close)
-	t.Cleanup(mb.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	s, err := ma.Open(ctx, "urn:stream:b", "holed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write and CloseWrite may or may not see the failure, depending on
-	// how far the flusher got; the Read after them must.
-	if err := s.Write(ctx, make([]byte, 3*chunk)); err == nil {
-		_ = s.CloseWrite()
-	}
-	if _, err := s.Read(ctx); !errors.Is(err, errRefused) || !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("opener's read: %v, want ErrStreamReset wrapping the refusal", err)
-	}
-	if err := s.Write(ctx, []byte("more")); !errors.Is(err, errRefused) {
-		t.Fatalf("write after the refusal: %v, want the refusal", err)
-	}
-
-	// The refused batch spent no sequence number, so what the opener sent
-	// after it reaches the peer in order, and that must be the RESET
-	// alone: no later chunk and no CLOSE.
-	srv, err := mb.Accept(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(ctx, srv)
-	if !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("peer read %d bytes and %v, want the stream reset", len(got), err)
-	}
-	// The first batch is the OPEN with or without the first chunk.
-	if len(got) > chunk {
-		t.Errorf("peer read %d bytes, want at most the %d sent before the refused batch", len(got), chunk)
-	}
-	b.mu.Lock()
-	held := len(b.reorder["urn:stream:a"])
-	b.mu.Unlock()
-	if held != 0 {
-		t.Errorf("peer holds %d messages behind the refused batch, want none", held)
-	}
-	if n := ma.ActiveStreams(); n != 0 {
-		t.Errorf("%d streams active on the sender after the failure, want 0", n)
-	}
-}
-
-func TestStreamChunkCannotReachNextFrame(t *testing.T) {
-	// Chunks alias the payload their message arrived in. Each is capped at
-	// its length, so a caller appending to one cannot write over the
-	// frames behind it, which another stream may not have read yet.
-	e := xdr.NewEncoder(64)
-	first := streamFrame{kind: streamData, id: 1, orig: true, data: []byte("aaaa")}
-	second := streamFrame{kind: streamData, id: 2, orig: true, data: []byte("bbbb")}
-	first.encode(e)
-	second.encode(e)
-	var got []streamFrame
-	if err := forEachStreamFrame(e.Bytes(), func(f streamFrame) { got = append(got, f) }); err != nil || len(got) != 2 {
-		t.Fatalf("decoded %d frames, err %v", len(got), err)
-	}
-	if c := cap(got[0].data); c != len(got[0].data) {
-		t.Fatalf("chunk has capacity %d past its length %d", c, len(got[0].data))
-	}
-	_ = append(got[0].data, "XXXXXXXXXXXXXXXX"...)
-	if !sameStreamFrame(got[1], second) {
-		t.Fatalf("appending to the first chunk changed the second frame: %+v", got[1])
-	}
-}
-
-func TestStreamOpenToClosingMuxIsReset(t *testing.T) {
-	// An OPEN that the receive loop of a closing mux still handles is
-	// answered with a RESET, so the opener fails over at once instead of
-	// waiting out its timeout.
-	ma, mb := streamPair(t)
-	mb.mu.Lock()
-	mb.closed = true // Close has begun and has not yet stopped the receive loop
-	mb.mu.Unlock()
-	t.Cleanup(func() {
-		mb.mu.Lock()
-		mb.closed = false // let the registered Close run in full
-		mb.mu.Unlock()
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	s, err := ma.Open(ctx, "urn:stream:b", "late")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readCtx, readCancel := context.WithTimeout(ctx, 2*time.Second)
-	defer readCancel()
-	if _, err := s.Read(readCtx); !errors.Is(err, ErrStreamReset) {
-		t.Fatalf("read from a closing mux: %v, want ErrStreamReset", err)
-	}
-}
-
-// BenchmarkStreamBulk moves 16 MiB per iteration through one stream at
-// the default window and chunk (a multi-chunk transfer: credit waits,
-// WINDOW grants, one DATA chunk per message) and reports throughput.
+// BenchmarkStreamBulk moves 16 MiB per iteration as one call's request,
+// striped over the test endpoints' route, and reports throughput.
 func BenchmarkStreamBulk(b *testing.B) {
 	res := newTestResolver()
 	ma := NewStreamMux(newTestEndpoint(b, "urn:stream:a", res))
@@ -948,12 +751,7 @@ func BenchmarkStreamBulk(b *testing.B) {
 			if err != nil {
 				return
 			}
-			for err == nil {
-				_, err = srv.Read(ctx)
-			}
-			if err == io.EOF {
-				srv.CloseWrite()
-			}
+			srv.CloseWrite()
 		}
 	}()
 	b.SetBytes(int64(len(payload)))
@@ -966,11 +764,8 @@ func BenchmarkStreamBulk(b *testing.B) {
 		if err := s.Write(ctx, payload); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.CloseWrite(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Read(ctx); err == nil {
-			b.Fatal("data from a sink")
+		if _, err := s.Read(ctx); err != io.EOF {
+			b.Fatalf("reply of a sink: %v", err)
 		}
 	}
 }

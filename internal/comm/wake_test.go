@@ -3,14 +3,15 @@ package comm
 import (
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// RecvMatch, Stream.Read and Stream.Write register the watcher that wakes
-// them when their context ends only once they are about to wait, and with
-// their lock released. These tests wake a blocked call — by ending its
+// RecvMatch and AwaitReply (under Stream.Read) register the watcher that
+// wakes them when their context ends only once they are about to wait, and
+// with their lock released. These tests wake a blocked call — by ending its
 // context, and by handing it what it waits for — at every point of that
 // sequence: before it starts, around the registration, once it is parked.
 // A wake-up lost at any of them shows as a call still blocked.
@@ -62,42 +63,45 @@ func TestRecvMatchWakeUps(t *testing.T) {
 }
 
 func TestStreamReadWakeUps(t *testing.T) {
-	ma, mb := streamPair(t)
+	// The opener's Read waits for the reply in AwaitReply: a bare peer
+	// answers nothing, and the test delivers the reply itself.
+	res := newTestResolver()
+	ma := NewStreamMux(newTestEndpoint(t, "urn:stream:a", res))
+	t.Cleanup(ma.Close)
+	newTestEndpoint(t, "urn:stream:b", res)
+	a := ma.Endpoint()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := ma.Open(ctx, "urn:stream:b", "idle"); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := mb.Accept(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := func(ctx context.Context) error {
-		_, err := srv.Read(ctx)
+	calls := make(chan *Stream, 1)
+	read := func(rctx context.Context) error {
+		s, err := ma.Open(ctx, "urn:stream:b", "idle")
+		if err == nil {
+			err = s.CloseWrite()
+		}
+		if err != nil {
+			return err
+		}
+		calls <- s
+		_, err = s.Read(rctx)
+		if errors.Is(err, io.EOF) {
+			err = nil // an empty reply
+		}
+		s.Reset("round over")
 		return err
 	}
-	t.Run("cancel", func(t *testing.T) { wakeRace(t, context.Canceled, read, endContext) })
-	t.Run("data", func(t *testing.T) {
-		wakeRace(t, nil, read, func(context.CancelFunc) { srv.deliver([]byte("x")) })
+	t.Run("cancel", func(t *testing.T) {
+		wakeRace(t, context.Canceled, read, func(cancel context.CancelFunc) {
+			<-calls
+			cancel()
+		})
 	})
-}
-
-func TestStreamWriteBlockedOnCreditWakeUps(t *testing.T) {
-	ma, _ := streamPairSized(t, 2<<10, 1<<10)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	s, err := ma.Open(ctx, "urn:stream:b", "full")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, make([]byte, 2<<10)); err != nil { // the whole window; nobody reads
-		t.Fatal(err)
-	}
-	chunk := make([]byte, 1<<10)
-	write := func(ctx context.Context) error { return s.Write(ctx, chunk) }
-	t.Run("cancel", func(t *testing.T) { wakeRace(t, context.Canceled, write, endContext) })
-	t.Run("credit", func(t *testing.T) {
-		wakeRace(t, nil, write, func(context.CancelFunc) { s.grant(len(chunk)) })
+	t.Run("data", func(t *testing.T) {
+		wakeRace(t, nil, read, func(context.CancelFunc) {
+			s := <-calls
+			a.mu.Lock()
+			a.deliverLocked(&Message{Src: "urn:stream:b", Tag: ReplyTag, Payload: callReply(s.id, callOK, "")}, nil)
+			a.mu.Unlock()
+		})
 	})
 }
 
@@ -108,29 +112,25 @@ func TestStreamQueuedDataBeatsEndedContext(t *testing.T) {
 	ma, mb := streamPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	s, err := ma.Open(ctx, "urn:stream:b", "queued")
-	if err != nil {
+	served := make(chan error, 1)
+	go func() { served <- echoOnce(ctx, mb, []byte("already here")) }()
+	s := sent(t, ctx, ma, "urn:stream:b", "queued", "")
+	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(ctx, []byte("already here")); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := mb.Accept(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := ma.Endpoint()
 	waitFor(t, 5*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.recvQ) > 0
-	}, "the chunk never arrived")
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.requests[s.id].replies) > 0
+	}, "the reply never arrived")
 
 	ended, end := context.WithCancel(context.Background())
 	end()
-	if got, err := srv.Read(ended); err != nil || string(got) != "already here" {
-		t.Fatalf("Read with data queued and an ended context: %q, %v", got, err)
+	if got, err := s.Read(ended); err != nil || string(got) != "already here" {
+		t.Fatalf("Read with its reply queued and an ended context: %q, %v", got, err)
 	}
-	if _, err := srv.Read(ended); !errors.Is(err, context.Canceled) {
+	if _, err := sent(t, ctx, ma, "urn:stream:b", "queued", "").Read(ended); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Read with nothing queued and an ended context: %v", err)
 	}
 
@@ -149,64 +149,4 @@ func TestStreamQueuedDataBeatsEndedContext(t *testing.T) {
 	if _, err := eb.RecvMatch(ended, "", 9); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RecvMatch with nothing queued and an ended context: %v", err)
 	}
-}
-
-// TestStreamBatchRecycledAfterFailQueueOwnsNothing: failQueue fails every
-// stream of the refused batch and of the batches behind it, and the batches
-// it hands to the pool keep none of them — not in the slice's length and
-// not in its spare capacity — nor their place in the queue.
-func TestStreamBatchRecycledAfterFailQueueOwnsNothing(t *testing.T) {
-	ma, _ := streamPair(t)
-	const peer = "urn:stream:b"
-	var streams []*Stream
-	var batches []*streamBatch
-	ma.mu.Lock()
-	for i := 0; i < 3; i++ { // three batches, two frames of one stream each
-		s := ma.newStream(peer, uint64(100+i), true, "m")
-		ma.streams[streamKey{peer, s.id, true}] = s
-		b := getStreamBatch()
-		for _, kind := range []uint8{streamOpen, streamClose} {
-			f := streamFrame{kind: kind, id: s.id, orig: true}
-			f.encode(b.enc)
-			b.streams = append(b.streams, s)
-			s.queued++
-		}
-		if i > 0 {
-			batches[i-1].next = b
-		}
-		streams, batches = append(streams, s), append(batches, b)
-	}
-	// The refused batch is off the queue, the rest still on it, and the
-	// entry stands for the flusher that found the refusal.
-	q := &sendQueue{head: batches[1], tail: batches[2], wake: make(chan struct{}, 1)}
-	ma.out[peer] = q
-	batches[0].next = nil
-	ma.mu.Unlock()
-
-	cause := errors.New("refused")
-	ma.failQueue(peer, q, batches[0], cause)
-
-	for i, s := range streams {
-		if _, err := s.Read(context.Background()); !errors.Is(err, cause) {
-			t.Errorf("stream %d: read %v, want the refusal", i, err)
-		}
-	}
-	if n := ma.ActiveStreams(); n != 0 {
-		t.Errorf("%d streams still routed after the failure, want 0", n)
-	}
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
-	for i, b := range batches {
-		// failQueue's own RESETs may already ride a recycled batch: they
-		// are frames of no stream, so its slice stays empty all the same.
-		if len(b.streams) != 0 {
-			t.Errorf("batch %d went back with %d streams", i, len(b.streams))
-		}
-		for j, s := range b.streams[:cap(b.streams)] {
-			if s != nil {
-				t.Errorf("batch %d went back holding a stream in slot %d", i, j)
-			}
-		}
-	}
-	delete(ma.out, peer) // no flusher runs for the entry the test made
 }

@@ -401,6 +401,36 @@ func TestRemoteSpawnAndStatus(t *testing.T) {
 	}
 }
 
+// TestStatusRequestAckRidesTheReply: a status request is sent as one
+// that expects a reply, so the daemon acknowledges it in its reply's
+// trailer and sends no ack frame for it. The daemon answers within its
+// 200 µs ack window almost always; a call it answered later (a loaded
+// machine) has its ack sent alone, and the next call is tried.
+func TestStatusRequestAckRidesTheReply(t *testing.T) {
+	w := newWorld(t)
+	d := w.newDaemon("h1", nil)
+	client := w.client("urn:client")
+	if _, err := StatusRemote(client, d.URN(), 5*time.Second); err != nil { // dial and hello
+		t.Fatal(err)
+	}
+	counts := func() (carried, frames uint64) {
+		c := d.Endpoint().Metrics().Snapshot().Counters
+		return c["acks_piggybacked"], c["ack_frames"]
+	}
+	for try := 0; try < 20; try++ {
+		testutil.WaitFor(t, 3*time.Second, func() bool { return client.Pending() == 0 }, "request never acknowledged")
+		carried, frames := counts()
+		if _, err := StatusRemote(client, d.URN(), 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		testutil.WaitFor(t, 3*time.Second, func() bool { return client.Pending() == 0 }, "request never acknowledged")
+		if c, f := counts(); c == carried+1 && f == frames {
+			return
+		}
+	}
+	t.Fatal("no status request's ack rode in its reply in 20 calls")
+}
+
 // TestConcurrentStatusRemote: status queries in flight at once through
 // one endpoint to one daemon each get their own reply.
 func TestConcurrentStatusRemote(t *testing.T) {

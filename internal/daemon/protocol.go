@@ -219,7 +219,7 @@ func Call(ep *comm.Endpoint, dst string, tag uint32, timeout time.Duration, remo
 	if body != nil {
 		body(e)
 	}
-	if err := ep.Send(dst, tag, e.Bytes()); err != nil {
+	if err := ep.SendRequest(dst, tag, e.Bytes()); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)

@@ -81,7 +81,7 @@ func fetch(ep *comm.Endpoint, server, name string, timeout time.Duration) ([]byt
 func exchange(ep *comm.Endpoint, server string, req *fileMsg, timeout time.Duration, each func(*fileMsg) bool) error {
 	req.ReqID = ep.NewRequest(server)
 	defer ep.EndRequest(req.ReqID)
-	if err := ep.Send(server, task.TagFile, req.encode()); err != nil {
+	if err := ep.SendRequest(server, task.TagFile, req.encode()); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)

@@ -11,7 +11,7 @@ import (
 
 // taguniq is the wire-discriminant registry check: every constant that
 // discriminates a wire format — comm frame types, SNIPE message tags,
-// stream frame kinds, rcds response status tags, fileserv ops, mcast
+// call reply statuses, rcds response status tags, fileserv ops, mcast
 // envelope kinds — must be unique within its space, and must never
 // reuse a value that was retired from that space. Two constants with
 // one value make a decoder take the wrong arm; reusing a retired value
@@ -53,14 +53,17 @@ func taguniqSpaces() []*taguniqSpace {
 			},
 		},
 		{
-			name:    "comm stream frame kind",
-			member:  taguniqIn("snipe/internal/comm", `^stream[A-Z]`),
+			// A reply's status byte (comm/stream.go). The stream frame
+			// kinds before it were a field of another layout, retired with
+			// the layout.
+			name:    "comm call reply status",
+			member:  taguniqIn("snipe/internal/comm", `^call[A-Z]`),
 			retired: map[int64]string{},
 		},
 		{
 			// The SNIPE message-tag space: the system tags every daemon
 			// protocol rides (task.Tag*), plus comm's reserved tags
-			// (AnyTag sentinel, StreamTag for the stream mux, ReplyTag
+			// (AnyTag sentinel, StreamTag for call requests, ReplyTag
 			// for every reply).
 			name: "message tag",
 			member: func(pkg, name string) bool {

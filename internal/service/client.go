@@ -405,8 +405,8 @@ func (c *Client) observe(urn string, d time.Duration, failed bool) {
 	r.lat = 0.7*cur + 0.3*d.Seconds()
 }
 
-// Call performs one request/response exchange: write req, half-close,
-// read the response to EOF. The replica comes from the table, and a call
+// Call performs one request/response exchange: one request message to
+// a replica and one reply back. The replica comes from the table, and a call
 // that succeeds at its first attempt reads no catalog. A failed attempt
 // is retried on the next best replica, after re-reading the table from
 // the catalog so that replicas that registered or withdrew mid-call are
@@ -452,38 +452,21 @@ func (c *Client) callOnce(ctx context.Context, urn, method string, req []byte) (
 	if err != nil {
 		return nil, err
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			st.Reset("call abandoned")
-		}
-	}()
 	if err := st.Write(ctx, req); err != nil {
+		st.Reset("call abandoned")
 		return nil, err
 	}
-	if err := st.CloseWrite(); err != nil {
+	// The response is a window into the reply that carried it, capped at
+	// its length; an empty one reads as io.EOF at once.
+	resp, err := st.Read(ctx)
+	switch {
+	case err == io.EOF:
+		return nil, nil
+	case err != nil:
+		st.Reset("call abandoned") // a late reply is dropped
 		return nil, err
 	}
-	// The first chunk is the response itself, not a copy of it: it is a
-	// window into the message that carried it, so its capacity is cut to
-	// its length and a second chunk is appended into a buffer of the
-	// response's own. Most responses are one chunk.
-	var resp []byte
-	for {
-		chunk, err := st.Read(ctx)
-		if err == io.EOF {
-			ok = true
-			return resp, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if resp == nil {
-			resp = chunk[:len(chunk):len(chunk)]
-		} else {
-			resp = append(resp, chunk...)
-		}
-	}
+	return resp, nil
 }
 
 // Close ends the catalog watch and the monitor subscription, waits for

@@ -13,11 +13,10 @@ import (
 	"snipe/internal/rcds"
 )
 
-// Handler serves one accepted stream. The request side is read from st
-// until io.EOF; the response is written back on the same stream. A nil
-// return half-closes the stream cleanly (clients see EOF after the
-// response); an error resets it, and the client treats the call as
-// failed and retries on another replica.
+// Handler serves one call. The request is read from st (its body once,
+// then io.EOF) and the response written to it. A nil return sends the
+// response; an error answers the call with the error's text instead, and
+// the client treats the call as failed and retries on another replica.
 type Handler func(ctx context.Context, st *comm.Stream) error
 
 // ServerConfig wires one replica of a service group.
@@ -33,11 +32,11 @@ type ServerConfig struct {
 	HostURL string
 }
 
-// drainGrace bounds how long Drain waits for in-flight streams.
+// drainGrace bounds how long Drain waits for in-flight calls.
 const drainGrace = 15 * time.Second
 
 // Server is one replica: it registers its endpoint URN under the
-// service URN and serves streams accepted from the group's clients.
+// service URN and serves calls accepted from the group's clients.
 type Server struct {
 	cfg ServerConfig
 	mux *comm.StreamMux // over cfg.Endpoint; built and closed by the server
@@ -47,19 +46,20 @@ type Server struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
 
-	ctx       context.Context
-	cancel    context.CancelFunc
-	wg        sync.WaitGroup
-	inflight  sync.WaitGroup
-	cancelSub func()
+	ctx        context.Context
+	cancel     context.CancelFunc
+	wg         sync.WaitGroup
+	inflight   sync.WaitGroup
+	acceptDone chan struct{} // closed when the accept loop has returned
+	cancelSub  func()
 
 	withdrawOnce sync.Once
 	closeOnce    sync.Once
 }
 
 // NewServer registers the replica in the catalog and starts accepting
-// streams. Handlers may be added before or after (Handle is safe
-// concurrently); a stream for a method with no handler is reset.
+// calls. Handlers may be added before or after (Handle is safe
+// concurrently); a call for a method with no handler fails.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Name == "" || cfg.Catalog == nil || cfg.Endpoint == nil {
 		return nil, errors.New("service: server needs Name, Catalog and Endpoint")
@@ -70,6 +70,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		uri:      naming.ServiceURN(cfg.Name),
 		urn:      cfg.Endpoint.URN(),
 		handlers: make(map[string]Handler),
+
+		acceptDone: make(chan struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if err := cfg.Catalog.Add(s.uri, rcds.AttrServiceReplica, s.urn); err != nil {
@@ -95,10 +97,7 @@ func (s *Server) URN() string { return s.urn }
 // ServiceURI returns the group's catalog URN.
 func (s *Server) ServiceURI() string { return s.uri }
 
-// Mux exposes the stream mux.
-func (s *Server) Mux() *comm.StreamMux { return s.mux }
-
-// Draining reports whether the replica has stopped accepting streams.
+// Draining reports whether the replica has stopped accepting calls.
 func (s *Server) Draining() bool { return s.mux.Draining() }
 
 // Handle registers the handler for a method.
@@ -110,10 +109,11 @@ func (s *Server) Handle(method string, h Handler) {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	defer close(s.acceptDone)
 	for {
 		st, err := s.mux.Accept(s.ctx)
 		if err != nil {
-			return // mux closed or server shutting down
+			return // mux closed, server shutting down, or drained
 		}
 		s.inflight.Add(1)
 		go s.serve(st)
@@ -133,7 +133,7 @@ func (s *Server) serve(st *comm.Stream) {
 		st.Reset(err.Error())
 		return
 	}
-	st.CloseWrite() // idempotent if the handler already half-closed
+	st.CloseWrite() // idempotent if the handler already sent its answer
 }
 
 // watchOwnHost self-drains when this replica's host turns Suspect —
@@ -165,11 +165,12 @@ func (s *Server) withdraw() {
 }
 
 // Drain takes the replica out of service gracefully: withdraw the
-// catalog registration so new resolutions skip it, stop accepting
-// streams (peers that raced the withdrawal get ErrDraining and retry
-// on another replica), then wait for in-flight streams to finish —
-// bounded by ctx AND drainGrace. The endpoint stays
-// open throughout so in-flight responses can still ride every route.
+// catalog registration so new resolutions skip it, stop accepting calls
+// (peers that raced the withdrawal get ErrDraining and retry on another
+// replica), then wait for the calls already taken to be answered —
+// bounded by ctx AND drainGrace. A handler's answer is with the endpoint
+// when it returns, and the endpoint stays open, so the answers can still
+// ride every route.
 func (s *Server) Drain(ctx context.Context) error {
 	s.withdraw()
 	s.mux.Drain()
@@ -177,27 +178,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer cancel()
 	done := make(chan struct{})
 	go func() {
+		<-s.acceptDone // every call taken before the drain is in inflight
 		s.inflight.Wait()
 		close(done)
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("service: drain of %s replica %s: %w", s.cfg.Name, s.urn, ctx.Err())
 	}
-	// Handlers have returned, but their last frames may still be queued
-	// in the mux: a stream stays active until both sides have closed and
-	// everything it queued has been handed to the endpoint.
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for s.mux.ActiveStreams() > 0 {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("service: drain of %s replica %s: %w", s.cfg.Name, s.urn, ctx.Err())
-		case <-tick.C:
-		}
-	}
-	return nil
 }
 
 // Close withdraws the registration and stops the replica. In-flight

@@ -18,9 +18,9 @@
 //     (one replicated write per beat, see internal/liveness) already
 //     carries both. A service with ten replicas on ten hosts costs ten
 //     assertions total, not ten extra write streams.
-//   - Requests and responses ride comm's stream layer, so a large
-//     response is chunked, flow-controlled and — at stream chunk size —
-//     striped across every healthy route to the replica.
+//   - A call is one request message and one reply (comm's StreamMux),
+//     so a reply above the stripe threshold is striped across every
+//     healthy route to the replica like any other large message.
 //
 // Balancing is client-side and liveness-aware: the Client subscribes
 // to a liveness.Monitor and drops replicas on suspect/dead hosts from
@@ -31,7 +31,7 @@
 // therefore costs clients a retry at worst, and usually nothing.
 //
 // Graceful drain mirrors the migration layer's philosophy: a draining
-// replica withdraws its catalog registration, refuses new streams
+// replica withdraws its catalog registration, refuses new calls
 // (peers get ErrDraining and retry elsewhere) and finishes in-flight
 // ones. A replica given its host's liveness monitor (ServerConfig.Monitor
 // and HostURL) drains itself when that host turns suspect.

@@ -227,7 +227,7 @@ func TestServiceGroupKillReplicaZeroFailedRequests(t *testing.T) {
 }
 
 // TestServerDrainGraceful: a draining replica finishes its in-flight
-// stream, withdraws its registration, and refuses new streams while
+// call, withdraws its registration, and refuses new calls while
 // the rest of the group keeps serving.
 func TestServerDrainGraceful(t *testing.T) {
 	w := newWorld(t)
@@ -287,7 +287,7 @@ func TestServerDrainGraceful(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	// A stream opened against the draining replica is refused.
+	// A call opened against the draining replica is refused.
 	st, err := cli.mux.Open(ctx, srvA.URN(), "work")
 	if err != nil {
 		t.Fatal(err)
@@ -425,9 +425,9 @@ func TestBalancerWeighsAdvertisedLoad(t *testing.T) {
 }
 
 // TestDrainThenCloseKeepsFinishedResponse: a handler that writes its
-// response and returns while Drain is waiting has left frames queued in
-// the mux. Drain waits for them to reach the endpoint, so a Close right
-// behind it cannot cut the response short.
+// response and returns while Drain is waiting has handed its reply to
+// the endpoint, so a Close right behind the Drain cannot cut the
+// response short.
 func TestDrainThenCloseKeepsFinishedResponse(t *testing.T) {
 	w := newWorld(t)
 	want := make([]byte, 96<<10)
@@ -492,7 +492,7 @@ func TestDrainThenCloseKeepsFinishedResponse(t *testing.T) {
 // TestCallFailsOverFromDeadPeerAtOnce: a client endpoint without
 // buffering refuses a send no route carries, here to a replica whose
 // process is gone but whose catalog records remain. The refusal reaches
-// the stream after Open and Write have returned, and the call must still
+// the call when it sends its request, and the call must still
 // move to the next replica at once, not after AttemptTimeout.
 func TestCallFailsOverFromDeadPeerAtOnce(t *testing.T) {
 	w := newWorld(t)

@@ -237,12 +237,12 @@ func TestRefreshCoalesces(t *testing.T) {
 
 // TestCallAllocs is the tier-1 guard on the unary call path: one warmed
 // 256 B → 4 KiB Call over TCP loopback to a group of three replicas —
-// pick, open, write, half-close, the handler's read and answer, read to
-// EOF — costs at most 30 heap allocations and 8 KiB, both ends counted
-// (27 and ~7,520 B measured; 35 and ~7,870 B while every burst of frames
-// started a flusher goroutine and every wait of a mux's receive loop
-// registered a context watcher). The benchmark ledger gates the same
-// numbers on its service_call workload.
+// pick, the request, the handler's read and answer, the reply — costs at
+// most 20 heap allocations and 8 KiB, both ends counted (19 and ~7,050 B
+// measured; 27 and ~7,520 B while a call was a stream of frames with a
+// flusher per peer and a receive loop between the reply and its reader).
+// The benchmark ledger gates the same numbers on its service_call
+// workload.
 func TestCallAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow allocations are counted as the program's")
@@ -283,8 +283,8 @@ func TestCallAllocs(t *testing.T) {
 	for i := 0; i < 500; i++ { // dial, hello, pools, the table and its follow-up refresh
 		op()
 	}
-	if got := testing.AllocsPerRun(2000, op); got > 30 {
-		t.Errorf("256 B → 4 KiB Call costs %.1f allocations, want ≤ 30", got)
+	if got := testing.AllocsPerRun(2000, op); got > 20 {
+		t.Errorf("256 B → 4 KiB Call costs %.1f allocations, want ≤ 20", got)
 	} else {
 		t.Logf("256 B → 4 KiB Call: %.1f allocations", got)
 	}
