@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -700,6 +701,254 @@ func TestStreamConcurrentCalls(t *testing.T) {
 	servers.Wait()
 	if n := registered(ma.Endpoint()); n != 0 {
 		t.Errorf("%d requests still registered after the calls", n)
+	}
+}
+
+func TestStreamWindowExhaustion(t *testing.T) {
+	// No byte window holds a writer back: Writes of many times what a
+	// reader could take at once return at once with nobody accepting,
+	// and the request arrives whole. What bounds a writer is the
+	// endpoint's send buffer, counted in messages at CloseWrite.
+	ma, mb := streamPair(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	payload := patternPayload(5, 8*(64<<10))
+	s, err := ma.Open(ctx, "urn:stream:b", "slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rest := payload; len(rest) > 0; rest = rest[16<<10:] {
+		shortCtx, shortCancel := context.WithTimeout(ctx, 150*time.Millisecond)
+		err := s.Write(shortCtx, rest[:16<<10])
+		shortCancel()
+		if err != nil {
+			t.Fatalf("write with %d bytes left and no reader: %v", len(rest), err)
+		}
+	}
+	if err := s.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := mb.Accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readAll(ctx, srv)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("request: %d of %d bytes, %v", len(got), len(payload), err)
+	}
+}
+
+func TestStreamSmallWindowTransfer(t *testing.T) {
+	// Eight 64 KiB windows of data each way cost one message each way
+	// and no control message: nothing is granted back as the reader
+	// consumes.
+	const size = 8 * (64 << 10)
+	ma, mb := streamPair(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	payload := patternPayload(7, size)
+	served := make(chan error, 1)
+	go func() { served <- echoOnce(ctx, mb, payload) }()
+	got, err := unaryEcho(ctx, ma, "urn:stream:b", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("reply corrupted: got %d bytes, want %d", len(got), len(payload))
+	}
+	for _, m := range []*StreamMux{ma, mb} {
+		if n := m.Endpoint().mSent.Value(); n != 1 {
+			t.Errorf("%s sent %d messages for %d bytes, want 1", m.Endpoint().URN(), n, size)
+		}
+	}
+}
+
+func TestStreamFlusherCloseDrains(t *testing.T) {
+	// Every request sent before the opener's mux closes is with the
+	// endpoint, so Close cuts none short: each peer receives its request
+	// whole. The calls themselves fail, and leave no registration.
+	const peers = 8
+	res := newTestResolver()
+	ma := NewStreamMux(newTestEndpoint(t, "urn:flush:src", res))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	payload := patternPayload(3, 3<<10)
+	var sinks []*Endpoint
+	var calls []*Stream
+	for i := 0; i < peers; i++ {
+		urn := fmt.Sprintf("urn:flush:sink%d", i)
+		sinks = append(sinks, newTestEndpoint(t, urn, res))
+		calls = append(calls, sent(t, ctx, ma, urn, "last", string(payload)))
+	}
+	ma.Close()
+	for i, s := range calls {
+		if _, err := s.Read(ctx); !errors.Is(err, ErrClosed) {
+			t.Errorf("call %d after Close: %v, want ErrClosed", i, err)
+		}
+	}
+	if n := registered(ma.Endpoint()); n != 0 {
+		t.Fatalf("%d requests registered after Close, want none", n)
+	}
+	for i, sink := range sinks {
+		m, err := sink.RecvMatch(ctx, "urn:flush:src", StreamTag)
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+		id, method, body, err := decodeRequest(m.Payload)
+		if err != nil || id != calls[i].id || method != "last" || !bytes.Equal(body, payload) {
+			t.Errorf("peer %d: id %d method %q, %d of %d bytes, %v", i, id, method, len(body), len(payload), err)
+		}
+	}
+}
+
+func TestStreamFlusherOutlivesRefusal(t *testing.T) {
+	// A request the endpoint refuses for a full send buffer fails its
+	// call with ErrBufferFull, and the calls after it, once the buffer
+	// drains, go through.
+	const slots = 4
+	res := newTestResolver()
+	a := newTestEndpoint(t, "urn:flush:a", res, WithBufferLimit(slots))
+	b := newTestEndpoint(t, "urn:flush:b", res)
+	ma := NewStreamMux(a)
+	mb := NewStreamMux(b)
+	t.Cleanup(ma.Close)
+	t.Cleanup(mb.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer serveEchoes(ctx, mb, []byte("pong"), nil)()
+	defer cancel()
+
+	// Messages to a peer that is not listening yet hold every slot of
+	// the system buffer, so the endpoint refuses the call's request.
+	for i := 0; i < slots; i++ {
+		if err := a.Send("urn:flush:late", 0, []byte("held")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := unaryEcho(ctx, ma, "urn:flush:b", []byte("ping")); !errors.Is(err, ErrBufferFull) {
+		t.Fatalf("the refused call: %v, want ErrBufferFull", err)
+	}
+	newTestEndpoint(t, "urn:flush:late", res)
+	waitFor(t, 5*time.Second, func() bool { return a.Pending() == 0 }, "held messages never delivered")
+	for i := 0; i < 10; i++ {
+		if got, err := unaryEcho(ctx, ma, "urn:flush:b", []byte("ping")); err != nil || string(got) != "pong" {
+			t.Fatalf("call %d after the refusal: %q, %v", i, got, err)
+		}
+	}
+	if n := ma.mSendFailures.Value(); n != 1 {
+		t.Fatalf("stream_send_failures = %d, want the one refusal", n)
+	}
+}
+
+func TestStreamBatchesKeepOrderAndSize(t *testing.T) {
+	// Seen from a bare endpoint: a call is one StreamTag message however
+	// many Writes built it, its body is those Writes in order, and calls
+	// to one peer arrive in the order their requests were sent.
+	const calls, size = 4, 64 << 10
+	res := newTestResolver()
+	a := newTestEndpoint(t, "urn:stream:a", res)
+	b := newTestEndpoint(t, "urn:stream:b", res)
+	ma := NewStreamMux(a)
+	t.Cleanup(ma.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	var payloads [][]byte
+	var ids []uint64
+	for c := 0; c < calls; c++ {
+		payload := patternPayload(byte(c), size)
+		s, err := ma.Open(ctx, "urn:stream:b", "raw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Writes of mixed sizes.
+		for rest := payload; len(rest) > 0; {
+			n := min(len(rest), 100+len(rest)%(3<<10))
+			if err := s.Write(ctx, rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+		if err := s.CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, payload)
+		ids = append(ids, s.id)
+	}
+	for c := 0; c < calls; c++ {
+		m, err := b.RecvMatch(ctx, "urn:stream:a", StreamTag)
+		if err != nil {
+			t.Fatalf("request %d: %v", c, err)
+		}
+		id, _, body, err := decodeRequest(m.Payload)
+		if err != nil || id != ids[c] || !bytes.Equal(body, payloads[c]) {
+			t.Fatalf("request %d: id %d (want %d), %d of %d bytes in order, %v", c, id, ids[c], len(body), size, err)
+		}
+	}
+	if n := a.mSent.Value(); n != calls {
+		t.Fatalf("%d calls took %d messages, want one each", calls, n)
+	}
+}
+
+func TestStreamRefusedMiddleBatchNeverEndsCleanly(t *testing.T) {
+	// Of three calls built from several Writes each, the endpoint refuses
+	// the middle request. The peer is handed none of it — no part of its
+	// body passes for a request — and, since the refusal spent no
+	// sequence number, the third request arrives behind the first with
+	// nothing held back.
+	const chunk = 1 << 10
+	res := newTestResolver()
+	a := newRefusingEndpoint(t, "urn:stream:a", res, 2)
+	b := newTestEndpoint(t, "urn:stream:b", res)
+	ma := NewStreamMux(a)
+	t.Cleanup(ma.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	var calls []*Stream
+	var sendErrs []error
+	for i := 0; i < 3; i++ {
+		s, err := ma.Open(ctx, "urn:stream:b", fmt.Sprintf("call%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 3; j++ {
+			if err := s.Write(ctx, patternPayload(byte(i), chunk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		calls = append(calls, s)
+		sendErrs = append(sendErrs, s.CloseWrite())
+	}
+	if sendErrs[0] != nil || sendErrs[2] != nil || !errors.Is(sendErrs[1], errRefused) {
+		t.Fatalf("sends: %v, want only the middle one refused", sendErrs)
+	}
+	if _, err := calls[1].Read(ctx); !errors.Is(err, errRefused) || !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("refused call's read: %v, want ErrStreamReset wrapping the refusal", err)
+	}
+	for _, want := range []int{0, 2} {
+		m, err := b.RecvMatch(ctx, "urn:stream:a", StreamTag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, method, body, err := decodeRequest(m.Payload)
+		if err != nil || id != calls[want].id || method != calls[want].Method() || len(body) != 3*chunk {
+			t.Fatalf("got id %d method %q with %d bytes, %v; want call %d whole", id, method, len(body), err, want)
+		}
+	}
+	b.mu.Lock()
+	held, waiting := len(b.reorder["urn:stream:a"]), len(b.mailbox)
+	b.mu.Unlock()
+	if held != 0 || waiting != 0 {
+		t.Errorf("peer holds %d messages behind the refused one and %d in its mailbox, want none", held, waiting)
+	}
+	if n := registered(a); n != 2 {
+		t.Errorf("%d requests registered, want the two sent", n)
 	}
 }
 
