@@ -15,7 +15,7 @@ var ctxfirstAPI = map[string]map[string]bool{
 		"Ping": true, "Set": true, "Add": true, "AddSigned": true,
 		"Remove": true, "RemoveAll": true, "Get": true, "Values": true,
 		"FirstValue": true, "URIs": true, "WaitURI": true,
-		"Stats": true, "WaitFor": true, "Catchup": true, "SnapshotPage": true,
+		"Stats": true, "Catchup": true, "SnapshotPage": true,
 		"AddSignedBy": true, "PublishKey": true, "VerifiedValues": true,
 	},
 	"Endpoint": {

@@ -32,7 +32,6 @@ var lockedioMethods = map[string]bool{
 	"snipe/internal/rcds.Client.waitOn":       true,
 	"snipe/internal/rcds.Client.WaitURI":      true,
 	"snipe/internal/rcds.Client.Stats":        true,
-	"snipe/internal/rcds.Client.WaitFor":      true,
 	"snipe/internal/rcds.Client.Catchup":      true,
 	"snipe/internal/rcds.Client.SnapshotPage": true,
 	"snipe/internal/rcds.Client.roundTrip":    true,

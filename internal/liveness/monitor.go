@@ -83,15 +83,9 @@ type Options struct {
 	MaxSuspect time.Duration
 }
 
-const (
-	// deadFactor scales the suspicion bound into the death bound: a
-	// host is dead after deadFactor × suspect-bound of silence.
-	deadFactor = 2
-	// scanInterval is the catalog poll period when the catalog offers
-	// neither push subscriptions nor version long-poll (naming.Watch's
-	// tick face).
-	scanInterval = 100 * time.Millisecond
-)
+// deadFactor scales the suspicion bound into the death bound: a host
+// is dead after deadFactor × suspect-bound of silence.
+const deadFactor = 2
 
 func (o *Options) fill() {
 	if o.CheckInterval <= 0 {
@@ -681,15 +675,12 @@ func (m *Monitor) emit(ev *Event) {
 
 // --- watch plumbing ------------------------------------------------------
 
-// watch re-runs scan whenever the catalog under prefix may have
-// changed, on whichever notification face the catalog offers: a
-// store's push subscription, a remote client's long-poll on the replica
-// group that owns prefix, or a tick every scanInterval (naming.Watch
-// makes that choice). A wake-up carries no detail, so a burst of writes
-// costs one re-read, and one the catalog drops costs nothing.
+// watch re-runs scan whenever the catalog's subscription under prefix
+// wakes (naming.Watch). A wake-up carries no detail, so a burst of
+// writes costs one re-read, and one the catalog drops costs nothing.
 func (m *Monitor) watch(prefix string, scan func()) {
 	defer m.wg.Done()
-	naming.Watch(m.ctx, m.cat, prefix, scanInterval, scan)
+	naming.Watch(m.ctx, m.cat, prefix, scan)
 }
 
 // scanHosts reads every host record's heartbeat. Catalog errors are

@@ -54,8 +54,9 @@ func TestMonitorKeepsEvidenceItCouldNotTakeAtOnce(t *testing.T) {
 	}
 }
 
-// faceOptions bound suspicion well above the tick face's 100 ms poll, so
-// a steadily beating host stays Alive between polls on every face.
+// faceOptions bound suspicion well above the 10 ms between the scenario's
+// beats and the scheduling noise of the wakes that carry them, so a
+// steadily beating host stays Alive over every catalog.
 func faceOptions() Options {
 	return Options{
 		CheckInterval: 2 * time.Millisecond,
@@ -111,8 +112,9 @@ func runFaceScenario(t *testing.T, store *rcds.Store, mon *Monitor, cut, heal fu
 }
 
 // TestMonitorOverLongPollFace: over a remote client the monitor rides
-// the version long-poll. The cut is the RC server going away; the heal
-// is a new server over the same replica at the same address.
+// the client's subscription, which its group's long-poll signals. The
+// cut is the RC server going away; the heal is a new server over the
+// same replica at the same address.
 func TestMonitorOverLongPollFace(t *testing.T) {
 	store := rcds.NewStore("face-longpoll")
 	srv := rcds.NewServer(store)
@@ -134,9 +136,9 @@ func TestMonitorOverLongPollFace(t *testing.T) {
 	})
 }
 
-// TestMonitorOverTickFace: over a catalog with neither a subscription
-// nor a long-poll the monitor re-reads on a tick. The cut is a
-// partition between monitor and catalog.
+// TestMonitorOverTickFace: over a gated catalog the monitor rides the
+// subscription the gate forwards, and the cut is a partition between
+// monitor and catalog: wakes still come, and the reads they start fail.
 func TestMonitorOverTickFace(t *testing.T) {
 	store := rcds.NewStore("face-tick")
 	fabric := netsim.NewFabric()

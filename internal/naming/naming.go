@@ -24,8 +24,7 @@
 // routes by the catalog's shard map — behind context-less reads and writes;
 // Register/Unregister publish a process's communication addresses;
 // Resolver reads them and lends the endpoint the catalog's change signal;
-// Watch turns whichever change-notification face a Catalog has (push
-// subscription, version long-poll, neither) into one callback.
+// Watch turns a Catalog's Subscribe into one callback.
 package naming
 
 import (
@@ -90,8 +89,8 @@ func ServiceURN(name string) string { return ServicePrefix + name }
 func LivenessGroupURI(g int) string { return fmt.Sprintf("%sgroup/%d", LivenessPrefix, g) }
 
 // Catalog is the RC metadata access surface SNIPE components need;
-// satisfied by *rcds.Client (remote replicas) and by in-process stores
-// via StoreCatalog.
+// satisfied by remote replicas via ClientCatalog and by in-process
+// stores via StoreCatalog.
 type Catalog interface {
 	Values(uri, name string) ([]string, error)
 	FirstValue(uri, name string) (string, bool, error)
@@ -100,6 +99,11 @@ type Catalog interface {
 	Remove(uri, name, value string) error
 	RemoveAll(uri, name string) error
 	Set(uri, name, value string) error
+	// Subscribe registers ch for an event each time the records under
+	// prefix may have changed, sent without blocking: one a full ch
+	// cannot take is dropped. Unsubscribe cancels the registration.
+	Subscribe(prefix string, ch chan rcds.Event) int
+	Unsubscribe(id int)
 }
 
 // storeCatalog adapts an in-process rcds.Store to Catalog, for
@@ -133,8 +137,7 @@ func (c storeCatalog) Set(uri, name, value string) error {
 // routeStamp is the store's version: every write changes it.
 func (c storeCatalog) routeStamp(string) (uint64, bool) { return c.s.Version(), true }
 
-// Subscribe exposes the wrapped store's push subscriptions, Watch's
-// push face, discovered by interface assertion.
+// Subscribe is the wrapped store's push subscription.
 func (c storeCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
 	return c.s.Subscribe(prefix, ch)
 }
@@ -150,10 +153,10 @@ func (c storeCatalog) Unsubscribe(id int) { c.s.Unsubscribe(id) }
 // wrappers provided.
 type clientCatalog struct{ c *rcds.Client }
 
-// ClientCatalog wraps a remote RCDS client as a Catalog. The wrapper
-// also forwards the discovery faces callers probe for by interface
-// assertion: MetricsSnapshot (daemon status) and Watch's long-poll
-// WaitURI.
+// ClientCatalog wraps a remote RCDS client as a Catalog. Subscribe
+// rides the client's one watch loop per replica group. The wrapper also
+// forwards MetricsSnapshot (daemon status), which callers probe for by
+// interface assertion.
 func ClientCatalog(c *rcds.Client) Catalog { return clientCatalog{c} }
 
 // Client returns the wrapped RCDS client, for callers that own its
@@ -221,26 +224,25 @@ func (cc clientCatalog) routeStamp(uri string) (uint64, bool) { return cc.c.Cach
 // MetricsSnapshot forwards the client's metrics registry.
 func (cc clientCatalog) MetricsSnapshot() stats.Snapshot { return cc.c.MetricsSnapshot() }
 
-// WaitURI forwards the shard-aware long-poll: the version stream of the
-// replica group that owns uri. It is Watch's long-poll face; the caller
-// supplies the context, since long polls outlive the per-request
-// timeout by design.
-func (cc clientCatalog) WaitURI(ctx context.Context, uri string, since uint64, timeout time.Duration) (uint64, error) {
-	return cc.c.WaitURI(ctx, uri, since, timeout)
+func (cc clientCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
+	return cc.c.Subscribe(prefix, ch)
 }
 
-// gatedCatalog wraps a Catalog behind a reachability gate: every
-// operation first consults gate and fails with its error while the
-// gate is down. Combined with netsim's Fabric.Gate this models a
-// network partition between a node and its RC replica — reads and
-// heartbeat writes both stop, which is exactly how a partition looks
-// from either side of it.
+func (cc clientCatalog) Unsubscribe(id int) { cc.c.Unsubscribe(id) }
+
+// gatedCatalog wraps a Catalog behind a reachability gate: every read
+// and write first consults gate and fails with its error while the gate
+// is down. Combined with netsim's Fabric.Gate this models a network
+// partition between a node and its RC replica — reads and heartbeat
+// writes both stop, which is exactly how a partition looks from either
+// side of it. Subscribe is the wrapped catalog's, ungated: a wake still
+// comes, and the reads it starts are the ones the gate blocks.
 type gatedCatalog struct {
 	cat  Catalog
 	gate func() error
 }
 
-// GatedCatalog wraps cat so that every operation fails with gate's
+// GatedCatalog wraps cat so that every read and write fails with gate's
 // error whenever gate returns non-nil.
 func GatedCatalog(cat Catalog, gate func() error) Catalog {
 	return gatedCatalog{cat: cat, gate: gate}
@@ -294,6 +296,12 @@ func (g gatedCatalog) Set(uri, name, value string) error {
 	}
 	return g.cat.Set(uri, name, value)
 }
+
+func (g gatedCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
+	return g.cat.Subscribe(prefix, ch)
+}
+
+func (g gatedCatalog) Unsubscribe(id int) { g.cat.Unsubscribe(id) }
 
 // Resolver resolves URNs to routes via RC metadata. It keeps no cache:
 // the endpoint keeps one, and reuses a resolution while the stamp

@@ -3,6 +3,8 @@ package naming
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,14 +18,14 @@ import (
 // startWatch runs Watch on its own goroutine and returns the number of
 // notifications so far; the test's cleanup ends the watch and waits for
 // Watch to return.
-func startWatch(t *testing.T, cat Catalog, uri string, poll time.Duration, changed func()) *atomic.Int64 {
+func startWatch(t *testing.T, cat Catalog, uri string, changed func()) *atomic.Int64 {
 	t.Helper()
 	var n atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Watch(ctx, cat, uri, poll, func() {
+		Watch(ctx, cat, uri, func() {
 			if changed != nil {
 				changed()
 			}
@@ -66,7 +68,7 @@ func waitCount(t *testing.T, n *atomic.Int64, want int64, msg string) {
 func TestWatchStoreSubscription(t *testing.T) {
 	cat := StoreCatalog(rcds.NewStore("watch"))
 	uri := ServiceURN("w")
-	n := startWatch(t, cat, uri, time.Hour, nil)
+	n := startWatch(t, cat, uri, nil)
 	waitCount(t, n, 1, "no notification that the watch is in place")
 
 	cat.Add(uri, rcds.AttrServiceReplica, "urn:r1")
@@ -80,9 +82,10 @@ func TestWatchStoreSubscription(t *testing.T) {
 }
 
 // TestWatchLongPollReadsSeeTheChange: over a remote client Watch rides
-// the version long-poll, and a read made from the callback is not
-// answered from the client's read cache as it was before the change —
-// the one notification a write gets is the only chance to see it.
+// the client's subscription, which its group's long-poll signals after
+// flushing the read cache, so a read made from the callback is not
+// answered from the cache as it was before the change — the one
+// notification a write gets is the only chance to see it.
 func TestWatchLongPollReadsSeeTheChange(t *testing.T) {
 	c := cachedClient(t)
 	writer := rcds.NewClient(c.Servers(), nil)
@@ -97,7 +100,7 @@ func TestWatchLongPollReadsSeeTheChange(t *testing.T) {
 
 	var mu sync.Mutex
 	var seen []string
-	n := startWatch(t, cat, uri, time.Hour, func() {
+	n := startWatch(t, cat, uri, func() {
 		vals, _ := cat.Values(uri, rcds.AttrServiceReplica)
 		mu.Lock()
 		seen = vals
@@ -105,7 +108,7 @@ func TestWatchLongPollReadsSeeTheChange(t *testing.T) {
 	})
 	waitCount(t, n, 1, "no notification that the watch is in place")
 
-	for i, v := range []string{"urn:r1", "urn:r2", "urn:r3"} {
+	for _, v := range []string{"urn:r1", "urn:r2", "urn:r3"} {
 		// Warm the cache with the value about to go stale.
 		testutil.WaitFor(t, 5*time.Second, func() bool {
 			before := c.MetricsSnapshot().Counters["cache_hits"]
@@ -115,22 +118,68 @@ func TestWatchLongPollReadsSeeTheChange(t *testing.T) {
 		if err := writer.Add(context.Background(), uri, rcds.AttrServiceReplica, v); err != nil {
 			t.Fatal(err)
 		}
-		waitCount(t, n, int64(i+2), "a remote write was not reported")
-		mu.Lock()
-		got := slices.Clone(seen)
-		mu.Unlock()
-		if !slices.Contains(got, v) {
-			t.Fatalf("the read made on notification of %s saw %v", v, got)
-		}
+		// The group's first good poll may signal once more than the
+		// writes do, so the wake-up is awaited by what its read saw.
+		testutil.WaitFor(t, 5*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return slices.Contains(seen, v)
+		}, "a remote write was not reported, or the read made on its notification missed it")
 	}
 }
 
-// TestWatchPollsWithoutAFace: a catalog that offers neither a
-// subscription nor a long-poll is reported changed on every tick.
-func TestWatchPollsWithoutAFace(t *testing.T) {
-	cat := GatedCatalog(StoreCatalog(rcds.NewStore("gated")), func() error { return nil })
-	n := startWatch(t, cat, ServiceURN("p"), 2*time.Millisecond, nil)
-	waitCount(t, n, 3, "the poll face never ticked")
+// requests counts the client's requests to its servers.
+func requests(c *rcds.Client) uint64 { return c.MetricsSnapshot().Counters["requests"] }
+
+// TestWatchesShareOneLongPoll: four watches over one caching client add
+// no long-poll of their own. The server keeps one parked Wait — the
+// client's watch of its group — and holds no goroutine beyond the
+// watchers', and a quiet 4.1 s window costs the one loop's polls, one
+// per 2 s window.
+func TestWatchesShareOneLongPoll(t *testing.T) {
+	c := cachedClient(t)
+	cat := ClientCatalog(c)
+	uri := HostURL("quiet")
+	if err := cat.Set(uri, rcds.AttrLoad, "0"); err != nil {
+		t.Fatal(err)
+	}
+	// A cache hit says the group's watch has polled, and parked, once.
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		before := c.MetricsSnapshot().Counters["cache_hits"]
+		cat.FirstValue(uri, rcds.AttrLoad)
+		return c.MetricsSnapshot().Counters["cache_hits"] > before
+	}, "read cache never served")
+	base := runtime.NumGoroutine()
+
+	const watches = 4
+	for i := 0; i < watches; i++ {
+		n := startWatch(t, cat, ServiceURN(fmt.Sprint("quiet", i)), nil)
+		waitCount(t, n, 1, "no notification that the watch is in place")
+	}
+	testutil.WaitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine()-base <= watches },
+		"the watches hold goroutines beyond their own: a parked Wait each")
+
+	start := requests(c)
+	time.Sleep(4100 * time.Millisecond)
+	// Two poll windows, and a third poll that may start at the edge.
+	if got := requests(c) - start; got > 3 {
+		t.Fatalf("%d watches cost %d requests in a quiet 4.1 s, want ≤ 3", watches, got)
+	}
+}
+
+// TestClosedClientWatchIsSilent: a watch over a client that has closed
+// waits for its context and sends nothing meanwhile.
+func TestClosedClientWatchIsSilent(t *testing.T) {
+	c := cachedClient(t)
+	cat := ClientCatalog(c)
+	n := startWatch(t, cat, ServiceURN("closed"), nil)
+	waitCount(t, n, 1, "no notification that the watch is in place")
+	c.Close()
+	start := requests(c)
+	time.Sleep(500 * time.Millisecond)
+	if got := requests(c) - start; got != 0 {
+		t.Fatalf("a watch over a closed client issued %d requests in 500 ms, want 0", got)
+	}
 }
 
 // TestClientCatalogWarmReadAllocs: a read the client's cache answers

@@ -10,7 +10,7 @@ import (
 
 // Read-cache coherence (see DESIGN.md):
 //
-// A watch goroutine rides the server's Wait long-poll. While the watch
+// The group's watch loop rides the server's Wait long-poll. While it
 // is healthy the cache serves Get/Values/FirstValue locally; whenever
 // the watched catalog version advances — any write, anywhere in the
 // replica group that reached our server — the cache is flushed and the
@@ -187,27 +187,30 @@ func (rc *readCache) storeFirst(uri, name, value string, present bool, epoch uin
 		cacheVal{value: value, ok: present}, epoch)
 }
 
-// watchLoop keeps one replica group's read cache coherent: it
-// long-polls that group's catalog version and flushes the group's
-// cached reads whenever the version advances. The poll itself
-// multiplexes over the group's shared connection, so watching costs no
-// dedicated connection and never blocks lookups. In a sharded catalog
-// every group runs its own watchLoop — the coherence rule is per
-// group, matching the per-group version streams.
+// watchLoop is the client's one long-poll on replica group g: it
+// follows the group's catalog version and, on each advance and on its
+// first good poll after a start or a failure, flushes the group's cached
+// reads (waitOn does) and then signals the subscriptions g owns. The
+// poll multiplexes over the group's shared connection, so watching costs
+// no dedicated connection and never blocks lookups. In a sharded catalog
+// every group runs its own watchLoop — the coherence rule is per group,
+// matching the per-group version streams.
 func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
 	defer c.wg.Done()
 	var since uint64
-	for {
-		if ctx.Err() != nil {
-			return
-		}
+	placed := false // false until a poll succeeds, and again after one fails
+	for ctx.Err() == nil {
 		pollCtx, cancel := context.WithTimeout(ctx, watchPoll+c.Timeout())
 		v, err := c.waitOn(pollCtx, g, since, watchPoll)
 		cancel()
 		if err != nil {
 			// Cannot confirm coherence; stop serving cached reads until
-			// the watch re-establishes.
-			g.cache.invalidateAll()
+			// the watch re-establishes. Changes made meanwhile go unseen;
+			// the next good poll signals one.
+			placed = false
+			if g.cache != nil {
+				g.cache.invalidateAll()
+			}
 			if errors.Is(err, ErrClientClosed) {
 				// Close() or a map change has begun retiring this group;
 				// don't redial while the client waits on wg.
@@ -220,7 +223,12 @@ func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
 			}
 			continue
 		}
-		since = v // waitOn flushed the cache if v is news
-		g.cache.setValid()
+		if g.cache != nil {
+			g.cache.setValid()
+		}
+		if !placed || v != since {
+			since, placed = v, true
+			c.signal(g)
+		}
 	}
 }

@@ -326,6 +326,9 @@ type Client struct {
 	cacheOn bool          // WithReadCache; likewise
 	epochs  atomic.Uint64 // read-cache epochs (see readCache)
 
+	subs    map[int]subscription // Subscribe registrations by ID; under mu
+	nextSub int
+
 	originMu sync.Mutex
 	origins  []string // origins decoded by Get, shared among its results; at most maxClientOrigins
 
@@ -355,6 +358,7 @@ func NewClient(addrs []string, secret []byte, opts ...ClientOption) *Client {
 		secret:  secret,
 		timeout: 5 * time.Second,
 		metrics: stats.NewRegistry(),
+		subs:    make(map[int]subscription),
 	}
 	c.mRequests = c.metrics.Counter("requests")
 	c.mFailovers = c.metrics.Counter("failovers")
@@ -372,8 +376,8 @@ func NewClient(addrs []string, secret []byte, opts ...ClientOption) *Client {
 	return c
 }
 
-// newGroup builds a replica group, starting its cache watch when the
-// client caches reads.
+// newGroup builds a replica group, starting its watch loop when reads
+// are cached or something subscribed. Caller holds c.mu, or is NewClient.
 func (c *Client) newGroup(addrs []string) *replicaGroup {
 	g := &replicaGroup{addrs: append([]string(nil), addrs...)}
 	if len(addrs) > 0 { // else roundTrip refuses every call
@@ -381,15 +385,70 @@ func (c *Client) newGroup(addrs []string) *replicaGroup {
 	}
 	if c.cacheOn {
 		g.cache = newReadCache(&c.epochs)
-		ctx, cancel := context.WithCancel(context.Background())
-		g.watchStop = cancel
-		c.wg.Add(1)
-		go c.watchLoop(ctx, g)
+	}
+	if c.cacheOn || len(c.subs) > 0 {
+		c.startWatch(g)
 	}
 	return g
 }
 
-// retireGroup stops a group's watch and breaks its connection; in-flight
+// startWatch starts g's watch loop, which retireGroup stops. Caller
+// holds c.mu, or is NewClient.
+func (c *Client) startWatch(g *replicaGroup) {
+	ctx, cancel := context.WithCancel(context.Background())
+	g.watchStop = cancel
+	c.wg.Add(1)
+	go c.watchLoop(ctx, g)
+}
+
+// subscription is one Subscribe registration.
+type subscription struct {
+	prefix string
+	ch     chan Event
+}
+
+// Subscribe registers ch for an Event, with no assertion, each time the
+// watch loop of the group owning prefix under the installed map sees the
+// version advance or polls well after a start or a failure; one a full ch
+// cannot take is dropped. It starts the groups' loops if none runs, and
+// does no I/O.
+func (c *Client) Subscribe(prefix string, ch chan Event) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nextSub++
+	c.subs[c.nextSub] = subscription{prefix: prefix, ch: ch}
+	for _, g := range append([]*replicaGroup{c.seed}, c.groups...) {
+		if g.watchStop == nil && !c.closed {
+			c.startWatch(g)
+		}
+	}
+	return c.nextSub
+}
+
+// Unsubscribe cancels a Subscribe registration.
+func (c *Client) Unsubscribe(id int) {
+	c.mu.Lock()
+	delete(c.subs, id)
+	c.mu.Unlock()
+}
+
+// signal sends, without blocking, to every subscription whose prefix g
+// owns under the installed map.
+func (c *Client) signal(g *replicaGroup) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.subs {
+		if c.owner(s.prefix) != g {
+			continue
+		}
+		select {
+		case s.ch <- Event{}:
+		default:
+		}
+	}
+}
+
+// retireGroup stops a group's watch loop and breaks its connection; in-flight
 // requests fail over and find the group refusing redials.
 func retireGroup(g *replicaGroup) {
 	if g.watchStop != nil {
@@ -430,7 +489,7 @@ func (c *Client) MetricsSnapshot() stats.Snapshot {
 	return c.metrics.Snapshot()
 }
 
-// Close stops the watch goroutines and drops every connection.
+// Close stops the watch loops and drops every connection.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {

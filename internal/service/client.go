@@ -35,10 +35,6 @@ type ClientConfig struct {
 	AttemptTimeout time.Duration
 }
 
-// watchPoll is how often the replica table is marked for a re-read when
-// the catalog offers no change notification (see naming.Watch).
-const watchPoll = 250 * time.Millisecond
-
 // replica is one row of the client's replica table: what the catalog said
 // about the replica at the last refresh, and what this client has seen of
 // it since.
@@ -114,10 +110,6 @@ type Client struct {
 
 // NewClient builds a client for one service group.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	return newClient(cfg, watchPoll)
-}
-
-func newClient(cfg ClientConfig, poll time.Duration) (*Client, error) {
 	if cfg.Service == "" || cfg.Catalog == nil || cfg.Endpoint == nil {
 		return nil, errors.New("service: client needs Service, Catalog and Endpoint")
 	}
@@ -155,7 +147,7 @@ func newClient(cfg ClientConfig, poll time.Duration) (*Client, error) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		naming.Watch(ctx, cfg.Catalog, c.uri, poll, c.markStale)
+		naming.Watch(ctx, cfg.Catalog, c.uri, c.markStale)
 	}()
 	return c, nil
 }

@@ -17,14 +17,20 @@ import (
 	"snipe/internal/testutil"
 )
 
-// countingCatalog counts every catalog read made through it. It hides
-// whatever change-notification face the wrapped catalog has, so a client
-// over it falls back to polling; pushCatalog puts the store's back.
+// countingCatalog counts every catalog read made through it, and
+// forwards the wrapped catalog's Subscribe, counting nothing for it: a
+// subscription is not a read.
 type countingCatalog struct {
 	naming.Catalog
-	reads atomic.Int64
+	reads      atomic.Int64
+	subscribed atomic.Bool
 	// block, when set, parks every Values call until it is closed.
 	block atomic.Pointer[chan struct{}]
+}
+
+func (c *countingCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
+	defer c.subscribed.Store(true)
+	return c.Catalog.Subscribe(prefix, ch)
 }
 
 func (c *countingCatalog) Values(uri, name string) ([]string, error) {
@@ -45,24 +51,12 @@ func (c *countingCatalog) URIs(prefix string) ([]string, error) {
 	return c.Catalog.URIs(prefix)
 }
 
-// pushCatalog is a countingCatalog that forwards the wrapped store's
-// Subscribe face, counting nothing for it: a subscription is not a read.
-type pushCatalog struct {
-	*countingCatalog
-	subscribed atomic.Bool
-}
+// silentCatalog is a countingCatalog that never notifies: its Subscribe
+// never sends.
+type silentCatalog struct{ *countingCatalog }
 
-type subscriber interface {
-	Subscribe(prefix string, ch chan rcds.Event) int
-	Unsubscribe(id int)
-}
-
-func (p *pushCatalog) Subscribe(prefix string, ch chan rcds.Event) int {
-	defer p.subscribed.Store(true)
-	return p.Catalog.(subscriber).Subscribe(prefix, ch)
-}
-
-func (p *pushCatalog) Unsubscribe(id int) { p.Catalog.(subscriber).Unsubscribe(id) }
+func (silentCatalog) Subscribe(string, chan rcds.Event) int { return 0 }
+func (silentCatalog) Unsubscribe(int)                       {}
 
 func counter(c *Client, name string) uint64 { return c.MetricsSnapshot().Counters[name] }
 
@@ -82,63 +76,54 @@ func callTag(t *testing.T, cli *Client) string {
 	return tag
 }
 
-// testTableFollowsCatalog drives one client through a replica joining and
-// another leaving, with no call allowed to fail or to wait for a refresh:
-// the table alone has to keep up. quiet says the catalog pushes its
-// changes, so between changes the client must not read it at all.
-func testTableFollowsCatalog(t *testing.T, w *world, cat naming.Catalog, count *countingCatalog, poll time.Duration, quiet bool) {
+// TestCallReadsNoCatalog: over a catalog that pushes its changes, a
+// warmed-up client makes no catalog call at all on the steady path, and
+// membership changes reach it through one notification each. No call is
+// allowed to fail or to wait for a refresh: the table alone has to keep
+// up.
+func TestCallReadsNoCatalog(t *testing.T) {
+	w := newWorld(t)
+	count := &countingCatalog{Catalog: w.cat}
 	srvA, _ := w.echoReplica("tbl", "ha", "a", nil)
-	cli, err := newClient(ClientConfig{
-		Service: "tbl", Catalog: cat, Endpoint: w.endpoint(naming.ProcessURN("cli", "tbl")),
-	}, poll)
+	cli, err := NewClient(ClientConfig{
+		Service: "tbl", Catalog: count, Endpoint: w.endpoint(naming.ProcessURN("cli", "tbl")),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 
-	if quiet {
-		// Warm up: the first call fills the empty table, the watch coming
-		// into place costs one more read, and then the catalog goes quiet.
-		waitFor(t, 5*time.Second, func() bool {
-			before := count.reads.Load()
-			for i := 0; i < 20; i++ {
-				callTag(t, cli)
-			}
-			return cat.(*pushCatalog).subscribed.Load() && count.reads.Load() == before
-		}, "the client never stopped reading the catalog")
-		reads, refreshes := count.reads.Load(), counter(cli, "table_refreshes")
-		for i := 0; i < 1000; i++ {
-			if tag := callTag(t, cli); tag != "a" {
-				t.Fatalf("call %d answered by %q", i, tag)
-			}
-		}
-		if got := count.reads.Load() - reads; got != 0 {
-			t.Fatalf("1000 calls made %d catalog reads, want 0", got)
-		}
-		if got := counter(cli, "table_refreshes") - refreshes; got != 0 {
-			t.Fatalf("1000 calls refreshed the table %d times, want 0", got)
-		}
-	} else {
-		callTag(t, cli)
-		start, refreshes := time.Now(), counter(cli, "table_refreshes")
-		for i := 0; i < 1000; i++ {
+	// Warm up: the first call fills the empty table, the watch coming
+	// into place costs one more read, and then the catalog goes quiet.
+	waitFor(t, 5*time.Second, func() bool {
+		before := count.reads.Load()
+		for i := 0; i < 20; i++ {
 			callTag(t, cli)
 		}
-		ticks := uint64(time.Since(start)/poll) + 2
-		if got := counter(cli, "table_refreshes") - refreshes; got > ticks {
-			t.Fatalf("1000 calls refreshed the table %d times in %d poll intervals", got, ticks)
+		return count.subscribed.Load() && count.reads.Load() == before
+	}, "the client never stopped reading the catalog")
+	reads, refreshes := count.reads.Load(), counter(cli, "table_refreshes")
+	for i := 0; i < 1000; i++ {
+		if tag := callTag(t, cli); tag != "a" {
+			t.Fatalf("call %d answered by %q", i, tag)
 		}
+	}
+	if got := count.reads.Load() - reads; got != 0 {
+		t.Fatalf("1000 calls made %d catalog reads, want 0", got)
+	}
+	if got := counter(cli, "table_refreshes") - refreshes; got != 0 {
+		t.Fatalf("1000 calls refreshed the table %d times, want 0", got)
 	}
 
 	// A replica joins: one notification, one refresh, and it is in rotation.
-	refreshes := counter(cli, "table_refreshes")
+	refreshes = counter(cli, "table_refreshes")
 	srvB, _ := w.echoReplica("tbl", "hb", "b", nil)
 	waitFor(t, 5*time.Second, func() bool {
 		callTag(t, cli)
 		cands, err := cli.Candidates()
 		return err == nil && slices.Contains(cands, srvB.URN())
 	}, "the replica that joined never entered the table")
-	if got := counter(cli, "table_refreshes") - refreshes; quiet && got != 1 {
+	if got := counter(cli, "table_refreshes") - refreshes; got != 1 {
 		t.Fatalf("one replica joining cost %d refreshes, want 1", got)
 	}
 
@@ -155,7 +140,7 @@ func testTableFollowsCatalog(t *testing.T, w *world, cat naming.Catalog, count *
 			t.Fatalf("withdrawn replica %q still picked", tag)
 		}
 	}
-	if got := counter(cli, "table_refreshes") - refreshes; quiet && got != 1 {
+	if got := counter(cli, "table_refreshes") - refreshes; got != 1 {
 		t.Fatalf("one replica leaving cost %d refreshes, want 1", got)
 	}
 	if got := counter(cli, "table_refreshes_sync"); got != 1 {
@@ -166,24 +151,6 @@ func testTableFollowsCatalog(t *testing.T, w *world, cat naming.Catalog, count *
 	}
 }
 
-// TestCallReadsNoCatalog: over a catalog that pushes its changes, a
-// warmed-up client makes no catalog call at all on the steady path, and
-// membership changes reach it through one notification each.
-func TestCallReadsNoCatalog(t *testing.T) {
-	w := newWorld(t)
-	count := &countingCatalog{Catalog: w.cat}
-	testTableFollowsCatalog(t, w, &pushCatalog{countingCatalog: count}, count, time.Hour, true)
-}
-
-// TestCallPollsCatalogWithoutAFace: over a catalog with no notification
-// face the table is re-read once per poll interval, however many calls
-// that interval carries, and membership changes reach it the same way.
-func TestCallPollsCatalogWithoutAFace(t *testing.T) {
-	w := newWorld(t)
-	count := &countingCatalog{Catalog: w.cat}
-	testTableFollowsCatalog(t, w, count, count, 20*time.Millisecond, false)
-}
-
 // TestRefreshCoalesces: however many notifications arrive while one
 // background refresh is stuck in the catalog, calls keep being served from
 // the table as it is, and the burst costs one more refresh, not one each.
@@ -191,9 +158,9 @@ func TestRefreshCoalesces(t *testing.T) {
 	w := newWorld(t)
 	w.echoReplica("burst", "ha", "a", nil)
 	count := &countingCatalog{Catalog: w.cat}
-	cli, err := newClient(ClientConfig{
-		Service: "burst", Catalog: count, Endpoint: w.endpoint(naming.ProcessURN("cli", "burst")),
-	}, time.Hour) // no face and no tick: the test is the only source of notifications
+	cli, err := NewClient(ClientConfig{ // the test is the only source of notifications
+		Service: "burst", Catalog: silentCatalog{count}, Endpoint: w.endpoint(naming.ProcessURN("cli", "burst")),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
